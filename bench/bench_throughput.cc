@@ -78,14 +78,6 @@ std::vector<std::string>& JsonRecords() {
 /// sim and file numbers can never be compared silently.
 const char* g_backend_name = "sim";
 
-/// The I/O regime ("sync"/"async") and the engine that actually served it
-/// ("sync"/"worker-pool"/"io_uring"), same contract as the backend name:
-/// every record carries them, and perf_gate.py refuses to compare numbers
-/// across regimes. The engine can differ from the requested regime only
-/// by fallback (async on a kernel without io_uring → "worker-pool").
-const char* g_io_name = "sync";
-const char* g_io_engine = "sync";
-
 /// Sampled-tracing policy for the measured series, from DSKS_BENCH_SAMPLE.
 /// Off by default: a sampled run is a different experiment than the perf
 /// baseline, and every record says which one it was.
@@ -156,15 +148,14 @@ void EmitJson(const char* workload, const ThroughputMetrics& m,
   char buf[768];
   std::snprintf(
       buf, sizeof(buf),
-      "{\"bench\":\"throughput\",\"backend\":\"%s\",\"io\":\"%s\","
-      "\"io_engine\":\"%s\",\"workload\":\"%s\","
+      "{\"bench\":\"throughput\",\"backend\":\"%s\",\"workload\":\"%s\","
       "\"cold\":0,\"prefetch\":1,\"threads\":%zu,"
       "\"queries\":%zu,\"wall_ms\":%.2f,\"qps\":%.1f,\"avg_ms\":%.3f,"
       "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"speedup\":%.2f,"
       "\"errors\":%llu,\"error_rate\":%.6f,"
       "\"hist_count\":%llu,\"hist_p50_ms\":%.3f,\"hist_p99_ms\":%.3f,"
       "\"sample_rate\":%u,\"sampled_queries\":%llu}",
-      g_backend_name, g_io_name, g_io_engine, workload, m.num_threads,
+      g_backend_name, workload, m.num_threads,
       m.queries, m.wall_millis, m.qps,
       m.avg_millis,
       m.p50_millis, m.p95_millis, m.p99_millis, speedup,
@@ -183,10 +174,8 @@ void EmitJson(const char* workload, const ThroughputMetrics& m,
 /// on run's pool_misses reduction is judged against (EXPERIMENTS.md).
 void RunColdSeries(const char* workload, Database* db, const Workload& wl,
                    bool div) {
-  // Sleeping delay, not the sequential harness's busy-wait: the async
-  // engine always sleeps (a spinning "device" thread would steal the
-  // issuer's core), so the sync side of a cold A/B must pay the same
-  // scheduler wakeup costs or the two regimes simulate different devices.
+  // Sleeping delay, not the sequential harness's busy-wait: a blocking
+  // read that frees the core, like the concurrent series.
   ScopedIoDelay delay(db, /*yielding=*/true);
   TablePrinter table({"prefetch", "queries", "wall ms", "qps", "avg ms",
                       "p95 ms", "misses", "reads", "pf issued", "pf hits",
@@ -247,8 +236,7 @@ void RunColdSeries(const char* workload, Database* db, const Workload& wl,
     char buf[768];
     std::snprintf(
         buf, sizeof(buf),
-        "{\"bench\":\"throughput\",\"backend\":\"%s\",\"io\":\"%s\","
-        "\"io_engine\":\"%s\",\"workload\":\"%s\","
+        "{\"bench\":\"throughput\",\"backend\":\"%s\",\"workload\":\"%s\","
         "\"cold\":1,\"prefetch\":%d,\"threads\":1,"
         "\"queries\":%zu,\"wall_ms\":%.2f,\"qps\":%.1f,\"avg_ms\":%.3f,"
         "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"speedup\":1.00,"
@@ -258,7 +246,7 @@ void RunColdSeries(const char* workload, Database* db, const Workload& wl,
         "\"pool_misses\":%llu,\"disk_reads\":%llu,"
         "\"prefetch_issued\":%llu,\"prefetch_hits\":%llu,"
         "\"prefetch_wasted\":%llu,\"prefetch_dropped\":%llu}",
-        g_backend_name, g_io_name, g_io_engine, workload, prefetch_on ? 1 : 0,
+        g_backend_name, workload, prefetch_on ? 1 : 0,
         n, wall_ms, qps,
         n > 0 ? sum / n : 0.0, pct(50), pct(95), pct(99),
         static_cast<unsigned long long>(hs.count), hs.Percentile(50),
@@ -294,13 +282,12 @@ void RunColdSeries(const char* workload, Database* db, const Workload& wl,
 
 void EmitPhaseProfile(const char* workload, Database* db, const Workload& wl,
                       bool div) {
-  // Single-threaded so the counter deltas are exact (no other query's
-  // traffic lands inside a span); spin-wait delay like the sequential
-  // harness so phase times include the simulated I/O cost.
+  // Spin-wait delay like the sequential harness so phase times include
+  // the simulated I/O cost. Database::Run* binds the trace to the
+  // context's own I/O counters.
   ScopedIoDelay delay(db);
   db->ResetCounters();
   obs::QueryTrace trace;
-  trace.BindIoSources(&db->pool()->stats(), &db->disk()->stats());
   QueryContext ctx;
   ctx.trace = &trace;
   const size_t n = std::min<size_t>(wl.queries.size(), 32);
@@ -320,10 +307,9 @@ void EmitPhaseProfile(const char* workload, Database* db, const Workload& wl,
   std::string buf;
   char item[256];
   std::snprintf(item, sizeof(item),
-                "{\"bench\":\"throughput\",\"backend\":\"%s\",\"io\":\"%s\","
-                "\"io_engine\":\"%s\","
+                "{\"bench\":\"throughput\",\"backend\":\"%s\","
                 "\"workload\":\"%s\",\"queries\":%zu,\"phase_profile\":{",
-                g_backend_name, g_io_name, g_io_engine, workload, n);
+                g_backend_name, workload, n);
   buf += item;
   bool first = true;
   for (size_t p = 0; p < obs::kNumPhases; ++p) {
@@ -400,7 +386,6 @@ int main(int argc, char** argv) {
               "no paper figure — production-scaling experiment");
   BenchBackend backend(argc, argv);
   g_backend_name = backend.name();
-  g_io_name = backend.io_name();
   std::printf("storage backend: %s%s\n", g_backend_name,
               cold ? " (cold cache)" : "");
   const size_t num_queries = QueriesFromEnv(200);
@@ -417,9 +402,6 @@ int main(int argc, char** argv) {
   }
 
   Database db(Scaled(PresetNA()), backend.options());
-  g_io_engine = db.disk()->io_engine_name();
-  std::printf("io regime: %s (engine %s, depth %zu)\n", g_io_name,
-              g_io_engine, db.disk()->io_depth());
   IndexOptions opts;
   opts.kind = IndexKind::kSIF;
   db.BuildIndex(opts);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -19,38 +18,6 @@ namespace {
 /// Pairs inside the margin simply take the fallback field — correctness is
 /// unaffected, only the sharing rate.
 constexpr double kCertSlack = 1e-9;
-
-/// Every kPrefetchInterval settles, hand the buffer pool the CCAM pages of
-/// the heap's shallow layers — a sample of the nodes this Dijkstra pass
-/// settles next. Purely advisory: the pool drops failures and the pass
-/// never waits, so settled distances are bit-identical either way.
-/// Like sk_search, an async disk engine gets a deeper issue window —
-/// twice the sample at half the interval — since submission never blocks.
-constexpr size_t kPrefetchIntervalSync = 32;
-constexpr size_t kPrefetchIntervalAsync = 16;
-constexpr size_t kFrontierSampleSync = 16;
-constexpr size_t kFrontierSampleAsync = 32;
-
-size_t PrefetchInterval(const CcamGraph& graph) {
-  return graph.async_prefetch() ? kPrefetchIntervalAsync
-                                : kPrefetchIntervalSync;
-}
-
-void PrefetchFrontier(const CcamGraph& graph,
-                      const ReusableMinHeap<std::pair<double, uint32_t>>& heap) {
-  const size_t sample =
-      graph.async_prefetch() ? kFrontierSampleAsync : kFrontierSampleSync;
-  const std::vector<std::pair<double, uint32_t>>& entries = heap.storage();
-  const size_t n = entries.size() < sample ? entries.size() : sample;
-  if (n == 0) {
-    return;
-  }
-  NodeId nodes[kFrontierSampleAsync];
-  for (size_t i = 0; i < n; ++i) {
-    nodes[i] = entries[i].second;
-  }
-  graph.PrefetchNodes(std::span<const NodeId>(nodes, n));
-}
 
 }  // namespace
 
@@ -130,7 +97,7 @@ PairwiseDistanceOracle::FieldMap& PairwiseDistanceOracle::FieldOf(
       continue;
     }
     field.try_emplace(v, d);
-    if (++settles % PrefetchInterval(*graph_) == 0) {
+    if (++settles % CcamGraph::kFrontierPrefetchInterval == 0) {
       // Same settle-batch deadline poll as the SK expansion: a cancelled
       // query leaves a partial field (safe — distances only fall back to
       // the radius cap) and a sticky CANCELLED status the caller checks.
@@ -140,7 +107,7 @@ PairwiseDistanceOracle::FieldMap& PairwiseDistanceOracle::FieldOf(
         }
         break;
       }
-      PrefetchFrontier(*graph_, o_->heap);
+      graph_->PrefetchFrontier(o_->heap.storage());
     }
     if (const Status s = graph_->GetAdjacency(v, &o_->adjacency); !s.ok()) {
       if (status_.ok()) {
@@ -211,14 +178,14 @@ void PairwiseDistanceOracle::BuildSharedField() {
     o_->parent_local.push_back(parent == kInvalidNodeId
                                    ? UINT32_MAX
                                    : o_->local_index.Get(parent));
-    if (o_->order.size() % PrefetchInterval(*graph_) == 0) {
+    if (o_->order.size() % CcamGraph::kFrontierPrefetchInterval == 0) {
       if (ctx_->DeadlineExceeded()) {
         if (status_.ok()) {
           status_ = Status::Cancelled("query deadline exceeded in oracle");
         }
         break;  // partial shared field: fewer pairs certify, none wrongly
       }
-      PrefetchFrontier(*graph_, o_->heap);
+      graph_->PrefetchFrontier(o_->heap.storage());
     }
     if (const Status s = graph_->GetAdjacency(v, &o_->adjacency); !s.ok()) {
       if (status_.ok()) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -10,43 +9,6 @@
 #include "obs/trace.h"
 
 namespace dsks {
-
-namespace {
-
-/// Every kPrefetchInterval settles, hand the buffer pool the CCAM pages of
-/// the heap's shallow layers — a sample of the nodes Dijkstra settles next.
-/// Purely advisory: the pool drops failures and the expansion never waits,
-/// so settled distances are bit-identical with prefetching on or off.
-/// Under an async disk engine the submission is fire-and-forget, so the
-/// issuer runs further ahead: twice the sample at half the interval keeps
-/// the in-flight window full without ever blocking a settle.
-constexpr uint64_t kPrefetchIntervalSync = 32;
-constexpr uint64_t kPrefetchIntervalAsync = 16;
-constexpr size_t kFrontierSampleSync = 16;
-constexpr size_t kFrontierSampleAsync = 32;
-
-uint64_t PrefetchInterval(const CcamGraph& graph) {
-  return graph.async_prefetch() ? kPrefetchIntervalAsync
-                                : kPrefetchIntervalSync;
-}
-
-void PrefetchFrontier(const CcamGraph& graph,
-                      const ReusableMinHeap<std::pair<double, uint32_t>>& heap) {
-  const size_t sample =
-      graph.async_prefetch() ? kFrontierSampleAsync : kFrontierSampleSync;
-  const std::vector<std::pair<double, uint32_t>>& entries = heap.storage();
-  const size_t n = entries.size() < sample ? entries.size() : sample;
-  if (n == 0) {
-    return;
-  }
-  NodeId nodes[kFrontierSampleAsync];
-  for (size_t i = 0; i < n; ++i) {
-    nodes[i] = entries[i].second;
-  }
-  graph.PrefetchNodes(std::span<const NodeId>(nodes, n));
-}
-
-}  // namespace
 
 IncrementalSkSearch::IncrementalSkSearch(const CcamGraph* graph,
                                          ObjectIndex* index,
@@ -226,7 +188,7 @@ bool IncrementalSkSearch::ExpandOneNode() {
   s_->node_heap.pop();
   s_->settled.Set(v, d);
   ++stats_.nodes_settled;
-  if (stats_.nodes_settled % PrefetchInterval(*graph_) == 0) {
+  if (stats_.nodes_settled % CcamGraph::kFrontierPrefetchInterval == 0) {
     // Deadline poll shares the settle-batch cadence with the prefetch
     // issuer: one clock read per batch, never per node. The spans and I/O
     // recorded so far remain as the cancelled query's partial-work account.
@@ -234,7 +196,9 @@ bool IncrementalSkSearch::ExpandOneNode() {
       status_ = Status::Cancelled("query deadline exceeded during expansion");
       return false;
     }
-    PrefetchFrontier(*graph_, s_->node_heap);
+    // Hand the pool the CCAM pages of the nodes settled next. Purely
+    // advisory: settled distances are bit-identical with or without it.
+    graph_->PrefetchFrontier(s_->node_heap.storage());
   }
 
   status_ = graph_->GetAdjacency(v, &s_->adjacency);

@@ -19,12 +19,10 @@ namespace {
 constexpr size_t kPageHeaderSize = sizeof(uint16_t);
 
 // Cap on distinct pages per PrefetchNodes call; bounds both the stack
-// array and the burst handed to the pool. Under a sync disk the burst
-// blocks the caller, so it stays small; an async engine completes it
-// off-thread, so the window doubles to keep the device busy further
-// ahead of the expansion.
-constexpr size_t kMaxPrefetchNodesSync = 32;
-constexpr size_t kMaxPrefetchNodesAsync = 64;
+// array and the burst handed to the pool. The burst blocks the caller, so
+// it stays small.
+constexpr size_t kMaxPrefetchNodes = 32;
+constexpr size_t kFrontierSample = 16;
 constexpr size_t kRecordHeaderSize = sizeof(uint32_t) + sizeof(uint16_t);
 constexpr size_t kNeighborSize = sizeof(uint32_t) * 2 + sizeof(double);
 
@@ -221,12 +219,10 @@ void CcamGraph::PrefetchNodes(std::span<const NodeId> nodes) const {
   // Map node → page and drop duplicates (frontier neighbours often share a
   // page — that locality is the whole point of CCAM packing). The window
   // is small, so the quadratic dedup beats hashing.
-  const size_t cap =
-      async_prefetch() ? kMaxPrefetchNodesAsync : kMaxPrefetchNodesSync;
-  PageId pages[kMaxPrefetchNodesAsync];
+  PageId pages[kMaxPrefetchNodes];
   size_t n = 0;
   for (const NodeId id : nodes) {
-    if (n >= cap) {
+    if (n >= kMaxPrefetchNodes) {
       break;
     }
     const PageId pid = file_->PageOfNode(id);
@@ -247,6 +243,16 @@ void CcamGraph::PrefetchNodes(std::span<const NodeId> nodes) const {
   if (n > 0) {
     pool_->Prefetch(std::span<const PageId>(pages, n));
   }
+}
+
+void CcamGraph::PrefetchFrontier(
+    std::span<const std::pair<double, NodeId>> heap) const {
+  const size_t n = std::min(heap.size(), kFrontierSample);
+  NodeId nodes[kFrontierSample];
+  for (size_t i = 0; i < n; ++i) {
+    nodes[i] = heap[i].second;
+  }
+  PrefetchNodes(std::span<const NodeId>(nodes, n));
 }
 
 Status CcamGraph::GetAdjacency(NodeId id,

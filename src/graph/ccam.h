@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -89,10 +90,12 @@ double CcamConnectivityRatio(const RoadNetwork& net, const CcamFile& file);
 /// the cost model in §3.2).
 class CcamGraph {
  public:
+  /// Settles between two frontier prefetches of a network expansion. The
+  /// searches also poll their deadline on this cadence.
+  static constexpr uint64_t kFrontierPrefetchInterval = 32;
+
   CcamGraph(const CcamFile* file, BufferPool* pool)
-      : file_(file),
-        pool_(pool),
-        async_prefetch_(pool != nullptr && pool->disk()->async_enabled()) {}
+      : file_(file), pool_(pool) {}
 
   /// Appends node `id`'s adjacency list to `out` (cleared first).
   /// Propagates disk errors (IOError/Corruption) from the page fetch and
@@ -107,19 +110,20 @@ class CcamGraph {
   /// a query, and results are bit-identical with or without it.
   void PrefetchNodes(std::span<const NodeId> nodes) const;
 
-  /// True when speculative reads complete off-thread (async disk engine).
-  /// Issuers use this to run deeper prefetch windows: with fire-and-forget
-  /// submission a bigger burst costs nothing on the query thread, whereas
-  /// under sync I/O the same burst would block the expansion that issued
-  /// it. Fixed at construction — the disk's engine never changes.
-  bool async_prefetch() const { return async_prefetch_; }
+  /// Frontier readahead for a Dijkstra-style expansion: prefetches the
+  /// nodes of the first 16 entries of `heap`, the storage of its
+  /// (distance, node) min-heap. Those shallow layers are a sample of the
+  /// nodes settled next. Expansions call this every
+  /// kFrontierPrefetchInterval settles; the read blocks the caller, so the
+  /// sample stays small.
+  void PrefetchFrontier(
+      std::span<const std::pair<double, NodeId>> heap) const;
 
   size_t num_nodes() const { return file_->num_nodes(); }
 
  private:
   const CcamFile* file_;
   BufferPool* pool_;
-  const bool async_prefetch_;
 };
 
 }  // namespace dsks

@@ -42,11 +42,10 @@ struct IoCounters {
 /// relaxed-atomic stats), so a query's context accumulates exactly the
 /// I/O that query caused — other threads charge their own accounts.
 ///
-/// All storage I/O is synchronous today (the issuing thread performs the
-/// read, even for batches — see DESIGN.md "Threading model"), so the
+/// Single owner: every storage read and write, batched or not, runs on
+/// the thread that issued it (see DESIGN.md "Threading model"), so the
 /// installed counters are only ever touched by their owning thread and
-/// need no atomics. An async backend would have to route completions back
-/// to the issuer's account; the hook is the single place to do that.
+/// need no atomics.
 ///
 /// Null (the default) means unattributed: the charge helpers reduce to a
 /// thread-local load and a branch, which is what keeps the storage hot

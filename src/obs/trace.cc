@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
 
 namespace dsks::obs {
 
@@ -51,12 +49,6 @@ void QueryTrace::BindContextIo(const IoCounters* io) {
   context_io_ = io;
 }
 
-void QueryTrace::BindIoSources(const BufferPoolStats* pool,
-                               const DiskStats* disk) {
-  pool_stats_ = pool;
-  disk_stats_ = disk;
-}
-
 void QueryTrace::Clear() {
   spans_.clear();
   open_.clear();
@@ -65,23 +57,9 @@ void QueryTrace::Clear() {
 }
 
 IoCounters QueryTrace::ReadIo() const {
-  if (context_io_ != nullptr) {
-    // The context's counters are only written by the thread running its
-    // query — this thread — so a plain copy is an exact snapshot.
-    return *context_io_;
-  }
-  IoCounters io;
-  if (pool_stats_ != nullptr) {
-    io.pool_hits = pool_stats_->hits.load(std::memory_order_relaxed);
-    io.pool_misses = pool_stats_->misses.load(std::memory_order_relaxed);
-    io.prefetched_pages =
-        pool_stats_->prefetch_issued.load(std::memory_order_relaxed);
-  }
-  if (disk_stats_ != nullptr) {
-    io.disk_reads = disk_stats_->reads.load(std::memory_order_relaxed);
-    io.disk_writes = disk_stats_->writes.load(std::memory_order_relaxed);
-  }
-  return io;
+  // The context's counters are only written by the thread running its
+  // query — this thread — so a plain copy is an exact snapshot.
+  return context_io_ != nullptr ? *context_io_ : IoCounters{};
 }
 
 int64_t QueryTrace::NowNs() const {

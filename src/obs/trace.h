@@ -8,12 +8,7 @@
 
 #include "obs/io_account.h"
 
-namespace dsks {
-
-struct BufferPoolStats;
-struct DiskStats;
-
-namespace obs {
+namespace dsks::obs {
 
 /// The query phases the paper's cost model distinguishes: object loading
 /// through the index (Algorithm 2), network expansion (Algorithm 3), the
@@ -65,22 +60,16 @@ struct TraceSpan {
 /// Database::Run* does this automatically when the context carries a
 /// trace — and the span I/O deltas are exact regardless of how many other
 /// queries run concurrently, because the storage layer charges each
-/// query's I/O to its own context (see obs/io_account.h). BindIoSources
-/// (global pool/disk stats) remains as the fallback for consumers with no
-/// QueryContext; those deltas absorb other threads' traffic and are only
-/// exact single-threaded. Tracing several queries into one trace is fine —
-/// each becomes another kQuery root and the aggregates accumulate.
+/// query's I/O to its own context (see obs/io_account.h). An unbound
+/// trace records timings only (its I/O deltas stay zero). Tracing several
+/// queries into one trace is fine — each becomes another kQuery root and
+/// the aggregates accumulate.
 class QueryTrace {
  public:
-  /// Snapshots the query context's own attribution counters per span;
-  /// takes precedence over BindIoSources. Null unbinds. Must not be
-  /// called while spans are open — an open span's delta would mix
-  /// snapshots of different counters.
+  /// Snapshots the query context's own attribution counters per span.
+  /// Null unbinds. Must not be called while spans are open — an open
+  /// span's delta would mix snapshots of different counters.
   void BindContextIo(const IoCounters* io);
-
-  /// Fallback counter sources snapshotted per span when no context
-  /// counters are bound; either may be null (those deltas then stay zero).
-  void BindIoSources(const BufferPoolStats* pool, const DiskStats* disk);
 
   /// Drops all recorded spans (keeps capacity and the bound sources).
   void Clear();
@@ -142,8 +131,6 @@ class QueryTrace {
   int64_t NowNs() const;
 
   const IoCounters* context_io_ = nullptr;
-  const BufferPoolStats* pool_stats_ = nullptr;
-  const DiskStats* disk_stats_ = nullptr;
   std::vector<TraceSpan> spans_;
   std::vector<uint32_t> open_;  // stack of open span indices
   int64_t epoch_ns_ = 0;        // set by the first OpenSpan after Clear
@@ -174,7 +161,6 @@ class ScopedSpan {
   uint32_t index_ = 0;
 };
 
-}  // namespace obs
-}  // namespace dsks
+}  // namespace dsks::obs
 
 #endif  // DSKS_OBS_TRACE_H_

@@ -16,10 +16,6 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity)
 }
 
 BufferPool::~BufferPool() {
-  // Async completions touch pool state under the latch; drain the engine
-  // first so no reaper callback can land on a pool mid-teardown. Blocks
-  // until every in-flight completion has fully returned.
-  disk_->DrainAsyncReads();
 #ifndef NDEBUG
   for (const auto& [id, frame] : frames_) {
     DSKS_DCHECK_MSG(frame.pin_count == 0,
@@ -215,8 +211,6 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   if (ids.empty() || !prefetch_enabled_.load(std::memory_order_relaxed)) {
     return;
   }
-  const bool async = disk_->async_enabled();
-  const size_t io_depth = disk_->io_depth();
   const size_t allocated = disk_->num_pages();
   std::unique_lock<std::mutex> lock(latch_);
   std::vector<PageReadRequest> reqs;
@@ -228,22 +222,16 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
     }
     Frame* frame = GetFrameLocked(id);
     if (frame != nullptr) {
-      // Resident or already in flight (ours or another thread's): nothing
-      // to do, and never wait — prefetch must not block. A frame pinned
-      // *and dirty* additionally gets counted: its writer holds newer
-      // bytes than the disk, so a queued speculative read could only ever
-      // race the write-back with stale data. Issued-and-dropped keeps the
-      // lifecycle telescope exact without a device read.
+      // Resident or already in flight (claimed earlier in this call or by
+      // another thread): nothing to do, and never wait — prefetch must
+      // not block. A frame pinned *and dirty* additionally gets counted:
+      // its writer holds newer bytes than the disk, so a speculative read
+      // could only ever race the write-back with stale data.
+      // Issued-and-dropped keeps the lifecycle telescope exact without a
+      // device read.
       if (frame->pin_count > 0 && frame->dirty) {
         ++refused;
       }
-      continue;
-    }
-    if (async &&
-        prefetch_inflight_.load(std::memory_order_relaxed) + reqs.size() >=
-            io_depth) {
-      // In-flight window full: skip silently, like a resident page. The
-      // issuer re-requests anything still useful on its next interval.
       continue;
     }
     if (frames_.size() >= capacity_.load(std::memory_order_relaxed)) {
@@ -253,7 +241,7 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
     f.data = std::make_unique<char[]>(kPageSize);
     f.page_id = id;
     // Pinned while in flight so eviction/Clear can't touch the frame; the
-    // pin drops when the completion publishes it.
+    // pin drops when the read publishes it.
     f.pin_count = 1;
     f.dirty = false;
     f.in_lru = false;
@@ -273,55 +261,33 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   }
   stats_.prefetch_issued.fetch_add(reqs.size(), std::memory_order_relaxed);
   obs::ChargePrefetchIssued(reqs.size());
-  prefetch_inflight_.fetch_add(reqs.size(), std::memory_order_relaxed);
-  const auto submitted = std::chrono::steady_clock::now();
+  // One batched read outside the latch, like FetchPages' misses; demand
+  // fetchers of these pages wait on io_done_ meanwhile.
   lock.unlock();
-  // Fire and forget: with an async disk this returns as soon as the reads
-  // are queued and CompletePrefetch runs in the reaper context; with a
-  // sync disk the completion runs inline right here, preserving PR 7
-  // behaviour exactly.
-  disk_->SubmitReadPages(
-      std::move(reqs), [this, submitted](std::span<PageReadRequest> done) {
-        CompletePrefetch(done, submitted);
-      });
-}
-
-void BufferPool::CompletePrefetch(
-    std::span<PageReadRequest> reqs,
-    std::chrono::steady_clock::time_point submitted) {
-  {
-    std::lock_guard<std::mutex> lock(latch_);
-    for (PageReadRequest& req : reqs) {
-      Frame* frame = GetFrameLocked(req.id);
-      DSKS_CHECK(frame != nullptr);
-      if (req.status.ok()) {
-        frame->io_in_progress = false;
-        frame->pin_count = 0;
-        frame->prefetched = true;
-        lru_.push_back(req.id);
-        frame->lru_pos = std::prev(lru_.end());
-        frame->in_lru = true;
-      } else {
-        // Fault-silent by design: drop the frame, count it, and let any
-        // later demand fetch re-read and surface its own error. A query
-        // never fails because of a speculative read it didn't ask for.
-        frames_.erase(req.id);
-        stats_.prefetch_dropped.fetch_add(1, std::memory_order_relaxed);
-      }
+  disk_->ReadPages(std::span<PageReadRequest>(reqs));
+  lock.lock();
+  for (PageReadRequest& req : reqs) {
+    Frame* frame = GetFrameLocked(req.id);
+    DSKS_CHECK(frame != nullptr);
+    if (req.status.ok()) {
+      frame->io_in_progress = false;
+      frame->pin_count = 0;
+      frame->prefetched = true;
+      lru_.push_back(req.id);
+      frame->lru_pos = std::prev(lru_.end());
+      frame->in_lru = true;
+    } else {
+      // Fault-silent by design: drop the frame, count it, and let any
+      // later demand fetch re-read and surface its own error. A query
+      // never fails because of a speculative read it didn't ask for.
+      frames_.erase(req.id);
+      stats_.prefetch_dropped.fetch_add(1, std::memory_order_relaxed);
     }
-    TrimToCapacityLocked();
   }
-  prefetch_inflight_.fetch_sub(reqs.size(), std::memory_order_relaxed);
+  TrimToCapacityLocked();
+  lock.unlock();
   io_done_.notify_all();
-  if (obs::Histogram* hist =
-          prefetch_latency_.load(std::memory_order_relaxed)) {
-    const std::chrono::duration<double, std::milli> elapsed =
-        std::chrono::steady_clock::now() - submitted;
-    hist->Record(elapsed.count());
-  }
 }
-
-void BufferPool::DrainPrefetches() { disk_->DrainAsyncReads(); }
 
 char* BufferPool::NewPage(PageId* id) {
   *id = disk_->AllocatePage();
@@ -424,10 +390,6 @@ void BufferPool::SetCapacity(size_t capacity) {
 }
 
 Status BufferPool::Clear() {
-  // In-flight speculative frames hold pins; wait them out (outside the
-  // latch — completions need it) so the no-pins contract below checks
-  // only true pin leaks.
-  disk_->DrainAsyncReads();
   std::lock_guard<std::mutex> lock(latch_);
   const Status status = FlushAllLocked();
   for (auto& [id, frame] : frames_) {
@@ -463,10 +425,6 @@ void BufferPool::BindMetrics(obs::MetricsRegistry* registry,
                        counter(&stats_.prefetch_wasted));
   registry->BindSource(prefix + ".prefetch.dropped",
                        counter(&stats_.prefetch_dropped));
-  registry->BindSource(prefix + ".prefetch.inflight",
-                       counter(&prefetch_inflight_));
-  prefetch_latency_.store(&registry->histogram(prefix + ".prefetch.completion"),
-                          std::memory_order_relaxed);
   registry->BindSource(prefix + ".capacity_frames",
                        [this] { return static_cast<uint64_t>(capacity()); });
   registry->BindSource(prefix + ".frames_in_use", [this] {

@@ -2,7 +2,6 @@
 #define DSKS_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
@@ -21,7 +20,6 @@
 namespace dsks {
 
 namespace obs {
-class Histogram;
 class MetricsRegistry;
 }  // namespace obs
 
@@ -158,30 +156,14 @@ class BufferPool {
   /// and is a no-op while prefetching is disabled. Results of queries are
   /// bit-identical with prefetch on or off; only cache temperature moves.
   ///
-  /// With an async disk (IoMode::kAsync) this is fire-and-forget: frames
-  /// enter IO_IN_FLIGHT (pinned, off-LRU, io_in_progress) and the call
-  /// returns as soon as the reads are queued; the DiskManager completion
-  /// — running in the engine's reaper context, after CRC verification and
-  /// fault draws — publishes or drops each frame and wakes demand
-  /// fetchers waiting on the per-frame condvar. At most `io_depth`
-  /// speculative pages are in flight at once; ids past the window are
-  /// silently skipped like resident pages. A page currently pinned *and
-  /// dirty* is refused as a counted no-op (prefetch_issued AND
+  /// The claimed frames are pinned and in flight (io_in_progress) while
+  /// the batch is read outside the latch, so demand fetchers of those
+  /// pages wait for it instead of double-reading; the call returns once
+  /// every page is published to the LRU or dropped. A page currently
+  /// pinned *and dirty* is refused as a counted no-op (prefetch_issued AND
   /// prefetch_dropped, never a device read) — a speculative read racing
   /// an in-progress writer would publish stale bytes.
   void Prefetch(std::span<const PageId> ids);
-
-  /// Speculative pages currently in flight (0 whenever the pool is
-  /// quiescent — pinned by tests after DrainPrefetches). Exposed as the
-  /// "<prefix>.prefetch.inflight" metrics source.
-  uint64_t prefetch_inflight() const {
-    return prefetch_inflight_.load(std::memory_order_relaxed);
-  }
-
-  /// Blocks until every in-flight speculative read has completed and
-  /// published (or dropped) its frame. No-op on a sync disk. Clear() and
-  /// the destructor drain implicitly.
-  void DrainPrefetches();
 
   /// Kill switch for Prefetch (default on). Tests that need exact demand
   /// I/O sequences (one-shot fault placement) turn it off; `--prefetch`
@@ -287,13 +269,6 @@ class BufferPool {
   /// UnpinPage's body; requires latch_ held.
   void UnpinPageLocked(PageId id, bool dirty);
 
-  /// Completion tail of Prefetch, run once per submitted batch (inline on
-  /// the issuing thread for a sync disk, in the reaper context for an
-  /// async one): publishes successful frames to the LRU, drops failures,
-  /// decrements the in-flight gauge and wakes demand fetchers.
-  void CompletePrefetch(std::span<PageReadRequest> reqs,
-                        std::chrono::steady_clock::time_point submitted);
-
   Status FlushAllLocked();
 
   DiskManager* disk_;
@@ -307,14 +282,6 @@ class BufferPool {
   /// Unpinned pages, least-recently-used at the front.
   std::list<PageId> lru_;
   BufferPoolStats stats_;
-  /// Speculative pages submitted but not yet completed. A gauge, not part
-  /// of BufferPoolStats: ResetStats between bench phases must not zero a
-  /// live in-flight count (its decrements are paired with submissions,
-  /// never reset).
-  std::atomic<uint64_t> prefetch_inflight_{0};
-  /// Submit-to-completion latency of speculative batches; bound lazily by
-  /// BindMetrics (null until then, recording skipped).
-  mutable std::atomic<obs::Histogram*> prefetch_latency_{nullptr};
 };
 
 /// RAII pin on a buffer-pool page.

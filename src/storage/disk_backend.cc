@@ -16,16 +16,6 @@ const char* DiskBackendKindName(DiskBackendKind kind) {
   return "unknown";
 }
 
-const char* IoModeName(IoMode mode) {
-  switch (mode) {
-    case IoMode::kSync:
-      return "sync";
-    case IoMode::kAsync:
-      return "async";
-  }
-  return "unknown";
-}
-
 uint32_t ZeroPageCrc() {
   static const uint32_t kCrc = [] {
     std::vector<char> zeros(kPageSize, 0);

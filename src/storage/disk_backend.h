@@ -3,10 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "storage/page.h"
@@ -30,22 +28,6 @@ enum class DiskBackendKind {
 /// "backend" field of bench JSON records.
 const char* DiskBackendKindName(DiskBackendKind kind);
 
-/// How speculative reads reach the medium.
-enum class IoMode {
-  /// Every read completes on the issuing thread before the call returns
-  /// (the PR-7 batched layer, unchanged).
-  kSync,
-  /// Speculative reads are submitted to an AsyncIoEngine and complete on
-  /// engine threads: io_uring where the kernel offers it (file backend,
-  /// buffered I/O), a worker pool otherwise. Demand reads stay
-  /// synchronous — only Prefetch overlaps.
-  kAsync,
-};
-
-/// Stable lower-case name ("sync" / "async") used by --io flags and the
-/// "io" field of bench JSON records.
-const char* IoModeName(IoMode mode);
-
 /// Open-time configuration of a DiskManager.
 struct DiskOptions {
   DiskBackendKind backend = DiskBackendKind::kSim;
@@ -56,13 +38,6 @@ struct DiskOptions {
   /// reads hit the device. Best effort: filesystems that reject the flag
   /// (tmpfs) silently fall back to buffered I/O.
   bool o_direct = false;
-  /// Speculative-read path: kSync (default) or kAsync (see IoMode).
-  IoMode io = IoMode::kSync;
-  /// Async only: upper bound on speculative pages in flight at once. The
-  /// buffer pool refuses to start prefetches past this window (they are
-  /// silently skipped, like pages already resident) and the io_uring SQ
-  /// is sized from it.
-  size_t io_depth = 64;
 };
 
 /// CRC32C of an all-zero page, the checksum recorded for freshly allocated
@@ -119,38 +94,6 @@ class DiskBackend {
       r.status = ReadPage(r.id, r.out, &r.expected_crc);
     }
   }
-
-  /// Completion callback of SubmitRead. Runs exactly once, after every
-  /// request in the batch carries its final out/expected_crc/status.
-  using ReadCompletion = std::function<void(std::span<PageReadRequest>)>;
-
-  /// Asynchronous ReadPages: takes ownership of `batch`, returns as soon
-  /// as the reads are queued, and invokes `done` from an engine thread
-  /// when the whole batch has resolved. This base implementation is the
-  /// synchronous rung of the fallback ladder — ReadPages plus an inline
-  /// completion on the calling thread — so backends without an engine
-  /// (and IoMode::kSync configurations) behave exactly like PR 7.
-  ///
-  /// `done` may therefore run on the *calling* thread before SubmitRead
-  /// returns; callers must not hold locks the completion also takes.
-  virtual void SubmitRead(std::vector<PageReadRequest> batch,
-                          ReadCompletion done) {
-    ReadPages(std::span<PageReadRequest>(batch));
-    done(std::span<PageReadRequest>(batch));
-  }
-
-  /// True when SubmitRead actually overlaps (an engine is attached);
-  /// issuers use it to deepen their speculative windows.
-  virtual bool async_enabled() const { return false; }
-
-  /// Which rung of the ladder serves SubmitRead: "io_uring",
-  /// "worker-pool", or "sync".
-  virtual const char* io_engine_name() const { return "sync"; }
-
-  /// Blocks until every SubmitRead completion has fully returned. The
-  /// buffer pool drains before destruction/Clear so no completion can
-  /// land on a dead pool.
-  virtual void DrainReads() {}
 
   /// Stores `in` as page `id` and records `crc` as its checksum. On error
   /// the recorded checksum is untouched (the page image may be torn on a

@@ -1,7 +1,6 @@
 #include "storage/disk_manager.h"
 
 #include <utility>
-#include <vector>
 
 #include "common/crc32c.h"
 #include "common/macros.h"
@@ -16,7 +15,7 @@ namespace {
 std::unique_ptr<DiskBackend> MakeBackend(const DiskOptions& options) {
   switch (options.backend) {
     case DiskBackendKind::kSim:
-      return std::make_unique<SimDiskBackend>(options);
+      return std::make_unique<SimDiskBackend>();
     case DiskBackendKind::kFile: {
       std::unique_ptr<FileDiskBackend> backend;
       const Status s = FileDiskBackend::Create(options, &backend);
@@ -31,9 +30,7 @@ std::unique_ptr<DiskBackend> MakeBackend(const DiskOptions& options) {
 }  // namespace
 
 DiskManager::DiskManager(const DiskOptions& options)
-    : DiskManager(MakeBackend(options), options.backend) {
-  io_depth_ = options.io_depth;
-}
+    : DiskManager(MakeBackend(options), options.backend) {}
 
 DiskManager::DiskManager(std::unique_ptr<DiskBackend> backend,
                          DiskBackendKind kind)
@@ -52,7 +49,6 @@ Status DiskManager::OpenExisting(const DiskOptions& options,
   std::unique_ptr<FileDiskBackend> backend;
   DSKS_RETURN_IF_ERROR(FileDiskBackend::Open(options, &backend));
   out->reset(new DiskManager(std::move(backend), options.backend));
-  (*out)->io_depth_ = options.io_depth;
   return Status::Ok();
 }
 
@@ -63,169 +59,59 @@ PageId DiskManager::AllocatePage() {
 }
 
 Status DiskManager::ReadPage(PageId id, char* out) {
-  const bool armed = fault_injector_.armed();
-  if (armed && fault_injector_.ShouldFailRead(id)) {
-    stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
-    return Status::IOError("injected read fault on page " +
-                           std::to_string(id));
-  }
-  uint32_t expected_crc = 0;
-  Status s = backend_->ReadPage(id, out, &expected_crc);
-  if (!s.ok()) {
-    // Real device failures get the same accounting as injected ones.
-    if (s.IsCorruption()) {
-      stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
-    }
-    return s;
-  }
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  obs::ChargeDiskRead();
-  if (armed) {
-    uint32_t bit_index = 0;
-    if (fault_injector_.ShouldCorruptRead(id, &bit_index)) {
-      out[bit_index / 8] ^= static_cast<char>(1u << (bit_index % 8));
-    }
-  }
-  // Verify the bytes actually handed to the caller — freshly copied, so
-  // cache-hot for the checksum pass — catching at-rest corruption
-  // (CorruptStoredPage, torn files) and in-flight bit flips alike.
-  if (crc32c::Value(out, kPageSize) != expected_crc) {
-    stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
-    return Status::Corruption("checksum mismatch on page " +
-                              std::to_string(id));
-  }
-  return Status::Ok();
+  PageReadRequest r;
+  r.id = id;
+  r.out = out;
+  r.status = backend_->ReadPage(id, out, &r.expected_crc);
+  FinishRead(&r, fault_injector_.armed());
+  return std::move(r.status);
 }
 
 void DiskManager::ReadPages(std::span<PageReadRequest> batch) {
   if (batch.empty()) {
     return;
   }
+  backend_->ReadPages(batch);
   const bool armed = fault_injector_.armed();
-  // Per-page policy after the backend filled a request. `armed` is passed
-  // down so the corrupt-read draw sequence matches a sequential loop:
-  // pages whose backend read failed never draw (ReadPage returns before
-  // ShouldCorruptRead in that case too).
-  auto finish = [this, armed](PageReadRequest* r) {
-    if (!r->status.ok()) {
-      if (r->status.IsCorruption()) {
-        stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
-      }
-      return;
-    }
-    stats_.reads.fetch_add(1, std::memory_order_relaxed);
-    obs::ChargeDiskRead();
-    if (armed) {
-      uint32_t bit_index = 0;
-      if (fault_injector_.ShouldCorruptRead(r->id, &bit_index)) {
-        r->out[bit_index / 8] ^= static_cast<char>(1u << (bit_index % 8));
-      }
-    }
-    if (crc32c::Value(r->out, kPageSize) != r->expected_crc) {
-      stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
-      r->status = Status::Corruption("checksum mismatch on page " +
-                                     std::to_string(r->id));
-    }
-  };
-  if (!armed) {
-    backend_->ReadPages(batch);
-    for (PageReadRequest& r : batch) {
-      finish(&r);
-    }
-    return;
-  }
-  // Armed: draw the read-fault decision for every page first (batch order
-  // == loop order, so seeded fault counts are unchanged), then hand only
-  // the survivors to the backend.
-  std::vector<PageReadRequest> device;
-  std::vector<size_t> device_index;
-  device.reserve(batch.size());
-  device_index.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    PageReadRequest& r = batch[i];
-    if (fault_injector_.ShouldFailRead(r.id)) {
-      stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
-      r.status = Status::IOError("injected read fault on page " +
-                                 std::to_string(r.id));
-      continue;
-    }
-    device.push_back(r);
-    device_index.push_back(i);
-  }
-  if (!device.empty()) {
-    backend_->ReadPages(std::span<PageReadRequest>(device));
-  }
-  for (size_t k = 0; k < device.size(); ++k) {
-    PageReadRequest& r = batch[device_index[k]];
-    r.expected_crc = device[k].expected_crc;
-    r.status = std::move(device[k].status);
-    finish(&r);
+  for (PageReadRequest& r : batch) {
+    FinishRead(&r, armed);
   }
 }
 
-void DiskManager::SubmitReadPages(std::vector<PageReadRequest> batch,
-                                  DiskBackend::ReadCompletion done) {
-  if (batch.empty()) {
+void DiskManager::FinishRead(PageReadRequest* r, bool armed) {
+  if (armed && fault_injector_.ShouldFailRead(r->id)) {
+    // The injected fault wins over whatever the device returned; like any
+    // failed read it is not accounted as a read.
+    stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
+    r->status = Status::IOError("injected read fault on page " +
+                                std::to_string(r->id));
     return;
   }
-  if (!backend_->async_enabled()) {
-    // Synchronous rung: the batched path with its submit-time draws, then
-    // an inline completion — byte- and counter-identical to PR 7.
-    ReadPages(std::span<PageReadRequest>(batch));
-    done(std::span<PageReadRequest>(batch));
+  if (!r->status.ok()) {
+    // Real device failures get the same accounting as injected ones.
+    if (r->status.IsCorruption()) {
+      stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
+    }
     return;
   }
-  // Async: the backend moves raw bytes; ALL policy — fault draws, stats,
-  // bit-flip corruption, CRC verification — runs at completion time in
-  // the engine's reaper context. The injector's counter-hashed draws make
-  // fault *counts* a pure function of (seed, ops, p) regardless of the
-  // order completions land in, which is what keeps seeded chaos runs
-  // reproducible across sync and async regimes.
-  backend_->SubmitRead(
-      std::move(batch),
-      [this, done = std::move(done)](std::span<PageReadRequest> b) {
-        const bool armed = fault_injector_.armed();
-        for (PageReadRequest& r : b) {
-          if (armed && fault_injector_.ShouldFailRead(r.id)) {
-            // The injected fault wins even though the device read already
-            // happened: the op fails, and like the sync path it is not
-            // accounted as a successful read.
-            stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
-            r.status = Status::IOError("injected read fault on page " +
-                                       std::to_string(r.id));
-            continue;
-          }
-          if (!r.status.ok()) {
-            if (r.status.IsCorruption()) {
-              stats_.corruptions_detected.fetch_add(1,
-                                                    std::memory_order_relaxed);
-            } else {
-              stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
-            }
-            continue;
-          }
-          stats_.reads.fetch_add(1, std::memory_order_relaxed);
-          obs::ChargeDiskRead();
-          if (armed) {
-            uint32_t bit_index = 0;
-            if (fault_injector_.ShouldCorruptRead(r.id, &bit_index)) {
-              r.out[bit_index / 8] ^=
-                  static_cast<char>(1u << (bit_index % 8));
-            }
-          }
-          if (crc32c::Value(r.out, kPageSize) != r.expected_crc) {
-            stats_.corruptions_detected.fetch_add(1,
-                                                  std::memory_order_relaxed);
-            r.status = Status::Corruption("checksum mismatch on page " +
-                                          std::to_string(r.id));
-          }
-        }
-        done(b);
-      });
+  stats_.reads.fetch_add(1, std::memory_order_relaxed);
+  obs::ChargeDiskRead();
+  if (armed) {
+    uint32_t bit_index = 0;
+    if (fault_injector_.ShouldCorruptRead(r->id, &bit_index)) {
+      r->out[bit_index / 8] ^= static_cast<char>(1u << (bit_index % 8));
+    }
+  }
+  // Verify the bytes actually handed to the caller — freshly copied, so
+  // cache-hot for the checksum pass — catching at-rest corruption
+  // (CorruptStoredPage, torn files) and in-flight bit flips alike.
+  if (crc32c::Value(r->out, kPageSize) != r->expected_crc) {
+    stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
+    r->status = Status::Corruption("checksum mismatch on page " +
+                                   std::to_string(r->id));
+  }
 }
 
 Status DiskManager::WritePage(PageId id, const char* in) {

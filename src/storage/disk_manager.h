@@ -130,36 +130,6 @@ class DiskManager {
   /// draw sequences are identical, batched or not).
   void ReadPages(std::span<PageReadRequest> batch);
 
-  /// Asynchronous ReadPages for speculative callers: takes ownership of
-  /// `batch` and invokes `done` once every request carries its final
-  /// status. With a sync backend this is ReadPages plus an inline
-  /// completion on the calling thread; with an async engine it returns as
-  /// soon as the reads are queued and the full per-page policy (fault
-  /// draws, stats, bit-flip corruption, CRC verification) runs in the
-  /// completion context instead of at submit time. Fault *counts* are
-  /// unchanged either way — the injector's draws are counter-hashed, so
-  /// completion order cannot move them. Callers must not hold locks the
-  /// completion also takes (it may run inline).
-  void SubmitReadPages(std::vector<PageReadRequest> batch,
-                       DiskBackend::ReadCompletion done);
-
-  /// True when SubmitReadPages actually overlaps (the backend carries an
-  /// async engine); prefetch issuers deepen their windows on it.
-  bool async_enabled() const { return backend_->async_enabled(); }
-
-  /// Which rung serves speculative reads: "io_uring" / "worker-pool" /
-  /// "sync". Stamped into bench JSON next to the "io" regime field.
-  const char* io_engine_name() const { return backend_->io_engine_name(); }
-
-  /// Configured bound on speculative pages in flight (async only; the
-  /// buffer pool enforces it).
-  size_t io_depth() const { return io_depth_; }
-
-  /// Blocks until every SubmitReadPages completion has fully returned.
-  /// No-op for sync backends. The buffer pool calls it before destruction
-  /// and Clear() so completions never land on a dead pool.
-  void DrainAsyncReads() { backend_->DrainReads(); }
-
   /// Copies `in` (exactly kPageSize bytes) into page `id` and records its
   /// checksum. Returns IOError on a write fault (injected or real errno);
   /// the recorded checksum is untouched in that case, so a torn physical
@@ -241,12 +211,19 @@ class DiskManager {
   explicit DiskManager(std::unique_ptr<DiskBackend> backend,
                        DiskBackendKind kind);
 
+  /// The per-page read policy, applied after the backend filled `r`:
+  /// injected read-fault draw, stats and I/O attribution, injected bit
+  /// flip, CRC verification — in that order, for ReadPage and every page
+  /// of ReadPages alike. Sets `r->status` to the read's final outcome.
+  /// The injector draws each decision from its own per-kind counter, so a
+  /// batch draws exactly the sequence a page-by-page loop would.
+  void FinishRead(PageReadRequest* r, bool armed);
+
   std::unique_ptr<DiskBackend> backend_;
   DiskBackendKind backend_kind_;
   /// Downcast view of backend_ when it is the simulation; null for the
   /// file backend. Only the delay knobs go through it.
   SimDiskBackend* sim_ = nullptr;
-  size_t io_depth_ = 64;
   DiskStats stats_;
   FaultInjector fault_injector_;
 };

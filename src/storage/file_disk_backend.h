@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "storage/async_io_engine.h"
 #include "storage/disk_backend.h"
 
 namespace dsks {
@@ -60,23 +59,6 @@ class FileDiskBackend : public DiskBackend {
   /// Any page a vectored call could not fully serve falls back to the
   /// single-page path, so per-page error semantics match ReadPage exactly.
   void ReadPages(std::span<PageReadRequest> batch) override;
-  /// IoMode::kAsync: reads land via io_uring SQEs against the data fd
-  /// (checksums pre-resolved under the mutex; any CQE short of a full
-  /// page retries through the single-page path), or via the worker pool
-  /// when the kernel lacks io_uring or O_DIRECT is active (the kernel
-  /// path would need aligned frames; the pool reuses ReadPages and its
-  /// bounce buffers). Sync mode uses the inherited inline rung.
-  void SubmitRead(std::vector<PageReadRequest> batch,
-                  ReadCompletion done) override;
-  bool async_enabled() const override { return engine_ != nullptr; }
-  const char* io_engine_name() const override {
-    return engine_ != nullptr ? engine_->name() : "sync";
-  }
-  void DrainReads() override {
-    if (engine_ != nullptr) {
-      engine_->Drain();
-    }
-  }
   Status WritePage(PageId id, const char* in, uint32_t crc) override;
   Status TruncatePages(size_t new_num_pages) override;
   Status Flush() override;
@@ -94,11 +76,6 @@ class FileDiskBackend : public DiskBackend {
 
  private:
   FileDiskBackend(std::string path, int data_fd, int crc_fd, bool o_direct);
-
-  /// Attaches the async engine requested by `options` (no-op for kSync):
-  /// io_uring when the runtime probe succeeds and O_DIRECT is off, else
-  /// the worker pool — the io_uring → worker-pool → sync ladder.
-  void SetupEngine(const DiskOptions& options);
 
   /// Raw positioned I/O with EINTR/partial-transfer loops. Short reads
   /// inside [0, physical size) become Corruption; reads past the physical
@@ -133,14 +110,6 @@ class FileDiskBackend : public DiskBackend {
   /// AllocatePage is O(1) amortised (ftruncate'd zeros read back as the
   /// zero page, matching the checksum recorded at allocation).
   size_t physical_pages_ = 0;
-
-  /// Non-null view of engine_ when it is the io_uring implementation
-  /// (its SubmitRead path pre-resolves checksums; the worker pool's
-  /// read function is ReadPages, which resolves its own).
-  IoUringIoEngine* uring_ = nullptr;
-  /// Declared last: destroyed first, so engine threads drain and join
-  /// while the file descriptors they read from are still open.
-  std::unique_ptr<AsyncIoEngine> engine_;
 };
 
 }  // namespace dsks

@@ -36,16 +36,7 @@ Workload MakeWorkload(const Database& db, size_t n, uint64_t seed) {
 }
 
 TEST(ChaosTest, SurvivesSeededReadFaultsWithExactAccounting) {
-  // Pin the sync regime even under DSKS_TEST_IO=async: this test requires
-  // that injected faults *surface* as query errors, but async prefetch
-  // legitimately absorbs nearly all of them — demand fetches join
-  // in-flight speculative reads instead of drawing their own faults, and
-  // how many demand reads remain is a timing accident (under TSan it can
-  // be zero). Fault accounting on the async path is covered by
-  // fault_injection_test / async_io_test; executor-level accounting needs
-  // the deterministic sync fault surface.
-  DiskOptions disk_options = testing::TestDiskOptions("chaos_acct");
-  disk_options.io = IoMode::kSync;
+  const DiskOptions disk_options = testing::TestDiskOptions("chaos_acct");
   Database db(TinyPreset(), disk_options);
   IndexOptions opts;
   opts.kind = IndexKind::kSIF;

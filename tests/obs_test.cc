@@ -246,8 +246,10 @@ TEST(MetricsRegistryTest, GaugeAddSubIsAtomic) {
 TEST(QueryTraceTest, SpanNestingAndExactIoDeltas) {
   dsks::testing::TestDisk disk;
   BufferPool pool(disk.get(), 2);
+  obs::IoCounters io;
   obs::QueryTrace trace;
-  trace.BindIoSources(&pool.stats(), &disk->stats());
+  trace.BindContextIo(&io);
+  obs::ScopedIoAccount account(&io);
 
   std::vector<PageId> pages;
   for (int i = 0; i < 4; ++i) {
@@ -356,7 +358,6 @@ TEST(QueryTraceTest, TracedDivQueryBalancesAgainstRootTotals) {
   const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
 
   obs::QueryTrace trace;
-  trace.BindIoSources(&db.pool()->stats(), &db.disk()->stats());
   QueryContext ctx;
   ctx.trace = &trace;
 

@@ -1,10 +1,11 @@
 // Batched I/O and speculative prefetch: the DiskManager batch read must be
-// observationally identical to a sequential ReadPage loop; FetchPages must
-// be all-or-nothing; Prefetch must never surface a failure to a query; the
-// prefetch lifecycle counters must telescope (issued = hits + wasted +
-// dropped at quiescence); and whole-query results must be bit-identical
-// with prefetching on or off. Runs against the env-selected backend
-// (DSKS_TEST_BACKEND), so check.sh drills both sim and file.
+// observationally identical to a sequential ReadPage loop, seeded faults
+// and corruption included; FetchPages must be all-or-nothing; Prefetch
+// must never surface a failure — injected fault or corruption — to a
+// query; the prefetch lifecycle counters must telescope (issued = hits +
+// wasted + dropped at quiescence); and whole-query results must be
+// bit-identical with prefetching on or off. Runs against the env-selected
+// backend (DSKS_TEST_BACKEND), so check.sh drills both sim and file.
 #include <atomic>
 #include <cstring>
 #include <span>
@@ -18,6 +19,7 @@
 #include "harness/database.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "storage/fault_injector.h"
 #include "storage_test_util.h"
 
 namespace dsks {
@@ -43,6 +45,62 @@ void FillPages(DiskManager* disk, size_t n) {
 }
 
 // --- DiskManager batch reads ----------------------------------------------
+
+/// The per-page read policy under seeded random faults and corruption: a
+/// batch must draw exactly the decisions a page-by-page loop draws, so two
+/// fresh disks with the same injector config end with the same per-page
+/// status codes, the same bytes, and the same DiskStats.
+void ExpectSeededBatchMatchesPageByPage() {
+  testing::TestDisk batched("batchseed_b");
+  testing::TestDisk looped("batchseed_l");
+  constexpr size_t kPages = 64;
+  FaultInjector::Config cfg;
+  cfg.read_fault_p = 0.2;
+  cfg.corrupt_read_p = 0.2;
+  cfg.seed = 4711;
+  for (DiskManager* disk : {batched.get(), looped.get()}) {
+    FillPages(disk, kPages);
+    disk->ResetStats();
+    disk->fault_injector()->Configure(cfg);
+  }
+
+  // Every page once, as an ascending run then a descending one.
+  std::vector<char> batch_buf(kPages * kPageSize);
+  std::vector<PageReadRequest> reqs(kPages);
+  for (size_t i = 0; i < kPages; ++i) {
+    const size_t page = i < kPages / 2 ? i : kPages * 3 / 2 - 1 - i;
+    reqs[i].id = static_cast<PageId>(page);
+    reqs[i].out = batch_buf.data() + i * kPageSize;
+  }
+  batched->ReadPages(std::span<PageReadRequest>(reqs));
+
+  std::vector<char> single(kPageSize);
+  size_t faults = 0;
+  size_t corrupt = 0;
+  for (const PageReadRequest& r : reqs) {
+    const Status s = looped->ReadPage(r.id, single.data());
+    ASSERT_EQ(r.status.code(), s.code()) << "page " << r.id;
+    faults += s.IsIOError() ? 1 : 0;
+    corrupt += s.IsCorruption() ? 1 : 0;
+    if (!s.IsIOError()) {
+      EXPECT_EQ(std::memcmp(r.out, single.data(), kPageSize), 0)
+          << "page " << r.id;
+    }
+  }
+  EXPECT_GT(faults, 0u) << "p=0.2 over 64 reads must draw some faults";
+  EXPECT_GT(corrupt, 0u) << "p=0.2 over 64 reads must flip some bits";
+
+  const DiskStatsSnapshot b = batched->stats_snapshot();
+  const DiskStatsSnapshot l = looped->stats_snapshot();
+  EXPECT_EQ(b.reads, l.reads);
+  EXPECT_EQ(b.writes, l.writes);
+  EXPECT_EQ(b.allocations, l.allocations);
+  EXPECT_EQ(b.read_faults, l.read_faults);
+  EXPECT_EQ(b.write_faults, l.write_faults);
+  EXPECT_EQ(b.corruptions_detected, l.corruptions_detected);
+  EXPECT_EQ(b.read_faults, faults);
+  EXPECT_EQ(b.corruptions_detected, corrupt);
+}
 
 TEST(BatchReadTest, BatchMatchesSequentialReads) {
   testing::TestDisk disk("batch");
@@ -70,6 +128,8 @@ TEST(BatchReadTest, BatchMatchesSequentialReads) {
   }
   EXPECT_EQ(disk->stats_snapshot().reads, kBatch + kBatch)
       << "each batched page accounts one read, like the sequential loop";
+
+  ExpectSeededBatchMatchesPageByPage();
 }
 
 TEST(BatchReadTest, PerPageFaultsDoNotPoisonBatchMates) {
@@ -170,11 +230,6 @@ TEST(PrefetchTest, CountersTelescope) {
   EXPECT_EQ(s.prefetch_issued, kPages);
   EXPECT_EQ(s.misses, 0u) << "speculative reads are not demand misses";
 
-  // The in-flight gauge drains to zero once every completion has landed
-  // (trivially immediate under --io=sync).
-  pool.DrainPrefetches();
-  EXPECT_EQ(pool.prefetch_inflight(), 0u);
-
   // Demand-touch the first half: those become prefetch hits.
   for (size_t i = 0; i < kPages / 2; ++i) {
     char* data = testing::MustFetch(&pool, ids[i]);
@@ -202,7 +257,6 @@ TEST(PrefetchTest, InjectedFaultIsDroppedAndNeverFailsTheDemandFetch) {
   disk->fault_injector()->FailPageReads(2, 1);
   PageId ids[kPages] = {0, 1, 2, 3};
   pool.Prefetch(std::span<const PageId>(ids, kPages));
-  pool.DrainPrefetches();  // under --io=async the drop lands on completion
 
   BufferPoolStatsSnapshot s = pool.stats_snapshot();
   EXPECT_EQ(s.prefetch_issued, kPages);
@@ -214,6 +268,38 @@ TEST(PrefetchTest, InjectedFaultIsDroppedAndNeverFailsTheDemandFetch) {
   ASSERT_TRUE(pool.FetchPage(2, &data).ok());
   EXPECT_EQ(data[0], static_cast<char>('A' + 2));
   pool.UnpinPage(2, /*dirty=*/false);
+
+  ASSERT_TRUE(pool.Clear().ok());
+  s = pool.stats_snapshot();
+  EXPECT_EQ(s.prefetch_issued,
+            s.prefetch_hits + s.prefetch_wasted + s.prefetch_dropped);
+}
+
+// At-rest corruption on the prefetch path: the CRC verify drops the
+// poisoned page instead of publishing it, its healthy batch mates publish
+// normally, and the demand fetch reports Corruption instead of serving
+// bad bytes.
+TEST(PrefetchTest, CorruptPageIsDroppedAndDemandFetchReportsIt) {
+  testing::TestDisk disk("precorrupt");
+  constexpr size_t kPages = 4;
+  FillPages(disk.get(), kPages);
+  disk->CorruptStoredPage(2, /*bit_index=*/12345);
+  BufferPool pool(disk.get(), kPages + 2);
+
+  PageId ids[kPages] = {0, 1, 2, 3};
+  pool.Prefetch(std::span<const PageId>(ids, kPages));
+  BufferPoolStatsSnapshot s = pool.stats_snapshot();
+  EXPECT_EQ(s.prefetch_issued, kPages);
+  EXPECT_EQ(s.prefetch_dropped, 1u);
+  EXPECT_EQ(disk->stats_snapshot().corruptions_detected, 1u);
+
+  char* data = nullptr;
+  EXPECT_TRUE(pool.FetchPage(2, &data).IsCorruption());
+  data = testing::MustFetch(&pool, 1);
+  EXPECT_EQ(data[0], 'B');
+  pool.UnpinPage(1, /*dirty=*/false);
+  EXPECT_EQ(pool.stats_snapshot().prefetch_hits, 1u)
+      << "the healthy batch mate was published";
 
   ASSERT_TRUE(pool.Clear().ok());
   s = pool.stats_snapshot();
@@ -271,7 +357,6 @@ TEST(PrefetchTest, PinnedDirtyPageIsACountedNoOp) {
   const BufferPoolStatsSnapshot before = pool.stats_snapshot();
   PageId ids[] = {1};
   pool.Prefetch(std::span<const PageId>(ids, 1));
-  pool.DrainPrefetches();
 
   const BufferPoolStatsSnapshot after = pool.stats_snapshot();
   EXPECT_EQ(after.prefetch_issued, before.prefetch_issued + 1);
@@ -285,7 +370,6 @@ TEST(PrefetchTest, PinnedDirtyPageIsACountedNoOp) {
   const BufferPoolStatsSnapshot s = pool.stats_snapshot();
   EXPECT_EQ(s.prefetch_issued,
             s.prefetch_hits + s.prefetch_wasted + s.prefetch_dropped);
-  EXPECT_EQ(pool.prefetch_inflight(), 0u);
 }
 
 // An 8-thread mix of Prefetch, demand fetches and capacity-pressure

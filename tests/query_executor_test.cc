@@ -182,7 +182,6 @@ TEST(QueryExecutorTest, ConcurrentTracedQueriesNestAndBalance) {
   std::vector<obs::QueryTrace> traces(wl.queries.size());
   for (size_t i = 0; i < wl.queries.size(); ++i) {
     obs::QueryTrace* trace = &traces[i];
-    trace->BindIoSources(&db.pool()->stats(), &db.disk()->stats());
     const WorkloadQuery* wq = &wl.queries[i];
     exec.SubmitWithContext([&db, wq, trace](QueryContext* ctx) {
       ctx->trace = trace;

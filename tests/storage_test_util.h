@@ -25,14 +25,6 @@ inline bool FileBackendRequested() {
   return env != nullptr && std::string(env) == "file";
 }
 
-/// Same pattern for the speculative-read path: DSKS_TEST_IO=async reruns
-/// the storage suites with fire-and-forget prefetches completing on
-/// engine threads (io_uring or worker pool), sync otherwise.
-inline bool AsyncIoRequested() {
-  const char* env = std::getenv("DSKS_TEST_IO");
-  return env != nullptr && std::string(env) == "async";
-}
-
 /// A fresh, collision-free path for a file-backend index file.
 inline std::string FreshDiskPath(const std::string& tag) {
   static std::atomic<uint64_t> counter{0};
@@ -50,9 +42,6 @@ inline DiskOptions TestDiskOptions(const std::string& tag) {
     options.backend = DiskBackendKind::kFile;
     options.path = FreshDiskPath(tag);
   }
-  if (AsyncIoRequested()) {
-    options.io = IoMode::kAsync;
-  }
   return options;
 }
 
@@ -62,9 +51,6 @@ inline DiskOptions FileDiskOptions(const std::string& tag) {
   DiskOptions options;
   options.backend = DiskBackendKind::kFile;
   options.path = FreshDiskPath(tag);
-  if (AsyncIoRequested()) {
-    options.io = IoMode::kAsync;
-  }
   return options;
 }
 

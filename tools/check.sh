@@ -56,19 +56,6 @@ for san in "${sanitizers[@]}"; do
   echo "=== $san sanitizer: query service (server_test under $san) ==="
   (cd "$dir" && TSAN_OPTIONS="die_after_fork=0" ./tests/server_test \
       --gtest_brief=1)
-  # Same suites once more with DSKS_TEST_IO=async, on both backends:
-  # fire-and-forget prefetches now complete on engine threads (worker pool
-  # on sim, io_uring or worker pool on file), so this is where the
-  # sanitizers see the reaper racing demand fetches, evictions, Clear and
-  # pool destruction.
-  echo "=== $san sanitizer: storage + chaos suites under async I/O ==="
-  for backend in sim file; do
-    for t in storage_test fault_injection_test buffer_pool_concurrency_test \
-             prefetch_test async_io_test chaos_test; do
-      (cd "$dir" && DSKS_TEST_BACKEND=$backend DSKS_TEST_IO=async \
-          TSAN_OPTIONS="die_after_fork=0" "./tests/$t" --gtest_brief=1)
-    done
-  done
   echo "=== $san sanitizer: OK ==="
 done
 
@@ -294,62 +281,4 @@ for wl in ("sk", "div-com"):
     print(f"cold-cache smoke: {wl}: misses {misses[0]} -> {misses[1]}")
 EOF
   echo "=== cold-cache smoke: OK ==="
-
-  # Async I/O gate, two halves. (a) File backend, cold A/B: under
-  # --io=async the blocking demand misses must be strictly below the sync
-  # run's — the deterministic evidence that speculative reads complete
-  # before demand arrives (wall time on a warm OS page cache is memcpy
-  # noise, so the counters are the gate, not the clock). (b) Sim backend
-  # at a device-class DSKS_IO_DELAY_US: async total cold wall must stay
-  # within 1.25x of sync. On a single core with a data-dependent frontier
-  # the two regimes measure at parity, so this bound is a regression
-  # tripwire for the failure mode that matters: an async path that
-  # serializes round trips behind too few engine workers measures 3-4x.
-  echo "=== async gate: cold A/B sync vs async (file misses, sim wall) ==="
-  mkdir -p build-perf/async-smoke
-  for io in sync async; do
-    (cd build-perf/async-smoke && DSKS_IO_DELAY_US=0 DSKS_BENCH_SCALE=0.3 \
-        DSKS_BENCH_QUERIES=40 ../bench/bench_throughput --backend=file \
-        --cold --io=$io)
-    mv build-perf/async-smoke/BENCH_throughput.json \
-       "build-perf/async-smoke/BENCH_file_$io.json"
-    (cd build-perf/async-smoke && DSKS_IO_DELAY_US=200 DSKS_BENCH_SCALE=0.3 \
-        DSKS_BENCH_QUERIES=40 ../bench/bench_throughput --cold --io=$io)
-    mv build-perf/async-smoke/BENCH_throughput.json \
-       "build-perf/async-smoke/BENCH_sim_$io.json"
-  done
-  python3 tools/perf_gate.py validate-bench \
-    build-perf/async-smoke/BENCH_file_async.json
-  grep -q '"io":"async"' build-perf/async-smoke/BENCH_file_async.json || {
-    echo "async gate: artifact is missing \"io\":\"async\"" >&2
-    exit 1
-  }
-  python3 - build-perf/async-smoke <<'EOF'
-import json, sys
-d = sys.argv[1]
-def cold_on(path):
-    return {r["workload"]: r for r in json.load(open(path))
-            if r.get("cold") == 1 and r.get("prefetch") == 1}
-sync_f, async_f = cold_on(f"{d}/BENCH_file_sync.json"), \
-                  cold_on(f"{d}/BENCH_file_async.json")
-for wl in ("sk", "div-com"):
-    s, a = sync_f[wl]["pool_misses"], async_f[wl]["pool_misses"]
-    if a >= s:
-        sys.exit(f"async gate: {wl}: async blocking misses {a} not strictly "
-                 f"below sync {s} — speculative reads are not overlapping")
-    print(f"async gate: {wl}: blocking misses {s} -> {a} (file backend)")
-sync_w = sum(r["wall_ms"] for r in cold_on(f"{d}/BENCH_sim_sync.json").values())
-async_w = sum(r["wall_ms"] for r in cold_on(f"{d}/BENCH_sim_async.json").values())
-if async_w > 1.25 * sync_w:
-    sys.exit(f"async gate: sim cold wall {async_w:.0f}ms exceeds 1.25x the "
-             f"sync regime's {sync_w:.0f}ms at DSKS_IO_DELAY_US=200 — async "
-             f"round trips are serializing instead of overlapping")
-print(f"async gate: sim cold wall sync {sync_w:.0f}ms, async {async_w:.0f}ms "
-      f"(bound 1.25x)")
-EOF
-  ./build-perf/tools/dsks_cli chaos --io async --io-depth 32 --queries 128 \
-    --threads 8 --read-fault-p 0.002 --retries 2 --seed 42
-  ./build-perf/tools/dsks_cli chaos --backend file --io async --queries 128 \
-    --threads 8 --read-fault-p 0.002 --retries 2 --seed 42
-  echo "=== async gate: OK ==="
 fi

@@ -223,17 +223,14 @@ int Usage() {
                "query/metrics/serve-stats/chaos also accept storage-backend "
                "flags:\n"
                "           [--backend sim|file] [--backend-path PATH]\n"
-               "           [--o-direct] [--io sync|async] [--io-depth 64]\n");
+               "           [--o-direct]\n");
   return 2;
 }
 
 /// Shared storage-backend flags: `--backend sim|file` selects where pages
 /// live, `--backend-path PATH` names the index file (file backend only;
 /// defaults to a fresh /tmp file that is removed on exit), `--o-direct`
-/// asks the file backend to bypass the OS page cache. `--io async` serves
-/// speculative prefetch reads on an asynchronous engine (io_uring when
-/// the kernel offers it, a worker pool otherwise) so expansion compute
-/// overlaps them; `--io-depth` bounds the pages in flight.
+/// asks the file backend to bypass the OS page cache.
 class CliBackend {
  public:
   explicit CliBackend(const Args& args) {
@@ -252,15 +249,6 @@ class CliBackend {
                    name.c_str());
       std::exit(2);
     }
-    const std::string io = args.Get("io", "sync");
-    if (io == "async") {
-      options_.io = IoMode::kAsync;
-    } else if (io != "sync") {
-      std::fprintf(stderr, "--io: want 'sync' or 'async', got '%s'\n",
-                   io.c_str());
-      std::exit(2);
-    }
-    options_.io_depth = args.GetSize("io-depth", 64, 1, 4096);
   }
   ~CliBackend() {
     if (owns_files_) {
@@ -1233,10 +1221,9 @@ int CmdChaos(const Args& args) {
 
   std::printf(
       "chaos: %zu queries on %zu threads under read-fault-p=%g "
-      "corrupt-p=%g (seed %llu, backend %s, io %s)\n",
+      "corrupt-p=%g (seed %llu, backend %s)\n",
       m.queries, m.num_threads, read_fault_p, corrupt_p,
-      static_cast<unsigned long long>(seed), backend.name(),
-      db.disk()->io_engine_name());
+      static_cast<unsigned long long>(seed), backend.name());
   std::printf("  failed %llu (error rate %.2f%%), retries %llu\n",
               static_cast<unsigned long long>(m.errors),
               100.0 * m.error_rate,

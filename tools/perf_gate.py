@@ -97,11 +97,6 @@ MEASUREMENT_SCHEMA = {
         # from different backends are different experiments and must never
         # be pooled, so every record has to say which one it came from
         "backend": {"type": "string"},
-        # I/O regime speculative reads ran under ("sync" or "async"): an
-        # async run overlaps prefetch completions with compute, so its
-        # numbers are a different experiment from sync ones — same
-        # never-pool rule as the backend
-        "io": {"type": "string"},
         "workload": {"type": "string"},
         # cache regime: 1 when the pool was cleared before every query
         # (cold-cache A/B runs), 0 for the steady-state warm series. The
@@ -350,13 +345,8 @@ def perf_gate(baseline_path, smoke_path) -> int:
     # regression or flags a phantom one, so mismatched records are skipped
     # just as loudly.
     baseline_cold = baseline_doc.get("cold", 0)
-    # And the I/O regime: an async run overlaps speculative reads with
-    # compute, so its qps is not comparable with a sync baseline (and vice
-    # versa). Mismatched records are skipped loudly, like the backend.
-    baseline_io = baseline_doc.get("io", "sync")
     skipped_backends: dict[str, int] = {}
     skipped_cold = 0
-    skipped_io: dict[str, int] = {}
     best: dict[str, float] = {}
     with open(smoke_path, encoding="utf-8") as f:
         for line in f:
@@ -373,10 +363,6 @@ def perf_gate(baseline_path, smoke_path) -> int:
             if rec.get("cold", 0) != baseline_cold:
                 skipped_cold += 1
                 continue
-            io = rec.get("io", "sync")
-            if io != baseline_io:
-                skipped_io[io] = skipped_io.get(io, 0) + 1
-                continue
             wl = rec["workload"]
             best[wl] = max(best.get(wl, 0.0), rec["qps"])
     for backend, n in sorted(skipped_backends.items()):
@@ -389,11 +375,6 @@ def perf_gate(baseline_path, smoke_path) -> int:
         print(
             f"perf gate: skipped {skipped_cold} record(s) from the other "
             f"cache regime (baseline is {regime})"
-        )
-    for io, n in sorted(skipped_io.items()):
-        print(
-            f"perf gate: skipped {n} record(s) from io regime '{io}' "
-            f"(baseline is '{baseline_io}')"
         )
 
     failed = False
