@@ -46,8 +46,10 @@ int main() {
     {
       db.disk()->set_read_delay_us(50.0);
       Timer timer;
+      std::vector<SkResult> results;
       for (const WorkloadQuery& wq : wl.queries) {
-        answers += static_cast<double>(db.RunSkQuery(wq.sk, wq.edge).size());
+        DSKS_CHECK(db.RunSkQuery(wq.sk, wq.edge, &results).ok());
+        answers += static_cast<double>(results.size());
       }
       ine_ms = timer.ElapsedMillis() / static_cast<double>(wl.queries.size());
       db.disk()->set_read_delay_us(0.0);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/macros.h"
 #include "core/distance_oracle.h"
 
 using namespace dsks;        // NOLINT
@@ -52,7 +53,8 @@ int main() {
         dq.sk = wq.sk;
         dq.k = k;
         dq.lambda = lambda;
-        const DivSearchOutput out = db.RunDivQuery(dq, wq.edge, true);
+        DivSearchOutput out;
+        DSKS_CHECK(db.RunDivQuery(dq, wq.edge, /*use_com=*/true, &out).ok());
         if (out.selected.size() < 2) {
           continue;
         }

@@ -199,9 +199,12 @@ void RunColdSeries(const char* workload, Database* db, const Workload& wl,
         dq.sk = wq.sk;
         dq.k = 10;
         dq.lambda = 0.8;
-        db->RunDivQuery(dq, wq.edge, /*use_com=*/true, &ctx);
+        DivSearchOutput out;
+        DSKS_CHECK(
+            db->RunDivQuery(dq, wq.edge, /*use_com=*/true, &out, &ctx).ok());
       } else {
-        db->RunSkQuery(wq.sk, wq.edge, &ctx);
+        std::vector<SkResult> results;
+        DSKS_CHECK(db->RunSkQuery(wq.sk, wq.edge, &results, &ctx).ok());
       }
       const double ms =
           std::chrono::duration<double, std::milli>(
@@ -298,9 +301,12 @@ void EmitPhaseProfile(const char* workload, Database* db, const Workload& wl,
       dq.sk = wq.sk;
       dq.k = 10;
       dq.lambda = 0.8;
-      db->RunDivQuery(dq, wq.edge, /*use_com=*/true, &ctx);
+      DivSearchOutput out;
+      DSKS_CHECK(
+          db->RunDivQuery(dq, wq.edge, /*use_com=*/true, &out, &ctx).ok());
     } else {
-      db->RunSkQuery(wq.sk, wq.edge, &ctx);
+      std::vector<SkResult> results;
+      DSKS_CHECK(db->RunSkQuery(wq.sk, wq.edge, &results, &ctx).ok());
     }
   }
   const auto totals = trace.AggregateByPhase();

@@ -46,8 +46,16 @@ int main() {
   dq.k = 2;
   const QueryEdgeInfo qe = MakeQueryEdgeInfo(db.network(), dq.sk.loc);
 
-  auto describe = [&db](const char* title, const DivSearchOutput& out) {
+  // Runs the query as `dq` stands and prints its answer.
+  auto describe = [&db, &dq, &qe](const char* title) {
     std::printf("\n%s\n", title);
+    DivSearchOutput out;
+    if (const Status s = db.RunDivQuery(dq, qe, /*use_com=*/true, &out);
+        !s.ok()) {
+      std::printf("  query failed: %s %s\n", s.code_name(),
+                  s.message().c_str());
+      return;
+    }
     for (const SkResult& r : out.selected) {
       const Point p = db.objects().object(r.id).loc;
       std::printf("  restaurant #%u at (%.0f, %.0f), walk cost %.0f\n", r.id,
@@ -67,11 +75,11 @@ int main() {
   // Relevance-only: the two closest matching restaurants (often nearly
   // co-located, like p1/p2 in the paper's Fig. 1).
   dq.lambda = 1.0;
-  describe("Nearest two (lambda = 1.0):", db.RunDivQuery(dq, qe, true));
+  describe("Nearest two (lambda = 1.0):");
 
   // Diversified: a slight sacrifice in closeness buys spatial spread
   // (like {p1, p4} in Fig. 1).
   dq.lambda = 0.5;
-  describe("Diversified two (lambda = 0.5):", db.RunDivQuery(dq, qe, true));
+  describe("Diversified two (lambda = 0.5):");
   return 0;
 }

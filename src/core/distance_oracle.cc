@@ -25,13 +25,13 @@ PairwiseDistanceOracle::PairwiseDistanceOracle(const CcamGraph* graph,
                                                double radius,
                                                OracleStrategy strategy,
                                                QueryContext* ctx)
-    : graph_(graph), radius_(radius), strategy_(strategy) {
-  if (ctx == nullptr) {
-    owned_ctx_ = std::make_unique<QueryContext>();
-    ctx = owned_ctx_.get();
-  }
-  ctx_ = ctx;
-  o_ = &ctx_->oracle;
+    : graph_(graph),
+      radius_(radius),
+      strategy_(strategy),
+      ctx_(ContextOrOwned(ctx, &owned_ctx_)),
+      o_(&ctx_->oracle),
+      shared_(graph, radius, &o_->shared, ctx_),
+      field_(graph, radius, &o_->field, ctx_) {
   DSKS_DCHECK_MSG(!ctx_->oracle_in_use,
                   "QueryContext serves one oracle at a time");
   ctx_->oracle_in_use = true;
@@ -73,53 +73,20 @@ PairwiseDistanceOracle::FieldMap& PairwiseDistanceOracle::FieldOf(
   FieldMap& field = o_->field_pool[idx];
   field.clear();
 
-  o_->field_tentative.EnsureSize(graph_->num_nodes());
-  o_->field_tentative.Reset();
-  o_->heap.clear();
-  auto relax = [&](NodeId v, double d) {
-    if (d > radius_) {
-      return;
-    }
-    const double* t = o_->field_tentative.Find(v);
-    if (t == nullptr || d < *t) {
-      o_->field_tentative.Set(v, d);
-      o_->heap.push({d, v});
-    }
-  };
-  relax(a.n1, a.w1);
-  relax(a.n2, a.edge_weight - a.w1);
-
-  size_t settles = 0;
-  while (!o_->heap.empty()) {
-    const auto [d, v] = o_->heap.top();
-    o_->heap.pop();
-    if (field.contains(v)) {
-      continue;
-    }
+  field_.Seed(a.n1, a.n2, a.edge_weight, a.w1);
+  NodeId v;
+  double d;
+  while (field_.Settle(&v, &d)) {
     field.try_emplace(v, d);
-    if (++settles % CcamGraph::kFrontierPrefetchInterval == 0) {
-      // Same settle-batch deadline poll as the SK expansion: a cancelled
-      // query leaves a partial field (safe — distances only fall back to
-      // the radius cap) and a sticky CANCELLED status the caller checks.
-      if (ctx_->DeadlineExceeded()) {
-        if (status_.ok()) {
-          status_ = Status::Cancelled("query deadline exceeded in oracle");
-        }
-        break;
-      }
-      graph_->PrefetchFrontier(o_->heap.storage());
+    for (const AdjacentEdge& adj : field_.adjacency()) {
+      field_.Relax(adj.neighbor, d + adj.weight);
     }
-    if (const Status s = graph_->GetAdjacency(v, &o_->adjacency); !s.ok()) {
-      if (status_.ok()) {
-        status_ = s;
-      }
-      break;  // partial field: distances fall back to the radius cap
-    }
-    for (const AdjacentEdge& adj : o_->adjacency) {
-      if (!field.contains(adj.neighbor)) {
-        relax(adj.neighbor, d + adj.weight);
-      }
-    }
+  }
+  // A cancelled or failed expansion leaves a partial field: distances only
+  // fall back to the radius cap, never wrong, and the sticky status tells
+  // the caller.
+  if (status_.ok()) {
+    status_ = field_.status();
   }
   return field;
 }
@@ -127,77 +94,46 @@ PairwiseDistanceOracle::FieldMap& PairwiseDistanceOracle::FieldOf(
 void PairwiseDistanceOracle::BuildSharedField() {
   obs::ScopedSpan span(ctx_->trace, obs::Phase::kOracleSharedExpansion);
   const size_t n = graph_->num_nodes();
-  o_->shared_dist.EnsureSize(n);
-  o_->shared_tentative.EnsureSize(n);
   o_->pending_edge.EnsureSize(n);
   o_->pending_parent.EnsureSize(n);
   o_->parent_edge.EnsureSize(n);
   o_->local_index.EnsureSize(n);
-  o_->shared_dist.Reset();
-  o_->shared_tentative.Reset();
   o_->pending_edge.Reset();
   o_->pending_parent.Reset();
   o_->parent_edge.Reset();
   o_->local_index.Reset();
   o_->order.clear();
   o_->parent_local.clear();
-  o_->heap.clear();
 
   // Seeds replicate the SK search's exactly, so every settled distance
   // here is bit-identical to the distance the search computed for the same
   // node (Dijkstra's settled values are independent of tie order: an
-  // equal-distance relaxation is never a strict improvement).
-  auto relax = [&](NodeId v, double d, EdgeId via_edge, NodeId via_parent) {
-    if (d > radius_ || o_->shared_dist.Contains(v)) {
-      return;
-    }
-    const double* t = o_->shared_tentative.Find(v);
-    if (t == nullptr || d < *t) {
-      o_->shared_tentative.Set(v, d);
-      o_->pending_edge.Set(v, via_edge);
-      o_->pending_parent.Set(v, via_parent);
-      o_->heap.push({d, v});
-    }
-  };
-  relax(query_edge_.n1, query_edge_.w1, kInvalidEdgeId, kInvalidNodeId);
-  relax(query_edge_.n2, query_edge_.weight - query_edge_.w1, kInvalidEdgeId,
-        kInvalidNodeId);
-
-  while (!o_->heap.empty()) {
-    const auto [d, v] = o_->heap.top();
-    o_->heap.pop();
-    if (o_->shared_dist.Contains(v)) {
-      continue;
-    }
-    o_->shared_dist.Set(v, d);
+  // equal-distance relaxation is never a strict improvement). Seeds have
+  // no pending edge or parent: they are the roots of the tree.
+  shared_.Seed(query_edge_.n1, query_edge_.n2, query_edge_.weight,
+               query_edge_.w1);
+  NodeId v;
+  double d;
+  while (shared_.Settle(&v, &d)) {
     const auto local = static_cast<uint32_t>(o_->order.size());
     o_->local_index.Set(v, local);
     o_->order.push_back(v);
-    o_->parent_edge.Set(v, o_->pending_edge.Get(v));
-    const NodeId parent = o_->pending_parent.Get(v);
-    o_->parent_local.push_back(parent == kInvalidNodeId
-                                   ? UINT32_MAX
-                                   : o_->local_index.Get(parent));
-    if (o_->order.size() % CcamGraph::kFrontierPrefetchInterval == 0) {
-      if (ctx_->DeadlineExceeded()) {
-        if (status_.ok()) {
-          status_ = Status::Cancelled("query deadline exceeded in oracle");
-        }
-        break;  // partial shared field: fewer pairs certify, none wrongly
-      }
-      graph_->PrefetchFrontier(o_->heap.storage());
-    }
-    if (const Status s = graph_->GetAdjacency(v, &o_->adjacency); !s.ok()) {
-      if (status_.ok()) {
-        status_ = s;
-      }
-      break;  // partial shared field: fewer pairs certify, none wrongly
-    }
-    for (const AdjacentEdge& adj : o_->adjacency) {
-      if (!o_->shared_dist.Contains(adj.neighbor)) {
-        relax(adj.neighbor, d + adj.weight, adj.edge, v);
+    const EdgeId* via_edge = o_->pending_edge.Find(v);
+    o_->parent_edge.Set(v, via_edge == nullptr ? kInvalidEdgeId : *via_edge);
+    const NodeId* parent = o_->pending_parent.Find(v);
+    o_->parent_local.push_back(
+        parent == nullptr ? UINT32_MAX : o_->local_index.Get(*parent));
+    for (const AdjacentEdge& adj : shared_.adjacency()) {
+      if (shared_.Relax(adj.neighbor, d + adj.weight)) {
+        o_->pending_edge.Set(adj.neighbor, adj.edge);
+        o_->pending_parent.Set(adj.neighbor, v);
       }
     }
+  }
+  // A cancelled or failed pass leaves a partial shared field: fewer pairs
+  // certify, none wrongly.
+  if (status_.ok()) {
+    status_ = shared_.status();
   }
   ++stats_.shared_expansions;
 
@@ -267,34 +203,37 @@ bool PairwiseDistanceOracle::TrySharedExact(const SkResult& a,
   //    then q reaches that whole side over a. At δ(q,a) = 0 both sides
   //    qualify and every settled node is certified.
   uint32_t roots[2] = {UINT32_MAX, UINT32_MAX};
+  // Unsettled nodes read as kInfDistance, which equals no finite value.
   if (a.edge == query_edge_.edge) {
-    if (a.w1 <= query_edge_.w1 && o_->shared_dist.Contains(a.n1) &&
-        o_->shared_dist.Get(a.n1) == query_edge_.w1 &&
+    if (a.w1 <= query_edge_.w1 &&
+        shared_.SettledDistance(a.n1) == query_edge_.w1 &&
         da == query_edge_.w1 - a.w1) {
       roots[0] = o_->local_index.Get(a.n1);
     }
-    if (a.w1 >= query_edge_.w1 && o_->shared_dist.Contains(a.n2) &&
-        o_->shared_dist.Get(a.n2) == query_edge_.weight - query_edge_.w1 &&
+    if (a.w1 >= query_edge_.w1 &&
+        shared_.SettledDistance(a.n2) ==
+            query_edge_.weight - query_edge_.w1 &&
         da == a.w1 - query_edge_.w1) {
       roots[1] = o_->local_index.Get(a.n2);
     }
   } else {
+    // parent_edge is set exactly for the settled nodes.
+    const EdgeId* via1 = o_->parent_edge.Find(a.n1);
+    const EdgeId* via2 = o_->parent_edge.Find(a.n2);
     NodeId r = kInvalidNodeId;
     NodeId other = kInvalidNodeId;
     double off_other = 0.0;
-    if (o_->shared_dist.Contains(a.n1) &&
-        o_->parent_edge.Get(a.n1) == a.edge) {
+    if (via1 != nullptr && *via1 == a.edge) {
       r = a.n1;
       other = a.n2;
       off_other = a.edge_weight - a.w1;
-    } else if (o_->shared_dist.Contains(a.n2) &&
-               o_->parent_edge.Get(a.n2) == a.edge) {
+    } else if (via2 != nullptr && *via2 == a.edge) {
       r = a.n2;
       other = a.n1;
       off_other = a.w1;
     }
-    if (r != kInvalidNodeId && o_->shared_dist.Contains(other) &&
-        o_->shared_dist.Get(other) + off_other == da) {
+    if (r != kInvalidNodeId &&
+        shared_.SettledDistance(other) + off_other == da) {
       roots[0] = o_->local_index.Get(r);
     }
   }
@@ -302,8 +241,8 @@ bool PairwiseDistanceOracle::TrySharedExact(const SkResult& a,
   double exact = *best;  // the radius cap and same-edge path are exact
   double lb = kInfDistance;
   auto probe = [&](NodeId n, double off) {
-    if (o_->shared_dist.Contains(n)) {
-      const double dqn = o_->shared_dist.Get(n);
+    const double dqn = shared_.SettledDistance(n);
+    if (dqn != kInfDistance) {
       const uint32_t n_local = o_->local_index.Get(n);
       if ((roots[0] != UINT32_MAX && IsAncestor(roots[0], n_local)) ||
           (roots[1] != UINT32_MAX && IsAncestor(roots[1], n_local))) {

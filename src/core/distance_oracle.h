@@ -6,6 +6,7 @@
 
 #include "common/flat_containers.h"
 #include "common/status.h"
+#include "core/network_expansion.h"
 #include "core/query.h"
 #include "core/query_context.h"
 #include "core/sk_search.h"
@@ -137,6 +138,8 @@ class PairwiseDistanceOracle {
   std::unique_ptr<QueryContext> owned_ctx_;  // only when no ctx was passed
   QueryContext* ctx_;
   OracleScratch* o_;  // = &ctx_->oracle
+  NetworkExpansion shared_;  // over o_->shared; read by every later probe
+  NetworkExpansion field_;   // over o_->field; one per-object field at a time
 
   QueryEdgeInfo query_edge_;
   bool has_query_edge_ = false;

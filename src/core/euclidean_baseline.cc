@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <unordered_map>
+#include <memory>
 
 #include "common/macros.h"
+#include "core/network_expansion.h"
 
 namespace dsks {
 
@@ -13,8 +13,14 @@ Status EuclideanFilterRefine(const CcamGraph* graph, const RoadNetwork& net,
                              InvertedRTreeIndex* index, const SkQuery& query,
                              const QueryEdgeInfo& query_edge,
                              std::vector<SkResult>* out,
-                             EuclideanBaselineStats* stats) {
+                             EuclideanBaselineStats* stats,
+                             QueryContext* ctx) {
   out->clear();
+  std::unique_ptr<QueryContext> owned_ctx;
+  ctx = ContextOrOwned(ctx, &owned_ctx);
+  // Runs to completion on the SK search's expansion scratch.
+  DSKS_DCHECK_MSG(!ctx->sk_search_in_use,
+                  "QueryContext serves one SK search at a time");
   EuclideanBaselineStats local;
   Status status;
 
@@ -32,43 +38,20 @@ Status EuclideanFilterRefine(const CcamGraph* graph, const RoadNetwork& net,
 
   std::vector<SkResult> results;
   if (!candidates.empty()) {
-    // Refine: one bounded Dijkstra from the query over the CCAM file.
-    std::unordered_map<NodeId, double> dist;
-    std::unordered_map<NodeId, double> tentative;
-    using HeapEntry = std::pair<double, NodeId>;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
-        heap;
-    auto relax = [&](NodeId v, double d) {
-      if (d > query.delta_max) {
-        return;
-      }
-      auto it = tentative.find(v);
-      if (it == tentative.end() || d < it->second) {
-        tentative[v] = d;
-        heap.emplace(d, v);
-      }
-    };
-    relax(query_edge.n1, query_edge.w1);
-    relax(query_edge.n2, query_edge.weight - query_edge.w1);
-    std::vector<AdjacentEdge> adjacency;
-    while (!heap.empty()) {
-      const auto [d, v] = heap.top();
-      heap.pop();
-      if (dist.count(v) != 0) {
-        continue;
-      }
-      dist.emplace(v, d);
-      ++local.nodes_settled;
-      status = graph->GetAdjacency(v, &adjacency);
-      if (!status.ok()) {
-        break;
-      }
-      for (const AdjacentEdge& adj : adjacency) {
-        if (dist.count(adj.neighbor) == 0) {
-          relax(adj.neighbor, d + adj.weight);
-        }
+    // Refine: one bounded expansion from the query over the CCAM file.
+    NetworkExpansion expansion(graph, query.delta_max,
+                               &ctx->sk_search.expansion, ctx);
+    expansion.Seed(query_edge.n1, query_edge.n2, query_edge.weight,
+                   query_edge.w1);
+    NodeId v;
+    double d;
+    while (expansion.Settle(&v, &d)) {
+      for (const AdjacentEdge& adj : expansion.adjacency()) {
+        expansion.Relax(adj.neighbor, d + adj.weight);
       }
     }
+    local.nodes_settled = expansion.settles();
+    status = expansion.status();
 
     for (ObjectId id : candidates) {
       if (!status.ok()) {
@@ -80,13 +63,10 @@ Status EuclideanFilterRefine(const CcamGraph* graph, const RoadNetwork& net,
         break;
       }
       const Edge& e = net.edge(rec.edge);
-      double best = kInfDistance;
-      if (auto it = dist.find(e.n1); it != dist.end()) {
-        best = std::min(best, it->second + rec.w1);
-      }
-      if (auto it = dist.find(e.n2); it != dist.end()) {
-        best = std::min(best, it->second + (e.weight - rec.w1));
-      }
+      // Unsettled endpoints read as kInfDistance and drop out of the min.
+      double best =
+          std::min(expansion.SettledDistance(e.n1) + rec.w1,
+                   expansion.SettledDistance(e.n2) + (e.weight - rec.w1));
       if (rec.edge == query.loc.edge) {
         best = std::min(best, std::abs(rec.w1 - query_edge.w1));
       }

@@ -6,6 +6,7 @@
 
 #include "common/status.h"
 #include "core/query.h"
+#include "core/query_context.h"
 #include "core/sk_search.h"
 #include "graph/ccam.h"
 #include "graph/road_network.h"
@@ -41,14 +42,16 @@ struct EuclideanBaselineStats {
 /// travel-time weights the filter would be unsound while INE still works.
 ///
 /// `net` provides the edge endpoint/weight table for verification (the
-/// same in-memory metadata the R-tree build used). On a storage error
-/// `*out` is left empty; `*stats` (when given) still accounts the partial
-/// work.
+/// same in-memory metadata the R-tree build used). On a storage error or
+/// cancellation `*out` is left empty; `*stats` (when given) still accounts
+/// the partial work. `ctx` supplies the expansion scratch and the deadline
+/// (nullptr: a private context).
 Status EuclideanFilterRefine(const CcamGraph* graph, const RoadNetwork& net,
                              InvertedRTreeIndex* index, const SkQuery& query,
                              const QueryEdgeInfo& query_edge,
                              std::vector<SkResult>* out,
-                             EuclideanBaselineStats* stats);
+                             EuclideanBaselineStats* stats,
+                             QueryContext* ctx = nullptr);
 
 }  // namespace dsks
 

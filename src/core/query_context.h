@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,16 @@ namespace dsks {
 namespace obs {
 class QueryTrace;
 }  // namespace obs
+
+/// Scratch for one NetworkExpansion: the radius-bounded Dijkstra state
+/// every search runs over the CCAM file. Reset-not-freed between
+/// expansions like the rest of the context.
+struct ExpansionScratch {
+  EpochArray<double> tentative;  // node -> best tentative distance
+  EpochArray<double> settled;    // node -> final distance
+  ReusableMinHeap<std::pair<double, uint32_t>> heap;  // (distance, node)
+  std::vector<AdjacentEdge> adjacency;  // the settled node's adjacency
+};
 
 /// Per-object search state of the incremental SK search (Algorithm 3):
 /// the best known distance plus the object's edge placement, enough to
@@ -38,29 +49,28 @@ struct LoadedEdgeSlot {
   std::vector<LoadedObject> objects;
 };
 
-/// Scratch for one IncrementalSkSearch execution. Everything here is
+/// Scratch for the query's own expansion from q — one IncrementalSkSearch,
+/// RankedSkSearch or EuclideanFilterRefine at a time. Everything here is
 /// reset-not-freed between queries: epoch arrays invalidate in O(1), flat
 /// maps and heaps clear without releasing their backing storage, and the
 /// edge pool recycles its per-edge object vectors.
 struct SkSearchScratch {
-  EpochArray<double> tentative;  // node -> best tentative distance
-  EpochArray<double> settled;    // node -> final distance
-  ReusableMinHeap<std::pair<double, uint32_t>> node_heap;
+  ExpansionScratch expansion;
   ReusableMinHeap<std::pair<double, uint32_t>> object_heap;
   FlatHashMap<EdgeId, uint32_t> edge_slot;  // edge -> index into edge_pool
   std::vector<LoadedEdgeSlot> edge_pool;    // [0, edge_pool_used) are live
   size_t edge_pool_used = 0;
   FlatHashMap<ObjectId, SkObjectState> object_state;
-  std::vector<AdjacentEdge> adjacency;  // GetAdjacency output buffer
 };
 
 /// Scratch for one PairwiseDistanceOracle. Holds the shared-expansion
-/// shortest-path-tree state (distances, parent edges, settle order and
-/// subtree intervals) plus a pool of per-object fallback distance fields.
+/// shortest-path-tree state (parent edges, settle order and subtree
+/// intervals) plus a pool of per-object fallback distance fields. The
+/// shared pass and the field passes expand over separate scratches: the
+/// shared distances are read by every later probe, across field passes.
 struct OracleScratch {
   // Shared expansion from the query location.
-  EpochArray<double> shared_dist;       // node -> settled distance from q
-  EpochArray<double> shared_tentative;  // node -> tentative during the pass
+  ExpansionScratch shared;
   EpochArray<EdgeId> pending_edge;      // best relaxing edge while tentative
   EpochArray<NodeId> pending_parent;    // best relaxing parent node
   EpochArray<EdgeId> parent_edge;       // edge that settled the node
@@ -73,11 +83,9 @@ struct OracleScratch {
   std::vector<uint32_t> child_list;     // children CSR payload
   std::vector<std::pair<uint32_t, uint32_t>> dfs_stack;
 
-  ReusableMinHeap<std::pair<double, uint32_t>> heap;  // shared pass + fields
-  EpochArray<double> field_tentative;   // tentative map for fallback fields
-  std::vector<AdjacentEdge> adjacency;  // GetAdjacency output buffer
-
-  // Per-object fallback fields, pooled so their slot arrays survive drops.
+  // Per-object fallback fields: one expansion each, its settled distances
+  // copied into a pooled map so the slot arrays survive drops.
+  ExpansionScratch field;
   std::vector<FlatHashMap<NodeId, double>> field_pool;
   std::vector<uint32_t> free_fields;  // indices of unused pool entries
   FlatHashMap<ObjectId, uint32_t> field_index;  // object -> pool index
@@ -116,9 +124,9 @@ struct QueryContext {
   /// Cooperative cancellation deadline as a steady-clock timestamp in
   /// nanoseconds, 0 meaning "no deadline" (the default — benches and tests
   /// run deadline-free). The query service arms it per request before the
-  /// task runs; the search and oracle expansion loops poll DeadlineExceeded
-  /// once per settle batch and stop with Status::Cancelled, so partial work
-  /// up to the cancellation point stays exactly accounted (trace spans, I/O
+  /// task runs; every NetworkExpansion polls DeadlineExceeded once per
+  /// settle batch and stops with Status::Cancelled, so partial work up to
+  /// the cancellation point stays exactly accounted (trace spans, I/O
   /// counters).
   int64_t deadline_steady_ns = 0;
 
@@ -133,6 +141,18 @@ struct QueryContext {
   bool sk_search_in_use = false;
   bool oracle_in_use = false;
 };
+
+/// `ctx` itself, or — when it is null — a fresh context owned by `*owned`.
+/// The searches call this so that a caller without a long-lived context
+/// still gets one for the query's lifetime.
+inline QueryContext* ContextOrOwned(QueryContext* ctx,
+                                    std::unique_ptr<QueryContext>* owned) {
+  if (ctx == nullptr) {
+    *owned = std::make_unique<QueryContext>();
+    ctx = owned->get();
+  }
+  return ctx;
+}
 
 /// The deadline value for "`millis` from now" on the steady clock; pass the
 /// result to QueryContext::deadline_steady_ns. Non-positive millis arms an

@@ -2,20 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
+#include <memory>
+#include <utility>
 
+#include "common/flat_containers.h"
 #include "common/macros.h"
+#include "core/network_expansion.h"
+#include "obs/trace.h"
 
 namespace dsks {
 
 Status BooleanKnnSearch(const CcamGraph* graph, ObjectIndex* index,
                         const SkQuery& query,
                         const QueryEdgeInfo& query_edge, size_t k,
-                        std::vector<SkResult>* out) {
+                        std::vector<SkResult>* out, QueryContext* ctx) {
   out->clear();
-  IncrementalSkSearch search(graph, index, query, query_edge);
+  IncrementalSkSearch search(graph, index, query, query_edge, ctx);
   SkResult r;
   while (out->size() < k && search.Next(&r)) {
     out->push_back(r);
@@ -24,10 +26,6 @@ Status BooleanKnnSearch(const CcamGraph* graph, ObjectIndex* index,
 }
 
 namespace {
-
-using HeapEntry = std::pair<double, uint32_t>;
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
 
 struct PendingObject {
   double best = kInfDistance;
@@ -41,23 +39,27 @@ Status RankedSkSearch(const CcamGraph* graph, ObjectIndex* index,
                       const RankedQuery& query,
                       const QueryEdgeInfo& query_edge,
                       std::vector<RankedResult>* out,
-                      RankedSearchStats* stats) {
+                      RankedSearchStats* stats, QueryContext* ctx) {
   out->clear();
   const double delta_max = query.sk.delta_max;
   const double alpha = query.alpha;
   const auto num_terms = static_cast<double>(query.sk.terms.size());
   DSKS_CHECK_MSG(!query.sk.terms.empty(), "ranked query needs keywords");
   DSKS_CHECK_MSG(query.k > 0, "ranked query needs k > 0");
+  std::unique_ptr<QueryContext> owned_ctx;
+  ctx = ContextOrOwned(ctx, &owned_ctx);
+  // Runs to completion on the SK search's expansion scratch.
+  DSKS_DCHECK_MSG(!ctx->sk_search_in_use,
+                  "QueryContext serves one SK search at a time");
 
   RankedSearchStats local_stats;
   Status status;  // sticky: the first storage error stops the expansion
-  std::unordered_map<NodeId, double> tentative;
-  std::unordered_map<NodeId, double> settled;
-  std::unordered_map<EdgeId, std::vector<ObjectIndex::LoadedObjectUnion>>
-      loaded;
-  std::unordered_map<ObjectId, PendingObject> pending;
-  MinHeap node_heap;
-  MinHeap object_heap;  // keyed by best-known network distance
+  NetworkExpansion expansion(graph, delta_max, &ctx->sk_search.expansion,
+                             ctx);
+  FlatHashMap<EdgeId, std::vector<ObjectIndex::LoadedObjectUnion>> loaded;
+  FlatHashMap<ObjectId, PendingObject> pending;
+  // Keyed by best-known network distance.
+  ReusableMinHeap<std::pair<double, uint32_t>> object_heap;
 
   // Top-k kept as a max-heap over scores (worst on top).
   auto better = [](const RankedResult& a, const RankedResult& b) {
@@ -65,24 +67,14 @@ Status RankedSkSearch(const CcamGraph* graph, ObjectIndex* index,
   };
   std::vector<RankedResult> topk;  // heap via std::push_heap with `better`
 
-  auto relax = [&](NodeId v, double d) {
-    if (d > delta_max || settled.count(v) != 0) {
-      return;
-    }
-    auto it = tentative.find(v);
-    if (it == tentative.end() || d < it->second) {
-      tentative[v] = d;
-      node_heap.emplace(d, v);
-    }
-  };
   auto update_object = [&](const ObjectIndex::LoadedObjectUnion& o,
                            double dist) {
-    PendingObject& po = pending[o.id];
+    PendingObject& po = *pending.try_emplace(o.id).first;
     po.matched = o.matched;
     if (dist < po.best) {
       DSKS_CHECK(!po.scored);
       po.best = dist;
-      object_heap.emplace(dist, o.id);
+      object_heap.push({dist, o.id});
     }
   };
   auto score_object = [&](ObjectId id, const PendingObject& po) {
@@ -106,30 +98,22 @@ Status RankedSkSearch(const CcamGraph* graph, ObjectIndex* index,
       std::push_heap(topk.begin(), topk.end(), better);
     }
   };
-  auto process_edge = [&](EdgeId e, double w, NodeId v, NodeId nb, double d) {
-    auto it = loaded.find(e);
-    if (it == loaded.end()) {
-      it = loaded.emplace(e, std::vector<ObjectIndex::LoadedObjectUnion>())
-               .first;
-      status = index->LoadObjectsUnion(e, query.sk.terms, &it->second);
-      if (!status.ok()) {
-        loaded.erase(it);
-        return;
-      }
+  // The objects of edge `e`, loaded on first touch (nullptr on error).
+  auto objects_of = [&](EdgeId e)
+      -> const std::vector<ObjectIndex::LoadedObjectUnion>* {
+    auto [objs, fresh] = loaded.try_emplace(e);
+    if (fresh) {
+      obs::ScopedSpan span(ctx->trace, obs::Phase::kKeywordLookup);
+      status = index->LoadObjectsUnion(e, query.sk.terms, objs);
     }
-    const bool v_is_n1 = v < nb;
-    for (const auto& o : it->second) {
-      update_object(o, d + (v_is_n1 ? o.w1 : w - o.w1));
-    }
+    return status.ok() ? objs : nullptr;
   };
 
-  // Seed from the query edge.
-  relax(query_edge.n1, query_edge.w1);
-  relax(query_edge.n2, query_edge.weight - query_edge.w1);
-  {
-    auto& objs = loaded[query_edge.edge];
-    status = index->LoadObjectsUnion(query_edge.edge, query.sk.terms, &objs);
-    for (const auto& o : objs) {
+  // Seed from the query edge; its objects are reachable along the edge.
+  expansion.Seed(query_edge.n1, query_edge.n2, query_edge.weight,
+                 query_edge.w1);
+  if (const auto* objs = objects_of(query_edge.edge)) {
+    for (const auto& o : *objs) {
       update_object(o, std::abs(o.w1 - query_edge.w1));
     }
   }
@@ -141,7 +125,7 @@ Status RankedSkSearch(const CcamGraph* graph, ObjectIndex* index,
         break;
       }
       object_heap.pop();
-      PendingObject& po = pending[id];
+      PendingObject& po = pending.at(id);
       if (po.scored || d != po.best) {
         continue;
       }
@@ -151,17 +135,7 @@ Status RankedSkSearch(const CcamGraph* graph, ObjectIndex* index,
   };
 
   while (status.ok()) {
-    // Fresh node frontier (δT).
-    double delta_t = kInfDistance;
-    while (!node_heap.empty()) {
-      const auto& [d, v] = node_heap.top();
-      if (settled.count(v) != 0 || tentative[v] != d) {
-        node_heap.pop();
-        continue;
-      }
-      delta_t = d;
-      break;
-    }
+    const double delta_t = expansion.Frontier();
     flush_objects(delta_t);
 
     // Threshold termination: no unfinalized object can have distance
@@ -175,23 +149,24 @@ Status RankedSkSearch(const CcamGraph* graph, ObjectIndex* index,
       break;  // expansion exhausted; all objects flushed
     }
 
-    const NodeId v = node_heap.top().second;
-    const double d = node_heap.top().first;
-    node_heap.pop();
-    settled.emplace(v, d);
-    ++local_stats.nodes_settled;
-    std::vector<AdjacentEdge> adjacency;
-    status = graph->GetAdjacency(v, &adjacency);
-    for (const AdjacentEdge& adj : adjacency) {
-      if (settled.count(adj.neighbor) == 0) {
-        relax(adj.neighbor, d + adj.weight);
-      }
-      process_edge(adj.edge, adj.weight, v, adj.neighbor, d);
-      if (!status.ok()) {
+    obs::ScopedSpan span(ctx->trace, obs::Phase::kNetworkExpansion);
+    NodeId v;
+    double d;
+    expansion.Settle(&v, &d);
+    status = expansion.status();
+    for (const AdjacentEdge& adj : expansion.adjacency()) {
+      expansion.Relax(adj.neighbor, d + adj.weight);
+      const auto* objs = objects_of(adj.edge);
+      if (objs == nullptr) {
         break;
+      }
+      const bool v_is_n1 = v < adj.neighbor;
+      for (const auto& o : *objs) {
+        update_object(o, d + (v_is_n1 ? o.w1 : adj.weight - o.w1));
       }
     }
   }
+  local_stats.nodes_settled = expansion.settles();
 
   if (stats != nullptr) {
     *stats = local_stats;

@@ -6,6 +6,7 @@
 
 #include "common/status.h"
 #include "core/query.h"
+#include "core/query_context.h"
 #include "core/sk_search.h"
 #include "graph/ccam.h"
 #include "index/object_index.h"
@@ -20,10 +21,10 @@ namespace dsks {
 ///     score(o) = α · δ(q,o)/δmax + (1-α) · (1 − |q.T ∩ o.T| / |q.T|)
 ///
 /// (lower is better), and the k best-scored objects within δmax are
-/// returned. Implemented on the same incremental network expansion as
-/// Algorithm 3 with threshold termination: objects arrive by network
-/// distance, so once α·δ/δmax of the expansion frontier exceeds the k-th
-/// best score no unseen object can improve the result.
+/// returned. Implemented on the same NetworkExpansion as Algorithm 3 with
+/// threshold termination: objects arrive by network distance, so once
+/// α·δ/δmax of the expansion frontier exceeds the k-th best score no
+/// unseen object can improve the result.
 struct RankedQuery {
   SkQuery sk;  // terms under OR semantics here
   size_t k = 10;
@@ -45,23 +46,28 @@ struct RankedSearchStats {
 };
 
 /// Runs the ranked query; `*out` holds the results sorted by (score, id).
-/// On a storage error `*out` is left empty and `*stats` (when given) still
-/// accounts the work done before the error.
+/// On a storage error or cancellation `*out` is left empty and `*stats`
+/// (when given) still accounts the work done before it. `ctx` supplies
+/// the expansion scratch, the deadline and the trace, as for
+/// IncrementalSkSearch (nullptr: a private context).
 Status RankedSkSearch(const CcamGraph* graph, ObjectIndex* index,
                       const RankedQuery& query,
                       const QueryEdgeInfo& query_edge,
                       std::vector<RankedResult>* out,
-                      RankedSearchStats* stats = nullptr);
+                      RankedSearchStats* stats = nullptr,
+                      QueryContext* ctx = nullptr);
 
 /// Boolean k-nearest-neighbour SK query (Definition 1 with a result-count
 /// bound instead of exhausting δmax): the k closest objects containing all
-/// keywords. Thin wrapper over IncrementalSkSearch that stops pulling
-/// after k results — the expansion never goes further than needed. On a
-/// storage error `*out` keeps the (correct) results emitted before it.
+/// keywords. Thin wrapper over IncrementalSkSearch (run on `ctx`) that
+/// stops pulling after k results — the expansion never goes further than
+/// needed. On a storage error `*out` keeps the (correct) results emitted
+/// before it.
 Status BooleanKnnSearch(const CcamGraph* graph, ObjectIndex* index,
                         const SkQuery& query,
                         const QueryEdgeInfo& query_edge, size_t k,
-                        std::vector<SkResult>* out);
+                        std::vector<SkResult>* out,
+                        QueryContext* ctx = nullptr);
 
 }  // namespace dsks
 

@@ -15,44 +15,29 @@ IncrementalSkSearch::IncrementalSkSearch(const CcamGraph* graph,
                                          const SkQuery& query,
                                          const QueryEdgeInfo& query_edge,
                                          QueryContext* ctx)
-    : graph_(graph),
-      index_(index),
+    : index_(index),
       delta_max_(query.delta_max),
-      terms_(query.terms) {
+      terms_(query.terms),
+      ctx_(ContextOrOwned(ctx, &owned_ctx_)),
+      s_(&ctx_->sk_search),
+      expansion_(graph, query.delta_max, &s_->expansion, ctx_) {
   DSKS_CHECK_MSG(!terms_.empty(), "SK query needs at least one keyword");
   DSKS_CHECK_MSG(delta_max_ > 0.0, "delta_max must be positive");
   DSKS_CHECK(std::is_sorted(terms_.begin(), terms_.end()));
   DSKS_CHECK_MSG(query_edge.n1 < query_edge.n2,
                  "query edge endpoints must be (reference, far) ordered");
-
-  if (ctx == nullptr) {
-    owned_ctx_ = std::make_unique<QueryContext>();
-    ctx = owned_ctx_.get();
-  }
-  ctx_ = ctx;
-  s_ = &ctx_->sk_search;
   DSKS_DCHECK_MSG(!ctx_->sk_search_in_use,
                   "QueryContext serves one SK search at a time");
   ctx_->sk_search_in_use = true;
 
-  // Reset-not-free: epoch bumps and clears that keep all capacity from the
-  // previous query on this context.
-  s_->tentative.EnsureSize(graph_->num_nodes());
-  s_->settled.EnsureSize(graph_->num_nodes());
-  s_->tentative.Reset();
-  s_->settled.Reset();
-  s_->node_heap.clear();
+  // Reset-not-free: clears that keep all capacity from the previous query
+  // on this context.
   s_->object_heap.clear();
   s_->edge_slot.clear();
   s_->edge_pool_used = 0;
   s_->object_state.clear();
-  if (s_->adjacency.capacity() == 0) {
-    s_->adjacency.reserve(16);
-  }
-
-  // Seed Dijkstra with the two endpoints of the query's edge.
-  RelaxNode(query_edge.n1, query_edge.w1);
-  RelaxNode(query_edge.n2, query_edge.weight - query_edge.w1);
+  expansion_.Seed(query_edge.n1, query_edge.n2, query_edge.weight,
+                  query_edge.w1);
 
   // Objects on the query's own edge are reachable directly along the edge
   // (δ(q,p) = w(q,p) when both lie on the same edge, §2.1); paths through
@@ -86,17 +71,6 @@ uint32_t IncrementalSkSearch::AllocEdgeSlot() {
   LoadedEdgeSlot& slot = s_->edge_pool[s_->edge_pool_used];
   slot.objects.clear();  // keeps the vector's capacity
   return static_cast<uint32_t>(s_->edge_pool_used++);
-}
-
-void IncrementalSkSearch::RelaxNode(NodeId v, double dist) {
-  if (dist > delta_max_ || s_->settled.Contains(v)) {
-    return;
-  }
-  const double* t = s_->tentative.Find(v);
-  if (t == nullptr || dist < *t) {
-    s_->tentative.Set(v, dist);
-    s_->node_heap.push({dist, v});
-  }
 }
 
 void IncrementalSkSearch::UpdateObject(const LoadedObject& o, EdgeId e,
@@ -156,59 +130,17 @@ void IncrementalSkSearch::ProcessEdge(EdgeId e, double w, NodeId v, NodeId nb,
   }
 }
 
-double IncrementalSkSearch::NodeLowerBound() {
-  while (!s_->node_heap.empty()) {
-    const auto& [d, v] = s_->node_heap.top();
-    if (s_->settled.Contains(v)) {
-      s_->node_heap.pop();
-      continue;
-    }
-    const double* t = s_->tentative.Find(v);
-    if (t == nullptr || *t != d) {
-      s_->node_heap.pop();  // superseded entry
-      continue;
-    }
-    if (d > delta_max_) {
-      expansion_done_ = true;
-      return kInfDistance;
-    }
-    return d;
-  }
-  expansion_done_ = true;
-  return kInfDistance;
-}
-
 bool IncrementalSkSearch::ExpandOneNode() {
-  const double d = NodeLowerBound();
-  if (expansion_done_) {
-    return false;
-  }
   obs::ScopedSpan span(ctx_->trace, obs::Phase::kNetworkExpansion);
-  const NodeId v = s_->node_heap.top().second;
-  s_->node_heap.pop();
-  s_->settled.Set(v, d);
-  ++stats_.nodes_settled;
-  if (stats_.nodes_settled % CcamGraph::kFrontierPrefetchInterval == 0) {
-    // Deadline poll shares the settle-batch cadence with the prefetch
-    // issuer: one clock read per batch, never per node. The spans and I/O
-    // recorded so far remain as the cancelled query's partial-work account.
-    if (ctx_->DeadlineExceeded()) {
-      status_ = Status::Cancelled("query deadline exceeded during expansion");
-      return false;
-    }
-    // Hand the pool the CCAM pages of the nodes settled next. Purely
-    // advisory: settled distances are bit-identical with or without it.
-    graph_->PrefetchFrontier(s_->node_heap.storage());
-  }
-
-  status_ = graph_->GetAdjacency(v, &s_->adjacency);
-  if (!status_.ok()) {
+  NodeId v;
+  double d;
+  expansion_.Settle(&v, &d);
+  if (!expansion_.status().ok()) {
+    status_ = expansion_.status();
     return false;
   }
-  for (const AdjacentEdge& adj : s_->adjacency) {
-    if (!s_->settled.Contains(adj.neighbor)) {
-      RelaxNode(adj.neighbor, d + adj.weight);
-    }
+  for (const AdjacentEdge& adj : expansion_.adjacency()) {
+    expansion_.Relax(adj.neighbor, d + adj.weight);
     ProcessEdge(adj.edge, adj.weight, v, adj.neighbor, d);
     if (!status_.ok()) {
       return false;
@@ -228,8 +160,7 @@ bool IncrementalSkSearch::Next(SkResult* out) {
     return false;
   }
   while (true) {
-    const double delta_t =
-        expansion_done_ ? kInfDistance : NodeLowerBound();
+    const double delta_t = expansion_.Frontier();
 
     // Emit the closest finalized object, if any.
     while (!s_->object_heap.empty()) {
@@ -259,14 +190,11 @@ bool IncrementalSkSearch::Next(SkResult* out) {
       return true;
     }
 
-    if (expansion_done_) {
+    if (delta_t == kInfDistance) {
       return false;  // nothing settleable left and all objects flushed
     }
     if (!ExpandOneNode()) {
-      if (!status_.ok()) {
-        return false;  // storage error; the caller reads status()
-      }
-      continue;  // expansion just finished; flush remaining objects
+      return false;  // storage error or cancellation; see status()
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/network_expansion.h"
 #include "core/query.h"
 #include "core/query_context.h"
 #include "graph/ccam.h"
@@ -37,9 +38,9 @@ struct QueryEdgeInfo {
 /// (Algorithm 6) terminate the expansion early once its pruning bound
 /// fires.
 ///
-/// All graph traversal goes through the CCAM file and all object loading
-/// through the index, so every page touched is accounted in the buffer
-/// pool / disk statistics.
+/// All graph traversal goes through the CCAM file (one NetworkExpansion)
+/// and all object loading through the index, so every page touched is
+/// accounted in the buffer pool / disk statistics.
 ///
 /// All mutable search state lives in a QueryContext's SkSearchScratch.
 /// Pass a long-lived context (one per thread) and steady-state searches do
@@ -76,7 +77,11 @@ class IncrementalSkSearch {
   /// Results already emitted are correct; the search stops at the error.
   const Status& status() const { return status_; }
 
-  const Stats& stats() const { return stats_; }
+  Stats stats() const {
+    Stats s = stats_;
+    s.nodes_settled = expansion_.settles();
+    return s;
+  }
 
   /// The query's trace sink (null when tracing is off). Exposed so callers
   /// driving the search (e.g. the diversified search) can record their own
@@ -84,8 +89,6 @@ class IncrementalSkSearch {
   obs::QueryTrace* trace() const { return ctx_->trace; }
 
  private:
-  void RelaxNode(NodeId v, double dist);
-
   /// Applies distance `dist` to object `o` on edge `e` = (`n1`, `n2`)
   /// (weight `w`).
   void UpdateObject(const LoadedObject& o, EdgeId e, NodeId n1, NodeId n2,
@@ -99,15 +102,10 @@ class IncrementalSkSearch {
   /// Grabs a recycled edge slot from the scratch pool.
   uint32_t AllocEdgeSlot();
 
-  /// Drops settled/stale node-heap entries; returns the fresh top key
-  /// (the δT lower bound) or infinity when expansion is finished.
-  double NodeLowerBound();
-
-  /// Settles one node and processes its adjacency. Returns false when no
-  /// settleable node remains within δmax.
+  /// Settles the next node (the frontier must be finite) and processes
+  /// its adjacency. Returns false on a storage error or cancellation.
   bool ExpandOneNode();
 
-  const CcamGraph* graph_;
   ObjectIndex* index_;
   const double delta_max_;
   std::vector<TermId> terms_;
@@ -115,8 +113,8 @@ class IncrementalSkSearch {
   std::unique_ptr<QueryContext> owned_ctx_;  // only when no ctx was passed
   QueryContext* ctx_;
   SkSearchScratch* s_;  // = &ctx_->sk_search
+  NetworkExpansion expansion_;
 
-  bool expansion_done_ = false;
   bool terminated_ = false;
   Status status_;
   Stats stats_;

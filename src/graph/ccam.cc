@@ -22,7 +22,6 @@ constexpr size_t kPageHeaderSize = sizeof(uint16_t);
 // array and the burst handed to the pool. The burst blocks the caller, so
 // it stays small.
 constexpr size_t kMaxPrefetchNodes = 32;
-constexpr size_t kFrontierSample = 16;
 constexpr size_t kRecordHeaderSize = sizeof(uint32_t) + sizeof(uint16_t);
 constexpr size_t kNeighborSize = sizeof(uint32_t) * 2 + sizeof(double);
 
@@ -243,16 +242,6 @@ void CcamGraph::PrefetchNodes(std::span<const NodeId> nodes) const {
   if (n > 0) {
     pool_->Prefetch(std::span<const PageId>(pages, n));
   }
-}
-
-void CcamGraph::PrefetchFrontier(
-    std::span<const std::pair<double, NodeId>> heap) const {
-  const size_t n = std::min(heap.size(), kFrontierSample);
-  NodeId nodes[kFrontierSample];
-  for (size_t i = 0; i < n; ++i) {
-    nodes[i] = heap[i].second;
-  }
-  PrefetchNodes(std::span<const NodeId>(nodes, n));
 }
 
 Status CcamGraph::GetAdjacency(NodeId id,

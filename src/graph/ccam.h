@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -90,10 +89,6 @@ double CcamConnectivityRatio(const RoadNetwork& net, const CcamFile& file);
 /// the cost model in §3.2).
 class CcamGraph {
  public:
-  /// Settles between two frontier prefetches of a network expansion. The
-  /// searches also poll their deadline on this cadence.
-  static constexpr uint64_t kFrontierPrefetchInterval = 32;
-
   CcamGraph(const CcamFile* file, BufferPool* pool)
       : file_(file), pool_(pool) {}
 
@@ -104,20 +99,11 @@ class CcamGraph {
   Status GetAdjacency(NodeId id, std::vector<AdjacentEdge>* out) const;
 
   /// Best-effort readahead of the CCAM pages holding these nodes'
-  /// adjacency records. Network expansion calls this with a sample of the
+  /// adjacency records. NetworkExpansion calls this with a sample of its
   /// frontier so Dijkstra's next settlements find their pages resident.
   /// Purely speculative: failures are dropped by the pool and never reach
   /// a query, and results are bit-identical with or without it.
   void PrefetchNodes(std::span<const NodeId> nodes) const;
-
-  /// Frontier readahead for a Dijkstra-style expansion: prefetches the
-  /// nodes of the first 16 entries of `heap`, the storage of its
-  /// (distance, node) min-heap. Those shallow layers are a sample of the
-  /// nodes settled next. Expansions call this every
-  /// kFrontierPrefetchInterval settles; the read blocks the caller, so the
-  /// sample stays small.
-  void PrefetchFrontier(
-      std::span<const std::pair<double, NodeId>> heap) const;
 
   size_t num_nodes() const { return file_->num_nodes(); }
 

@@ -163,12 +163,25 @@ void Database::UnbindMetrics(obs::MetricsRegistry* registry,
 
 namespace {
 
-/// Stamps a failed query's code into its trace, preserving the spans
+/// The query boundary every Run* method shares: charges the query's
+/// storage I/O to its context, binds a trace to those per-context counters
+/// (so span deltas stay exact under concurrency — other queries charge
+/// their own contexts), opens the kQuery root span before `run` does any
+/// I/O, and stamps a failed query's code into the trace, keeping the spans
 /// recorded before the error as the partial-work account.
-void MarkTraceError(QueryContext* ctx, const Status& status) {
-  if (!status.ok() && ctx != nullptr && ctx->trace != nullptr) {
-    ctx->trace->MarkError(status.code_name());
+template <typename Fn>
+Status RunInContext(QueryContext* ctx, Fn&& run) {
+  obs::QueryTrace* trace = ctx == nullptr ? nullptr : ctx->trace;
+  obs::ScopedIoAccount io_account(ctx == nullptr ? nullptr : &ctx->io);
+  if (trace != nullptr) {
+    trace->BindContextIo(&ctx->io);
   }
+  obs::ScopedSpan root(trace, obs::Phase::kQuery);
+  const Status status = run();
+  if (!status.ok() && trace != nullptr) {
+    trace->MarkError(status.code_name());
+  }
+  return status;
 }
 
 }  // namespace
@@ -198,37 +211,19 @@ Status Database::RunSkQuery(const SkQuery& query, const QueryEdgeInfo& edge,
   SkQuery q = query;
   DSKS_RETURN_IF_ERROR(NormalizeSkQuery(&q));
   DSKS_RETURN_IF_ERROR(CheckQueryEdge(q, edge));
-  // Charge this query's storage I/O to its context; with a trace attached,
-  // snapshot those per-context counters so span deltas stay exact under
-  // concurrency (other queries charge their own contexts).
-  obs::ScopedIoAccount io_account(ctx == nullptr ? nullptr : &ctx->io);
-  if (ctx != nullptr && ctx->trace != nullptr) {
-    ctx->trace->BindContextIo(&ctx->io);
-  }
-  // Root span: the search constructor already does keyword I/O, so the
-  // span must open before it.
-  obs::ScopedSpan root(ctx == nullptr ? nullptr : ctx->trace,
-                       obs::Phase::kQuery);
-  IncrementalSkSearch search(ccam_graph_.get(), index_.get(), q, edge, ctx);
-  SkResult r;
-  while (search.Next(&r)) {
-    out->push_back(r);
-  }
-  MarkTraceError(ctx, search.status());
-  return search.status();
-}
-
-std::vector<SkResult> Database::RunSkQuery(const SkQuery& query,
-                                           const QueryEdgeInfo& edge,
-                                           QueryContext* ctx) {
-  std::vector<SkResult> results;
-  const Status status = RunSkQuery(query, edge, &results, ctx);
-  DSKS_CHECK_MSG(status.ok(), "RunSkQuery failed");
-  return results;
+  return RunInContext(ctx, [&] {
+    IncrementalSkSearch search(ccam_graph_.get(), index_.get(), q, edge, ctx);
+    SkResult r;
+    while (search.Next(&r)) {
+      out->push_back(r);
+    }
+    return search.status();
+  });
 }
 
 Status Database::RunKnnQuery(const SkQuery& query, const QueryEdgeInfo& edge,
-                             size_t k, std::vector<SkResult>* out) {
+                             size_t k, std::vector<SkResult>* out,
+                             QueryContext* ctx) {
   out->clear();
   SkQuery q = query;
   DSKS_RETURN_IF_ERROR(NormalizeSkQuery(&q));
@@ -236,21 +231,16 @@ Status Database::RunKnnQuery(const SkQuery& query, const QueryEdgeInfo& edge,
   if (k == 0) {
     return Status::InvalidArgument("kNN query needs k >= 1");
   }
-  return BooleanKnnSearch(ccam_graph_.get(), index_.get(), q, edge, k, out);
-}
-
-std::vector<SkResult> Database::RunKnnQuery(const SkQuery& query,
-                                            const QueryEdgeInfo& edge,
-                                            size_t k) {
-  std::vector<SkResult> results;
-  const Status status = RunKnnQuery(query, edge, k, &results);
-  DSKS_CHECK_MSG(status.ok(), "RunKnnQuery failed");
-  return results;
+  return RunInContext(ctx, [&] {
+    return BooleanKnnSearch(ccam_graph_.get(), index_.get(), q, edge, k, out,
+                            ctx);
+  });
 }
 
 Status Database::RunRankedQuery(const RankedQuery& query,
                                 const QueryEdgeInfo& edge,
-                                std::vector<RankedResult>* out) {
+                                std::vector<RankedResult>* out,
+                                QueryContext* ctx) {
   out->clear();
   RankedQuery q = query;
   DSKS_RETURN_IF_ERROR(NormalizeSkQuery(&q.sk));
@@ -261,15 +251,10 @@ Status Database::RunRankedQuery(const RankedQuery& query,
   if (!(q.alpha >= 0.0 && q.alpha <= 1.0)) {
     return Status::InvalidArgument("alpha must be in [0, 1]");
   }
-  return RankedSkSearch(ccam_graph_.get(), index_.get(), q, edge, out);
-}
-
-std::vector<RankedResult> Database::RunRankedQuery(const RankedQuery& query,
-                                                   const QueryEdgeInfo& edge) {
-  std::vector<RankedResult> results;
-  const Status status = RunRankedQuery(query, edge, &results);
-  DSKS_CHECK_MSG(status.ok(), "RunRankedQuery failed");
-  return results;
+  return RunInContext(ctx, [&] {
+    return RankedSkSearch(ccam_graph_.get(), index_.get(), q, edge, out,
+                          /*stats=*/nullptr, ctx);
+  });
 }
 
 Status Database::RunDivQuery(const DivQuery& query, const QueryEdgeInfo& edge,
@@ -279,31 +264,16 @@ Status Database::RunDivQuery(const DivQuery& query, const QueryEdgeInfo& edge,
   DivQuery q = query;
   DSKS_RETURN_IF_ERROR(NormalizeDivQuery(&q));
   DSKS_RETURN_IF_ERROR(CheckQueryEdge(q.sk, edge));
-  obs::ScopedIoAccount io_account(ctx == nullptr ? nullptr : &ctx->io);
-  if (ctx != nullptr && ctx->trace != nullptr) {
-    ctx->trace->BindContextIo(&ctx->io);
-  }
-  obs::ScopedSpan root(ctx == nullptr ? nullptr : ctx->trace,
-                       obs::Phase::kQuery);
-  IncrementalSkSearch search(ccam_graph_.get(), index_.get(), q.sk, edge,
-                             ctx);
-  PairwiseDistanceOracle oracle(ccam_graph_.get(), 2.0 * q.sk.delta_max,
-                                strategy, ctx);
-  oracle.SetQueryEdge(edge);
-  *out = use_com ? DiversifiedSearchCOM(&search, q, &oracle)
-                 : DiversifiedSearchSEQ(&search, q, &oracle);
-  MarkTraceError(ctx, out->status);
-  return out->status;
-}
-
-DivSearchOutput Database::RunDivQuery(const DivQuery& query,
-                                      const QueryEdgeInfo& edge, bool use_com,
-                                      QueryContext* ctx,
-                                      OracleStrategy strategy) {
-  DivSearchOutput out;
-  const Status status = RunDivQuery(query, edge, use_com, &out, ctx, strategy);
-  DSKS_CHECK_MSG(status.ok(), "RunDivQuery failed");
-  return out;
+  return RunInContext(ctx, [&] {
+    IncrementalSkSearch search(ccam_graph_.get(), index_.get(), q.sk, edge,
+                               ctx);
+    PairwiseDistanceOracle oracle(ccam_graph_.get(), 2.0 * q.sk.delta_max,
+                                  strategy, ctx);
+    oracle.SetQueryEdge(edge);
+    *out = use_com ? DiversifiedSearchCOM(&search, q, &oracle)
+                   : DiversifiedSearchSEQ(&search, q, &oracle);
+    return out->status;
+  });
 }
 
 }  // namespace dsks

@@ -107,46 +107,34 @@ class Database {
   /// This is the API boundary: the query is validated and canonicalized
   /// (NormalizeSkQuery plus edge-range checks against this network) and a
   /// malformed one returns InvalidArgument instead of aborting. Storage
-  /// errors surface as the returned Status with the work done so far
-  /// accounted in the context's QueryTrace. Pass a long-lived per-thread
-  /// QueryContext to amortize scratch allocations across queries (nullptr:
-  /// the search allocates a private one).
+  /// errors and cancellation surface as the returned Status with the work
+  /// done so far accounted in the context's QueryTrace. The context also
+  /// receives the query's I/O charge and supplies its deadline. Pass a
+  /// long-lived per-thread QueryContext to amortize scratch allocations
+  /// across queries (nullptr: the search allocates a private one).
   Status RunSkQuery(const SkQuery& query, const QueryEdgeInfo& edge,
                     std::vector<SkResult>* out, QueryContext* ctx = nullptr);
 
-  /// Value-returning convenience for trusted callers (tests, benches):
-  /// CHECK-fails on invalid input or a faulty disk.
-  std::vector<SkResult> RunSkQuery(const SkQuery& query,
-                                   const QueryEdgeInfo& edge,
-                                   QueryContext* ctx = nullptr);
-
   /// Runs a diversified query with SEQ or COM. `strategy` selects the
-  /// pairwise-distance scheme (shared expansion by default). Validation
-  /// and error reporting as in RunSkQuery; `out->status` mirrors the
-  /// returned Status.
+  /// pairwise-distance scheme (shared expansion by default). Validation,
+  /// context and error reporting as in RunSkQuery; `out->status` mirrors
+  /// the returned Status.
   Status RunDivQuery(const DivQuery& query, const QueryEdgeInfo& edge,
                      bool use_com, DivSearchOutput* out,
                      QueryContext* ctx = nullptr,
                      OracleStrategy strategy = OracleStrategy::kSharedExpansion);
 
-  /// Value-returning convenience for trusted callers; CHECK-fails on
-  /// invalid input or a faulty disk.
-  DivSearchOutput RunDivQuery(
-      const DivQuery& query, const QueryEdgeInfo& edge, bool use_com,
-      QueryContext* ctx = nullptr,
-      OracleStrategy strategy = OracleStrategy::kSharedExpansion);
-
   /// Boolean k-nearest-neighbour SK query (all keywords, k closest).
+  /// Validation, context and error reporting as in RunSkQuery.
   Status RunKnnQuery(const SkQuery& query, const QueryEdgeInfo& edge,
-                     size_t k, std::vector<SkResult>* out);
-  std::vector<SkResult> RunKnnQuery(const SkQuery& query,
-                                    const QueryEdgeInfo& edge, size_t k);
+                     size_t k, std::vector<SkResult>* out,
+                     QueryContext* ctx = nullptr);
 
   /// Ranked top-k SK query (OR semantics, distance/text score blend).
+  /// Validation, context and error reporting as in RunSkQuery.
   Status RunRankedQuery(const RankedQuery& query, const QueryEdgeInfo& edge,
-                        std::vector<RankedResult>* out);
-  std::vector<RankedResult> RunRankedQuery(const RankedQuery& query,
-                                           const QueryEdgeInfo& edge);
+                        std::vector<RankedResult>* out,
+                        QueryContext* ctx = nullptr);
 
   const RoadNetwork& network() const { return *network_; }
   const ObjectSet& objects() const { return *objects_; }

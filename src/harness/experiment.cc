@@ -42,7 +42,9 @@ SkWorkloadMetrics RunSkWorkload(Database* db, const Workload& workload) {
   for (const WorkloadQuery& wq : workload.queries) {
     db->ResetCounters();
     Timer timer;
-    const std::vector<SkResult> results = db->RunSkQuery(wq.sk, wq.edge, &ctx);
+    std::vector<SkResult> results;
+    const Status status = db->RunSkQuery(wq.sk, wq.edge, &results, &ctx);
+    DSKS_CHECK_MSG(status.ok(), "SK workload query failed");
     samples.push_back(timer.ElapsedMillis());
     m.avg_millis += samples.back();
     m.avg_io += static_cast<double>(db->IoCount());
@@ -80,7 +82,9 @@ DivWorkloadMetrics RunDivWorkload(Database* db, const Workload& workload,
     dq.lambda = lambda;
     db->ResetCounters();
     Timer timer;
-    const DivSearchOutput out = db->RunDivQuery(dq, wq.edge, use_com, &ctx);
+    DivSearchOutput out;
+    const Status status = db->RunDivQuery(dq, wq.edge, use_com, &out, &ctx);
+    DSKS_CHECK_MSG(status.ok(), "div workload query failed");
     samples.push_back(timer.ElapsedMillis());
     m.avg_millis += samples.back();
     m.avg_io += static_cast<double>(db->IoCount());

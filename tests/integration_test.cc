@@ -37,7 +37,8 @@ TEST_P(DatabaseIntegrationTest, EndToEndSkAndDivQueries) {
 
   for (const auto& wq : wl.queries) {
     db.ResetCounters();
-    const auto results = db.RunSkQuery(wq.sk, wq.edge);
+    std::vector<SkResult> results;
+    ASSERT_TRUE(db.RunSkQuery(wq.sk, wq.edge, &results).ok());
     // Verify against the brute-force reference.
     const auto want = testing::BruteForceSkSearch(db.network(), db.objects(),
                                                   wq.sk);
@@ -55,8 +56,12 @@ TEST_P(DatabaseIntegrationTest, EndToEndSkAndDivQueries) {
     dq.sk = wl.queries[i].sk;
     dq.k = 6;
     dq.lambda = 0.8;
-    const auto seq = db.RunDivQuery(dq, wl.queries[i].edge, false);
-    const auto com = db.RunDivQuery(dq, wl.queries[i].edge, true);
+    DivSearchOutput seq;
+    DivSearchOutput com;
+    ASSERT_TRUE(
+        db.RunDivQuery(dq, wl.queries[i].edge, /*use_com=*/false, &seq).ok());
+    ASSERT_TRUE(
+        db.RunDivQuery(dq, wl.queries[i].edge, /*use_com=*/true, &com).ok());
     std::vector<ObjectId> a;
     std::vector<ObjectId> b;
     for (const auto& r : seq.selected) a.push_back(r.id);
@@ -90,7 +95,9 @@ TEST(DatabaseTest, IoCountingIsPerQuery) {
   wc.seed = 6;
   const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
   db.ResetCounters();
-  db.RunSkQuery(wl.queries[0].sk, wl.queries[0].edge);
+  std::vector<SkResult> results;
+  ASSERT_TRUE(
+      db.RunSkQuery(wl.queries[0].sk, wl.queries[0].edge, &results).ok());
   const uint64_t io1 = db.IoCount();
   EXPECT_GT(io1, 0u);
   db.ResetCounters();
@@ -168,8 +175,10 @@ TEST(DatabaseTest, KnnAndRankedQueriesThroughTheFacade) {
   const QueryEdgeInfo qe = MakeQueryEdgeInfo(db.network(), q.loc);
 
   // kNN: prefix of the full result, closest first.
-  const auto full = db.RunSkQuery(q, qe);
-  const auto knn = db.RunKnnQuery(q, qe, 3);
+  std::vector<SkResult> full;
+  std::vector<SkResult> knn;
+  ASSERT_TRUE(db.RunSkQuery(q, qe, &full).ok());
+  ASSERT_TRUE(db.RunKnnQuery(q, qe, 3, &knn).ok());
   ASSERT_LE(knn.size(), 3u);
   ASSERT_LE(knn.size(), full.size());
   for (size_t i = 0; i < knn.size(); ++i) {
@@ -182,8 +191,9 @@ TEST(DatabaseTest, KnnAndRankedQueriesThroughTheFacade) {
   rq.sk.terms = anchor.terms;  // several keywords, OR semantics
   rq.k = 5;
   rq.alpha = 0.5;
-  const auto ranked = db.RunRankedQuery(rq, qe);
-  EXPECT_FALSE(ranked.empty());
+  std::vector<RankedResult> ranked;
+  ASSERT_TRUE(db.RunRankedQuery(rq, qe, &ranked).ok());
+  ASSERT_FALSE(ranked.empty());
   for (size_t i = 1; i < ranked.size(); ++i) {
     EXPECT_LE(ranked[i - 1].score, ranked[i].score + 1e-12);
   }

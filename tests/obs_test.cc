@@ -361,13 +361,28 @@ TEST(QueryTraceTest, TracedDivQueryBalancesAgainstRootTotals) {
   QueryContext ctx;
   ctx.trace = &trace;
 
+  // Every query kind the Database serves, each from a cold pool so that
+  // each one reads from disk.
   db.ResetCounters();
   for (const WorkloadQuery& wq : wl.queries) {
     DivQuery dq;
     dq.sk = wq.sk;
     dq.k = 6;
     dq.lambda = 0.8;
-    db.RunDivQuery(dq, wq.edge, /*use_com=*/true, &ctx);
+    DivSearchOutput div;
+    ASSERT_TRUE(db.pool()->Clear().ok());
+    ASSERT_TRUE(db.RunDivQuery(dq, wq.edge, /*use_com=*/true, &div, &ctx).ok());
+
+    std::vector<SkResult> knn;
+    ASSERT_TRUE(db.pool()->Clear().ok());
+    ASSERT_TRUE(db.RunKnnQuery(wq.sk, wq.edge, 3, &knn, &ctx).ok());
+
+    RankedQuery rq;
+    rq.sk = wq.sk;
+    rq.k = 5;
+    std::vector<RankedResult> ranked;
+    ASSERT_TRUE(db.pool()->Clear().ok());
+    ASSERT_TRUE(db.RunRankedQuery(rq, wq.edge, &ranked, &ctx).ok());
   }
   ASSERT_EQ(trace.open_depth(), 0u);
 
@@ -385,7 +400,7 @@ TEST(QueryTraceTest, TracedDivQueryBalancesAgainstRootTotals) {
       ++roots;
     }
   }
-  EXPECT_EQ(roots, wl.queries.size());
+  EXPECT_EQ(roots, 3 * wl.queries.size());
 
   const auto totals = trace.AggregateByPhase();
   int64_t phase_ns = 0;

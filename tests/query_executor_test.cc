@@ -95,8 +95,10 @@ TEST(QueryExecutorTest, ConcurrentSkQueriesMatchSequentialResults) {
   // Sequential reference: result multiset per query.
   std::vector<std::vector<ObjectId>> want(wl.queries.size());
   for (size_t i = 0; i < wl.queries.size(); ++i) {
-    for (const SkResult& r :
-         db.RunSkQuery(wl.queries[i].sk, wl.queries[i].edge)) {
+    std::vector<SkResult> results;
+    ASSERT_TRUE(
+        db.RunSkQuery(wl.queries[i].sk, wl.queries[i].edge, &results).ok());
+    for (const SkResult& r : results) {
       want[i].push_back(r.id);
     }
   }
@@ -113,7 +115,9 @@ TEST(QueryExecutorTest, ConcurrentSkQueriesMatchSequentialResults) {
       std::vector<ObjectId>* out = &got[round * wl.queries.size() + i];
       const WorkloadQuery* wq = &wl.queries[i];
       exec.Submit([&db, wq, out] {
-        for (const SkResult& r : db.RunSkQuery(wq->sk, wq->edge)) {
+        std::vector<SkResult> results;
+        EXPECT_TRUE(db.RunSkQuery(wq->sk, wq->edge, &results).ok());
+        for (const SkResult& r : results) {
           out->push_back(r.id);
         }
       });
@@ -189,7 +193,9 @@ TEST(QueryExecutorTest, ConcurrentTracedQueriesNestAndBalance) {
       dq.sk = wq->sk;
       dq.k = 4;
       dq.lambda = 0.8;
-      db.RunDivQuery(dq, wq->edge, /*use_com=*/true, ctx);
+      DivSearchOutput out;
+      EXPECT_TRUE(db.RunDivQuery(dq, wq->edge, /*use_com=*/true, &out, ctx)
+                      .ok());
       ctx->trace = nullptr;
     });
   }

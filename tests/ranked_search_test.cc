@@ -2,6 +2,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/network_expansion.h"
+#include "core/query_context.h"
 #include "core/ranked_search.h"
 #include "datagen/workload.h"
 #include "graph/ccam.h"
@@ -171,6 +173,35 @@ TEST(RankedSearchTest, FullTextMatchOutranksCloserPartialMatch) {
   for (size_t i = 1; i < got.size(); ++i) {
     EXPECT_GE(got[i - 1].matched + 1, got[i].matched);
   }
+}
+
+TEST(RankedSearchTest, ExpiredDeadlineCancelsTheExpansion) {
+  RankedFixture fx(513);
+  RankedQuery q;
+  q.sk.loc = testing::LocationOfObject(*fx.data.objects, 11);
+  q.sk.terms = {0, 1};
+  q.sk.delta_max = 1e9;  // the whole network
+  q.k = 3;
+  q.alpha = 0.0;  // text-only score: no threshold termination
+  const QueryEdgeInfo qe = MakeQueryEdgeInfo(*fx.data.network, q.sk.loc);
+
+  // Without a deadline the expansion runs past its first deadline poll.
+  RankedSearchStats full;
+  std::vector<RankedResult> got;
+  ASSERT_TRUE(
+      RankedSkSearch(fx.graph.get(), fx.index.get(), q, qe, &got, &full)
+          .ok());
+  ASSERT_GT(full.nodes_settled, NetworkExpansion::kPollInterval);
+
+  // An already-expired deadline stops it at that poll, with no results.
+  QueryContext ctx;
+  ctx.deadline_steady_ns = DeadlineFromNowMillis(-1.0);
+  RankedSearchStats cancelled;
+  const Status s = RankedSkSearch(fx.graph.get(), fx.index.get(), q, qe,
+                                  &got, &cancelled, &ctx);
+  EXPECT_TRUE(s.IsCancelled()) << s.ToString();
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(cancelled.nodes_settled, NetworkExpansion::kPollInterval);
 }
 
 TEST(BooleanKnnTest, ReturnsKClosestMatching) {

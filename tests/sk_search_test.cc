@@ -2,6 +2,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/network_expansion.h"
+#include "core/query_context.h"
 #include "core/sk_search.h"
 #include "datagen/workload.h"
 #include "graph/ccam.h"
@@ -191,6 +193,36 @@ TEST(SkSearchTest, ExpansionIsBoundedByDeltaMax) {
   }
   EXPECT_LT(small_nodes, large.stats().nodes_settled);
   EXPECT_LT(small_nodes, fx.data.network->num_nodes());
+}
+
+/// The settle that finds the deadline expired still returns its node, with
+/// no adjacency and a non-OK status; only the next Settle() stops. The
+/// oracle's shared pass relies on this to give every settled node its
+/// settle index.
+TEST(NetworkExpansionTest, CancelledSettleReturnsItsNodeThenStops) {
+  SearchFixture fx(306);
+  const QueryEdgeInfo qe = MakeQueryEdgeInfo(
+      *fx.data.network, testing::LocationOfObject(*fx.data.objects, 0));
+  QueryContext ctx;
+  ctx.deadline_steady_ns = DeadlineFromNowMillis(-1.0);
+  NetworkExpansion x(fx.graph.get(), 1e9, &ctx.sk_search.expansion, &ctx);
+  x.Seed(qe.n1, qe.n2, qe.weight, qe.w1);
+  NodeId v;
+  double d;
+  for (uint64_t i = 1; i < NetworkExpansion::kPollInterval; ++i) {
+    ASSERT_TRUE(x.Settle(&v, &d));
+    ASSERT_TRUE(x.status().ok());
+    ASSERT_FALSE(x.adjacency().empty());
+    for (const AdjacentEdge& adj : x.adjacency()) {
+      x.Relax(adj.neighbor, d + adj.weight);
+    }
+  }
+  ASSERT_TRUE(x.Settle(&v, &d));  // this settle polls the deadline
+  EXPECT_TRUE(x.status().IsCancelled());
+  EXPECT_TRUE(x.adjacency().empty());
+  EXPECT_EQ(x.SettledDistance(v), d);
+  EXPECT_FALSE(x.Settle(&v, &d));
+  EXPECT_EQ(x.settles(), NetworkExpansion::kPollInterval);
 }
 
 }  // namespace

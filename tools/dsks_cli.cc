@@ -423,9 +423,7 @@ int CmdQuery(const Args& args) {
   const std::string mode = args.Get("mode", "boolean");
   const size_t k = args.GetSize("k", 10, 1, 1u << 20);
 
-  // --trace: per-phase spans with pool/disk counter deltas. knn/ranked run
-  // through search paths without a QueryContext, so only their end-to-end
-  // root span is recorded; boolean and div modes get the full phase tree.
+  // --trace: per-phase spans with pool/disk counter deltas, for every mode.
   const bool traced = args.Has("trace");
   obs::QueryTrace trace;
   obs::QueryTrace* trace_ptr = nullptr;
@@ -453,7 +451,8 @@ int CmdQuery(const Args& args) {
   Status query_status;
   if (mode == "knn") {
     std::vector<SkResult> res;
-    query_status = BooleanKnnSearch(&graph, index.get(), q, qe, k, &res);
+    query_status =
+        BooleanKnnSearch(&graph, index.get(), q, qe, k, &res, &cli_ctx);
     for (const auto& r : res) {
       std::printf("  object %u  dist %.1f\n", r.id, r.dist);
     }
@@ -463,7 +462,8 @@ int CmdQuery(const Args& args) {
     rq.k = k;
     rq.alpha = args.GetDouble("alpha", 0.5, 0.0, 1.0);
     std::vector<RankedResult> res;
-    query_status = RankedSkSearch(&graph, index.get(), rq, qe, &res);
+    query_status = RankedSkSearch(&graph, index.get(), rq, qe, &res,
+                                  /*stats=*/nullptr, &cli_ctx);
     for (const auto& r : res) {
       std::printf("  object %u  dist %.1f  matched %u/%zu  score %.4f\n",
                   r.id, r.dist, r.matched, q.terms.size(), r.score);
@@ -557,7 +557,7 @@ int CmdQuery(const Args& args) {
                         lambda](QueryContext* ctx) {
         if (mode == "knn") {
           std::vector<SkResult> res;
-          return BooleanKnnSearch(&graph, index.get(), q, qe, k, &res);
+          return BooleanKnnSearch(&graph, index.get(), q, qe, k, &res, ctx);
         }
         if (mode == "ranked") {
           RankedQuery rq;
@@ -565,7 +565,8 @@ int CmdQuery(const Args& args) {
           rq.k = k;
           rq.alpha = alpha;
           std::vector<RankedResult> res;
-          return RankedSkSearch(&graph, index.get(), rq, qe, &res);
+          return RankedSkSearch(&graph, index.get(), rq, qe, &res,
+                                /*stats=*/nullptr, ctx);
         }
         if (mode == "div-seq" || mode == "div-com") {
           DivQuery dq;
