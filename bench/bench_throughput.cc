@@ -7,16 +7,16 @@
 // Knobs: DSKS_BENCH_SCALE, DSKS_BENCH_QUERIES (as everywhere),
 // DSKS_BENCH_THREADS (comma list, default "1,2,4,8"),
 // DSKS_IO_DELAY_US (per-read simulated latency, default 50),
-// DSKS_BENCH_SAMPLE (trace 1-in-N queries on the timed path, default 0 =
-// off so the perf baseline stays comparable; the check.sh overhead gate
-// compares a sampled run against the unsampled smoke),
-// DSKS_BENCH_STATS_PORT (serve /metrics, /varz, /tracez on that port
-// while the bench runs; 0 picks an ephemeral port, printed as a "STATS
-// http://..." line), DSKS_BENCH_STATS_LINGER_MS (keep serving that long
-// after the benches finish, so scrapers never race bench exit).
+// DSKS_BENCH_SAMPLE (trace 1-in-N queries on the timed path into a flight
+// recorder, default 0 = off so the perf baseline stays comparable; the
+// check.sh overhead gate compares a sampled run against the unsampled
+// smoke). To scrape /metrics, /varz and /tracez live, run
+// `dsks_cli serve --sample N` instead.
 //
 // Besides the table, every measurement is emitted as one JSON line
-// (prefix "JSON ") for scripted consumption. The measured series run
+// (prefix "JSON ") for scripted consumption. Latency avg/p50/p95/p99 in
+// every record come from the latency histogram (interpolated within one
+// bucket), so "p50_ms" equals "hist_p50_ms". The measured series run
 // untraced unless DSKS_BENCH_SAMPLE is set (each record says so via
 // "sample_rate"/"sampled_queries"); a separate single-threaded traced
 // pass per workload emits a "phase_profile" record attributing time and
@@ -26,9 +26,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -37,7 +36,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
-#include "obs/stats_server.h"
 #include "obs/trace.h"
 
 using namespace dsks;         // NOLINT
@@ -83,66 +81,16 @@ const char* g_backend_name = "sim";
 /// baseline, and every record says which one it was.
 obs::TraceSamplerConfig g_sampling;
 
-/// Sink for the sampled queries' summaries; also what /tracez serves when
-/// the stats server is up. Null when neither is enabled.
+/// Sink for the sampled queries' summaries; null unless DSKS_BENCH_SAMPLE
+/// is set.
 obs::FlightRecorder* g_recorder = nullptr;
-
-/// Live stats endpoint over GlobalMetrics + the flight recorder, gated on
-/// DSKS_BENCH_STATS_PORT. Construction binds the db's pool/disk counters
-/// into the registry and prints one discoverable "STATS http://..." line;
-/// destruction optionally lingers (DSKS_BENCH_STATS_LINGER_MS) so external
-/// scrapers started against that line never race bench exit.
-class ScopedStatsServer {
- public:
-  ScopedStatsServer(Database* db, const obs::FlightRecorder* recorder) {
-    const char* port_env = std::getenv("DSKS_BENCH_STATS_PORT");
-    if (port_env == nullptr) {
-      return;
-    }
-    db_ = db;
-    db_->BindMetrics(&obs::GlobalMetrics());
-    server_ = std::make_unique<obs::StatsServer>(&obs::GlobalMetrics(),
-                                                 recorder);
-    const Status started =
-        server_->Start(static_cast<uint16_t>(std::atoi(port_env)));
-    if (!started.ok()) {
-      std::fprintf(stderr, "stats server failed to start: %s\n",
-                   started.message().c_str());
-      server_.reset();
-      return;
-    }
-    std::printf("STATS http://127.0.0.1:%u\n",
-                static_cast<unsigned>(server_->port()));
-    std::fflush(stdout);
-  }
-
-  ~ScopedStatsServer() {
-    if (server_ != nullptr) {
-      // Flush before the linger opens: with stdout redirected to a file the
-      // bench's final lines are fully buffered, and scrapers keyed off that
-      // file must see them while the server is still answering.
-      std::fflush(stdout);
-      if (const char* linger = std::getenv("DSKS_BENCH_STATS_LINGER_MS");
-          linger != nullptr && std::atoi(linger) > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(std::atoi(linger)));
-      }
-      server_->Stop();
-    }
-    if (db_ != nullptr) {
-      db_->UnbindMetrics(&obs::GlobalMetrics());
-    }
-  }
-
- private:
-  Database* db_ = nullptr;
-  std::unique_ptr<obs::StatsServer> server_;
-};
 
 void EmitJson(const char* workload, const ThroughputMetrics& m,
               double speedup) {
-  // hist_* come from the merged per-worker histograms (bucketed, so upper
-  // bounds); the exact sample percentiles stay the primary numbers.
+  // Every latency field comes from the drained histogram, so p50_ms and
+  // p99_ms repeat hist_p50_ms and hist_p99_ms; the schema keeps both.
+  // Exact nearest-rank percentiles need raw samples, which only the
+  // sequential harness and perfbench's client keep.
   // "cold":0 marks the warm-cache regime — the perf gate refuses to
   // compare cold and warm records (different experiments).
   char buf[768];
@@ -187,8 +135,6 @@ void RunColdSeries(const char* workload, Database* db, const Workload& wl,
     db->SetPrefetchEnabled(prefetch_on);
     db->ResetCounters();
     obs::Histogram hist;
-    std::vector<double> lat;
-    lat.reserve(wl.queries.size());
     const auto batch_start = std::chrono::steady_clock::now();
     for (const WorkloadQuery& wq : wl.queries) {
       const Status cleared = db->pool()->Clear();
@@ -210,32 +156,19 @@ void RunColdSeries(const char* workload, Database* db, const Workload& wl,
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - q_start)
               .count();
-      lat.push_back(ms);
       hist.Record(ms);
     }
     const double wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - batch_start)
                                .count();
-    std::sort(lat.begin(), lat.end());
-    auto pct = [&lat](double p) {
-      if (lat.empty()) {
-        return 0.0;
-      }
-      const size_t i = static_cast<size_t>(p * (lat.size() - 1) / 100.0);
-      return lat[i];
-    };
-    double sum = 0.0;
-    for (double v : lat) {
-      sum += v;
-    }
-    const size_t n = lat.size();
+    const obs::HistogramSnapshot hs = hist.Snapshot();
+    const size_t n = hs.count;
     const double qps = wall_ms > 0.0 ? 1000.0 * n / wall_ms : 0.0;
     const BufferPoolStatsSnapshot pool = db->pool()->stats_snapshot();
     const uint64_t reads = db->disk()->stats_snapshot().reads;
     if (!prefetch_on) {
       baseline_misses = pool.misses;
     }
-    const obs::HistogramSnapshot hs = hist.Snapshot();
     char buf[768];
     std::snprintf(
         buf, sizeof(buf),
@@ -251,7 +184,7 @@ void RunColdSeries(const char* workload, Database* db, const Workload& wl,
         "\"prefetch_wasted\":%llu,\"prefetch_dropped\":%llu}",
         g_backend_name, workload, prefetch_on ? 1 : 0,
         n, wall_ms, qps,
-        n > 0 ? sum / n : 0.0, pct(50), pct(95), pct(99),
+        hs.avg(), hs.Percentile(50), hs.Percentile(95), hs.Percentile(99),
         static_cast<unsigned long long>(hs.count), hs.Percentile(50),
         hs.Percentile(99), static_cast<unsigned long long>(pool.misses),
         static_cast<unsigned long long>(reads),
@@ -263,8 +196,9 @@ void RunColdSeries(const char* workload, Database* db, const Workload& wl,
     JsonRecords().push_back(buf);
     table.AddRow({prefetch_on ? "on" : "off", std::to_string(n),
                   TablePrinter::Fmt(wall_ms, 1), TablePrinter::Fmt(qps, 1),
-                  TablePrinter::Fmt(n > 0 ? sum / n : 0.0, 3),
-                  TablePrinter::Fmt(pct(95), 3), std::to_string(pool.misses),
+                  TablePrinter::Fmt(hs.avg(), 3),
+                  TablePrinter::Fmt(hs.Percentile(95), 3),
+                  std::to_string(pool.misses),
                   std::to_string(reads), std::to_string(pool.prefetch_issued),
                   std::to_string(pool.prefetch_hits),
                   std::to_string(pool.prefetch_wasted),
@@ -413,16 +347,12 @@ int main(int argc, char** argv) {
   db.BuildIndex(opts);
   db.PrepareForQueries();
 
-  // The recorder exists whenever something consumes it: the sampling
-  // policy files summaries into it, and /tracez serves it.
-  obs::FlightRecorder recorder;
-  if (g_sampling.sample_every > 0 ||
-      std::getenv("DSKS_BENCH_STATS_PORT") != nullptr) {
-    recorder.set_occupancy_gauge(
-        &obs::GlobalMetrics().gauge("dsks.flight_recorder.entries"));
-    g_recorder = &recorder;
+  // Only sampled queries reach the recorder here: the bench sets no
+  // slow-query threshold and runs fault-free.
+  std::optional<obs::FlightRecorder> recorder;
+  if (g_sampling.sample_every > 0) {
+    g_recorder = &recorder.emplace();
   }
-  ScopedStatsServer stats(&db, g_recorder);
 
   WorkloadConfig wc;
   wc.num_queries = num_queries;

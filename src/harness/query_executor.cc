@@ -1,6 +1,5 @@
 #include "harness/query_executor.h"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -15,23 +14,25 @@ QueryExecutor::QueryExecutor(const ExecutorConfig& config)
     : queue_capacity_(config.queue_capacity),
       max_retries_(config.max_retries),
       retry_backoff_millis_(config.retry_backoff_millis),
-      metrics_(config.metrics),
       sampling_(config.sampling),
       flight_recorder_(config.flight_recorder) {
   DSKS_CHECK_MSG(config.num_threads > 0, "executor needs at least one thread");
   DSKS_CHECK_MSG(config.queue_capacity > 0, "queue capacity must be positive");
-  if (metrics_ != nullptr) {
-    in_flight_ = &metrics_->gauge("dsks.query.in_flight");
+  if (obs::MetricsRegistry* m = config.metrics; m != nullptr) {
+    published_latency_ = &m->histogram("executor.query_ms");
+    published_queries_ = &m->counter("executor.queries");
+    in_flight_ = &m->gauge("query.in_flight");
+    for (size_t c = 1; c < Status::kNumCodes; ++c) {  // every non-OK code
+      errors_[c].published =
+          &m->counter(std::string("query.errors.") +
+                      Status::CodeName(static_cast<Status::Code>(c)));
+    }
+    rejected_.published = &m->counter("query.rejected");
+    retries_.published = &m->counter("query.retries");
+    sampled_.published = &m->counter("query.sampled");
   }
-  samples_.resize(config.num_threads);
-  errors_.assign(config.num_threads, {});
-  rejected_.assign(config.num_threads, 0);
-  retries_.assign(config.num_threads, 0);
-  sampled_.assign(config.num_threads, 0);
-  hists_.reserve(config.num_threads);
   contexts_.reserve(config.num_threads);
   for (size_t i = 0; i < config.num_threads; ++i) {
-    hists_.push_back(std::make_unique<obs::Histogram>());
     contexts_.push_back(std::make_unique<QueryContext>());
   }
   workers_.reserve(config.num_threads);
@@ -110,64 +111,51 @@ bool QueryExecutor::TrySubmitQuery(std::function<Status(QueryContext*)> task,
 }
 
 QueryExecutor::DrainResult QueryExecutor::Drain() {
+  std::unique_lock<std::mutex> lock(mu_);
+  all_idle_.wait(lock, [this] { return queue_.empty() && active_tasks_ == 0; });
+  // Idle, and no worker can pop a task while we hold mu_: nothing records
+  // during the read-and-reset below, and the mutex hand-off orders every
+  // finished task's records before it.
+  const auto take = [](obs::PublishedCounter* c) {
+    const uint64_t n = c->local.value();
+    c->local.Reset();
+    return n;
+  };
   DrainResult result;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    all_idle_.wait(lock,
-                   [this] { return queue_.empty() && active_tasks_ == 0; });
-    // Workers are either blocked on queue_not_empty_ or about to block; the
-    // mutex hand-off orders their sample writes before these reads.
-    for (std::vector<double>& s : samples_) {
-      result.samples.insert(result.samples.end(), s.begin(), s.end());
-      s.clear();
-    }
-    for (const std::unique_ptr<obs::Histogram>& h : hists_) {
-      result.latency.MergeFrom(h->Snapshot());
-      h->Reset();
-    }
-    for (auto& e : errors_) {
-      for (size_t c = 0; c < Status::kNumCodes; ++c) {
-        result.errors[c] += e[c];
-        e[c] = 0;
-      }
-    }
-    for (uint64_t& r : rejected_) {
-      result.rejected += r;
-      r = 0;
-    }
-    for (uint64_t& r : retries_) {
-      result.retries += r;
-      r = 0;
-    }
-    for (uint64_t& s : sampled_) {
-      result.sampled += s;
-      s = 0;
-    }
+  result.latency = latency_.Snapshot();
+  latency_.Reset();
+  for (size_t c = 0; c < Status::kNumCodes; ++c) {
+    result.errors[c] = take(&errors_[c]);
   }
-  if (metrics_ != nullptr && result.latency.count > 0) {
-    metrics_->histogram("executor.query_ms").MergeFrom(result.latency);
-    metrics_->counter("executor.queries").Add(result.latency.count);
-  }
-  if (metrics_ != nullptr && result.sampled > 0) {
-    metrics_->counter("dsks.query.sampled").Add(result.sampled);
-  }
-  if (metrics_ != nullptr) {
-    for (size_t c = 0; c < Status::kNumCodes; ++c) {
-      if (result.errors[c] > 0) {
-        metrics_
-            ->counter(std::string("dsks.query.errors.") +
-                      Status::CodeName(static_cast<Status::Code>(c)))
-            .Add(result.errors[c]);
-      }
-    }
-    if (result.retries > 0) {
-      metrics_->counter("dsks.query.retries").Add(result.retries);
-    }
-    if (result.rejected > 0) {
-      metrics_->counter("dsks.query.rejected").Add(result.rejected);
-    }
-  }
+  result.rejected = take(&rejected_);
+  result.retries = take(&retries_);
+  result.sampled = take(&sampled_);
   return result;
+}
+
+void QueryExecutor::RecordCompletion(const Status& status, double millis,
+                                     uint64_t retries, bool traced) {
+  // A query rejected at the validation boundary never ran a search: it
+  // counts as an error (and under `rejected`), but not as served
+  // throughput — no latency entry, no qps.
+  if (status.IsInvalidArgument()) {
+    rejected_.Add();
+  } else {
+    latency_.Record(millis);
+    if (published_latency_ != nullptr) {
+      published_latency_->Record(millis);
+      published_queries_->Add();
+    }
+  }
+  if (!status.ok()) {
+    errors_[static_cast<size_t>(status.code())].Add();
+  }
+  if (retries > 0) {
+    retries_.Add(retries);
+  }
+  if (traced) {
+    sampled_.Add();
+  }
 }
 
 void QueryExecutor::WorkerLoop(size_t worker_id) {
@@ -203,7 +191,7 @@ void QueryExecutor::WorkerLoop(size_t worker_id) {
     // Snapshot the context's attribution counters so the delta across the
     // task is this query's exact I/O — with or without a trace.
     const obs::IoCounters io_before = ctx->io;
-    // The sample covers retries too — that time was spent on the query.
+    // The latency covers retries too — that time was spent on the query.
     Timer timer;
     Status status = task.fn(ctx);
     uint64_t task_retries = 0;
@@ -241,25 +229,9 @@ void QueryExecutor::WorkerLoop(size_t worker_id) {
       }
       flight_recorder_->Record(summary);
     }
-    // A query rejected at the validation boundary never ran a search: it
-    // counts as an error (and under `rejected`), but not as served
-    // throughput — no latency sample, no histogram entry, no qps.
-    const bool validation_reject = status.IsInvalidArgument();
-    if (!validation_reject) {
-      hists_[worker_id]->Record(millis);
-    }
+    RecordCompletion(status, millis, task_retries, traced);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!validation_reject) {
-        samples_[worker_id].push_back(millis);
-      } else {
-        ++rejected_[worker_id];
-      }
-      if (!status.ok()) {
-        ++errors_[worker_id][static_cast<size_t>(status.code())];
-      }
-      retries_[worker_id] += task_retries;
-      sampled_[worker_id] += traced ? 1 : 0;
       --active_tasks_;
       if (queue_.empty() && active_tasks_ == 0) {
         all_idle_.notify_all();
@@ -268,35 +240,34 @@ void QueryExecutor::WorkerLoop(size_t worker_id) {
   }
 }
 
-ThroughputMetrics SummarizeThroughput(size_t num_threads, double wall_millis,
-                                      std::vector<double> samples,
-                                      uint64_t errors, uint64_t rejected) {
+ThroughputMetrics SummarizeThroughput(
+    size_t num_threads, double wall_millis,
+    const QueryExecutor::DrainResult& drained) {
+  const obs::HistogramSnapshot& h = drained.latency;
   ThroughputMetrics m;
   m.num_threads = num_threads;
-  m.queries = samples.size();
+  m.queries = h.count;
   m.wall_millis = wall_millis;
-  m.errors = errors;
-  m.rejected = rejected;
-  if (samples.size() + rejected > 0) {
-    m.error_rate = static_cast<double>(errors) /
-                   static_cast<double>(samples.size() + rejected);
+  m.errors = drained.total_errors();
+  m.rejected = drained.rejected;
+  if (h.count + drained.rejected > 0) {
+    m.error_rate = static_cast<double>(m.errors) /
+                   static_cast<double>(h.count + drained.rejected);
   }
-  if (samples.empty()) {
+  m.errors_by_code = drained.errors;
+  m.retries = drained.retries;
+  m.sampled = drained.sampled;
+  m.histogram = h;
+  if (h.count == 0) {
     return m;
   }
   m.qps = wall_millis > 0.0
-              ? static_cast<double>(samples.size()) / (wall_millis / 1000.0)
+              ? static_cast<double>(h.count) / (wall_millis / 1000.0)
               : 0.0;
-  double sum = 0.0;
-  for (double s : samples) {
-    sum += s;
-  }
-  m.avg_millis = sum / static_cast<double>(samples.size());
-  std::sort(samples.begin(), samples.end());
-  // Shared nearest-rank definition, matching the sequential harness's p95.
-  m.p50_millis = obs::NearestRankPercentile(samples, 50);
-  m.p95_millis = obs::NearestRankPercentile(samples, 95);
-  m.p99_millis = obs::NearestRankPercentile(samples, 99);
+  m.avg_millis = h.avg();
+  m.p50_millis = h.Percentile(50);
+  m.p95_millis = h.Percentile(95);
+  m.p99_millis = h.Percentile(99);
   return m;
 }
 
@@ -329,16 +300,10 @@ ThroughputMetrics RunConcurrent(
       });
     }
   }
-  QueryExecutor::DrainResult drained = exec.Drain();
+  const QueryExecutor::DrainResult drained = exec.Drain();
   ThroughputMetrics m =
-      SummarizeThroughput(num_threads, wall.ElapsedMillis(),
-                          std::move(drained.samples), drained.total_errors(),
-                          drained.rejected);
-  m.errors_by_code = drained.errors;
-  m.retries = drained.retries;
-  m.sampled = drained.sampled;
+      SummarizeThroughput(num_threads, wall.ElapsedMillis(), drained);
   m.sample_rate = sampling.sample_every;
-  m.histogram = drained.latency;
   return m;
 }
 

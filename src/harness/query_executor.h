@@ -31,9 +31,10 @@ struct ExecutorConfig {
   /// Bound on queued-but-unstarted tasks; Submit blocks when the queue is
   /// full so a fast producer cannot outrun the workers unboundedly.
   size_t queue_capacity = 1024;
-  /// Registry each Drain publishes into ("executor.query_ms" histogram,
-  /// "executor.queries" counter, "dsks.query.errors.<CODE>" counters).
-  /// Null disables publication.
+  /// Registry every query is recorded into as it completes
+  /// ("executor.query_ms" histogram, "executor.queries" counter,
+  /// "query.errors.<CODE>" counters and the rest). Null disables
+  /// publication.
   obs::MetricsRegistry* metrics = &obs::GlobalMetrics();
   /// Bounded retry for *transient* faults: a query submitted with
   /// SubmitQuery that fails with IO_ERROR is re-run up to this many times
@@ -63,7 +64,7 @@ struct QueryTag {
 };
 
 /// Aggregate results of a concurrent batch: throughput plus the latency
-/// distribution merged from every worker's per-thread samples.
+/// distribution of the executor's drained histogram.
 struct ThroughputMetrics {
   size_t num_threads = 0;
   size_t queries = 0;
@@ -71,6 +72,8 @@ struct ThroughputMetrics {
   /// drain), which is what queries/sec is computed from.
   double wall_millis = 0.0;
   double qps = 0.0;
+  /// From the histogram: avg is exact, the percentiles are interpolated
+  /// within one bucket (HistogramSnapshot::Percentile).
   double avg_millis = 0.0;
   double p50_millis = 0.0;
   double p95_millis = 0.0;
@@ -96,18 +99,18 @@ struct ThroughputMetrics {
   uint64_t sampled = 0;
   /// The sampling config's 1-in-N (0 when sampling was off).
   uint32_t sample_rate = 0;
-  /// Merge of the per-worker latency histograms for the batch; lets benches
-  /// report the full distribution without keeping every raw sample.
+  /// The batch's latency histogram; lets benches report the full
+  /// distribution without keeping every raw sample.
   obs::HistogramSnapshot histogram;
 };
 
 /// Fixed-size thread pool with a bounded work queue, built for running
 /// many independent read-only queries against one shared Database (whose
 /// storage layer is concurrent-reader-safe — see DESIGN.md "Threading
-/// model"). Each worker times every task it runs and keeps its latency
-/// samples in a private vector; Drain() waits for the queue to empty and
-/// merges the per-thread samples under the pool mutex, so no sample is
-/// ever written and read concurrently.
+/// model"). Each worker times every task it runs and records it once, as
+/// it completes, into the executor's batch instruments and the configured
+/// registry in the same step — so a live scrape sees every finished query
+/// whether or not anyone ever calls Drain().
 ///
 /// Every worker owns a QueryContext, handed to tasks submitted with
 /// SubmitWithContext — steady-state queries then reuse the worker's scratch
@@ -134,9 +137,9 @@ class QueryExecutor {
   /// Enqueues a query that reports failure through a Status instead of
   /// aborting. A non-OK result is a *recorded failure*, never a crash:
   /// IO_ERROR failures are re-run up to config.max_retries times with
-  /// linear backoff, and whatever Status survives is tallied per code in
-  /// the next Drain (and into "dsks.query.errors.<CODE>"). The task must
-  /// be safe to re-run from scratch — every Run*Query is.
+  /// linear backoff, and whatever Status survives is tallied per code
+  /// (DrainResult::errors and "query.errors.<CODE>"). The task must be
+  /// safe to re-run from scratch — every Run*Query is.
   void SubmitQuery(std::function<Status(QueryContext*)> task);
 
   /// Like SubmitQuery, with an identity tag that shows up in the query's
@@ -157,17 +160,15 @@ class QueryExecutor {
   bool TrySubmitQuery(std::function<Status(QueryContext*)> task,
                       double wait_millis = 0.0);
 
-  /// What one Drain hands back: every per-thread latency sample plus the
-  /// merge of the per-worker histograms over the same tasks (so
-  /// latency.count == samples.size() always), plus the failure tallies of
-  /// the batch.
+  /// What one Drain hands back: the batch's latency histogram plus its
+  /// failure tallies.
   struct DrainResult {
-    std::vector<double> samples;  // milliseconds, unordered
+    /// Milliseconds per served query, retries included.
     obs::HistogramSnapshot latency;
     /// Final (post-retry) failures by Status::Code.
     std::array<uint64_t, Status::kNumCodes> errors{};
     /// Validation-boundary rejections (INVALID_ARGUMENT results), also
-    /// tallied in errors[kInvalidArgument] but excluded from samples — a
+    /// tallied in errors[kInvalidArgument] but excluded from latency — a
     /// rejected query never ran a search, so it must not count as served
     /// throughput.
     uint64_t rejected = 0;
@@ -185,16 +186,20 @@ class QueryExecutor {
     }
   };
 
-  /// Blocks until every submitted task has finished, then returns the
-  /// consumed samples/histogram and publishes the batch into the
-  /// configured metrics registry. The executor stays usable for further
-  /// Submit calls.
+  /// Blocks until every submitted task has finished, then snapshots and
+  /// resets the batch instruments. Publishes nothing — every query was
+  /// recorded into the registry as it completed. The executor stays
+  /// usable for further Submit calls.
   DrainResult Drain();
 
   size_t num_threads() const { return workers_.size(); }
 
  private:
   void WorkerLoop(size_t worker_id);
+  /// Records one finished task into the batch instruments and the
+  /// registry, in the same step.
+  void RecordCompletion(const Status& status, double millis,
+                        uint64_t retries, bool traced);
 
   const size_t queue_capacity_;
   const size_t max_retries_;
@@ -214,37 +219,30 @@ class QueryExecutor {
   size_t active_tasks_ = 0;
   bool stopping_ = false;
 
-  /// samples_[i] is written by worker i between queue pops (i.e. while it
-  /// owns an active task) and read by Drain only when no task is active.
-  std::vector<std::vector<double>> samples_;
-  /// hists_[i] records the same latencies as samples_[i]; Histogram is
-  /// internally lock-free, and the active_tasks_ hand-off orders worker
-  /// records before Drain's snapshot.
-  std::vector<std::unique_ptr<obs::Histogram>> hists_;
-  /// errors_[i]/retries_[i] follow the same ownership discipline as
-  /// samples_[i]: written by worker i under mu_, read by Drain when idle.
-  std::vector<std::array<uint64_t, Status::kNumCodes>> errors_;
-  std::vector<uint64_t> rejected_;
-  std::vector<uint64_t> retries_;
-  /// sampled_[i]: queries worker i ran traced; same discipline as retries_.
-  std::vector<uint64_t> sampled_;
+  /// Batch instruments, recorded by any worker (relaxed atomics) and read
+  /// and reset by Drain() while it holds mu_ with no task active. Each
+  /// counter also feeds its registry counter (PublishedCounter).
+  obs::Histogram latency_;
+  std::array<obs::PublishedCounter, Status::kNumCodes> errors_;
+  obs::PublishedCounter rejected_, retries_, sampled_;
   /// contexts_[i] is touched only by worker i.
   std::vector<std::unique_ptr<QueryContext>> contexts_;
-  std::vector<std::thread> workers_;
-  obs::MetricsRegistry* metrics_;
   const obs::TraceSamplerConfig sampling_;
   obs::FlightRecorder* const flight_recorder_;
-  /// Resolved once at construction; workers Add/Sub around each task.
+  /// Registry instruments, resolved once at construction (null without a
+  /// registry). Workers Add/Sub in_flight_ around each task.
+  obs::Histogram* published_latency_ = nullptr;
+  obs::Counter* published_queries_ = nullptr;
   obs::Gauge* in_flight_ = nullptr;
+  /// Last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
-/// Computes the latency distribution of `samples` plus queries/sec from
-/// the batch wall time. `errors` (failed queries among the samples) feeds
-/// the error-rate fields.
-ThroughputMetrics SummarizeThroughput(size_t num_threads, double wall_millis,
-                                      std::vector<double> samples,
-                                      uint64_t errors = 0,
-                                      uint64_t rejected = 0);
+/// Derives queries/sec from the batch wall time, plus avg/p50/p95/p99
+/// and the failure fields, from one drained batch.
+ThroughputMetrics SummarizeThroughput(
+    size_t num_threads, double wall_millis,
+    const QueryExecutor::DrainResult& drained);
 
 /// Runs `repeat` passes over the workload's SK queries on `num_threads`
 /// workers sharing `db` and reports aggregate throughput. Applies the same

@@ -1,26 +1,11 @@
 #include "obs/http.h"
 
 #include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-
-#include <cerrno>
-#include <chrono>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace dsks::obs {
-
-namespace {
-
-int64_t NowMillis() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 bool ParseHttpRequest(const std::string& head, HttpRequest* out) {
   const size_t line_end = head.find("\r\n");
@@ -75,70 +60,6 @@ HttpResponse RenderObsRoute(const HttpRequest& request,
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-bool SendAllWithDeadline(int fd, const char* data, size_t len,
-                         int deadline_ms) {
-  const int64_t deadline = NowMillis() + deadline_ms;
-  size_t sent = 0;
-  while (sent < len) {
-    const ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const int64_t remaining = deadline - NowMillis();
-      if (remaining <= 0) {
-        return false;  // budget exhausted: drop the slow client
-      }
-      pollfd pfd{fd, POLLOUT, 0};
-      if (::poll(&pfd, 1, static_cast<int>(remaining)) < 0 &&
-          errno != EINTR) {
-        return false;
-      }
-      continue;
-    }
-    return false;  // peer went away; nothing useful to do
-  }
-  return true;
-}
-
-bool ReadHttpHeadWithDeadline(int fd, std::string* request, size_t max_bytes,
-                              int deadline_ms) {
-  const int64_t deadline = NowMillis() + deadline_ms;
-  char buf[1024];
-  while (request->size() < max_bytes &&
-         request->find("\r\n\r\n") == std::string::npos) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      request->append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n == 0) {
-      break;  // peer closed before finishing the head
-    }
-    if (errno == EINTR) {
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      const int64_t remaining = deadline - NowMillis();
-      if (remaining <= 0) {
-        break;
-      }
-      pollfd pfd{fd, POLLIN, 0};
-      if (::poll(&pfd, 1, static_cast<int>(remaining)) < 0 &&
-          errno != EINTR) {
-        break;
-      }
-      continue;
-    }
-    break;
-  }
-  return request->find("\r\n\r\n") != std::string::npos;
 }
 
 }  // namespace dsks::obs

@@ -1,7 +1,6 @@
 #ifndef DSKS_OBS_HTTP_H_
 #define DSKS_OBS_HTTP_H_
 
-#include <cstddef>
 #include <string>
 
 namespace dsks::obs {
@@ -31,8 +30,8 @@ struct HttpResponse {
 /// Serializes head + body into one Connection: close HTTP/1.1 response.
 std::string FormatHttpResponse(const HttpResponse& response);
 
-/// The shared observability routes, mounted by both the stats server and
-/// the query server so one port per process serves queries and telemetry:
+/// The observability routes, mounted by the query server so one port per
+/// process serves queries and telemetry:
 ///   /metrics — MetricsRegistry::ToPrometheus (text/plain)
 ///   /varz    — MetricsRegistry::ToJson (application/json)
 ///   /tracez  — FlightRecorder::ToJson (application/json)
@@ -44,23 +43,6 @@ HttpResponse RenderObsRoute(const HttpRequest& request,
 
 /// Puts `fd` into non-blocking mode. Returns false on fcntl failure.
 bool SetNonBlocking(int fd);
-
-/// Writes all `len` bytes to non-blocking `fd` within an *overall*
-/// `deadline_ms` budget, polling for writability between partial sends.
-/// Returns false when the peer is gone or the budget runs out — per-send
-/// SO_SNDTIMEO cannot bound a trickle-reading client (each send succeeds
-/// just often enough to reset the timer), so a stalled scraper used to
-/// wedge the single accept loop for every other client; the overall
-/// deadline is what actually drops it.
-bool SendAllWithDeadline(int fd, const char* data, size_t len,
-                         int deadline_ms);
-
-/// Reads from non-blocking `fd` into `*request` until the HTTP head
-/// terminator "\r\n\r\n" arrives, `max_bytes` is reached, the peer closes,
-/// or the overall `deadline_ms` budget runs out. Returns true when the
-/// terminator was seen.
-bool ReadHttpHeadWithDeadline(int fd, std::string* request, size_t max_bytes,
-                              int deadline_ms);
 
 }  // namespace dsks::obs
 

@@ -15,9 +15,10 @@
 namespace dsks::obs {
 
 /// Nearest-rank percentile of an already-sorted sample set: the 1-based
-/// rank is ceil(pct/100 · n), clamped to [1, n]. This is the single
-/// definition every latency summary in the repo uses (harness, executor,
-/// benches); p99 of 100 samples is sorted[98], never sorted[99].
+/// rank is ceil(pct/100 · n), clamped to [1, n]; p99 of 100 samples is
+/// sorted[98], never sorted[99]. Summaries that keep raw samples (the
+/// sequential harness) use it; executor and bench summaries come from a
+/// Histogram, whose Percentile ranks the same way.
 /// `pct` is an integer in [0, 100]; pct = 0 returns the minimum.
 double NearestRankPercentile(std::span<const double> sorted, int pct);
 
@@ -32,6 +33,22 @@ class Counter {
 
  private:
   std::atomic<uint64_t> v_{0};
+};
+
+/// A count its owner reads exactly (and may reset) that also feeds a
+/// registry counter in the same step, so a live scrape sees each event as
+/// it happens. The owner resolves `published` once at setup; null keeps
+/// the count private.
+struct PublishedCounter {
+  Counter local;
+  Counter* published = nullptr;
+
+  void Add(uint64_t n = 1) {
+    local.Add(n);
+    if (published != nullptr) {
+      published->Add(n);
+    }
+  }
 };
 
 /// Instantaneous value (pool capacity, frames in use, queries in flight).

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
 #include <cstring>
 
@@ -245,15 +246,20 @@ bool QueryServer::ConsumeInput(uint64_t conn_id, Conn* conn) {
   if (conn->in.empty()) {
     return true;
   }
-  // Protocol sniff: decide once we have 4 bytes (or know no more come).
-  // "GET " can never start a JSON request line, so the two protocols are
-  // unambiguous from the first word.
-  if (!conn->is_http && conn->in.size() < 4 && !conn->read_closed &&
-      std::string("GET ").compare(0, conn->in.size(), conn->in) == 0) {
-    return true;  // could still become either; wait for more bytes
-  }
-  if (!conn->is_http && conn->in.compare(0, 4, "GET ") == 0) {
-    conn->is_http = true;
+  // Protocol sniff: an HTTP request opens with an uppercase method token
+  // and a space ("GET ", "POST "), and no JSON text starts with an
+  // uppercase letter, so the two protocols are unambiguous from the first
+  // word. Only GET is served; RenderObsRoute answers other methods 405.
+  if (!conn->is_http) {
+    size_t n = 0;
+    while (n < conn->in.size() &&
+           std::isupper(static_cast<unsigned char>(conn->in[n]))) {
+      ++n;
+    }
+    if (n > 0 && n == conn->in.size() && !conn->read_closed) {
+      return true;  // could still become either; wait for more bytes
+    }
+    conn->is_http = n > 0 && n < conn->in.size() && conn->in[n] == ' ';
   }
 
   if (conn->is_http) {
@@ -265,7 +271,7 @@ bool QueryServer::ConsumeInput(uint64_t conn_id, Conn* conn) {
     obs::HttpResponse response;
     if (!obs::ParseHttpRequest(conn->in.substr(0, head_end + 4), &request)) {
       response = {"400 Bad Request", "text/plain", "bad request\n"};
-    } else if (request.path == "/statusz") {
+    } else if (request.method == "GET" && request.path == "/statusz") {
       response = {"200 OK", "application/json", StatuszJson()};
     } else {
       response = obs::RenderObsRoute(request, config_.service.metrics,

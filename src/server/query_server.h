@@ -37,10 +37,14 @@ struct ServerConfig {
 ///   - NDJSON query protocol: one JSON request object per line, one JSON
 ///     response object per line, same order per connection not guaranteed
 ///     across concurrent queries (responses carry the request "id").
-///   - HTTP GET (a head starting "GET "): the observability routes
-///     /metrics, /varz, /tracez, /healthz — same payloads as StatsServer —
-///     plus /statusz (the server's own counters as JSON). One response,
-///     then close.
+///   - HTTP (a head opening with an uppercase method token such as
+///     "GET "): GET serves the observability routes /metrics, /varz,
+///     /tracez, /healthz (obs::RenderObsRoute over the service's registry
+///     and flight recorder; a null one answers 404) plus /statusz (the
+///     server's own counters as JSON); other methods answer 405. One
+///     response, then close. Executor and server counters are recorded
+///     per query as it completes, so a scrape is current while the server
+///     runs.
 ///
 /// The poll loop never blocks on a query: Submit's verdict is synchronous
 /// (reject/shed responses queue immediately) and completions from worker

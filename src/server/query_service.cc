@@ -79,15 +79,15 @@ QueryService::QueryService(Database* db, const ServiceConfig& config)
 
   if (config_.metrics != nullptr) {
     auto* m = config_.metrics;
-    requests_.published = &m->counter("dsks.server.requests");
-    invalid_.published = &m->counter("dsks.server.invalid");
-    quota_denied_.published = &m->counter("dsks.server.quota_denied");
-    shed_.published = &m->counter("dsks.server.shed");
-    admitted_.published = &m->counter("dsks.server.admitted");
-    completed_.published = &m->counter("dsks.server.completed");
-    cancelled_.published = &m->counter("dsks.server.cancelled");
-    batches_.published = &m->counter("dsks.server.batches");
-    batched_queries_.published = &m->counter("dsks.server.batched_queries");
+    requests_.published = &m->counter("server.requests");
+    invalid_.published = &m->counter("server.invalid");
+    quota_denied_.published = &m->counter("server.quota_denied");
+    shed_.published = &m->counter("server.shed");
+    admitted_.published = &m->counter("server.admitted");
+    completed_.published = &m->counter("server.completed");
+    cancelled_.published = &m->counter("server.cancelled");
+    batches_.published = &m->counter("server.batches");
+    batched_queries_.published = &m->counter("server.batched_queries");
   }
 
   if (config_.batch_window_ms > 0.0) {
@@ -127,15 +127,15 @@ void QueryService::Stop() {
 
 ServiceCounters QueryService::counters() const {
   ServiceCounters c;
-  c.requests = requests_.get();
-  c.invalid = invalid_.get();
-  c.quota_denied = quota_denied_.get();
-  c.shed = shed_.get();
-  c.admitted = admitted_.get();
-  c.completed = completed_.get();
-  c.cancelled = cancelled_.get();
-  c.batches = batches_.get();
-  c.batched_queries = batched_queries_.get();
+  c.requests = requests_.local.value();
+  c.invalid = invalid_.local.value();
+  c.quota_denied = quota_denied_.local.value();
+  c.shed = shed_.local.value();
+  c.admitted = admitted_.local.value();
+  c.completed = completed_.local.value();
+  c.cancelled = cancelled_.local.value();
+  c.batches = batches_.local.value();
+  c.batched_queries = batched_queries_.local.value();
   return c;
 }
 

@@ -1,7 +1,6 @@
 #ifndef DSKS_SERVER_QUERY_SERVICE_H_
 #define DSKS_SERVER_QUERY_SERVICE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -138,21 +137,10 @@ class QueryService {
   const ServiceConfig config_;
   std::unique_ptr<QueryExecutor> executor_;
 
-  // Pre-resolved counters; the registry publishes, the atomics are the
-  // exact-accounting source of truth for counters().
-  struct Counter {
-    std::atomic<uint64_t> n{0};
-    obs::Counter* published = nullptr;
-    void Add(uint64_t d = 1) {
-      n.fetch_add(d, std::memory_order_relaxed);
-      if (published != nullptr) {
-        published->Add(d);
-      }
-    }
-    uint64_t get() const { return n.load(std::memory_order_relaxed); }
-  };
-  mutable Counter requests_, invalid_, quota_denied_, shed_, admitted_,
-      completed_, cancelled_, batches_, batched_queries_;
+  // Pre-resolved counters; the registry publishes, the local counts are
+  // the exact-accounting source of truth for counters().
+  mutable obs::PublishedCounter requests_, invalid_, quota_denied_, shed_,
+      admitted_, completed_, cancelled_, batches_, batched_queries_;
 
   // Per-tenant token buckets (steady-clock refill).
   struct Bucket {

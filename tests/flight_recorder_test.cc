@@ -88,7 +88,7 @@ TEST(FlightRecorderTest, ErrorsAreRetainedPastRecencyEviction) {
 
 TEST(FlightRecorderTest, OccupancyGaugeTracksLiveSlotsAndClear) {
   obs::MetricsRegistry reg;
-  obs::Gauge& gauge = reg.gauge("dsks.flight_recorder.entries");
+  obs::Gauge& gauge = reg.gauge("flight_recorder.entries");
   obs::FlightRecorder::Options opt;
   opt.recent_capacity = 2;
   opt.slow_capacity = 2;

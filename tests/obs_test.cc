@@ -218,7 +218,7 @@ TEST(MetricsRegistryTest, StorageBindMetricsExposesLiveCounters) {
 
 TEST(MetricsRegistryTest, GaugeAddSubIsAtomic) {
   obs::MetricsRegistry reg;
-  obs::Gauge& g = reg.gauge("dsks.query.in_flight");
+  obs::Gauge& g = reg.gauge("query.in_flight");
   g.Add(3.0);
   g.Sub(1.0);
   EXPECT_DOUBLE_EQ(g.value(), 2.0);

@@ -37,46 +37,58 @@ TEST(QueryExecutorTest, RunsEveryTaskExactlyOnce) {
     exec.Submit([&sum, i] { sum.fetch_add(i + 1); });
   }
   QueryExecutor::DrainResult res = exec.Drain();
-  EXPECT_EQ(res.samples.size(), kTasks);
-  EXPECT_EQ(sum.load(), kTasks * (kTasks + 1) / 2);
-  // The merged histogram covers exactly the drained samples.
   EXPECT_EQ(res.latency.count, kTasks);
+  EXPECT_EQ(sum.load(), kTasks * (kTasks + 1) / 2);
 
-  // The executor is reusable after a drain; samples were consumed.
+  // The executor is reusable after a drain; the batch was reset.
   exec.Submit([&sum] { sum.fetch_add(1); });
   res = exec.Drain();
-  EXPECT_EQ(res.samples.size(), 1u);
   EXPECT_EQ(res.latency.count, 1u);
 }
 
 TEST(QueryExecutorTest, DrainPublishesIntoRegistry) {
+  // Publication needs no Drain(): each query is recorded into the
+  // registry as it completes, so once the executor is gone (its destructor
+  // runs every queued task) the registry holds all of them.
   obs::MetricsRegistry registry;
   ExecutorConfig config;
   config.num_threads = 3;
   config.metrics = &registry;
-  QueryExecutor exec(config);
-  for (int i = 0; i < 20; ++i) {
-    exec.Submit([] {});
+  {
+    QueryExecutor exec(config);
+    for (int i = 0; i < 20; ++i) {
+      exec.Submit([] {});
+    }
+    exec.SubmitQuery([](QueryContext*) { return Status::IOError("x"); });
   }
-  exec.Drain();
-  EXPECT_EQ(registry.counter("executor.queries").value(), 20u);
-  EXPECT_EQ(registry.histogram("executor.query_ms").count(), 20u);
+  EXPECT_EQ(registry.counter("executor.queries").value(), 21u);
+  EXPECT_EQ(registry.histogram("executor.query_ms").count(), 21u);
+  EXPECT_EQ(registry.counter("query.errors.IO_ERROR").value(), 1u);
+  EXPECT_DOUBLE_EQ(registry.gauge("query.in_flight").value(), 0.0);
 }
 
 TEST(QueryExecutorTest, SummarizeThroughputPercentiles) {
-  // 100 samples 1..100 ms over a 1 s wall: 100 qps, p50=50, p99=99.
-  std::vector<double> samples;
+  // 100 queries of 1..100 ms over a 1 s wall: 100 qps, avg 50.5 exactly;
+  // the percentiles are the histogram's, within one bucket (25%) of the
+  // exact nearest-rank p50 = 50, p95 = 95, p99 = 99.
+  obs::Histogram hist;
   for (int i = 1; i <= 100; ++i) {
-    samples.push_back(static_cast<double>(i));
+    hist.Record(static_cast<double>(i));
   }
-  const ThroughputMetrics m = SummarizeThroughput(4, 1000.0, samples);
+  QueryExecutor::DrainResult drained;
+  drained.latency = hist.Snapshot();
+  const ThroughputMetrics m = SummarizeThroughput(4, 1000.0, drained);
   EXPECT_EQ(m.num_threads, 4u);
   EXPECT_EQ(m.queries, 100u);
   EXPECT_DOUBLE_EQ(m.qps, 100.0);
   EXPECT_DOUBLE_EQ(m.avg_millis, 50.5);
-  EXPECT_DOUBLE_EQ(m.p50_millis, 50.0);
-  EXPECT_DOUBLE_EQ(m.p95_millis, 95.0);
-  EXPECT_DOUBLE_EQ(m.p99_millis, 99.0);
+  EXPECT_DOUBLE_EQ(m.p50_millis, drained.latency.Percentile(50));
+  EXPECT_DOUBLE_EQ(m.p95_millis, drained.latency.Percentile(95));
+  EXPECT_DOUBLE_EQ(m.p99_millis, drained.latency.Percentile(99));
+  EXPECT_NEAR(m.p50_millis, 50.0, 50.0 * 0.25);
+  EXPECT_NEAR(m.p95_millis, 95.0, 95.0 * 0.25);
+  EXPECT_NEAR(m.p99_millis, 99.0, 99.0 * 0.25);
+  EXPECT_EQ(m.histogram.count, 100u);
 }
 
 TEST(QueryExecutorTest, ConcurrentSkQueriesMatchSequentialResults) {
@@ -124,7 +136,7 @@ TEST(QueryExecutorTest, ConcurrentSkQueriesMatchSequentialResults) {
     }
   }
   const QueryExecutor::DrainResult res = exec.Drain();
-  EXPECT_EQ(res.samples.size(), wl.queries.size() * kRounds);
+  EXPECT_EQ(res.latency.count, wl.queries.size() * kRounds);
   for (size_t round = 0; round < kRounds; ++round) {
     for (size_t i = 0; i < wl.queries.size(); ++i) {
       EXPECT_EQ(got[round * wl.queries.size() + i], want[i])
@@ -363,7 +375,7 @@ TEST(QueryExecutorTest, TrySubmitNeverBlocksOnSaturatedQueue) {
   release.store(true);
   const QueryExecutor::DrainResult res = exec.Drain();
   // Everything admitted ran; nothing rejected leaked into the queue.
-  EXPECT_EQ(res.samples.size(), 1 + admitted);
+  EXPECT_EQ(res.latency.count, 1 + admitted);
 
   // After the drain there is space again: a bounded-wait submit succeeds.
   EXPECT_TRUE(exec.TrySubmitQuery(
@@ -393,19 +405,16 @@ TEST(QueryExecutorTest, ValidationRejectsAreNotServedThroughput) {
     });
   }
   const QueryExecutor::DrainResult res = exec.Drain();
-  EXPECT_EQ(res.samples.size(), kOk);
   EXPECT_EQ(res.latency.count, kOk);
   EXPECT_EQ(res.rejected, kRejected);
   EXPECT_EQ(res.errors[static_cast<size_t>(Status::Code::kInvalidArgument)],
             kRejected);
-  EXPECT_EQ(registry.counter("dsks.query.rejected").value(), kRejected);
+  EXPECT_EQ(registry.counter("query.rejected").value(), kRejected);
   // Served-query metrics exclude the rejects.
   EXPECT_EQ(registry.counter("executor.queries").value(), kOk);
   EXPECT_EQ(registry.histogram("executor.query_ms").count(), kOk);
 
-  const ThroughputMetrics m =
-      SummarizeThroughput(2, 100.0, res.samples, res.total_errors(),
-                          res.rejected);
+  const ThroughputMetrics m = SummarizeThroughput(2, 100.0, res);
   EXPECT_EQ(m.queries, kOk);
   EXPECT_EQ(m.rejected, kRejected);
   EXPECT_EQ(m.errors, kRejected);
@@ -424,9 +433,7 @@ TEST(QueryExecutorTest, RejectedOnlyBatchStillReportsErrorRate) {
       return Status::InvalidArgument("bad");
     });
   }
-  const QueryExecutor::DrainResult res = exec.Drain();
-  const ThroughputMetrics m = SummarizeThroughput(
-      1, 50.0, res.samples, res.total_errors(), res.rejected);
+  const ThroughputMetrics m = SummarizeThroughput(1, 50.0, exec.Drain());
   EXPECT_EQ(m.queries, 0u);
   EXPECT_DOUBLE_EQ(m.qps, 0.0);
   EXPECT_EQ(m.rejected, 3u);

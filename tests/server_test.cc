@@ -6,6 +6,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -25,6 +26,7 @@
 #include "gtest/gtest.h"
 #include "harness/database.h"
 #include "harness/experiment.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "server/client.h"
 #include "server/json.h"
@@ -208,6 +210,38 @@ class ServerTest : public ::testing::Test {
     const JsonValue* status = doc.Find("status");
     return status != nullptr && status->is_string() ? status->string_value()
                                                     : "<missing>";
+  }
+
+  /// One raw HTTP exchange on the query listener: the whole response
+  /// (status line, headers, body), read until the server closes — or for
+  /// at most 10 s of silence, so a server that never answers fails the
+  /// test instead of hanging it.
+  static std::string HttpExchange(uint16_t port, const std::string& request) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    std::string out;
+    char buf[16 * 1024];
+    for (;;) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) {
+        break;
+      }
+      out.append(buf, static_cast<size_t>(n));
+    }
+    ::close(fd);
+    return out;
+  }
+  static std::string HttpGet(uint16_t port, const std::string& path) {
+    return HttpExchange(port, "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n");
   }
 
   static Database* db_;
@@ -534,9 +568,11 @@ TEST_F(ServerTest, MalformedLinesAnswerInvalidArgumentAndConnectionSurvives) {
 
 TEST_F(ServerTest, ObsRoutesShareTheQueryListener) {
   obs::MetricsRegistry registry;
+  obs::FlightRecorder recorder;
   ServerConfig sc;
   sc.service.threads = 1;
   sc.service.metrics = &registry;
+  sc.service.flight_recorder = &recorder;
   QueryServer server(db_, sc);
   ASSERT_TRUE(server.Start(0).ok());
 
@@ -548,43 +584,133 @@ TEST_F(ServerTest, ObsRoutesShareTheQueryListener) {
       client.Request(RequestLine(workload_->queries[0], "m"), &response).ok());
   EXPECT_EQ(StatusOf(response), "OK");
 
-  // Plain HTTP GETs on the same port.
-  const auto get = [&](const std::string& path) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    const std::string request = "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n";
-    EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(request.size()));
-    std::string out;
-    char buf[16 * 1024];
-    for (;;) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) {
-        break;
-      }
-      out.append(buf, static_cast<size_t>(n));
-    }
-    ::close(fd);
-    return out;
-  };
-
-  const std::string metrics = get("/metrics");
+  // Plain HTTP on the same port.
+  const uint16_t port = server.port();
+  const std::string metrics = HttpGet(port, "/metrics");
   EXPECT_NE(metrics.find("200 OK"), std::string::npos) << metrics;
-  EXPECT_NE(metrics.find("dsks_server_requests"), std::string::npos)
+  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos)
       << metrics;
-  EXPECT_NE(get("/healthz").find("200 OK"), std::string::npos);
-  EXPECT_NE(get("/varz").find("dsks.server.admitted"), std::string::npos);
+  EXPECT_NE(metrics.find("dsks_server_admitted"), std::string::npos)
+      << metrics;
+  EXPECT_EQ(metrics.find("dsks_dsks_"), std::string::npos) << metrics;
+  EXPECT_NE(HttpGet(port, "/healthz").find("200 OK"), std::string::npos);
+  // The query string is stripped before routing (scrapers add them).
+  const std::string varz = HttpGet(port, "/varz?pretty=1");
+  EXPECT_NE(varz.find("200 OK"), std::string::npos) << varz;
+  EXPECT_NE(varz.find("\"server.admitted\":1"), std::string::npos) << varz;
+  const std::string tracez = HttpGet(port, "/tracez");
+  EXPECT_NE(tracez.find("200 OK"), std::string::npos) << tracez;
+  EXPECT_NE(tracez.find("\"recorded\":"), std::string::npos) << tracez;
 
-  const std::string statusz = get("/statusz");
+  const std::string statusz = HttpGet(port, "/statusz");
   EXPECT_NE(statusz.find("200 OK"), std::string::npos) << statusz;
   EXPECT_NE(statusz.find("\"admitted\":1"), std::string::npos) << statusz;
 
-  EXPECT_NE(get("/nope").find("404"), std::string::npos);
+  EXPECT_NE(HttpGet(port, "/nope").find("404"), std::string::npos);
+  const std::string post = HttpExchange(
+      port, "POST /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+  EXPECT_NE(post.find("405"), std::string::npos) << post;
+  server.Stop();
+
+  // Without a registry or recorder their routes are absent, but the
+  // listener stays healthy.
+  sc.service.metrics = nullptr;
+  sc.service.flight_recorder = nullptr;
+  QueryServer bare(db_, sc);
+  ASSERT_TRUE(bare.Start(0).ok());
+  EXPECT_NE(HttpGet(bare.port(), "/healthz").find("200 OK"),
+            std::string::npos);
+  EXPECT_NE(HttpGet(bare.port(), "/metrics").find("404"), std::string::npos);
+  EXPECT_NE(HttpGet(bare.port(), "/tracez").find("404"), std::string::npos);
+  bare.Stop();
+}
+
+TEST_F(ServerTest, ExecutorPublishesEveryQueryWhileServing) {
+  // Regression: the executor published only from Drain(), which a serving
+  // process never calls, so /varz showed no executor.* at all. Nothing
+  // here drains; one query's deadline has expired before it runs.
+  obs::MetricsRegistry registry;
+  ServerConfig sc;
+  sc.service.threads = 2;
+  sc.service.metrics = &registry;
+  QueryServer server(db_, sc);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  constexpr size_t kQueries = 6;
+  QueryClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  std::map<std::string, size_t> statuses;
+  for (size_t i = 0; i < kQueries; ++i) {
+    const double deadline_ms = i == 0 ? 1e-6 : 0.0;
+    std::string response;
+    ASSERT_TRUE(client
+                    .Request(RequestLine(workload_->queries[i],
+                                         "q" + std::to_string(i), deadline_ms),
+                             &response)
+                    .ok());
+    ++statuses[StatusOf(response)];
+  }
+  EXPECT_EQ(statuses["OK"], kQueries - 1);
+  EXPECT_EQ(statuses["CANCELLED"], 1u);
+
+  // A worker records its query just after the response went out, so the
+  // last one may still be in flight: poll, under a deadline.
+  const std::string want =
+      "\"executor.queries\":" + std::to_string(kQueries);
+  std::string varz;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (varz.find(want) == std::string::npos &&
+         std::chrono::steady_clock::now() < give_up) {
+    varz = HttpGet(server.port(), "/varz");
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_NE(varz.find(want), std::string::npos) << varz;
+  server.Stop();
+
+  EXPECT_EQ(registry.counter("executor.queries").value(), kQueries);
+  EXPECT_EQ(registry.histogram("executor.query_ms").count(), kQueries);
+  EXPECT_EQ(registry.counter("query.errors.CANCELLED").value(), 1u);
+}
+
+TEST_F(ServerTest, SlowClientCannotWedgeTheObsRoutes) {
+  // A client that asks for a large /varz and never reads a byte must not
+  // hold up anyone else: the poll loop writes without blocking and keeps
+  // the unsent bytes on that connection only.
+  obs::MetricsRegistry registry;
+  for (int i = 0; i < 4000; ++i) {
+    registry.counter("padding.counter." + std::to_string(i)).Add(1);
+  }
+  ServerConfig sc;
+  sc.service.threads = 1;
+  sc.service.metrics = &registry;
+  QueryServer server(db_, sc);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  const int stalled = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(stalled, 0);
+  // A tiny receive window, so the server's send hits EAGAIN quickly.
+  const int tiny = 4096;
+  ::setsockopt(stalled, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(
+      ::connect(stalled, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string request = "GET /varz HTTP/1.1\r\nHost: x\r\n\r\n";
+  ASSERT_EQ(::send(stalled, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string health = HttpGet(server.port(), "/healthz");
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  EXPECT_NE(health.find("200 OK"), std::string::npos) << health;
+  EXPECT_LT(waited_ms, 5000.0);
+
+  ::close(stalled);
   server.Stop();
 }
 

@@ -1,5 +1,5 @@
 // Status: the error vocabulary every fallible layer speaks. The code
-// names double as metric labels ("dsks.query.errors.<CODE>"), so their
+// names double as metric labels ("query.errors.<CODE>"), so their
 // exact spelling is a contract, not a cosmetic detail.
 #include <set>
 #include <string>

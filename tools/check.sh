@@ -4,8 +4,10 @@
 # pass exercising storage fault injection under each sanitizer — then a
 # Release perf smoke that fails if bench_throughput's single-thread qps
 # dropped more than 25% below the committed
-# bench/baseline_throughput.json, plus a `dsks_cli chaos` smoke proving
-# the process survives injected faults. Usage:
+# bench/baseline_throughput.json, a `dsks_cli chaos` smoke proving the
+# process survives injected faults, and a `dsks_cli serve` smoke whose
+# live /varz, /metrics and /tracez must show the queries it just served.
+# Usage:
 #
 #   tools/check.sh            # both sanitizers + perf smoke
 #   tools/check.sh thread     # just one sanitizer (skips the perf smoke)
@@ -91,53 +93,6 @@ if [ "$#" -eq 0 ] && [ "${DSKS_SKIP_PERF:-0}" != "1" ]; then
     build-perf/perf_sampled.jsonl
   echo "=== tracing-overhead gate: OK ==="
 
-  # Stats-endpoint smoke: a bench run serving its live stats must answer
-  # scrapes of all three endpoints with valid payloads. /healthz is hit
-  # while the benches still run; the full scrape happens in the linger
-  # window after the last drain, so it sees complete metrics and cannot
-  # race bench exit.
-  echo "=== stats smoke: scraping /metrics /varz /tracez from a bench run ==="
-  rm -f build-perf/stats_smoke.out
-  (cd build-perf && DSKS_IO_DELAY_US=0 DSKS_BENCH_QUERIES=64 \
-      DSKS_BENCH_THREADS=2 DSKS_BENCH_SAMPLE=8 DSKS_BENCH_STATS_PORT=0 \
-      DSKS_BENCH_STATS_LINGER_MS=8000 ./bench/bench_throughput \
-      > stats_smoke.out) &
-  stats_pid=$!
-  stats_url=""
-  for _ in $(seq 1 150); do
-    stats_url="$(sed -n 's/^STATS //p' build-perf/stats_smoke.out 2>/dev/null |
-      head -1)"
-    [ -n "$stats_url" ] && break
-    sleep 0.2
-  done
-  if [ -z "$stats_url" ]; then
-    echo "stats smoke: bench never printed a STATS line" >&2
-    cat build-perf/stats_smoke.out >&2
-    exit 1
-  fi
-  curl -fsS "$stats_url/healthz" > /dev/null   # live while benches run
-  for _ in $(seq 1 300); do
-    grep -q 'Expected:' build-perf/stats_smoke.out && break
-    sleep 0.2
-  done
-  curl -fsS "$stats_url/metrics" | grep -q '^# TYPE ' || {
-    echo "stats smoke: /metrics has no Prometheus TYPE lines" >&2
-    exit 1
-  }
-  curl -fsS "$stats_url/varz" > build-perf/varz_smoke.json
-  python3 tools/perf_gate.py validate-metrics build-perf/varz_smoke.json
-  curl -fsS "$stats_url/tracez" > build-perf/tracez_smoke.json
-  python3 - build-perf/tracez_smoke.json <<'EOF'
-import json, sys
-snap = json.load(open(sys.argv[1]))
-if snap["recorded"] == 0 or not snap["recent"]:
-    sys.exit("stats smoke: /tracez recorded no queries")
-print(f"stats smoke: /tracez recorded {snap['recorded']} queries, "
-      f"{len(snap['slowest'])} slowest retained")
-EOF
-  wait "$stats_pid"
-  echo "=== stats smoke: OK ==="
-
   # Observability smoke: the bench artifact must match the schema
   # (including the merged-histogram fields and a per-phase profile), and
   # the metrics endpoint must expose the executor histogram plus live
@@ -156,17 +111,19 @@ EOF
     --read-fault-p 0.002 --retries 2 --seed 42
   echo "=== chaos smoke: OK ==="
 
-  # Server smoke: start the query server, run one valid and one malformed
-  # query over the socket, scrape the shared-listener observability
-  # routes, then stop it with SIGTERM and expect a clean summary. Then an
-  # overload drill at ~4x capacity whose JSON record must pass the schema
-  # + exact-admission gate with real shedding, and the end-to-end chaos
+  # Server smoke: start the query server with every query traced, run one
+  # valid and one malformed query over the socket, scrape the
+  # shared-listener observability routes while it still serves — nothing
+  # drains its executor, so /varz must show the served query live — then
+  # stop it with SIGTERM and expect a clean summary. Then an overload
+  # drill at ~4x capacity whose JSON record must pass the schema +
+  # exact-admission gate with real shedding, and the end-to-end chaos
   # drill over a socket. Note: no DSKS_IO_DELAY_US=0 here — the sim
   # disk's default per-read delay is what makes the drill actually
   # saturate its tiny queue.
   echo "=== server smoke: serve, query, scrape, overload drill, shutdown ==="
   rm -f build-perf/serve_smoke.out
-  ./build-perf/tools/dsks_cli serve --port 0 --duration-ms 120000 \
+  ./build-perf/tools/dsks_cli serve --port 0 --sample 1 --duration-ms 120000 \
       > build-perf/serve_smoke.out &
   serve_pid=$!
   serve_port=""
@@ -200,10 +157,46 @@ if resp.get("status") != "INVALID_ARGUMENT":
     sys.exit(f"server smoke: malformed line answered {resp}")
 print("server smoke: query OK, malformed line rejected in-band")
 EOF
-  curl -fsS "http://127.0.0.1:$serve_port/metrics" | grep -q '^# TYPE ' || {
+  # A worker records its query just after the response goes out, so poll
+  # (bounded) until /varz carries the one admitted query; the malformed
+  # line never reaches the executor.
+  varz_ok=0
+  for _ in $(seq 1 50); do
+    if curl -fsS "http://127.0.0.1:$serve_port/varz" \
+         > build-perf/varz_smoke.json &&
+       grep -q '"executor.queries":1[,}]' build-perf/varz_smoke.json &&
+       python3 tools/perf_gate.py validate-metrics build-perf/varz_smoke.json \
+         > /dev/null; then
+      varz_ok=1
+      break
+    fi
+    sleep 0.1
+  done
+  if [ "$varz_ok" != 1 ]; then
+    echo "server smoke: live /varz never showed the served query" >&2
+    cat build-perf/varz_smoke.json >&2
+    python3 tools/perf_gate.py validate-metrics build-perf/varz_smoke.json
+    exit 1
+  fi
+  python3 tools/perf_gate.py validate-metrics build-perf/varz_smoke.json
+  curl -fsS "http://127.0.0.1:$serve_port/tracez" > build-perf/tracez_smoke.json
+  python3 - build-perf/tracez_smoke.json <<'EOF'
+import json, sys
+snap = json.load(open(sys.argv[1]))
+if snap["recorded"] < 1 or not snap["recent"]:
+    sys.exit("server smoke: /tracez recorded no queries")
+print(f"server smoke: /tracez recorded {snap['recorded']} queries")
+EOF
+  curl -fsS "http://127.0.0.1:$serve_port/metrics" \
+    > build-perf/metrics_serve_smoke.txt
+  grep -q '^# TYPE ' build-perf/metrics_serve_smoke.txt || {
     echo "server smoke: /metrics has no Prometheus TYPE lines" >&2
     exit 1
   }
+  if grep -q 'dsks_dsks_' build-perf/metrics_serve_smoke.txt; then
+    echo "server smoke: /metrics has a doubled dsks_ prefix" >&2
+    exit 1
+  fi
   curl -fsS "http://127.0.0.1:$serve_port/statusz" |
     grep -q '"admitted":1' || {
     echo "server smoke: /statusz does not show the admitted query" >&2

@@ -21,13 +21,6 @@
 //       Build a synthetic database, run a small concurrent workload, and
 //       dump the metrics registry (storage counters bound as live sources
 //       plus the executor's latency histogram).
-//   dsks_cli serve-stats [--port P] [--scale F] [--index sif] [--threads N]
-//             [--queries N] [--sample N] [--slow-ms F] [--duration-ms N]
-//       Build a synthetic database, run a continuous sampled-traced
-//       workload, and serve live telemetry over HTTP: /metrics
-//       (Prometheus), /varz (JSON registry), /tracez (flight recorder),
-//       /healthz. --port 0 picks an ephemeral port (printed on stdout);
-//       --duration-ms 0 serves until killed.
 //   dsks_cli chaos [--scale F] [--index sif] [--queries N] [--threads N]
 //             [--read-fault-p P] [--write-fault-p P] [--corrupt-p P]
 //             [--seed S] [--retries R] [--socket]
@@ -40,11 +33,13 @@
 //   dsks_cli serve [--port P] [--scale F] [--index sif] [--threads N]
 //             [--queue N] [--deadline-ms D] [--batch-window-ms W]
 //             [--quota-qps Q] [--quota-burst B] [--submit-wait-ms S]
-//             [--duration-ms N]
+//             [--sample N] [--duration-ms N]
 //       Build a synthetic database and serve the NDJSON query protocol
 //       plus the observability routes (/metrics /varz /tracez /healthz
 //       /statusz) on one loopback listener until SIGINT/SIGTERM (or
 //       --duration-ms). --port 0 picks an ephemeral port (printed).
+//       --sample N traces 1 in N queries into the flight recorder that
+//       /tracez serves (errors are recorded regardless; 0 = off).
 //   dsks_cli drill [--scale F] [--index sif] [--threads N] [--queue N]
 //             [--clients N] [--queries N] [--deadline-ms D] [--invalid-p P]
 //             [--batch-window-ms W] [--quota-qps Q]
@@ -96,7 +91,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
-#include "obs/stats_server.h"
 #include "obs/trace.h"
 #include "server/client.h"
 #include "server/json.h"
@@ -203,10 +197,6 @@ int Usage() {
                "  dsks_cli metrics [--scale 0.03] [--index sif]\n"
                "           [--queries 32] [--threads 2]\n"
                "           [--format=json|prometheus]\n"
-               "  dsks_cli serve-stats [--port 0] [--scale 0.03] "
-               "[--index sif]\n"
-               "           [--threads 2] [--queries 64] [--sample 16]\n"
-               "           [--slow-ms 0] [--duration-ms 0]\n"
                "  dsks_cli chaos [--scale 0.03] [--index sif] [--queries 256]\n"
                "           [--threads 8] [--read-fault-p 0.001]\n"
                "           [--write-fault-p 0] [--corrupt-p 0] [--seed 42]\n"
@@ -215,12 +205,12 @@ int Usage() {
                "           [--threads 4] [--queue 64] [--deadline-ms 0]\n"
                "           [--batch-window-ms 0] [--quota-qps 0]\n"
                "           [--quota-burst 8] [--submit-wait-ms 0]\n"
-               "           [--duration-ms 0]\n"
+               "           [--sample 0] [--duration-ms 0]\n"
                "  dsks_cli drill [--scale 0.03] [--index sif] [--threads 4]\n"
                "           [--queue 16] [--clients 8] [--queries 64]\n"
                "           [--deadline-ms 0] [--invalid-p 0]\n"
                "           [--batch-window-ms 0] [--quota-qps 0]\n"
-               "query/metrics/serve-stats/chaos also accept storage-backend "
+               "query/metrics/chaos/serve/drill also accept storage-backend "
                "flags:\n"
                "           [--backend sim|file] [--backend-path PATH]\n"
                "           [--o-direct]\n");
@@ -589,11 +579,9 @@ int CmdQuery(const Args& args) {
         return search.status();
       });
     }
-    QueryExecutor::DrainResult drained = exec.Drain();
+    const QueryExecutor::DrainResult drained = exec.Drain();
     const ThroughputMetrics m =
-        SummarizeThroughput(threads, wall.ElapsedMillis(),
-                            std::move(drained.samples),
-                            drained.total_errors());
+        SummarizeThroughput(threads, wall.ElapsedMillis(), drained);
     std::printf(
         "concurrent rerun: %zu threads, %zu queries, %.1f qps "
         "(p50 %.3f ms, p99 %.3f ms, errors %llu)\n",
@@ -646,6 +634,8 @@ int CmdMetrics(const Args& args) {
   config.num_threads = args.GetSize("threads", 2, 1, 1024);
   config.metrics = &registry;
   {
+    // Each query lands in the registry as it completes; leaving the scope
+    // waits for the last one.
     QueryExecutor exec(config);
     for (const WorkloadQuery& wq : wl.queries) {
       const WorkloadQuery* q = &wq;
@@ -654,7 +644,6 @@ int CmdMetrics(const Args& args) {
         return db.RunSkQuery(q->sk, q->edge, &results, ctx);
       });
     }
-    exec.Drain();
   }
 
   const std::string format = args.Get("format", "json");
@@ -663,94 +652,6 @@ int CmdMetrics(const Args& args) {
   } else {
     std::printf("%s\n", registry.ToJson().c_str());
   }
-  db.UnbindMetrics(&registry, "db");
-  return 0;
-}
-
-int CmdServeStats(const Args& args) {
-  // A live telemetry demo and the forerunner of the query-service front
-  // end: synthetic database, continuous sampled-traced workload, stats
-  // endpoint on loopback.
-  const double scale = args.GetDouble("scale", 0.03, 1e-6, 1e3);
-  const auto port =
-      static_cast<uint16_t>(args.GetSize("port", 0, 0, 65535));
-  const size_t threads = args.GetSize("threads", 2, 1, 1024);
-  const size_t num_queries = args.GetSize("queries", 64, 1, 1u << 20);
-  const auto sample =
-      static_cast<uint32_t>(args.GetSize("sample", 16, 0, 1u << 20));
-  const double slow_ms = args.GetDouble("slow-ms", 0.0, 0.0, 1e9);
-  const size_t duration_ms = args.GetSize("duration-ms", 0, 0, SIZE_MAX);
-
-  CliBackend backend(args);
-  Database db(ScalePreset(PresetByName(args.Get("preset", "SYN")), scale),
-              backend.options());
-  db.BuildIndex(IndexOptionsByName(args.Get("index", "sif")));
-  db.PrepareForQueries();
-
-  obs::MetricsRegistry& registry = obs::GlobalMetrics();
-  db.BindMetrics(&registry, "db");
-  obs::FlightRecorder recorder;
-  recorder.set_occupancy_gauge(
-      &registry.gauge("dsks.flight_recorder.entries"));
-  obs::StatsServer server(&registry, &recorder);
-  if (const Status s = server.Start(port); !s.ok()) {
-    std::fprintf(stderr, "stats server failed to start: %s\n",
-                 s.ToString().c_str());
-    db.UnbindMetrics(&registry, "db");
-    return 1;
-  }
-  std::printf("serving stats on http://127.0.0.1:%u "
-              "(/metrics /varz /tracez /healthz)\n",
-              server.port());
-  std::fflush(stdout);
-
-  WorkloadConfig wc;
-  wc.num_queries = num_queries;
-  wc.num_keywords = 2;
-  wc.seed = 7;
-  const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
-  ExecutorConfig config;
-  config.num_threads = threads;
-  config.metrics = &registry;
-  config.sampling.sample_every = sample;
-  config.sampling.slow_ms = slow_ms;
-  config.sampling.seed = 42;
-  config.flight_recorder = &recorder;
-  uint64_t passes = 0;
-  uint64_t sampled = 0;
-  Timer total;
-  {
-    QueryExecutor exec(config);
-    for (;;) {
-      for (const WorkloadQuery& wq : wl.queries) {
-        const WorkloadQuery* q = &wq;
-        QueryTag tag;
-        tag.kind = "sk";
-        tag.terms = static_cast<uint32_t>(q->sk.terms.size());
-        exec.SubmitQuery(tag, [&db, q](QueryContext* ctx) {
-          std::vector<SkResult> results;
-          return db.RunSkQuery(q->sk, q->edge, &results, ctx);
-        });
-      }
-      const QueryExecutor::DrainResult drained = exec.Drain();
-      sampled += drained.sampled;
-      ++passes;
-      if (duration_ms > 0 &&
-          total.ElapsedMillis() >= static_cast<double>(duration_ms)) {
-        break;
-      }
-      // Pace the load so an open-ended serve doesn't pin the CPU; scrapes
-      // between passes still see live counters.
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-  }
-  server.Stop();
-  std::printf("served %.1f s: %llu workload passes, %llu sampled traces, "
-              "%llu recorded\n",
-              total.ElapsedMillis() / 1000.0,
-              static_cast<unsigned long long>(passes),
-              static_cast<unsigned long long>(sampled),
-              static_cast<unsigned long long>(recorder.recorded()));
   db.UnbindMetrics(&registry, "db");
   return 0;
 }
@@ -878,7 +779,7 @@ int CmdServe(const Args& args) {
   obs::MetricsRegistry& registry = obs::GlobalMetrics();
   db.BindMetrics(&registry, "db");
   obs::FlightRecorder recorder;
-  recorder.set_occupancy_gauge(&registry.gauge("dsks.flight_recorder.entries"));
+  recorder.set_occupancy_gauge(&registry.gauge("flight_recorder.entries"));
 
   server::ServerConfig sc;
   sc.service.threads = args.GetSize("threads", 4, 1, 1024);
@@ -1211,12 +1112,8 @@ int CmdChaos(const Args& args) {
         return db.RunSkQuery(q->sk, q->edge, &results, ctx);
       });
     }
-    QueryExecutor::DrainResult drained = exec.Drain();
-    m = SummarizeThroughput(threads, wall.ElapsedMillis(),
-                            std::move(drained.samples),
-                            drained.total_errors());
-    m.errors_by_code = drained.errors;
-    m.retries = drained.retries;
+    const QueryExecutor::DrainResult drained = exec.Drain();
+    m = SummarizeThroughput(threads, wall.ElapsedMillis(), drained);
   }
   db.disk()->fault_injector()->Disarm();
 
@@ -1268,9 +1165,6 @@ int Main(int argc, char** argv) {
   }
   if (cmd == "metrics") {
     return CmdMetrics(args);
-  }
-  if (cmd == "serve-stats") {
-    return CmdServeStats(args);
   }
   if (cmd == "chaos") {
     return CmdChaos(args);
