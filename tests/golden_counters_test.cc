@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,11 @@ struct GoldenRow {
   Counters prefetch_on;
   Counters prefetch_off;
 };
+
+/// gtest would print a row as its raw bytes, the address of `name` among
+/// them, and ctest puts that text into each test's name; the row's name is
+/// the same on every build.
+void PrintTo(const GoldenRow& row, std::ostream* os) { *os << row.name; }
 
 // Columns: result hash, nodes settled, edges processed, oracle fields,
 // oracle pairs, pool hits, pool misses, disk reads, prefetch issued. Only

@@ -1,8 +1,9 @@
 // Query service + TCP front end: the wire protocol parses and renders
 // correctly, admission control sheds exactly, deadlines cancel
 // cooperatively with partial work accounted, per-tenant quotas hold,
-// micro-batching is result-transparent, and the whole thing survives
-// concurrent clients and malformed input over a real socket.
+// micro-batching is result-transparent, the whole thing survives
+// concurrent clients and malformed input over a real socket, and the same
+// listener serves the stats routes over plain HTTP.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -588,15 +589,11 @@ TEST_F(ServerTest, ObsRoutesShareTheQueryListener) {
   const uint16_t port = server.port();
   const std::string metrics = HttpGet(port, "/metrics");
   EXPECT_NE(metrics.find("200 OK"), std::string::npos) << metrics;
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos)
-      << metrics;
   EXPECT_NE(metrics.find("dsks_server_admitted"), std::string::npos)
       << metrics;
   EXPECT_EQ(metrics.find("dsks_dsks_"), std::string::npos) << metrics;
   EXPECT_NE(HttpGet(port, "/healthz").find("200 OK"), std::string::npos);
-  // The query string is stripped before routing (scrapers add them).
-  const std::string varz = HttpGet(port, "/varz?pretty=1");
-  EXPECT_NE(varz.find("200 OK"), std::string::npos) << varz;
+  const std::string varz = HttpGet(port, "/varz");
   EXPECT_NE(varz.find("\"server.admitted\":1"), std::string::npos) << varz;
   const std::string tracez = HttpGet(port, "/tracez");
   EXPECT_NE(tracez.find("200 OK"), std::string::npos) << tracez;
@@ -607,22 +604,7 @@ TEST_F(ServerTest, ObsRoutesShareTheQueryListener) {
   EXPECT_NE(statusz.find("\"admitted\":1"), std::string::npos) << statusz;
 
   EXPECT_NE(HttpGet(port, "/nope").find("404"), std::string::npos);
-  const std::string post = HttpExchange(
-      port, "POST /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
-  EXPECT_NE(post.find("405"), std::string::npos) << post;
   server.Stop();
-
-  // Without a registry or recorder their routes are absent, but the
-  // listener stays healthy.
-  sc.service.metrics = nullptr;
-  sc.service.flight_recorder = nullptr;
-  QueryServer bare(db_, sc);
-  ASSERT_TRUE(bare.Start(0).ok());
-  EXPECT_NE(HttpGet(bare.port(), "/healthz").find("200 OK"),
-            std::string::npos);
-  EXPECT_NE(HttpGet(bare.port(), "/metrics").find("404"), std::string::npos);
-  EXPECT_NE(HttpGet(bare.port(), "/tracez").find("404"), std::string::npos);
-  bare.Stop();
 }
 
 TEST_F(ServerTest, ExecutorPublishesEveryQueryWhileServing) {
@@ -671,47 +653,6 @@ TEST_F(ServerTest, ExecutorPublishesEveryQueryWhileServing) {
   EXPECT_EQ(registry.counter("executor.queries").value(), kQueries);
   EXPECT_EQ(registry.histogram("executor.query_ms").count(), kQueries);
   EXPECT_EQ(registry.counter("query.errors.CANCELLED").value(), 1u);
-}
-
-TEST_F(ServerTest, SlowClientCannotWedgeTheObsRoutes) {
-  // A client that asks for a large /varz and never reads a byte must not
-  // hold up anyone else: the poll loop writes without blocking and keeps
-  // the unsent bytes on that connection only.
-  obs::MetricsRegistry registry;
-  for (int i = 0; i < 4000; ++i) {
-    registry.counter("padding.counter." + std::to_string(i)).Add(1);
-  }
-  ServerConfig sc;
-  sc.service.threads = 1;
-  sc.service.metrics = &registry;
-  QueryServer server(db_, sc);
-  ASSERT_TRUE(server.Start(0).ok());
-
-  const int stalled = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(stalled, 0);
-  // A tiny receive window, so the server's send hits EAGAIN quickly.
-  const int tiny = 4096;
-  ::setsockopt(stalled, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(
-      ::connect(stalled, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  const std::string request = "GET /varz HTTP/1.1\r\nHost: x\r\n\r\n";
-  ASSERT_EQ(::send(stalled, request.data(), request.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(request.size()));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::string health = HttpGet(server.port(), "/healthz");
-  const double waited_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-  EXPECT_NE(health.find("200 OK"), std::string::npos) << health;
-  EXPECT_LT(waited_ms, 5000.0);
-
-  ::close(stalled);
-  server.Stop();
 }
 
 TEST_F(ServerTest, SocketOverloadShedsExactlyAndMetricsStayUp) {
@@ -814,6 +755,137 @@ TEST_F(ServerTest, StopIsCleanAndIdempotent) {
   QueryServer again(db_, sc);
   ASSERT_TRUE(again.Start(0).ok());
   again.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// The stats routes (/metrics, /varz, /tracez, /healthz) on the query
+// listener
+
+class StatsServerTest : public ServerTest {};
+
+TEST_F(StatsServerTest, ServesMetricsVarzTracezOnEphemeralPort) {
+  obs::MetricsRegistry registry;
+  registry.counter("executor.queries").Add(5);
+  registry.histogram("executor.query_ms").Record(2.0);
+  obs::FlightRecorder recorder;
+  obs::QuerySummary summary;
+  summary.total_ms = 7.0;
+  recorder.Record(summary);
+
+  ServerConfig sc;
+  sc.service.threads = 1;
+  sc.service.metrics = &registry;
+  sc.service.flight_recorder = &recorder;
+  QueryServer server(db_, sc);
+  ASSERT_TRUE(server.Start(0).ok());
+  ASSERT_TRUE(server.running());
+  ASSERT_GT(server.port(), 0);
+  const uint16_t port = server.port();
+
+  const std::string health = HttpGet(port, "/healthz");
+  EXPECT_NE(health.find("200 OK"), std::string::npos) << health;
+  EXPECT_NE(health.find("ok"), std::string::npos) << health;
+
+  const std::string metrics = HttpGet(port, "/metrics");
+  EXPECT_NE(metrics.find("200 OK"), std::string::npos) << metrics;
+  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find("# TYPE dsks_executor_queries counter"),
+            std::string::npos)
+      << metrics;
+
+  // The query string is stripped before routing (scrapers add them).
+  const std::string varz = HttpGet(port, "/varz?pretty=1");
+  EXPECT_NE(varz.find("200 OK"), std::string::npos) << varz;
+  EXPECT_NE(varz.find("\"executor.queries\":5"), std::string::npos) << varz;
+
+  const std::string tracez = HttpGet(port, "/tracez");
+  EXPECT_NE(tracez.find("200 OK"), std::string::npos) << tracez;
+  EXPECT_NE(tracez.find("\"recorded\":1"), std::string::npos) << tracez;
+  EXPECT_NE(tracez.find("\"ms\":7.000000"), std::string::npos) << tracez;
+
+  EXPECT_NE(HttpGet(port, "/nope").find("404"), std::string::npos);
+  const std::string post = HttpExchange(
+      port, "POST /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+  EXPECT_NE(post.find("405"), std::string::npos) << post;
+
+  server.Stop();
+  EXPECT_FALSE(server.running());
+  server.Stop();  // idempotent
+}
+
+TEST_F(StatsServerTest, NullSourcesServe404ButStayHealthy) {
+  // Without a registry or recorder their routes are absent, but the
+  // listener stays healthy.
+  ServerConfig sc;
+  sc.service.threads = 1;
+  sc.service.metrics = nullptr;
+  sc.service.flight_recorder = nullptr;
+  QueryServer server(db_, sc);
+  ASSERT_TRUE(server.Start(0).ok());
+  EXPECT_NE(HttpGet(server.port(), "/healthz").find("200 OK"),
+            std::string::npos);
+  EXPECT_NE(HttpGet(server.port(), "/metrics").find("404"),
+            std::string::npos);
+  EXPECT_NE(HttpGet(server.port(), "/tracez").find("404"), std::string::npos);
+  server.Stop();
+}
+
+TEST_F(StatsServerTest, SlowClientCannotWedgeTheAcceptLoop) {
+  // A client that asks for a large /varz and never reads a byte must not
+  // hold up anyone else: the poll loop writes without blocking and keeps
+  // the unsent bytes on that connection only.
+  obs::MetricsRegistry registry;
+  for (int i = 0; i < 4000; ++i) {
+    registry.counter("padding.counter." + std::to_string(i)).Add(1);
+  }
+  ServerConfig sc;
+  sc.service.threads = 1;
+  sc.service.metrics = &registry;
+  QueryServer server(db_, sc);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  const int stalled = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(stalled, 0);
+  // A tiny receive window, so the server's send hits EAGAIN quickly.
+  const int tiny = 4096;
+  ::setsockopt(stalled, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(
+      ::connect(stalled, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string request = "GET /varz HTTP/1.1\r\nHost: x\r\n\r\n";
+  ASSERT_EQ(::send(stalled, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string health = HttpGet(server.port(), "/healthz");
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  EXPECT_NE(health.find("200 OK"), std::string::npos) << health;
+  EXPECT_LT(waited_ms, 5000.0);
+
+  ::close(stalled);
+  server.Stop();
+}
+
+TEST_F(StatsServerTest, TwoServersCoexistOnDistinctPorts) {
+  obs::MetricsRegistry registry;
+  ServerConfig sc;
+  sc.service.threads = 1;
+  sc.service.metrics = &registry;
+  QueryServer a(db_, sc);
+  QueryServer b(db_, sc);
+  ASSERT_TRUE(a.Start(0).ok());
+  ASSERT_TRUE(b.Start(0).ok());
+  EXPECT_NE(a.port(), b.port());
+  EXPECT_NE(HttpGet(a.port(), "/healthz").find("200"), std::string::npos);
+  EXPECT_NE(HttpGet(b.port(), "/healthz").find("200"), std::string::npos);
+  // Destructors stop both; `a` explicitly, `b` via RAII.
+  a.Stop();
 }
 
 }  // namespace
