@@ -37,7 +37,7 @@ inline DatasetConfig Scaled(const DatasetConfig& preset) {
 }
 
 /// Storage backend for a bench run, chosen by `--backend=sim|file` on the
-/// command line or the DSKS_BENCH_BACKEND env var (the flag wins). The
+/// command line (`--o-direct` adds O_DIRECT on the file backend). The
 /// file backend writes to a fresh temp file removed on destruction, so a
 /// bench run leaves nothing behind. Every JSON record a bench emits must
 /// carry the backend name — numbers from the two backends are different
@@ -46,10 +46,7 @@ class BenchBackend {
  public:
   BenchBackend(int argc, char** argv) {
     std::string name;
-    if (const char* env = std::getenv("DSKS_BENCH_BACKEND")) {
-      name = env;
-    }
-    bool o_direct = std::getenv("DSKS_BENCH_O_DIRECT") != nullptr;
+    bool o_direct = false;
     for (int i = 1; i < argc; ++i) {
       if (std::strncmp(argv[i], "--backend=", 10) == 0) {
         name = argv[i] + 10;

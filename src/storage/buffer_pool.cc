@@ -51,55 +51,62 @@ char* BufferPool::PinHitLocked(Frame* frame) {
   return frame->data.get();
 }
 
-Status BufferPool::FetchPage(PageId id, char** out) {
-  std::unique_lock<std::mutex> lock(latch_);
-  for (;;) {
-    Frame* frame = GetFrameLocked(id);
-    if (frame == nullptr) {
-      break;
-    }
-    if (frame->io_in_progress) {
-      // Another thread is reading this page from disk; wait for it rather
-      // than double-reading. The frame may be evicted between wake-ups —
-      // or erased entirely if that read *failed* — so re-look it up each
-      // time; a failed read leaves no frame and we retry as a fresh miss.
-      io_done_.wait(lock);
-      continue;
-    }
-    *out = PinHitLocked(frame);
-    return Status::Ok();
-  }
-  stats_.misses.fetch_add(1, std::memory_order_relaxed);
-  obs::ChargePoolMiss();
+BufferPool::Frame* BufferPool::ClaimFrameLocked(PageId id) {
   if (frames_.size() >= capacity_.load(std::memory_order_relaxed)) {
     // Best effort: when every frame is pinned this fails and the pool
     // temporarily runs over capacity (UnpinPage trims back down).
     TryEvictOneLocked();
   }
-  Frame& f = frames_[id];
-  f.data = std::make_unique<char[]>(kPageSize);
-  f.page_id = id;
-  f.pin_count = 1;
-  f.dirty = false;
-  f.in_lru = false;
-  f.io_in_progress = true;
-  // Read outside the latch so concurrent misses on *different* pages
-  // overlap their (simulated) disk latency. The frame is pinned and not in
-  // the LRU, so nothing can evict it meanwhile; unordered_map guarantees
-  // the reference stays valid across other threads' inserts/erases.
-  lock.unlock();
-  const Status status = disk_->ReadPage(id, f.data.get());
-  lock.lock();
-  if (!status.ok()) {
-    // The read failed: drop the in-flight frame so waiters (and future
-    // fetches) retry from scratch instead of pinning garbage.
-    frames_.erase(id);
-    io_done_.notify_all();
-    return status;
+  Frame& frame = frames_[id];
+  frame.data = std::make_unique<char[]>(kPageSize);
+  frame.page_id = id;
+  frame.pin_count = 1;
+  frame.io_in_progress = true;
+  return &frame;
+}
+
+void BufferPool::ReadClaimedLocked(std::unique_lock<std::mutex>* lock,
+                                   std::span<PageReadRequest> reqs) {
+  // Read outside the latch so reads of different pages overlap. The
+  // claimed frames are pinned and off the LRU, so nothing evicts them
+  // meanwhile, and unordered_map keeps them in place across other
+  // threads' inserts and erases.
+  lock->unlock();
+  disk_->ReadPages(reqs);
+  lock->lock();
+  for (const PageReadRequest& req : reqs) {
+    if (req.status.ok()) {
+      Frame* frame = GetFrameLocked(req.id);
+      DSKS_CHECK(frame != nullptr);
+      frame->io_in_progress = false;
+    } else {
+      // Drop the failed frame so waiters, and later fetches, retry from
+      // scratch instead of pinning garbage.
+      frames_.erase(req.id);
+    }
   }
-  f.io_in_progress = false;
   io_done_.notify_all();
-  *out = f.data.get();
+}
+
+void BufferPool::AppendLruLocked(Frame* frame) {
+  lru_.push_back(frame->page_id);
+  frame->lru_pos = std::prev(lru_.end());
+  frame->in_lru = true;
+}
+
+Status BufferPool::FetchPage(PageId id, char** out) {
+  std::unique_lock<std::mutex> lock(latch_);
+  // The resident check stays inline so that a hit, which most fetches
+  // are, skips the batch machinery.
+  Frame* frame = GetFrameLocked(id);
+  if (frame != nullptr && !frame->io_in_progress) {
+    *out = PinHitLocked(frame);
+    return Status::Ok();
+  }
+  char* page = nullptr;  // a failed fetch leaves *out untouched
+  DSKS_RETURN_IF_ERROR(FetchPagesLocked(&lock, std::span<const PageId>(&id, 1),
+                                        std::span<char*>(&page, 1)));
+  *out = page;
   return Status::Ok();
 }
 
@@ -114,97 +121,84 @@ Status BufferPool::FetchPages(std::span<const PageId> ids,
     }
   }
 #endif
-  if (ids.empty()) {
-    return Status::Ok();
-  }
-  std::unique_lock<std::mutex> lock(latch_);
-  // nullptr in outs[i] marks "not pinned by this call (yet)" for the
-  // all-or-nothing rollback below.
   for (char*& out : outs) {
     out = nullptr;
   }
-  // Classification never blocks: a page in flight on *another* thread is
-  // deferred to a plain FetchPage after our own batch resolves. Waiting
-  // here would deadlock two concurrent FetchPages calls that each hold
-  // not-yet-started in-flight frames the other is waiting on.
-  std::vector<size_t> miss_index;
-  std::vector<size_t> deferred_index;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    Frame* frame = GetFrameLocked(ids[i]);
-    if (frame != nullptr) {
-      if (frame->io_in_progress) {
-        deferred_index.push_back(i);
+  std::unique_lock<std::mutex> lock(latch_);
+  return FetchPagesLocked(&lock, ids, outs);
+}
+
+Status BufferPool::FetchPagesLocked(std::unique_lock<std::mutex>* lock,
+                                    std::span<const PageId> ids,
+                                    std::span<char*> outs) {
+  std::vector<PageReadRequest> reqs;
+  for (;;) {
+    // Classify every page not pinned yet: pin the resident ones, claim the
+    // missing ones, and leave those in flight on another thread for a
+    // later pass. Waiting here, with claimed frames still unread, could
+    // deadlock two calls that each wait on a frame the other claimed.
+    bool in_flight = false;
+    reqs.clear();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (outs[i] != nullptr) {
+        continue;
+      }
+      Frame* frame = GetFrameLocked(ids[i]);
+      if (frame == nullptr) {
+        stats_.misses.fetch_add(1, std::memory_order_relaxed);
+        obs::ChargePoolMiss();
+        if (reqs.capacity() == 0) {
+          reqs.reserve(ids.size());
+        }
+        PageReadRequest& req = reqs.emplace_back();
+        req.id = ids[i];
+        req.out = ClaimFrameLocked(ids[i])->data.get();
+        outs[i] = req.out;  // the claim's pin belongs to this call
+      } else if (frame->io_in_progress) {
+        in_flight = true;
       } else {
         outs[i] = PinHitLocked(frame);
       }
+    }
+    if (reqs.empty()) {
+      if (!in_flight) {
+        return Status::Ok();
+      }
+      // Wait only after a pass that claimed nothing: the latch has been
+      // held since each in-flight page was seen, so its read's wakeup is
+      // still ahead. Right after a read of our own it may have gone by.
+      io_done_.wait(*lock);
       continue;
     }
-    stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    obs::ChargePoolMiss();
-    if (frames_.size() >= capacity_.load(std::memory_order_relaxed)) {
-      TryEvictOneLocked();
-    }
-    Frame& f = frames_[ids[i]];
-    f.data = std::make_unique<char[]>(kPageSize);
-    f.page_id = ids[i];
-    f.pin_count = 1;
-    f.dirty = false;
-    f.in_lru = false;
-    f.io_in_progress = true;
-    miss_index.push_back(i);
-  }
-  Status first = Status::Ok();
-  if (!miss_index.empty()) {
-    // One batched disk round trip for every miss, outside the latch; the
-    // in-flight frames are pinned and off the LRU, so nothing evicts them.
-    std::vector<PageReadRequest> reqs(miss_index.size());
-    for (size_t k = 0; k < miss_index.size(); ++k) {
-      reqs[k].id = ids[miss_index[k]];
-      reqs[k].out = frames_[reqs[k].id].data.get();
-    }
-    lock.unlock();
-    disk_->ReadPages(std::span<PageReadRequest>(reqs));
-    lock.lock();
-    for (size_t k = 0; k < miss_index.size(); ++k) {
-      const size_t i = miss_index[k];
-      Frame* frame = GetFrameLocked(ids[i]);
-      DSKS_CHECK(frame != nullptr);
-      if (reqs[k].status.ok()) {
-        frame->io_in_progress = false;
-        outs[i] = frame->data.get();
-      } else {
-        frames_.erase(ids[i]);
-        if (first.ok()) {
-          first = std::move(reqs[k].status);
+    ReadClaimedLocked(lock, reqs);
+    Status first = Status::Ok();
+    for (PageReadRequest& req : reqs) {
+      if (req.status.ok()) {
+        continue;
+      }
+      // The read step erased the frame, and with it this call's pin.
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if (ids[i] == req.id) {
+          outs[i] = nullptr;
+          break;
         }
       }
-    }
-    io_done_.notify_all();
-  }
-  if (first.ok() && !deferred_index.empty()) {
-    // Safe to block now: this call holds no unresolved in-flight frames.
-    lock.unlock();
-    for (size_t i : deferred_index) {
-      const Status s = FetchPage(ids[i], &outs[i]);
-      if (!s.ok()) {
-        first = s;
-        break;
+      if (first.ok()) {
+        first = std::move(req.status);
       }
     }
-    lock.lock();
-  }
-  if (!first.ok()) {
-    // All-or-nothing: release every pin this call took so the caller has
-    // nothing to clean up (the per-page contract of FetchPage, batched).
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (outs[i] != nullptr) {
-        UnpinPageLocked(ids[i], /*dirty=*/false);
-        outs[i] = nullptr;
+    if (!first.ok()) {
+      // All-or-nothing: release every pin this call took so the caller has
+      // nothing to clean up (the per-page contract of FetchPage, batched).
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if (outs[i] != nullptr) {
+          UnpinPageLocked(ids[i], /*dirty=*/false);
+          outs[i] = nullptr;
+        }
       }
+      return first;
     }
-    return first;
   }
-  return Status::Ok();
 }
 
 void BufferPool::Prefetch(std::span<const PageId> ids) {
@@ -214,7 +208,6 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   const size_t allocated = disk_->num_pages();
   std::unique_lock<std::mutex> lock(latch_);
   std::vector<PageReadRequest> reqs;
-  reqs.reserve(ids.size());
   size_t refused = 0;  // pinned-and-dirty pages: counted no-ops
   for (PageId id : ids) {
     if (id >= allocated) {
@@ -234,22 +227,12 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
       }
       continue;
     }
-    if (frames_.size() >= capacity_.load(std::memory_order_relaxed)) {
-      TryEvictOneLocked();
+    if (reqs.capacity() == 0) {
+      reqs.reserve(ids.size());
     }
-    Frame& f = frames_[id];
-    f.data = std::make_unique<char[]>(kPageSize);
-    f.page_id = id;
-    // Pinned while in flight so eviction/Clear can't touch the frame; the
-    // pin drops when the read publishes it.
-    f.pin_count = 1;
-    f.dirty = false;
-    f.in_lru = false;
-    f.io_in_progress = true;
-    PageReadRequest req;
+    PageReadRequest& req = reqs.emplace_back();
     req.id = id;
-    req.out = f.data.get();
-    reqs.push_back(req);
+    req.out = ClaimFrameLocked(id)->data.get();
   }
   if (refused > 0) {
     stats_.prefetch_issued.fetch_add(refused, std::memory_order_relaxed);
@@ -261,48 +244,35 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   }
   stats_.prefetch_issued.fetch_add(reqs.size(), std::memory_order_relaxed);
   obs::ChargePrefetchIssued(reqs.size());
-  // One batched read outside the latch, like FetchPages' misses; demand
-  // fetchers of these pages wait on io_done_ meanwhile.
-  lock.unlock();
-  disk_->ReadPages(std::span<PageReadRequest>(reqs));
-  lock.lock();
-  for (PageReadRequest& req : reqs) {
-    Frame* frame = GetFrameLocked(req.id);
-    DSKS_CHECK(frame != nullptr);
-    if (req.status.ok()) {
-      frame->io_in_progress = false;
-      frame->pin_count = 0;
-      frame->prefetched = true;
-      lru_.push_back(req.id);
-      frame->lru_pos = std::prev(lru_.end());
-      frame->in_lru = true;
-    } else {
-      // Fault-silent by design: drop the frame, count it, and let any
-      // later demand fetch re-read and surface its own error. A query
-      // never fails because of a speculative read it didn't ask for.
-      frames_.erase(req.id);
+  // Demand fetchers of these pages wait on io_done_ meanwhile.
+  ReadClaimedLocked(&lock, reqs);
+  for (const PageReadRequest& req : reqs) {
+    if (!req.status.ok()) {
+      // Fault-silent by design: the read step dropped the frame; count it
+      // and let any later demand fetch re-read and surface its own error.
+      // A query never fails because of a speculative read it didn't ask
+      // for.
       stats_.prefetch_dropped.fetch_add(1, std::memory_order_relaxed);
+      continue;
     }
+    // Publish unpinned: the claim's pin only held the frame in flight.
+    Frame* frame = GetFrameLocked(req.id);
+    frame->pin_count = 0;
+    frame->prefetched = true;
+    AppendLruLocked(frame);
   }
   TrimToCapacityLocked();
-  lock.unlock();
-  io_done_.notify_all();
 }
 
 char* BufferPool::NewPage(PageId* id) {
   *id = disk_->AllocatePage();
   std::lock_guard<std::mutex> lock(latch_);
-  if (frames_.size() >= capacity_.load(std::memory_order_relaxed)) {
-    TryEvictOneLocked();
-  }
-  Frame& f = frames_[*id];
-  f.data = std::make_unique<char[]>(kPageSize);
-  std::memset(f.data.get(), 0, kPageSize);
-  f.page_id = *id;
-  f.pin_count = 1;
-  f.dirty = true;
-  f.in_lru = false;
-  return f.data.get();
+  // A new page has nothing to read: it is resident and dirty at once.
+  Frame* frame = ClaimFrameLocked(*id);
+  std::memset(frame->data.get(), 0, kPageSize);
+  frame->dirty = true;
+  frame->io_in_progress = false;
+  return frame->data.get();
 }
 
 void BufferPool::UnpinPage(PageId id, bool dirty) {
@@ -317,9 +287,7 @@ void BufferPool::UnpinPageLocked(PageId id, bool dirty) {
   frame->dirty = frame->dirty || dirty;
   --frame->pin_count;
   if (frame->pin_count == 0) {
-    lru_.push_back(id);
-    frame->lru_pos = std::prev(lru_.end());
-    frame->in_lru = true;
+    AppendLruLocked(frame);
     // Drain any overflow frames (pin pressure) or a deferred shrink.
     TrimToCapacityLocked();
   }

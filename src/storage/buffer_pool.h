@@ -98,6 +98,12 @@ struct BufferPoolStats {
 /// dataset size", §5). Pages are pinned while in use; only unpinned frames
 /// are eligible for eviction.
 ///
+/// One read path: every page that enters the pool is claimed (a pinned,
+/// in-flight frame), read in one DiskManager::ReadPages batch and published
+/// by the same private steps, whether a demand FetchPage/FetchPages or a
+/// speculative Prefetch asked for it. FetchPage is an inline resident check
+/// in front of a FetchPages batch of one.
+///
 /// Thread safety: all public methods are safe to call from multiple threads
 /// concurrently. The page table and LRU list are guarded by one latch;
 /// misses perform their disk read *outside* the latch (the frame is marked
@@ -140,10 +146,13 @@ class BufferPool {
   /// Batched FetchPage: pins every page of `ids` (same contract per page
   /// as FetchPage) resolving all misses with a single DiskManager batch
   /// read and one latch pass, so K cold pages cost one device round trip
-  /// instead of K. All-or-nothing: on any page's failure every pin this
-  /// call took is released and the first error is returned (`outs` is then
-  /// unspecified, nothing is left pinned). `ids` must be duplicate-free —
-  /// a duplicate would wait on its own in-flight read.
+  /// instead of K. Pages another thread is reading are waited for — only
+  /// after this call's own claimed reads are done, so two concurrent
+  /// calls never wait on each other. All-or-nothing: on any page's
+  /// failure every pin this call took is released and the first error is
+  /// returned (`outs` is then unspecified, nothing is left pinned). `ids`
+  /// must be duplicate-free — a duplicate would wait on its own in-flight
+  /// read.
   Status FetchPages(std::span<const PageId> ids, std::span<char*> outs);
 
   /// Best-effort, non-blocking readahead: starts one batched speculative
@@ -260,6 +269,31 @@ class BufferPool {
 
   /// Requires latch_ held.
   Frame* GetFrameLocked(PageId id);
+
+  /// The claim step of every page entering the pool (FetchPages, Prefetch,
+  /// NewPage): evicts one frame if the pool is full — best effort, see
+  /// TryEvictOneLocked — then inserts a frame for `id` that is pinned
+  /// once, clean and in flight. Counts nothing. Requires latch_ held and
+  /// `id` not in the pool.
+  Frame* ClaimFrameLocked(PageId id);
+
+  /// The read step of FetchPages and Prefetch: releases the latch, reads
+  /// every claimed frame of `reqs` with one DiskManager::ReadPages call,
+  /// retakes the latch, marks each success resident (still pinned by its
+  /// claim) and erases each failure, then wakes the fetchers waiting on
+  /// io_done_. Requires latch_ held through `*lock`.
+  void ReadClaimedLocked(std::unique_lock<std::mutex>* lock,
+                         std::span<PageReadRequest> reqs);
+
+  /// Appends an unpinned frame at the most-recently-used end of the LRU.
+  /// Requires latch_ held.
+  void AppendLruLocked(Frame* frame);
+
+  /// FetchPages' body, shared with FetchPage's miss path. `outs` must be
+  /// all null on entry (null marks "not pinned by this call"). Requires
+  /// latch_ held through `*lock`.
+  Status FetchPagesLocked(std::unique_lock<std::mutex>* lock,
+                          std::span<const PageId> ids, std::span<char*> outs);
 
   /// Pins `*frame` as a demand hit: hit accounting (including the
   /// prefetched-flag resolution), LRU removal, pin count. Requires latch_

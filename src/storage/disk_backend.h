@@ -44,11 +44,11 @@ struct DiskOptions {
 /// pages by every backend.
 uint32_t ZeroPageCrc();
 
-/// One page of a batched read (DiskBackend::ReadPages / DiskManager::
-/// ReadPages). The caller fills `id` and `out`; the backend fills
-/// `expected_crc` and `status` with exactly the values the equivalent
-/// single-page ReadPage would have produced. Statuses are per page: one
-/// failed page does not poison its batch mates.
+/// One page of a read (DiskBackend::ReadPages / DiskManager::ReadPages; a
+/// single-page read is a batch of one). The caller fills `id` and `out`;
+/// the backend fills `expected_crc` and `status` with the same values
+/// whatever the batch around the page. Statuses are per page: one failed
+/// page does not poison its batch mates.
 struct PageReadRequest {
   PageId id = kInvalidPageId;
   char* out = nullptr;
@@ -75,25 +75,16 @@ class DiskBackend {
   /// Appends a zeroed page (checksum = ZeroPageCrc()) and returns its id.
   virtual PageId AllocatePage() = 0;
 
-  /// Copies page `id` into `out` (kPageSize bytes) and its recorded
-  /// checksum into `*expected_crc`. Returns IOError for a device failure
-  /// (`out` undefined) and Corruption for a structurally impossible read —
-  /// a short read past the end of a torn file. The caller verifies `out`
-  /// against `*expected_crc`; the backend does not.
-  virtual Status ReadPage(PageId id, char* out, uint32_t* expected_crc) = 0;
-
-  /// Batched ReadPage: fills every request's `expected_crc`/`status` (and
-  /// `out` on success) with the same values a per-page loop would, but in
-  /// one device round trip where the medium allows it. The file backend
-  /// merges contiguous page-id runs into single preadv calls; the sim
-  /// backend charges its simulated latency once per batch instead of once
-  /// per page. This base implementation is the per-page loop, so custom
-  /// backends get correct (if unbatched) behaviour for free.
-  virtual void ReadPages(std::span<PageReadRequest> batch) {
-    for (PageReadRequest& r : batch) {
-      r.status = ReadPage(r.id, r.out, &r.expected_crc);
-    }
-  }
+  /// The one read entry: copies each requested page into its `out`
+  /// (kPageSize bytes) and its recorded checksum into `expected_crc`, in
+  /// one device round trip where the medium allows it. A page's `status`
+  /// is IOError for a device failure (`out` undefined) and Corruption for
+  /// a structurally impossible read — a short read past the end of a torn
+  /// file. The caller verifies each `out` against its `expected_crc`; the
+  /// backend does not. The file backend merges contiguous page-id runs
+  /// into single preadv calls; the sim backend charges its simulated
+  /// latency once per call, whatever the batch size.
+  virtual void ReadPages(std::span<PageReadRequest> batch) = 0;
 
   /// Stores `in` as page `id` and records `crc` as its checksum. On error
   /// the recorded checksum is untouched (the page image may be torn on a

@@ -62,8 +62,7 @@ Status DiskManager::ReadPage(PageId id, char* out) {
   PageReadRequest r;
   r.id = id;
   r.out = out;
-  r.status = backend_->ReadPage(id, out, &r.expected_crc);
-  FinishRead(&r, fault_injector_.armed());
+  ReadPages(std::span<PageReadRequest>(&r, 1));
   return std::move(r.status);
 }
 

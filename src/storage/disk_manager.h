@@ -116,13 +116,13 @@ class DiskManager {
   /// Allocates a zeroed page and returns its id.
   PageId AllocatePage();
 
-  /// Copies page `id` into `out` (exactly kPageSize bytes). Returns
-  /// IOError on a read fault — injected or a real pread failure (out is
-  /// unspecified) — or Corruption when the copy fails checksum
-  /// verification or the backing file ends mid-page.
+  /// Copies page `id` into `out` (exactly kPageSize bytes): a ReadPages
+  /// batch of one. Returns IOError on a read fault — injected or a real
+  /// pread failure (out is unspecified) — or Corruption when the copy
+  /// fails checksum verification or the backing file ends mid-page.
   Status ReadPage(PageId id, char* out);
 
-  /// Batched ReadPage: one backend round trip for the whole batch, with
+  /// The one read path: one backend round trip for the whole batch, with
   /// the full per-page policy applied to every request — fault-injection
   /// draws, stats accounting, bit-flip corruption and CRC verification all
   /// happen per page, in batch order, so each request's `status` equals
@@ -181,12 +181,12 @@ class DiskManager {
   void BindMetrics(obs::MetricsRegistry* registry,
                    const std::string& prefix) const;
 
-  /// Simulated read latency in microseconds, applied by every ReadPage.
-  /// 0 by default; the experiment harness enables it during measured
-  /// workloads so that response times reflect I/O volume the way the
-  /// paper's disk-resident setup does. Sim backend only: the file backend
-  /// has real device latency, so these are documented no-ops there (reads
-  /// as 0 / false).
+  /// Simulated read latency in microseconds, charged once per ReadPages
+  /// batch (ReadPage is a batch of one). 0 by default; the experiment
+  /// harness enables it during measured workloads so that response times
+  /// reflect I/O volume the way the paper's disk-resident setup does. Sim
+  /// backend only: the file backend has real device latency, so these are
+  /// documented no-ops there (reads as 0 / false).
   void set_read_delay_us(double us) {
     if (sim_ != nullptr) sim_->set_read_delay_us(us);
   }
@@ -211,10 +211,10 @@ class DiskManager {
   explicit DiskManager(std::unique_ptr<DiskBackend> backend,
                        DiskBackendKind kind);
 
-  /// The per-page read policy, applied after the backend filled `r`:
-  /// injected read-fault draw, stats and I/O attribution, injected bit
-  /// flip, CRC verification — in that order, for ReadPage and every page
-  /// of ReadPages alike. Sets `r->status` to the read's final outcome.
+  /// The per-page read policy, applied to every page of a ReadPages batch
+  /// after the backend filled `r`: injected read-fault draw, stats and I/O
+  /// attribution, injected bit flip, CRC verification — in that order.
+  /// Sets `r->status` to the read's final outcome.
   /// The injector draws each decision from its own per-kind counter, so a
   /// batch draws exactly the sequence a page-by-page loop would.
   void FinishRead(PageReadRequest* r, bool armed);

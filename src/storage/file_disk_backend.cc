@@ -162,32 +162,40 @@ Status FileDiskBackend::Open(const DiskOptions& options,
     return Status::IOError(ErrnoMessage("open", crc_path, err));
   }
 
+  // From here the backend owns, and on any early return closes, both
+  // descriptors.
+  std::unique_ptr<FileDiskBackend> backend(
+      new FileDiskBackend(options.path, data_fd, crc_fd, o_direct));
   CrcHeader header;
   const ssize_t got = FullPread(crc_fd, reinterpret_cast<char*>(&header),
                                 sizeof(header), 0);
   if (got < 0) {
-    const int err = errno;
-    ::close(data_fd);
-    ::close(crc_fd);
-    return Status::IOError(ErrnoMessage("pread", crc_path, err));
+    return Status::IOError(ErrnoMessage("pread", crc_path, errno));
   }
   if (static_cast<size_t>(got) != sizeof(header) ||
       std::memcmp(header.magic, kCrcMagic, sizeof(kCrcMagic)) != 0) {
-    ::close(data_fd);
-    ::close(crc_fd);
     return Status::Corruption("checksum sidecar malformed: " + crc_path);
   }
-
-  std::unique_ptr<FileDiskBackend> backend(
-      new FileDiskBackend(options.path, data_fd, crc_fd, o_direct));
+  // The header's page count is untrusted: check it against the entries
+  // the sidecar can hold before sizing anything from it, so a damaged
+  // count fails the open instead of an allocation.
+  struct stat crc_st;
+  if (::fstat(crc_fd, &crc_st) != 0) {
+    return Status::IOError(ErrnoMessage("fstat", crc_path, errno));
+  }
+  const uint64_t crc_bytes = static_cast<uint64_t>(crc_st.st_size);
+  if (crc_bytes < sizeof(CrcHeader) ||
+      header.num_pages > (crc_bytes - sizeof(CrcHeader)) / sizeof(uint32_t)) {
+    return Status::Corruption("checksum sidecar truncated: " + crc_path);
+  }
   backend->checksums_.resize(header.num_pages);
   // The sidecar on disk is authoritative for everything just loaded.
   backend->crc_dirty_.assign(header.num_pages, false);
   if (header.num_pages > 0) {
     const size_t bytes = header.num_pages * sizeof(uint32_t);
     const ssize_t n = FullPread(
-        backend->crc_fd_, reinterpret_cast<char*>(backend->checksums_.data()),
-        bytes, sizeof(CrcHeader));
+        crc_fd, reinterpret_cast<char*>(backend->checksums_.data()), bytes,
+        sizeof(CrcHeader));
     if (n < 0) {
       return Status::IOError(ErrnoMessage("pread", crc_path, errno));
     }
@@ -258,25 +266,6 @@ Status FileDiskBackend::PwritePage(PageId id, const char* in) {
   return Status::Ok();
 }
 
-Status FileDiskBackend::ReadPage(PageId id, char* out,
-                                 uint32_t* expected_crc) {
-  size_t physical;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DSKS_CHECK_MSG(id < checksums_.size(), "read of unallocated page");
-    *expected_crc = checksums_[id];
-    physical = physical_pages_;
-  }
-  if (id >= physical) {
-    // Allocated but past the physical end (possible only after a foreign
-    // truncate since AllocatePage grows the file): zero-fill so the
-    // checksum check reports the damage instead of a raw syscall error.
-    std::memset(out, 0, kPageSize);
-    return Status::Ok();
-  }
-  return PreadPage(id, out);
-}
-
 void FileDiskBackend::ReadContiguousRun(PageReadRequest* run, size_t n) {
   if (n == 1) {
     run->status = PreadPage(run->id, run->out);
@@ -317,7 +306,7 @@ void FileDiskBackend::ReadContiguousRun(PageReadRequest* run, size_t n) {
   }
   // Pages the vectored call did not fully deliver — a device error, a
   // partial transfer, or a foreign-truncated file — retry one at a time so
-  // each gets the single-page path's exact IOError/Corruption semantics.
+  // each gets PreadPage's exact IOError/Corruption semantics.
   for (size_t k = full; k < n; ++k) {
     run[k].status = PreadPage(run[k].id, run[k].out);
   }
@@ -339,8 +328,9 @@ void FileDiskBackend::ReadPages(std::span<PageReadRequest> batch) {
   size_t i = 0;
   while (i < batch.size()) {
     if (batch[i].id >= physical) {
-      // Same contract as ReadPage: allocated but past the physical end
-      // reads back as the zero page.
+      // Allocated but past the physical end (possible only after a foreign
+      // truncate since AllocatePage grows the file): zero-fill so the
+      // checksum check reports the damage instead of a raw syscall error.
       std::memset(batch[i].out, 0, kPageSize);
       batch[i].status = Status::Ok();
       ++i;
@@ -470,9 +460,11 @@ void FileDiskBackend::CorruptStoredPage(PageId id, uint32_t bit_index) {
   // A local buffer, not the bounce buffer: PreadPage/PwritePage use that
   // one themselves when O_DIRECT is active.
   auto page = std::make_unique<char[]>(kPageSize);
-  uint32_t unused_crc = 0;
-  DSKS_CHECK_MSG(ReadPage(id, page.get(), &unused_crc).ok(),
-                 "CorruptStoredPage: read failed");
+  PageReadRequest req;
+  req.id = id;
+  req.out = page.get();
+  ReadPages(std::span<PageReadRequest>(&req, 1));
+  DSKS_CHECK_MSG(req.status.ok(), "CorruptStoredPage: read failed");
   page[bit_index / 8] ^= static_cast<char>(1u << (bit_index % 8));
   DSKS_CHECK_MSG(PwritePage(id, page.get()).ok(),
                  "CorruptStoredPage: write-back failed");

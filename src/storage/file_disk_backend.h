@@ -41,8 +41,12 @@ class FileDiskBackend : public DiskBackend {
                        std::unique_ptr<FileDiskBackend>* out);
 
   /// Opens an existing index file pair written by a prior Flush(). Fails
-  /// with Corruption when the sidecar is missing, malformed, or its
-  /// watermark disagrees with a plausible data-file size.
+  /// with Corruption when the sidecar is missing, malformed (short header
+  /// or wrong magic), or holds fewer checksum entries than its header's
+  /// page count — checked against the sidecar's size before anything is
+  /// sized from that count. The data file's size is not checked: a page
+  /// past its physical end reads back as zeros, and its checksum then
+  /// reports the damage on the first read.
   static Status Open(const DiskOptions& options,
                      std::unique_ptr<FileDiskBackend>* out);
 
@@ -52,12 +56,12 @@ class FileDiskBackend : public DiskBackend {
   FileDiskBackend& operator=(const FileDiskBackend&) = delete;
 
   PageId AllocatePage() override;
-  Status ReadPage(PageId id, char* out, uint32_t* expected_crc) override;
-  /// Batched read: requests whose page ids form contiguous ascending runs
-  /// are merged into single preadv calls (scattering straight into the
-  /// callers' buffers, or through one aligned run buffer under O_DIRECT).
-  /// Any page a vectored call could not fully serve falls back to the
-  /// single-page path, so per-page error semantics match ReadPage exactly.
+  /// Requests whose page ids form contiguous ascending runs are merged
+  /// into single preadv calls (scattering straight into the callers'
+  /// buffers, or through one aligned run buffer under O_DIRECT); a run of
+  /// one page is a plain PreadPage. Any page a vectored call could not
+  /// fully serve falls back to PreadPage, so a page's status does not
+  /// depend on its batch mates.
   void ReadPages(std::span<PageReadRequest> batch) override;
   Status WritePage(PageId id, const char* in, uint32_t crc) override;
   Status TruncatePages(size_t new_num_pages) override;

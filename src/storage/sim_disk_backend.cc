@@ -1,5 +1,6 @@
 #include "storage/sim_disk_backend.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -44,40 +45,34 @@ void SimDiskBackend::WaitReadDelay() const {
   }
 }
 
-Status SimDiskBackend::ReadPage(PageId id, char* out,
-                                uint32_t* expected_crc) {
-  const char* src;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DSKS_CHECK_MSG(id < pages_.size(), "read of unallocated page");
-    src = pages_[id].get();
-    *expected_crc = checksums_[id];
-  }
-  // Wait and copy outside the mutex so concurrent reads overlap.
-  WaitReadDelay();
-  std::memcpy(out, src, kPageSize);
-  return Status::Ok();
-}
-
 void SimDiskBackend::ReadPages(std::span<PageReadRequest> batch) {
   if (batch.empty()) {
     return;
   }
-  std::vector<const char*> srcs(batch.size());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      DSKS_CHECK_MSG(batch[i].id < pages_.size(), "read of unallocated page");
-      srcs[i] = pages_[batch[i].id].get();
-      batch[i].expected_crc = checksums_[batch[i].id];
-    }
-  }
   // One simulated device round trip for the whole batch: this latency
   // discount is exactly what batched I/O buys on a real disk.
   WaitReadDelay();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    std::memcpy(batch[i].out, srcs[i], kPageSize);
-    batch[i].status = Status::Ok();
+  // Page blocks are resolved under the mutex (pages_ may reallocate) and
+  // copied outside it, so concurrent reads overlap. Resolving a fixed-size
+  // chunk at a time keeps every read allocation-free.
+  constexpr size_t kChunk = 16;
+  const char* srcs[kChunk];
+  for (size_t begin = 0; begin < batch.size(); begin += kChunk) {
+    const std::span<PageReadRequest> chunk =
+        batch.subspan(begin, std::min(kChunk, batch.size() - begin));
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        DSKS_CHECK_MSG(chunk[i].id < pages_.size(),
+                       "read of unallocated page");
+        srcs[i] = pages_[chunk[i].id].get();
+        chunk[i].expected_crc = checksums_[chunk[i].id];
+      }
+    }
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      std::memcpy(chunk[i].out, srcs[i], kPageSize);
+      chunk[i].status = Status::Ok();
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 // (no lost writes, correct contents under eviction pressure, overflow
 // draining).
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -186,6 +187,69 @@ TEST(BufferPoolConcurrencyTest, ConcurrentMissesOnSamePageReadOnce) {
   EXPECT_EQ(disk->stats().reads.load(), 1u);
   EXPECT_EQ(pool.stats().misses.load(), 1u);
   EXPECT_EQ(pool.stats().hits.load(), kThreads - 1);
+}
+
+// FetchPages reaching a page that another thread is reading must wait for
+// that read, and must not sleep through its wakeup when the read completes
+// while FetchPages has the latch released for a read of its own. A lost
+// wakeup hangs here; the suite's ctest TIMEOUT turns that into a failure.
+// Second round: the other thread's read fails, so FetchPages must read the
+// page itself.
+TEST(BufferPoolConcurrencyTest, FetchPagesWaitsForAnotherThreadsRead) {
+  for (const bool fail_other_read : {false, true}) {
+    SCOPED_TRACE(fail_other_read ? "other read faults" : "other read ok");
+    // The sim backend: its delay knobs are no-ops on the file backend.
+    DiskManager disk;
+    const PageId p = disk.AllocatePage();
+    const PageId q = disk.AllocatePage();
+    char buf[kPageSize] = {0};
+    for (const PageId id : {p, q}) {
+      FillPattern(id, buf);
+      ASSERT_TRUE(disk.WritePage(id, buf).ok());
+    }
+    if (fail_other_read) {
+      disk.fault_injector()->FailPageReads(p, 1);
+    }
+    disk.set_read_delay_yields(true);
+    disk.set_read_delay_us(100e3);
+    BufferPool pool(&disk, 4);
+
+    Status other_status;
+    std::thread other([&pool, &other_status, p] {
+      char* data = nullptr;
+      other_status = pool.FetchPage(p, &data);
+      if (other_status.ok()) {
+        pool.UnpinPage(p, /*dirty=*/false);
+      }
+    });
+    // p's miss is counted when its frame is claimed, just before its read
+    // starts.
+    while (pool.stats().misses.load() < 1) {
+      std::this_thread::yield();
+    }
+    // Each read takes its delay when it starts, so the read of q below
+    // outlasts the other thread's read of p: p is published (or dropped)
+    // while FetchPages has the latch released.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    disk.set_read_delay_us(400e3);
+    const PageId ids[] = {q, p};
+    char* outs[] = {nullptr, nullptr};
+    const Status status = pool.FetchPages(ids, outs);
+    other.join();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ExpectPattern(q, outs[0]);
+    ExpectPattern(p, outs[1]);
+    pool.UnpinPage(q, /*dirty=*/false);
+    pool.UnpinPage(p, /*dirty=*/false);
+    EXPECT_EQ(disk.stats().reads.load(), 2u);
+    if (fail_other_read) {
+      EXPECT_TRUE(other_status.IsIOError()) << other_status.ToString();
+      EXPECT_EQ(disk.stats().read_faults.load(), 1u);
+    } else {
+      EXPECT_TRUE(other_status.ok()) << other_status.ToString();
+      EXPECT_EQ(disk.stats().read_faults.load(), 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // result sets.
 #include <unistd.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -196,6 +198,34 @@ TEST(DurabilityTest, MissingSidecarFailsOpenWithoutAborting) {
     ASSERT_TRUE(disk.Flush().ok());
   }
   ASSERT_EQ(std::remove((options.path + ".crc").c_str()), 0);
+  std::unique_ptr<DiskManager> reopened;
+  const Status s = DiskManager::OpenExisting(options, &reopened);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(reopened, nullptr);
+  testing::RemoveDiskFiles(options);
+}
+
+// The sidecar header's page count is untrusted input: a damaged count must
+// fail the open with a Status before anything is sized from it, not abort
+// the process in a huge allocation.
+TEST(DurabilityTest, OversizedSidecarCountFailsOpenWithoutAborting) {
+  const DiskOptions options = testing::FileDiskOptions("oversized");
+  {
+    DiskManager disk(options);
+    char buf[kPageSize] = {0};
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(disk.WritePage(disk.AllocatePage(), buf).ok());
+    }
+    ASSERT_TRUE(disk.Flush().ok());
+  }
+  // Header layout: 8 magic bytes, then the u64 page count.
+  const uint64_t claimed = uint64_t{1} << 40;
+  std::FILE* crc = std::fopen((options.path + ".crc").c_str(), "r+b");
+  ASSERT_NE(crc, nullptr);
+  ASSERT_EQ(std::fseek(crc, 8, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&claimed, sizeof(claimed), 1, crc), 1u);
+  ASSERT_EQ(std::fclose(crc), 0);
+
   std::unique_ptr<DiskManager> reopened;
   const Status s = DiskManager::OpenExisting(options, &reopened);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();

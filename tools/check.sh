@@ -1,33 +1,40 @@
 #!/usr/bin/env bash
-# Builds and runs the tier-1 test suite under AddressSanitizer and
-# ThreadSanitizer (cmake -DDSKS_SANITIZE=...) — with a dedicated chaos
-# pass exercising storage fault injection under each sanitizer — then a
-# Release perf smoke that fails if bench_throughput's single-thread qps
-# dropped more than 25% below the committed
-# bench/baseline_throughput.json, a `dsks_cli chaos` smoke proving the
-# process survives injected faults, and a `dsks_cli serve` smoke whose
-# live /varz, /metrics and /tracez must show the queries it just served.
+# Builds and runs the tier-1 test suite under AddressSanitizer,
+# ThreadSanitizer and UndefinedBehaviorSanitizer (cmake
+# -DDSKS_SANITIZE=...) — with a dedicated chaos pass exercising storage
+# fault injection under each sanitizer — then a Release perf smoke that
+# fails if bench_throughput's single-thread qps dropped more than 25%
+# below the committed bench/baseline_throughput.json, a `dsks_cli chaos`
+# smoke proving the process survives injected faults, and a `dsks_cli
+# serve` smoke whose live /varz, /metrics and /tracez must show the
+# queries it just served.
 # Usage:
 #
-#   tools/check.sh            # both sanitizers + perf smoke
+#   tools/check.sh            # all three sanitizers + perf smoke
 #   tools/check.sh thread     # just one sanitizer (skips the perf smoke)
 #
 # DSKS_SKIP_PERF=1 skips the perf smoke. Build trees go to build-asan/,
-# build-tsan/ and build-perf/ next to build/ (all gitignored).
+# build-tsan/, build-ubsan/ and build-perf/ next to build/ (all
+# gitignored).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# UBSan only prints its report by default and the test still exits 0;
+# halting turns every report into a failure.
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+
 sanitizers=("${@:-address}")
 if [ "$#" -eq 0 ]; then
-  sanitizers=(address thread)
+  sanitizers=(address thread undefined)
 fi
 
 for san in "${sanitizers[@]}"; do
   case "$san" in
-    address) dir=build-asan ;;
-    thread)  dir=build-tsan ;;
-    *)       dir=build-$san ;;
+    address)   dir=build-asan ;;
+    thread)    dir=build-tsan ;;
+    undefined) dir=build-ubsan ;;
+    *)         dir=build-$san ;;
   esac
   echo "=== $san sanitizer: configuring $dir ==="
   cmake -B "$dir" -S . -DDSKS_SANITIZE="$san" > /dev/null
