@@ -1,8 +1,10 @@
 #ifndef DSKS_CORE_QUERY_CONTEXT_H_
 #define DSKS_CORE_QUERY_CONTEXT_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -156,12 +158,19 @@ inline QueryContext* ContextOrOwned(QueryContext* ctx,
 
 /// The deadline value for "`millis` from now" on the steady clock; pass the
 /// result to QueryContext::deadline_steady_ns. Non-positive millis arms an
-/// already-expired deadline (the first check cancels).
+/// already-expired deadline (the first check cancels); a deadline more
+/// than 2^62 ns (~146 years) away saturates and never expires.
 inline int64_t DeadlineFromNowMillis(double millis) {
   const int64_t now = std::chrono::duration_cast<std::chrono::nanoseconds>(
                           std::chrono::steady_clock::now().time_since_epoch())
                           .count();
-  return now + static_cast<int64_t>(millis * 1e6);
+  // Bounded as a double before the cast, which is undefined out of range.
+  constexpr double kFarNs = 0x1p62;
+  const double ns = millis * 1e6;
+  if (!(ns < kFarNs)) {
+    return std::numeric_limits<int64_t>::max();
+  }
+  return now + static_cast<int64_t>(std::max(ns, -kFarNs));
 }
 
 }  // namespace dsks

@@ -10,10 +10,16 @@
 
 namespace dsks {
 
+namespace {
+
+/// Backoff before retry r (1-based) is r times this.
+constexpr double kRetryBackoffMillis = 0.1;
+
+}  // namespace
+
 QueryExecutor::QueryExecutor(const ExecutorConfig& config)
     : queue_capacity_(config.queue_capacity),
       max_retries_(config.max_retries),
-      retry_backoff_millis_(config.retry_backoff_millis),
       sampling_(config.sampling),
       flight_recorder_(config.flight_recorder) {
   DSKS_CHECK_MSG(config.num_threads > 0, "executor needs at least one thread");
@@ -52,62 +58,28 @@ QueryExecutor::~QueryExecutor() {
   }
 }
 
-void QueryExecutor::Submit(std::function<void()> task) {
-  SubmitQuery([task = std::move(task)](QueryContext* /*ctx*/) {
-    task();
-    return Status::Ok();
-  });
-}
-
-void QueryExecutor::SubmitWithContext(
-    std::function<void(QueryContext*)> task) {
-  SubmitQuery([task = std::move(task)](QueryContext* ctx) {
-    task(ctx);
-    return Status::Ok();
-  });
-}
-
-void QueryExecutor::SubmitQuery(std::function<Status(QueryContext*)> task) {
-  SubmitQuery(QueryTag{}, std::move(task));
-}
-
-void QueryExecutor::SubmitQuery(const QueryTag& tag,
-                                std::function<Status(QueryContext*)> task) {
+void QueryExecutor::SubmitQuery(std::function<Status(QueryContext*)> task,
+                                const QueryTag& tag) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     queue_not_full_.wait(lock,
                          [this] { return queue_.size() < queue_capacity_; });
-    queue_.push_back(Task{tag, std::move(task)});
+    queue_.push_back(Task{tag, std::move(task), nullptr});
   }
   queue_not_empty_.notify_one();
-}
-
-bool QueryExecutor::TrySubmitQuery(const QueryTag& tag,
-                                   std::function<Status(QueryContext*)> task,
-                                   double wait_millis) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (queue_.size() >= queue_capacity_) {
-      if (wait_millis <= 0.0) {
-        return false;  // immediate rejection — the producer never blocks
-      }
-      // Bounded submit deadline: wait up to wait_millis for space, then
-      // give up. wait_for re-checks the predicate on spurious wakeups.
-      if (!queue_not_full_.wait_for(
-              lock, std::chrono::duration<double, std::milli>(wait_millis),
-              [this] { return queue_.size() < queue_capacity_; })) {
-        return false;
-      }
-    }
-    queue_.push_back(Task{tag, std::move(task)});
-  }
-  queue_not_empty_.notify_one();
-  return true;
 }
 
 bool QueryExecutor::TrySubmitQuery(std::function<Status(QueryContext*)> task,
-                                   double wait_millis) {
-  return TrySubmitQuery(QueryTag{}, std::move(task), wait_millis);
+                                   const QueryTag& tag, Done done) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (queue_.size() >= queue_capacity_) {
+      return false;  // immediate rejection — the producer never blocks
+    }
+    queue_.push_back(Task{tag, std::move(task), std::move(done)});
+  }
+  queue_not_empty_.notify_one();
+  return true;
 }
 
 QueryExecutor::DrainResult QueryExecutor::Drain() {
@@ -191,17 +163,19 @@ void QueryExecutor::WorkerLoop(size_t worker_id) {
     // Snapshot the context's attribution counters so the delta across the
     // task is this query's exact I/O — with or without a trace.
     const obs::IoCounters io_before = ctx->io;
-    // The latency covers retries too — that time was spent on the query.
+    // The latency covers retries and `done` too — that time was spent on
+    // the query.
     Timer timer;
     Status status = task.fn(ctx);
     uint64_t task_retries = 0;
     while (status.IsIOError() && task_retries < max_retries_) {
       ++task_retries;
-      if (retry_backoff_millis_ > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            retry_backoff_millis_ * static_cast<double>(task_retries)));
-      }
+      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+          kRetryBackoffMillis * static_cast<double>(task_retries)));
       status = task.fn(ctx);
+    }
+    if (task.done) {
+      task.done(status);
     }
     const double millis = timer.ElapsedMillis();
     if (in_flight_ != nullptr) {
@@ -295,9 +269,9 @@ ThroughputMetrics RunConcurrent(
       QueryTag tag;
       tag.kind = kind;
       tag.terms = static_cast<uint32_t>(wq.sk.terms.size());
-      exec.SubmitQuery(tag, [&run_one, &wq](QueryContext* ctx) {
-        return run_one(wq, ctx);
-      });
+      exec.SubmitQuery(
+          [&run_one, &wq](QueryContext* ctx) { return run_one(wq, ctx); },
+          tag);
     }
   }
   const QueryExecutor::DrainResult drained = exec.Drain();

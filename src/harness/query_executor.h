@@ -28,21 +28,20 @@ struct ExecutorConfig {
   /// Worker threads running queries. 1 degenerates to (almost) the
   /// sequential harness, with one extra thread doing the work.
   size_t num_threads = 1;
-  /// Bound on queued-but-unstarted tasks; Submit blocks when the queue is
-  /// full so a fast producer cannot outrun the workers unboundedly.
+  /// Bound on queued-but-unstarted tasks; SubmitQuery blocks when the
+  /// queue is full so a fast producer cannot outrun the workers
+  /// unboundedly.
   size_t queue_capacity = 1024;
   /// Registry every query is recorded into as it completes
   /// ("executor.query_ms" histogram, "executor.queries" counter,
   /// "query.errors.<CODE>" counters and the rest). Null disables
   /// publication.
   obs::MetricsRegistry* metrics = &obs::GlobalMetrics();
-  /// Bounded retry for *transient* faults: a query submitted with
-  /// SubmitQuery that fails with IO_ERROR is re-run up to this many times
+  /// Bounded retry for *transient* faults: a query that fails with
+  /// IO_ERROR is re-run up to this many times, r * 0.1 ms after attempt r,
   /// before counting as failed. Corruption and invalid-argument failures
   /// never retry — re-reading a bad checksum or a bad query cannot help.
   size_t max_retries = 0;
-  /// Backoff before retry r (1-based) is r * this many milliseconds.
-  double retry_backoff_millis = 0.1;
   /// Always-on sampled tracing: each worker traces a deterministic
   /// 1-in-N subset of the queries it runs (sampling.sample_every; worker
   /// id is the sampler stream) into a reusable per-worker QueryTrace.
@@ -112,9 +111,9 @@ struct ThroughputMetrics {
 /// registry in the same step — so a live scrape sees every finished query
 /// whether or not anyone ever calls Drain().
 ///
-/// Every worker owns a QueryContext, handed to tasks submitted with
-/// SubmitWithContext — steady-state queries then reuse the worker's scratch
-/// instead of allocating per query.
+/// Every worker owns a QueryContext, handed to each task it runs —
+/// steady-state queries then reuse the worker's scratch instead of
+/// allocating per query.
 class QueryExecutor {
  public:
   explicit QueryExecutor(const ExecutorConfig& config);
@@ -125,40 +124,30 @@ class QueryExecutor {
   /// Drains outstanding work, then joins the workers.
   ~QueryExecutor();
 
-  /// Enqueues one task; blocks while the queue is at capacity. Tasks must
-  /// not touch single-writer state of the shared database (index builds,
-  /// SetCapacity, Clear, counter resets).
-  void Submit(std::function<void()> task);
+  /// Called once per task, on its worker, with the task's final Status.
+  using Done = std::function<void(const Status&)>;
 
-  /// Like Submit, but the task receives the executing worker's private
-  /// QueryContext.
-  void SubmitWithContext(std::function<void(QueryContext*)> task);
+  /// Enqueues one query; blocks while the queue is at capacity — the
+  /// back-pressure a bench producer wants. A non-OK result is a *recorded
+  /// failure*, never a crash: IO_ERROR failures are re-run up to
+  /// config.max_retries times with linear backoff, and whatever Status
+  /// survives is tallied per code (DrainResult::errors and
+  /// "query.errors.<CODE>"). The task must be safe to re-run from scratch
+  /// — every Run*Query is — and must not touch single-writer state of the
+  /// shared database (index builds, SetCapacity, Clear, counter resets).
+  /// `tag` shows up in the query's flight-recorder entry when the
+  /// sampling/recording policy keeps one.
+  void SubmitQuery(std::function<Status(QueryContext*)> task,
+                   const QueryTag& tag = {});
 
-  /// Enqueues a query that reports failure through a Status instead of
-  /// aborting. A non-OK result is a *recorded failure*, never a crash:
-  /// IO_ERROR failures are re-run up to config.max_retries times with
-  /// linear backoff, and whatever Status survives is tallied per code
-  /// (DrainResult::errors and "query.errors.<CODE>"). The task must be
-  /// safe to re-run from scratch — every Run*Query is.
-  void SubmitQuery(std::function<Status(QueryContext*)> task);
-
-  /// Like SubmitQuery, with an identity tag that shows up in the query's
-  /// flight-recorder entry (when the sampling/recording policy keeps one).
-  void SubmitQuery(const QueryTag& tag,
-                   std::function<Status(QueryContext*)> task);
-
-  /// Non-blocking admission: enqueues like SubmitQuery but never waits on
-  /// a full queue. `wait_millis` > 0 grants a bounded submit deadline —
-  /// wait that long for space, then give up. Returns false when the task
-  /// was NOT admitted (queue still full); the caller owns the rejection
-  /// (a server answers RESOURCE_EXHAUSTED and counts the shed). This is
-  /// the server-side admission path; the blocking SubmitQuery stays for
-  /// benches, where back-pressure on the producer is the point.
-  bool TrySubmitQuery(const QueryTag& tag,
-                      std::function<Status(QueryContext*)> task,
-                      double wait_millis = 0.0);
+  /// Non-blocking admission, the server-side path: enqueues like
+  /// SubmitQuery but never waits on a full queue. Returns false when the
+  /// task was NOT admitted; the caller owns the rejection (a server
+  /// answers RESOURCE_EXHAUSTED and counts the shed). `done`, when set,
+  /// runs after the last attempt — retries included — so a caller that
+  /// answers a client from it answers exactly once.
   bool TrySubmitQuery(std::function<Status(QueryContext*)> task,
-                      double wait_millis = 0.0);
+                      const QueryTag& tag = {}, Done done = nullptr);
 
   /// What one Drain hands back: the batch's latency histogram plus its
   /// failure tallies.
@@ -189,7 +178,7 @@ class QueryExecutor {
   /// Blocks until every submitted task has finished, then snapshots and
   /// resets the batch instruments. Publishes nothing — every query was
   /// recorded into the registry as it completed. The executor stays
-  /// usable for further Submit calls.
+  /// usable for further submissions.
   DrainResult Drain();
 
   size_t num_threads() const { return workers_.size(); }
@@ -203,17 +192,15 @@ class QueryExecutor {
 
   const size_t queue_capacity_;
   const size_t max_retries_;
-  const double retry_backoff_millis_;
 
   std::mutex mu_;
   std::condition_variable queue_not_full_;
   std::condition_variable queue_not_empty_;
   std::condition_variable all_idle_;
-  /// Queued tasks report through a Status; void submissions are wrapped to
-  /// return OK so one queue serves both.
   struct Task {
     QueryTag tag;
     std::function<Status(QueryContext*)> fn;
+    Done done;
   };
   std::deque<Task> queue_;
   size_t active_tasks_ = 0;

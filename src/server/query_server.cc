@@ -378,8 +378,6 @@ std::string QueryServer::StatuszJson() const {
   w.Key("admitted").Value(c.admitted);
   w.Key("completed").Value(c.completed);
   w.Key("cancelled").Value(c.cancelled);
-  w.Key("batches").Value(c.batches);
-  w.Key("batched_queries").Value(c.batched_queries);
   w.Key("connections").Value(static_cast<uint64_t>(conns_.size()));
   w.EndObject();
   std::string body = w.Take();

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <utility>
+#include <vector>
 
 #include "common/timer.h"
 #include "core/query.h"
@@ -41,6 +44,17 @@ Status ReadNumber(const JsonValue& obj, const char* key, bool required,
   return Status::Ok();
 }
 
+/// True when `v` is a whole number that the integer type T holds. The range
+/// test runs on the double, before any cast: casting an out-of-range double
+/// is undefined behaviour. Inside the range, the round trip through T drops
+/// any fraction.
+template <typename T>
+bool FitsWhole(double v) {
+  // 2^digits is one past T's maximum, and exact as a double.
+  return v >= 0.0 && v < std::ldexp(1.0, std::numeric_limits<T>::digits) &&
+         v == static_cast<double>(static_cast<T>(v));
+}
+
 }  // namespace
 
 /// One parsed request: the normalized query plus the service-level options
@@ -57,13 +71,8 @@ struct QueryService::Request {
   size_t limit = 0;  // 0 = service max_results
   std::string tenant;
   std::string raw_id;  // pre-rendered JSON for the response's "id"
-  std::string batch_key;
   int64_t deadline_ns = 0;  // armed at admission
-};
-
-struct QueryService::PendingBatch {
-  int64_t flush_at_ns = 0;
-  std::vector<std::pair<std::shared_ptr<Request>, Completion>> members;
+  std::string response;     // rendered by the latest attempt
 };
 
 QueryService::QueryService(Database* db, const ServiceConfig& config)
@@ -86,40 +95,12 @@ QueryService::QueryService(Database* db, const ServiceConfig& config)
     admitted_.published = &m->counter("server.admitted");
     completed_.published = &m->counter("server.completed");
     cancelled_.published = &m->counter("server.cancelled");
-    batches_.published = &m->counter("server.batches");
-    batched_queries_.published = &m->counter("server.batched_queries");
-  }
-
-  if (config_.batch_window_ms > 0.0) {
-    batcher_ = std::thread([this] { BatcherLoop(); });
   }
 }
 
 QueryService::~QueryService() { Stop(); }
 
 void QueryService::Stop() {
-  if (stopped_) {
-    return;
-  }
-  stopped_ = true;
-  if (batcher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(batch_mu_);
-      batcher_stop_ = true;
-    }
-    batch_cv_.notify_all();
-    batcher_.join();
-  }
-  // Flush anything the batcher left behind (it flushes on stop, but be
-  // safe against a Stop before the thread ever ran).
-  std::map<std::string, PendingBatch> leftovers;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    leftovers.swap(pending_batches_);
-  }
-  for (auto& [key, batch] : leftovers) {
-    FlushBatch(std::move(batch));
-  }
   // Destroying the executor drains it: every admitted query completes and
   // its completion callback has run by the time this returns.
   executor_.reset();
@@ -134,8 +115,6 @@ ServiceCounters QueryService::counters() const {
   c.admitted = admitted_.local.value();
   c.completed = completed_.local.value();
   c.cancelled = cancelled_.local.value();
-  c.batches = batches_.local.value();
-  c.batched_queries = batched_queries_.local.value();
   return c;
 }
 
@@ -166,8 +145,7 @@ Status QueryService::ParseRequest(const std::string& line,
   }
   SkQuery sk;
   for (const JsonValue& t : terms->array()) {
-    if (!t.is_number() || t.number() < 0.0 ||
-        t.number() != static_cast<double>(static_cast<TermId>(t.number()))) {
+    if (!t.is_number() || !FitsWhole<TermId>(t.number())) {
       return Status::InvalidArgument("'terms' entries must be term ids");
     }
     sk.terms.push_back(static_cast<TermId>(t.number()));
@@ -177,8 +155,7 @@ Status QueryService::ParseRequest(const std::string& line,
   DSKS_RETURN_IF_ERROR(ReadNumber(doc, "edge", /*required=*/true, &edge));
   DSKS_RETURN_IF_ERROR(ReadNumber(doc, "offset", /*required=*/true, &offset));
   DSKS_RETURN_IF_ERROR(ReadNumber(doc, "delta", /*required=*/true, &delta));
-  if (edge < 0.0 ||
-      edge != static_cast<double>(static_cast<EdgeId>(edge)) ||
+  if (!FitsWhole<EdgeId>(edge) ||
       static_cast<EdgeId>(edge) >= db_->network().num_edges()) {
     return Status::InvalidArgument("'edge' is not a valid edge id");
   }
@@ -200,7 +177,7 @@ Status QueryService::ParseRequest(const std::string& line,
     DSKS_RETURN_IF_ERROR(ReadNumber(doc, "k", /*required=*/false, &k));
     DSKS_RETURN_IF_ERROR(ReadNumber(doc, "lambda", /*required=*/false,
                                     &lambda));
-    if (k < 1.0 || k != static_cast<double>(static_cast<size_t>(k))) {
+    if (k < 1.0 || !FitsWhole<size_t>(k)) {
       return Status::InvalidArgument("'k' must be a positive integer");
     }
     div.k = static_cast<size_t>(k);
@@ -225,7 +202,9 @@ Status QueryService::ParseRequest(const std::string& line,
   if (limit < 0.0) {
     return Status::InvalidArgument("'limit' must be >= 0");
   }
-  out->limit = static_cast<size_t>(limit);
+  // Clamped as a double, so a limit past size_t's range casts defined.
+  out->limit = static_cast<size_t>(
+      std::min(limit, static_cast<double>(config_.max_results)));
 
   if (const JsonValue* trace = doc.Find("trace"); trace != nullptr) {
     if (!trace->is_bool()) {
@@ -258,13 +237,6 @@ Status QueryService::ParseRequest(const std::string& line,
     out->raw_id = w.Take();
   }
 
-  // Canonical batch key: op + normalized (sorted, deduplicated) terms.
-  // Same key = same posting scans, which is exactly what batching shares.
-  out->batch_key = out->is_div ? "div:" : "sk:";
-  for (const TermId t : out->sk.terms) {
-    out->batch_key += std::to_string(t);
-    out->batch_key.push_back(',');
-  }
   return Status::Ok();
 }
 
@@ -292,8 +264,7 @@ bool QueryService::CheckQuota(const std::string& tenant) {
 
 void QueryService::RespondRejected(const Completion& done, const Request* req,
                                    const char* code_name,
-                                   const std::string& message,
-                                   bool /*quota*/) const {
+                                   const std::string& message) const {
   JsonWriter w;
   w.BeginObject();
   if (req != nullptr && !req->raw_id.empty()) {
@@ -306,7 +277,7 @@ void QueryService::RespondRejected(const Completion& done, const Request* req,
 }
 
 Status QueryService::RunOne(const Request& req, QueryContext* ctx,
-                            bool batched, std::string* response) const {
+                            std::string* response) const {
   JsonWriter w;
   w.BeginObject();
   if (!req.raw_id.empty()) {
@@ -359,8 +330,7 @@ Status QueryService::RunOne(const Request& req, QueryContext* ctx,
     w.Key("message").Value(status.message());
   }
   w.Key("count").Value(static_cast<uint64_t>(count));
-  size_t limit = req.limit > 0 ? req.limit : config_.max_results;
-  limit = std::min(limit, config_.max_results);
+  const size_t limit = req.limit > 0 ? req.limit : config_.max_results;
   w.Key("results").BeginArray();
   for (size_t i = 0; i < results.size() && i < limit; ++i) {
     w.BeginObject();
@@ -386,9 +356,6 @@ Status QueryService::RunOne(const Request& req, QueryContext* ctx,
       .Key("prefetched_pages")
       .Value(io.prefetched_pages)
       .EndObject();
-  if (batched) {
-    w.Key("batched").Value(true);
-  }
   if (req.want_trace) {
     // Phase summary of the work actually done — for a CANCELLED query
     // that is the partial-work accounting up to the cancellation point.
@@ -415,41 +382,6 @@ Status QueryService::RunOne(const Request& req, QueryContext* ctx,
   return status;
 }
 
-void QueryService::FinishAdmitted(const Status& status) const {
-  completed_.Add();
-  if (status.IsCancelled()) {
-    cancelled_.Add();
-  }
-}
-
-void QueryService::SubmitDirect(std::shared_ptr<Request> req,
-                                Completion done) {
-  // Admission verdict must be synchronous so shedding is exact: count the
-  // shed here, not in a callback.
-  QueryTag tag;
-  tag.kind = req->is_div ? "server_div" : "server_sk";
-  tag.terms = static_cast<uint32_t>(req->sk.terms.size());
-  auto service = this;
-  const bool admitted = executor_->TrySubmitQuery(
-      tag,
-      [service, req, done](QueryContext* ctx) {
-        std::string response;
-        const Status status =
-            service->RunOne(*req, ctx, /*batched=*/false, &response);
-        service->FinishAdmitted(status);
-        done(std::move(response));
-        return status;
-      },
-      config_.submit_wait_ms);
-  if (admitted) {
-    admitted_.Add();
-  } else {
-    shed_.Add();
-    RespondRejected(done, req.get(), "RESOURCE_EXHAUSTED",
-                    "admission queue full", /*quota=*/false);
-  }
-}
-
 void QueryService::Submit(const std::string& line, const std::string& tenant,
                           Completion done) {
   requests_.Add();
@@ -458,7 +390,7 @@ void QueryService::Submit(const std::string& line, const std::string& tenant,
   if (const Status parsed = ParseRequest(line, req.get()); !parsed.ok()) {
     invalid_.Add();
     RespondRejected(done, req.get(), Status::CodeName(parsed.code()),
-                    parsed.message(), /*quota=*/false);
+                    parsed.message());
     return;
   }
   if (req->tenant.empty()) {
@@ -467,7 +399,7 @@ void QueryService::Submit(const std::string& line, const std::string& tenant,
   if (!CheckQuota(req->tenant)) {
     quota_denied_.Add();
     RespondRejected(done, req.get(), "RESOURCE_EXHAUSTED",
-                    "tenant '" + req->tenant + "' over quota", /*quota=*/true);
+                    "tenant '" + req->tenant + "' over quota");
     return;
   }
 
@@ -477,120 +409,31 @@ void QueryService::Submit(const std::string& line, const std::string& tenant,
   req->deadline_ns = deadline_ms > 0.0 ? DeadlineFromNowMillis(deadline_ms)
                                        : 0;
 
-  if (config_.batch_window_ms > 0.0) {
-    EnqueueBatchMember(std::move(req), std::move(done));
-    return;
-  }
-  SubmitDirect(std::move(req), std::move(done));
-}
-
-void QueryService::EnqueueBatchMember(std::shared_ptr<Request> req,
-                                      Completion done) {
-  std::string key = req->batch_key;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    PendingBatch& batch = pending_batches_[key];
-    if (batch.members.empty()) {
-      batch.flush_at_ns =
-          NowSteadyNs() +
-          static_cast<int64_t>(config_.batch_window_ms * 1e6);
-    }
-    batch.members.emplace_back(std::move(req), std::move(done));
-  }
-  batch_cv_.notify_one();
-}
-
-void QueryService::BatcherLoop() {
-  std::unique_lock<std::mutex> lock(batch_mu_);
-  while (true) {
-    if (pending_batches_.empty()) {
-      if (batcher_stop_) {
-        return;
-      }
-      batch_cv_.wait(lock, [this] {
-        return batcher_stop_ || !pending_batches_.empty();
-      });
-      continue;
-    }
-    // Earliest flush deadline among pending batches.
-    int64_t next_ns = INT64_MAX;
-    for (const auto& [key, batch] : pending_batches_) {
-      next_ns = std::min(next_ns, batch.flush_at_ns);
-    }
-    const int64_t now = NowSteadyNs();
-    if (now < next_ns && !batcher_stop_) {
-      batch_cv_.wait_for(lock, std::chrono::nanoseconds(next_ns - now));
-      continue;
-    }
-    // Flush everything due (or everything, when stopping).
-    std::vector<PendingBatch> due;
-    for (auto it = pending_batches_.begin(); it != pending_batches_.end();) {
-      if (batcher_stop_ || it->second.flush_at_ns <= now) {
-        due.push_back(std::move(it->second));
-        it = pending_batches_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    lock.unlock();
-    for (PendingBatch& batch : due) {
-      FlushBatch(std::move(batch));
-    }
-    lock.lock();
-  }
-}
-
-void QueryService::FlushBatch(PendingBatch&& batch) {
-  if (batch.members.empty()) {
-    return;
-  }
-  const size_t n = batch.members.size();
-  if (n > 1) {
-    batches_.Add();
-    batched_queries_.Add(n);
-  }
-  // All members run sequentially as ONE executor task on one worker: the
-  // first member's B+tree descents and posting-page reads warm the buffer
-  // pool for the rest, so the shared keyword scan is physical exactly
-  // once. Results are bit-identical to unbatched runs — each member still
-  // executes its own search against the same immutable index.
+  // One admitted request is one executor task with one response. Each
+  // attempt renders into req->response; the executor hands the final
+  // Status to the completion once, after any IO_ERROR retries. The verdict
+  // is synchronous, so the shed is counted here, not in a callback.
   QueryTag tag;
-  tag.kind = n > 1 ? "server_batch"
-                   : (batch.members.front().first->is_div ? "server_div"
-                                                          : "server_sk");
-  tag.terms =
-      static_cast<uint32_t>(batch.members.front().first->sk.terms.size());
-  auto members = std::make_shared<
-      std::vector<std::pair<std::shared_ptr<Request>, Completion>>>(
-      std::move(batch.members));
-  auto service = this;
+  tag.kind = req->is_div ? "server_div" : "server_sk";
+  tag.terms = static_cast<uint32_t>(req->sk.terms.size());
   const bool admitted = executor_->TrySubmitQuery(
-      tag,
-      [service, members, n](QueryContext* ctx) {
-        Status worst;
-        for (auto& [req, done] : *members) {
-          std::string response;
-          const Status status =
-              service->RunOne(*req, ctx, /*batched=*/n > 1, &response);
-          service->FinishAdmitted(status);
-          done(std::move(response));
-          if (worst.ok() && !status.ok()) {
-            worst = status;
-          }
-        }
-        return worst;
+      [this, req](QueryContext* ctx) {
+        return RunOne(*req, ctx, &req->response);
       },
-      config_.submit_wait_ms);
+      tag,
+      [this, req, done](const Status& status) {
+        completed_.Add();
+        if (status.IsCancelled()) {
+          cancelled_.Add();
+        }
+        done(std::move(req->response));
+      });
   if (admitted) {
-    admitted_.Add(n);
+    admitted_.Add();
   } else {
-    // The whole batch is shed as one unit: every member is a rejected
-    // submission and every member answers RESOURCE_EXHAUSTED.
-    shed_.Add(n);
-    for (auto& [req, done] : *members) {
-      RespondRejected(done, req.get(), "RESOURCE_EXHAUSTED",
-                      "admission queue full (batch shed)", /*quota=*/false);
-    }
+    shed_.Add();
+    RespondRejected(done, req.get(), "RESOURCE_EXHAUSTED",
+                    "admission queue full");
   }
 }
 

@@ -131,7 +131,6 @@ TEST(ChaosTest, TransientFaultIsAbsorbedByRetry) {
   ExecutorConfig config;
   config.num_threads = 1;
   config.max_retries = 1;
-  config.retry_backoff_millis = 0.0;
   config.metrics = nullptr;
   QueryExecutor exec(config);
   const WorkloadQuery* q = &wl.queries[0];
@@ -172,7 +171,6 @@ TEST(ChaosTest, ColdReadOfFlippedBitReportsCorruption) {
   ExecutorConfig config;
   config.num_threads = 1;
   config.max_retries = 5;
-  config.retry_backoff_millis = 0.0;
   config.metrics = nullptr;
   QueryExecutor exec(config);
   const WorkloadQuery* q = &wl.queries[0];

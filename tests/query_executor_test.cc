@@ -34,14 +34,20 @@ TEST(QueryExecutorTest, RunsEveryTaskExactlyOnce) {
   constexpr size_t kTasks = 500;
   std::atomic<uint64_t> sum{0};
   for (size_t i = 0; i < kTasks; ++i) {
-    exec.Submit([&sum, i] { sum.fetch_add(i + 1); });
+    exec.SubmitQuery([&sum, i](QueryContext*) {
+      sum.fetch_add(i + 1);
+      return Status::Ok();
+    });
   }
   QueryExecutor::DrainResult res = exec.Drain();
   EXPECT_EQ(res.latency.count, kTasks);
   EXPECT_EQ(sum.load(), kTasks * (kTasks + 1) / 2);
 
   // The executor is reusable after a drain; the batch was reset.
-  exec.Submit([&sum] { sum.fetch_add(1); });
+  exec.SubmitQuery([&sum](QueryContext*) {
+    sum.fetch_add(1);
+    return Status::Ok();
+  });
   res = exec.Drain();
   EXPECT_EQ(res.latency.count, 1u);
 }
@@ -57,7 +63,7 @@ TEST(QueryExecutorTest, DrainPublishesIntoRegistry) {
   {
     QueryExecutor exec(config);
     for (int i = 0; i < 20; ++i) {
-      exec.Submit([] {});
+      exec.SubmitQuery([](QueryContext*) { return Status::Ok(); });
     }
     exec.SubmitQuery([](QueryContext*) { return Status::IOError("x"); });
   }
@@ -126,12 +132,13 @@ TEST(QueryExecutorTest, ConcurrentSkQueriesMatchSequentialResults) {
     for (size_t i = 0; i < wl.queries.size(); ++i) {
       std::vector<ObjectId>* out = &got[round * wl.queries.size() + i];
       const WorkloadQuery* wq = &wl.queries[i];
-      exec.Submit([&db, wq, out] {
+      exec.SubmitQuery([&db, wq, out](QueryContext*) {
         std::vector<SkResult> results;
         EXPECT_TRUE(db.RunSkQuery(wq->sk, wq->edge, &results).ok());
         for (const SkResult& r : results) {
           out->push_back(r.id);
         }
+        return Status::Ok();
       });
     }
   }
@@ -199,7 +206,7 @@ TEST(QueryExecutorTest, ConcurrentTracedQueriesNestAndBalance) {
   for (size_t i = 0; i < wl.queries.size(); ++i) {
     obs::QueryTrace* trace = &traces[i];
     const WorkloadQuery* wq = &wl.queries[i];
-    exec.SubmitWithContext([&db, wq, trace](QueryContext* ctx) {
+    exec.SubmitQuery([&db, wq, trace](QueryContext* ctx) {
       ctx->trace = trace;
       DivQuery dq;
       dq.sk = wq->sk;
@@ -209,6 +216,7 @@ TEST(QueryExecutorTest, ConcurrentTracedQueriesNestAndBalance) {
       EXPECT_TRUE(db.RunDivQuery(dq, wq->edge, /*use_com=*/true, &out, ctx)
                       .ok());
       ctx->trace = nullptr;
+      return Status::Ok();
     });
   }
   exec.Drain();
@@ -288,17 +296,19 @@ TEST(QueryExecutorTest, ErrorsAndSlowQueriesAreRecordedWithoutSampling) {
   QueryExecutor exec(config);
 
   for (int i = 0; i < 4; ++i) {
-    exec.SubmitQuery(QueryTag{"fail", 1}, [](QueryContext*) {
-      return Status::IOError("injected");
-    });
+    exec.SubmitQuery(
+        [](QueryContext*) { return Status::IOError("injected"); },
+        QueryTag{"fail", 1});
   }
-  exec.SubmitQuery(QueryTag{"slow", 2}, [](QueryContext*) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return Status::Ok();
-  });
+  exec.SubmitQuery(
+      [](QueryContext*) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return Status::Ok();
+      },
+      QueryTag{"slow", 2});
   for (int i = 0; i < 8; ++i) {
-    exec.SubmitQuery(QueryTag{"fast", 3},
-                     [](QueryContext*) { return Status::Ok(); });
+    exec.SubmitQuery([](QueryContext*) { return Status::Ok(); },
+                     QueryTag{"fast", 3});
   }
   const QueryExecutor::DrainResult res = exec.Drain();
   EXPECT_EQ(res.sampled, 0u);  // nothing traced, yet plenty recorded
@@ -326,10 +336,10 @@ TEST(QueryExecutorTest, ErrorsAndSlowQueriesAreRecordedWithoutSampling) {
 }
 
 TEST(QueryExecutorTest, TrySubmitNeverBlocksOnSaturatedQueue) {
-  // Regression for the server-facing bug: Submit blocks forever when the
+  // Regression for the server-facing bug: SubmitQuery blocks while the
   // queue is full, which on a network thread means one overload wedges
-  // the whole front end. TrySubmitQuery must answer "no" immediately (or
-  // within its bounded wait) instead.
+  // the whole front end. TrySubmitQuery must answer "no" immediately
+  // instead.
   ExecutorConfig config;
   config.num_threads = 1;
   config.queue_capacity = 2;
@@ -341,11 +351,12 @@ TEST(QueryExecutorTest, TrySubmitNeverBlocksOnSaturatedQueue) {
   // pop would free a queue slot mid-test).
   std::atomic<bool> started{false};
   std::atomic<bool> release{false};
-  exec.Submit([&started, &release] {
+  exec.SubmitQuery([&started, &release](QueryContext*) {
     started.store(true);
     while (!release.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+    return Status::Ok();
   });
   while (!started.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -358,29 +369,43 @@ TEST(QueryExecutorTest, TrySubmitNeverBlocksOnSaturatedQueue) {
   }
   EXPECT_EQ(admitted, config.queue_capacity);
 
-  // Queue is now full: an immediate TrySubmit is rejected without
-  // blocking, and a bounded-wait TrySubmit gives up within its budget.
+  // Queue is now full: TrySubmit is rejected without blocking.
   EXPECT_FALSE(
       exec.TrySubmitQuery([](QueryContext*) { return Status::Ok(); }));
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(exec.TrySubmitQuery(
-      [](QueryContext*) { return Status::Ok(); }, /*wait_millis=*/20.0));
-  const double waited =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_GE(waited, 15.0);   // honored the bounded wait...
-  EXPECT_LT(waited, 5000.0);  // ...but never blocked indefinitely
 
   release.store(true);
   const QueryExecutor::DrainResult res = exec.Drain();
   // Everything admitted ran; nothing rejected leaked into the queue.
   EXPECT_EQ(res.latency.count, 1 + admitted);
 
-  // After the drain there is space again: a bounded-wait submit succeeds.
-  EXPECT_TRUE(exec.TrySubmitQuery(
-      [](QueryContext*) { return Status::Ok(); }, /*wait_millis=*/1000.0));
+  // After the drain there is space again.
+  EXPECT_TRUE(
+      exec.TrySubmitQuery([](QueryContext*) { return Status::Ok(); }));
   exec.Drain();
+}
+
+TEST(QueryExecutorTest, DoneRunsOnceWithTheFinalStatus) {
+  // A task that fails with IO_ERROR twice, then succeeds: its retries stay
+  // inside one task, and `done` sees only the Status that survives them.
+  ExecutorConfig config;
+  config.num_threads = 1;
+  config.metrics = nullptr;
+  for (const size_t max_retries : {1u, 2u}) {
+    config.max_retries = max_retries;
+    QueryExecutor exec(config);
+    int attempts = 0;
+    std::vector<Status> done;
+    ASSERT_TRUE(exec.TrySubmitQuery(
+        [&attempts](QueryContext*) {
+          return ++attempts <= 2 ? Status::IOError("flaky") : Status::Ok();
+        },
+        QueryTag{}, [&done](const Status& s) { done.push_back(s); }));
+    const QueryExecutor::DrainResult res = exec.Drain();
+    EXPECT_EQ(attempts, static_cast<int>(max_retries) + 1);
+    EXPECT_EQ(res.retries, max_retries);
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].IsIOError(), max_retries == 1) << done[0].ToString();
+  }
 }
 
 TEST(QueryExecutorTest, ValidationRejectsAreNotServedThroughput) {

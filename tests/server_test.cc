@@ -1,9 +1,9 @@
 // Query service + TCP front end: the wire protocol parses and renders
 // correctly, admission control sheds exactly, deadlines cancel
-// cooperatively with partial work accounted, per-tenant quotas hold,
-// micro-batching is result-transparent, the whole thing survives
-// concurrent clients and malformed input over a real socket, and the same
-// listener serves the stats routes over plain HTTP.
+// cooperatively with partial work accounted, per-tenant quotas hold, a
+// retried request answers once, the whole thing survives concurrent
+// clients and malformed input over a real socket, and the same listener
+// serves the stats routes over plain HTTP.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -17,7 +17,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "server/json.h"
 #include "server/query_server.h"
 #include "server/query_service.h"
+#include "storage/fault_injector.h"
 
 namespace dsks {
 namespace {
@@ -266,10 +266,16 @@ TEST_F(ServerTest, ServiceRejectsMalformedRequestsBeforeAdmission) {
       "{\"op\":\"sk\",\"terms\":[1],\"edge\":0,\"offset\":0,\"delta\":-5}",
       "{\"op\":\"sk\",\"terms\":[1],\"edge\":99999999,\"offset\":0,"
       "\"delta\":1}",                                   // edge out of range
+      "{\"op\":\"sk\",\"terms\":[1],\"edge\":4294967296,\"offset\":0,"
+      "\"delta\":1}",                                   // edge past uint32
+      "{\"op\":\"sk\",\"terms\":[4294967297],\"edge\":0,\"offset\":0,"
+      "\"delta\":1}",                                   // term past uint32
       "{\"op\":\"sk\",\"terms\":[1],\"edge\":0,\"offset\":1e300,"
       "\"delta\":1}",                                   // offset off the edge
       "{\"op\":\"div\",\"terms\":[1],\"edge\":0,\"offset\":0,\"delta\":1,"
       "\"k\":0}",                                       // bad k
+      "{\"op\":\"div\",\"terms\":[1],\"edge\":0,\"offset\":0,\"delta\":1,"
+      "\"k\":1e300}",                                   // k past size_t
       "{\"op\":\"div\",\"terms\":[1],\"edge\":0,\"offset\":0,\"delta\":1,"
       "\"lambda\":2}",                                  // bad lambda
   };
@@ -286,6 +292,27 @@ TEST_F(ServerTest, ServiceRejectsMalformedRequestsBeforeAdmission) {
   EXPECT_EQ(c.invalid, bad.size());
   EXPECT_EQ(c.admitted, 0u);
   service.Stop();
+}
+
+TEST_F(ServerTest, FarDeadlineAndHugeLimitAnswerOk) {
+  // Numbers past their target type saturate instead of overflowing a cast:
+  // a deadline beyond the clock's range never expires, and a limit past
+  // size_t caps at max_results.
+  ServiceConfig config;
+  config.threads = 1;
+  config.metrics = nullptr;
+  QueryService service(db_, config);
+
+  std::string line = RequestLine(workload_->queries[0], "far");
+  line.pop_back();  // reopen the object for one more member
+  Collector col;
+  service.Submit(line + ",\"deadline_ms\":1e13}", "t", col.Make());
+  service.Submit(line + ",\"limit\":1e300}", "t", col.Make());
+  col.Await(2);
+  service.Stop();
+  for (const std::string& r : col.responses) {
+    EXPECT_EQ(StatusOf(r), "OK") << r;
+  }
 }
 
 TEST_F(ServerTest, OverloadShedsExactlyUnderEightSubmitterThreads) {
@@ -405,76 +432,37 @@ TEST_F(ServerTest, QuotaDeniesBeyondBurst) {
   EXPECT_EQ(c.admitted, c.completed);
 }
 
-TEST_F(ServerTest, BatchedExecutionIsBitIdenticalToUnbatched) {
-  // Reference: no batching.
-  std::vector<std::string> want(3);
-  {
-    ServiceConfig config;
-    config.threads = 1;
-    config.metrics = nullptr;
-    QueryService service(db_, config);
-    Collector col;
-    for (int i = 0; i < 3; ++i) {
-      service.Submit(RequestLine(workload_->queries[i], ""), "t", col.Make());
-    }
-    col.Await(3);
-    service.Stop();
-    want = col.responses;
-  }
-
-  // Same three queries, submitted twice each within one batching window.
+TEST_F(ServerTest, RetriedRequestAnswersOnce) {
+  // A request whose first attempt fails with IO_ERROR and whose retry
+  // succeeds answers once, OK. Set up like
+  // ChaosTest.TransientFaultIsAbsorbedByRetry: a cold pool and prefetch
+  // off, so the one-shot fault hits a demand read.
+  obs::MetricsRegistry registry;
   ServiceConfig config;
-  config.threads = 2;
-  config.batch_window_ms = 50.0;
-  config.metrics = nullptr;
+  config.threads = 1;
+  config.max_retries = 1;
+  config.metrics = &registry;
   QueryService service(db_, config);
+  db_->PrepareForQueries();
+  db_->SetPrefetchEnabled(false);
+  db_->disk()->fault_injector()->InjectReadFaultOnce();
+
   Collector col;
-  for (int round = 0; round < 2; ++round) {
-    for (int i = 0; i < 3; ++i) {
-      service.Submit(RequestLine(workload_->queries[i], ""), "t", col.Make());
-    }
-  }
-  col.Await(6);
-  service.Stop();
+  service.Submit(RequestLine(workload_->queries[0], "r"), "t", col.Make());
+  col.Await(1);
+  service.Stop();  // drained: a second answer would have arrived by now
+  db_->disk()->fault_injector()->Disarm();
+  db_->SetPrefetchEnabled(true);
 
+  ASSERT_EQ(col.responses.size(), 1u);
+  EXPECT_EQ(StatusOf(col.responses[0]), "OK") << col.responses[0];
   const ServiceCounters c = service.counters();
-  EXPECT_EQ(c.admitted, 6u);
-  EXPECT_EQ(c.admitted, c.completed);
-  EXPECT_GT(c.batches, 0u);
-  EXPECT_GE(c.batched_queries, 2u);
-
-  // Compare the query-result payload bit for bit: status, count and the
-  // full results array (%.17g doubles), ignoring the volatile fields
-  // (ms, io, batched).
-  const auto payload = [](const std::string& response) {
-    JsonValue doc;
-    EXPECT_TRUE(JsonValue::Parse(response, &doc).ok()) << response;
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("status").Value(doc.Find("status")->string_value());
-    w.Key("count").Value(doc.Find("count")->number());
-    w.Key("results").BeginArray();
-    for (const JsonValue& r : doc.Find("results")->array()) {
-      w.BeginObject()
-          .Key("object")
-          .Value(r.Find("object")->number())
-          .Key("dist")
-          .Value(r.Find("dist")->number())
-          .EndObject();
-    }
-    w.EndArray();
-    w.EndObject();
-    return w.Take();
-  };
-  std::multiset<std::string> expected, actual;
-  for (const std::string& r : want) {
-    expected.insert(payload(r));
-    expected.insert(payload(r));  // each reference runs twice in the batch
-  }
-  for (const std::string& r : col.responses) {
-    actual.insert(payload(r));
-  }
-  EXPECT_EQ(expected, actual);
+  EXPECT_EQ(c.admitted, 1u);
+  EXPECT_EQ(c.completed, 1u);
+  EXPECT_EQ(registry.counter("query.retries").value(), 1u)
+      << "the fault never reached the retry path";
+  EXPECT_EQ(registry.counter("executor.queries").value(),
+            registry.counter("server.completed").value());
 }
 
 // ---------------------------------------------------------------------------

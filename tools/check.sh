@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Builds and runs the tier-1 test suite under AddressSanitizer,
 # ThreadSanitizer and UndefinedBehaviorSanitizer (cmake
-# -DDSKS_SANITIZE=...) — with a dedicated chaos pass exercising storage
-# fault injection under each sanitizer — then a Release perf smoke that
-# fails if bench_throughput's single-thread qps dropped more than 25%
-# below the committed bench/baseline_throughput.json, a `dsks_cli chaos`
-# smoke proving the process survives injected faults, and a `dsks_cli
-# serve` smoke whose live /varz, /metrics and /tracez must show the
-# queries it just served.
+# -DDSKS_SANITIZE=...; the undefined build adds float-cast-overflow) —
+# with a dedicated chaos pass exercising storage fault injection under
+# each sanitizer — then a Release perf smoke that fails if
+# bench_throughput's single-thread qps dropped more than 25% below the
+# committed bench/baseline_throughput.json, `dsks_cli chaos` smokes
+# proving the process survives injected faults and retries them, and a
+# `dsks_cli serve` smoke whose live /varz, /metrics and /tracez must show
+# the queries it just served.
 # Usage:
 #
 #   tools/check.sh            # all three sanitizers + perf smoke
@@ -61,13 +62,31 @@ for san in "${sanitizers[@]}"; do
         "./tests/$t" --gtest_brief=1)
   done
   # The query-service suite on its own too: the TCP front end is where
-  # worker threads, the batcher, the poll loop and client threads all
-  # meet, so a data race there should be attributed loudly, like chaos.
+  # worker threads, the poll loop and client threads all meet, so a data
+  # race there should be attributed loudly, like chaos.
   echo "=== $san sanitizer: query service (server_test under $san) ==="
   (cd "$dir" && TSAN_OPTIONS="die_after_fork=0" ./tests/server_test \
       --gtest_brief=1)
   echo "=== $san sanitizer: OK ==="
 done
+
+# A `dsks_cli chaos` smoke (arguments passed through) that must exit 0 and
+# must have retried at least once. Most reads are prefetch reads, whose
+# faults are dropped by design, so a smoke with few faults can miss the
+# retry path it is there to exercise. The smokes run 512 queries at a 2%
+# read-fault rate, which gave 4 or more retries in each of 42 runs on an
+# idle and on a CPU-saturated 4-vCPU VM.
+chaos_smoke() {
+  ./build-perf/tools/dsks_cli chaos "$@" | tee build-perf/chaos_smoke.out
+  local retries
+  retries="$(sed -n 's/.*retries \([0-9]*\).*/\1/p' \
+    build-perf/chaos_smoke.out | head -1)"
+  if [ "${retries:-0}" -eq 0 ]; then
+    echo "chaos smoke: no retries — the faults never reached the retry" \
+      "path" >&2
+    exit 1
+  fi
+}
 
 # Perf smoke: only in the default full run, and skippable for machines
 # where a Release build or stable timing is unavailable.
@@ -112,10 +131,11 @@ if [ "$#" -eq 0 ] && [ "${DSKS_SKIP_PERF:-0}" != "1" ]; then
   echo "=== obs smoke: OK ==="
 
   # Chaos smoke: a Release-build workload under injected read faults must
-  # exit 0 with its failures accounted — queries fail, the process does not.
+  # exit 0 with its failures accounted — queries fail, the process does not
+  # — and with some of them retried.
   echo "=== chaos smoke: dsks_cli chaos under injected faults ==="
-  ./build-perf/tools/dsks_cli chaos --queries 128 --threads 8 \
-    --read-fault-p 0.002 --retries 2 --seed 42
+  chaos_smoke --queries 512 --threads 8 --read-fault-p 0.02 --retries 2 \
+    --seed 42
   echo "=== chaos smoke: OK ==="
 
   # Server smoke: start the query server with every query traced, run one
@@ -233,8 +253,8 @@ if rec["server_shed"] == 0:
 print(f"server smoke: drill shed {rec['server_shed']} of "
       f"{rec['server_offered']} offered, exactly accounted")
 EOF
-  ./build-perf/tools/dsks_cli chaos --socket --queries 128 --threads 8 \
-      --read-fault-p 0.002 --retries 2 --seed 42
+  chaos_smoke --socket --queries 512 --threads 8 --read-fault-p 0.02 \
+    --retries 2 --seed 42
   echo "=== server smoke: OK ==="
 
   # File-backend smoke: a small bench run with pages on a real file must
@@ -252,8 +272,8 @@ EOF
     echo "file-backend smoke: artifact is missing \"backend\":\"file\"" >&2
     exit 1
   }
-  ./build-perf/tools/dsks_cli chaos --backend file --queries 128 \
-    --threads 8 --read-fault-p 0.002 --retries 2 --seed 42
+  chaos_smoke --backend file --queries 512 --threads 8 --read-fault-p 0.02 \
+    --retries 2 --seed 42
   echo "=== file-backend smoke: OK ==="
 
   # Cold-cache smoke: the prefetch A/B on real files must produce a

@@ -29,11 +29,11 @@
 //       code (never aborting), transient read faults optionally retried.
 //       With --socket the same drill runs end-to-end through the TCP query
 //       server: requests go over loopback as JSON lines and every failure
-//       comes back as a Status-coded response.
+//       comes back as a Status-coded response — one per request, retries
+//       included. Both forms print the retry count.
 //   dsks_cli serve [--port P] [--scale F] [--index sif] [--threads N]
-//             [--queue N] [--deadline-ms D] [--batch-window-ms W]
-//             [--quota-qps Q] [--quota-burst B] [--submit-wait-ms S]
-//             [--sample N] [--duration-ms N]
+//             [--queue N] [--deadline-ms D] [--quota-qps Q]
+//             [--quota-burst B] [--sample N] [--duration-ms N]
 //       Build a synthetic database and serve the NDJSON query protocol
 //       plus the observability routes (/metrics /varz /tracez /healthz
 //       /statusz) on one loopback listener until SIGINT/SIGTERM (or
@@ -42,7 +42,7 @@
 //       /tracez serves (errors are recorded regardless; 0 = off).
 //   dsks_cli drill [--scale F] [--index sif] [--threads N] [--queue N]
 //             [--clients N] [--queries N] [--deadline-ms D] [--invalid-p P]
-//             [--batch-window-ms W] [--quota-qps Q]
+//             [--quota-qps Q]
 //       Overload drill: an in-process query server hammered over real
 //       sockets by N pipelining clients at a multiple of its capacity,
 //       with /metrics scraped throughout. Verifies the admission
@@ -203,13 +203,12 @@ int Usage() {
                "           [--retries 0] [--socket]\n"
                "  dsks_cli serve [--port 0] [--scale 0.03] [--index sif]\n"
                "           [--threads 4] [--queue 64] [--deadline-ms 0]\n"
-               "           [--batch-window-ms 0] [--quota-qps 0]\n"
-               "           [--quota-burst 8] [--submit-wait-ms 0]\n"
+               "           [--quota-qps 0] [--quota-burst 8]\n"
                "           [--sample 0] [--duration-ms 0]\n"
                "  dsks_cli drill [--scale 0.03] [--index sif] [--threads 4]\n"
                "           [--queue 16] [--clients 8] [--queries 64]\n"
                "           [--deadline-ms 0] [--invalid-p 0]\n"
-               "           [--batch-window-ms 0] [--quota-qps 0]\n"
+               "           [--quota-qps 0]\n"
                "query/metrics/chaos/serve/drill also accept storage-backend "
                "flags:\n"
                "           [--backend sim|file] [--backend-path PATH]\n"
@@ -786,9 +785,6 @@ int CmdServe(const Args& args) {
   sc.service.queue_capacity = args.GetSize("queue", 64, 1, 1u << 20);
   sc.service.default_deadline_ms =
       args.GetDouble("deadline-ms", 0.0, 0.0, 1e9);
-  sc.service.batch_window_ms =
-      args.GetDouble("batch-window-ms", 0.0, 0.0, 1e6);
-  sc.service.submit_wait_ms = args.GetDouble("submit-wait-ms", 0.0, 0.0, 1e6);
   sc.service.quota.rate_qps = args.GetDouble("quota-qps", 0.0, 0.0, 1e9);
   sc.service.quota.burst = args.GetDouble("quota-burst", 8.0, 1.0, 1e9);
   sc.service.metrics = &registry;
@@ -844,8 +840,6 @@ int CmdDrill(const Args& args) {
   const size_t queries_per_client = args.GetSize("queries", 64, 1, 1u << 20);
   const double deadline_ms = args.GetDouble("deadline-ms", 0.0, 0.0, 1e9);
   const double invalid_p = args.GetDouble("invalid-p", 0.0, 0.0, 1.0);
-  const double batch_window_ms =
-      args.GetDouble("batch-window-ms", 0.0, 0.0, 1e6);
   const double quota_qps = args.GetDouble("quota-qps", 0.0, 0.0, 1e9);
 
   CliBackend backend(args);
@@ -859,7 +853,6 @@ int CmdDrill(const Args& args) {
   sc.service.threads = threads;
   sc.service.queue_capacity = queue;
   sc.service.default_deadline_ms = deadline_ms;
-  sc.service.batch_window_ms = batch_window_ms;
   sc.service.quota.rate_qps = quota_qps;
   sc.service.metrics = &registry;
   server::QueryServer server(&db, sc);
@@ -970,8 +963,6 @@ int CmdDrill(const Args& args) {
   w.Key("server_invalid").Value(sv.invalid);
   w.Key("server_quota_denied").Value(sv.quota_denied);
   w.Key("server_cancelled").Value(sv.cancelled);
-  w.Key("server_batches").Value(sv.batches);
-  w.Key("server_batched_queries").Value(sv.batched_queries);
   w.Key("server_client_ok").Value(client_ok);
   w.Key("server_client_cancelled").Value(client_cancelled);
   w.Key("server_client_rejected").Value(client_rejected);
@@ -1083,11 +1074,13 @@ int CmdChaos(const Args& args) {
       std::printf("    %-17s %llu\n", status.c_str(),
                   static_cast<unsigned long long>(n));
     }
-    std::printf("  server: %llu admitted, %llu completed, %llu shed; "
-                "transport errors %llu\n",
+    std::printf("  server: %llu admitted, %llu completed, %llu shed, "
+                "retries %llu; transport errors %llu\n",
                 static_cast<unsigned long long>(sv.admitted),
                 static_cast<unsigned long long>(sv.completed),
                 static_cast<unsigned long long>(sv.shed),
+                static_cast<unsigned long long>(
+                    registry.counter("query.retries").value()),
                 static_cast<unsigned long long>(total.transport_errors));
     const bool survived =
         total.received == total.sent && sv.admitted == sv.completed;

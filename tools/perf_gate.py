@@ -195,8 +195,6 @@ SERVER_DRILL_SCHEMA = {
         "server_invalid": INT,
         "server_quota_denied": INT,
         "server_cancelled": INT,
-        "server_batches": INT,
-        "server_batched_queries": INT,
         "server_client_ok": INT,
         "server_client_cancelled": INT,
         "server_client_rejected": INT,
