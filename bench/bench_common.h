@@ -37,8 +37,7 @@ inline DatasetConfig Scaled(const DatasetConfig& preset) {
 }
 
 /// Storage backend for a bench run, chosen by `--backend=sim|file` on the
-/// command line (`--o-direct` adds O_DIRECT on the file backend). The
-/// file backend writes to a fresh temp file removed on destruction, so a
+/// command line. The file backend writes to a fresh temp file removed on destruction, so a
 /// bench run leaves nothing behind. Every JSON record a bench emits must
 /// carry the backend name — numbers from the two backends are different
 /// experiments and must never be compared silently (see perf_gate.py).
@@ -46,12 +45,9 @@ class BenchBackend {
  public:
   BenchBackend(int argc, char** argv) {
     std::string name;
-    bool o_direct = false;
     for (int i = 1; i < argc; ++i) {
       if (std::strncmp(argv[i], "--backend=", 10) == 0) {
         name = argv[i] + 10;
-      } else if (std::strcmp(argv[i], "--o-direct") == 0) {
-        o_direct = true;
       }
     }
     if (name == "file") {
@@ -59,10 +55,6 @@ class BenchBackend {
       options_.path =
           "/tmp/dsks_bench_" + std::to_string(::getpid()) + ".pages";
       owns_files_ = true;
-      // O_DIRECT bypasses the OS page cache, so "cold" really means the
-      // device: without it a cold-cache A/B on a warm page cache measures
-      // memcpy, not device reads.
-      options_.o_direct = o_direct;
     } else if (!name.empty() && name != "sim") {
       std::fprintf(stderr, "--backend: want 'sim' or 'file', got '%s'\n",
                    name.c_str());

@@ -118,11 +118,13 @@ BENCHMARK(BM_CcamAdjacency);
 void BM_BPlusTreeGet(benchmark::State& state) {
   DiskManager disk;
   BufferPool pool(&disk, 1u << 14);
-  BPlusTree tree = BPlusTree::Create(&pool);
   const uint64_t n = 100000;
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  pairs.reserve(n);
   for (uint64_t k = 0; k < n; ++k) {
-    tree.Insert(k * 7, k);
+    pairs.emplace_back(k * 7, k);
   }
+  const BPlusTree tree = BPlusTree::BulkLoad(&pool, pairs);
   Random rng(4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree.Get(rng.Uniform(n) * 7));

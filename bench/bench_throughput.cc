@@ -12,8 +12,8 @@
 // check.sh overhead gate compares a sampled run against the unsampled
 // smoke). To scrape /metrics, /varz and /tracez live, run
 // `dsks_cli serve --sample N` instead.
-// Flags: --backend=sim|file and --o-direct (see BenchBackend), --cold
-// (the prefetch off/on A/B on a pool emptied before every query).
+// Flags: --backend=sim|file (see BenchBackend), --cold (the prefetch
+// off/on A/B on a pool emptied before every query).
 //
 // Besides the table, every measurement is emitted as one JSON line
 // (prefix "JSON ") for scripted consumption. Latency avg/p50/p95/p99 in

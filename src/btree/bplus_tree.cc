@@ -13,7 +13,8 @@ namespace {
 // Node layout (shared header):
 //   u8  is_leaf
 //   u16 count
-//   u32 next            (leaf sibling chain; unused for internal nodes)
+//   u32 next            (leaf sibling chain, written but never read;
+//                        kInvalidPageId in internal nodes)
 // Leaf body:     count * { u64 key, u64 value }
 // Internal body: u32 child0, count * { u64 key, u32 child }
 //   Key k at index i separates child i (keys < k) from child i+1 (>= k).
@@ -34,11 +35,6 @@ uint16_t Count(const char* p) {
 }
 void SetCount(char* p, uint16_t c) { std::memcpy(p + 1, &c, 2); }
 
-PageId Next(const char* p) {
-  PageId n;
-  std::memcpy(&n, p + 3, 4);
-  return n;
-}
 void SetNext(char* p, PageId n) { std::memcpy(p + 3, &n, 4); }
 
 uint64_t LeafKey(const char* p, size_t i) {
@@ -117,22 +113,12 @@ size_t InternalChildIndex(const char* p, uint64_t key) {
 size_t BPlusTree::LeafCapacity() { return kLeafCapacity; }
 size_t BPlusTree::InternalCapacity() { return kInternalCapacity; }
 
-BPlusTree BPlusTree::Create(BufferPool* pool) {
-  PageId root;
-  PageGuard guard = PageGuard::New(pool, &root);
-  SetLeaf(guard.data(), true);
-  SetCount(guard.data(), 0);
-  SetNext(guard.data(), kInvalidPageId);
-  guard.MarkDirty();
-  return BPlusTree(pool, root);
-}
-
 BPlusTree BPlusTree::BulkLoad(
     BufferPool* pool, std::span<const std::pair<Key, Value>> sorted) {
-  if (sorted.empty()) {
-    return Create(pool);
-  }
-  // Leaves first, ~90% full so subsequent inserts do not split at once.
+  // The layout is fixed by the index files already written: nodes ~90%
+  // full and leaves chained by `next`. Nothing reads the chain and nothing
+  // inserts into the slack, but changing either would change every index
+  // file's bytes and size and every page-access count pinned against them.
   const size_t leaf_fill = std::max<size_t>(1, kLeafCapacity * 9 / 10);
   struct ChildRef {
     Key first_key;
@@ -140,7 +126,11 @@ BPlusTree BPlusTree::BulkLoad(
   };
   std::vector<ChildRef> level;
   PageId prev_leaf = kInvalidPageId;
-  for (size_t start = 0; start < sorted.size(); start += leaf_fill) {
+  // Leaves first; an empty input still gets one (empty) leaf as its root.
+  const size_t num_leaves =
+      std::max<size_t>(1, (sorted.size() + leaf_fill - 1) / leaf_fill);
+  for (size_t leaf = 0; leaf < num_leaves; ++leaf) {
+    const size_t start = leaf * leaf_fill;
     const size_t end = std::min(sorted.size(), start + leaf_fill);
     PageId id;
     PageGuard guard = PageGuard::New(pool, &id);
@@ -149,7 +139,9 @@ BPlusTree BPlusTree::BulkLoad(
     SetCount(p, static_cast<uint16_t>(end - start));
     SetNext(p, kInvalidPageId);
     for (size_t i = start; i < end; ++i) {
-      if (i > start) {
+      // From the second key on, across leaf boundaries too: a repeat or a
+      // descent there would route Get to the wrong leaf.
+      if (i > 0) {
         DSKS_CHECK_MSG(sorted[i - 1].first < sorted[i].first,
                        "BulkLoad requires strictly increasing keys");
       }
@@ -163,7 +155,7 @@ BPlusTree BPlusTree::BulkLoad(
       prev.MarkDirty();
     }
     prev_leaf = id;
-    level.push_back(ChildRef{sorted[start].first, id});
+    level.push_back(ChildRef{start < end ? sorted[start].first : 0, id});
   }
 
   // Internal levels until a single node remains.
@@ -189,139 +181,6 @@ BPlusTree BPlusTree::BulkLoad(
     level = std::move(parents);
   }
   return BPlusTree(pool, level[0].page);
-}
-
-std::optional<BPlusTree::SplitResult> BPlusTree::InsertRecursive(PageId node,
-                                                                 Key key,
-                                                                 Value value) {
-  PageGuard guard = FetchForBuild(pool_, node);
-  char* p = guard.data();
-
-  if (IsLeaf(p)) {
-    const size_t n = Count(p);
-    const size_t idx = LeafLowerBound(p, key);
-    if (idx < n && LeafKey(p, idx) == key) {
-      SetLeafEntry(p, idx, key, value);  // overwrite
-      guard.MarkDirty();
-      return std::nullopt;
-    }
-    if (n < kLeafCapacity) {
-      std::memmove(p + kHeaderSize + (idx + 1) * kLeafEntrySize,
-                   p + kHeaderSize + idx * kLeafEntrySize,
-                   (n - idx) * kLeafEntrySize);
-      SetLeafEntry(p, idx, key, value);
-      SetCount(p, static_cast<uint16_t>(n + 1));
-      guard.MarkDirty();
-      return std::nullopt;
-    }
-    // Split the full leaf: left keeps the first half, right the rest.
-    PageId right_id;
-    PageGuard right = PageGuard::New(pool_, &right_id);
-    char* r = right.data();
-    SetLeaf(r, true);
-    const size_t left_n = (n + 1) / 2;
-    const size_t right_n = n - left_n;
-    std::memcpy(r + kHeaderSize, p + kHeaderSize + left_n * kLeafEntrySize,
-                right_n * kLeafEntrySize);
-    SetCount(r, static_cast<uint16_t>(right_n));
-    SetNext(r, Next(p));
-    SetCount(p, static_cast<uint16_t>(left_n));
-    SetNext(p, right_id);
-    guard.MarkDirty();
-    right.MarkDirty();
-    // Insert into whichever side now owns the key's range.
-    const Key separator = LeafKey(r, 0);
-    right.Release();
-    guard.Release();
-    if (key < separator) {
-      auto sub = InsertRecursive(node, key, value);
-      DSKS_CHECK(!sub.has_value());
-    } else {
-      auto sub = InsertRecursive(right_id, key, value);
-      DSKS_CHECK(!sub.has_value());
-    }
-    return SplitResult{separator, right_id};
-  }
-
-  // Internal node: descend, then apply any child split here.
-  const size_t slot = InternalChildIndex(p, key);
-  const PageId child = Child(p, slot);
-  guard.Release();  // do not hold a pin across the recursive call
-  auto split = InsertRecursive(child, key, value);
-  if (!split.has_value()) {
-    return std::nullopt;
-  }
-
-  PageGuard again = FetchForBuild(pool_, node);
-  p = again.data();
-  const size_t n = Count(p);
-  if (n < kInternalCapacity) {
-    // Shift separators/children right of `slot` and place the new entry.
-    for (size_t i = n; i > slot; --i) {
-      SetInternalKey(p, i, InternalKey(p, i - 1));
-      SetChild(p, i + 1, Child(p, i));
-    }
-    SetInternalKey(p, slot, split->separator);
-    SetChild(p, slot + 1, split->right);
-    SetCount(p, static_cast<uint16_t>(n + 1));
-    again.MarkDirty();
-    return std::nullopt;
-  }
-
-  // Split the full internal node. Gather the n+1 separators and n+2
-  // children that logically exist after the pending insertion.
-  std::vector<Key> keys(n + 1);
-  std::vector<PageId> children(n + 2);
-  for (size_t i = 0; i < n; ++i) keys[i] = InternalKey(p, i);
-  for (size_t i = 0; i <= n; ++i) children[i] = Child(p, i);
-  keys.insert(keys.begin() + slot, split->separator);
-  children.insert(children.begin() + slot + 1, split->right);
-
-  const size_t total = n + 1;          // separators after insert
-  const size_t mid = total / 2;        // separator promoted to the parent
-  const Key up_key = keys[mid];
-
-  PageId right_id;
-  PageGuard right = PageGuard::New(pool_, &right_id);
-  char* r = right.data();
-  SetLeaf(r, false);
-  SetNext(r, kInvalidPageId);
-  const size_t right_n = total - mid - 1;
-  SetCount(r, static_cast<uint16_t>(right_n));
-  SetChild(r, 0, children[mid + 1]);
-  for (size_t i = 0; i < right_n; ++i) {
-    SetInternalKey(r, i, keys[mid + 1 + i]);
-    SetChild(r, i + 1, children[mid + 2 + i]);
-  }
-  right.MarkDirty();
-
-  SetCount(p, static_cast<uint16_t>(mid));
-  SetChild(p, 0, children[0]);
-  for (size_t i = 0; i < mid; ++i) {
-    SetInternalKey(p, i, keys[i]);
-    SetChild(p, i + 1, children[i + 1]);
-  }
-  again.MarkDirty();
-  return SplitResult{up_key, right_id};
-}
-
-void BPlusTree::Insert(Key key, Value value) {
-  auto split = InsertRecursive(root_, key, value);
-  if (!split.has_value()) {
-    return;
-  }
-  // Grow a new root above the old one.
-  PageId new_root;
-  PageGuard guard = PageGuard::New(pool_, &new_root);
-  char* p = guard.data();
-  SetLeaf(p, false);
-  SetCount(p, 1);
-  SetNext(p, kInvalidPageId);
-  SetChild(p, 0, root_);
-  SetInternalKey(p, 0, split->separator);
-  SetChild(p, 1, split->right);
-  guard.MarkDirty();
-  root_ = new_root;
 }
 
 Status BPlusTree::FindLeaf(Key key, PageId* leaf) const {
@@ -403,78 +262,6 @@ Status BPlusTree::MultiGet(BufferPool* pool, std::span<const PageId> roots,
     }
   }
   return Status::Corruption("B+tree descent exceeded maximum depth");
-}
-
-Status BPlusTree::RangeScan(
-    Key lo, Key hi, const std::function<bool(Key, Value)>& visit) const {
-  // Readahead window: how many leaves past the cursor's first leaf are
-  // speculatively pulled in one batch. Leaves hold ~250 entries, so eight
-  // pages cover ~2000 upcoming range entries — deep enough to hide the
-  // chain walk's I/O, small next to the paper's 2% pool.
-  constexpr size_t kScanReadahead = 8;
-  PageId readahead[kScanReadahead];
-  size_t n_readahead = 0;
-  PageId leaf = kInvalidPageId;
-  {
-    // FindLeaf's descent, additionally remembering the upcoming in-range
-    // children of each internal node; the deepest level's snapshot is
-    // exactly the leaf chain ahead of the cursor (bounded by `hi`: a
-    // sibling whose separator exceeds the range end is never visited).
-    PageId node = root_;
-    for (int depth = 0; depth < 64; ++depth) {
-      PageGuard guard;
-      DSKS_RETURN_IF_ERROR(PageGuard::Fetch(pool_, node, &guard));
-      const char* p = guard.data();
-      if (IsLeaf(p)) {
-        leaf = node;
-        break;
-      }
-      const size_t slot = InternalChildIndex(p, lo);
-      const size_t n = Count(p);
-      n_readahead = 0;
-      for (size_t j = slot + 1;
-           j <= n && n_readahead < kScanReadahead; ++j) {
-        if (InternalKey(p, j - 1) > hi) {
-          break;
-        }
-        readahead[n_readahead++] = Child(p, j);
-      }
-      node = Child(p, slot);
-    }
-    if (leaf == kInvalidPageId) {
-      return Status::Corruption("B+tree descent exceeded maximum depth");
-    }
-  }
-  if (n_readahead > 0) {
-    pool_->Prefetch(std::span<const PageId>(readahead, n_readahead));
-  }
-  while (leaf != kInvalidPageId) {
-    PageGuard guard;
-    DSKS_RETURN_IF_ERROR(PageGuard::Fetch(pool_, leaf, &guard));
-    const char* p = guard.data();
-    const size_t n = Count(p);
-    for (size_t i = LeafLowerBound(p, lo); i < n; ++i) {
-      const Key k = LeafKey(p, i);
-      if (k > hi) {
-        return Status::Ok();
-      }
-      if (!visit(k, LeafValue(p, i))) {
-        return Status::Ok();
-      }
-    }
-    leaf = Next(p);
-  }
-  return Status::Ok();
-}
-
-uint64_t BPlusTree::CountEntries() const {
-  uint64_t total = 0;
-  const Status s = RangeScan(0, UINT64_MAX, [&total](Key, Value) {
-    ++total;
-    return true;
-  });
-  DSKS_CHECK_MSG(s.ok(), "CountEntries on a faulty disk");
-  return total;
 }
 
 uint64_t BPlusTree::CountPagesRecursive(PageId node) const {

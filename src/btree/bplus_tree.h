@@ -2,7 +2,6 @@
 #define DSKS_BTREE_BPLUS_TREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <utility>
@@ -19,10 +18,10 @@ namespace dsks {
 /// (disambiguated by edge id in the low bits); values point at posting
 /// pages.
 ///
-/// Keys are unique; Insert of an existing key overwrites its value. The
-/// tree starts as a single leaf page and grows by splitting; all node
-/// accesses go through the buffer pool and therefore show up in the I/O
-/// statistics.
+/// Built once by BulkLoad over unique, sorted keys and read-only after
+/// that: the indexes are measured over a fixed object set (§3, §5). All
+/// node accesses go through the buffer pool and therefore show up in the
+/// I/O statistics.
 class BPlusTree {
  public:
   using Key = uint64_t;
@@ -31,18 +30,12 @@ class BPlusTree {
   /// Opens an existing tree rooted at `root`.
   BPlusTree(BufferPool* pool, PageId root) : pool_(pool), root_(root) {}
 
-  /// Creates an empty tree (a single empty leaf) and returns its handle.
-  static BPlusTree Create(BufferPool* pool);
-
-  /// Builds a tree bottom-up from strictly increasing (key, value) pairs —
-  /// O(n) page writes instead of O(n log n) descent work. Used by the
+  /// Builds a tree bottom-up from strictly increasing (key, value) pairs
+  /// (CHECK-fails otherwise) with O(n) page writes. Used by the
   /// inverted-file builder, whose per-keyword edge lists are produced in
-  /// sorted order.
+  /// sorted order. An empty input yields a single empty leaf.
   static BPlusTree BulkLoad(BufferPool* pool,
                             std::span<const std::pair<Key, Value>> sorted);
-
-  /// Inserts or overwrites. May change root().
-  void Insert(Key key, Value value);
 
   /// Point lookup. `*result` is nullopt when the key is absent; a non-OK
   /// status (disk error during the descent) leaves `*result` nullopt.
@@ -72,36 +65,18 @@ class BPlusTree {
   static Status MultiGet(BufferPool* pool, std::span<const PageId> roots,
                          Key key, std::span<std::optional<Value>> results);
 
-  /// Visits all entries with lo <= key <= hi in key order. The visitor
-  /// returns false to stop early (that is not an error). Disk errors
-  /// during the scan are returned; entries already visited stand.
-  Status RangeScan(Key lo, Key hi,
-                   const std::function<bool(Key, Value)>& visit) const;
-
-  /// Number of entries (O(leaves) scan; for stats and tests).
-  uint64_t CountEntries() const;
-
   /// Number of pages owned by the tree (O(nodes) walk; for index-size
   /// accounting).
   uint64_t CountPages() const;
 
   PageId root() const { return root_; }
 
-  /// Max entries per leaf/internal node; exposed for tests that want to
-  /// force splits.
+  /// Max entries per leaf/internal node. BulkLoad fills ~90% of either;
+  /// tests use these to size trees of a given height.
   static size_t LeafCapacity();
   static size_t InternalCapacity();
 
  private:
-  struct SplitResult {
-    Key separator;
-    PageId right;
-  };
-
-  /// Recursive insert; returns the split to apply at the parent, if any.
-  std::optional<SplitResult> InsertRecursive(PageId node, Key key,
-                                             Value value);
-
   /// Descends to the leaf that would contain `key`. Reports a cyclic or
   /// over-deep descent (corrupted internal node) as Corruption instead of
   /// looping forever.

@@ -1,7 +1,6 @@
 #include "index/inverted_file.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/macros.h"
 #include "spatial/zorder.h"
@@ -77,48 +76,6 @@ InvertedFileIndex::InvertedFileIndex(BufferPool* pool,
   }
   directory_bytes_ = term_roots_.size() * sizeof(PageId) +
                      edge_zcode_.size() * sizeof(uint64_t);
-
-  edge_next_pos_.assign(net.num_edges(), 0);
-  for (EdgeId e = 0; e < net.num_edges(); ++e) {
-    edge_next_pos_[e] =
-        static_cast<uint16_t>(objects.ObjectsOnEdge(e).size());
-  }
-}
-
-void InvertedFileIndex::AddObject(ObjectId id, EdgeId edge, double w1,
-                                  std::span<const TermId> terms) {
-  DSKS_CHECK_MSG(edge < edge_zcode_.size(), "unknown edge");
-  DSKS_CHECK_MSG(!terms.empty(), "object needs at least one keyword");
-  DSKS_CHECK(std::is_sorted(terms.begin(), terms.end()));
-  const uint16_t pos = edge_next_pos_[edge]++;
-
-  std::vector<PostingFile::Entry> run;
-  for (TermId t : terms) {
-    DSKS_CHECK_MSG(t < term_roots_.size(), "term outside vocabulary");
-    run.clear();
-    const uint64_t key = EdgeKey(edge_zcode_[edge], edge);
-    std::optional<PostingFile::Locator> loc;
-    Status status = FindRun(t, edge, &loc);
-    if (status.ok() && loc.has_value()) {
-      status = postings_->ReadRun(*loc, &run);
-    }
-    DSKS_CHECK_MSG(status.ok(), "AddObject on a faulty disk");
-    // New positions are assigned in increasing order, so appending keeps
-    // the run sorted by position.
-    run.push_back(PostingFile::Entry{id, pos, w1});
-    const PostingFile::Locator new_loc = postings_->AppendRun(run);
-    if (term_roots_[t] == kInvalidPageId) {
-      BPlusTree tree = BPlusTree::Create(pool_);
-      tree.Insert(key, new_loc);
-      term_roots_[t] = tree.root();
-    } else {
-      BPlusTree tree(pool_, term_roots_[t]);
-      tree.Insert(key, new_loc);
-      term_roots_[t] = tree.root();  // root may change on split
-    }
-    ++posting_count_[t];
-  }
-  OnObjectAdded(id, edge, terms);
 }
 
 Status InvertedFileIndex::FindRun(

@@ -38,16 +38,6 @@ class InvertedFileIndex : public ObjectIndex {
 
   std::string name() const override { return "IF"; }
 
-  /// Dynamic ingestion: indexes one new object (id, edge, cost offset
-  /// w(n1,o), sorted keyword set) without a rebuild. Each affected
-  /// (keyword, edge) run is rewritten at the end of the posting file and
-  /// its B+tree entry updated; subclasses extend their in-memory summaries
-  /// via OnObjectAdded. The new object's position along the edge is an
-  /// append rank (positions stay unique per edge, which is all query
-  /// processing relies on).
-  void AddObject(ObjectId id, EdgeId edge, double w1,
-                 std::span<const TermId> terms);
-
   /// B+tree key of an edge: Z-order code of its center in the high 32
   /// bits, edge id in the low 32 bits.
   static uint64_t EdgeKey(uint64_t zcode, EdgeId edge) {
@@ -88,20 +78,12 @@ class InvertedFileIndex : public ObjectIndex {
   /// Sizes of in-memory summaries added by subclasses.
   virtual uint64_t SummarySizeBytes() const { return 0; }
 
-  /// Notifies subclasses that AddObject indexed a new object, so that
-  /// signatures / partitions can be maintained.
-  virtual void OnObjectAdded(ObjectId id, EdgeId edge,
-                             std::span<const TermId> terms) {
-    (void)id;
-    (void)edge;
-    (void)terms;
-  }
-
   BufferPool* pool_;
 
  private:
-  /// Fetches the posting run of (term, edge); `*loc` is nullopt if absent.
-  /// Counts one probe I/O path through the B+tree.
+  /// Fetches the posting run of (term, edge); `*loc` is nullopt if absent,
+  /// including for a term outside the vocabulary. Counts one probe I/O
+  /// path through the B+tree.
   Status FindRun(TermId t, EdgeId edge,
                  std::optional<PostingFile::Locator>* loc) const;
 
@@ -111,8 +93,6 @@ class InvertedFileIndex : public ObjectIndex {
   std::vector<uint64_t> posting_count_;
   /// Z-order code (32-bit) of each edge's center, precomputed.
   std::vector<uint64_t> edge_zcode_;
-  /// Next position rank to assign per edge (for dynamic ingestion).
-  std::vector<uint16_t> edge_next_pos_;
   uint64_t btree_pages_ = 0;
   uint64_t directory_bytes_ = 0;
 };

@@ -44,12 +44,12 @@ Status InvertedRTreeIndex::LoadObjects(EdgeId edge,
   std::vector<ObjectId> candidates;
   bool first = true;
   for (TermId t : terms) {
-    if (term_trees_[t] == nullptr) {
+    if (TermTree(t) == nullptr) {
       candidates.clear();
       break;
     }
     std::vector<ObjectId> found;
-    DSKS_RETURN_IF_ERROR(term_trees_[t]->RangeSearch(
+    DSKS_RETURN_IF_ERROR(TermTree(t)->RangeSearch(
         edge_mbr, [&found](const Mbr&, uint64_t id) {
           found.push_back(static_cast<ObjectId>(id));
           return true;
@@ -115,12 +115,12 @@ Status InvertedRTreeIndex::EuclideanCandidates(const Point& center,
                                   {center.x + radius, center.y + radius});
   bool first = true;
   for (TermId t : terms) {
-    if (term_trees_[t] == nullptr) {
+    if (TermTree(t) == nullptr) {
       out->clear();
       return Status::Ok();
     }
     std::vector<ObjectId> found;
-    DSKS_RETURN_IF_ERROR(term_trees_[t]->RangeSearch(
+    DSKS_RETURN_IF_ERROR(TermTree(t)->RangeSearch(
         box, [&found, &center, radius](const Mbr& mbr, uint64_t id) {
           if (mbr.MinDistance(center) <= radius) {
             found.push_back(static_cast<ObjectId>(id));

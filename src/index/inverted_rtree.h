@@ -46,6 +46,12 @@ class InvertedRTreeIndex : public ObjectIndex {
   }
 
  private:
+  /// Keyword `t`'s R-tree; null when no object carries `t`, including
+  /// every term outside the vocabulary.
+  const RTree* TermTree(TermId t) const {
+    return t < term_trees_.size() ? term_trees_[t].get() : nullptr;
+  }
+
   BufferPool* pool_;
   const ObjectSet* objects_meta_;  // for edge MBRs only
   std::vector<std::unique_ptr<RTree>> term_trees_;

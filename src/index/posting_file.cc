@@ -57,8 +57,7 @@ PostingFile::Locator PostingFile::AppendRun(std::span<const Entry> entries) {
   // A run must occupy consecutive page ids (the locator only records where
   // it starts). If it does not fit in the current page's remainder, start
   // on fresh pages allocated in one burst — that way no assumption is made
-  // about allocations that happened between AppendRun calls (dynamic
-  /// ingestion interleaves B+tree splits with posting appends).
+  // about allocations that happened between AppendRun calls.
   const size_t remainder =
       current_page_ == kInvalidPageId ? 0 : kEntriesPerPage - current_slot_;
   if (entries.size() > remainder) {

@@ -35,12 +35,6 @@ class SifIndex : public InvertedFileIndex {
     return signature_->SizeBytes();
   }
 
-  void OnObjectAdded(ObjectId id, EdgeId edge,
-                     std::span<const TermId> terms) override {
-    (void)id;
-    signature_->AddObjectTerms(edge, terms);
-  }
-
  private:
   std::unique_ptr<KdEdgeOrder> kd_order_;
   std::unique_ptr<SignatureFile> signature_;

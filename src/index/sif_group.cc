@@ -98,30 +98,6 @@ uint64_t SifGroupIndex::EstimatePairListBytes(const ObjectSet& objects,
   return bytes;
 }
 
-void SifGroupIndex::OnObjectAdded(ObjectId id, EdgeId edge,
-                                  std::span<const TermId> terms) {
-  // Keep the pair lists exact: mark every frequent pair the new object
-  // carries as present on its edge.
-  std::vector<TermId> freq_terms;
-  for (TermId t : terms) {
-    if (std::binary_search(frequent_terms_.begin(), frequent_terms_.end(),
-                           t)) {
-      freq_terms.push_back(t);
-    }
-  }
-  for (size_t i = 0; i < freq_terms.size(); ++i) {
-    for (size_t j = i + 1; j < freq_terms.size(); ++j) {
-      auto& edges = pair_edges_[PairKey(freq_terms[i], freq_terms[j])];
-      auto it = std::lower_bound(edges.begin(), edges.end(), edge);
-      if (it == edges.end() || *it != edge) {
-        edges.insert(it, edge);
-        pair_bytes_ += sizeof(EdgeId);
-      }
-    }
-  }
-  SifIndex::OnObjectAdded(id, edge, terms);
-}
-
 bool SifGroupIndex::CheckSignature(EdgeId edge, std::span<const TermId> terms,
                                    std::vector<PosRange>* ranges) {
   if (!SifIndex::CheckSignature(edge, terms, ranges)) {

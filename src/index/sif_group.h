@@ -49,9 +49,6 @@ class SifGroupIndex : public SifIndex {
     return SifIndex::SummarySizeBytes() + pair_bytes_;
   }
 
-  void OnObjectAdded(ObjectId id, EdgeId edge,
-                     std::span<const TermId> terms) override;
-
  private:
   static uint64_t PairKey(TermId a, TermId b) {
     return (static_cast<uint64_t>(std::min(a, b)) << 32) | std::max(a, b);

@@ -59,15 +59,6 @@ class SifPartitionedIndex : public SifIndex {
 
   uint64_t SummarySizeBytes() const override;
 
-  /// A dynamically ingested object invalidates its edge's partition (the
-  /// trained virtual edges no longer cover the new object safely); the
-  /// edge falls back to plain SIF behaviour.
-  void OnObjectAdded(ObjectId id, EdgeId edge,
-                     std::span<const TermId> terms) override {
-    partitions_.erase(edge);
-    SifIndex::OnObjectAdded(id, edge, terms);
-  }
-
  private:
   struct PartitionedEdge {
     EdgePartition partition;

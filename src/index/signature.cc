@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/macros.h"
-
 namespace dsks {
 
 SignatureFile::SignatureFile(const ObjectSet& objects,
@@ -39,23 +37,10 @@ SignatureFile::SignatureFile(const ObjectSet& objects,
   }
 }
 
-void SignatureFile::AddObjectTerms(EdgeId e, std::span<const TermId> terms) {
-  const uint32_t pos = order_->PositionOf(e);
-  for (TermId t : terms) {
-    DSKS_CHECK(t < positions_.size());
-    auto& v = positions_[t];
-    if (v.empty()) {
-      continue;  // unsigned keyword: already pass-through
-    }
-    auto it = std::lower_bound(v.begin(), v.end(), pos);
-    if (it == v.end() || *it != pos) {
-      v.insert(it, pos);
-    }
-  }
-}
-
 bool SignatureFile::Test(EdgeId e, TermId t) const {
-  DSKS_CHECK(t < positions_.size());
+  if (t >= positions_.size()) {
+    return false;
+  }
   const auto& v = positions_[t];
   if (v.empty()) {
     return true;  // no signature built for this keyword

@@ -2,7 +2,6 @@
 #define DSKS_INDEX_SIGNATURE_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/object_set.h"
@@ -33,17 +32,12 @@ class SignatureFile {
                 size_t vocab_size, size_t min_postings);
 
   /// I(e, t): true if edge `e` may contain an object with keyword `t`
-  /// (exact for signed keywords, always true for unsigned ones).
+  /// (exact for signed keywords, always true for unsigned ones). A term
+  /// outside the vocabulary is carried by no object: false on every edge.
   bool Test(EdgeId e, TermId t) const;
 
   /// True if keyword `t` has a signature (its bit vector is materialized).
   bool HasSignature(TermId t) const { return !positions_[t].empty(); }
-
-  /// Dynamic-ingestion hook: sets I(e, t) = 1 for every signed term of a
-  /// newly indexed object. Unsigned keywords (below the build-time posting
-  /// threshold) stay pass-through, so the signature never produces false
-  /// negatives. SizeBytes() keeps its build-time value.
-  void AddObjectTerms(EdgeId e, std::span<const TermId> terms);
 
   /// Compacted signature size over all keywords (one bit per trie node).
   uint64_t SizeBytes() const { return size_bytes_; }

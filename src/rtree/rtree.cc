@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <queue>
 
 #include "common/macros.h"
 
@@ -50,7 +49,6 @@ void ReadEntry(const char* p, size_t i, Mbr* mbr, uint64_t* payload) {
 }  // namespace
 
 size_t RTree::LeafCapacity() { return kCapacity; }
-size_t RTree::InternalCapacity() { return kCapacity; }
 
 RTree RTree::BulkLoad(BufferPool* pool, std::vector<Entry> entries) {
   // Empty tree: a single empty leaf keeps all read paths uniform.
@@ -113,243 +111,6 @@ RTree RTree::BulkLoad(BufferPool* pool, std::vector<Entry> entries) {
   }
 }
 
-RTree RTree::CreateEmpty(BufferPool* pool) {
-  PageId root;
-  PageGuard guard = PageGuard::New(pool, &root);
-  SetLeaf(guard.data(), true);
-  SetCount(guard.data(), 0);
-  return RTree(pool, root, 1);
-}
-
-namespace {
-
-/// Guttman's quadratic split over `entries` (size kCapacity + 1): returns
-/// the index partition into two groups.
-void QuadraticSplit(const std::vector<RTree::Entry>& entries,
-                    std::vector<size_t>* left, std::vector<size_t>* right) {
-  const size_t n = entries.size();
-  // Pick the pair of seeds wasting the most area together.
-  size_t seed_a = 0;
-  size_t seed_b = 1;
-  double worst = -1.0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      Mbr merged = entries[i].mbr;
-      merged.Extend(entries[j].mbr);
-      const double dead =
-          merged.Area() - entries[i].mbr.Area() - entries[j].mbr.Area();
-      if (dead > worst) {
-        worst = dead;
-        seed_a = i;
-        seed_b = j;
-      }
-    }
-  }
-  left->assign(1, seed_a);
-  right->assign(1, seed_b);
-  Mbr left_mbr = entries[seed_a].mbr;
-  Mbr right_mbr = entries[seed_b].mbr;
-  const size_t min_fill = n / 3;  // keep both sides reasonably full
-
-  for (size_t i = 0; i < n; ++i) {
-    if (i == seed_a || i == seed_b) continue;
-    const size_t remaining = n - left->size() - right->size();
-    // Force-assign when one side must take everything left to reach the
-    // minimum fill.
-    if (left->size() + remaining <= min_fill + 1) {
-      left->push_back(i);
-      left_mbr.Extend(entries[i].mbr);
-      continue;
-    }
-    if (right->size() + remaining <= min_fill + 1) {
-      right->push_back(i);
-      right_mbr.Extend(entries[i].mbr);
-      continue;
-    }
-    const double grow_l = left_mbr.Enlargement(entries[i].mbr);
-    const double grow_r = right_mbr.Enlargement(entries[i].mbr);
-    if (grow_l < grow_r ||
-        (grow_l == grow_r && left->size() <= right->size())) {
-      left->push_back(i);
-      left_mbr.Extend(entries[i].mbr);
-    } else {
-      right->push_back(i);
-      right_mbr.Extend(entries[i].mbr);
-    }
-  }
-}
-
-}  // namespace
-
-std::optional<RTree::SplitResult> RTree::InsertRecursive(PageId node,
-                                                         int level,
-                                                         const Entry& entry,
-                                                         Mbr* node_mbr) {
-  PageGuard guard = FetchForBuild(pool_, node);
-  char* p = guard.data();
-  const size_t n = Count(p);
-  const bool leaf = IsLeaf(p);
-
-  if (!leaf) {
-    // Choose the child whose MBR grows least.
-    size_t best = 0;
-    double best_grow = 0.0;
-    double best_area = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      Mbr mbr;
-      uint64_t payload;
-      ReadEntry(p, i, &mbr, &payload);
-      const double grow = mbr.Enlargement(entry.mbr);
-      const double area = mbr.Area();
-      if (i == 0 || grow < best_grow ||
-          (grow == best_grow && area < best_area)) {
-        best = i;
-        best_grow = grow;
-        best_area = area;
-      }
-    }
-    Mbr child_mbr;
-    uint64_t child_payload;
-    ReadEntry(p, best, &child_mbr, &child_payload);
-    guard.Release();  // no pin across recursion
-
-    Mbr new_child_mbr = child_mbr;
-    auto split = InsertRecursive(static_cast<PageId>(child_payload),
-                                 level - 1, entry, &new_child_mbr);
-
-    PageGuard again = FetchForBuild(pool_, node);
-    p = again.data();
-    WriteEntry(p, best, new_child_mbr, child_payload);
-    again.MarkDirty();
-    if (!split.has_value()) {
-      // Recompute this node's MBR cheaply by extending.
-      *node_mbr = Mbr::Empty();
-      for (size_t i = 0; i < Count(p); ++i) {
-        Mbr mbr;
-        uint64_t payload;
-        ReadEntry(p, i, &mbr, &payload);
-        node_mbr->Extend(mbr);
-      }
-      return std::nullopt;
-    }
-    // Add the new sibling entry here (fall through to common overflow
-    // handling below with the promoted entry).
-    const Entry promoted{split->mbr, split->page};
-    const size_t count = Count(p);
-    if (count < kCapacity) {
-      WriteEntry(p, count, promoted.mbr, promoted.payload);
-      SetCount(p, static_cast<uint16_t>(count + 1));
-      *node_mbr = Mbr::Empty();
-      for (size_t i = 0; i < count + 1; ++i) {
-        Mbr mbr;
-        uint64_t payload;
-        ReadEntry(p, i, &mbr, &payload);
-        node_mbr->Extend(mbr);
-      }
-      return std::nullopt;
-    }
-    // Overflow: split this internal node.
-    std::vector<Entry> all;
-    all.reserve(count + 1);
-    for (size_t i = 0; i < count; ++i) {
-      Entry e;
-      ReadEntry(p, i, &e.mbr, &e.payload);
-      all.push_back(e);
-    }
-    all.push_back(promoted);
-    std::vector<size_t> left_idx;
-    std::vector<size_t> right_idx;
-    QuadraticSplit(all, &left_idx, &right_idx);
-
-    SetCount(p, static_cast<uint16_t>(left_idx.size()));
-    *node_mbr = Mbr::Empty();
-    for (size_t i = 0; i < left_idx.size(); ++i) {
-      WriteEntry(p, i, all[left_idx[i]].mbr, all[left_idx[i]].payload);
-      node_mbr->Extend(all[left_idx[i]].mbr);
-    }
-    again.MarkDirty();
-
-    PageId right_id;
-    PageGuard right = PageGuard::New(pool_, &right_id);
-    char* rp = right.data();
-    SetLeaf(rp, false);
-    SetCount(rp, static_cast<uint16_t>(right_idx.size()));
-    Mbr right_mbr = Mbr::Empty();
-    for (size_t i = 0; i < right_idx.size(); ++i) {
-      WriteEntry(rp, i, all[right_idx[i]].mbr, all[right_idx[i]].payload);
-      right_mbr.Extend(all[right_idx[i]].mbr);
-    }
-    right.MarkDirty();
-    return SplitResult{right_mbr, right_id};
-  }
-
-  // Leaf.
-  if (n < kCapacity) {
-    WriteEntry(p, n, entry.mbr, entry.payload);
-    SetCount(p, static_cast<uint16_t>(n + 1));
-    guard.MarkDirty();
-    *node_mbr = Mbr::Empty();
-    for (size_t i = 0; i < n + 1; ++i) {
-      Mbr mbr;
-      uint64_t payload;
-      ReadEntry(p, i, &mbr, &payload);
-      node_mbr->Extend(mbr);
-    }
-    return std::nullopt;
-  }
-  std::vector<Entry> all;
-  all.reserve(n + 1);
-  for (size_t i = 0; i < n; ++i) {
-    Entry e;
-    ReadEntry(p, i, &e.mbr, &e.payload);
-    all.push_back(e);
-  }
-  all.push_back(entry);
-  std::vector<size_t> left_idx;
-  std::vector<size_t> right_idx;
-  QuadraticSplit(all, &left_idx, &right_idx);
-
-  SetCount(p, static_cast<uint16_t>(left_idx.size()));
-  *node_mbr = Mbr::Empty();
-  for (size_t i = 0; i < left_idx.size(); ++i) {
-    WriteEntry(p, i, all[left_idx[i]].mbr, all[left_idx[i]].payload);
-    node_mbr->Extend(all[left_idx[i]].mbr);
-  }
-  guard.MarkDirty();
-
-  PageId right_id;
-  PageGuard right = PageGuard::New(pool_, &right_id);
-  char* rp = right.data();
-  SetLeaf(rp, true);
-  SetCount(rp, static_cast<uint16_t>(right_idx.size()));
-  Mbr right_mbr = Mbr::Empty();
-  for (size_t i = 0; i < right_idx.size(); ++i) {
-    WriteEntry(rp, i, all[right_idx[i]].mbr, all[right_idx[i]].payload);
-    right_mbr.Extend(all[right_idx[i]].mbr);
-  }
-  right.MarkDirty();
-  return SplitResult{right_mbr, right_id};
-}
-
-void RTree::Insert(const Entry& entry) {
-  Mbr root_mbr = Mbr::Empty();
-  auto split = InsertRecursive(root_, height_, entry, &root_mbr);
-  if (!split.has_value()) {
-    return;
-  }
-  // Root split: grow the tree.
-  PageId new_root;
-  PageGuard guard = PageGuard::New(pool_, &new_root);
-  char* p = guard.data();
-  SetLeaf(p, false);
-  SetCount(p, 2);
-  WriteEntry(p, 0, root_mbr, root_);
-  WriteEntry(p, 1, split->mbr, split->page);
-  guard.MarkDirty();
-  root_ = new_root;
-  ++height_;
-}
-
 Status RTree::RangeSearchRecursive(
     PageId node, int level, const Mbr& range,
     const std::function<bool(const Mbr&, uint64_t)>& visit,
@@ -391,52 +152,6 @@ Status RTree::RangeSearch(
     const std::function<bool(const Mbr&, uint64_t)>& visit) const {
   bool keep_going = true;
   return RangeSearchRecursive(root_, 0, range, visit, &keep_going);
-}
-
-Status RTree::Nearest(const Point& p, Entry* out, bool* found) const {
-  *found = false;
-  struct QueueItem {
-    double dist;
-    bool is_entry;
-    Mbr mbr;
-    uint64_t payload;
-  };
-  auto cmp = [](const QueueItem& a, const QueueItem& b) {
-    return a.dist > b.dist;
-  };
-  std::priority_queue<QueueItem, std::vector<QueueItem>, decltype(cmp)> heap(
-      cmp);
-  heap.push(QueueItem{0.0, false, Mbr::Empty(), root_});
-  // The first item popped is the node; nodes at height_ levels down are
-  // leaves whose entries we enqueue as final answers.
-  // We track leafness by reading each node's header instead of depth.
-  bool root_item = true;
-  while (!heap.empty()) {
-    QueueItem item = heap.top();
-    heap.pop();
-    if (item.is_entry) {
-      *out = Entry{item.mbr, item.payload};
-      *found = true;
-      return Status::Ok();
-    }
-    PageGuard guard;
-    DSKS_RETURN_IF_ERROR(
-        PageGuard::Fetch(pool_, static_cast<PageId>(item.payload), &guard));
-    const char* node = guard.data();
-    const size_t n = Count(node);
-    const bool leaf = IsLeaf(node);
-    if (root_item && n == 0) {
-      return Status::Ok();  // empty tree
-    }
-    root_item = false;
-    for (size_t i = 0; i < n; ++i) {
-      Mbr mbr;
-      uint64_t payload;
-      ReadEntry(node, i, &mbr, &payload);
-      heap.push(QueueItem{mbr.MinDistance(p), leaf, mbr, payload});
-    }
-  }
-  return Status::Ok();
 }
 
 uint64_t RTree::CountPagesRecursive(PageId node, int level) const {

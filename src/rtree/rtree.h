@@ -3,23 +3,20 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/status.h"
 #include "spatial/mbr.h"
-#include "spatial/point.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
 
 namespace dsks {
 
 /// Disk-resident R-tree over (MBR, 64-bit payload) entries, bulk loaded
-/// with the Sort-Tile-Recursive (STR) algorithm. Used for:
-///  * the network R-tree organizing edge MBRs (§2.2), which snaps objects
-///    and query points to their road segments, and
-///  * the per-keyword object R-trees of the IR (inverted R-tree) baseline
-///    compared in §5.
+/// once with the Sort-Tile-Recursive (STR) algorithm and read-only after
+/// that. Used only for the per-keyword object R-trees of the IR (inverted
+/// R-tree) baseline compared in §5, which the Euclidean filter-and-refine
+/// baseline also range-searches.
 ///
 /// All node accesses go through the buffer pool and are counted as I/O.
 class RTree {
@@ -37,13 +34,6 @@ class RTree {
   /// valid empty tree.
   static RTree BulkLoad(BufferPool* pool, std::vector<Entry> entries);
 
-  /// Creates an empty tree ready for Insert().
-  static RTree CreateEmpty(BufferPool* pool);
-
-  /// Dynamic insertion (Guttman): choose-subtree by least enlargement,
-  /// quadratic split on overflow. May increase height().
-  void Insert(const Entry& entry);
-
   /// Visits every entry whose MBR intersects `range`; the visitor returns
   /// false to stop the search (not an error). Disk errors during the
   /// traversal are returned; entries already visited stand.
@@ -51,42 +41,16 @@ class RTree {
       const Mbr& range,
       const std::function<bool(const Mbr&, uint64_t)>& visit) const;
 
-  /// Best-first nearest-neighbour search by MBR distance to `p`. On OK,
-  /// `*found` says whether the tree was non-empty and `*out` holds the
-  /// closest entry when it was.
-  Status Nearest(const Point& p, Entry* out, bool* found) const;
-
-  /// Nearest for fault-free-by-contract callers; CHECK-fails on a disk
-  /// error. Returns false if the tree is empty.
-  bool Nearest(const Point& p, Entry* out) const {
-    bool found = false;
-    const Status s = Nearest(p, out, &found);
-    DSKS_CHECK_MSG(s.ok(), "RTree::Nearest on a faulty disk");
-    return found;
-  }
-
   /// Nodes in the tree (for index-size accounting).
   uint64_t CountPages() const;
 
   PageId root() const { return root_; }
   int height() const { return height_; }
 
+  /// Max entries per node (leaf or internal).
   static size_t LeafCapacity();
-  static size_t InternalCapacity();
 
  private:
-  struct SplitResult {
-    Mbr mbr;
-    PageId page;
-  };
-
-  /// Inserts into the subtree at `node` (whose level counts down to 1 at
-  /// the leaves); returns the new sibling if the node split, and updates
-  /// `*node_mbr` to the node's MBR after insertion.
-  std::optional<SplitResult> InsertRecursive(PageId node, int level,
-                                             const Entry& entry,
-                                             Mbr* node_mbr);
-
   Status RangeSearchRecursive(
       PageId node, int level, const Mbr& range,
       const std::function<bool(const Mbr&, uint64_t)>& visit,

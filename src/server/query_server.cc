@@ -17,6 +17,20 @@
 
 namespace dsks::server {
 
+namespace {
+
+/// Largest accepted request line / HTTP head; longer input is a protocol
+/// error and the connection closes. It bounds one line, not a pipelined
+/// burst: complete lines are split off as they arrive.
+constexpr size_t kMaxLineBytes = 64 * 1024;
+
+/// Cap on a connection's un-sent response backlog; a client that stops
+/// reading while queries complete is dropped at this bound instead of
+/// growing the buffer without limit.
+constexpr size_t kMaxOutBytes = 4 * 1024 * 1024;
+
+}  // namespace
+
 QueryServer::QueryServer(Database* db, const ServerConfig& config)
     : db_(db), config_(config) {}
 
@@ -212,29 +226,25 @@ void QueryServer::AcceptNew() {
 
 void QueryServer::HandleReadable(uint64_t conn_id, Conn* conn) {
   char buf[16 * 1024];
-  while (true) {
+  // Consume after every chunk, so the buffer holds at most one
+  // unterminated line (or HTTP head) plus one chunk. An HTTP exchange
+  // marks the connection read-closed once it is answered.
+  while (!conn->read_closed) {
     const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn->in.append(buf, static_cast<size_t>(n));
-      if (conn->in.size() > config_.max_line_bytes) {
-        CloseConn(conn_id);
-        return;
-      }
-      continue;
-    }
     if (n == 0) {
-      conn->read_closed = true;
+      conn->read_closed = true;  // the bytes before EOF are final
+    } else if (n > 0) {
+      conn->in.append(buf, static_cast<size_t>(n));
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
       break;
+    } else {
+      CloseConn(conn_id);  // hard error
+      return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      break;
+    if (!ConsumeInput(conn_id, conn)) {
+      CloseConn(conn_id);
+      return;
     }
-    CloseConn(conn_id);  // hard error
-    return;
-  }
-  if (!ConsumeInput(conn_id, conn)) {
-    CloseConn(conn_id);
-    return;
   }
   // Kick the first write inline; the poll loop takes over if it blocks.
   if (!conn->out.empty()) {
@@ -257,7 +267,8 @@ bool QueryServer::ConsumeInput(uint64_t conn_id, Conn* conn) {
       ++n;
     }
     if (n > 0 && n == conn->in.size() && !conn->read_closed) {
-      return true;  // could still become either; wait for more bytes
+      // Could still become either; wait for more bytes.
+      return conn->in.size() <= kMaxLineBytes;
     }
     conn->is_http = n > 0 && n < conn->in.size() && conn->in[n] == ' ';
   }
@@ -265,7 +276,10 @@ bool QueryServer::ConsumeInput(uint64_t conn_id, Conn* conn) {
   if (conn->is_http) {
     const size_t head_end = conn->in.find("\r\n\r\n");
     if (head_end == std::string::npos) {
-      return conn->in.size() <= config_.max_line_bytes && !conn->read_closed;
+      return conn->in.size() <= kMaxLineBytes && !conn->read_closed;
+    }
+    if (head_end + 4 > kMaxLineBytes) {
+      return false;
     }
     obs::HttpRequest request;
     obs::HttpResponse response;
@@ -290,6 +304,9 @@ bool QueryServer::ConsumeInput(uint64_t conn_id, Conn* conn) {
     if (nl == std::string::npos) {
       break;
     }
+    if (nl - start > kMaxLineBytes) {
+      return false;
+    }
     std::string line = conn->in.substr(start, nl - start);
     start = nl + 1;
     if (!line.empty() && line.back() == '\r') {
@@ -312,7 +329,7 @@ bool QueryServer::ConsumeInput(uint64_t conn_id, Conn* conn) {
                      });
   }
   conn->in.erase(0, start);
-  return true;
+  return conn->in.size() <= kMaxLineBytes;  // the unterminated tail
 }
 
 void QueryServer::DrainOutbox() {
@@ -332,7 +349,7 @@ void QueryServer::DrainOutbox() {
     }
     conn.out += response;
     conn.out.push_back('\n');
-    if (conn.out.size() > config_.max_out_bytes) {
+    if (conn.out.size() > kMaxOutBytes) {
       // The client stopped reading while responses kept completing;
       // dropping it beats buffering without bound.
       CloseConn(conn_id);

@@ -17,16 +17,10 @@
 
 namespace dsks::server {
 
-/// QueryServer settings: the service policy plus the wire-level limits.
+/// QueryServer settings: the service policy. The wire-level byte limits
+/// are constants in query_server.cc.
 struct ServerConfig {
   ServiceConfig service;
-  /// Largest accepted request line / HTTP head; longer input is a
-  /// protocol error and the connection closes.
-  size_t max_line_bytes = 64 * 1024;
-  /// Cap on a connection's un-sent response backlog; a client that stops
-  /// reading while queries complete is dropped at this bound instead of
-  /// growing the buffer without limit.
-  size_t max_out_bytes = 4 * 1024 * 1024;
 };
 
 /// The TCP front end: one poll loop multiplexing every connection, with
@@ -92,7 +86,9 @@ class QueryServer {
   void HandleReadable(uint64_t conn_id, Conn* conn);
   void HandleWritable(uint64_t conn_id, Conn* conn);
   /// Consumes complete lines / a complete HTTP head from conn->in.
-  /// Returns false when the connection must close (protocol error).
+  /// Returns false when the connection must close (protocol error: a
+  /// line or an HTTP head longer than the line limit, or EOF inside an
+  /// HTTP head).
   bool ConsumeInput(uint64_t conn_id, Conn* conn);
   void DrainOutbox();
   void CloseConn(uint64_t conn_id);

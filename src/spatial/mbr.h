@@ -8,9 +8,9 @@
 
 namespace dsks {
 
-/// Axis-aligned minimum bounding rectangle, the unit of organization in the
-/// network R-tree over road-segment extents (§2.2) and in the inverted
-/// R-tree baseline (§5).
+/// Axis-aligned minimum bounding rectangle: the entry and node key of the
+/// per-keyword R-trees of the inverted R-tree baseline (§5), and the box
+/// that IR (an edge's extent) and the Euclidean baseline search them with.
 struct Mbr {
   double min_x = std::numeric_limits<double>::infinity();
   double min_y = std::numeric_limits<double>::infinity();
@@ -49,18 +49,6 @@ struct Mbr {
 
   Point Center() const {
     return Point{(min_x + max_x) / 2.0, (min_y + max_y) / 2.0};
-  }
-
-  double Area() const {
-    if (IsEmpty()) return 0.0;
-    return (max_x - min_x) * (max_y - min_y);
-  }
-
-  /// Area growth if `other` were merged in; the ChooseSubtree criterion.
-  double Enlargement(const Mbr& other) const {
-    Mbr merged = *this;
-    merged.Extend(other);
-    return merged.Area() - Area();
   }
 
   /// Minimum Euclidean distance from `p` to this rectangle (0 if inside).

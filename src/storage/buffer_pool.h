@@ -111,8 +111,8 @@ struct BufferPoolStats {
 /// double-reading), which keeps parallel query streams from serializing on
 /// simulated I/O. Page *contents* are not latched: concurrent readers of a
 /// page are safe, but writers of the same page must coordinate externally
-/// (every structure in this library writes pages only during single-threaded
-/// build/ingest phases).
+/// (every structure in this library writes pages only during its
+/// single-threaded build).
 ///
 /// Memory pressure: when every frame is pinned, Fetch/New do not fail —
 /// the pool temporarily exceeds `capacity()` with overflow frames and
@@ -396,7 +396,7 @@ class PageGuard {
   bool dirty_ = false;
 };
 
-/// Pin for single-threaded build/ingest phases only, where the disk is
+/// Pin for single-threaded build phases only, where the disk is
 /// fault-free by contract: fault injection is armed after PrepareForQueries
 /// and a build interleaved with faults has no partial state worth
 /// salvaging, so a disk error here is a setup failure and CHECK-aborts

@@ -34,10 +34,6 @@ struct DiskOptions {
   /// File backend: path of the index file; its checksum sidecar lives at
   /// `path + ".crc"`. Ignored by the simulated backend.
   std::string path;
-  /// File backend: bypass the OS page cache with O_DIRECT so measured
-  /// reads hit the device. Best effort: filesystems that reject the flag
-  /// (tmpfs) silently fall back to buffered I/O.
-  bool o_direct = false;
 };
 
 /// CRC32C of an all-zero page, the checksum recorded for freshly allocated

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/macros.h"
@@ -44,17 +43,6 @@ std::string ErrnoMessage(const char* op, const std::string& path, int err) {
   return std::string(op) + " " + path + ": " + std::strerror(err);
 }
 
-/// O_DIRECT transfers must use an aligned buffer; one page per thread is
-/// enough because the buffer pool performs at most one disk op at a time
-/// per calling thread.
-char* AlignedBounceBuffer() {
-  thread_local std::unique_ptr<char, decltype(&std::free)> buf(
-      static_cast<char*>(std::aligned_alloc(kPageSize, kPageSize)),
-      &std::free);
-  DSKS_CHECK_MSG(buf != nullptr, "aligned_alloc failed");
-  return buf.get();
-}
-
 /// pread with EINTR/partial-transfer retry. Returns bytes read (< count
 /// only at end of file) or -1 with errno set.
 ssize_t FullPread(int fd, char* buf, size_t count, off_t offset) {
@@ -87,29 +75,13 @@ int FullPwrite(int fd, const char* buf, size_t count, off_t offset) {
   return 0;
 }
 
-/// Opens the data file, falling back to buffered I/O when the filesystem
-/// rejects O_DIRECT (tmpfs). `*o_direct` is updated to what actually took.
-int OpenDataFile(const std::string& path, int base_flags, bool* o_direct) {
-  if (*o_direct) {
-#ifdef O_DIRECT
-    const int fd = ::open(path.c_str(), base_flags | O_DIRECT, 0644);
-    if (fd >= 0) return fd;
-    if (errno != EINVAL) return -1;
-#endif
-    *o_direct = false;  // filesystem (or platform) can't do it; fall back
-  }
-  return ::open(path.c_str(), base_flags, 0644);
-}
-
 }  // namespace
 
-FileDiskBackend::FileDiskBackend(std::string path, int data_fd, int crc_fd,
-                                 bool o_direct)
+FileDiskBackend::FileDiskBackend(std::string path, int data_fd, int crc_fd)
     : path_(std::move(path)),
       crc_path_(path_ + ".crc"),
       data_fd_(data_fd),
-      crc_fd_(crc_fd),
-      o_direct_(o_direct) {}
+      crc_fd_(crc_fd) {}
 
 FileDiskBackend::~FileDiskBackend() {
   // No implicit flush: durability is an explicit Flush(), and the torn
@@ -123,9 +95,8 @@ Status FileDiskBackend::Create(const DiskOptions& options,
   if (options.path.empty()) {
     return Status::InvalidArgument("file backend requires a non-empty path");
   }
-  bool o_direct = options.o_direct;
-  const int data_fd = OpenDataFile(options.path,
-                                   O_RDWR | O_CREAT | O_TRUNC, &o_direct);
+  const int data_fd =
+      ::open(options.path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (data_fd < 0) {
     return Status::IOError(ErrnoMessage("open", options.path, errno));
   }
@@ -137,7 +108,7 @@ Status FileDiskBackend::Create(const DiskOptions& options,
     ::close(data_fd);
     return Status::IOError(ErrnoMessage("open", crc_path, err));
   }
-  out->reset(new FileDiskBackend(options.path, data_fd, crc_fd, o_direct));
+  out->reset(new FileDiskBackend(options.path, data_fd, crc_fd));
   return Status::Ok();
 }
 
@@ -146,8 +117,7 @@ Status FileDiskBackend::Open(const DiskOptions& options,
   if (options.path.empty()) {
     return Status::InvalidArgument("file backend requires a non-empty path");
   }
-  bool o_direct = options.o_direct;
-  const int data_fd = OpenDataFile(options.path, O_RDWR, &o_direct);
+  const int data_fd = ::open(options.path.c_str(), O_RDWR, 0644);
   if (data_fd < 0) {
     return Status::IOError(ErrnoMessage("open", options.path, errno));
   }
@@ -165,7 +135,7 @@ Status FileDiskBackend::Open(const DiskOptions& options,
   // From here the backend owns, and on any early return closes, both
   // descriptors.
   std::unique_ptr<FileDiskBackend> backend(
-      new FileDiskBackend(options.path, data_fd, crc_fd, o_direct));
+      new FileDiskBackend(options.path, data_fd, crc_fd));
   CrcHeader header;
   const ssize_t got = FullPread(crc_fd, reinterpret_cast<char*>(&header),
                                 sizeof(header), 0);
@@ -234,9 +204,8 @@ PageId FileDiskBackend::AllocatePage() {
 }
 
 Status FileDiskBackend::PreadPage(PageId id, char* out) {
-  char* dst = o_direct_ ? AlignedBounceBuffer() : out;
   const off_t offset = static_cast<off_t>(id) * kPageSize;
-  const ssize_t n = FullPread(data_fd_, dst, kPageSize, offset);
+  const ssize_t n = FullPread(data_fd_, out, kPageSize, offset);
   if (n < 0) {
     return Status::IOError(ErrnoMessage("pread", path_, errno) + " (page " +
                            std::to_string(id) + ")");
@@ -247,19 +216,12 @@ Status FileDiskBackend::PreadPage(PageId id, char* out) {
                               " (" + std::to_string(n) + " of " +
                               std::to_string(kPageSize) + " bytes): " + path_);
   }
-  if (o_direct_) std::memcpy(out, dst, kPageSize);
   return Status::Ok();
 }
 
 Status FileDiskBackend::PwritePage(PageId id, const char* in) {
-  const char* src = in;
-  if (o_direct_) {
-    char* bounce = AlignedBounceBuffer();
-    std::memcpy(bounce, in, kPageSize);
-    src = bounce;
-  }
   const off_t offset = static_cast<off_t>(id) * kPageSize;
-  if (FullPwrite(data_fd_, src, kPageSize, offset) != 0) {
+  if (FullPwrite(data_fd_, in, kPageSize, offset) != 0) {
     return Status::IOError(ErrnoMessage("pwrite", path_, errno) + " (page " +
                            std::to_string(id) + ")");
   }
@@ -272,35 +234,17 @@ void FileDiskBackend::ReadContiguousRun(PageReadRequest* run, size_t n) {
     return;
   }
   const off_t offset = static_cast<off_t>(run->id) * kPageSize;
-  size_t full = 0;  // pages completely delivered by the vectored call
-  if (!o_direct_) {
-    struct iovec iov[kMaxRunPages];
-    for (size_t k = 0; k < n; ++k) {
-      iov[k].iov_base = run[k].out;
-      iov[k].iov_len = kPageSize;
-    }
-    ssize_t got;
-    do {
-      got = ::preadv(data_fd_, iov, static_cast<int>(n), offset);
-    } while (got < 0 && errno == EINTR);
-    if (got > 0) {
-      full = static_cast<size_t>(got) / kPageSize;
-    }
-  } else {
-    // O_DIRECT transfers need an aligned buffer; one run-sized buffer and
-    // a scatter copy keeps callers on ordinary heap frames.
-    std::unique_ptr<char, decltype(&std::free)> buf(
-        static_cast<char*>(std::aligned_alloc(kPageSize, n * kPageSize)),
-        &std::free);
-    DSKS_CHECK_MSG(buf != nullptr, "aligned_alloc failed");
-    const ssize_t got = FullPread(data_fd_, buf.get(), n * kPageSize, offset);
-    if (got > 0) {
-      full = static_cast<size_t>(got) / kPageSize;
-      for (size_t k = 0; k < full; ++k) {
-        std::memcpy(run[k].out, buf.get() + k * kPageSize, kPageSize);
-      }
-    }
+  struct iovec iov[kMaxRunPages];
+  for (size_t k = 0; k < n; ++k) {
+    iov[k].iov_base = run[k].out;
+    iov[k].iov_len = kPageSize;
   }
+  ssize_t got;
+  do {
+    got = ::preadv(data_fd_, iov, static_cast<int>(n), offset);
+  } while (got < 0 && errno == EINTR);
+  // Pages completely delivered by the vectored call.
+  const size_t full = got > 0 ? static_cast<size_t>(got) / kPageSize : 0;
   for (size_t k = 0; k < full; ++k) {
     run[k].status = Status::Ok();
   }
@@ -456,9 +400,7 @@ void FileDiskBackend::CorruptStoredPage(PageId id, uint32_t bit_index) {
     DSKS_CHECK_MSG(id < checksums_.size(), "corrupt of unallocated page");
     DSKS_CHECK_MSG(bit_index < kPageSize * 8, "bit index out of page");
   }
-  // Read-modify-write of the whole page keeps the path O_DIRECT-clean.
-  // A local buffer, not the bounce buffer: PreadPage/PwritePage use that
-  // one themselves when O_DIRECT is active.
+  // Read-modify-write of the whole page.
   auto page = std::make_unique<char[]>(kPageSize);
   PageReadRequest req;
   req.id = id;

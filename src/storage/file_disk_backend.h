@@ -19,11 +19,6 @@ namespace dsks {
 /// closes without flushing so a crash between write and flush leaves the
 /// stale sidecar that checksum verification then catches.
 ///
-/// O_DIRECT is best effort: if open(2) rejects the flag (tmpfs), the
-/// backend silently falls back to buffered I/O. When active, transfers go
-/// through a per-thread page-aligned bounce buffer so callers keep using
-/// ordinary heap frames.
-///
 /// errno mapping (the PR-4 contract): pread/pwrite failure → IOError;
 /// a short read inside the allocated range (torn/truncated file) →
 /// Corruption. Reads of pages past the physical end but inside the
@@ -57,9 +52,8 @@ class FileDiskBackend : public DiskBackend {
 
   PageId AllocatePage() override;
   /// Requests whose page ids form contiguous ascending runs are merged
-  /// into single preadv calls (scattering straight into the callers'
-  /// buffers, or through one aligned run buffer under O_DIRECT); a run of
-  /// one page is a plain PreadPage. Any page a vectored call could not
+  /// into single preadv calls scattering straight into the callers'
+  /// buffers; a run of one page is a plain PreadPage. Any page a vectored call could not
   /// fully serve falls back to PreadPage, so a page's status does not
   /// depend on its batch mates.
   void ReadPages(std::span<PageReadRequest> batch) override;
@@ -70,8 +64,6 @@ class FileDiskBackend : public DiskBackend {
   size_t num_pages() const override;
 
   const std::string& path() const { return path_; }
-  /// Whether O_DIRECT actually took (false after the tmpfs fallback).
-  bool o_direct_active() const { return o_direct_; }
 
   /// CRC sidecar entries rewritten by all Flush() calls so far. A flush
   /// after writing W pages rewrites O(W) entries, not O(all pages); the
@@ -79,7 +71,7 @@ class FileDiskBackend : public DiskBackend {
   uint64_t crc_entries_rewritten() const;
 
  private:
-  FileDiskBackend(std::string path, int data_fd, int crc_fd, bool o_direct);
+  FileDiskBackend(std::string path, int data_fd, int crc_fd);
 
   /// Raw positioned I/O with EINTR/partial-transfer loops. Short reads
   /// inside [0, physical size) become Corruption; reads past the physical
@@ -96,7 +88,6 @@ class FileDiskBackend : public DiskBackend {
   const std::string crc_path_;
   int data_fd_;
   int crc_fd_;
-  bool o_direct_;
 
   mutable std::mutex mutex_;
   /// In-memory copy of the sidecar CRCs; Flush() persists the entries

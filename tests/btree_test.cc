@@ -1,5 +1,9 @@
+#include <cstdint>
+#include <functional>
 #include <map>
-#include <tuple>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "btree/bplus_tree.h"
@@ -11,6 +15,8 @@
 namespace dsks {
 namespace {
 
+using Pairs = std::vector<std::pair<uint64_t, uint64_t>>;
+
 class BPlusTreeTest : public ::testing::Test {
  protected:
   BPlusTreeTest() : pool_(&disk_, 4096) {}
@@ -20,70 +26,22 @@ class BPlusTreeTest : public ::testing::Test {
 };
 
 TEST_F(BPlusTreeTest, EmptyTreeFindsNothing) {
-  BPlusTree tree = BPlusTree::Create(&pool_);
+  BPlusTree tree = BPlusTree::BulkLoad(&pool_, Pairs{});
   EXPECT_FALSE(tree.Get(42).has_value());
-  EXPECT_EQ(tree.CountEntries(), 0u);
+  EXPECT_FALSE(tree.Get(0).has_value());
   EXPECT_EQ(tree.CountPages(), 1u);
 }
 
-TEST_F(BPlusTreeTest, SingleLeafInsertGet) {
-  BPlusTree tree = BPlusTree::Create(&pool_);
-  tree.Insert(5, 50);
-  tree.Insert(1, 10);
-  tree.Insert(9, 90);
+TEST_F(BPlusTreeTest, SingleLeafGet) {
+  BPlusTree tree =
+      BPlusTree::BulkLoad(&pool_, Pairs{{1, 10}, {5, 50}, {9, 90}});
   EXPECT_EQ(tree.Get(5), 50u);
   EXPECT_EQ(tree.Get(1), 10u);
   EXPECT_EQ(tree.Get(9), 90u);
+  EXPECT_FALSE(tree.Get(0).has_value());
   EXPECT_FALSE(tree.Get(2).has_value());
-  EXPECT_EQ(tree.CountEntries(), 3u);
-}
-
-TEST_F(BPlusTreeTest, OverwriteKeepsSingleEntry) {
-  BPlusTree tree = BPlusTree::Create(&pool_);
-  tree.Insert(7, 1);
-  tree.Insert(7, 2);
-  EXPECT_EQ(tree.Get(7), 2u);
-  EXPECT_EQ(tree.CountEntries(), 1u);
-}
-
-TEST_F(BPlusTreeTest, RangeScanOrderedAndBounded) {
-  BPlusTree tree = BPlusTree::Create(&pool_);
-  for (uint64_t k = 0; k < 100; k += 2) {
-    tree.Insert(k, k * 10);
-  }
-  std::vector<uint64_t> keys;
-  tree.RangeScan(10, 30, [&keys](uint64_t k, uint64_t v) {
-    EXPECT_EQ(v, k * 10);
-    keys.push_back(k);
-    return true;
-  });
-  std::vector<uint64_t> expected = {10, 12, 14, 16, 18, 20,
-                                    22, 24, 26, 28, 30};
-  EXPECT_EQ(keys, expected);
-}
-
-TEST_F(BPlusTreeTest, RangeScanEarlyStop) {
-  BPlusTree tree = BPlusTree::Create(&pool_);
-  for (uint64_t k = 0; k < 50; ++k) tree.Insert(k, k);
-  int seen = 0;
-  tree.RangeScan(0, UINT64_MAX, [&seen](uint64_t, uint64_t) {
-    ++seen;
-    return seen < 5;
-  });
-  EXPECT_EQ(seen, 5);
-}
-
-TEST_F(BPlusTreeTest, SplitsGrowTheTree) {
-  BPlusTree tree = BPlusTree::Create(&pool_);
-  const size_t n = BPlusTree::LeafCapacity() * 3;
-  for (uint64_t k = 0; k < n; ++k) {
-    tree.Insert(k, k + 1);
-  }
-  EXPECT_GT(tree.CountPages(), 3u);
-  EXPECT_EQ(tree.CountEntries(), n);
-  for (uint64_t k = 0; k < n; ++k) {
-    ASSERT_EQ(tree.Get(k), k + 1) << "key " << k;
-  }
+  EXPECT_FALSE(tree.Get(10).has_value());
+  EXPECT_EQ(tree.CountPages(), 1u);
 }
 
 struct RandomOpsParam {
@@ -95,24 +53,24 @@ struct RandomOpsParam {
 class BPlusTreeRandomTest
     : public ::testing::TestWithParam<RandomOpsParam> {};
 
-/// Property: under a random stream of inserts/overwrites, the tree behaves
-/// exactly like std::map, including full-range iteration order.
+/// Property: a tree bulk-loaded from a random key set answers every point
+/// lookup, present or absent, exactly like std::map over the same set.
 TEST_P(BPlusTreeRandomTest, MatchesStdMap) {
   const RandomOpsParam p = GetParam();
   DiskManager disk;
   BufferPool pool(&disk, 4096);
-  BPlusTree tree = BPlusTree::Create(&pool);
   std::map<uint64_t, uint64_t> ref;
   Random rng(p.seed);
-
   for (size_t i = 0; i < p.ops; ++i) {
     const uint64_t key = rng.Uniform(p.key_space);
-    const uint64_t value = rng.Uniform(1u << 30);
-    tree.Insert(key, value);
-    ref[key] = value;
+    ref[key] = rng.Uniform(1u << 30);
   }
+  const Pairs sorted(ref.begin(), ref.end());
+  BPlusTree tree = BPlusTree::BulkLoad(&pool, sorted);
 
-  // Point lookups, present and absent.
+  for (const auto& [k, v] : ref) {
+    ASSERT_EQ(tree.Get(k), v) << "key " << k;
+  }
   for (size_t i = 0; i < 200; ++i) {
     const uint64_t key = rng.Uniform(p.key_space * 2);
     auto it = ref.find(key);
@@ -124,38 +82,6 @@ TEST_P(BPlusTreeRandomTest, MatchesStdMap) {
       EXPECT_EQ(*got, it->second);
     }
   }
-
-  // Full scan matches the ordered reference.
-  std::vector<std::pair<uint64_t, uint64_t>> scanned;
-  tree.RangeScan(0, UINT64_MAX, [&scanned](uint64_t k, uint64_t v) {
-    scanned.emplace_back(k, v);
-    return true;
-  });
-  ASSERT_EQ(scanned.size(), ref.size());
-  size_t i = 0;
-  for (const auto& [k, v] : ref) {
-    EXPECT_EQ(scanned[i].first, k);
-    EXPECT_EQ(scanned[i].second, v);
-    ++i;
-  }
-
-  // Random sub-range scans.
-  for (int round = 0; round < 20; ++round) {
-    uint64_t lo = rng.Uniform(p.key_space);
-    uint64_t hi = rng.Uniform(p.key_space);
-    if (lo > hi) std::swap(lo, hi);
-    std::vector<uint64_t> got;
-    tree.RangeScan(lo, hi, [&got](uint64_t k, uint64_t) {
-      got.push_back(k);
-      return true;
-    });
-    std::vector<uint64_t> want;
-    for (auto it = ref.lower_bound(lo); it != ref.end() && it->first <= hi;
-         ++it) {
-      want.push_back(it->first);
-    }
-    EXPECT_EQ(got, want) << "range [" << lo << "," << hi << "]";
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -164,81 +90,137 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomOpsParam{2, 1000, 500},
                       RandomOpsParam{3, 5000, 100000},
                       RandomOpsParam{4, 20000, 1u << 20},
-                      RandomOpsParam{5, 3000, 64},  // heavy overwrite
+                      RandomOpsParam{5, 3000, 64},  // dense key space
                       RandomOpsParam{6, 12000, 12000}));
 
 class BPlusTreeBulkLoadTest : public ::testing::TestWithParam<size_t> {};
 
-/// BulkLoad must be equivalent to one-by-one insertion, including mixed
-/// use (inserts after a bulk load).
-TEST_P(BPlusTreeBulkLoadTest, EquivalentToInsertion) {
+/// Every loaded key is found with its value and no key between them is,
+/// across leaf and internal-node boundaries: sizes straddle one leaf
+/// (~230 keys), one full internal node (~70,000) and the levels between.
+TEST_P(BPlusTreeBulkLoadTest, GetFindsEveryKeyAndNoOther) {
   const size_t n = GetParam();
   DiskManager disk;
   BufferPool pool(&disk, 8192);
-  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  Pairs pairs;
   pairs.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     pairs.emplace_back(i * 3 + 1, i * 7);
   }
   BPlusTree tree = BPlusTree::BulkLoad(&pool, pairs);
-  EXPECT_EQ(tree.CountEntries(), n);
   for (const auto& [k, v] : pairs) {
     ASSERT_EQ(tree.Get(k), v) << "key " << k;
+    ASSERT_FALSE(tree.Get(k - 1).has_value()) << "key " << k - 1;
+    ASSERT_FALSE(tree.Get(k + 1).has_value()) << "key " << k + 1;
   }
-  EXPECT_FALSE(tree.Get(0).has_value());
-
-  // Scans stay ordered across leaf boundaries.
-  uint64_t prev = 0;
-  bool first = true;
-  size_t seen = 0;
-  tree.RangeScan(0, UINT64_MAX, [&](uint64_t k, uint64_t) {
-    if (!first) {
-      EXPECT_GT(k, prev);
-    }
-    prev = k;
-    first = false;
-    ++seen;
-    return true;
-  });
-  EXPECT_EQ(seen, n);
-
-  // Follow-up inserts (both fresh keys and overwrites) still work.
-  tree.Insert(0, 42);
-  tree.Insert(1, 43);  // overwrite
-  EXPECT_EQ(tree.Get(0), 42u);
-  EXPECT_EQ(tree.Get(1), 43u);
-  EXPECT_EQ(tree.CountEntries(), n + 1);
+  EXPECT_FALSE(tree.Get(n * 3 + 1).has_value());
+  EXPECT_FALSE(tree.Get(UINT64_MAX).has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BPlusTreeBulkLoadTest,
                          ::testing::Values(1, 2, 100, 255, 256, 1000, 10000,
                                            70000));
 
-/// Sequential ascending and descending insertion are classic split-path
-/// edge cases.
-TEST(BPlusTreeOrderTest, AscendingAndDescendingInsertion) {
-  for (bool ascending : {true, false}) {
-    DiskManager disk;
-    BufferPool pool(&disk, 4096);
-    BPlusTree tree = BPlusTree::Create(&pool);
-    const size_t n = BPlusTree::LeafCapacity() * 5 + 17;
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t k = ascending ? i : n - 1 - i;
-      tree.Insert(k, k ^ 0xFF);
+/// MultiGet over trees of one, two and three levels (plus an absent tree
+/// and a repeated root) returns, for present and absent keys alike, what
+/// each tree's own Get returns — with prefetching on and off. With it off,
+/// one MultiGet on a cold pool reads exactly the pages the per-tree Gets
+/// read.
+TEST(BPlusTreeMultiGetTest, MatchesPerTreeGet) {
+  DiskManager disk;
+  BufferPool pool(&disk, 8192);
+  // Keys of tree j are the multiples of j + 1, so a probe key is present
+  // in some trees and absent from others.
+  const size_t sizes[] = {
+      50, 2000, BPlusTree::LeafCapacity() * BPlusTree::InternalCapacity()};
+  std::vector<BPlusTree> trees;
+  for (size_t j = 0; j < 3; ++j) {
+    Pairs pairs;
+    for (uint64_t i = 0; i < sizes[j]; ++i) {
+      pairs.emplace_back(i * (j + 1), i * 10 + j);
     }
-    EXPECT_EQ(tree.CountEntries(), n);
-    uint64_t prev = 0;
-    bool first = true;
-    tree.RangeScan(0, UINT64_MAX, [&](uint64_t k, uint64_t v) {
-      EXPECT_EQ(v, k ^ 0xFF);
-      if (!first) {
-        EXPECT_GT(k, prev);
-      }
-      prev = k;
-      first = false;
-      return true;
-    });
+    trees.push_back(BPlusTree::BulkLoad(&pool, pairs));
   }
+  const std::vector<PageId> roots = {trees[2].root(), kInvalidPageId,
+                                     trees[0].root(), trees[1].root(),
+                                     trees[2].root()};
+
+  auto expected = [&](uint64_t key) {
+    std::vector<std::optional<uint64_t>> want;
+    for (PageId root : roots) {
+      want.push_back(root == kInvalidPageId ? std::nullopt
+                                            : BPlusTree(&pool, root).Get(key));
+    }
+    return want;
+  };
+  Random rng(7);
+  std::vector<uint64_t> keys = {0, 1, 2, 3, 6, 49, 98, 99, 3998, 3999, 4000,
+                                sizes[2] * 3 - 3, sizes[2] * 3, UINT64_MAX};
+  for (int i = 0; i < 200; ++i) {
+    keys.push_back(rng.Uniform(sizes[2] * 3));
+  }
+  for (bool prefetch : {true, false}) {
+    pool.set_prefetch_enabled(prefetch);
+    for (uint64_t key : keys) {
+      std::vector<std::optional<uint64_t>> got(roots.size());
+      ASSERT_TRUE(BPlusTree::MultiGet(&pool, roots, key,
+                                      std::span<std::optional<uint64_t>>(got))
+                      .ok());
+      EXPECT_EQ(got, expected(key)) << "key " << key << " prefetch "
+                                    << prefetch;
+    }
+  }
+
+  // Cold-pool reads with prefetching off: one page per level per distinct
+  // tree, 1 + 2 + 3, whether the trees are descended together or apart.
+  pool.set_prefetch_enabled(false);
+  auto cold_reads = [&](const std::function<void()>& lookups) {
+    EXPECT_TRUE(pool.Clear().ok());
+    const uint64_t before = disk.stats_snapshot().reads;
+    lookups();
+    return disk.stats_snapshot().reads - before;
+  };
+  for (uint64_t key : {uint64_t{0}, uint64_t{6}, uint64_t{7}, UINT64_MAX}) {
+    const uint64_t multi = cold_reads([&] {
+      std::vector<std::optional<uint64_t>> got(roots.size());
+      EXPECT_TRUE(BPlusTree::MultiGet(&pool, roots, key,
+                                      std::span<std::optional<uint64_t>>(got))
+                      .ok());
+    });
+    const uint64_t single = cold_reads([&] { expected(key); });
+    EXPECT_EQ(multi, single) << "key " << key;
+    EXPECT_EQ(single, 6u) << "key " << key;
+  }
+}
+
+/// BulkLoad's strictly-increasing check covers the leaf boundaries too: a
+/// repeated or descending key there would otherwise build a tree whose Get
+/// misses keys.
+TEST(BPlusTreeDeathTest, BulkLoadRejectsRepeatedKeyAtLeafBoundary) {
+  // BulkLoad fills each leaf to 90% of its capacity.
+  const size_t first_leaf = BPlusTree::LeafCapacity() * 9 / 10;
+  Pairs pairs;
+  for (uint64_t i = 0; i < first_leaf * 2; ++i) {
+    pairs.emplace_back(i * 2, i);
+  }
+  Pairs repeated = pairs;
+  repeated[first_leaf].first = repeated[first_leaf - 1].first;
+  Pairs descending = pairs;
+  descending[first_leaf].first = pairs[first_leaf - 1].first - 1;
+  EXPECT_DEATH(
+      {
+        DiskManager disk;
+        BufferPool pool(&disk, 64);
+        BPlusTree::BulkLoad(&pool, repeated);
+      },
+      "strictly increasing keys");
+  EXPECT_DEATH(
+      {
+        DiskManager disk;
+        BufferPool pool(&disk, 64);
+        BPlusTree::BulkLoad(&pool, descending);
+      },
+      "strictly increasing keys");
 }
 
 }  // namespace

@@ -59,7 +59,8 @@ class IndexEquivalenceTest
 
 /// The central index property: IR, IF, SIF, SIF-P and SIF-G all implement
 /// Algorithm 2 — on any edge and any keyword set they must return exactly
-/// the objects the direct scan returns.
+/// the objects the direct scan returns. That includes keyword sets with a
+/// term just past the vocabulary, which no object carries.
 TEST_P(IndexEquivalenceTest, AllIndexesMatchReferenceScan) {
   const IndexSweepParam p = GetParam();
   TestDataset data =
@@ -92,9 +93,11 @@ TEST_P(IndexEquivalenceTest, AllIndexesMatchReferenceScan) {
   for (int round = 0; round < 400; ++round) {
     const EdgeId edge =
         static_cast<EdgeId>(rng.Uniform(data.network->num_edges()));
+    // Every fourth round may draw unknown terms vocab .. vocab + 2.
+    const size_t term_space = round % 4 == 3 ? vocab + 3 : vocab;
     std::vector<TermId> terms;
     while (terms.size() < p.query_terms) {
-      const TermId t = static_cast<TermId>(rng.Uniform(vocab));
+      const TermId t = static_cast<TermId>(rng.Uniform(term_space));
       if (std::find(terms.begin(), terms.end(), t) == terms.end()) {
         terms.push_back(t);
       }
@@ -260,111 +263,6 @@ TEST(SifGroupIndexTest, PairListsDetectMissingConjunctions) {
   // The pair lists must have pruned at least some probes beyond SIF.
   EXPECT_GT(sifg.stats().edges_skipped_by_signature, 0u);
 }
-
-struct IngestionParam {
-  uint64_t seed;
-  int index_kind;  // 0 = IF, 1 = SIF, 2 = SIF-P, 3 = SIF-G
-};
-
-class DynamicIngestionTest
-    : public ::testing::TestWithParam<IngestionParam> {};
-
-/// Build an index over the first half of the objects, ingest the second
-/// half with AddObject, and require LoadObjects to equal the reference
-/// scan over the *complete* object set on every edge.
-TEST_P(DynamicIngestionTest, IngestedIndexMatchesFullReference) {
-  const auto p = GetParam();
-  constexpr size_t kVocab = 18;
-  TestDataset full = MakeRandomDataset(p.seed, 90, 360, kVocab, 4, 1.0);
-  const RoadNetwork& net = *full.network;
-
-  // Partial snapshot: the first half of the objects, same network.
-  ObjectSet partial(&net);
-  const size_t half = full.objects->size() / 2;
-  for (ObjectId id = 0; id < half; ++id) {
-    const auto& o = full.objects->object(id);
-    ObjectId out;
-    ASSERT_TRUE(partial.Add(o.edge, o.offset, o.terms, &out).ok());
-  }
-  partial.Finalize();
-
-  DiskManager disk;
-  BufferPool pool(&disk, 1u << 16);
-  std::unique_ptr<InvertedFileIndex> index;
-  switch (p.index_kind) {
-    case 0:
-      index = std::make_unique<InvertedFileIndex>(&pool, partial, kVocab);
-      break;
-    case 1:
-      index = std::make_unique<SifIndex>(&pool, partial, kVocab, 1);
-      break;
-    case 2: {
-      SifPConfig cfg;
-      cfg.heavy_edge_fraction = 0.5;
-      cfg.log_provider =
-          MakeQueryLogProvider(QueryLogMode::kFrequency, {}, 2, 6, p.seed);
-      index = std::make_unique<SifPartitionedIndex>(&pool, partial, kVocab,
-                                                    cfg, 1);
-      break;
-    }
-    default:
-      index = std::make_unique<SifGroupIndex>(&pool, partial, kVocab, 8, 1);
-      break;
-  }
-
-  // Ingest the second half.
-  for (ObjectId id = static_cast<ObjectId>(half); id < full.objects->size();
-       ++id) {
-    const auto& o = full.objects->object(id);
-    index->AddObject(id, o.edge, net.WeightFromN1(o.edge, o.offset),
-                     o.terms);
-  }
-
-  // The ingested index must answer like a scan of the full set. (Ids
-  // coincide because partial ids equal full ids for the first half and
-  // AddObject used the full-set ids for the rest; only w1/id matter.)
-  Random rng(p.seed ^ 0x1217);
-  std::vector<LoadedObject> got;
-  for (int round = 0; round < 250; ++round) {
-    const EdgeId edge = static_cast<EdgeId>(rng.Uniform(net.num_edges()));
-    std::vector<TermId> terms;
-    while (terms.size() < 2) {
-      const TermId t = static_cast<TermId>(rng.Uniform(kVocab));
-      if (std::find(terms.begin(), terms.end(), t) == terms.end()) {
-        terms.push_back(t);
-      }
-    }
-    std::sort(terms.begin(), terms.end());
-    index->LoadObjects(edge, terms, &got);
-    auto want = ReferenceLoadObjects(*full.objects, edge, terms);
-    // Order may differ (ingested objects are ranked after build-time
-    // ones); compare as id-sorted sets.
-    auto by_id = [](const LoadedObject& a, const LoadedObject& b) {
-      return a.id < b.id;
-    };
-    std::sort(got.begin(), got.end(), by_id);
-    std::sort(want.begin(), want.end(), by_id);
-    ASSERT_EQ(got.size(), want.size()) << "edge " << edge;
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].id, want[i].id);
-      EXPECT_NEAR(got[i].w1, want[i].w1, 1e-9);
-    }
-  }
-}
-
-std::string IngestionParamName(
-    const ::testing::TestParamInfo<IngestionParam>& info) {
-  static const char* kNames[] = {"IF", "SIF", "SIFP", "SIFG"};
-  return std::string(kNames[info.param.index_kind]) + "_seed" +
-         std::to_string(info.param.seed);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, DynamicIngestionTest,
-    ::testing::Values(IngestionParam{901, 0}, IngestionParam{902, 1},
-                      IngestionParam{903, 2}, IngestionParam{904, 3},
-                      IngestionParam{905, 1}),
-    IngestionParamName);
 
 TEST(IndexSizeTest, SifAddsOnlySmallSummaryOverIF) {
   TestDataset data = MakeRandomDataset(555, 150, 1000, 60, 6, 1.1);

@@ -32,9 +32,8 @@ TEST(RTreeTest, EmptyTree) {
                      return true;
                    });
   EXPECT_EQ(count, 0);
-  RTree::Entry e;
-  EXPECT_FALSE(tree.Nearest(Point{1, 1}, &e));
   EXPECT_EQ(tree.CountPages(), 1u);
+  EXPECT_EQ(tree.height(), 1);
 }
 
 TEST(RTreeTest, SingleEntry) {
@@ -42,16 +41,17 @@ TEST(RTreeTest, SingleEntry) {
   BufferPool pool(&disk, 1024);
   RTree tree =
       RTree::BulkLoad(&pool, {RTree::Entry{Mbr::FromPoint({5, 5}), 77}});
-  RTree::Entry e;
-  ASSERT_TRUE(tree.Nearest(Point{0, 0}, &e));
-  EXPECT_EQ(e.payload, 77u);
-  int hits = 0;
-  tree.RangeSearch(Mbr::FromPoints({4, 4}, {6, 6}),
-                   [&hits](const Mbr&, uint64_t) {
-                     ++hits;
-                     return true;
-                   });
-  EXPECT_EQ(hits, 1);
+  std::vector<uint64_t> hits;
+  auto collect = [&hits](const Mbr& mbr, uint64_t payload) {
+    EXPECT_TRUE(mbr.Contains(Point{5, 5}));
+    hits.push_back(payload);
+    return true;
+  };
+  tree.RangeSearch(Mbr::FromPoints({4, 4}, {6, 6}), collect);
+  EXPECT_EQ(hits, std::vector<uint64_t>{77});
+  hits.clear();
+  tree.RangeSearch(Mbr::FromPoints({6, 6}, {9, 9}), collect);
+  EXPECT_TRUE(hits.empty());
 }
 
 struct RTreeParam {
@@ -94,26 +94,6 @@ TEST_P(RTreeRandomTest, RangeSearchMatchesLinearScan) {
   }
 }
 
-TEST_P(RTreeRandomTest, NearestMatchesLinearScan) {
-  const auto [seed, n] = GetParam();
-  DiskManager disk;
-  BufferPool pool(&disk, 4096);
-  auto entries = RandomPoints(n, seed);
-  RTree tree = RTree::BulkLoad(&pool, entries);
-
-  Random rng(seed ^ 0xF00D);
-  for (int round = 0; round < 25; ++round) {
-    const Point q{rng.UniformDouble(0, 10000), rng.UniformDouble(0, 10000)};
-    RTree::Entry got;
-    ASSERT_TRUE(tree.Nearest(q, &got));
-    double best = 1e18;
-    for (const auto& e : entries) {
-      best = std::min(best, e.mbr.MinDistance(q));
-    }
-    EXPECT_NEAR(got.mbr.MinDistance(q), best, 1e-9);
-  }
-}
-
 TEST_P(RTreeRandomTest, EarlyStopVisitsAtMostRequested) {
   const auto [seed, n] = GetParam();
   DiskManager disk;
@@ -134,97 +114,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RTreeRandomTest,
                                            RTreeParam{13, 1000},  // 2 levels
                                            RTreeParam{14, 15000}, // 3 levels
                                            RTreeParam{15, 257}));
-
-class RTreeInsertTest : public ::testing::TestWithParam<RTreeParam> {};
-
-/// Dynamic insertion must preserve exactly the same search semantics as a
-/// bulk-loaded tree over the same data.
-TEST_P(RTreeInsertTest, InsertedTreeMatchesLinearScan) {
-  const auto [seed, n] = GetParam();
-  DiskManager disk;
-  BufferPool pool(&disk, 8192);
-  auto entries = RandomPoints(n, seed);
-  RTree tree = RTree::CreateEmpty(&pool);
-  for (const auto& e : entries) {
-    tree.Insert(e);
-  }
-
-  Random rng(seed ^ 0xCAFE);
-  for (int round = 0; round < 20; ++round) {
-    const double x1 = rng.UniformDouble(0, 10000);
-    const double y1 = rng.UniformDouble(0, 10000);
-    const Mbr range = Mbr::FromPoints(
-        {x1, y1},
-        {x1 + rng.UniformDouble(0, 4000), y1 + rng.UniformDouble(0, 4000)});
-    std::vector<uint64_t> got;
-    tree.RangeSearch(range, [&got](const Mbr&, uint64_t id) {
-      got.push_back(id);
-      return true;
-    });
-    std::sort(got.begin(), got.end());
-    std::vector<uint64_t> want;
-    for (const auto& e : entries) {
-      if (e.mbr.Intersects(range)) {
-        want.push_back(e.payload);
-      }
-    }
-    std::sort(want.begin(), want.end());
-    ASSERT_EQ(got, want) << "round " << round;
-  }
-
-  // Nearest also agrees with a scan.
-  for (int round = 0; round < 10; ++round) {
-    const Point q{rng.UniformDouble(0, 10000), rng.UniformDouble(0, 10000)};
-    RTree::Entry got;
-    ASSERT_TRUE(tree.Nearest(q, &got));
-    double best = 1e18;
-    for (const auto& e : entries) {
-      best = std::min(best, e.mbr.MinDistance(q));
-    }
-    EXPECT_NEAR(got.mbr.MinDistance(q), best, 1e-9);
-  }
-}
-
-TEST_P(RTreeInsertTest, MixedBulkLoadAndInsert) {
-  const auto [seed, n] = GetParam();
-  DiskManager disk;
-  BufferPool pool(&disk, 8192);
-  auto entries = RandomPoints(n, seed);
-  const size_t half = entries.size() / 2;
-  std::vector<RTree::Entry> first_half(entries.begin(),
-                                       entries.begin() + half);
-  RTree tree = RTree::BulkLoad(&pool, first_half);
-  for (size_t i = half; i < entries.size(); ++i) {
-    tree.Insert(entries[i]);
-  }
-  size_t count = 0;
-  tree.RangeSearch(Mbr::FromPoints({0, 0}, {10000, 10000}),
-                   [&count](const Mbr&, uint64_t) {
-                     ++count;
-                     return true;
-                   });
-  EXPECT_EQ(count, entries.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, RTreeInsertTest,
-                         ::testing::Values(RTreeParam{21, 5},
-                                           RTreeParam{22, 150},
-                                           RTreeParam{23, 1200},
-                                           RTreeParam{24, 5000}));
-
-TEST(RTreeInsertTest, GrowsHeightUnderInsertion) {
-  DiskManager disk;
-  BufferPool pool(&disk, 8192);
-  RTree tree = RTree::CreateEmpty(&pool);
-  EXPECT_EQ(tree.height(), 1);
-  const size_t n = RTree::LeafCapacity() * 3;
-  auto entries = RandomPoints(n, 99);
-  for (const auto& e : entries) {
-    tree.Insert(e);
-  }
-  EXPECT_GE(tree.height(), 2);
-  EXPECT_GT(tree.CountPages(), 2u);
-}
 
 TEST(RTreeTest, MultiLevelTreeHasExpectedHeight) {
   DiskManager disk;

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -552,6 +553,116 @@ TEST_F(ServerTest, MalformedLinesAnswerInvalidArgumentAndConnectionSurvives) {
   EXPECT_EQ(c.requests, 3u);
   EXPECT_EQ(c.invalid, 2u);
   EXPECT_EQ(c.admitted, 1u);
+  server.Stop();
+}
+
+TEST_F(ServerTest, UnknownTermAnswersEmptyAndConnectionSurvives) {
+  // Regression: a term id outside the vocabulary CHECK-failed in the SIF
+  // signature test, aborting the server with the request unanswered. No
+  // object carries such a term, so the AND query has no result.
+  ServerConfig sc;
+  sc.service.threads = 1;
+  sc.service.metrics = nullptr;
+  QueryServer server(db_, sc);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  QueryClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  std::string response;
+  for (const std::string op : {"sk", "div"}) {
+    ASSERT_TRUE(client
+                    .Request("{\"op\":\"" + op +
+                                 "\",\"terms\":[1,4000000000],\"edge\":0,"
+                                 "\"offset\":0,\"delta\":1000}",
+                             &response)
+                    .ok())
+        << op;
+    EXPECT_EQ(StatusOf(response), "OK") << response;
+    JsonValue doc;
+    ASSERT_TRUE(JsonValue::Parse(response, &doc).ok()) << response;
+    ASSERT_NE(doc.Find("count"), nullptr) << response;
+    EXPECT_EQ(doc.Find("count")->number(), 0.0) << response;
+  }
+
+  // The next request on the same connection is answered.
+  ASSERT_TRUE(
+      client.Request(RequestLine(workload_->queries[0], "after"), &response)
+          .ok());
+  EXPECT_EQ(StatusOf(response), "OK") << response;
+  server.Stop();
+}
+
+TEST_F(ServerTest, PipelinedBurstPastTheLineLimitIsAnsweredInFull) {
+  // Regression: the 64 KiB line limit was applied to everything received
+  // in one poll round, so a pipelined burst of valid lines past it closed
+  // the connection with no request answered.
+  ServerConfig sc;
+  sc.service.threads = 1;
+  sc.service.metrics = nullptr;
+  QueryServer server(db_, sc);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  std::string burst;
+  size_t sent = 0;
+  while (burst.size() <= 64 * 1024) {
+    if (sent > 0) {
+      burst.push_back('\n');
+    }
+    burst += RequestLine(workload_->queries[sent % workload_->queries.size()],
+                         "b" + std::to_string(sent));
+    ++sent;
+  }
+  QueryClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  ASSERT_TRUE(client.SendLine(burst).ok());  // one write of `sent` lines
+
+  std::set<std::string> ids;
+  for (size_t i = 0; i < sent; ++i) {
+    std::string line;
+    ASSERT_TRUE(client.ReadLine(&line, /*timeout_ms=*/60000).ok())
+        << "answer " << i << " of " << sent;
+    const std::string status = StatusOf(line);
+    EXPECT_TRUE(status == "OK" || status == "RESOURCE_EXHAUSTED") << line;
+    JsonValue doc;
+    ASSERT_TRUE(JsonValue::Parse(line, &doc).ok()) << line;
+    ASSERT_NE(doc.Find("id"), nullptr) << line;
+    EXPECT_TRUE(ids.insert(doc.Find("id")->string_value()).second) << line;
+  }
+  EXPECT_EQ(ids.size(), sent);
+  EXPECT_EQ(server.counters().requests, sent);
+  server.Stop();
+}
+
+TEST_F(ServerTest, OverlongLineClosesOnlyThatConnection) {
+  ServerConfig sc;
+  sc.service.threads = 1;
+  sc.service.metrics = nullptr;
+  QueryServer server(db_, sc);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  QueryClient bystander;
+  ASSERT_TRUE(bystander.Connect(server.port()).ok());
+  QueryClient hog;
+  ASSERT_TRUE(hog.Connect(server.port()).ok());
+  // One byte past the limit, with no newline.
+  const std::string line(64 * 1024 + 1, 'x');
+  size_t sent = 0;
+  while (sent < line.size()) {
+    const ssize_t n = ::send(hog.fd(), line.data() + sent, line.size() - sent,
+                             MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<size_t>(n);
+  }
+  std::string response;
+  const Status closed = hog.ReadLine(&response);
+  EXPECT_FALSE(closed.ok()) << response;
+  EXPECT_NE(closed.message(), "client read timeout");
+
+  ASSERT_TRUE(
+      bystander.Request(RequestLine(workload_->queries[0], "b"), &response)
+          .ok());
+  EXPECT_EQ(StatusOf(response), "OK") << response;
+  EXPECT_EQ(server.counters().requests, 1u);
   server.Stop();
 }
 

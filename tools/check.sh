@@ -139,9 +139,10 @@ if [ "$#" -eq 0 ] && [ "${DSKS_SKIP_PERF:-0}" != "1" ]; then
   echo "=== chaos smoke: OK ==="
 
   # Server smoke: start the query server with every query traced, run one
-  # valid and one malformed query over the socket, scrape the
-  # shared-listener observability routes while it still serves — nothing
-  # drains its executor, so /varz must show the served query live — then
+  # valid query, one malformed line and one query with a term outside the
+  # vocabulary over the socket, scrape the shared-listener observability
+  # routes while it still serves — nothing drains its executor, so /varz
+  # must show the served queries live — then
   # stop it with SIGTERM and expect a clean summary. Then an overload
   # drill at ~4x capacity whose JSON record must pass the schema +
   # exact-admission gate with real shedding, and the end-to-end chaos
@@ -182,16 +183,26 @@ s.sendall(b"this is not json\n")
 resp = json.loads(f.readline())
 if resp.get("status") != "INVALID_ARGUMENT":
     sys.exit(f"server smoke: malformed line answered {resp}")
-print("server smoke: query OK, malformed line rejected in-band")
+# ...and a term no object carries answers an empty result, still in-band.
+s.sendall(b'{"op":"sk","terms":[1,4000000000],"edge":0,"offset":0,'
+          b'"delta":1000}\n')
+line = f.readline()
+if not line:
+    sys.exit("server smoke: unknown term closed the connection unanswered")
+resp = json.loads(line)
+if resp.get("status") != "OK" or resp.get("count") != 0:
+    sys.exit(f"server smoke: unknown term answered {resp}")
+print("server smoke: query OK, malformed line rejected in-band, "
+      "unknown term answered empty")
 EOF
   # A worker records its query just after the response goes out, so poll
-  # (bounded) until /varz carries the one admitted query; the malformed
+  # (bounded) until /varz carries the two admitted queries; the malformed
   # line never reaches the executor.
   varz_ok=0
   for _ in $(seq 1 50); do
     if curl -fsS "http://127.0.0.1:$serve_port/varz" \
          > build-perf/varz_smoke.json &&
-       grep -q '"executor.queries":1[,}]' build-perf/varz_smoke.json &&
+       grep -q '"executor.queries":2[,}]' build-perf/varz_smoke.json &&
        python3 tools/perf_gate.py validate-metrics build-perf/varz_smoke.json \
          > /dev/null; then
       varz_ok=1
@@ -200,7 +211,7 @@ EOF
     sleep 0.1
   done
   if [ "$varz_ok" != 1 ]; then
-    echo "server smoke: live /varz never showed the served query" >&2
+    echo "server smoke: live /varz never showed the served queries" >&2
     cat build-perf/varz_smoke.json >&2
     python3 tools/perf_gate.py validate-metrics build-perf/varz_smoke.json
     exit 1
@@ -225,8 +236,8 @@ EOF
     exit 1
   fi
   curl -fsS "http://127.0.0.1:$serve_port/statusz" |
-    grep -q '"admitted":1' || {
-    echo "server smoke: /statusz does not show the admitted query" >&2
+    grep -q '"admitted":2[,}]' || {
+    echo "server smoke: /statusz does not show the admitted queries" >&2
     exit 1
   }
   curl -fsS "http://127.0.0.1:$serve_port/healthz" > /dev/null

@@ -211,15 +211,13 @@ int Usage() {
                "           [--quota-qps 0]\n"
                "query/metrics/chaos/serve/drill also accept storage-backend "
                "flags:\n"
-               "           [--backend sim|file] [--backend-path PATH]\n"
-               "           [--o-direct]\n");
+               "           [--backend sim|file] [--backend-path PATH]\n");
   return 2;
 }
 
 /// Shared storage-backend flags: `--backend sim|file` selects where pages
 /// live, `--backend-path PATH` names the index file (file backend only;
-/// defaults to a fresh /tmp file that is removed on exit), `--o-direct`
-/// asks the file backend to bypass the OS page cache.
+/// defaults to a fresh /tmp file that is removed on exit).
 class CliBackend {
  public:
   explicit CliBackend(const Args& args) {
@@ -232,7 +230,6 @@ class CliBackend {
             "/tmp/dsks_cli_" + std::to_string(::getpid()) + ".pages";
         owns_files_ = true;
       }
-      options_.o_direct = args.Has("o-direct");
     } else if (name != "sim") {
       std::fprintf(stderr, "--backend: want 'sim' or 'file', got '%s'\n",
                    name.c_str());
