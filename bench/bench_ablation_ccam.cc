@@ -55,8 +55,6 @@ int main() {
         &disk, std::max<size_t>(4, ccam.num_pages() * 3 / 100));
     CcamGraph graph(&ccam, &ccam_pool);
     SifIndex index(&index_pool, *objects, cfg.objects.vocab_size);
-    index_pool.FlushAll();
-    index_pool.Clear();
     index_pool.SetCapacity(std::max<size_t>(
         64, static_cast<size_t>(
                 0.02 * static_cast<double>(index.SizeBytes() / kPageSize))));

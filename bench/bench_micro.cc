@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -126,8 +127,11 @@ void BM_BPlusTreeGet(benchmark::State& state) {
   }
   const BPlusTree tree = BPlusTree::BulkLoad(&pool, pairs);
   Random rng(4);
+  std::optional<uint64_t> value;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Get(rng.Uniform(n) * 7));
+    const Status s = tree.Get(rng.Uniform(n) * 7, &value);
+    benchmark::DoNotOptimize(s.ok());
+    benchmark::DoNotOptimize(value);
   }
 }
 BENCHMARK(BM_BPlusTreeGet);

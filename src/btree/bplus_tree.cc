@@ -93,6 +93,13 @@ size_t LeafLowerBound(const char* p, uint64_t key) {
   return lo;
 }
 
+/// Writes a composed node to its page. A build runs on a fault-free disk by
+/// contract, so a failed write is a setup error.
+void WriteNode(DiskManager* disk, PageId id, const char* page) {
+  const Status s = disk->WritePage(id, page);
+  DSKS_CHECK_MSG(s.ok(), "B+tree build on a faulty disk");
+}
+
 /// Child slot to descend into for `key`: number of separators <= key.
 size_t InternalChildIndex(const char* p, uint64_t key) {
   size_t lo = 0;
@@ -124,17 +131,26 @@ BPlusTree BPlusTree::BulkLoad(
     Key first_key;
     PageId page;
   };
+  DiskManager* disk = pool->disk();
+  char p[kPageSize];
+  uint64_t pages = 0;
   std::vector<ChildRef> level;
-  PageId prev_leaf = kInvalidPageId;
   // Leaves first; an empty input still gets one (empty) leaf as its root.
+  // A leaf is written once the next leaf's id, its `next`, is known; `p`
+  // holds it until then.
+  PageId prev_leaf = kInvalidPageId;
   const size_t num_leaves =
       std::max<size_t>(1, (sorted.size() + leaf_fill - 1) / leaf_fill);
   for (size_t leaf = 0; leaf < num_leaves; ++leaf) {
     const size_t start = leaf * leaf_fill;
     const size_t end = std::min(sorted.size(), start + leaf_fill);
-    PageId id;
-    PageGuard guard = PageGuard::New(pool, &id);
-    char* p = guard.data();
+    const PageId id = disk->AllocatePage();
+    ++pages;
+    if (prev_leaf != kInvalidPageId) {
+      SetNext(p, id);
+      WriteNode(disk, prev_leaf, p);
+    }
+    std::memset(p, 0, kPageSize);
     SetLeaf(p, true);
     SetCount(p, static_cast<uint16_t>(end - start));
     SetNext(p, kInvalidPageId);
@@ -147,16 +163,10 @@ BPlusTree BPlusTree::BulkLoad(
       }
       SetLeafEntry(p, i - start, sorted[i].first, sorted[i].second);
     }
-    guard.MarkDirty();
-    guard.Release();
-    if (prev_leaf != kInvalidPageId) {
-      PageGuard prev = FetchForBuild(pool, prev_leaf);
-      SetNext(prev.data(), id);
-      prev.MarkDirty();
-    }
     prev_leaf = id;
     level.push_back(ChildRef{start < end ? sorted[start].first : 0, id});
   }
+  WriteNode(disk, prev_leaf, p);
 
   // Internal levels until a single node remains.
   const size_t fanout = std::max<size_t>(2, kInternalCapacity * 9 / 10);
@@ -164,9 +174,9 @@ BPlusTree BPlusTree::BulkLoad(
     std::vector<ChildRef> parents;
     for (size_t start = 0; start < level.size(); start += fanout + 1) {
       const size_t end = std::min(level.size(), start + fanout + 1);
-      PageId id;
-      PageGuard guard = PageGuard::New(pool, &id);
-      char* p = guard.data();
+      const PageId id = disk->AllocatePage();
+      ++pages;
+      std::memset(p, 0, kPageSize);
       SetLeaf(p, false);
       SetNext(p, kInvalidPageId);
       SetCount(p, static_cast<uint16_t>(end - start - 1));
@@ -175,12 +185,14 @@ BPlusTree BPlusTree::BulkLoad(
         SetInternalKey(p, i - start - 1, level[i].first_key);
         SetChild(p, i - start, level[i].page);
       }
-      guard.MarkDirty();
+      WriteNode(disk, id, p);
       parents.push_back(ChildRef{level[start].first_key, id});
     }
     level = std::move(parents);
   }
-  return BPlusTree(pool, level[0].page);
+  BPlusTree tree(pool, level[0].page);
+  tree.num_pages_ = pages;
+  return tree;
 }
 
 Status BPlusTree::FindLeaf(Key key, PageId* leaf) const {
@@ -263,26 +275,5 @@ Status BPlusTree::MultiGet(BufferPool* pool, std::span<const PageId> roots,
   }
   return Status::Corruption("B+tree descent exceeded maximum depth");
 }
-
-uint64_t BPlusTree::CountPagesRecursive(PageId node) const {
-  PageGuard guard = FetchForBuild(pool_, node);
-  const char* p = guard.data();
-  if (IsLeaf(p)) {
-    return 1;
-  }
-  uint64_t total = 1;
-  const size_t n = Count(p);
-  std::vector<PageId> children(n + 1);
-  for (size_t i = 0; i <= n; ++i) {
-    children[i] = Child(p, i);
-  }
-  guard.Release();
-  for (PageId c : children) {
-    total += CountPagesRecursive(c);
-  }
-  return total;
-}
-
-uint64_t BPlusTree::CountPages() const { return CountPagesRecursive(root_); }
 
 }  // namespace dsks

@@ -20,8 +20,8 @@ namespace dsks {
 ///
 /// Built once by BulkLoad over unique, sorted keys and read-only after
 /// that: the indexes are measured over a fixed object set (§3, §5). All
-/// node accesses go through the buffer pool and therefore show up in the
-/// I/O statistics.
+/// node reads go through the buffer pool and therefore show up in the I/O
+/// statistics.
 class BPlusTree {
  public:
   using Key = uint64_t;
@@ -31,24 +31,18 @@ class BPlusTree {
   BPlusTree(BufferPool* pool, PageId root) : pool_(pool), root_(root) {}
 
   /// Builds a tree bottom-up from strictly increasing (key, value) pairs
-  /// (CHECK-fails otherwise) with O(n) page writes. Used by the
-  /// inverted-file builder, whose per-keyword edge lists are produced in
-  /// sorted order. An empty input yields a single empty leaf.
+  /// (CHECK-fails otherwise). Each node is composed in memory and written
+  /// once, straight to `pool->disk()`; the pool itself is not touched. A
+  /// failed write CHECK-fails: a build runs on a fault-free disk by
+  /// contract. Used by the inverted-file builder, whose per-keyword edge
+  /// lists are produced in sorted order. An empty input yields a single
+  /// empty leaf.
   static BPlusTree BulkLoad(BufferPool* pool,
                             std::span<const std::pair<Key, Value>> sorted);
 
   /// Point lookup. `*result` is nullopt when the key is absent; a non-OK
   /// status (disk error during the descent) leaves `*result` nullopt.
   Status Get(Key key, std::optional<Value>* result) const;
-
-  /// Point lookup for fault-free-by-contract callers (build paths, tests);
-  /// CHECK-fails on a disk error.
-  std::optional<Value> Get(Key key) const {
-    std::optional<Value> result;
-    const Status s = Get(key, &result);
-    DSKS_CHECK_MSG(s.ok(), "BPlusTree::Get on a faulty disk");
-    return result;
-  }
 
   /// Looks up the same key in several trees at once, descending them in
   /// lockstep: before any node of a level is fetched, the whole level is
@@ -65,11 +59,11 @@ class BPlusTree {
   static Status MultiGet(BufferPool* pool, std::span<const PageId> roots,
                          Key key, std::span<std::optional<Value>> results);
 
-  /// Number of pages owned by the tree (O(nodes) walk; for index-size
-  /// accounting).
-  uint64_t CountPages() const;
-
   PageId root() const { return root_; }
+
+  /// Pages BulkLoad wrote for this tree (index-size accounting); 0 for a
+  /// tree opened from its root.
+  uint64_t num_pages() const { return num_pages_; }
 
   /// Max entries per leaf/internal node. BulkLoad fills ~90% of either;
   /// tests use these to size trees of a given height.
@@ -82,10 +76,9 @@ class BPlusTree {
   /// looping forever.
   Status FindLeaf(Key key, PageId* leaf) const;
 
-  uint64_t CountPagesRecursive(PageId node) const;
-
   BufferPool* pool_;
   PageId root_;
+  uint64_t num_pages_ = 0;
 };
 
 }  // namespace dsks

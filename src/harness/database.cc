@@ -34,8 +34,10 @@ std::string IndexKindName(IndexKind kind) {
 
 namespace {
 
-/// Build-phase pool: large enough that construction is not eviction-bound.
-constexpr size_t kBuildPoolFrames = 64 * 1024;  // 256 MiB of frames
+/// Pool target until PrepareForQueries sets the measured budget; large, so
+/// that queries run before then rarely evict. Frames are allocated on first
+/// fetch, so an unused target costs no memory.
+constexpr size_t kInitialPoolFrames = 64 * 1024;  // 256 MiB of frames
 
 }  // namespace
 
@@ -44,7 +46,7 @@ Database::Database(const DatasetConfig& config, const DiskOptions& storage)
   network_ = GenerateRoadNetwork(config.network);
   objects_ = GenerateObjects(*network_, config.objects);
   term_stats_ = std::make_unique<TermStats>(*objects_, config.objects.vocab_size);
-  pool_ = std::make_unique<BufferPool>(&disk_, kBuildPoolFrames);
+  pool_ = std::make_unique<BufferPool>(&disk_, kInitialPoolFrames);
   ccam_file_ = CcamFileBuilder::Build(*network_, &disk_);
   ccam_graph_ = std::make_unique<CcamGraph>(&ccam_file_, pool_.get());
   index_base_pages_ = disk_.num_pages();
@@ -56,14 +58,12 @@ Database::IndexBuildInfo Database::BuildIndex(const IndexOptions& options) {
                                   ? PostingFile::EntriesPerPage()
                                   : options.signature_min_postings;
   if (index_ != nullptr) {
-    // Reclaim the superseded index's extent: drop the index (its pages
-    // may still be pinned through pool frames only until the unique_ptr
-    // goes), write back / drop every cached frame, then truncate the disk
-    // to the post-CCAM watermark so the rebuild reuses the same page
+    // Reclaim the superseded index's extent: drop the index, drop every
+    // cached frame (queries may have read the old pages), then truncate the
+    // disk to the post-CCAM watermark so the rebuild reuses the same page
     // range. Without this, every rebuild leaked its predecessor's pages.
     index_.reset();
-    const Status clear_status = pool_->Clear();
-    DSKS_CHECK_MSG(clear_status.ok(), "index rebuild on a faulty disk");
+    pool_->Clear();
     const Status trunc_status = disk_.TruncatePages(index_base_pages_);
     DSKS_CHECK_MSG(trunc_status.ok(), "index rebuild on a faulty disk");
     index_pages_ = 0;
@@ -106,15 +106,8 @@ Database::IndexBuildInfo Database::BuildIndex(const IndexOptions& options) {
   return info;
 }
 
-Status Database::FlushStorage() {
-  DSKS_RETURN_IF_ERROR(pool_->FlushAll());
-  return disk_.Flush();
-}
-
 void Database::PrepareForQueries(double fraction, size_t min_frames) {
   DSKS_CHECK_MSG(index_ != nullptr, "build an index first");
-  const Status flush_status = pool_->FlushAll();
-  DSKS_CHECK_MSG(flush_status.ok(), "PrepareForQueries on a faulty disk");
   // Budget relative to the live dataset (CCAM + current index). Since
   // rebuilds truncate the superseded extent this normally equals the raw
   // disk, but the live sum stays correct even if a leak regresses.
@@ -122,8 +115,7 @@ void Database::PrepareForQueries(double fraction, size_t min_frames) {
       (ccam_file_.size_bytes() + index_->SizeBytes()) / kPageSize);
   const auto frames = static_cast<size_t>(
       std::max(static_cast<double>(min_frames), fraction * live_pages));
-  const Status clear_status = pool_->Clear();
-  DSKS_CHECK_MSG(clear_status.ok(), "PrepareForQueries on a faulty disk");
+  pool_->Clear();
   // Persist the built image (sidecar + fsync on the file backend) so the
   // measured phase starts from a durable, reopenable index.
   const Status disk_flush = disk_.Flush();

@@ -46,11 +46,12 @@ struct IndexOptions {
 /// example talks to the system through this facade.
 class Database {
  public:
-  /// Generates the dataset and writes the CCAM file. The buffer pool
-  /// starts large (for index construction); PrepareForQueries() shrinks it
-  /// to the paper's 2% before measurements. `storage` selects the disk
-  /// backend: the in-memory simulation (default) or a real index file
-  /// (DiskBackendKind::kFile with a path).
+  /// Generates the dataset and writes the CCAM file. The buffer pool is
+  /// a read cache: builders write each page once, straight to the disk,
+  /// and PrepareForQueries() sizes the pool to the paper's 2% before
+  /// measurements. `storage` selects the disk backend: the in-memory
+  /// simulation (default) or a real index file (DiskBackendKind::kFile
+  /// with a path).
   explicit Database(const DatasetConfig& config,
                     const DiskOptions& storage = DiskOptions{});
 
@@ -62,22 +63,19 @@ class Database {
     uint64_t size_bytes = 0;
   };
 
-  /// Builds (or replaces) the object index. May be called multiple times;
-  /// a rebuild truncates the disk back to the post-CCAM watermark first,
-  /// so superseded index pages are reclaimed instead of leaking (on the
-  /// file backend this is the difference between a stable and an
-  /// ever-growing index file). The "db.disk.leaked_pages" gauge reports
-  /// any pages that still escape this accounting.
+  /// Builds (or replaces) the object index, writing each of its pages once
+  /// to the disk; the pool holds none of them afterwards. May be called
+  /// multiple times; a rebuild truncates the disk back to the post-CCAM
+  /// watermark first, so superseded index pages are reclaimed instead of
+  /// leaking (on the file backend this is the difference between a stable
+  /// and an ever-growing index file). The "db.disk.leaked_pages" gauge
+  /// reports any pages that still escape this accounting.
   IndexBuildInfo BuildIndex(const IndexOptions& options);
 
-  /// Makes the current on-disk image durable: writes back every dirty
-  /// buffer-pool frame, then flushes the disk backend (checksum sidecar +
-  /// fsync on the file backend). Required before reopening an index file
-  /// with DiskManager::OpenExisting.
-  Status FlushStorage();
-
-  /// Flushes everything and shrinks the buffer pool to
-  /// max(min_frames, fraction · disk pages), then clears all statistics.
+  /// Drops every pool frame, flushes the disk backend (checksum sidecar +
+  /// fsync on the file backend, which makes the index reopenable with
+  /// DiskManager::OpenExisting), sizes the pool to
+  /// max(min_frames, fraction · live pages), then clears all statistics.
   void PrepareForQueries(double fraction = 0.02, size_t min_frames = 64);
 
   /// Resets the I/O and index counters (per-query measurement).

@@ -44,35 +44,36 @@ InvertedFileIndex::InvertedFileIndex(BufferPool* pool,
     }
   }
 
-  // Phase 1: append every posting run (exclusive allocation so that runs
-  // can span contiguous pages).
-  postings_ = std::make_unique<PostingFile>(pool_);
-  std::vector<std::vector<std::pair<EdgeId, PostingFile::Locator>>> locators(
-      vocab_size);
-  for (TermId t = 0; t < vocab_size; ++t) {
-    for (const Run& run : term_runs[t]) {
-      locators[t].emplace_back(run.edge, postings_->AppendRun(run.entries));
+  // Phase 1: write every posting run, in keyword order, in one call (a
+  // run's pages must be contiguous, so nothing else allocates meanwhile).
+  std::vector<std::span<const PostingFile::Entry>> runs;
+  for (const std::vector<Run>& term : term_runs) {
+    for (const Run& run : term) {
+      runs.emplace_back(run.entries);
     }
-    term_runs[t].clear();
   }
+  std::vector<PostingFile::Locator> locators;
+  postings_ = std::make_unique<PostingFile>(pool_, runs, &locators);
 
   // Phase 2: one B+tree per keyword mapping edge keys to run locators,
   // bulk loaded from the keyword's sorted edge-key list.
   term_roots_.assign(vocab_size, kInvalidPageId);
   std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  size_t next_run = 0;
   for (TermId t = 0; t < vocab_size; ++t) {
-    if (locators[t].empty()) {
+    if (term_runs[t].empty()) {
       continue;
     }
     pairs.clear();
-    pairs.reserve(locators[t].size());
-    for (const auto& [edge, loc] : locators[t]) {
-      pairs.emplace_back(EdgeKey(edge_zcode_[edge], edge), loc);
+    pairs.reserve(term_runs[t].size());
+    for (const Run& run : term_runs[t]) {
+      pairs.emplace_back(EdgeKey(edge_zcode_[run.edge], run.edge),
+                         locators[next_run++]);
     }
     std::sort(pairs.begin(), pairs.end());
     BPlusTree tree = BPlusTree::BulkLoad(pool_, pairs);
     term_roots_[t] = tree.root();
-    btree_pages_ += tree.CountPages();
+    btree_pages_ += tree.num_pages();
   }
   directory_bytes_ = term_roots_.size() * sizeof(PageId) +
                      edge_zcode_.size() * sizeof(uint64_t);

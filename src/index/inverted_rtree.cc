@@ -24,7 +24,7 @@ InvertedRTreeIndex::InvertedRTreeIndex(BufferPool* pool,
     }
     term_trees_[t] =
         std::make_unique<RTree>(RTree::BulkLoad(pool_, std::move(per_term[t])));
-    rtree_pages_ += term_trees_[t]->CountPages();
+    rtree_pages_ += term_trees_[t]->num_pages();
   }
   object_file_ = std::make_unique<ObjectFile>(pool_, objects);
 }

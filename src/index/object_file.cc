@@ -28,13 +28,14 @@ ObjectFile::ObjectFile(BufferPool* pool, const ObjectSet& objects)
     }
   }
 
+  DiskManager* disk = pool->disk();
+  char data[kPageSize];
   const size_t num_pages =
       (objects.size() + kRecordsPerPage - 1) / kRecordsPerPage;
   pages_.reserve(num_pages);
   for (size_t p = 0; p < num_pages; ++p) {
-    PageId id;
-    PageGuard guard = PageGuard::New(pool_, &id);
-    char* data = guard.data();
+    const PageId id = disk->AllocatePage();
+    std::memset(data, 0, kPageSize);
     const size_t begin = p * kRecordsPerPage;
     const size_t end = std::min(objects.size(), begin + kRecordsPerPage);
     for (size_t i = begin; i < end; ++i) {
@@ -47,7 +48,8 @@ ObjectFile::ObjectFile(BufferPool* pool, const ObjectSet& objects)
       const double w1 = net.WeightFromN1(obj.edge, obj.offset);
       std::memcpy(base + 8, &w1, 8);
     }
-    guard.MarkDirty();
+    const Status s = disk->WritePage(id, data);
+    DSKS_CHECK_MSG(s.ok(), "object file build on a faulty disk");
     pages_.push_back(id);
   }
 }

@@ -26,7 +26,9 @@ class ObjectFile {
     uint16_t pos = 0;
   };
 
-  /// Writes one record per object in id order.
+  /// Writes one record per object in id order, each page once, straight
+  /// to `pool->disk()`; a failed write CHECK-fails (a build runs on a
+  /// fault-free disk by contract).
   ObjectFile(BufferPool* pool, const ObjectSet& objects);
 
   ObjectFile(const ObjectFile&) = delete;
@@ -35,14 +37,6 @@ class ObjectFile {
 
   /// Fetches the record of `id` (one page access via the buffer pool).
   Status Get(ObjectId id, Record* out) const;
-
-  /// Get for fault-free-by-contract callers; CHECK-fails on a disk error.
-  Record Get(ObjectId id) const {
-    Record rec;
-    const Status s = Get(id, &rec);
-    DSKS_CHECK_MSG(s.ok(), "ObjectFile::Get on a faulty disk");
-    return rec;
-  }
 
   uint64_t num_pages() const { return pages_.size(); }
 

@@ -50,54 +50,55 @@ PostingFile::Entry ReadEntry(const char* page, uint32_t slot) {
 
 size_t PostingFile::EntriesPerPage() { return kEntriesPerPage; }
 
-PostingFile::Locator PostingFile::AppendRun(std::span<const Entry> entries) {
-  DSKS_CHECK_MSG(entries.size() <= 0xFFFF, "posting run too long");
-  DSKS_CHECK_MSG(!entries.empty(), "empty posting run");
-
-  // A run must occupy consecutive page ids (the locator only records where
-  // it starts). If it does not fit in the current page's remainder, start
-  // on fresh pages allocated in one burst — that way no assumption is made
-  // about allocations that happened between AppendRun calls.
-  const size_t remainder =
-      current_page_ == kInvalidPageId ? 0 : kEntriesPerPage - current_slot_;
-  if (entries.size() > remainder) {
-    const size_t pages =
-        (entries.size() + kEntriesPerPage - 1) / kEntriesPerPage;
-    PageId first = kInvalidPageId;
-    for (size_t i = 0; i < pages; ++i) {
-      PageId id;
-      PageGuard guard = PageGuard::New(pool_, &id);
-      guard.MarkDirty();
-      if (i == 0) {
-        first = id;
-      } else {
-        DSKS_CHECK_MSG(id == first + i,
-                       "burst page allocation must be contiguous");
+PostingFile::PostingFile(BufferPool* pool,
+                         std::span<const std::span<const Entry>> runs,
+                         std::vector<Locator>* locators)
+    : pool_(pool) {
+  DiskManager* disk = pool->disk();
+  // The tail page is composed in `page` and written once, when the build
+  // moves on to a fresh page or ends.
+  char page[kPageSize];
+  PageId tail = kInvalidPageId;
+  uint32_t slot = 0;
+  auto write_tail = [&] {
+    const Status s = disk->WritePage(tail, page);
+    DSKS_CHECK_MSG(s.ok(), "posting file build on a faulty disk");
+  };
+  auto start_page = [&] {
+    if (tail != kInvalidPageId) {
+      write_tail();
+    }
+    tail = disk->AllocatePage();
+    ++num_pages_;
+    std::memset(page, 0, kPageSize);
+    slot = 0;
+  };
+  locators->clear();
+  locators->reserve(runs.size());
+  for (const std::span<const Entry> run : runs) {
+    DSKS_CHECK_MSG(run.size() <= 0xFFFF, "posting run too long");
+    DSKS_CHECK_MSG(!run.empty(), "empty posting run");
+    // A run must occupy consecutive page ids (the locator only records
+    // where it starts): one that does not fit the tail's remainder starts
+    // on a fresh page.
+    if (tail == kInvalidPageId || run.size() > kEntriesPerPage - slot) {
+      start_page();
+    }
+    locators->push_back(
+        PackLocator(tail, slot, static_cast<uint32_t>(run.size())));
+    for (const Entry& e : run) {
+      if (slot == kEntriesPerPage) {
+        const PageId prev = tail;
+        start_page();
+        DSKS_CHECK_MSG(tail == prev + 1, "a run's pages must be contiguous");
       }
-      ++num_pages_;
+      WriteEntry(page, slot++, e);
+      ++num_entries_;
     }
-    current_page_ = first;
-    current_slot_ = 0;
   }
-
-  const PageId start_page = current_page_;
-  const uint32_t start_slot = current_slot_;
-
-  PageGuard guard = FetchForBuild(pool_, current_page_);
-  for (const Entry& e : entries) {
-    if (current_slot_ >= kEntriesPerPage) {
-      guard.Release();
-      ++current_page_;  // pre-allocated above
-      current_slot_ = 0;
-      guard = FetchForBuild(pool_, current_page_);
-    }
-    WriteEntry(guard.data(), current_slot_, e);
-    guard.MarkDirty();
-    ++current_slot_;
-    ++num_entries_;
+  if (tail != kInvalidPageId) {
+    write_tail();
   }
-  return PackLocator(start_page, start_slot,
-                     static_cast<uint32_t>(entries.size()));
 }
 
 Status PostingFile::ReadRun(Locator locator, std::vector<Entry>* out) const {

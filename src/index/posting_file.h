@@ -11,14 +11,13 @@
 
 namespace dsks {
 
-/// Append-only storage for inverted-file posting runs. A *run* is the list
-/// of postings of one (keyword, edge) pair: every object on that edge that
-/// contains the keyword, ordered by position along the edge. The
-/// per-keyword B+trees (§3.1) map edges to run locators in this file.
+/// Storage for inverted-file posting runs, written once by the constructor
+/// and read-only after that. A *run* is the list of postings of one
+/// (keyword, edge) pair: every object on that edge that contains the
+/// keyword, ordered by position along the edge. The per-keyword B+trees
+/// (§3.1) map edges to run locators in this file.
 ///
-/// Runs are packed back to back; a run may span consecutive pages, so all
-/// AppendRun calls must happen in one exclusive build phase (no interleaved
-/// page allocation on the same disk), which the builder enforces.
+/// Runs are packed back to back; a run may span consecutive pages.
 class PostingFile {
  public:
   /// One posting: the object, its rank along the edge (the visiting order
@@ -33,14 +32,19 @@ class PostingFile {
   /// Opaque run locator: packs (first page, first slot, entry count).
   using Locator = uint64_t;
 
-  explicit PostingFile(BufferPool* pool) : pool_(pool) {}
+  /// Writes every run of `runs` (each 1 to 65535 entries) and stores
+  /// their locators, in order, in `*locators`. Each page is composed in
+  /// memory and written once, straight to `pool->disk()`; a failed write
+  /// CHECK-fails (a build runs on a fault-free disk by contract). A run
+  /// that does not fit the rest of the current page starts on a fresh one,
+  /// and its pages are allocated back to back, so no other allocation on
+  /// the disk may interleave with this call.
+  PostingFile(BufferPool* pool, std::span<const std::span<const Entry>> runs,
+              std::vector<Locator>* locators);
 
   PostingFile(const PostingFile&) = delete;
   PostingFile& operator=(const PostingFile&) = delete;
   PostingFile(PostingFile&&) = default;
-
-  /// Appends a run (at most 65535 entries) and returns its locator.
-  Locator AppendRun(std::span<const Entry> entries);
 
   /// Reads a whole run into `out` (cleared first). On a disk error `out`
   /// holds the entries read so far; discard it.
@@ -64,8 +68,6 @@ class PostingFile {
 
  private:
   BufferPool* pool_;
-  PageId current_page_ = kInvalidPageId;
-  uint32_t current_slot_ = 0;
   uint64_t num_pages_ = 0;
   uint64_t num_entries_ = 0;
 };

@@ -46,18 +46,30 @@ void ReadEntry(const char* p, size_t i, Mbr* mbr, uint64_t* payload) {
   std::memcpy(payload, base + 32, 8);
 }
 
+/// Writes a composed node to its page. A build runs on a fault-free disk by
+/// contract, so a failed write is a setup error.
+void WriteNode(DiskManager* disk, PageId id, const char* page) {
+  const Status s = disk->WritePage(id, page);
+  DSKS_CHECK_MSG(s.ok(), "R-tree build on a faulty disk");
+}
+
 }  // namespace
 
 size_t RTree::LeafCapacity() { return kCapacity; }
 
 RTree RTree::BulkLoad(BufferPool* pool, std::vector<Entry> entries) {
+  DiskManager* disk = pool->disk();
+  char p[kPageSize];
   // Empty tree: a single empty leaf keeps all read paths uniform.
   if (entries.empty()) {
-    PageId root;
-    PageGuard guard = PageGuard::New(pool, &root);
-    SetLeaf(guard.data(), true);
-    SetCount(guard.data(), 0);
-    return RTree(pool, root, 1);
+    const PageId root = disk->AllocatePage();
+    std::memset(p, 0, kPageSize);
+    SetLeaf(p, true);
+    SetCount(p, 0);
+    WriteNode(disk, root, p);
+    RTree tree(pool, root, 1);
+    tree.num_pages_ = 1;
+    return tree;
   }
 
   // STR: sort by center x, slice into vertical strips of ~sqrt(n/C) pages,
@@ -65,6 +77,7 @@ RTree RTree::BulkLoad(BufferPool* pool, std::vector<Entry> entries) {
   // one level up until a single node remains.
   int height = 1;
   bool leaf_level = true;
+  uint64_t pages = 0;
   while (true) {
     const size_t n = entries.size();
     const size_t num_nodes = (n + kCapacity - 1) / kCapacity;
@@ -88,9 +101,9 @@ RTree RTree::BulkLoad(BufferPool* pool, std::vector<Entry> entries) {
     parents.reserve(num_nodes);
     for (size_t start = 0; start < n; start += kCapacity) {
       const size_t end = std::min(n, start + kCapacity);
-      PageId node_id;
-      PageGuard guard = PageGuard::New(pool, &node_id);
-      char* p = guard.data();
+      const PageId node_id = disk->AllocatePage();
+      ++pages;
+      std::memset(p, 0, kPageSize);
       SetLeaf(p, leaf_level);
       SetCount(p, static_cast<uint16_t>(end - start));
       Mbr node_mbr = Mbr::Empty();
@@ -98,12 +111,14 @@ RTree RTree::BulkLoad(BufferPool* pool, std::vector<Entry> entries) {
         WriteEntry(p, i - start, entries[i].mbr, entries[i].payload);
         node_mbr.Extend(entries[i].mbr);
       }
-      guard.MarkDirty();
+      WriteNode(disk, node_id, p);
       parents.push_back(Entry{node_mbr, node_id});
     }
 
     if (parents.size() == 1) {
-      return RTree(pool, static_cast<PageId>(parents[0].payload), height);
+      RTree tree(pool, static_cast<PageId>(parents[0].payload), height);
+      tree.num_pages_ = pages;
+      return tree;
     }
     entries = std::move(parents);
     leaf_level = false;
@@ -153,30 +168,5 @@ Status RTree::RangeSearch(
   bool keep_going = true;
   return RangeSearchRecursive(root_, 0, range, visit, &keep_going);
 }
-
-uint64_t RTree::CountPagesRecursive(PageId node, int level) const {
-  PageGuard guard = FetchForBuild(pool_, node);
-  const char* p = guard.data();
-  if (IsLeaf(p)) {
-    return 1;
-  }
-  const size_t n = Count(p);
-  std::vector<PageId> children;
-  children.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Mbr mbr;
-    uint64_t payload;
-    ReadEntry(p, i, &mbr, &payload);
-    children.push_back(static_cast<PageId>(payload));
-  }
-  guard.Release();
-  uint64_t total = 1;
-  for (PageId c : children) {
-    total += CountPagesRecursive(c, level + 1);
-  }
-  return total;
-}
-
-uint64_t RTree::CountPages() const { return CountPagesRecursive(root_, 0); }
 
 }  // namespace dsks

@@ -18,7 +18,7 @@ namespace dsks {
 /// R-tree) baseline compared in §5, which the Euclidean filter-and-refine
 /// baseline also range-searches.
 ///
-/// All node accesses go through the buffer pool and are counted as I/O.
+/// All node reads go through the buffer pool and are counted as I/O.
 class RTree {
  public:
   struct Entry {
@@ -30,8 +30,10 @@ class RTree {
   RTree(BufferPool* pool, PageId root, int height)
       : pool_(pool), root_(root), height_(height) {}
 
-  /// Builds a tree from `entries` (consumed). An empty input produces a
-  /// valid empty tree.
+  /// Builds a tree from `entries` (consumed). Each node is composed in
+  /// memory and written once, straight to `pool->disk()`; a failed write
+  /// CHECK-fails (a build runs on a fault-free disk by contract). An empty
+  /// input produces a valid empty tree.
   static RTree BulkLoad(BufferPool* pool, std::vector<Entry> entries);
 
   /// Visits every entry whose MBR intersects `range`; the visitor returns
@@ -41,8 +43,9 @@ class RTree {
       const Mbr& range,
       const std::function<bool(const Mbr&, uint64_t)>& visit) const;
 
-  /// Nodes in the tree (for index-size accounting).
-  uint64_t CountPages() const;
+  /// Pages BulkLoad wrote for this tree (index-size accounting); 0 for a
+  /// tree opened from its root.
+  uint64_t num_pages() const { return num_pages_; }
 
   PageId root() const { return root_; }
   int height() const { return height_; }
@@ -56,12 +59,11 @@ class RTree {
       const std::function<bool(const Mbr&, uint64_t)>& visit,
       bool* keep_going) const;
 
-  uint64_t CountPagesRecursive(PageId node, int level) const;
-
   BufferPool* pool_;
   PageId root_;
   /// 1 = root is a leaf.
   int height_;
+  uint64_t num_pages_ = 0;
 };
 
 }  // namespace dsks

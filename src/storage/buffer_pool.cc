@@ -1,6 +1,5 @@
 #include "storage/buffer_pool.h"
 
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -23,10 +22,6 @@ BufferPool::~BufferPool() {
     (void)id;
   }
 #endif
-  std::lock_guard<std::mutex> lock(latch_);
-  // Best-effort final flush; a failed write-back has no caller to report
-  // to at destruction time.
-  (void)FlushAllLocked();
 }
 
 BufferPool::Frame* BufferPool::GetFrameLocked(PageId id) {
@@ -192,7 +187,7 @@ Status BufferPool::FetchPagesLocked(std::unique_lock<std::mutex>* lock,
       // nothing to clean up (the per-page contract of FetchPage, batched).
       for (size_t i = 0; i < ids.size(); ++i) {
         if (outs[i] != nullptr) {
-          UnpinPageLocked(ids[i], /*dirty=*/false);
+          UnpinPageLocked(ids[i]);
           outs[i] = nullptr;
         }
       }
@@ -208,23 +203,14 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   const size_t allocated = disk_->num_pages();
   std::unique_lock<std::mutex> lock(latch_);
   std::vector<PageReadRequest> reqs;
-  size_t refused = 0;  // pinned-and-dirty pages: counted no-ops
   for (PageId id : ids) {
     if (id >= allocated) {
       continue;  // speculative callers may guess past the watermark
     }
-    Frame* frame = GetFrameLocked(id);
-    if (frame != nullptr) {
+    if (GetFrameLocked(id) != nullptr) {
       // Resident or already in flight (claimed earlier in this call or by
       // another thread): nothing to do, and never wait — prefetch must
-      // not block. A frame pinned *and dirty* additionally gets counted:
-      // its writer holds newer bytes than the disk, so a speculative read
-      // could only ever race the write-back with stale data.
-      // Issued-and-dropped keeps the lifecycle telescope exact without a
-      // device read.
-      if (frame->pin_count > 0 && frame->dirty) {
-        ++refused;
-      }
+      // not block.
       continue;
     }
     if (reqs.capacity() == 0) {
@@ -233,11 +219,6 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
     PageReadRequest& req = reqs.emplace_back();
     req.id = id;
     req.out = ClaimFrameLocked(id)->data.get();
-  }
-  if (refused > 0) {
-    stats_.prefetch_issued.fetch_add(refused, std::memory_order_relaxed);
-    stats_.prefetch_dropped.fetch_add(refused, std::memory_order_relaxed);
-    obs::ChargePrefetchIssued(refused);
   }
   if (reqs.empty()) {
     return;
@@ -264,27 +245,16 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
   TrimToCapacityLocked();
 }
 
-char* BufferPool::NewPage(PageId* id) {
-  *id = disk_->AllocatePage();
-  std::lock_guard<std::mutex> lock(latch_);
-  // A new page has nothing to read: it is resident and dirty at once.
-  Frame* frame = ClaimFrameLocked(*id);
-  std::memset(frame->data.get(), 0, kPageSize);
-  frame->dirty = true;
-  frame->io_in_progress = false;
-  return frame->data.get();
-}
-
 void BufferPool::UnpinPage(PageId id, bool dirty) {
+  DSKS_CHECK_MSG(!dirty, "the buffer pool is read-only: no page is dirty");
   std::lock_guard<std::mutex> lock(latch_);
-  UnpinPageLocked(id, dirty);
+  UnpinPageLocked(id);
 }
 
-void BufferPool::UnpinPageLocked(PageId id, bool dirty) {
+void BufferPool::UnpinPageLocked(PageId id) {
   Frame* frame = GetFrameLocked(id);
   DSKS_CHECK_MSG(frame != nullptr, "unpin of page not in pool");
   DSKS_CHECK_MSG(frame->pin_count > 0, "unpin of unpinned page");
-  frame->dirty = frame->dirty || dirty;
   --frame->pin_count;
   if (frame->pin_count == 0) {
     AppendLruLocked(frame);
@@ -294,58 +264,27 @@ void BufferPool::UnpinPageLocked(PageId id, bool dirty) {
 }
 
 bool BufferPool::TryEvictOneLocked() {
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    const PageId victim = *it;
-    auto fit = frames_.find(victim);
-    DSKS_CHECK(fit != frames_.end());
-    Frame& f = fit->second;
-    DSKS_CHECK(f.pin_count == 0);
-    if (f.dirty) {
-      const Status status = disk_->WritePage(victim, f.data.get());
-      if (!status.ok()) {
-        // Injected write fault: keep the frame (still dirty, still in the
-        // LRU) and try the next candidate; a later trim retries it.
-        ++it;
-        continue;
-      }
-    }
-    if (f.prefetched) {
-      // Evicted without ever being demanded: the speculative read was
-      // wasted work.
-      stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
-    }
-    lru_.erase(it);
-    frames_.erase(fit);
-    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-    return true;
+  if (lru_.empty()) {
+    return false;
   }
-  return false;
+  auto fit = frames_.find(lru_.front());
+  DSKS_CHECK(fit != frames_.end());
+  DSKS_CHECK(fit->second.pin_count == 0);
+  if (fit->second.prefetched) {
+    // Evicted without ever being demanded: the speculative read was
+    // wasted work.
+    stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
+  }
+  lru_.pop_front();
+  frames_.erase(fit);
+  stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void BufferPool::TrimToCapacityLocked() {
   while (frames_.size() > capacity_.load(std::memory_order_relaxed) &&
          TryEvictOneLocked()) {
   }
-}
-
-Status BufferPool::FlushAllLocked() {
-  Status first = Status::Ok();
-  for (auto& [id, frame] : frames_) {
-    if (frame.dirty) {
-      const Status status = disk_->WritePage(id, frame.data.get());
-      if (status.ok()) {
-        frame.dirty = false;
-      } else if (first.ok()) {
-        first = status;
-      }
-    }
-  }
-  return first;
-}
-
-Status BufferPool::FlushAll() {
-  std::lock_guard<std::mutex> lock(latch_);
-  return FlushAllLocked();
 }
 
 void BufferPool::SetCapacity(size_t capacity) {
@@ -359,8 +298,7 @@ void BufferPool::SetCapacity(size_t capacity) {
 
 Status BufferPool::Clear() {
   std::lock_guard<std::mutex> lock(latch_);
-  const Status status = FlushAllLocked();
-  for (auto& [id, frame] : frames_) {
+  for (const auto& [id, frame] : frames_) {
     DSKS_CHECK_MSG(frame.pin_count == 0, "Clear with pinned pages");
     if (frame.prefetched) {
       stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
@@ -369,7 +307,7 @@ Status BufferPool::Clear() {
   }
   frames_.clear();
   lru_.clear();
-  return status;
+  return Status::Ok();
 }
 
 size_t BufferPool::num_frames_in_use() const {

@@ -93,10 +93,15 @@ struct BufferPoolStats {
   double hit_rate() const { return Snapshot().hit_rate(); }
 };
 
-/// Fixed-capacity LRU buffer pool over a DiskManager, mirroring the paper's
+/// Fixed-capacity LRU read cache over a DiskManager, mirroring the paper's
 /// setup ("an LRU memory buffer whose size is set to 2% of the network
 /// dataset size", §5). Pages are pinned while in use; only unpinned frames
 /// are eligible for eviction.
+///
+/// The pool never writes: every index builder writes each page once,
+/// straight to the DiskManager, before any reader fetches it. A frame is
+/// therefore always a clean copy of its page, and eviction just drops the
+/// least-recently-used unpinned frame.
 ///
 /// One read path: every page that enters the pool is claimed (a pinned,
 /// in-flight frame), read in one DiskManager::ReadPages batch and published
@@ -109,12 +114,10 @@ struct BufferPoolStats {
 /// misses perform their disk read *outside* the latch (the frame is marked
 /// in-flight so concurrent fetchers of the same page wait instead of
 /// double-reading), which keeps parallel query streams from serializing on
-/// simulated I/O. Page *contents* are not latched: concurrent readers of a
-/// page are safe, but writers of the same page must coordinate externally
-/// (every structure in this library writes pages only during its
-/// single-threaded build).
+/// simulated I/O. Page contents are read-only once published, so they need
+/// no latch.
 ///
-/// Memory pressure: when every frame is pinned, Fetch/New do not fail —
+/// Memory pressure: when every frame is pinned, fetches do not fail —
 /// the pool temporarily exceeds `capacity()` with overflow frames and
 /// shrinks back as pins drain (see UnpinPage). The capacity is a target,
 /// not a hard limit; `num_frames_in_use() > capacity()` is possible while
@@ -130,10 +133,10 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Flushes dirty frames. Destroying a pool with pinned pages is a caller
-  /// bug (some PageGuard or manual pin outlived the pool); it is asserted
-  /// in debug builds and tolerated in release builds, consistent with
-  /// Clear()'s stricter always-on check.
+  /// Destroying a pool with pinned pages is a caller bug (some PageGuard or
+  /// manual pin outlived the pool); it is asserted in debug builds and
+  /// tolerated in release builds, consistent with Clear()'s stricter
+  /// always-on check.
   ~BufferPool();
 
   /// Pins page `id` and stores a pointer to its contents in `*out`; the
@@ -168,10 +171,7 @@ class BufferPool {
   /// The claimed frames are pinned and in flight (io_in_progress) while
   /// the batch is read outside the latch, so demand fetchers of those
   /// pages wait for it instead of double-reading; the call returns once
-  /// every page is published to the LRU or dropped. A page currently
-  /// pinned *and dirty* is refused as a counted no-op (prefetch_issued AND
-  /// prefetch_dropped, never a device read) — a speculative read racing
-  /// an in-progress writer would publish stale bytes.
+  /// every page is published to the LRU or dropped.
   void Prefetch(std::span<const PageId> ids);
 
   /// Kill switch for Prefetch (default on). Tests that need exact demand
@@ -184,24 +184,15 @@ class BufferPool {
     return prefetch_enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Allocates a fresh page on disk and returns it pinned; `*id` receives
-  /// the new page id.
-  char* NewPage(PageId* id);
-
-  /// Releases one pin; `dirty` marks the frame for write-back on eviction.
-  /// If the pool is over capacity (overflow frames or a deferred
-  /// SetCapacity shrink), unpinning evicts down toward the target.
+  /// Releases one pin. `dirty` must be false: the pool never writes a page
+  /// back (CHECK-enforced). If the pool is over capacity (overflow frames
+  /// or a deferred SetCapacity shrink), unpinning evicts down toward the
+  /// target.
   void UnpinPage(PageId id, bool dirty);
 
-  /// Writes back every dirty frame (pinned or not) without evicting.
-  /// Attempts every dirty frame even after a failure; returns the first
-  /// error (frames whose write failed stay dirty for a later retry).
-  Status FlushAll();
-
-  /// Drops all unpinned frames (writing back dirty ones). Used between
-  /// experiment runs to start from a cold cache. Frames are dropped even
-  /// when a write-back fails; the first error is returned so callers know
-  /// the disk image may be stale.
+  /// Drops every frame. Used between experiment runs to start from a cold
+  /// cache. Always returns OK: frames are clean, so dropping them writes
+  /// nothing.
   ///
   /// Contract: requires that *no* page is pinned; a pinned page here means
   /// a pin leak that would silently skew subsequent cold-cache
@@ -209,12 +200,12 @@ class BufferPool {
   /// (unlike the destructor, which only asserts in debug builds).
   Status Clear();
 
-  /// Changes the frame budget. Lets a database be built with a large pool
-  /// and queried with the paper's 2% LRU buffer without invalidating
-  /// pointers held by the index structures. Evicts unpinned frames down to
-  /// the new target immediately; if pinned pages keep the pool above the
-  /// target, the remainder of the shrink is deferred and completes as the
-  /// pins drain (no abort).
+  /// Changes the frame budget. Lets a database shrink its pool to the
+  /// paper's 2% LRU buffer without invalidating pointers held by the index
+  /// structures. Evicts unpinned frames down to the new target
+  /// immediately; if pinned pages keep the pool above the target, the
+  /// remainder of the shrink is deferred and completes as the pins drain
+  /// (no abort).
   void SetCapacity(size_t capacity);
 
   size_t capacity() const { return capacity_.load(std::memory_order_relaxed); }
@@ -242,7 +233,6 @@ class BufferPool {
     std::unique_ptr<char[]> data;
     PageId page_id = kInvalidPageId;
     int pin_count = 0;
-    bool dirty = false;
     /// True while the owning fetch reads the page from disk outside the
     /// latch; concurrent fetchers of the same page wait on io_done_.
     bool io_in_progress = false;
@@ -255,12 +245,9 @@ class BufferPool {
     bool in_lru = false;
   };
 
-  /// Evicts the least-recently-used unpinned frame whose (dirty)
-  /// write-back succeeds, scanning each LRU candidate at most once per
-  /// call. Returns false when everything is pinned or every dirty
-  /// candidate's write-back failed this call (the pool then runs over
-  /// capacity until a later trim succeeds — bounded, not an abort).
-  /// Requires latch_ held.
+  /// Evicts the least-recently-used unpinned frame. Returns false when
+  /// everything is pinned (the pool then runs over capacity until pins
+  /// drain — bounded, not an abort). Requires latch_ held.
   bool TryEvictOneLocked();
 
   /// Evicts unpinned frames while the pool exceeds capacity_. Requires
@@ -270,11 +257,11 @@ class BufferPool {
   /// Requires latch_ held.
   Frame* GetFrameLocked(PageId id);
 
-  /// The claim step of every page entering the pool (FetchPages, Prefetch,
-  /// NewPage): evicts one frame if the pool is full — best effort, see
-  /// TryEvictOneLocked — then inserts a frame for `id` that is pinned
-  /// once, clean and in flight. Counts nothing. Requires latch_ held and
-  /// `id` not in the pool.
+  /// The claim step of every page entering the pool (FetchPages,
+  /// Prefetch): evicts one frame if the pool is full — best effort, see
+  /// TryEvictOneLocked — then inserts a frame for `id` that is pinned once
+  /// and in flight. Counts nothing. Requires latch_ held and `id` not in
+  /// the pool.
   Frame* ClaimFrameLocked(PageId id);
 
   /// The read step of FetchPages and Prefetch: releases the latch, reads
@@ -301,9 +288,7 @@ class BufferPool {
   char* PinHitLocked(Frame* frame);
 
   /// UnpinPage's body; requires latch_ held.
-  void UnpinPageLocked(PageId id, bool dirty);
-
-  Status FlushAllLocked();
+  void UnpinPageLocked(PageId id);
 
   DiskManager* disk_;
   std::atomic<size_t> capacity_;
@@ -346,36 +331,21 @@ class PageGuard {
     out->pool_ = pool;
     out->id_ = id;
     out->data_ = data;
-    out->dirty_ = false;
     return Status::Ok();
   }
 
-  /// Allocates a new pinned page via the pool.
-  static PageGuard New(BufferPool* pool, PageId* id) {
-    PageGuard g;
-    g.pool_ = pool;
-    g.data_ = pool->NewPage(id);
-    g.id_ = *id;
-    g.dirty_ = true;
-    return g;
-  }
-
-  char* data() { return data_; }
   const char* data() const { return data_; }
   PageId id() const { return id_; }
   bool valid() const { return data_ != nullptr; }
 
-  void MarkDirty() { dirty_ = true; }
-
   /// Unpins early (before destruction).
   void Release() {
     if (pool_ != nullptr && data_ != nullptr) {
-      pool_->UnpinPage(id_, dirty_);
+      pool_->UnpinPage(id_, /*dirty=*/false);
     }
     pool_ = nullptr;
     data_ = nullptr;
     id_ = kInvalidPageId;
-    dirty_ = false;
   }
 
  private:
@@ -383,32 +353,15 @@ class PageGuard {
     pool_ = other->pool_;
     id_ = other->id_;
     data_ = other->data_;
-    dirty_ = other->dirty_;
     other->pool_ = nullptr;
     other->data_ = nullptr;
     other->id_ = kInvalidPageId;
-    other->dirty_ = false;
   }
 
   BufferPool* pool_ = nullptr;
   PageId id_ = kInvalidPageId;
-  char* data_ = nullptr;
-  bool dirty_ = false;
+  const char* data_ = nullptr;
 };
-
-/// Pin for single-threaded build phases only, where the disk is
-/// fault-free by contract: fault injection is armed after PrepareForQueries
-/// and a build interleaved with faults has no partial state worth
-/// salvaging, so a disk error here is a setup failure and CHECK-aborts
-/// rather than threading a Status through every builder. This path cannot
-/// see query-time faults; query code uses PageGuard::Fetch and propagates
-/// the Status.
-inline PageGuard FetchForBuild(BufferPool* pool, PageId id) {
-  PageGuard guard;
-  const Status s = PageGuard::Fetch(pool, id, &guard);
-  DSKS_CHECK_MSG(s.ok(), "build-phase fetch on a faulty disk");
-  return guard;
-}
 
 }  // namespace dsks
 

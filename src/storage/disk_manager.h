@@ -90,10 +90,10 @@ struct DiskStats {
 /// (EIO, ...) → IOError, a short read of an allocated page → Corruption.
 ///
 /// Thread safety: AllocatePage/ReadPage/WritePage may be called from many
-/// threads. Concurrent accesses to the *same* page are safe only if at
-/// most one of them writes — which the buffer pool guarantees, since a
-/// page resident in the pool is never read from disk and a page being
-/// written back has just left the pool under its latch.
+/// threads. Concurrent accesses to the *same* page are safe only if none
+/// of them writes. Every index builder writes each of its pages once,
+/// before anything reads it, and the buffer pool never writes, so no read
+/// races a write.
 class DiskManager {
  public:
   /// The default: a fresh simulated disk.

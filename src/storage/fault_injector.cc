@@ -25,7 +25,6 @@ uint64_t Threshold(double p) {
 }
 
 constexpr uint64_t kReadSalt = 0x72656164ull;     // "read"
-constexpr uint64_t kWriteSalt = 0x77726974ull;    // "writ"
 constexpr uint64_t kCorruptSalt = 0x636F7272ull;  // "corr"
 
 }  // namespace
@@ -69,7 +68,6 @@ void FaultInjector::FailPageReads(PageId id, uint32_t count) {
 
 void FaultInjector::RecomputeArmedLocked() {
   const bool armed = config_.read_fault_p > 0.0 ||
-                     config_.write_fault_p > 0.0 ||
                      config_.corrupt_read_p > 0.0 || one_shot_read_ ||
                      one_shot_write_ || !targeted_reads_.empty();
   armed_.store(armed, std::memory_order_relaxed);
@@ -129,22 +127,14 @@ bool FaultInjector::ShouldFailWrite(PageId id) {
   if (!armed()) {
     return false;
   }
-  double p;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (one_shot_write_) {
-      one_shot_write_ = false;
-      RecomputeArmedLocked();
-      write_faults_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    p = config_.write_fault_p;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!one_shot_write_) {
+    return false;
   }
-  if (p > 0.0 && Draw(p, &write_ops_, kWriteSalt, nullptr)) {
-    write_faults_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
+  one_shot_write_ = false;
+  RecomputeArmedLocked();
+  write_faults_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 bool FaultInjector::ShouldCorruptRead(PageId id, uint32_t* bit_index) {

@@ -15,11 +15,13 @@ namespace dsks {
 /// disarmed (the default) the per-op cost is a single relaxed atomic load.
 ///
 /// Three fault mechanisms compose:
-///  - per-op probabilities: each read/write/corruption decision hashes a
+///  - per-op probabilities: each read-fault/corruption decision hashes a
 ///    dedicated operation counter with the seed (SplitMix64), so the
 ///    *number* of injected faults over N operations is a pure function of
 ///    (seed, N, p) even under concurrency — only *which* interleaved op
-///    draws a given counter value varies between runs.
+///    draws a given counter value varies between runs. Writes have no
+///    probability: builds write every page before faults are armed, so a
+///    write fault is only ever a one-shot.
 ///  - one-shot faults: the next read (or write) fails exactly once.
 ///  - targeted-page faults: reads of a specific page fail `count` times
 ///    (kAlways for every time). Useful for aiming a fault at a known index
@@ -35,7 +37,6 @@ class FaultInjector {
 
   struct Config {
     double read_fault_p = 0.0;
-    double write_fault_p = 0.0;
     /// Probability that a successful read is returned with one flipped bit.
     double corrupt_read_p = 0.0;
     uint64_t seed = 0;
@@ -110,7 +111,6 @@ class FaultInjector {
 
   /// Per-category operation counters feeding the deterministic draws.
   std::atomic<uint64_t> read_ops_{0};
-  std::atomic<uint64_t> write_ops_{0};
   std::atomic<uint64_t> corrupt_ops_{0};
 
   std::atomic<uint64_t> read_faults_{0};

@@ -159,8 +159,6 @@ Status FileDiskBackend::Open(const DiskOptions& options,
     return Status::Corruption("checksum sidecar truncated: " + crc_path);
   }
   backend->checksums_.resize(header.num_pages);
-  // The sidecar on disk is authoritative for everything just loaded.
-  backend->crc_dirty_.assign(header.num_pages, false);
   if (header.num_pages > 0) {
     const size_t bytes = header.num_pages * sizeof(uint32_t);
     const ssize_t n = FullPread(
@@ -187,8 +185,6 @@ PageId FileDiskBackend::AllocatePage() {
   std::lock_guard<std::mutex> lock(mutex_);
   const PageId id = static_cast<PageId>(checksums_.size());
   checksums_.push_back(ZeroPageCrc());
-  crc_dirty_.push_back(true);
-  ++dirty_crc_count_;
   if (checksums_.size() > physical_pages_) {
     // Double the physical extent; ftruncate'd holes read back zeroed,
     // matching the checksum just recorded, so no page write is needed.
@@ -300,10 +296,6 @@ Status FileDiskBackend::WritePage(PageId id, const char* in, uint32_t crc) {
   // torn one leaves the stale CRC to flag the page on its next cold read.
   std::lock_guard<std::mutex> lock(mutex_);
   checksums_[id] = crc;
-  if (!crc_dirty_[id]) {
-    crc_dirty_[id] = true;
-    ++dirty_crc_count_;
-  }
   return Status::Ok();
 }
 
@@ -311,11 +303,7 @@ Status FileDiskBackend::TruncatePages(size_t new_num_pages) {
   std::lock_guard<std::mutex> lock(mutex_);
   DSKS_CHECK_MSG(new_num_pages <= checksums_.size(),
                  "truncate beyond the allocation watermark");
-  for (size_t i = new_num_pages; i < crc_dirty_.size(); ++i) {
-    if (crc_dirty_[i]) --dirty_crc_count_;
-  }
   checksums_.resize(new_num_pages);
-  crc_dirty_.resize(new_num_pages);
   if (::ftruncate(data_fd_,
                   static_cast<off_t>(new_num_pages) * kPageSize) != 0) {
     return Status::IOError(ErrnoMessage("ftruncate", path_, errno));
@@ -334,46 +322,20 @@ Status FileDiskBackend::Flush() {
   }
   physical_pages_ = checksums_.size();
 
+  // The whole sidecar, header and every checksum, in one pwrite.
   CrcHeader header;
   std::memcpy(header.magic, kCrcMagic, sizeof(kCrcMagic));
   header.num_pages = checksums_.size();
-  if (FullPwrite(crc_fd_, reinterpret_cast<const char*>(&header),
-                 sizeof(header), 0) != 0) {
+  const size_t crc_size =
+      sizeof(CrcHeader) + checksums_.size() * sizeof(uint32_t);
+  std::vector<char> sidecar(crc_size);
+  std::memcpy(sidecar.data(), &header, sizeof(header));
+  std::memcpy(sidecar.data() + sizeof(header), checksums_.data(),
+              checksums_.size() * sizeof(uint32_t));
+  if (FullPwrite(crc_fd_, sidecar.data(), crc_size, 0) != 0) {
     return Status::IOError(ErrnoMessage("pwrite", crc_path_, errno));
   }
-  // Rewrite only the entries dirtied since the last flush, coalescing
-  // them into contiguous pwrites. Entries never flushed before are dirty
-  // by construction (AllocatePage marks them), so skipping clean ones can
-  // never leave a hole in the sidecar. A flush after W page writes costs
-  // O(W), not O(all pages) — the difference between a checkpoint and a
-  // full sidecar rewrite on a big index.
-  if (dirty_crc_count_ > 0) {
-    size_t i = 0;
-    const size_t n = checksums_.size();
-    while (i < n) {
-      if (!crc_dirty_[i]) {
-        ++i;
-        continue;
-      }
-      size_t j = i + 1;
-      while (j < n && crc_dirty_[j]) {
-        ++j;
-      }
-      if (FullPwrite(
-              crc_fd_,
-              reinterpret_cast<const char*>(checksums_.data() + i),
-              (j - i) * sizeof(uint32_t),
-              static_cast<off_t>(sizeof(CrcHeader) + i * sizeof(uint32_t))) !=
-          0) {
-        return Status::IOError(ErrnoMessage("pwrite", crc_path_, errno));
-      }
-      crc_entries_rewritten_ += j - i;
-      i = j;
-    }
-  }
-  const off_t crc_size = static_cast<off_t>(
-      sizeof(CrcHeader) + checksums_.size() * sizeof(uint32_t));
-  if (::ftruncate(crc_fd_, crc_size) != 0) {
+  if (::ftruncate(crc_fd_, static_cast<off_t>(crc_size)) != 0) {
     return Status::IOError(ErrnoMessage("ftruncate", crc_path_, errno));
   }
   if (::fsync(data_fd_) != 0) {
@@ -382,16 +344,7 @@ Status FileDiskBackend::Flush() {
   if (::fsync(crc_fd_) != 0) {
     return Status::IOError(ErrnoMessage("fsync", crc_path_, errno));
   }
-  // Entries are clean only once they are durable: clearing the bits after
-  // the fsyncs means a failed flush retries every still-dirty entry.
-  crc_dirty_.assign(crc_dirty_.size(), false);
-  dirty_crc_count_ = 0;
   return Status::Ok();
-}
-
-uint64_t FileDiskBackend::crc_entries_rewritten() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return crc_entries_rewritten_;
 }
 
 void FileDiskBackend::CorruptStoredPage(PageId id, uint32_t bit_index) {

@@ -13,11 +13,12 @@ namespace dsks {
 /// Pages in one real file, accessed with pread/pwrite at page-id ×
 /// kPageSize offsets. Checksums are persisted in a `<path>.crc` sidecar:
 /// a fixed header carrying the page-allocation watermark followed by one
-/// CRC32C per page. Flush() rewrites the sidecar, trims the data file to
-/// the watermark, and fsyncs both — an index is durable (and reopenable
-/// with OpenExisting) only after a Flush; the destructor deliberately
-/// closes without flushing so a crash between write and flush leaves the
-/// stale sidecar that checksum verification then catches.
+/// CRC32C per page. Flush() writes the whole sidecar in one pwrite, trims
+/// the data file to the watermark, and fsyncs both — an index is durable
+/// (and reopenable with OpenExisting) only after a Flush, which a
+/// Database runs once per build; the destructor deliberately closes
+/// without flushing so a crash between write and flush leaves the stale
+/// sidecar that checksum verification then catches.
 ///
 /// errno mapping (the PR-4 contract): pread/pwrite failure → IOError;
 /// a short read inside the allocated range (torn/truncated file) →
@@ -25,9 +26,9 @@ namespace dsks {
 /// watermark return zeros, matching ZeroPageCrc for never-written pages.
 ///
 /// Thread safety: the checksum array and watermark are mutex-guarded;
-/// pread/pwrite themselves are atomic at the syscall level and the buffer
-/// pool never issues concurrent same-page read/write, so file I/O runs
-/// outside the mutex.
+/// pread/pwrite themselves are atomic at the syscall level, and every page
+/// is written before any reader asks for it, so file I/O runs outside the
+/// mutex.
 class FileDiskBackend : public DiskBackend {
  public:
   /// Creates (truncates) `options.path` and its sidecar. Any error is
@@ -65,11 +66,6 @@ class FileDiskBackend : public DiskBackend {
 
   const std::string& path() const { return path_; }
 
-  /// CRC sidecar entries rewritten by all Flush() calls so far. A flush
-  /// after writing W pages rewrites O(W) entries, not O(all pages); the
-  /// flush-cost regression test pins this down.
-  uint64_t crc_entries_rewritten() const;
-
  private:
   FileDiskBackend(std::string path, int data_fd, int crc_fd);
 
@@ -90,17 +86,9 @@ class FileDiskBackend : public DiskBackend {
   int crc_fd_;
 
   mutable std::mutex mutex_;
-  /// In-memory copy of the sidecar CRCs; Flush() persists the entries
-  /// dirtied since the last flush (plus the header).
+  /// In-memory copy of the sidecar CRCs; Flush() persists them all, with
+  /// the header.
   std::vector<uint32_t> checksums_;
-  /// Per-entry dirty bits for the sidecar: set by AllocatePage/WritePage/
-  /// TruncatePages, cleared by a successful Flush. `dirty_crc_count_`
-  /// caches the number of set bits so Flush can skip a full scan when the
-  /// sidecar is clean.
-  std::vector<bool> crc_dirty_;
-  size_t dirty_crc_count_ = 0;
-  /// Cumulative sidecar entries rewritten by Flush (see accessor).
-  uint64_t crc_entries_rewritten_ = 0;
   /// Pages the data file is physically sized for; grown in chunks so
   /// AllocatePage is O(1) amortised (ftruncate'd zeros read back as the
   /// zero page, matching the checksum recorded at allocation).

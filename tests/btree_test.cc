@@ -17,6 +17,13 @@ namespace {
 
 using Pairs = std::vector<std::pair<uint64_t, uint64_t>>;
 
+/// BPlusTree::Get on a fault-free disk, where it never fails.
+std::optional<uint64_t> Lookup(const BPlusTree& tree, uint64_t key) {
+  std::optional<uint64_t> result;
+  EXPECT_TRUE(tree.Get(key, &result).ok()) << "key " << key;
+  return result;
+}
+
 class BPlusTreeTest : public ::testing::Test {
  protected:
   BPlusTreeTest() : pool_(&disk_, 4096) {}
@@ -27,21 +34,22 @@ class BPlusTreeTest : public ::testing::Test {
 
 TEST_F(BPlusTreeTest, EmptyTreeFindsNothing) {
   BPlusTree tree = BPlusTree::BulkLoad(&pool_, Pairs{});
-  EXPECT_FALSE(tree.Get(42).has_value());
-  EXPECT_FALSE(tree.Get(0).has_value());
-  EXPECT_EQ(tree.CountPages(), 1u);
+  EXPECT_FALSE(Lookup(tree, 42).has_value());
+  EXPECT_FALSE(Lookup(tree, 0).has_value());
+  EXPECT_EQ(tree.num_pages(), 1u);
+  EXPECT_EQ(disk_.stats_snapshot().writes, 1u);
 }
 
 TEST_F(BPlusTreeTest, SingleLeafGet) {
   BPlusTree tree =
       BPlusTree::BulkLoad(&pool_, Pairs{{1, 10}, {5, 50}, {9, 90}});
-  EXPECT_EQ(tree.Get(5), 50u);
-  EXPECT_EQ(tree.Get(1), 10u);
-  EXPECT_EQ(tree.Get(9), 90u);
-  EXPECT_FALSE(tree.Get(0).has_value());
-  EXPECT_FALSE(tree.Get(2).has_value());
-  EXPECT_FALSE(tree.Get(10).has_value());
-  EXPECT_EQ(tree.CountPages(), 1u);
+  EXPECT_EQ(Lookup(tree, 5), 50u);
+  EXPECT_EQ(Lookup(tree, 1), 10u);
+  EXPECT_EQ(Lookup(tree, 9), 90u);
+  EXPECT_FALSE(Lookup(tree, 0).has_value());
+  EXPECT_FALSE(Lookup(tree, 2).has_value());
+  EXPECT_FALSE(Lookup(tree, 10).has_value());
+  EXPECT_EQ(tree.num_pages(), 1u);
 }
 
 struct RandomOpsParam {
@@ -69,12 +77,12 @@ TEST_P(BPlusTreeRandomTest, MatchesStdMap) {
   BPlusTree tree = BPlusTree::BulkLoad(&pool, sorted);
 
   for (const auto& [k, v] : ref) {
-    ASSERT_EQ(tree.Get(k), v) << "key " << k;
+    ASSERT_EQ(Lookup(tree, k), v) << "key " << k;
   }
   for (size_t i = 0; i < 200; ++i) {
     const uint64_t key = rng.Uniform(p.key_space * 2);
     auto it = ref.find(key);
-    auto got = tree.Get(key);
+    auto got = Lookup(tree, key);
     if (it == ref.end()) {
       EXPECT_FALSE(got.has_value()) << "key " << key;
     } else {
@@ -109,12 +117,15 @@ TEST_P(BPlusTreeBulkLoadTest, GetFindsEveryKeyAndNoOther) {
   }
   BPlusTree tree = BPlusTree::BulkLoad(&pool, pairs);
   for (const auto& [k, v] : pairs) {
-    ASSERT_EQ(tree.Get(k), v) << "key " << k;
-    ASSERT_FALSE(tree.Get(k - 1).has_value()) << "key " << k - 1;
-    ASSERT_FALSE(tree.Get(k + 1).has_value()) << "key " << k + 1;
+    ASSERT_EQ(Lookup(tree, k), v) << "key " << k;
+    ASSERT_FALSE(Lookup(tree, k - 1).has_value()) << "key " << k - 1;
+    ASSERT_FALSE(Lookup(tree, k + 1).has_value()) << "key " << k + 1;
   }
-  EXPECT_FALSE(tree.Get(n * 3 + 1).has_value());
-  EXPECT_FALSE(tree.Get(UINT64_MAX).has_value());
+  EXPECT_FALSE(Lookup(tree, n * 3 + 1).has_value());
+  EXPECT_FALSE(Lookup(tree, UINT64_MAX).has_value());
+  // Every node was written once, straight to the disk.
+  EXPECT_EQ(tree.num_pages(), disk.num_pages());
+  EXPECT_EQ(disk.stats_snapshot().writes, disk.num_pages());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BPlusTreeBulkLoadTest,
@@ -148,8 +159,9 @@ TEST(BPlusTreeMultiGetTest, MatchesPerTreeGet) {
   auto expected = [&](uint64_t key) {
     std::vector<std::optional<uint64_t>> want;
     for (PageId root : roots) {
-      want.push_back(root == kInvalidPageId ? std::nullopt
-                                            : BPlusTree(&pool, root).Get(key));
+      want.push_back(root == kInvalidPageId
+                         ? std::nullopt
+                         : Lookup(BPlusTree(&pool, root), key));
     }
     return want;
   };

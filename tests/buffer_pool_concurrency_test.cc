@@ -1,11 +1,10 @@
 // Multi-threaded stress tests for the latched buffer pool. Run under
 // -DDSKS_SANITIZE=thread (tools/check.sh) to prove the absence of data
 // races; the assertions here additionally pin down the logical invariants
-// (no lost writes, correct contents under eviction pressure, overflow
+// (correct contents under eviction pressure, one read per miss, overflow
 // draining).
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -18,96 +17,49 @@
 namespace dsks {
 namespace {
 
-/// Deterministic byte pattern for page `id`.
-char PatternByte(PageId id, size_t offset) {
-  return static_cast<char>((id * 131 + offset * 7 + 3) & 0xFF);
-}
-
-void FillPattern(PageId id, char* data) {
+/// Checks that `data` holds page `id` as FillPages wrote it on a fresh
+/// disk.
+void ExpectFilled(PageId id, const char* data) {
   for (size_t i = 0; i < 64; ++i) {
-    data[i] = PatternByte(id, i);
+    ASSERT_EQ(data[i], dsks::testing::FillByte(id))
+        << "page " << id << " offset " << i;
   }
 }
 
-void ExpectPattern(PageId id, const char* data) {
-  for (size_t i = 0; i < 64; ++i) {
-    ASSERT_EQ(data[i], PatternByte(id, i)) << "page " << id << " offset " << i;
-  }
-}
-
-// N threads x M iterations of Fetch(read-only verify)/Unpin over a pool
-// much smaller than the page set, so evictions and re-reads happen
-// constantly. Writers only touch pages they created themselves (the pool
-// latches its metadata, not page contents — see the header).
-TEST(BufferPoolConcurrencyTest, RandomFetchUnpinNewStress) {
+// N threads x M iterations of Fetch/verify/Unpin over a pool much smaller
+// than the page set, so evictions and re-reads happen constantly.
+TEST(BufferPoolConcurrencyTest, RandomFetchUnpinStress) {
   dsks::testing::TestDisk disk;
   constexpr size_t kSeedPages = 64;
   constexpr size_t kThreads = 8;
   constexpr size_t kIters = 2000;
-
-  std::vector<PageId> seeded(kSeedPages);
+  dsks::testing::FillPages(disk.get(), kSeedPages);
   BufferPool pool(disk.get(), 8);
-  for (size_t i = 0; i < kSeedPages; ++i) {
-    char* data = pool.NewPage(&seeded[i]);
-    FillPattern(seeded[i], data);
-    pool.UnpinPage(seeded[i], /*dirty=*/true);
-  }
-  pool.FlushAll();
-  pool.Clear();
 
   std::atomic<uint64_t> verified{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, &disk, &seeded, &verified, t] {
+    threads.emplace_back([&pool, &verified, t] {
       Random rng(1234 + t);
-      std::vector<PageId> mine;
       for (size_t i = 0; i < kIters; ++i) {
-        const uint64_t dice = rng.Uniform(10);
-        if (dice < 8) {
-          // Read-only fetch of a shared seeded page; verify its pattern.
-          const PageId id = seeded[rng.Uniform(kSeedPages)];
-          const char* data = dsks::testing::MustFetch(&pool, id);
-          ExpectPattern(id, data);
-          pool.UnpinPage(id, false);
-          verified.fetch_add(1, std::memory_order_relaxed);
-        } else if (dice == 8 || mine.empty()) {
-          // Create a private page and stamp it (single writer per page).
-          PageId id;
-          char* data = pool.NewPage(&id);
-          FillPattern(id, data);
-          pool.UnpinPage(id, /*dirty=*/true);
-          mine.push_back(id);
-        } else {
-          // Re-fetch one of our own pages and verify it round-tripped
-          // through eviction/write-back.
-          const PageId id = mine[rng.Uniform(mine.size())];
-          const char* data = dsks::testing::MustFetch(&pool, id);
-          ExpectPattern(id, data);
-          pool.UnpinPage(id, false);
-          verified.fetch_add(1, std::memory_order_relaxed);
-        }
+        const auto id = static_cast<PageId>(rng.Uniform(kSeedPages));
+        const char* data = dsks::testing::MustFetch(&pool, id);
+        ExpectFilled(id, data);
+        pool.UnpinPage(id, false);
+        verified.fetch_add(1, std::memory_order_relaxed);
       }
-      (void)disk;
     });
   }
   for (std::thread& t : threads) {
     t.join();
   }
-  EXPECT_GT(verified.load(), 0u);
+  EXPECT_EQ(verified.load(), kThreads * kIters);
 
   // Stats are relaxed counters but must still balance: every miss did
-  // exactly one disk read (checked before the verification reads below).
+  // exactly one disk read, and the pool wrote nothing back.
   EXPECT_EQ(pool.stats().misses.load(), disk->stats().reads.load());
-
-  // Every page — seeded or thread-created — must carry its pattern after a
-  // final flush, proving no write-back was lost under concurrency.
-  pool.FlushAll();
-  char out[kPageSize];
-  for (PageId id = 0; id < disk->num_pages(); ++id) {
-    disk->ReadPage(id, out);
-    ExpectPattern(id, out);
-  }
+  EXPECT_EQ(disk->stats().writes.load(), kSeedPages);
 }
 
 // All threads pin simultaneously so the pinned set exceeds capacity: every
@@ -117,36 +69,31 @@ TEST(BufferPoolConcurrencyTest, ConcurrentPinOverflowDrains) {
   dsks::testing::TestDisk disk;
   constexpr size_t kThreads = 8;
   constexpr size_t kCapacity = 4;
-  std::vector<PageId> pages(kThreads);
-  for (PageId& p : pages) p = disk->AllocatePage();
+  dsks::testing::FillPages(disk.get(), kThreads);
   BufferPool pool(disk.get(), kCapacity);
 
   std::atomic<size_t> pinned{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, &pages, &pinned, t] {
-      char* data = dsks::testing::MustFetch(&pool, pages[t]);
+    threads.emplace_back([&pool, &pinned, t] {
+      const auto id = static_cast<PageId>(t);
+      const char* data = dsks::testing::MustFetch(&pool, id);
       ASSERT_NE(data, nullptr);
       pinned.fetch_add(1);
       // Hold the pin until every thread has one, forcing > capacity pins.
       while (pinned.load() < kThreads) {
         std::this_thread::yield();
       }
-      data[0] = static_cast<char>(t);
-      pool.UnpinPage(pages[t], /*dirty=*/true);
+      // Every pinned frame still holds its own page.
+      ExpectFilled(id, data);
+      pool.UnpinPage(id, false);
     });
   }
   for (std::thread& t : threads) {
     t.join();
   }
   EXPECT_LE(pool.num_frames_in_use(), kCapacity);
-  pool.FlushAll();
-  char out[kPageSize];
-  for (size_t t = 0; t < kThreads; ++t) {
-    disk->ReadPage(pages[t], out);
-    EXPECT_EQ(out[0], static_cast<char>(t));
-  }
 }
 
 // Concurrent misses on the same cold page: exactly one thread performs the
@@ -154,15 +101,7 @@ TEST(BufferPoolConcurrencyTest, ConcurrentPinOverflowDrains) {
 // same contents.
 TEST(BufferPoolConcurrencyTest, ConcurrentMissesOnSamePageReadOnce) {
   dsks::testing::TestDisk disk;
-  const PageId page = disk->AllocatePage();
-  {
-    BufferPool seeder(disk.get(), 2);
-    char* data = dsks::testing::MustFetch(&seeder, page);
-    FillPattern(page, data);
-    seeder.UnpinPage(page, /*dirty=*/true);
-    seeder.FlushAll();
-  }
-  disk->mutable_stats()->Reset();
+  const PageId page = dsks::testing::FillPages(disk.get(), 1);
 
   BufferPool pool(disk.get(), 4);
   constexpr size_t kThreads = 8;
@@ -176,7 +115,7 @@ TEST(BufferPoolConcurrencyTest, ConcurrentMissesOnSamePageReadOnce) {
         std::this_thread::yield();
       }
       const char* data = dsks::testing::MustFetch(&pool, page);
-      ExpectPattern(page, data);
+      ExpectFilled(page, data);
       pool.UnpinPage(page, false);
     });
   }
@@ -200,13 +139,8 @@ TEST(BufferPoolConcurrencyTest, FetchPagesWaitsForAnotherThreadsRead) {
     SCOPED_TRACE(fail_other_read ? "other read faults" : "other read ok");
     // The sim backend: its delay knobs are no-ops on the file backend.
     DiskManager disk;
-    const PageId p = disk.AllocatePage();
-    const PageId q = disk.AllocatePage();
-    char buf[kPageSize] = {0};
-    for (const PageId id : {p, q}) {
-      FillPattern(id, buf);
-      ASSERT_TRUE(disk.WritePage(id, buf).ok());
-    }
+    const PageId p = dsks::testing::FillPages(&disk, 2);
+    const PageId q = p + 1;
     if (fail_other_read) {
       disk.fault_injector()->FailPageReads(p, 1);
     }
@@ -237,8 +171,8 @@ TEST(BufferPoolConcurrencyTest, FetchPagesWaitsForAnotherThreadsRead) {
     const Status status = pool.FetchPages(ids, outs);
     other.join();
     ASSERT_TRUE(status.ok()) << status.ToString();
-    ExpectPattern(q, outs[0]);
-    ExpectPattern(p, outs[1]);
+    ExpectFilled(q, outs[0]);
+    ExpectFilled(p, outs[1]);
     pool.UnpinPage(q, /*dirty=*/false);
     pool.UnpinPage(p, /*dirty=*/false);
     EXPECT_EQ(disk.stats().reads.load(), 2u);

@@ -19,7 +19,6 @@
 #include "harness/database.h"
 #include "obs/metrics.h"
 #include "storage/disk_manager.h"
-#include "storage/file_disk_backend.h"
 #include "storage_test_util.h"
 
 namespace dsks {
@@ -94,31 +93,38 @@ TEST(BackendEquivalenceTest, SkAndDivResultsAreBitIdentical) {
 
 // --- build / flush / reopen ----------------------------------------------
 
+// Every index kind: the builders write each page straight to the disk, so
+// one disk Flush right after BuildIndex makes the whole image reopenable.
 TEST(DurabilityTest, BuildFlushReopenEveryPageVerifies) {
-  const DiskOptions options = testing::FileDiskOptions("reopen");
-  size_t built_pages = 0;
-  {
-    Database db(TinyPreset(), options);
-    IndexOptions opts;
-    opts.kind = IndexKind::kSIF;
-    db.BuildIndex(opts);
-    ASSERT_TRUE(db.FlushStorage().ok());
-    built_pages = db.disk()->num_pages();
-    ASSERT_GT(built_pages, 0u);
+  for (const IndexKind kind : {IndexKind::kIR, IndexKind::kIF,
+                               IndexKind::kSIF, IndexKind::kSIFP,
+                               IndexKind::kSIFG}) {
+    SCOPED_TRACE(IndexKindName(kind));
+    const DiskOptions options = testing::FileDiskOptions("reopen");
+    size_t built_pages = 0;
+    {
+      Database db(TinyPreset(), options);
+      IndexOptions opts;
+      opts.kind = kind;
+      db.BuildIndex(opts);
+      ASSERT_TRUE(db.disk()->Flush().ok());
+      built_pages = db.disk()->num_pages();
+      ASSERT_GT(built_pages, 0u);
+    }
+    // The Database is gone; only the files remain. Reopen and verify every
+    // page against the persisted sidecar.
+    std::unique_ptr<DiskManager> reopened;
+    ASSERT_TRUE(DiskManager::OpenExisting(options, &reopened).ok());
+    EXPECT_EQ(reopened->num_pages(), built_pages)
+        << "allocation watermark must survive reopen";
+    std::vector<char> buf(kPageSize);
+    for (PageId id = 0; id < built_pages; ++id) {
+      ASSERT_TRUE(reopened->ReadPage(id, buf.data()).ok()) << "page " << id;
+    }
+    EXPECT_EQ(reopened->stats().corruptions_detected.load(), 0u);
+    reopened.reset();
+    testing::RemoveDiskFiles(options);
   }
-  // The Database is gone; only the files remain. Reopen and verify every
-  // page against the persisted sidecar.
-  std::unique_ptr<DiskManager> reopened;
-  ASSERT_TRUE(DiskManager::OpenExisting(options, &reopened).ok());
-  EXPECT_EQ(reopened->num_pages(), built_pages)
-      << "allocation watermark must survive reopen";
-  std::vector<char> buf(kPageSize);
-  for (PageId id = 0; id < built_pages; ++id) {
-    ASSERT_TRUE(reopened->ReadPage(id, buf.data()).ok()) << "page " << id;
-  }
-  EXPECT_EQ(reopened->stats().corruptions_detected.load(), 0u);
-  reopened.reset();
-  testing::RemoveDiskFiles(options);
 }
 
 TEST(DurabilityTest, TornWriteSurfacesCorruptionOnColdRead) {
@@ -248,38 +254,6 @@ TEST(DurabilityTest, ReadDelayKnobIsANoOpOnFileBackend) {
   disk.set_read_delay_yields(true);
   EXPECT_EQ(disk.read_delay_us(), 0.0);
   EXPECT_FALSE(disk.read_delay_yields());
-  testing::RemoveDiskFiles(options);
-}
-
-// --- flush cost -----------------------------------------------------------
-
-TEST(DurabilityTest, FlushRewritesOnlyDirtyCrcEntries) {
-  const DiskOptions options = testing::FileDiskOptions("dirtycrc");
-  std::unique_ptr<FileDiskBackend> backend;
-  ASSERT_TRUE(FileDiskBackend::Create(options, &backend).ok());
-
-  constexpr size_t kPages = 64;
-  std::vector<char> page(kPageSize, 'x');
-  for (size_t i = 0; i < kPages; ++i) {
-    const PageId id = backend->AllocatePage();
-    ASSERT_TRUE(
-        backend->WritePage(id, page.data(), static_cast<uint32_t>(i)).ok());
-  }
-  ASSERT_TRUE(backend->Flush().ok());
-  EXPECT_EQ(backend->crc_entries_rewritten(), kPages)
-      << "the first flush persists every allocated entry";
-
-  // A clean flush rewrites nothing (only the header).
-  ASSERT_TRUE(backend->Flush().ok());
-  EXPECT_EQ(backend->crc_entries_rewritten(), kPages);
-
-  // One dirtied page costs one sidecar entry, not O(all pages) — the
-  // regression this test pins: Flush used to rewrite the whole sidecar.
-  ASSERT_TRUE(backend->WritePage(kPages / 2, page.data(), 0x5555u).ok());
-  ASSERT_TRUE(backend->Flush().ok());
-  EXPECT_EQ(backend->crc_entries_rewritten(), kPages + 1);
-
-  backend.reset();
   testing::RemoveDiskFiles(options);
 }
 

@@ -163,13 +163,8 @@ TEST(FaultInjectionTest, FaultCountIsAFunctionOfSeedAndOpCount) {
 
 TEST(FaultInjectionTest, BufferPoolPropagatesReadErrorsAndRecovers) {
   dsks::testing::TestDisk disk;
+  const PageId p = dsks::testing::FillPages(disk.get(), 1);
   BufferPool pool(disk.get(), 8);
-  PageId p;
-  char* data = pool.NewPage(&p);
-  FillPage(data, 'i');
-  pool.UnpinPage(p, /*dirty=*/true);
-  ASSERT_TRUE(pool.FlushAll().ok());
-  ASSERT_TRUE(pool.Clear().ok());  // force the next fetch to miss
 
   disk->fault_injector()->FailPageReads(p, 1);
   char* out = reinterpret_cast<char*>(0x1);
@@ -179,19 +174,14 @@ TEST(FaultInjectionTest, BufferPoolPropagatesReadErrorsAndRecovers) {
   // Nothing is pinned after a failed fetch; the pool remains usable and
   // the next fetch re-reads the page successfully.
   ASSERT_TRUE(pool.FetchPage(p, &out).ok());
-  EXPECT_EQ(out[17], 'i');
+  EXPECT_EQ(out[17], dsks::testing::FillByte(0));
   pool.UnpinPage(p, /*dirty=*/false);
 }
 
 TEST(FaultInjectionTest, BufferPoolSurfacesCorruptPage) {
   dsks::testing::TestDisk disk;
+  const PageId p = dsks::testing::FillPages(disk.get(), 1);
   BufferPool pool(disk.get(), 8);
-  PageId p;
-  char* data = pool.NewPage(&p);
-  FillPage(data, 'j');
-  pool.UnpinPage(p, /*dirty=*/true);
-  ASSERT_TRUE(pool.FlushAll().ok());
-  ASSERT_TRUE(pool.Clear().ok());
 
   disk->CorruptStoredPage(p, /*bit_index=*/7);
   char* out = nullptr;
@@ -203,20 +193,17 @@ TEST(FaultInjectionTest, CachedPagesAreImmuneToReadFaults) {
   // Checksum verification and read faults live on the miss path only: a
   // page resident in the pool never touches the disk again.
   dsks::testing::TestDisk disk;
+  const PageId p = dsks::testing::FillPages(disk.get(), 1);
   BufferPool pool(disk.get(), 8);
-  PageId p;
-  char* data = pool.NewPage(&p);
-  FillPage(data, 'k');
-  pool.UnpinPage(p, /*dirty=*/true);
-  ASSERT_TRUE(pool.FlushAll().ok());
+  char* out = dsks::testing::MustFetch(&pool, p);  // resident from here on
+  pool.UnpinPage(p, /*dirty=*/false);
 
   FaultInjector::Config cfg;
   cfg.read_fault_p = 1.0;  // every *disk* read fails...
   cfg.seed = 7;
   disk->fault_injector()->Configure(cfg);
-  char* out = nullptr;
   ASSERT_TRUE(pool.FetchPage(p, &out).ok());  // ...but this one is a hit
-  EXPECT_EQ(out[3], 'k');
+  EXPECT_EQ(out[3], dsks::testing::FillByte(0));
   pool.UnpinPage(p, /*dirty=*/false);
   EXPECT_EQ(disk->stats().read_faults.load(), 0u);
 }

@@ -3,7 +3,8 @@
 // the results (ids plus bit-exact distances, scores or objectives), the
 // search's settle and edge counts, the oracle's fields and pairs, and the
 // buffer-pool and disk counters. A refactor of the search, oracle, index or
-// storage layers that moves one page access or one settle fails here.
+// storage layers that moves one page access or one settle fails here. A
+// second suite pins, per index kind, a hash of the built disk image.
 //
 // The constants hold on both storage backends (DSKS_TEST_BACKEND=file runs
 // the same binary on a real index file). When a change is meant to move
@@ -253,11 +254,16 @@ void RunOne(Database* db, Kind kind, const WorkloadQuery& wq,
 
 class GoldenCountersTest : public ::testing::TestWithParam<GoldenRow> {};
 
-TEST_P(GoldenCountersTest, MatchesRecordedCounters) {
-  const GoldenRow& row = GetParam();
+/// The dataset both golden suites build.
+DatasetConfig GoldenConfig() {
   DatasetConfig config = ScalePreset(PresetSYN(), 0.2);
   config.objects.keywords_per_object = 6;
-  testing::BackendDatabase bdb(config, "golden");
+  return config;
+}
+
+TEST_P(GoldenCountersTest, MatchesRecordedCounters) {
+  const GoldenRow& row = GetParam();
+  testing::BackendDatabase bdb(GoldenConfig(), "golden");
   Database& db = *bdb;
   IndexOptions opts;
   opts.kind =
@@ -309,6 +315,67 @@ TEST_P(GoldenCountersTest, MatchesRecordedCounters) {
 INSTANTIATE_TEST_SUITE_P(
     Kinds, GoldenCountersTest, ::testing::ValuesIn(kGolden),
     [](const ::testing::TestParamInfo<GoldenRow>& info) {
+      return std::string(info.param.name);
+    });
+
+// Golden index images: per index kind, a hash of every page of the disk
+// (CCAM file plus index) read back through DiskManager::ReadPage once the
+// build is flushed. A change to a builder's page layout, allocation order
+// or page count fails here.
+struct ImageRow {
+  const char* name;
+  IndexKind kind;
+  uint64_t image_hash;
+};
+
+void PrintTo(const ImageRow& row, std::ostream* os) { *os << row.name; }
+
+constexpr uint64_t kIrImage = 0x1ECEEDC7E3C510ABULL;
+// IF, SIF, SIF-P and SIF-G write identical files: the signatures,
+// partitions and pair lists that tell them apart live in memory.
+constexpr uint64_t kInvertedFileImage = 0x80222FA2E8902029ULL;
+
+const ImageRow kImages[] = {
+    {"IR", IndexKind::kIR, kIrImage},
+    {"IF", IndexKind::kIF, kInvertedFileImage},
+    {"SIF", IndexKind::kSIF, kInvertedFileImage},
+    {"SIFP", IndexKind::kSIFP, kInvertedFileImage},
+    {"SIFG", IndexKind::kSIFG, kInvertedFileImage},
+};
+
+class GoldenIndexImageTest : public ::testing::TestWithParam<ImageRow> {};
+
+TEST_P(GoldenIndexImageTest, PagesMatchRecordedHash) {
+  const ImageRow& row = GetParam();
+  testing::BackendDatabase bdb(GoldenConfig(), "image");
+  Database& db = *bdb;
+  IndexOptions opts;
+  opts.kind = row.kind;
+  db.BuildIndex(opts);
+  db.PrepareForQueries();
+
+  DiskManager* disk = db.disk();
+  ResultHash hash;
+  hash.Add(uint64_t{disk->num_pages()});
+  std::vector<char> page(kPageSize);
+  for (PageId id = 0; id < disk->num_pages(); ++id) {
+    ASSERT_TRUE(disk->ReadPage(id, page.data()).ok()) << "page " << id;
+    for (size_t off = 0; off < kPageSize; off += sizeof(uint64_t)) {
+      uint64_t word;
+      std::memcpy(&word, page.data() + off, sizeof(word));
+      hash.Add(word);
+    }
+  }
+  char got[32];
+  std::snprintf(got, sizeof(got), "0x%016llXULL",
+                static_cast<unsigned long long>(hash.value()));
+  EXPECT_EQ(hash.value(), row.image_hash)
+      << row.name << " image over " << disk->num_pages() << " pages: " << got;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, GoldenIndexImageTest, ::testing::ValuesIn(kImages),
+    [](const ::testing::TestParamInfo<ImageRow>& info) {
       return std::string(info.param.name);
     });
 

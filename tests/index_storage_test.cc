@@ -1,27 +1,47 @@
+#include <algorithm>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
-#include "common/random.h"
+#include "datagen/presets.h"
 #include "gtest/gtest.h"
+#include "harness/database.h"
 #include "index/object_file.h"
 #include "index/posting_file.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "tests/storage_test_util.h"
 #include "tests/test_util.h"
 
 namespace dsks {
 namespace {
 
+using Runs = std::vector<std::vector<PostingFile::Entry>>;
+
+/// Builds a posting file over `runs` on `pool`'s disk; `*locs` receives
+/// the runs' locators in order.
+std::unique_ptr<PostingFile> BuildPostings(
+    BufferPool* pool, const Runs& runs,
+    std::vector<PostingFile::Locator>* locs) {
+  const std::vector<std::span<const PostingFile::Entry>> views(runs.begin(),
+                                                               runs.end());
+  return std::make_unique<PostingFile>(pool, views, locs);
+}
+
 TEST(PostingFileTest, SingleRunRoundTrip) {
-  DiskManager disk;
-  BufferPool pool(&disk, 256);
-  PostingFile file(&pool);
-  std::vector<PostingFile::Entry> run = {
-      {10, 0, 1.5}, {11, 1, 2.5}, {12, 2, 3.75}};
-  const auto loc = file.AppendRun(run);
+  testing::TestDisk disk("posting_single");
+  BufferPool pool(disk.get(), 256);
+  const Runs runs = {{{10, 0, 1.5}, {11, 1, 2.5}, {12, 2, 3.75}}};
+  const std::vector<PostingFile::Entry>& run = runs[0];
+  std::vector<PostingFile::Locator> locs;
+  const auto file = BuildPostings(&pool, runs, &locs);
+  ASSERT_EQ(locs.size(), 1u);
+  const PostingFile::Locator loc = locs[0];
   EXPECT_EQ(PostingFile::RunLength(loc), 3u);
 
   std::vector<PostingFile::Entry> out;
-  file.ReadRun(loc, &out);
+  ASSERT_TRUE(file->ReadRun(loc, &out).ok());
   ASSERT_EQ(out.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(out[i].object, run[i].object);
@@ -31,25 +51,26 @@ TEST(PostingFileTest, SingleRunRoundTrip) {
 }
 
 TEST(PostingFileTest, ManyRunsArePackedTightly) {
-  DiskManager disk;
-  BufferPool pool(&disk, 256);
-  PostingFile file(&pool);
-  std::vector<PostingFile::Locator> locs;
-  std::vector<std::vector<PostingFile::Entry>> runs;
+  testing::TestDisk disk("posting_many");
+  BufferPool pool(disk.get(), 256);
+  Runs runs;
   for (uint32_t r = 0; r < 100; ++r) {
     std::vector<PostingFile::Entry> run;
     for (uint32_t i = 0; i <= r % 7; ++i) {
       run.push_back(PostingFile::Entry{r * 100 + i,
                                        static_cast<uint16_t>(i), r + 0.25});
     }
-    locs.push_back(file.AppendRun(run));
     runs.push_back(std::move(run));
   }
-  // ~400 entries at 256/page must not exceed 3 pages.
-  EXPECT_LE(file.num_pages(), 3u);
+  std::vector<PostingFile::Locator> locs;
+  const auto file = BuildPostings(&pool, runs, &locs);
+  ASSERT_EQ(locs.size(), runs.size());
+  // ~400 entries at 256/page must not exceed 3 pages, each written once.
+  EXPECT_LE(file->num_pages(), 3u);
+  EXPECT_EQ(disk->stats_snapshot().writes, file->num_pages());
   std::vector<PostingFile::Entry> out;
   for (size_t r = 0; r < runs.size(); ++r) {
-    file.ReadRun(locs[r], &out);
+    ASSERT_TRUE(file->ReadRun(locs[r], &out).ok());
     ASSERT_EQ(out.size(), runs[r].size()) << "run " << r;
     for (size_t i = 0; i < out.size(); ++i) {
       EXPECT_EQ(out[i].object, runs[r][i].object);
@@ -59,21 +80,24 @@ TEST(PostingFileTest, ManyRunsArePackedTightly) {
 }
 
 TEST(PostingFileTest, RunLargerThanOnePageSpansContiguously) {
-  DiskManager disk;
-  BufferPool pool(&disk, 256);
-  PostingFile file(&pool);
+  testing::TestDisk disk("posting_big");
+  BufferPool pool(disk.get(), 256);
   const size_t per_page = PostingFile::EntriesPerPage();
   // A run 2.5 pages long must round trip across page boundaries.
-  std::vector<PostingFile::Entry> big;
+  Runs runs(1);
+  std::vector<PostingFile::Entry>& big = runs[0];
   for (uint32_t i = 0; i < per_page * 5 / 2; ++i) {
     big.push_back(PostingFile::Entry{1000 + i,
                                      static_cast<uint16_t>(i % 65535),
                                      i * 0.5});
   }
-  const auto loc = file.AppendRun(big);
-  EXPECT_EQ(file.num_pages(), 3u);
+  std::vector<PostingFile::Locator> locs;
+  const auto file = BuildPostings(&pool, runs, &locs);
+  const PostingFile::Locator loc = locs[0];
+  EXPECT_EQ(file->num_pages(), 3u);
+  EXPECT_EQ(disk->stats_snapshot().writes, 3u);
   std::vector<PostingFile::Entry> out;
-  file.ReadRun(loc, &out);
+  ASSERT_TRUE(file->ReadRun(loc, &out).ok());
   ASSERT_EQ(out.size(), big.size());
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i].object, big[i].object);
@@ -81,50 +105,19 @@ TEST(PostingFileTest, RunLargerThanOnePageSpansContiguously) {
   }
 }
 
-TEST(PostingFileTest, ToleratesInterleavedForeignAllocations) {
-  // Dynamic ingestion interleaves B+tree page splits with posting
-  // appends; runs must stay readable regardless.
-  DiskManager disk;
-  BufferPool pool(&disk, 256);
-  PostingFile file(&pool);
-  std::vector<PostingFile::Locator> locs;
-  std::vector<std::vector<PostingFile::Entry>> runs;
-  Random rng(9);
-  for (int r = 0; r < 60; ++r) {
-    std::vector<PostingFile::Entry> run;
-    const size_t len = 1 + rng.Uniform(40);
-    for (uint32_t i = 0; i < len; ++i) {
-      run.push_back(PostingFile::Entry{static_cast<ObjectId>(r * 100 + i),
-                                       static_cast<uint16_t>(i), r + 0.5});
-    }
-    locs.push_back(file.AppendRun(run));
-    runs.push_back(std::move(run));
-    // A foreign structure grabs pages in between.
-    if (r % 3 == 0) {
-      disk.AllocatePage();
-    }
-  }
-  std::vector<PostingFile::Entry> out;
-  for (size_t r = 0; r < runs.size(); ++r) {
-    file.ReadRun(locs[r], &out);
-    ASSERT_EQ(out.size(), runs[r].size()) << "run " << r;
-    for (size_t i = 0; i < out.size(); ++i) {
-      ASSERT_EQ(out[i].object, runs[r][i].object);
-    }
-  }
-}
-
 TEST(ObjectFileTest, RecordsRoundTrip) {
   auto data = testing::MakeRandomDataset(55, 100, 300, 20, 3);
-  DiskManager disk;
-  BufferPool pool(&disk, 1024);
+  testing::TestDisk disk("objects_round_trip");
+  BufferPool pool(disk.get(), 1024);
   ObjectFile file(&pool, *data.objects);
   EXPECT_GT(file.num_pages(), 0u);
+  EXPECT_EQ(disk->stats_snapshot().writes, file.num_pages());
 
   const RoadNetwork& net = *data.network;
   for (ObjectId id = 0; id < data.objects->size(); ++id) {
     const auto& obj = data.objects->object(id);
-    const ObjectFile::Record rec = file.Get(id);
+    ObjectFile::Record rec;
+    ASSERT_TRUE(file.Get(id, &rec).ok());
     ASSERT_EQ(rec.edge, obj.edge);
     EXPECT_DOUBLE_EQ(rec.w1, net.WeightFromN1(obj.edge, obj.offset));
   }
@@ -132,17 +125,44 @@ TEST(ObjectFileTest, RecordsRoundTrip) {
 
 TEST(ObjectFileTest, PositionsMatchEdgeOrder) {
   auto data = testing::MakeRandomDataset(56, 100, 300, 20, 3);
-  DiskManager disk;
-  BufferPool pool(&disk, 1024);
+  testing::TestDisk disk("objects_positions");
+  BufferPool pool(disk.get(), 1024);
   ObjectFile file(&pool, *data.objects);
   for (EdgeId e = 0; e < data.network->num_edges(); ++e) {
     uint16_t expected = 0;
     for (ObjectId id : data.objects->ObjectsOnEdge(e)) {
-      EXPECT_EQ(file.Get(id).pos, expected) << "edge " << e;
+      ObjectFile::Record rec;
+      ASSERT_TRUE(file.Get(id, &rec).ok());
+      EXPECT_EQ(rec.pos, expected) << "edge " << e;
       ++expected;
     }
   }
 }
+
+// Every builder writes each page once, straight to the disk: right after
+// BuildIndex every allocated page has been written exactly once and the
+// pool holds no frame.
+class BuildWritesOnceTest : public ::testing::TestWithParam<IndexKind> {};
+
+TEST_P(BuildWritesOnceTest, EveryPageWrittenOnceAndNoFrameHeld) {
+  testing::BackendDatabase db(ScalePreset(PresetSYN(), 0.03), "writes_once");
+  IndexOptions opts;
+  opts.kind = GetParam();
+  db->BuildIndex(opts);
+  EXPECT_EQ(db->disk()->stats_snapshot().writes, db->disk()->num_pages());
+  EXPECT_EQ(db->pool()->num_frames_in_use(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllIndexes, BuildWritesOnceTest,
+                         ::testing::Values(IndexKind::kIR, IndexKind::kIF,
+                                           IndexKind::kSIF, IndexKind::kSIFP,
+                                           IndexKind::kSIFG),
+                         [](const auto& info) {
+                           std::string n = IndexKindName(info.param);
+                           n.erase(std::remove(n.begin(), n.end(), '-'),
+                                   n.end());
+                           return n;
+                         });
 
 }  // namespace
 }  // namespace dsks

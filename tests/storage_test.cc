@@ -130,67 +130,32 @@ TEST(BufferPoolTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_EQ(pool.stats().misses, misses_before + 1);
 }
 
-TEST(BufferPoolTest, DirtyPageWrittenBackOnEviction) {
-  dsks::testing::TestDisk disk;
-  const PageId a = disk->AllocatePage();
-  const PageId b = disk->AllocatePage();
-  BufferPool pool(disk.get(), 1);
-
-  char* data = dsks::testing::MustFetch(&pool, a);
-  data[0] = 'x';
-  pool.UnpinPage(a, /*dirty=*/true);
-
-  dsks::testing::MustFetch(&pool, b);  // evicts a, forcing the write-back
-  pool.UnpinPage(b, false);
-
-  char out[kPageSize];
-  disk->ReadPage(a, out);
-  EXPECT_EQ(out[0], 'x');
-}
-
 TEST(BufferPoolTest, PinnedPagesSurviveEvictionPressure) {
   dsks::testing::TestDisk disk;
-  PageId pages[4];
-  for (PageId& p : pages) p = disk->AllocatePage();
+  const PageId first = dsks::testing::FillPages(disk.get(), 4);
   BufferPool pool(disk.get(), 2);
 
-  char* pinned = dsks::testing::MustFetch(&pool, pages[0]);
-  pinned[1] = 'p';
+  const char* pinned = dsks::testing::MustFetch(&pool, first);
   // Cycle other pages through the remaining frame.
   for (int round = 0; round < 3; ++round) {
-    for (int i = 1; i < 4; ++i) {
-      dsks::testing::MustFetch(&pool, pages[i]);
-      pool.UnpinPage(pages[i], false);
+    for (PageId i = 1; i < 4; ++i) {
+      dsks::testing::MustFetch(&pool, first + i);
+      pool.UnpinPage(first + i, false);
     }
   }
-  // The pinned frame was never evicted: the pointer still works.
-  EXPECT_EQ(pinned[1], 'p');
-  pool.UnpinPage(pages[0], true);
-}
-
-TEST(BufferPoolTest, NewPageIsPinnedAndZeroed) {
-  dsks::testing::TestDisk disk;
-  BufferPool pool(disk.get(), 2);
-  PageId id;
-  char* data = pool.NewPage(&id);
-  for (size_t i = 0; i < kPageSize; ++i) {
-    ASSERT_EQ(data[i], 0);
-  }
-  data[7] = 'z';
-  pool.UnpinPage(id, true);
-  pool.FlushAll();
-  char out[kPageSize];
-  disk->ReadPage(id, out);
-  EXPECT_EQ(out[7], 'z');
+  // The pinned frame was never evicted: the pointer still shows its page.
+  EXPECT_EQ(pinned[1], dsks::testing::FillByte(0));
+  EXPECT_EQ(pool.stats().misses, 1u + 3 * 3);
+  pool.UnpinPage(first, false);
 }
 
 TEST(BufferPoolTest, SetCapacityEvictsDown) {
   dsks::testing::TestDisk disk;
+  const PageId first = dsks::testing::FillPages(disk.get(), 8);
   BufferPool pool(disk.get(), 8);
-  for (int i = 0; i < 8; ++i) {
-    PageId id;
-    pool.NewPage(&id);
-    pool.UnpinPage(id, true);
+  for (PageId id = first; id < first + 8; ++id) {
+    dsks::testing::MustFetch(&pool, id);
+    pool.UnpinPage(id, false);
   }
   EXPECT_EQ(pool.num_frames_in_use(), 8u);
   pool.SetCapacity(2);
@@ -198,18 +163,22 @@ TEST(BufferPoolTest, SetCapacityEvictsDown) {
   EXPECT_EQ(pool.stats().evictions, 6u);
 }
 
-TEST(BufferPoolTest, ClearDropsCleanAndDirtyFrames) {
+TEST(BufferPoolTest, ClearDropsEveryFrame) {
   dsks::testing::TestDisk disk;
+  const PageId first = dsks::testing::FillPages(disk.get(), 3);
   BufferPool pool(disk.get(), 4);
-  PageId id;
-  char* data = pool.NewPage(&id);
-  data[0] = 'c';
-  pool.UnpinPage(id, true);
-  pool.Clear();
+  for (PageId id = first; id < first + 3; ++id) {
+    dsks::testing::MustFetch(&pool, id);
+    pool.UnpinPage(id, false);
+  }
+  EXPECT_TRUE(pool.Clear().ok());
   EXPECT_EQ(pool.num_frames_in_use(), 0u);
-  char out[kPageSize];
-  disk->ReadPage(id, out);
-  EXPECT_EQ(out[0], 'c');  // dirty content persisted
+  // The cache is cold again: the next fetch reads the page back, intact.
+  const char* data = dsks::testing::MustFetch(&pool, first + 2);
+  EXPECT_EQ(data[0], dsks::testing::FillByte(2));
+  pool.UnpinPage(first + 2, false);
+  EXPECT_EQ(pool.stats().misses, 4u);
+  EXPECT_EQ(disk->stats().writes, 3u) << "Clear writes nothing";
 }
 
 // Regression: fetching capacity+1 pages with every frame pinned used to
@@ -218,32 +187,23 @@ TEST(BufferPoolTest, ClearDropsCleanAndDirtyFrames) {
 TEST(BufferPoolTest, AllPinnedOverflowsInsteadOfAborting) {
   dsks::testing::TestDisk disk;
   constexpr size_t kCapacity = 2;
-  PageId pages[kCapacity + 1];
-  for (PageId& p : pages) p = disk->AllocatePage();
+  const PageId first = dsks::testing::FillPages(disk.get(), kCapacity + 1);
   BufferPool pool(disk.get(), kCapacity);
 
-  char* data[kCapacity + 1];
+  const char* data[kCapacity + 1];
   for (size_t i = 0; i <= kCapacity; ++i) {
-    data[i] = dsks::testing::MustFetch(&pool, pages[i]);
+    data[i] = dsks::testing::MustFetch(&pool, first + i);
     ASSERT_NE(data[i], nullptr);
-    data[i][0] = static_cast<char>('a' + i);
   }
   // All capacity+1 pages are pinned simultaneously: the pool ran over its
-  // target instead of aborting, and every pointer is usable.
+  // target instead of aborting, and every pointer shows its own page.
   EXPECT_EQ(pool.num_frames_in_use(), kCapacity + 1);
   for (size_t i = 0; i <= kCapacity; ++i) {
-    EXPECT_EQ(data[i][0], static_cast<char>('a' + i));
-    pool.UnpinPage(pages[i], /*dirty=*/true);
+    EXPECT_EQ(data[i][0], dsks::testing::FillByte(i)) << "page " << i;
+    pool.UnpinPage(first + i, false);
   }
   // Unpinning drained the overflow back to the capacity target.
   EXPECT_LE(pool.num_frames_in_use(), kCapacity);
-  // Overflow eviction wrote the dirty overflow frame back.
-  pool.FlushAll();
-  char out[kPageSize];
-  for (size_t i = 0; i <= kCapacity; ++i) {
-    disk->ReadPage(pages[i], out);
-    EXPECT_EQ(out[0], static_cast<char>('a' + i)) << "page " << i;
-  }
 }
 
 // Regression: shrinking below the pinned set used to CHECK-fail; the
@@ -278,6 +238,17 @@ TEST(BufferPoolDeathTest, DoubleUnpinIsFatal) {
   EXPECT_DEATH(pool.UnpinPage(a, false), "unpin of unpinned page");
 }
 
+// The pool is a read cache: nothing may hand a page back to it dirty.
+TEST(BufferPoolDeathTest, DirtyUnpinIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  dsks::testing::TestDisk disk;
+  const PageId a = disk->AllocatePage();
+  BufferPool pool(disk.get(), 2);
+  dsks::testing::MustFetch(&pool, a);
+  EXPECT_DEATH(pool.UnpinPage(a, /*dirty=*/true), "read-only");
+  pool.UnpinPage(a, false);
+}
+
 TEST(DiskManagerDeathTest, ReadOfUnallocatedPageIsFatal) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   dsks::testing::TestDisk disk;
@@ -287,30 +258,29 @@ TEST(DiskManagerDeathTest, ReadOfUnallocatedPageIsFatal) {
 
 TEST(PageGuardTest, ReleasesOnDestruction) {
   dsks::testing::TestDisk disk;
-  const PageId a = disk->AllocatePage();
+  const PageId a = dsks::testing::FillPages(disk.get(), 2);
+  const PageId b = a + 1;
   BufferPool pool(disk.get(), 1);
   {
-    PageGuard guard = FetchForBuild(&pool, a);
+    PageGuard guard;
+    ASSERT_TRUE(PageGuard::Fetch(&pool, a, &guard).ok());
     ASSERT_TRUE(guard.valid());
-    guard.data()[3] = 'g';
-    guard.MarkDirty();
+    EXPECT_EQ(guard.data()[3], dsks::testing::FillByte(0));
   }
-  // The pin is gone: the single frame can be reused.
-  PageId b = disk->AllocatePage();
-  PageGuard other = FetchForBuild(&pool, b);
+  // The pin is gone: the single frame is reused instead of overflowing.
+  PageGuard other;
+  ASSERT_TRUE(PageGuard::Fetch(&pool, b, &other).ok());
   EXPECT_TRUE(other.valid());
-  other.Release();
-  char out[kPageSize];
-  pool.FlushAll();
-  disk->ReadPage(a, out);
-  EXPECT_EQ(out[3], 'g');
+  EXPECT_EQ(pool.num_frames_in_use(), 1u);
+  EXPECT_EQ(pool.stats().evictions, 1u);
 }
 
 TEST(PageGuardTest, MoveTransfersOwnership) {
   dsks::testing::TestDisk disk;
   const PageId a = disk->AllocatePage();
   BufferPool pool(disk.get(), 2);
-  PageGuard g1 = FetchForBuild(&pool, a);
+  PageGuard g1;
+  ASSERT_TRUE(PageGuard::Fetch(&pool, a, &g1).ok());
   PageGuard g2 = std::move(g1);
   EXPECT_FALSE(g1.valid());  // NOLINT(bugprone-use-after-move): intended
   EXPECT_TRUE(g2.valid());

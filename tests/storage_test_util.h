@@ -6,7 +6,9 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/macros.h"
 #include "datagen/presets.h"
@@ -104,6 +106,28 @@ class BackendDatabase {
                          // but the path must outlive construction
   Database db_;
 };
+
+/// The byte FillPages writes all over the `i`-th page it fills.
+inline char FillByte(size_t i) { return static_cast<char>('A' + i % 23); }
+
+/// Allocates `n` pages on `disk`, the i-th filled with FillByte(i), and
+/// writes each once, straight to the disk, the way the index builders do
+/// (so checksums are recorded). CHECK-fails on a write error. Returns the
+/// first page's id; the rest follow it (on a fresh disk page i is id i).
+inline PageId FillPages(DiskManager* disk, size_t n) {
+  std::vector<char> buf(kPageSize);
+  PageId first = kInvalidPageId;
+  for (size_t i = 0; i < n; ++i) {
+    const PageId id = disk->AllocatePage();
+    if (i == 0) {
+      first = id;
+    }
+    std::memset(buf.data(), FillByte(i), kPageSize);
+    const Status s = disk->WritePage(id, buf.data());
+    DSKS_CHECK_MSG(s.ok(), "FillPages on a faulty disk");
+  }
+  return first;
+}
 
 /// Test replacement for the removed BufferPool::FetchPageOrDie: pins page
 /// `id` and returns its frame, CHECK-failing on a disk error. Tests that

@@ -52,12 +52,13 @@ for san in "${sanitizers[@]}"; do
   # Storage and chaos suites again with pages on a real file: the ctest
   # pass above covered the sim backend (the default); DSKS_TEST_BACKEND
   # reruns the same binaries against pread/pwrite + CRC sidecar, so both
-  # backends face the same faults under the same sanitizer. The golden
-  # counters must come out identical on both backends.
+  # backends face the same faults under the same sanitizer, and the index
+  # builders' direct page writes meet the file too. The golden counters and
+  # index images must come out identical on both backends.
   echo "=== $san sanitizer: storage + chaos suites on the file backend ==="
   for t in storage_test fault_injection_test buffer_pool_concurrency_test \
            durability_test prefetch_test golden_counters_test obs_test \
-           trace_attribution_test chaos_test; do
+           trace_attribution_test chaos_test index_storage_test; do
     (cd "$dir" && DSKS_TEST_BACKEND=file TSAN_OPTIONS="die_after_fork=0" \
         "./tests/$t" --gtest_brief=1)
   done

@@ -22,7 +22,7 @@
 //       dump the metrics registry (storage counters bound as live sources
 //       plus the executor's latency histogram).
 //   dsks_cli chaos [--scale F] [--index sif] [--queries N] [--threads N]
-//             [--read-fault-p P] [--write-fault-p P] [--corrupt-p P]
+//             [--read-fault-p P] [--corrupt-p P]
 //             [--seed S] [--retries R] [--socket]
 //       Run a concurrent workload with storage fault injection armed and
 //       prove the process survives: failed queries are counted per Status
@@ -199,7 +199,7 @@ int Usage() {
                "           [--format=json|prometheus]\n"
                "  dsks_cli chaos [--scale 0.03] [--index sif] [--queries 256]\n"
                "           [--threads 8] [--read-fault-p 0.001]\n"
-               "           [--write-fault-p 0] [--corrupt-p 0] [--seed 42]\n"
+               "           [--corrupt-p 0] [--seed 42]\n"
                "           [--retries 0] [--socket]\n"
                "  dsks_cli serve [--port 0] [--scale 0.03] [--index sif]\n"
                "           [--threads 4] [--queue 64] [--deadline-ms 0]\n"
@@ -982,7 +982,6 @@ int CmdChaos(const Args& args) {
   // Status — the queries fail, the process does not.
   const double scale = args.GetDouble("scale", 0.03, 1e-6, 1e3);
   const double read_fault_p = args.GetDouble("read-fault-p", 0.001, 0.0, 1.0);
-  const double write_fault_p = args.GetDouble("write-fault-p", 0.0, 0.0, 1.0);
   const double corrupt_p = args.GetDouble("corrupt-p", 0.0, 0.0, 1.0);
   const uint64_t seed = args.GetSize("seed", 42, 0, SIZE_MAX);
   const size_t retries = args.GetSize("retries", 0, 0, 64);
@@ -993,10 +992,10 @@ int CmdChaos(const Args& args) {
   Database db(ScalePreset(PresetByName(args.Get("preset", "SYN")), scale),
               backend.options());
   db.BuildIndex(IndexOptionsByName(args.Get("index", "sif")));
-  // Shrink the pool *before* arming the injector: preparation flushes, and
-  // an injected write fault there would be a setup failure, not a query
-  // failure. The small pool then guarantees cold reads during the workload
-  // so faults actually have reads to hit.
+  // Faults are armed after the build, which has written every page: a
+  // fault during a build would be a setup failure, not a query failure. The
+  // 2% pool then guarantees cold reads during the workload so faults
+  // actually have reads to hit.
   db.PrepareForQueries();
 
   WorkloadConfig wc;
@@ -1007,7 +1006,6 @@ int CmdChaos(const Args& args) {
 
   FaultInjector::Config fc;
   fc.read_fault_p = read_fault_p;
-  fc.write_fault_p = write_fault_p;
   fc.corrupt_read_p = corrupt_p;
   fc.seed = seed;
   db.disk()->fault_injector()->Configure(fc);
@@ -1126,11 +1124,9 @@ int CmdChaos(const Args& args) {
   const FaultInjector::StatsSnapshot fs =
       db.disk()->fault_injector()->stats();
   const DiskStatsSnapshot ds = db.disk()->stats_snapshot();
-  std::printf(
-      "  injected: %llu read faults, %llu write faults, %llu bit flips\n",
-      static_cast<unsigned long long>(fs.read_faults),
-      static_cast<unsigned long long>(fs.write_faults),
-      static_cast<unsigned long long>(fs.corruptions));
+  std::printf("  injected: %llu read faults, %llu bit flips\n",
+              static_cast<unsigned long long>(fs.read_faults),
+              static_cast<unsigned long long>(fs.corruptions));
   std::printf("  disk: %llu reads, %llu corruptions detected by checksum\n",
               static_cast<unsigned long long>(ds.reads),
               static_cast<unsigned long long>(ds.corruptions_detected));
