@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the building blocks: Z-order
-// encoding, Dijkstra, CCAM adjacency loads, B+tree lookups, signature
-// tests, LoadObjects, core-pair maintenance, the full SK search, the flat
-// hot-path containers and the pairwise distance oracle strategies.
+// encoding, Dijkstra, buffer-pool hits and evicting misses, CCAM adjacency
+// loads, B+tree lookups, signature tests, LoadObjects, core-pair
+// maintenance, the full SK search, the flat hot-path containers and the
+// pairwise distance oracle strategies.
 //
 // Results are written to BENCH_micro.json (google-benchmark JSON format)
 // in the working directory, alongside the usual console table.
@@ -16,6 +17,7 @@
 
 #include "btree/bplus_tree.h"
 #include "common/flat_containers.h"
+#include "common/macros.h"
 #include "common/random.h"
 #include "core/core_pairs.h"
 #include "core/distance_oracle.h"
@@ -103,6 +105,70 @@ void BM_BoundedDijkstra(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BoundedDijkstra)->Arg(500)->Arg(1500)->Arg(3000);
+
+/// Allocates `n` pages on `disk` and writes each once, as the index
+/// builders do, so every page has a recorded checksum.
+void WritePages(DiskManager* disk, size_t n) {
+  std::vector<char> page(kPageSize);
+  for (size_t i = 0; i < n; ++i) {
+    std::memset(page.data(), static_cast<int>(i), kPageSize);
+    const Status s = disk->WritePage(disk->AllocatePage(), page.data());
+    DSKS_CHECK_MSG(s.ok(), "bench page write failed");
+  }
+}
+
+/// FetchPage + UnpinPage of `id`; false (and the benchmark skipped) on a
+/// read error.
+bool FetchUnpin(benchmark::State& state, BufferPool* pool, PageId id) {
+  char* data = nullptr;
+  if (!pool->FetchPage(id, &data).ok()) {
+    state.SkipWithError("FetchPage failed");
+    return false;
+  }
+  benchmark::DoNotOptimize(data[0]);
+  pool->UnpinPage(id, /*dirty=*/false);
+  return true;
+}
+
+// The pool's hit path: every page is resident.
+void BM_BufferPoolFetchHit(benchmark::State& state) {
+  constexpr PageId kPages = 256;
+  DiskManager disk;
+  WritePages(&disk, kPages);
+  BufferPool pool(&disk, kPages);
+  for (PageId id = 0; id < kPages; ++id) {
+    if (!FetchUnpin(state, &pool, id)) {
+      return;
+    }
+  }
+  PageId id = 0;
+  for (auto _ : state) {
+    if (!FetchUnpin(state, &pool, id)) {
+      break;
+    }
+    id = (id + 61) % kPages;
+  }
+}
+BENCHMARK(BM_BufferPoolFetchHit);
+
+// The pool's miss path: cycling through four times as many pages as the
+// pool holds makes every fetch a miss that evicts, read from the sim
+// backend with no simulated delay (page copy and CRC check included).
+void BM_BufferPoolMissEvict(benchmark::State& state) {
+  constexpr PageId kPages = 1024;
+  DiskManager disk;
+  disk.set_read_delay_us(0);
+  WritePages(&disk, kPages);
+  BufferPool pool(&disk, kPages / 4);
+  PageId id = 0;
+  for (auto _ : state) {
+    if (!FetchUnpin(state, &pool, id)) {
+      break;
+    }
+    id = (id + 1) % kPages;
+  }
+}
+BENCHMARK(BM_BufferPoolMissEvict);
 
 void BM_CcamAdjacency(benchmark::State& state) {
   World& w = TheWorld();

@@ -1,5 +1,8 @@
 #include "storage/buffer_pool.h"
 
+#include <array>
+#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -9,6 +12,55 @@
 
 namespace dsks {
 
+namespace {
+
+/// The read requests of one claim pass. A pass that claims nothing, such
+/// as a Prefetch of resident pages or a FetchPages of hits, never touches
+/// the storage. Up to kInlineReads requests live in the object itself, on
+/// the caller's stack, which covers every batch the in-tree readers make
+/// (CCAM and posting prefetches stop at 32 pages, posting fetches at 16);
+/// a larger batch, such as BPlusTree::MultiGet over more than 32 terms,
+/// allocates its requests once per call.
+class ReadRequests {
+ public:
+  explicit ReadRequests(size_t max_reads) : max_reads_(max_reads) {}
+
+  // slots_ may point into inline_.
+  ReadRequests(const ReadRequests&) = delete;
+  ReadRequests& operator=(const ReadRequests&) = delete;
+
+  bool empty() const { return size_ == 0; }
+  void clear() { size_ = 0; }
+
+  void Add(PageId id, char* out) {
+    if (slots_.empty()) {
+      if (max_reads_ <= kInlineReads) {
+        slots_ = inline_.emplace();
+      } else {
+        spilled_.resize(max_reads_);
+        slots_ = spilled_;
+      }
+    }
+    PageReadRequest& req = slots_[size_++];
+    req.id = id;
+    req.out = out;
+    req.status = Status::Ok();
+  }
+
+  std::span<PageReadRequest> span() { return slots_.first(size_); }
+
+ private:
+  static constexpr size_t kInlineReads = 32;
+
+  size_t max_reads_;
+  std::optional<std::array<PageReadRequest, kInlineReads>> inline_;
+  std::vector<PageReadRequest> spilled_;
+  std::span<PageReadRequest> slots_;
+  size_t size_ = 0;
+};
+
+}  // namespace
+
 BufferPool::BufferPool(DiskManager* disk, size_t capacity)
     : disk_(disk), capacity_(capacity) {
   DSKS_CHECK_MSG(capacity > 0, "buffer pool needs at least one frame");
@@ -16,86 +68,126 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity)
 
 BufferPool::~BufferPool() {
 #ifndef NDEBUG
-  for (const auto& [id, frame] : frames_) {
+  for (const Frame& frame : frames_) {
     DSKS_DCHECK_MSG(frame.pin_count == 0,
                     "buffer pool destroyed with pinned pages (pin leak)");
-    (void)id;
   }
 #endif
 }
 
-BufferPool::Frame* BufferPool::GetFrameLocked(PageId id) {
-  auto it = frames_.find(id);
-  return it == frames_.end() ? nullptr : &it->second;
+uint32_t BufferPool::FindFrameLocked(PageId id) const {
+  const uint32_t* index = page_table_.find(id);
+  return index == nullptr ? kNoFrame : *index;
 }
 
-char* BufferPool::PinHitLocked(Frame* frame) {
+char* BufferPool::PinHitLocked(uint32_t index) {
+  Frame& frame = frames_[index];
   stats_.hits.fetch_add(1, std::memory_order_relaxed);
   obs::ChargePoolHit();
-  if (frame->prefetched) {
+  if (frame.prefetched) {
     // First demand touch of a speculatively read page: the prefetch paid
     // off. The flag resolves exactly once per issued prefetch.
-    frame->prefetched = false;
+    frame.prefetched = false;
     stats_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
   }
-  if (frame->in_lru) {
-    lru_.erase(frame->lru_pos);
-    frame->in_lru = false;
+  if (frame.pin_count == 0) {
+    UnlinkLruLocked(index);
   }
-  ++frame->pin_count;
-  return frame->data.get();
+  ++frame.pin_count;
+  return frame.data.get();
 }
 
-BufferPool::Frame* BufferPool::ClaimFrameLocked(PageId id) {
-  if (frames_.size() >= capacity_.load(std::memory_order_relaxed)) {
+char* BufferPool::ClaimFrameLocked(PageId id) {
+  if (page_table_.size() >= capacity_.load(std::memory_order_relaxed)) {
     // Best effort: when every frame is pinned this fails and the pool
     // temporarily runs over capacity (UnpinPage trims back down).
     TryEvictOneLocked();
   }
-  Frame& frame = frames_[id];
-  frame.data = std::make_unique<char[]>(kPageSize);
+  uint32_t index = free_head_;
+  if (index != kNoFrame) {
+    free_head_ = frames_[index].next;
+  } else {
+    index = static_cast<uint32_t>(frames_.size());
+    // Not zero-filled: a frame's bytes are only ever read after a read
+    // has overwritten all of them.
+    frames_.emplace_back().data =
+        std::make_unique_for_overwrite<char[]>(kPageSize);
+  }
+  Frame& frame = frames_[index];
   frame.page_id = id;
   frame.pin_count = 1;
   frame.io_in_progress = true;
-  return &frame;
+  page_table_.try_emplace(id, index);
+  return frame.data.get();
+}
+
+void BufferPool::ReleaseFrameLocked(uint32_t index) {
+  Frame& frame = frames_[index];
+  page_table_.erase(frame.page_id);
+  frame.page_id = kInvalidPageId;
+  frame.pin_count = 0;
+  frame.io_in_progress = false;
+  frame.prefetched = false;
+  frame.next = free_head_;
+  free_head_ = index;
 }
 
 void BufferPool::ReadClaimedLocked(std::unique_lock<std::mutex>* lock,
                                    std::span<PageReadRequest> reqs) {
   // Read outside the latch so reads of different pages overlap. The
   // claimed frames are pinned and off the LRU, so nothing evicts them
-  // meanwhile, and unordered_map keeps them in place across other
-  // threads' inserts and erases.
+  // meanwhile, and their buffers stay put while other threads' claims grow
+  // the frame array; their indexes are looked up again below.
   lock->unlock();
   disk_->ReadPages(reqs);
   lock->lock();
   for (const PageReadRequest& req : reqs) {
+    const uint32_t index = FindFrameLocked(req.id);
+    DSKS_CHECK(index != kNoFrame);
     if (req.status.ok()) {
-      Frame* frame = GetFrameLocked(req.id);
-      DSKS_CHECK(frame != nullptr);
-      frame->io_in_progress = false;
+      frames_[index].io_in_progress = false;
     } else {
-      // Drop the failed frame so waiters, and later fetches, retry from
+      // Free the failed frame so waiters, and later fetches, retry from
       // scratch instead of pinning garbage.
-      frames_.erase(req.id);
+      ReleaseFrameLocked(index);
     }
   }
   io_done_.notify_all();
 }
 
-void BufferPool::AppendLruLocked(Frame* frame) {
-  lru_.push_back(frame->page_id);
-  frame->lru_pos = std::prev(lru_.end());
-  frame->in_lru = true;
+void BufferPool::AppendLruLocked(uint32_t index) {
+  Frame& frame = frames_[index];
+  frame.prev = lru_tail_;
+  frame.next = kNoFrame;
+  if (lru_tail_ == kNoFrame) {
+    lru_head_ = index;
+  } else {
+    frames_[lru_tail_].next = index;
+  }
+  lru_tail_ = index;
+}
+
+void BufferPool::UnlinkLruLocked(uint32_t index) {
+  const Frame& frame = frames_[index];
+  if (frame.prev == kNoFrame) {
+    lru_head_ = frame.next;
+  } else {
+    frames_[frame.prev].next = frame.next;
+  }
+  if (frame.next == kNoFrame) {
+    lru_tail_ = frame.prev;
+  } else {
+    frames_[frame.next].prev = frame.prev;
+  }
 }
 
 Status BufferPool::FetchPage(PageId id, char** out) {
   std::unique_lock<std::mutex> lock(latch_);
   // The resident check stays inline so that a hit, which most fetches
   // are, skips the batch machinery.
-  Frame* frame = GetFrameLocked(id);
-  if (frame != nullptr && !frame->io_in_progress) {
-    *out = PinHitLocked(frame);
+  const uint32_t index = FindFrameLocked(id);
+  if (index != kNoFrame && !frames_[index].io_in_progress) {
+    *out = PinHitLocked(index);
     return Status::Ok();
   }
   char* page = nullptr;  // a failed fetch leaves *out untouched
@@ -126,7 +218,7 @@ Status BufferPool::FetchPages(std::span<const PageId> ids,
 Status BufferPool::FetchPagesLocked(std::unique_lock<std::mutex>* lock,
                                     std::span<const PageId> ids,
                                     std::span<char*> outs) {
-  std::vector<PageReadRequest> reqs;
+  ReadRequests reqs(ids.size());
   for (;;) {
     // Classify every page not pinned yet: pin the resident ones, claim the
     // missing ones, and leave those in flight on another thread for a
@@ -138,21 +230,16 @@ Status BufferPool::FetchPagesLocked(std::unique_lock<std::mutex>* lock,
       if (outs[i] != nullptr) {
         continue;
       }
-      Frame* frame = GetFrameLocked(ids[i]);
-      if (frame == nullptr) {
+      const uint32_t index = FindFrameLocked(ids[i]);
+      if (index == kNoFrame) {
         stats_.misses.fetch_add(1, std::memory_order_relaxed);
         obs::ChargePoolMiss();
-        if (reqs.capacity() == 0) {
-          reqs.reserve(ids.size());
-        }
-        PageReadRequest& req = reqs.emplace_back();
-        req.id = ids[i];
-        req.out = ClaimFrameLocked(ids[i])->data.get();
-        outs[i] = req.out;  // the claim's pin belongs to this call
-      } else if (frame->io_in_progress) {
+        outs[i] = ClaimFrameLocked(ids[i]);  // the claim's pin is this call's
+        reqs.Add(ids[i], outs[i]);
+      } else if (frames_[index].io_in_progress) {
         in_flight = true;
       } else {
-        outs[i] = PinHitLocked(frame);
+        outs[i] = PinHitLocked(index);
       }
     }
     if (reqs.empty()) {
@@ -165,13 +252,13 @@ Status BufferPool::FetchPagesLocked(std::unique_lock<std::mutex>* lock,
       io_done_.wait(*lock);
       continue;
     }
-    ReadClaimedLocked(lock, reqs);
+    ReadClaimedLocked(lock, reqs.span());
     Status first = Status::Ok();
-    for (PageReadRequest& req : reqs) {
+    for (PageReadRequest& req : reqs.span()) {
       if (req.status.ok()) {
         continue;
       }
-      // The read step erased the frame, and with it this call's pin.
+      // The read step freed the frame, and with it this call's pin.
       for (size_t i = 0; i < ids.size(); ++i) {
         if (ids[i] == req.id) {
           outs[i] = nullptr;
@@ -201,35 +288,31 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
     return;
   }
   const size_t allocated = disk_->num_pages();
+  ReadRequests reqs(ids.size());
   std::unique_lock<std::mutex> lock(latch_);
-  std::vector<PageReadRequest> reqs;
   for (PageId id : ids) {
     if (id >= allocated) {
       continue;  // speculative callers may guess past the watermark
     }
-    if (GetFrameLocked(id) != nullptr) {
+    if (FindFrameLocked(id) != kNoFrame) {
       // Resident or already in flight (claimed earlier in this call or by
       // another thread): nothing to do, and never wait — prefetch must
       // not block.
       continue;
     }
-    if (reqs.capacity() == 0) {
-      reqs.reserve(ids.size());
-    }
-    PageReadRequest& req = reqs.emplace_back();
-    req.id = id;
-    req.out = ClaimFrameLocked(id)->data.get();
+    reqs.Add(id, ClaimFrameLocked(id));
   }
   if (reqs.empty()) {
     return;
   }
-  stats_.prefetch_issued.fetch_add(reqs.size(), std::memory_order_relaxed);
-  obs::ChargePrefetchIssued(reqs.size());
+  const std::span<PageReadRequest> batch = reqs.span();
+  stats_.prefetch_issued.fetch_add(batch.size(), std::memory_order_relaxed);
+  obs::ChargePrefetchIssued(batch.size());
   // Demand fetchers of these pages wait on io_done_ meanwhile.
-  ReadClaimedLocked(&lock, reqs);
-  for (const PageReadRequest& req : reqs) {
+  ReadClaimedLocked(&lock, batch);
+  for (const PageReadRequest& req : batch) {
     if (!req.status.ok()) {
-      // Fault-silent by design: the read step dropped the frame; count it
+      // Fault-silent by design: the read step freed the frame; count it
       // and let any later demand fetch re-read and surface its own error.
       // A query never fails because of a speculative read it didn't ask
       // for.
@@ -237,10 +320,10 @@ void BufferPool::Prefetch(std::span<const PageId> ids) {
       continue;
     }
     // Publish unpinned: the claim's pin only held the frame in flight.
-    Frame* frame = GetFrameLocked(req.id);
-    frame->pin_count = 0;
-    frame->prefetched = true;
-    AppendLruLocked(frame);
+    const uint32_t index = FindFrameLocked(req.id);
+    frames_[index].pin_count = 0;
+    frames_[index].prefetched = true;
+    AppendLruLocked(index);
   }
   TrimToCapacityLocked();
 }
@@ -252,37 +335,38 @@ void BufferPool::UnpinPage(PageId id, bool dirty) {
 }
 
 void BufferPool::UnpinPageLocked(PageId id) {
-  Frame* frame = GetFrameLocked(id);
-  DSKS_CHECK_MSG(frame != nullptr, "unpin of page not in pool");
-  DSKS_CHECK_MSG(frame->pin_count > 0, "unpin of unpinned page");
-  --frame->pin_count;
-  if (frame->pin_count == 0) {
-    AppendLruLocked(frame);
+  const uint32_t index = FindFrameLocked(id);
+  DSKS_CHECK_MSG(index != kNoFrame, "unpin of page not in pool");
+  Frame& frame = frames_[index];
+  DSKS_CHECK_MSG(frame.pin_count > 0, "unpin of unpinned page");
+  --frame.pin_count;
+  if (frame.pin_count == 0) {
+    AppendLruLocked(index);
     // Drain any overflow frames (pin pressure) or a deferred shrink.
     TrimToCapacityLocked();
   }
 }
 
 bool BufferPool::TryEvictOneLocked() {
-  if (lru_.empty()) {
+  if (lru_head_ == kNoFrame) {
     return false;
   }
-  auto fit = frames_.find(lru_.front());
-  DSKS_CHECK(fit != frames_.end());
-  DSKS_CHECK(fit->second.pin_count == 0);
-  if (fit->second.prefetched) {
+  const uint32_t victim = lru_head_;
+  Frame& frame = frames_[victim];
+  DSKS_CHECK(frame.pin_count == 0);
+  if (frame.prefetched) {
     // Evicted without ever being demanded: the speculative read was
     // wasted work.
     stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
   }
-  lru_.pop_front();
-  frames_.erase(fit);
+  UnlinkLruLocked(victim);
+  ReleaseFrameLocked(victim);
   stats_.evictions.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 void BufferPool::TrimToCapacityLocked() {
-  while (frames_.size() > capacity_.load(std::memory_order_relaxed) &&
+  while (page_table_.size() > capacity_.load(std::memory_order_relaxed) &&
          TryEvictOneLocked()) {
   }
 }
@@ -298,21 +382,27 @@ void BufferPool::SetCapacity(size_t capacity) {
 
 Status BufferPool::Clear() {
   std::lock_guard<std::mutex> lock(latch_);
-  for (const auto& [id, frame] : frames_) {
+  // Every frame, with its buffer, goes back on the free list; the LRU is
+  // emptied wholesale below.
+  for (uint32_t index = 0; index < frames_.size(); ++index) {
+    const Frame& frame = frames_[index];
+    if (frame.page_id == kInvalidPageId) {
+      continue;
+    }
     DSKS_CHECK_MSG(frame.pin_count == 0, "Clear with pinned pages");
     if (frame.prefetched) {
       stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
     }
-    (void)id;
+    ReleaseFrameLocked(index);
   }
-  frames_.clear();
-  lru_.clear();
+  lru_head_ = kNoFrame;
+  lru_tail_ = kNoFrame;
   return Status::Ok();
 }
 
 size_t BufferPool::num_frames_in_use() const {
   std::lock_guard<std::mutex> lock(latch_);
-  return frames_.size();
+  return page_table_.size();
 }
 
 void BufferPool::BindMetrics(obs::MetricsRegistry* registry,

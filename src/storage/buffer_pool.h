@@ -4,14 +4,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_containers.h"
 #include "common/macros.h"
 #include "common/status.h"
 #include "storage/disk_manager.h"
@@ -109,13 +108,27 @@ struct BufferPoolStats {
 /// speculative Prefetch asked for it. FetchPage is an inline resident check
 /// in front of a FetchPages batch of one.
 ///
+/// Storage allocates nothing once warm. Frames live in one array and are
+/// named by their index; each owns a 4 KiB page buffer that is allocated
+/// with the frame and never moves, so a pinned page's pointer survives the
+/// array's growth. A flat page table maps each resident or in-flight page
+/// to its frame. The LRU is a doubly linked list threaded through prev/next
+/// frame indexes inside the frames (unpinned resident frames, least
+/// recently used at the head). Evicted frames, and frames whose read
+/// failed, go on a free list, and the next claim reuses the most recently
+/// freed frame and its buffer without zero-filling it (the read overwrites
+/// every byte). Frames are never released, so frame memory is bounded by
+/// the frame high-water mark: the most frames ever resident or in flight
+/// at once, which is `capacity()` plus any overflow (see below). A claim
+/// batch keeps its read requests on the stack up to 32 pages.
+///
 /// Thread safety: all public methods are safe to call from multiple threads
-/// concurrently. The page table and LRU list are guarded by one latch;
-/// misses perform their disk read *outside* the latch (the frame is marked
-/// in-flight so concurrent fetchers of the same page wait instead of
-/// double-reading), which keeps parallel query streams from serializing on
-/// simulated I/O. Page contents are read-only once published, so they need
-/// no latch.
+/// concurrently. The frame array, page table, LRU and free list are
+/// guarded by one latch; misses perform their disk read *outside* the
+/// latch (the frame is marked in-flight so concurrent fetchers of the same
+/// page wait instead of double-reading), which keeps parallel query
+/// streams from serializing on simulated I/O. Page contents are read-only
+/// once published, so they need no latch.
 ///
 /// Memory pressure: when every frame is pinned, fetches do not fail —
 /// the pool temporarily exceeds `capacity()` with overflow frames and
@@ -154,8 +167,10 @@ class BufferPool {
   /// calls never wait on each other. All-or-nothing: on any page's
   /// failure every pin this call took is released and the first error is
   /// returned (`outs` is then unspecified, nothing is left pinned). `ids`
-  /// must be duplicate-free — a duplicate would wait on its own in-flight
-  /// read.
+  /// must be duplicate-free (asserted in debug builds). A release build
+  /// tolerates a duplicate: the call reads its own claims before it looks
+  /// at a page again, so the duplicate is pinned twice, counted as one
+  /// miss and one hit, and needs two unpins.
   Status FetchPages(std::span<const PageId> ids, std::span<char*> outs);
 
   /// Best-effort, non-blocking readahead: starts one batched speculative
@@ -229,8 +244,15 @@ class BufferPool {
   DiskManager* disk() { return disk_; }
 
  private:
+  /// Ends the LRU and free lists; FindFrameLocked's "not in the pool".
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
+  /// One slot of the frame array: resident, in flight, or free.
   struct Frame {
+    /// Allocated with the frame and kept for its lifetime, across every
+    /// page it holds.
     std::unique_ptr<char[]> data;
+    /// kInvalidPageId while the frame is on the free list.
     PageId page_id = kInvalidPageId;
     int pin_count = 0;
     /// True while the owning fetch reads the page from disk outside the
@@ -240,9 +262,10 @@ class BufferPool {
     /// a prefetch hit) by the first demand fetch, or counted as wasted if
     /// the frame is evicted/cleared still carrying it.
     bool prefetched = false;
-    /// Position in lru_ when pin_count == 0.
-    std::list<PageId>::iterator lru_pos;
-    bool in_lru = false;
+    /// LRU neighbours while the frame is resident and unpinned (exactly
+    /// then it is on the LRU); `next` links the free list while free.
+    uint32_t prev = kNoFrame;
+    uint32_t next = kNoFrame;
   };
 
   /// Evicts the least-recently-used unpinned frame. Returns false when
@@ -254,27 +277,35 @@ class BufferPool {
   /// latch_ held.
   void TrimToCapacityLocked();
 
+  /// The frame holding page `id` (resident or in flight), or kNoFrame.
   /// Requires latch_ held.
-  Frame* GetFrameLocked(PageId id);
+  uint32_t FindFrameLocked(PageId id) const;
 
   /// The claim step of every page entering the pool (FetchPages,
   /// Prefetch): evicts one frame if the pool is full — best effort, see
-  /// TryEvictOneLocked — then inserts a frame for `id` that is pinned once
-  /// and in flight. Counts nothing. Requires latch_ held and `id` not in
-  /// the pool.
-  Frame* ClaimFrameLocked(PageId id);
+  /// TryEvictOneLocked — then gives `id` a frame from the free list, or a
+  /// new one when the list is empty, pinned once and in flight. Returns the
+  /// frame's page buffer. Counts nothing. Requires latch_ held and `id` not
+  /// in the pool.
+  char* ClaimFrameLocked(PageId id);
+
+  /// Drops the page of frame `index` from the page table and puts the
+  /// frame on the free list. Requires latch_ held and the frame off the
+  /// LRU, or the whole LRU about to be emptied (Clear).
+  void ReleaseFrameLocked(uint32_t index);
 
   /// The read step of FetchPages and Prefetch: releases the latch, reads
   /// every claimed frame of `reqs` with one DiskManager::ReadPages call,
   /// retakes the latch, marks each success resident (still pinned by its
-  /// claim) and erases each failure, then wakes the fetchers waiting on
+  /// claim) and frees each failure, then wakes the fetchers waiting on
   /// io_done_. Requires latch_ held through `*lock`.
   void ReadClaimedLocked(std::unique_lock<std::mutex>* lock,
                          std::span<PageReadRequest> reqs);
 
-  /// Appends an unpinned frame at the most-recently-used end of the LRU.
-  /// Requires latch_ held.
-  void AppendLruLocked(Frame* frame);
+  /// Link an unpinned frame in at the most-recently-used end of the LRU,
+  /// or out of it. Both require latch_ held.
+  void AppendLruLocked(uint32_t index);
+  void UnlinkLruLocked(uint32_t index);
 
   /// FetchPages' body, shared with FetchPage's miss path. `outs` must be
   /// all null on entry (null marks "not pinned by this call"). Requires
@@ -282,10 +313,10 @@ class BufferPool {
   Status FetchPagesLocked(std::unique_lock<std::mutex>* lock,
                           std::span<const PageId> ids, std::span<char*> outs);
 
-  /// Pins `*frame` as a demand hit: hit accounting (including the
+  /// Pins frame `index` as a demand hit: hit accounting (including the
   /// prefetched-flag resolution), LRU removal, pin count. Requires latch_
-  /// held and the frame not in flight.
-  char* PinHitLocked(Frame* frame);
+  /// held and the frame resident, not in flight.
+  char* PinHitLocked(uint32_t index);
 
   /// UnpinPage's body; requires latch_ held.
   void UnpinPageLocked(PageId id);
@@ -297,9 +328,16 @@ class BufferPool {
   mutable std::mutex latch_;
   /// Signalled when a frame's in-flight disk read completes.
   std::condition_variable io_done_;
-  std::unordered_map<PageId, Frame> frames_;
-  /// Unpinned pages, least-recently-used at the front.
-  std::list<PageId> lru_;
+  /// Every frame the pool has made; grows only when a claim finds the free
+  /// list empty, and never shrinks.
+  std::vector<Frame> frames_;
+  /// Resident and in-flight pages to their frame index.
+  FlatHashMap<PageId, uint32_t> page_table_;
+  /// Unpinned resident frames, least recently used at lru_head_.
+  uint32_t lru_head_ = kNoFrame;
+  uint32_t lru_tail_ = kNoFrame;
+  /// Free frames, linked through Frame::next, most recently freed first.
+  uint32_t free_head_ = kNoFrame;
   BufferPoolStats stats_;
 };
 

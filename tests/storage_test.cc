@@ -1,5 +1,8 @@
+#include <algorithm>
 #include <cstring>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "gtest/gtest.h"
@@ -183,27 +186,45 @@ TEST(BufferPoolTest, ClearDropsEveryFrame) {
 
 // Regression: fetching capacity+1 pages with every frame pinned used to
 // CHECK-fail ("buffer pool exhausted"); the pool now over-allocates
-// temporary frames and trims back as pins drain.
+// temporary frames and trims back as pins drain. The 64-page input makes
+// the frame array grow many times while earlier pins are held.
 TEST(BufferPoolTest, AllPinnedOverflowsInsteadOfAborting) {
-  dsks::testing::TestDisk disk;
   constexpr size_t kCapacity = 2;
-  const PageId first = dsks::testing::FillPages(disk.get(), kCapacity + 1);
-  BufferPool pool(disk.get(), kCapacity);
+  for (const size_t pinned : {kCapacity + 1, size_t{64}}) {
+    SCOPED_TRACE(::testing::Message() << pinned << " pages pinned");
+    dsks::testing::TestDisk disk;
+    // One page more than is ever pinned, for the miss after the unpins.
+    const PageId first = dsks::testing::FillPages(disk.get(), pinned + 1);
+    BufferPool pool(disk.get(), kCapacity);
 
-  const char* data[kCapacity + 1];
-  for (size_t i = 0; i <= kCapacity; ++i) {
-    data[i] = dsks::testing::MustFetch(&pool, first + i);
-    ASSERT_NE(data[i], nullptr);
+    std::vector<const char*> data(pinned);
+    for (size_t i = 0; i < pinned; ++i) {
+      data[i] = dsks::testing::MustFetch(&pool, first + i);
+      ASSERT_NE(data[i], nullptr);
+    }
+    // Every page is pinned at once: the pool ran over its target instead
+    // of aborting, and every earlier pointer still shows its own page.
+    EXPECT_EQ(pool.num_frames_in_use(), pinned);
+    EXPECT_EQ(std::set<const char*>(data.begin(), data.end()).size(), pinned);
+    for (size_t i = 0; i < pinned; ++i) {
+      EXPECT_EQ(data[i][0], dsks::testing::FillByte(i)) << "page " << i;
+      EXPECT_EQ(data[i][kPageSize - 1], dsks::testing::FillByte(i))
+          << "page " << i;
+    }
+    for (size_t i = 0; i < pinned; ++i) {
+      pool.UnpinPage(first + i, false);
+    }
+    // Unpinning drained the overflow back to the capacity target.
+    EXPECT_LE(pool.num_frames_in_use(), pool.capacity());
+
+    // One more miss reuses a freed frame's buffer and shows its own page.
+    const char* again = dsks::testing::MustFetch(&pool, first + pinned);
+    EXPECT_NE(std::find(data.begin(), data.end(), again), data.end());
+    EXPECT_EQ(again[0], dsks::testing::FillByte(pinned));
+    EXPECT_EQ(again[kPageSize - 1], dsks::testing::FillByte(pinned));
+    pool.UnpinPage(first + pinned, false);
+    EXPECT_LE(pool.num_frames_in_use(), pool.capacity());
   }
-  // All capacity+1 pages are pinned simultaneously: the pool ran over its
-  // target instead of aborting, and every pointer shows its own page.
-  EXPECT_EQ(pool.num_frames_in_use(), kCapacity + 1);
-  for (size_t i = 0; i <= kCapacity; ++i) {
-    EXPECT_EQ(data[i][0], dsks::testing::FillByte(i)) << "page " << i;
-    pool.UnpinPage(first + i, false);
-  }
-  // Unpinning drained the overflow back to the capacity target.
-  EXPECT_LE(pool.num_frames_in_use(), kCapacity);
 }
 
 // Regression: shrinking below the pinned set used to CHECK-fail; the
