@@ -245,35 +245,13 @@ void EmitPhaseProfile(const char* workload, Database* db, const Workload& wl,
       DSKS_CHECK(db->RunSkQuery(wq.sk, wq.edge, &results, &ctx).ok());
     }
   }
-  const auto totals = trace.AggregateByPhase();
-  std::string buf;
-  char item[256];
-  std::snprintf(item, sizeof(item),
+  char head[192];
+  std::snprintf(head, sizeof(head),
                 "{\"bench\":\"throughput\",\"backend\":\"%s\","
-                "\"workload\":\"%s\",\"queries\":%zu,\"phase_profile\":{",
+                "\"workload\":\"%s\",\"queries\":%zu,\"phase_profile\":",
                 g_backend_name, workload, n);
-  buf += item;
-  bool first = true;
-  for (size_t p = 0; p < obs::kNumPhases; ++p) {
-    const auto& t = totals[p];
-    if (t.spans == 0) {
-      continue;
-    }
-    std::snprintf(item, sizeof(item),
-                  "%s\"%s\":{\"spans\":%llu,\"ms\":%.3f,\"pool_hits\":%llu,"
-                  "\"pool_misses\":%llu,\"disk_reads\":%llu,"
-                  "\"prefetched_pages\":%llu}",
-                  first ? "" : ",", obs::PhaseName(static_cast<obs::Phase>(p)),
-                  static_cast<unsigned long long>(t.spans),
-                  static_cast<double>(t.exclusive_ns) / 1e6,
-                  static_cast<unsigned long long>(t.io.pool_hits),
-                  static_cast<unsigned long long>(t.io.pool_misses),
-                  static_cast<unsigned long long>(t.io.disk_reads),
-                  static_cast<unsigned long long>(t.io.prefetched_pages));
-    buf += item;
-    first = false;
-  }
-  buf += "}}";
+  const std::string buf =
+      head + obs::PhasesJson(trace.AggregateByPhase()) + "}";
   std::printf("JSON %s\n", buf.c_str());
   JsonRecords().push_back(buf);
 }

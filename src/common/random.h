@@ -32,9 +32,6 @@ class Random {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  /// Bernoulli trial with success probability p.
-  bool OneIn(double p) { return NextDouble() < p; }
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

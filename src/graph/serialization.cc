@@ -12,6 +12,12 @@ namespace {
 constexpr char kMagic[4] = {'D', 'S', 'K', 'S'};
 constexpr uint32_t kVersion = 1;
 
+/// Term ids must lie below this plausibility cap, ten times the paper's
+/// largest vocabulary (n_v = 100K). The vocabulary is the largest id + 1
+/// and the indexes size per-term tables by it, so a corrupt id must fail
+/// here, not as a huge allocation or a vocabulary wrapped to 0.
+constexpr TermId kTermIdLimit = TermId{1} << 20;
+
 template <typename T>
 void WriteRaw(std::ofstream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
@@ -132,6 +138,9 @@ Status LoadDataset(const std::string& path,
     for (uint32_t t = 0; t < num_terms; ++t) {
       if (!ReadRaw(in, &terms[t])) {
         return Status::Corruption("truncated term list");
+      }
+      if (terms[t] >= kTermIdLimit) {
+        return Status::Corruption("implausible term id");
       }
     }
     ObjectId unused;

@@ -24,7 +24,9 @@ Status SaveDataset(const RoadNetwork& network, const ObjectSet& objects,
 
 /// Loads a dataset saved with SaveDataset. On success `*network` and
 /// `*objects` are finalized and ready to use; `*objects` refers to
-/// `*network`, which must therefore outlive it.
+/// `*network`, which must therefore outlive it. A truncated file, an
+/// invalid edge or object, or an implausible count or term id (2^20 or
+/// more) is CORRUPTION.
 Status LoadDataset(const std::string& path,
                    std::unique_ptr<RoadNetwork>* network,
                    std::unique_ptr<ObjectSet>* objects);

@@ -45,7 +45,29 @@ Database::Database(const DatasetConfig& config, const DiskOptions& storage)
     : config_(config), disk_(storage) {
   network_ = GenerateRoadNetwork(config.network);
   objects_ = GenerateObjects(*network_, config.objects);
-  term_stats_ = std::make_unique<TermStats>(*objects_, config.objects.vocab_size);
+  Mount();
+}
+
+Database::Database(std::unique_ptr<RoadNetwork> network,
+                   std::unique_ptr<ObjectSet> objects,
+                   const DiskOptions& storage)
+    : network_(std::move(network)),
+      objects_(std::move(objects)),
+      disk_(storage) {
+  // In size_t, so the largest TermId cannot wrap the vocabulary to 0.
+  size_t vocab = 0;
+  for (const SpatioTextualObject& o : objects_->objects()) {
+    for (const TermId t : o.terms) {
+      vocab = std::max(vocab, static_cast<size_t>(t) + 1);
+    }
+  }
+  config_.objects.vocab_size = vocab;
+  Mount();
+}
+
+void Database::Mount() {
+  term_stats_ =
+      std::make_unique<TermStats>(*objects_, config_.objects.vocab_size);
   pool_ = std::make_unique<BufferPool>(&disk_, kInitialPoolFrames);
   ccam_file_ = CcamFileBuilder::Build(*network_, &disk_);
   ccam_graph_ = std::make_unique<CcamGraph>(&ccam_file_, pool_.get());
@@ -158,9 +180,9 @@ namespace {
 /// The query boundary every Run* method shares: charges the query's
 /// storage I/O to its context, binds a trace to those per-context counters
 /// (so span deltas stay exact under concurrency — other queries charge
-/// their own contexts), opens the kQuery root span before `run` does any
-/// I/O, and stamps a failed query's code into the trace, keeping the spans
-/// recorded before the error as the partial-work account.
+/// their own contexts) and opens the kQuery root span before `run` does
+/// any I/O. A failed query keeps the spans recorded before the error as
+/// its partial-work account.
 template <typename Fn>
 Status RunInContext(QueryContext* ctx, Fn&& run) {
   obs::QueryTrace* trace = ctx == nullptr ? nullptr : ctx->trace;
@@ -169,11 +191,7 @@ Status RunInContext(QueryContext* ctx, Fn&& run) {
     trace->BindContextIo(&ctx->io);
   }
   obs::ScopedSpan root(trace, obs::Phase::kQuery);
-  const Status status = run();
-  if (!status.ok() && trace != nullptr) {
-    trace->MarkError(status.code_name());
-  }
-  return status;
+  return run();
 }
 
 }  // namespace

@@ -41,9 +41,9 @@ struct IndexOptions {
   size_t signature_min_postings = 0;  // 0 = one page worth of postings
 };
 
-/// A fully assembled "database instance": a generated dataset, its CCAM
-/// file, an object index and the shared buffer pool. Every bench and
-/// example talks to the system through this facade.
+/// A fully assembled "database instance": a dataset, its CCAM file, an
+/// object index and the shared buffer pool. Every bench, example and CLI
+/// query talks to the system through this facade.
 class Database {
  public:
   /// Generates the dataset and writes the CCAM file. The buffer pool is
@@ -54,6 +54,12 @@ class Database {
   /// with a path).
   explicit Database(const DatasetConfig& config,
                     const DiskOptions& storage = DiskOptions{});
+
+  /// Mounts a loaded dataset (LoadDataset) the same way. Its vocabulary is
+  /// the largest term id + 1; the rest of config() keeps its defaults.
+  Database(std::unique_ptr<RoadNetwork> network,
+           std::unique_ptr<ObjectSet> objects,
+           const DiskOptions& storage = DiskOptions{});
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -145,6 +151,10 @@ class Database {
   uint64_t ccam_size_bytes() const { return ccam_file_.size_bytes(); }
 
  private:
+  /// The constructors' shared body: term statistics, the pool and the
+  /// CCAM file over network_ and objects_.
+  void Mount();
+
   /// Boundary checks a normalized query cannot do on its own: edge ids
   /// must exist in this network and the query edge must be coherent.
   Status CheckQueryEdge(const SkQuery& query,

@@ -7,19 +7,8 @@
 
 #include "common/macros.h"
 #include "common/timer.h"
-#include "obs/metrics.h"
 
 namespace dsks {
-
-namespace {
-
-/// 95th percentile of a sample set (shared nearest-rank definition).
-double Percentile95(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return obs::NearestRankPercentile(samples, 95);
-}
-
-}  // namespace
 
 ScopedIoDelay::ScopedIoDelay(Database* db, bool yielding) : db_(db) {
   const char* env = std::getenv("DSKS_IO_DELAY_US");
@@ -37,16 +26,13 @@ SkWorkloadMetrics RunSkWorkload(Database* db, const Workload& workload) {
   SkWorkloadMetrics m;
   ScopedIoDelay delay(db);
   QueryContext ctx;  // reused across the whole workload
-  std::vector<double> samples;
-  samples.reserve(workload.queries.size());
   for (const WorkloadQuery& wq : workload.queries) {
     db->ResetCounters();
     Timer timer;
     std::vector<SkResult> results;
     const Status status = db->RunSkQuery(wq.sk, wq.edge, &results, &ctx);
     DSKS_CHECK_MSG(status.ok(), "SK workload query failed");
-    samples.push_back(timer.ElapsedMillis());
-    m.avg_millis += samples.back();
+    m.avg_millis += timer.ElapsedMillis();
     m.avg_io += static_cast<double>(db->IoCount());
     m.avg_candidates += static_cast<double>(results.size());
     const ObjectIndexStats& st = db->index()->stats();
@@ -63,7 +49,6 @@ SkWorkloadMetrics RunSkWorkload(Database* db, const Workload& workload) {
   m.avg_false_hit_objects /= n;
   m.avg_edges_skipped /= n;
   m.avg_objects_loaded /= n;
-  m.p95_millis = Percentile95(std::move(samples));
   return m;
 }
 
@@ -73,8 +58,6 @@ DivWorkloadMetrics RunDivWorkload(Database* db, const Workload& workload,
   DivWorkloadMetrics m;
   ScopedIoDelay delay(db);
   QueryContext ctx;  // reused across the whole workload
-  std::vector<double> samples;
-  samples.reserve(workload.queries.size());
   for (const WorkloadQuery& wq : workload.queries) {
     DivQuery dq;
     dq.sk = wq.sk;
@@ -85,8 +68,7 @@ DivWorkloadMetrics RunDivWorkload(Database* db, const Workload& workload,
     DivSearchOutput out;
     const Status status = db->RunDivQuery(dq, wq.edge, use_com, &out, &ctx);
     DSKS_CHECK_MSG(status.ok(), "div workload query failed");
-    samples.push_back(timer.ElapsedMillis());
-    m.avg_millis += samples.back();
+    m.avg_millis += timer.ElapsedMillis();
     m.avg_io += static_cast<double>(db->IoCount());
     m.avg_candidates += static_cast<double>(out.stats.candidates);
     m.avg_objective += out.objective;
@@ -102,7 +84,6 @@ DivWorkloadMetrics RunDivWorkload(Database* db, const Workload& workload,
   m.avg_pruned /= n;
   m.early_termination_rate /= n;
   m.avg_distance_fields /= n;
-  m.p95_millis = Percentile95(std::move(samples));
   return m;
 }
 

@@ -35,8 +35,6 @@ class ScopedIoDelay {
 /// false-hit volume).
 struct SkWorkloadMetrics {
   double avg_millis = 0.0;
-  /// 95th-percentile per-query response time (tail behaviour).
-  double p95_millis = 0.0;
   double avg_io = 0.0;
   double avg_candidates = 0.0;
   double avg_false_hits = 0.0;
@@ -53,8 +51,6 @@ SkWorkloadMetrics RunSkWorkload(Database* db, const Workload& workload);
 /// Workload-averaged diversified search metrics (§5.2).
 struct DivWorkloadMetrics {
   double avg_millis = 0.0;
-  /// 95th-percentile per-query response time (tail behaviour).
-  double p95_millis = 0.0;
   double avg_io = 0.0;
   double avg_candidates = 0.0;
   double avg_objective = 0.0;

@@ -106,7 +106,7 @@ QueryExecutor::DrainResult QueryExecutor::Drain() {
 }
 
 void QueryExecutor::RecordCompletion(const Status& status, double millis,
-                                     uint64_t retries, bool traced) {
+                                     uint64_t retries, bool sampled) {
   // A query rejected at the validation boundary never ran a search: it
   // counts as an error (and under `rejected`), but not as served
   // throughput — no latency entry, no qps.
@@ -125,18 +125,17 @@ void QueryExecutor::RecordCompletion(const Status& status, double millis,
   if (retries > 0) {
     retries_.Add(retries);
   }
-  if (traced) {
+  if (sampled) {
     sampled_.Add();
   }
 }
 
 void QueryExecutor::WorkerLoop(size_t worker_id) {
   QueryContext* ctx = contexts_[worker_id].get();
-  // Reusable per-worker trace sink (capacity survives Clear) bound to this
-  // worker's context counters, plus this worker's slice of the sampling
-  // stream. Both are worker-private: no locks on the trace path.
+  // The worker's one trace (capacity survives Clear; Database::Run* binds
+  // it to the context's counters), plus this worker's slice of the
+  // sampling stream. Both are worker-private: no locks on the trace path.
   obs::QueryTrace trace;
-  trace.BindContextIo(&ctx->io);
   obs::TraceSampler sampler(sampling_, worker_id);
   for (;;) {
     Task task;
@@ -152,7 +151,10 @@ void QueryExecutor::WorkerLoop(size_t worker_id) {
       ++active_tasks_;
     }
     queue_not_full_.notify_one();
-    const bool traced = sampler.ShouldTrace();
+    // The sampler advances on every task, so `sampled` stays exactly
+    // 1-in-N whatever the tags ask for.
+    const bool sampled = sampler.ShouldTrace();
+    const bool traced = sampled || task.tag.trace;
     if (traced) {
       trace.Clear();
       ctx->trace = &trace;
@@ -185,7 +187,7 @@ void QueryExecutor::WorkerLoop(size_t worker_id) {
       ctx->trace = nullptr;
     }
     if (flight_recorder_ != nullptr &&
-        sampler.ShouldRecord(traced, status.ok(), millis)) {
+        sampler.ShouldRecord(sampled, status.ok(), millis)) {
       obs::QuerySummary summary;
       summary.kind = task.tag.kind;
       summary.terms = task.tag.terms;
@@ -194,16 +196,12 @@ void QueryExecutor::WorkerLoop(size_t worker_id) {
       summary.traced = traced;
       summary.total_ms = millis;
       summary.total_io = ctx->io - io_before;
-      if (traced && trace.open_depth() == 0) {
-        const auto totals = trace.AggregateByPhase();
-        for (size_t p = 0; p < obs::kNumPhases; ++p) {
-          summary.phase_exclusive_ns[p] = totals[p].exclusive_ns;
-          summary.phase_io[p] = totals[p].io;
-        }
+      if (traced) {
+        summary.phases = trace.AggregateByPhase();
       }
       flight_recorder_->Record(summary);
     }
-    RecordCompletion(status, millis, task_retries, traced);
+    RecordCompletion(status, millis, task_retries, sampled);
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_tasks_;

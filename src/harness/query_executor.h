@@ -44,8 +44,9 @@ struct ExecutorConfig {
   size_t max_retries = 0;
   /// Always-on sampled tracing: each worker traces a deterministic
   /// 1-in-N subset of the queries it runs (sampling.sample_every; worker
-  /// id is the sampler stream) into a reusable per-worker QueryTrace.
-  /// Defaults to off, which keeps the per-query cost at one branch.
+  /// id is the sampler stream) into its reusable QueryTrace — the same
+  /// trace a QueryTag::trace task runs under. Defaults to off, which
+  /// keeps the per-query cost at one branch.
   obs::TraceSamplerConfig sampling;
   /// Sink for completed-query summaries: every sampled query, every
   /// errored query, and every query slower than sampling.slow_ms records
@@ -55,11 +56,18 @@ struct ExecutorConfig {
 };
 
 /// Identity carried alongside a submitted query into its flight-recorder
-/// entry. Both fields are optional; `kind` must be a static-lifetime
-/// string (a literal, a workload label).
+/// entry, plus whether the caller wants its trace. Every field is
+/// optional; `kind` must be a static-lifetime string (a literal, a
+/// workload label).
 struct QueryTag {
   const char* kind = "query";
   uint32_t terms = 0;
+  /// Run the task traced even when the sampler does not pick it (a
+  /// request's "trace":true): the task reads its spans from ctx->trace,
+  /// the worker's one trace, which also feeds the task's flight-recorder
+  /// entry. It is not counted as sampled and does not by itself record
+  /// an entry.
+  bool trace = false;
 };
 
 /// Aggregate results of a concurrent batch: throughput plus the latency
@@ -188,7 +196,7 @@ class QueryExecutor {
   /// Records one finished task into the batch instruments and the
   /// registry, in the same step.
   void RecordCompletion(const Status& status, double millis,
-                        uint64_t retries, bool traced);
+                        uint64_t retries, bool sampled);
 
   const size_t queue_capacity_;
   const size_t max_retries_;

@@ -7,6 +7,13 @@
 
 namespace dsks {
 
+namespace {
+
+/// An edge needs at least two objects before a cut can separate any.
+constexpr size_t kMinObjectsToPartition = 2;
+
+}  // namespace
+
 SifPartitionedIndex::SifPartitionedIndex(BufferPool* pool,
                                          const ObjectSet& objects,
                                          size_t vocab_size,
@@ -22,7 +29,7 @@ SifPartitionedIndex::SifPartitionedIndex(BufferPool* pool,
   by_count.reserve(net.num_edges());
   for (EdgeId e = 0; e < net.num_edges(); ++e) {
     const size_t m = objects.ObjectsOnEdge(e).size();
-    if (m >= config.min_objects) {
+    if (m >= kMinObjectsToPartition) {
       by_count.emplace_back(m, e);
     }
   }
@@ -49,8 +56,7 @@ SifPartitionedIndex::SifPartitionedIndex(BufferPool* pool,
       continue;
     }
     EdgePartition partition =
-        config.use_dp ? DpPartition(term_sets, log, config.max_cuts)
-                      : GreedyPartition(term_sets, log, config.max_cuts);
+        GreedyPartition(term_sets, log, config.max_cuts);
     if (partition.boundaries.empty()) {
       continue;  // no beneficial cut; plain SIF behaviour suffices
     }

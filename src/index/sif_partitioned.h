@@ -20,9 +20,6 @@ struct SifPConfig {
   /// partitioned (top 10% in §5).
   double heavy_edge_fraction = 0.10;
 
-  /// Minimum objects an edge needs before partitioning is considered.
-  size_t min_objects = 2;
-
   /// Produces the training query log for one edge, given the sorted term
   /// sets of the edge's objects in visiting order. Implementations cover
   /// the paper's SIF-P-Real / SIF-P-Freq / SIF-P-Rand variants (Fig. 10);
@@ -30,10 +27,6 @@ struct SifPConfig {
   std::function<std::vector<LogQuery>(
       EdgeId, std::span<const std::vector<TermId>>)>
       log_provider;
-
-  /// When true the exact DP (Algorithm 4) is used instead of the greedy
-  /// heuristic; intended for ablation on small edges only.
-  bool use_dp = false;
 };
 
 /// SIF-P (§3.3): SIF enhanced by splitting the object sequence of heavy

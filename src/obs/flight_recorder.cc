@@ -28,48 +28,15 @@ bool SlowerThan(const QuerySummary& a, const QuerySummary& b) {
 void AppendSummaryJson(std::string* out, const QuerySummary& s) {
   AppendF(out,
           "{\"seq\":%llu,\"kind\":\"%s\",\"terms\":%u,\"status\":\"%s\","
-          "\"traced\":%s,\"ms\":%.6f,\"io\":{\"pool_hits\":%llu,"
-          "\"pool_misses\":%llu,\"disk_reads\":%llu,\"disk_writes\":%llu,"
-          "\"prefetched_pages\":%llu}",
+          "\"traced\":%s,\"ms\":%.6f,\"io\":",
           static_cast<unsigned long long>(s.seq), s.kind, s.terms, s.status,
-          s.traced ? "true" : "false", s.total_ms,
-          static_cast<unsigned long long>(s.total_io.pool_hits),
-          static_cast<unsigned long long>(s.total_io.pool_misses),
-          static_cast<unsigned long long>(s.total_io.disk_reads),
-          static_cast<unsigned long long>(s.total_io.disk_writes),
-          static_cast<unsigned long long>(s.total_io.prefetched_pages));
+          s.traced ? "true" : "false", s.total_ms);
+  out->append(IoJson(s.total_io));
   if (s.traced) {
-    out->append(",\"phases\":{");
-    bool first = true;
-    for (size_t p = 0; p < kNumPhases; ++p) {
-      if (s.phase_exclusive_ns[p] == 0 && s.phase_io[p] == IoCounters{}) {
-        continue;
-      }
-      if (!first) {
-        out->append(",");
-      }
-      first = false;
-      AppendF(out,
-              "\"%s\":{\"own_ms\":%.6f,\"pool_hits\":%llu,"
-              "\"pool_misses\":%llu,\"disk_reads\":%llu}",
-              PhaseName(static_cast<Phase>(p)),
-              static_cast<double>(s.phase_exclusive_ns[p]) / 1e6,
-              static_cast<unsigned long long>(s.phase_io[p].pool_hits),
-              static_cast<unsigned long long>(s.phase_io[p].pool_misses),
-              static_cast<unsigned long long>(s.phase_io[p].disk_reads));
-    }
-    out->append("}");
+    out->append(",\"phases\":");
+    out->append(PhasesJson(s.phases));
   }
   out->append("}");
-}
-
-void AppendSummaryText(std::string* out, const QuerySummary& s) {
-  AppendF(out, "#%-8llu %-10s %5u terms %-16s %10.3f ms %6llu rd %6llu miss%s\n",
-          static_cast<unsigned long long>(s.seq), s.kind, s.terms, s.status,
-          s.total_ms,
-          static_cast<unsigned long long>(s.total_io.disk_reads),
-          static_cast<unsigned long long>(s.total_io.pool_misses),
-          s.traced ? "  [traced]" : "");
 }
 
 }  // namespace
@@ -172,26 +139,6 @@ void FlightRecorder::UpdateGaugeLocked() {
     occupancy_->Set(static_cast<double>(recent_.size() + errors_.size() +
                                         slowest_.size()));
   }
-}
-
-std::string FlightRecorder::ToText() const {
-  const Snapshot snap = TakeSnapshot();
-  std::string out;
-  AppendF(&out, "flight recorder: %llu queries recorded\n",
-          static_cast<unsigned long long>(snap.recorded));
-  out.append("--- slowest ---\n");
-  for (const QuerySummary& s : snap.slowest) {
-    AppendSummaryText(&out, s);
-  }
-  out.append("--- errors (newest first) ---\n");
-  for (const QuerySummary& s : snap.errors) {
-    AppendSummaryText(&out, s);
-  }
-  out.append("--- recent (newest first) ---\n");
-  for (const QuerySummary& s : snap.recent) {
-    AppendSummaryText(&out, s);
-  }
-  return out;
 }
 
 std::string FlightRecorder::ToJson() const {

@@ -17,21 +17,21 @@ class Gauge;
 
 /// One completed query, compressed to a fixed-size record: identity,
 /// outcome, total cost, and (when the query ran traced) the per-phase
-/// exclusive breakdown. `kind` and `status` are static-lifetime strings
-/// (workload labels, Status::CodeName) so a record is trivially copyable
-/// and recording never allocates.
+/// exclusive breakdown of its one trace. `kind` and `status` are
+/// static-lifetime strings (workload labels, Status::CodeName) so a record
+/// is trivially copyable and recording never allocates.
 struct QuerySummary {
   uint64_t seq = 0;  // assigned by FlightRecorder::Record, 1-based
   const char* kind = "query";
   uint32_t terms = 0;
   const char* status = "OK";
   bool error = false;
-  bool traced = false;  // phase_* below carry real data
+  bool traced = false;  // `phases` carries real data
   double total_ms = 0.0;
   /// The query's exact I/O attribution (its context's counter delta).
   IoCounters total_io;
-  std::array<int64_t, kNumPhases> phase_exclusive_ns{};
-  std::array<IoCounters, kNumPhases> phase_io{};
+  /// QueryTrace::AggregateByPhase of the query's trace.
+  std::array<PhaseTotals, kNumPhases> phases{};
 };
 
 /// Bounded in-memory record of completed queries — the part of the
@@ -86,10 +86,9 @@ class FlightRecorder {
   /// must outlive the recorder (registry-owned gauges do).
   void set_occupancy_gauge(Gauge* gauge);
 
-  /// Human-readable dump: one line per record, region by region.
-  std::string ToText() const;
-  /// {"recorded":N,"recent":[...],"slowest":[...],"errors":[...]} with
-  /// per-record phase breakdowns for traced entries.
+  /// {"recorded":N,"recent":[...],"slowest":[...],"errors":[...]}; each
+  /// record carries its "io" (obs::IoJson) and, when traced, its "phases"
+  /// (obs::PhasesJson).
   std::string ToJson() const;
 
  private:

@@ -13,7 +13,6 @@ struct IoCounters {
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
   uint64_t disk_reads = 0;
-  uint64_t disk_writes = 0;
   /// Pages the pool read speculatively (Prefetch). These reads also appear
   /// in disk_reads when they reach the backend; this counter attributes
   /// them, since a prefetched read is not a blocking miss even though it
@@ -22,14 +21,12 @@ struct IoCounters {
 
   IoCounters operator-(const IoCounters& o) const {
     return {pool_hits - o.pool_hits, pool_misses - o.pool_misses,
-            disk_reads - o.disk_reads, disk_writes - o.disk_writes,
-            prefetched_pages - o.prefetched_pages};
+            disk_reads - o.disk_reads, prefetched_pages - o.prefetched_pages};
   }
   IoCounters& operator+=(const IoCounters& o) {
     pool_hits += o.pool_hits;
     pool_misses += o.pool_misses;
     disk_reads += o.disk_reads;
-    disk_writes += o.disk_writes;
     prefetched_pages += o.prefetched_pages;
     return *this;
   }
@@ -37,15 +34,17 @@ struct IoCounters {
 };
 
 /// Thread-affine I/O attribution: the storage layer charges every pool
-/// hit/miss, disk read/write and prefetch issue to the IoCounters the
-/// *calling thread* has installed here (in addition to the global
-/// relaxed-atomic stats), so a query's context accumulates exactly the
-/// I/O that query caused — other threads charge their own accounts.
+/// hit/miss, disk read and prefetch issue to the IoCounters the *calling
+/// thread* has installed here (in addition to the global relaxed-atomic
+/// stats), so a query's context accumulates exactly the I/O that query
+/// caused — other threads charge their own accounts. Queries only read:
+/// index builders write their pages with no account installed, so page
+/// writes are counted in DiskStats alone.
 ///
-/// Single owner: every storage read and write, batched or not, runs on
-/// the thread that issued it (see DESIGN.md "Threading model"), so the
-/// installed counters are only ever touched by their owning thread and
-/// need no atomics.
+/// Single owner: every storage read, batched or not, runs on the thread
+/// that issued it (see DESIGN.md "Threading model"), so the installed
+/// counters are only ever touched by their owning thread and need no
+/// atomics.
 ///
 /// Null (the default) means unattributed: the charge helpers reduce to a
 /// thread-local load and a branch, which is what keeps the storage hot
@@ -95,11 +94,6 @@ inline void ChargePrefetchIssued(uint64_t pages) {
 inline void ChargeDiskRead() {
   if (IoCounters* a = tls_io_account) {
     ++a->disk_reads;
-  }
-}
-inline void ChargeDiskWrite() {
-  if (IoCounters* a = tls_io_account) {
-    ++a->disk_writes;
   }
 }
 

@@ -32,18 +32,6 @@ const std::array<double, Histogram::kNumBuckets>& BucketBounds() {
 
 }  // namespace
 
-double NearestRankPercentile(std::span<const double> sorted, int pct) {
-  if (sorted.empty()) {
-    return 0.0;
-  }
-  DSKS_CHECK_MSG(pct >= 0 && pct <= 100, "percentile must be in [0, 100]");
-  // ceil(pct/100 · n) in exact integer arithmetic; the +99 trick cannot
-  // overshoot past n (pct <= 100), and the max() keeps pct = 0 at rank 1.
-  const size_t rank =
-      std::max<size_t>(1, (sorted.size() * static_cast<size_t>(pct) + 99) / 100);
-  return sorted[rank - 1];
-}
-
 double HistogramSnapshot::Percentile(int pct) const {
   if (count == 0) {
     return 0.0;

@@ -9,18 +9,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 
 namespace dsks::obs {
-
-/// Nearest-rank percentile of an already-sorted sample set: the 1-based
-/// rank is ceil(pct/100 · n), clamped to [1, n]; p99 of 100 samples is
-/// sorted[98], never sorted[99]. Summaries that keep raw samples (the
-/// sequential harness) use it; executor and bench summaries come from a
-/// Histogram, whose Percentile ranks the same way.
-/// `pct` is an integer in [0, 100]; pct = 0 returns the minimum.
-double NearestRankPercentile(std::span<const double> sorted, int pct);
 
 /// Monotonically increasing event count. Relaxed atomic: concurrent
 /// increments never serialize, reads are cheap and may lag by a few events

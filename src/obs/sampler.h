@@ -49,8 +49,8 @@ class TraceSampler {
   /// Post-execution: should this query get a flight-recorder entry?
   /// Sampled queries always record; errored and over-threshold queries
   /// record even when they weren't in the sampled subset.
-  bool ShouldRecord(bool traced, bool ok, double total_ms) const {
-    if (traced || !ok) {
+  bool ShouldRecord(bool sampled, bool ok, double total_ms) const {
+    if (sampled || !ok) {
       return true;
     }
     return config_.slow_ms > 0.0 && total_ms >= config_.slow_ms;

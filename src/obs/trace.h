@@ -36,10 +36,8 @@ struct TraceSpan {
   static constexpr uint32_t kNoParent = UINT32_MAX;
 
   Phase phase = Phase::kQuery;
-  uint16_t depth = 0;
   uint32_t parent = kNoParent;  // index into QueryTrace::spans()
 
-  int64_t start_ns = 0;  // monotonic, relative to the trace's first span
   int64_t inclusive_ns = 0;
   int64_t child_ns = 0;
   IoCounters inclusive_io;
@@ -49,6 +47,15 @@ struct TraceSpan {
   IoCounters exclusive_io() const { return inclusive_io - child_io; }
 };
 
+/// Exclusive totals of one phase over a trace: how many spans it recorded
+/// and the time and I/O they spent outside their child spans. Summed over
+/// all phases they equal the inclusive totals of the root span(s).
+struct PhaseTotals {
+  uint64_t spans = 0;
+  int64_t exclusive_ns = 0;
+  IoCounters io;
+};
+
 /// Per-query trace sink: phase spans with monotonic-clock timings and
 /// delta-snapshots of an I/O counter source. A query runs traced when its
 /// QueryContext carries a non-null `trace` pointer; otherwise every hook
@@ -56,14 +63,15 @@ struct TraceSpan {
 /// their untraced cost.
 ///
 /// One QueryTrace belongs to one thread (like the QueryContext carrying
-/// it). Bind it to the query's per-context counters with BindContextIo —
-/// Database::Run* does this automatically when the context carries a
-/// trace — and the span I/O deltas are exact regardless of how many other
-/// queries run concurrently, because the storage layer charges each
-/// query's I/O to its own context (see obs/io_account.h). An unbound
-/// trace records timings only (its I/O deltas stay zero). Tracing several
-/// queries into one trace is fine — each becomes another kQuery root and
-/// the aggregates accumulate.
+/// it). Database::Run* binds it to the query's per-context counters and
+/// opens the kQuery root span, so the span I/O deltas are exact
+/// regardless of how many other queries run concurrently: the storage
+/// layer charges each query's I/O to its own context (see
+/// obs/io_account.h). An unbound trace records timings only (its I/O
+/// deltas stay zero). Tracing several queries into one trace is fine —
+/// each becomes another kQuery root and the aggregates accumulate. A
+/// failed query keeps the spans it recorded before the error: that is its
+/// partial-work account.
 class QueryTrace {
  public:
   /// Snapshots the query context's own attribution counters per span.
@@ -74,15 +82,6 @@ class QueryTrace {
   /// Drops all recorded spans (keeps capacity and the bound sources).
   void Clear();
 
-  /// Records that the traced query failed with `code_name` (a
-  /// Status::CodeName string). The spans recorded up to the error remain —
-  /// that is the query's partial-work accounting: how far it got and what
-  /// I/O it paid before failing. Shown in ToText/ToJson.
-  void MarkError(const char* code_name) { error_code_name_ = code_name; }
-  bool has_error() const { return error_code_name_ != nullptr; }
-  /// Null when the query completed cleanly.
-  const char* error_code_name() const { return error_code_name_; }
-
   /// Opens a span; returns its index. Pair with CloseSpan (spans close in
   /// LIFO order). Use ScopedSpan instead of calling these directly.
   uint32_t OpenSpan(Phase phase);
@@ -91,40 +90,8 @@ class QueryTrace {
   const std::vector<TraceSpan>& spans() const { return spans_; }
   size_t open_depth() const { return open_.size(); }
 
-  /// Exclusive totals per phase. Summing ns/io over all phases yields
-  /// exactly the inclusive totals of the root span(s).
-  struct PhaseTotals {
-    uint64_t spans = 0;
-    int64_t exclusive_ns = 0;
-    IoCounters io;
-  };
+  /// Exclusive totals per phase, indexed by Phase.
   std::array<PhaseTotals, kNumPhases> AggregateByPhase() const;
-
-  /// Spans aggregated into a tree by phase path: sibling spans of the same
-  /// phase under the same tree node merge into one node with a count, so
-  /// the rendering stays readable for thousands of raw spans.
-  struct TreeNode {
-    static constexpr uint32_t kNoParent = UINT32_MAX;
-    Phase phase = Phase::kQuery;
-    uint16_t depth = 0;
-    uint32_t parent = kNoParent;  // index into the returned vector
-    uint64_t count = 0;
-    int64_t inclusive_ns = 0;
-    int64_t child_ns = 0;
-    IoCounters inclusive_io;
-    IoCounters child_io;
-
-    int64_t exclusive_ns() const { return inclusive_ns - child_ns; }
-    IoCounters exclusive_io() const { return inclusive_io - child_io; }
-  };
-  std::vector<TreeNode> AggregateTree() const;
-
-  /// Human-readable span tree (one line per aggregated node).
-  std::string ToText() const;
-  /// {"tree":[{phase,count,ms,own_ms,pool_hits,...,children:[...]}],
-  ///  "phases":{name:{spans,ms,pool_hits,pool_misses,disk_reads,
-  ///  disk_writes}}}
-  std::string ToJson() const;
 
  private:
   IoCounters ReadIo() const;
@@ -133,9 +100,18 @@ class QueryTrace {
   const IoCounters* context_io_ = nullptr;
   std::vector<TraceSpan> spans_;
   std::vector<uint32_t> open_;  // stack of open span indices
-  int64_t epoch_ns_ = 0;        // set by the first OpenSpan after Clear
-  const char* error_code_name_ = nullptr;  // static-lifetime code name
 };
+
+/// The one rendering of a query's cost, shared by the query response
+/// ("io" and "trace"), /tracez, bench_throughput's phase_profile and
+/// `dsks_cli query --trace`:
+///   {"pool_hits":N,"pool_misses":N,"disk_reads":N,"prefetched_pages":N}
+std::string IoJson(const IoCounters& io);
+/// One member per phase that recorded a span, in Phase order, each with
+/// the I/O fields of IoJson:
+///   {"query":{"spans":N,"ms":X,"pool_hits":N,...,"prefetched_pages":N},
+///    "keyword_lookup":{...},...}
+std::string PhasesJson(const std::array<PhaseTotals, kNumPhases>& phases);
 
 /// RAII span: no-op when `trace` is null, which is what makes the hooks
 /// free in untraced runs — the constructor and destructor inline to a

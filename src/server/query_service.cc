@@ -295,15 +295,6 @@ Status QueryService::RunOne(const Request& req, QueryContext* ctx,
     status = Status::Cancelled("deadline expired before execution");
   }
 
-  // Optional per-request trace; uses a local trace so the executor's own
-  // sampling policy (which owns the worker trace) is never disturbed.
-  obs::QueryTrace trace;
-  obs::QueryTrace* const saved_trace = ctx->trace;
-  if (req.want_trace && status.ok()) {
-    trace.BindContextIo(&ctx->io);
-    ctx->trace = &trace;
-  }
-
   size_t count = 0;
   double objective = 0.0;
   std::vector<SkResult> results;
@@ -318,7 +309,6 @@ Status QueryService::RunOne(const Request& req, QueryContext* ctx,
       status = db_->RunSkQuery(req.sk, req.edge, &results, ctx);
     }
   }
-  ctx->trace = saved_trace;
   ctx->deadline_steady_ns = 0;
 
   count = results.size();
@@ -343,39 +333,13 @@ Status QueryService::RunOne(const Request& req, QueryContext* ctx,
     w.Key("objective").Value(objective);
   }
   w.Key("ms").Value(ms);
-  w.Key("io")
-      .BeginObject()
-      .Key("pool_hits")
-      .Value(io.pool_hits)
-      .Key("pool_misses")
-      .Value(io.pool_misses)
-      .Key("disk_reads")
-      .Value(io.disk_reads)
-      .Key("disk_writes")
-      .Value(io.disk_writes)
-      .Key("prefetched_pages")
-      .Value(io.prefetched_pages)
-      .EndObject();
-  if (req.want_trace) {
-    // Phase summary of the work actually done — for a CANCELLED query
-    // that is the partial-work accounting up to the cancellation point.
-    w.Key("trace").BeginObject();
-    const auto totals = trace.AggregateByPhase();
-    for (size_t p = 0; p < obs::kNumPhases; ++p) {
-      if (totals[p].spans == 0) {
-        continue;
-      }
-      w.Key(obs::PhaseName(static_cast<obs::Phase>(p)))
-          .BeginObject()
-          .Key("spans")
-          .Value(totals[p].spans)
-          .Key("ms")
-          .Value(static_cast<double>(totals[p].exclusive_ns) / 1e6)
-          .Key("disk_reads")
-          .Value(totals[p].io.disk_reads)
-          .EndObject();
-    }
-    w.EndObject();
+  w.Key("io").Raw(obs::IoJson(io));
+  if (req.want_trace && ctx->trace != nullptr) {
+    // The executor runs a "trace":true request under its worker trace,
+    // the same one the request's flight-recorder entry renders. It covers
+    // every attempt so far; for a CANCELLED query it is the partial-work
+    // account up to the cancellation point.
+    w.Key("trace").Raw(obs::PhasesJson(ctx->trace->AggregateByPhase()));
   }
   w.EndObject();
   *response = w.Take();
@@ -416,6 +380,7 @@ void QueryService::Submit(const std::string& line, const std::string& tenant,
   QueryTag tag;
   tag.kind = req->is_div ? "server_div" : "server_sk";
   tag.terms = static_cast<uint32_t>(req->sk.terms.size());
+  tag.trace = req->want_trace;
   const bool admitted = executor_->TrySubmitQuery(
       [this, req](QueryContext* ctx) {
         return RunOne(*req, ctx, &req->response);

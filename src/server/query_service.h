@@ -76,7 +76,10 @@ struct ServiceCounters {
 ///    "k":K, "lambda":L,            // div only
 ///    "deadline_ms":D, "trace":true, "limit":N, "tenant":"t", "id":...}
 /// Response: {"id":..., "status":"OK", "count":N, "results":[...], "ms":..,
-///    "io":{...}, and "objective"/"trace"/"message" as apply}.
+///    "io":{...}, and "objective"/"trace"/"message" as apply}. "io" is
+///    obs::IoJson of the query's I/O; "trace" is obs::PhasesJson of the
+///    request's one trace, the executor worker's, which its /tracez entry
+///    (when it gets one) renders too.
 class QueryService {
  public:
   /// Response JSON plus delivery. Called exactly once per Submit: on a

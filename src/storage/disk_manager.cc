@@ -126,7 +126,6 @@ Status DiskManager::WritePage(PageId id, const char* in) {
     return s;
   }
   stats_.writes.fetch_add(1, std::memory_order_relaxed);
-  obs::ChargeDiskWrite();
   return Status::Ok();
 }
 

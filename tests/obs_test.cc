@@ -1,7 +1,7 @@
-// Observability subsystem: nearest-rank percentiles, the latency
-// histogram (bucketing, merge semantics), the metrics registry, and the
-// per-query phase trace with I/O attribution against a real buffer pool
-// and a real Database.
+// Observability subsystem: the latency histogram (bucketing, merge
+// semantics), the metrics registry, and the per-query phase trace with
+// I/O attribution against a real buffer pool and a real Database, plus
+// its one rendering.
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,49 +13,13 @@
 #include "obs/io_account.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "server/json.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage_test_util.h"
 
 namespace dsks {
 namespace {
-
-// ---------------------------------------------------------------------------
-// NearestRankPercentile
-
-TEST(PercentileTest, ExactRanksOnKnownSets) {
-  std::vector<double> sorted;
-  for (int i = 1; i <= 100; ++i) {
-    sorted.push_back(static_cast<double>(i));
-  }
-  // ceil semantics: p99 of 100 samples is rank 99 (index 98), NOT the max.
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile(sorted, 99), 99.0);
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile(sorted, 50), 50.0);
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile(sorted, 95), 95.0);
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile(sorted, 100), 100.0);
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile(sorted, 1), 1.0);
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile(sorted, 0), 1.0);
-}
-
-TEST(PercentileTest, SmallSampleBoundaries) {
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile({}, 95), 0.0);
-
-  const std::vector<double> one = {7.0};
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile(one, 0), 7.0);
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile(one, 50), 7.0);
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile(one, 100), 7.0);
-
-  // n = 10: p95 -> rank ceil(9.5) = 10 (the max); p50 -> rank 5; p99 ->
-  // rank 10; p10 -> rank 1.
-  std::vector<double> ten;
-  for (int i = 1; i <= 10; ++i) {
-    ten.push_back(static_cast<double>(i));
-  }
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile(ten, 95), 10.0);
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile(ten, 99), 10.0);
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile(ten, 50), 5.0);
-  EXPECT_DOUBLE_EQ(obs::NearestRankPercentile(ten, 10), 1.0);
-}
 
 // ---------------------------------------------------------------------------
 // Histogram
@@ -279,9 +243,9 @@ TEST(QueryTraceTest, SpanNestingAndExactIoDeltas) {
   const obs::TraceSpan& rs = trace.spans()[0];
   const obs::TraceSpan& as = trace.spans()[1];
   const obs::TraceSpan& bs = trace.spans()[2];
+  EXPECT_EQ(rs.parent, obs::TraceSpan::kNoParent);
   EXPECT_EQ(as.parent, 0u);
   EXPECT_EQ(bs.parent, 0u);
-  EXPECT_EQ(as.depth, 1u);
 
   EXPECT_EQ(as.inclusive_io.pool_misses, 2u);
   EXPECT_EQ(as.inclusive_io.disk_reads, 2u);
@@ -302,38 +266,38 @@ TEST(QueryTraceTest, SpanNestingAndExactIoDeltas) {
   EXPECT_EQ(phase_ns, rs.inclusive_ns);
   EXPECT_EQ(phase_io, rs.inclusive_io);
 
-  // Rendering smoke: both forms mention every recorded phase.
-  const std::string text = trace.ToText();
-  const std::string json = trace.ToJson();
-  for (const char* phase : {"query", "keyword_lookup", "network_expansion"}) {
-    EXPECT_NE(text.find(phase), std::string::npos) << text;
-    EXPECT_NE(json.find(phase), std::string::npos) << json;
+  // The one rendering: a member per recorded phase, each carrying the six
+  // cost fields with the exact exclusive counts.
+  server::JsonValue phases;
+  const std::string json = obs::PhasesJson(trace.AggregateByPhase());
+  ASSERT_TRUE(server::JsonValue::Parse(json, &phases).ok()) << json;
+  ASSERT_EQ(phases.object().size(), 3u) << json;
+  const struct {
+    const char* phase;
+    uint64_t hits, misses, reads;
+  } expected[] = {{"query", 0, 1, 1},
+                  {"keyword_lookup", 0, 2, 2},
+                  {"network_expansion", 1, 0, 0}};
+  for (const auto& e : expected) {
+    const server::JsonValue* p = phases.Find(e.phase);
+    ASSERT_NE(p, nullptr) << e.phase << " in " << json;
+    EXPECT_EQ(p->object().size(), 6u) << json;
+    for (const char* field : {"spans", "ms", "pool_hits", "pool_misses",
+                              "disk_reads", "prefetched_pages"}) {
+      ASSERT_NE(p->Find(field), nullptr) << e.phase << "." << field;
+      EXPECT_TRUE(p->Find(field)->is_number()) << e.phase << "." << field;
+    }
+    EXPECT_EQ(p->Find("spans")->number(), 1.0) << e.phase;
+    EXPECT_GE(p->Find("ms")->number(), 0.0) << e.phase;
+    EXPECT_EQ(p->Find("pool_hits")->number(), static_cast<double>(e.hits));
+    EXPECT_EQ(p->Find("pool_misses")->number(),
+              static_cast<double>(e.misses));
+    EXPECT_EQ(p->Find("disk_reads")->number(), static_cast<double>(e.reads));
+    EXPECT_EQ(p->Find("prefetched_pages")->number(), 0.0) << e.phase;
   }
 
   trace.Clear();
   EXPECT_TRUE(trace.spans().empty());
-}
-
-TEST(QueryTraceTest, AggregateTreeMergesSiblingsOfSamePhase) {
-  obs::QueryTrace trace;  // no I/O sources: deltas stay zero, timing works
-  const uint32_t root = trace.OpenSpan(obs::Phase::kQuery);
-  for (int i = 0; i < 5; ++i) {
-    obs::ScopedSpan s(&trace, obs::Phase::kNetworkExpansion);
-    obs::ScopedSpan nested(&trace, obs::Phase::kKeywordLookup);
-  }
-  trace.CloseSpan(root);
-
-  const auto nodes = trace.AggregateTree();
-  // 11 raw spans fold into 3 tree nodes: query -> expansion -> lookup.
-  ASSERT_EQ(nodes.size(), 3u);
-  EXPECT_EQ(nodes[0].phase, obs::Phase::kQuery);
-  EXPECT_EQ(nodes[0].count, 1u);
-  EXPECT_EQ(nodes[1].phase, obs::Phase::kNetworkExpansion);
-  EXPECT_EQ(nodes[1].count, 5u);
-  EXPECT_EQ(nodes[1].parent, 0u);
-  EXPECT_EQ(nodes[2].phase, obs::Phase::kKeywordLookup);
-  EXPECT_EQ(nodes[2].count, 5u);
-  EXPECT_EQ(nodes[2].parent, 1u);
 }
 
 TEST(QueryTraceTest, TracedDivQueryBalancesAgainstRootTotals) {

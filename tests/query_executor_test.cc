@@ -276,10 +276,49 @@ TEST(QueryExecutorTest, SampledTracingIsExactAndFeedsTheRecorder) {
     EXPECT_TRUE(s.traced);
     EXPECT_GT(s.terms, 0u);
     obs::IoCounters phase_io;
-    for (size_t p = 0; p < obs::kNumPhases; ++p) {
-      phase_io += s.phase_io[p];
+    for (const obs::PhaseTotals& t : s.phases) {
+      phase_io += t.io;
     }
     EXPECT_EQ(phase_io, s.total_io);
+  }
+
+  // Tasks whose tag asks for a trace (a request's "trace":true) all run
+  // under the worker trace, yet `sampled` and the recorder still follow
+  // the sampler alone: exactly 1 in 4, and each of those entries carries
+  // the phases of that same trace.
+  recorder.Clear();
+  ExecutorConfig config;
+  config.num_threads = 1;
+  config.metrics = nullptr;
+  config.sampling = sampling;
+  config.flight_recorder = &recorder;
+  QueryExecutor exec(config);
+  std::atomic<size_t> ran_traced{0};
+  for (size_t i = 0; i < 32; ++i) {
+    const WorkloadQuery& wq = wl.queries[i % wl.queries.size()];
+    QueryTag tag;
+    tag.kind = "sk-traced";
+    tag.terms = static_cast<uint32_t>(wq.sk.terms.size());
+    tag.trace = true;
+    exec.SubmitQuery(
+        [&db, &wq, &ran_traced](QueryContext* ctx) {
+          std::vector<SkResult> results;
+          const Status s = db.RunSkQuery(wq.sk, wq.edge, &results, ctx);
+          if (ctx->trace != nullptr && !ctx->trace->spans().empty()) {
+            ran_traced.fetch_add(1);
+          }
+          return s;
+        },
+        tag);
+  }
+  const QueryExecutor::DrainResult drained = exec.Drain();
+  EXPECT_EQ(ran_traced.load(), 32u);
+  EXPECT_EQ(drained.sampled, 8u);
+  EXPECT_EQ(recorder.recorded(), 8u);
+  for (const obs::QuerySummary& s : recorder.TakeSnapshot().recent) {
+    EXPECT_STREQ(s.kind, "sk-traced");
+    EXPECT_TRUE(s.traced);
+    EXPECT_EQ(s.phases[static_cast<size_t>(obs::Phase::kQuery)].spans, 1u);
   }
   unsetenv("DSKS_IO_DELAY_US");
 }

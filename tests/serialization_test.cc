@@ -112,7 +112,8 @@ TEST(SerializationTest, ImplausibleCountsAreCorruptionNotBadAlloc) {
   // A flipped bit in a count field must fail cleanly, not attempt a
   // multi-gigabyte allocation. The node loop reads coordinates per node,
   // so a huge count lands in "truncated node table"; the term-count guard
-  // catches the per-object case explicitly.
+  // catches the per-object case explicitly, and the term-id cap keeps a
+  // huge id from sizing (or, at 2^32 - 1, wrapping) the vocabulary.
   auto data = testing::MakeRandomDataset(323, 40, 50, 10, 3);
   const std::string full = TempPath("counts.dsks");
   ASSERT_TRUE(SaveDataset(*data.network, *data.objects, full).ok());
@@ -121,20 +122,29 @@ TEST(SerializationTest, ImplausibleCountsAreCorruptionNotBadAlloc) {
                     std::istreambuf_iterator<char>());
   in.close();
 
+  const auto load_patched = [&bytes](size_t offset, const auto& value) {
+    std::string blown = bytes;
+    std::memcpy(&blown[offset], &value, sizeof(value));
+    const std::string path = TempPath("implausible.dsks");
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(blown.data(), static_cast<std::streamsize>(blown.size()));
+    }
+    std::unique_ptr<RoadNetwork> net;
+    std::unique_ptr<ObjectSet> objs;
+    const Status s = LoadDataset(path, &net, &objs);
+    std::remove(path.c_str());
+    return s;
+  };
   // Node count (u64 at offset 8) blown up to 2^40.
-  std::string blown = bytes;
-  const uint64_t huge = uint64_t{1} << 40;
-  std::memcpy(&blown[8], &huge, sizeof(huge));
-  const std::string path = TempPath("hugecount.dsks");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(blown.data(), static_cast<std::streamsize>(blown.size()));
-  }
-  std::unique_ptr<RoadNetwork> net;
-  std::unique_ptr<ObjectSet> objs;
-  const Status s = LoadDataset(path, &net, &objs);
+  Status s = load_patched(8, uint64_t{1} << 40);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  std::remove(path.c_str());
+  // The file ends with the last object's last term id (u32): the largest
+  // id, and the first id past the plausibility cap.
+  for (const uint32_t term : {uint32_t{4294967295u}, uint32_t{1} << 20}) {
+    s = load_patched(bytes.size() - sizeof(uint32_t), term);
+    EXPECT_TRUE(s.IsCorruption()) << term << ": " << s.ToString();
+  }
   std::remove(full.c_str());
 }
 

@@ -159,10 +159,10 @@ class ServerTest : public ::testing::Test {
   static std::string RequestLine(const WorkloadQuery& wq,
                                  const std::string& id,
                                  double deadline_ms = 0.0,
-                                 bool trace = false) {
+                                 bool trace = false, const char* op = "sk") {
     JsonWriter w;
     w.BeginObject();
-    w.Key("op").Value("sk");
+    w.Key("op").Value(op);
     if (!id.empty()) {
       w.Key("id").Value(id);
     }
@@ -406,6 +406,66 @@ TEST_F(ServerTest, DeadlineCancelsCooperativelyWithPartialTrace) {
   EXPECT_EQ(service.counters().cancelled, 1u);
   // The id travels through the cancellation path too.
   EXPECT_EQ(doc.Find("id")->string_value(), "q1");
+}
+
+TEST_F(ServerTest, RequestedTraceOfASampledQueryReachesTracez) {
+  // A "trace":true request runs under the executor's one worker trace —
+  // here also the sampler's pick — so its response's "trace" and its
+  // flight-recorder entry's "phases" render the same spans.
+  obs::FlightRecorder recorder;
+  ServiceConfig config;
+  config.threads = 1;
+  config.metrics = nullptr;
+  config.sampling.sample_every = 1;
+  config.flight_recorder = &recorder;
+  QueryService service(db_, config);
+
+  const WorkloadQuery& wq = workload_->queries[0];
+  Collector col;
+  service.Submit(RequestLine(wq, "sk", 0.0, /*trace=*/true), "t", col.Make());
+  col.Await(1);
+  service.Submit(RequestLine(wq, "div", 0.0, /*trace=*/true, "div"), "t",
+                 col.Make());
+  col.Await(2);
+  service.Stop();  // drained: both entries are recorded
+
+  JsonValue tracez;
+  const std::string tracez_json = recorder.ToJson();
+  ASSERT_TRUE(JsonValue::Parse(tracez_json, &tracez).ok()) << tracez_json;
+  const std::vector<JsonValue>& recent = tracez.Find("recent")->array();
+  ASSERT_EQ(recent.size(), 2u) << tracez_json;
+  for (size_t i = 0; i < 2; ++i) {
+    JsonValue response;
+    ASSERT_TRUE(JsonValue::Parse(col.responses[i], &response).ok())
+        << col.responses[i];
+    EXPECT_EQ(response.Find("status")->string_value(), "OK");
+    const JsonValue& entry = recent[1 - i];  // newest first
+    EXPECT_EQ(entry.Find("kind")->string_value(),
+              i == 0 ? "server_sk" : "server_div");
+    EXPECT_TRUE(entry.Find("traced")->bool_value()) << tracez_json;
+    const JsonValue* trace = response.Find("trace");
+    const JsonValue* phases = entry.Find("phases");
+    ASSERT_NE(trace, nullptr) << col.responses[i];
+    ASSERT_NE(phases, nullptr) << tracez_json;
+    ASSERT_FALSE(trace->object().empty()) << col.responses[i];
+    ASSERT_EQ(trace->object().size(), phases->object().size())
+        << col.responses[i] << "\n" << tracez_json;
+    for (const auto& [phase, fields] : trace->object()) {
+      const JsonValue* recorded = phases->Find(phase);
+      ASSERT_NE(recorded, nullptr) << phase << "\n" << tracez_json;
+      ASSERT_EQ(fields.object().size(), recorded->object().size()) << phase;
+      for (const auto& [field, value] : fields.object()) {
+        ASSERT_NE(recorded->Find(field), nullptr) << phase << "." << field;
+        EXPECT_EQ(value.number(), recorded->Find(field)->number())
+            << phase << "." << field;
+      }
+    }
+    // One attempt, so the response's I/O is the entry's I/O too.
+    for (const auto& [field, value] : response.Find("io")->object()) {
+      EXPECT_EQ(value.number(), entry.Find("io")->Find(field)->number())
+          << field;
+    }
+  }
 }
 
 TEST_F(ServerTest, QuotaDeniesBeyondBurst) {

@@ -5,10 +5,11 @@
 # with a dedicated chaos pass exercising storage fault injection under
 # each sanitizer — then a Release perf smoke that fails if
 # bench_throughput's single-thread qps dropped more than 25% below the
-# committed bench/baseline_throughput.json, `dsks_cli chaos` smokes
-# proving the process survives injected faults and retries them, and a
-# `dsks_cli serve` smoke whose live /varz, /metrics and /tracez must show
-# the queries it just served.
+# committed bench/baseline_throughput.json, a `dsks_cli generate`/`info`/
+# `query` smoke over every query mode and two crafted dataset files,
+# `dsks_cli chaos` smokes proving the process survives injected faults
+# and retries them, and a `dsks_cli serve` smoke whose live /varz,
+# /metrics and /tracez must show the queries it just served.
 # Usage:
 #
 #   tools/check.sh            # all three sanitizers + perf smoke
@@ -132,6 +133,68 @@ if [ "$#" -eq 0 ] && [ "${DSKS_SKIP_PERF:-0}" != "1" ]; then
     > build-perf/metrics_smoke.json
   python3 tools/perf_gate.py validate-metrics build-perf/metrics_smoke.json
   echo "=== obs smoke: OK ==="
+
+  # CLI smoke: generate a small SYN dataset, then `dsks_cli query` in all
+  # five modes with --trace (and div-com on the file backend). Every trace
+  # line must be the one per-phase rendering: a "query" root and the six
+  # cost fields on every phase. Two crafted dataset files (no objects; a
+  # term id of 2^32 - 1) must fail with a message and an exit code below
+  # 128, not a signal.
+  echo "=== cli smoke: dsks_cli generate, info, query in every mode ==="
+  cli=./build-perf/tools/dsks_cli
+  "$cli" generate --preset SYN --scale 0.05 --out build-perf/cli_smoke.dsks
+  "$cli" info build-perf/cli_smoke.dsks
+  : > build-perf/cli_smoke.out
+  for mode in boolean knn ranked div-seq div-com; do
+    "$cli" query --data build-perf/cli_smoke.dsks --terms 0,1 --k 4 \
+      --mode "$mode" --trace >> build-perf/cli_smoke.out
+  done
+  "$cli" query --data build-perf/cli_smoke.dsks --terms 0,1 --k 4 \
+    --mode div-com --trace --backend file >> build-perf/cli_smoke.out
+  python3 - build-perf/cli_smoke.out <<'EOF'
+import json, sys
+fields = {"spans", "ms", "pool_hits", "pool_misses", "disk_reads",
+          "prefetched_pages"}
+traces = [json.loads(line) for line in open(sys.argv[1])
+          if line.startswith("{")]
+if len(traces) != 6:
+    sys.exit(f"cli smoke: {len(traces)} trace lines, want 6")
+for trace in traces:
+    if "query" not in trace:
+        sys.exit(f"cli smoke: trace without a 'query' root: {trace}")
+    for phase, cost in trace.items():
+        if set(cost) != fields:
+            sys.exit(f"cli smoke: phase {phase} has fields {sorted(cost)}")
+print(f"cli smoke: {len(traces)} traces, each with the six fields per phase")
+EOF
+  python3 - build-perf <<'EOF'
+import struct, sys
+# Version-1 dataset files: one edge between two nodes, then the objects.
+def write(path, objects):
+    b = b"DSKS" + struct.pack("<I", 1)
+    b += struct.pack("<Q", 2) + struct.pack("<4d", 0, 0, 100, 0)
+    b += struct.pack("<Q", 1) + struct.pack("<IId", 0, 1, 100.0)
+    b += struct.pack("<Q", len(objects))
+    for terms in objects:
+        b += struct.pack("<IdI", 0, 50.0, len(terms))
+        b += struct.pack(f"<{len(terms)}I", *terms)
+    open(path, "wb").write(b)
+write(sys.argv[1] + "/cli_no_objects.dsks", [])
+write(sys.argv[1] + "/cli_huge_term.dsks", [[2**32 - 1]])
+EOF
+  for crafted in cli_no_objects cli_huge_term; do
+    status=0
+    "$cli" query --data "build-perf/$crafted.dsks" --terms 0 \
+      > /dev/null 2> build-perf/cli_crafted.err || status=$?
+    if [ "$status" -eq 0 ] || [ "$status" -ge 128 ] ||
+       [ ! -s build-perf/cli_crafted.err ]; then
+      echo "cli smoke: $crafted.dsks exited $status" \
+        "(want 1..127 with a message)" >&2
+      exit 1
+    fi
+    echo "cli smoke: $crafted.dsks rejected: $(cat build-perf/cli_crafted.err)"
+  done
+  echo "=== cli smoke: OK ==="
 
   # Chaos smoke: a Release-build workload under injected read faults must
   # exit 0 with its failures accounted — queries fail, the process does not

@@ -8,14 +8,15 @@
 //             --terms T1,T2,... [--object-loc ID] [--delta D]
 //             [--k K] [--mode boolean|knn|ranked|div-seq|div-com]
 //             [--lambda L] [--alpha A] [--threads N] [--repeat R]
-//             [--trace [json]]
-//       Load a dataset, build the index, run one query. The query point
-//       defaults to the location of object --object-loc (default 0).
-//       With --threads N > 1, additionally re-runs the query R times
-//       (default 64 per thread) on an N-thread QueryExecutor sharing the
-//       index and buffer pool, and reports aggregate throughput.
-//       --trace records per-phase spans with buffer-pool/disk deltas and
-//       prints the span tree (or JSON with `--trace json`).
+//             [--trace] [--prefetch on|off]
+//       Load a dataset into a Database, build the index, run one query
+//       through Database::Run*Query. The query point is the location of
+//       object --object-loc (default 0). With --threads N > 1,
+//       additionally re-runs the query R times (default 64 per thread) on
+//       an N-thread QueryExecutor sharing the index and buffer pool, and
+//       reports aggregate throughput. --trace records per-phase spans with
+//       buffer-pool/disk deltas and prints them as one JSON line, the
+//       per-phase object a served query's "trace" and /tracez also show.
 //   dsks_cli metrics [--scale F] [--index sif] [--queries N] [--threads N]
 //             [--format json|prom]
 //       Build a synthetic database, run a small concurrent workload, and
@@ -69,25 +70,13 @@
 
 #include "common/random.h"
 #include "common/timer.h"
+#include "datagen/network_generator.h"
+#include "datagen/object_generator.h"
 #include "datagen/presets.h"
 #include "datagen/workload.h"
 #include "graph/serialization.h"
 #include "harness/database.h"
 #include "harness/query_executor.h"
-#include "index/inverted_file.h"
-#include "index/inverted_rtree.h"
-#include "index/sif.h"
-#include "index/sif_group.h"
-#include "index/sif_partitioned.h"
-#include "core/distance_oracle.h"
-#include "core/div_search.h"
-#include "core/ranked_search.h"
-#include "graph/ccam.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
-#include "datagen/network_generator.h"
-#include "datagen/object_generator.h"
-#include "index/query_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
@@ -101,8 +90,7 @@ namespace {
 
 /// Minimal --flag value parser. Both spellings work: `--flag value` and
 /// `--flag=value`. A flag followed by another flag (or by nothing) is
-/// boolean — present with an empty value — so `--trace` and `--trace json`
-/// both work.
+/// boolean — present with an empty value — like `--trace` and `--socket`.
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -192,7 +180,7 @@ int Usage() {
                "           [--object-loc ID] [--delta 1500] [--k 10]\n"
                "           [--mode boolean|knn|ranked|div-seq|div-com]\n"
                "           [--lambda 0.8] [--alpha 0.5]\n"
-               "           [--threads 4] [--repeat 64] [--trace [json]]\n"
+               "           [--threads 4] [--repeat 64] [--trace]\n"
                "           [--prefetch on|off]\n"
                "  dsks_cli metrics [--scale 0.03] [--index sif]\n"
                "           [--queries 32] [--threads 2]\n"
@@ -300,8 +288,11 @@ int CmdInfo(const Args& args) {
     std::fprintf(stderr, "load failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  const double avg_kw = static_cast<double>(objects->TotalTermOccurrences()) /
-                        static_cast<double>(objects->size());
+  const double avg_kw =
+      objects->size() == 0
+          ? 0.0
+          : static_cast<double>(objects->TotalTermOccurrences()) /
+                static_cast<double>(objects->size());
   std::printf("%s:\n  nodes    %zu\n  edges    %zu\n  objects  %zu\n"
               "  avg keywords/object  %.2f\n",
               path.c_str(), net->num_nodes(), net->num_edges(),
@@ -334,264 +325,6 @@ std::vector<TermId> ParseTerms(const std::string& csv) {
   return terms;
 }
 
-int CmdQuery(const Args& args) {
-  const std::string path = args.Get("data", "");
-  const std::string terms_csv = args.Get("terms", "");
-  if (path.empty() || terms_csv.empty()) {
-    return Usage();
-  }
-  // Loading through the serialization path, then wrapping into a Database
-  // would duplicate the dataset; the CLI builds the stack directly.
-  std::unique_ptr<RoadNetwork> net;
-  std::unique_ptr<ObjectSet> objects;
-  Status s = LoadDataset(path, &net, &objects);
-  if (!s.ok()) {
-    std::fprintf(stderr, "load failed: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  size_t vocab = 0;
-  for (const auto& o : objects->objects()) {
-    for (TermId t : o.terms) {
-      vocab = std::max<size_t>(vocab, t + 1);
-    }
-  }
-
-  CliBackend backend(args);
-  DiskManager disk(backend.options());
-  BufferPool pool(&disk, 1u << 16);
-  // --prefetch off pins the pool to demand-only reads — the A/B knob for
-  // attributing a query's I/O behavior to speculative batching.
-  const std::string prefetch = args.Get("prefetch", "on");
-  if (prefetch != "on" && prefetch != "off") {
-    std::fprintf(stderr, "--prefetch: want 'on' or 'off', got '%s'\n",
-                 prefetch.c_str());
-    return 2;
-  }
-  pool.set_prefetch_enabled(prefetch == "on");
-  const CcamFile ccam = CcamFileBuilder::Build(*net, &disk);
-  CcamGraph graph(&ccam, &pool);
-
-  const std::string index_name = args.Get("index", "sif");
-  std::unique_ptr<ObjectIndex> index;
-  Timer build_timer;
-  if (index_name == "ir") {
-    index = std::make_unique<InvertedRTreeIndex>(&pool, *objects, vocab);
-  } else if (index_name == "if") {
-    index = std::make_unique<InvertedFileIndex>(&pool, *objects, vocab);
-  } else if (index_name == "sifp") {
-    SifPConfig cfg;
-    cfg.log_provider =
-        MakeQueryLogProvider(QueryLogMode::kFrequency, {}, 3, 8, 1);
-    index =
-        std::make_unique<SifPartitionedIndex>(&pool, *objects, vocab, cfg);
-  } else if (index_name == "sifg") {
-    index = std::make_unique<SifGroupIndex>(&pool, *objects, vocab, 25);
-  } else {
-    index = std::make_unique<SifIndex>(&pool, *objects, vocab);
-  }
-  std::printf("built %s in %.0f ms (%.1f MB)\n", index->name().c_str(),
-              build_timer.ElapsedMillis(),
-              static_cast<double>(index->SizeBytes()) / 1048576.0);
-
-  const auto& anchor = objects->object(static_cast<ObjectId>(
-      args.GetSize("object-loc", 0, 0, SIZE_MAX) % objects->size()));
-  SkQuery q;
-  q.loc = NetworkLocation{anchor.edge, anchor.offset};
-  q.terms = ParseTerms(terms_csv);
-  q.delta_max = args.GetDouble("delta", 1500.0, 1e-9, 1e12);
-  // The API boundary: a malformed query is an error message plus a nonzero
-  // exit, never an abort inside the search.
-  if (const Status qs = NormalizeSkQuery(&q); !qs.ok()) {
-    std::fprintf(stderr, "invalid query: %s\n", qs.ToString().c_str());
-    return 2;
-  }
-  const QueryEdgeInfo qe = MakeQueryEdgeInfo(*net, q.loc);
-  const std::string mode = args.Get("mode", "boolean");
-  const size_t k = args.GetSize("k", 10, 1, 1u << 20);
-
-  // --trace: per-phase spans with pool/disk counter deltas, for every mode.
-  const bool traced = args.Has("trace");
-  obs::QueryTrace trace;
-  obs::QueryTrace* trace_ptr = nullptr;
-  QueryContext cli_ctx;
-  if (traced) {
-    // The trace snapshots the context's per-query attribution counters,
-    // charged through the thread-affine account installed below — exact
-    // even if other threads shared this pool.
-    trace.BindContextIo(&cli_ctx.io);
-    trace_ptr = &trace;
-  }
-  cli_ctx.trace = trace_ptr;
-  obs::ScopedIoAccount io_account(&cli_ctx.io);
-
-  const uint64_t reads_before = disk.stats().reads.load();
-  const uint64_t prefetched_before = pool.stats().prefetch_issued.load();
-  Timer timer;
-  uint32_t root_span = 0;
-  if (trace_ptr != nullptr) {
-    root_span = trace.OpenSpan(obs::Phase::kQuery);
-  }
-  // A storage error fails the query, not the process: remember it, close
-  // the trace normally (its spans are the partial-work account) and exit
-  // nonzero at the end.
-  Status query_status;
-  if (mode == "knn") {
-    std::vector<SkResult> res;
-    query_status =
-        BooleanKnnSearch(&graph, index.get(), q, qe, k, &res, &cli_ctx);
-    for (const auto& r : res) {
-      std::printf("  object %u  dist %.1f\n", r.id, r.dist);
-    }
-  } else if (mode == "ranked") {
-    RankedQuery rq;
-    rq.sk = q;
-    rq.k = k;
-    rq.alpha = args.GetDouble("alpha", 0.5, 0.0, 1.0);
-    std::vector<RankedResult> res;
-    query_status = RankedSkSearch(&graph, index.get(), rq, qe, &res,
-                                  /*stats=*/nullptr, &cli_ctx);
-    for (const auto& r : res) {
-      std::printf("  object %u  dist %.1f  matched %u/%zu  score %.4f\n",
-                  r.id, r.dist, r.matched, q.terms.size(), r.score);
-    }
-  } else if (mode == "div-seq" || mode == "div-com") {
-    DivQuery dq;
-    dq.sk = q;
-    dq.k = k;
-    dq.lambda = args.GetDouble("lambda", 0.8, 0.0, 1.0);
-    IncrementalSkSearch search(&graph, index.get(), dq.sk, qe, &cli_ctx);
-    PairwiseDistanceOracle oracle(&graph, 2.0 * q.delta_max,
-                                  OracleStrategy::kSharedExpansion, &cli_ctx);
-    oracle.SetQueryEdge(qe);
-    const DivSearchOutput out = mode == "div-com"
-                                    ? DiversifiedSearchCOM(&search, dq, &oracle)
-                                    : DiversifiedSearchSEQ(&search, dq,
-                                                           &oracle);
-    query_status = out.status;
-    std::printf("f(S) = %.4f over %lu candidates%s\n", out.objective,
-                static_cast<unsigned long>(out.stats.candidates),
-                out.stats.early_terminated ? " (early termination)" : "");
-    for (const auto& r : out.selected) {
-      std::printf("  object %u  dist %.1f\n", r.id, r.dist);
-    }
-  } else {
-    IncrementalSkSearch search(&graph, index.get(), q, qe, &cli_ctx);
-    SkResult r;
-    size_t count = 0;
-    while (search.Next(&r)) {
-      if (count < 20) {
-        std::printf("  object %u  dist %.1f\n", r.id, r.dist);
-      }
-      ++count;
-    }
-    query_status = search.status();
-    if (count > 20) {
-      std::printf("  ... and %zu more\n", count - 20);
-    }
-    std::printf("%zu objects satisfy the query\n", count);
-  }
-  if (trace_ptr != nullptr) {
-    if (!query_status.ok()) {
-      trace.MarkError(query_status.code_name());
-    }
-    trace.CloseSpan(root_span);
-  }
-  const double query_millis = timer.ElapsedMillis();
-  const uint64_t query_reads = disk.stats().reads.load() - reads_before;
-  std::printf("query time %.1f ms, %lu page reads, %lu prefetched\n",
-              query_millis, static_cast<unsigned long>(query_reads),
-              static_cast<unsigned long>(
-                  pool.stats().prefetch_issued.load() - prefetched_before));
-  if (traced) {
-    if (args.Get("trace", "") == "json") {
-      std::printf("%s\n", trace.ToJson().c_str());
-    } else {
-      std::printf("%s", trace.ToText().c_str());
-    }
-    // Per-phase exclusive totals telescope exactly to the root span; the
-    // remaining gap is only root-vs-wall (timer/printf overhead outside
-    // the span), reported so drift is visible.
-    const obs::TraceSpan& rs = trace.spans()[root_span];
-    int64_t phase_ns = 0;
-    uint64_t phase_reads = 0;
-    for (const auto& t : trace.AggregateByPhase()) {
-      phase_ns += t.exclusive_ns;
-      phase_reads += t.io.disk_reads;
-    }
-    std::printf(
-        "trace check: phases %.3f ms / root %.3f ms / wall %.3f ms, "
-        "phase reads %llu / query reads %llu\n",
-        static_cast<double>(phase_ns) / 1e6,
-        static_cast<double>(rs.inclusive_ns) / 1e6, query_millis,
-        static_cast<unsigned long long>(phase_reads),
-        static_cast<unsigned long long>(query_reads));
-  }
-
-  // Optional concurrent re-run: the storage layer is concurrent-reader
-  // safe, so N workers can hammer the same index and buffer pool.
-  const size_t threads = args.GetSize("threads", 1, 1, 1024);
-  if (threads > 1) {
-    const size_t repeat = args.GetSize("repeat", 64, 1, 1u << 20);
-    const double alpha = args.GetDouble("alpha", 0.5, 0.0, 1.0);
-    const double lambda = args.GetDouble("lambda", 0.8, 0.0, 1.0);
-    ExecutorConfig config;
-    config.num_threads = threads;
-    QueryExecutor exec(config);
-    Timer wall;
-    for (size_t i = 0; i < threads * repeat; ++i) {
-      exec.SubmitQuery([&graph, &index, &q, &qe, mode, k, alpha,
-                        lambda](QueryContext* ctx) {
-        if (mode == "knn") {
-          std::vector<SkResult> res;
-          return BooleanKnnSearch(&graph, index.get(), q, qe, k, &res, ctx);
-        }
-        if (mode == "ranked") {
-          RankedQuery rq;
-          rq.sk = q;
-          rq.k = k;
-          rq.alpha = alpha;
-          std::vector<RankedResult> res;
-          return RankedSkSearch(&graph, index.get(), rq, qe, &res,
-                                /*stats=*/nullptr, ctx);
-        }
-        if (mode == "div-seq" || mode == "div-com") {
-          DivQuery dq;
-          dq.sk = q;
-          dq.k = k;
-          dq.lambda = lambda;
-          IncrementalSkSearch search(&graph, index.get(), dq.sk, qe, ctx);
-          PairwiseDistanceOracle oracle(&graph, 2.0 * q.delta_max,
-                                        OracleStrategy::kSharedExpansion, ctx);
-          oracle.SetQueryEdge(qe);
-          const DivSearchOutput out =
-              mode == "div-com" ? DiversifiedSearchCOM(&search, dq, &oracle)
-                                : DiversifiedSearchSEQ(&search, dq, &oracle);
-          return out.status;
-        }
-        IncrementalSkSearch search(&graph, index.get(), q, qe, ctx);
-        SkResult r;
-        while (search.Next(&r)) {
-        }
-        return search.status();
-      });
-    }
-    const QueryExecutor::DrainResult drained = exec.Drain();
-    const ThroughputMetrics m =
-        SummarizeThroughput(threads, wall.ElapsedMillis(), drained);
-    std::printf(
-        "concurrent rerun: %zu threads, %zu queries, %.1f qps "
-        "(p50 %.3f ms, p99 %.3f ms, errors %llu)\n",
-        m.num_threads, m.queries, m.qps, m.p50_millis, m.p99_millis,
-        static_cast<unsigned long long>(m.errors));
-  }
-  if (!query_status.ok()) {
-    std::fprintf(stderr, "query failed: %s\n",
-                 query_status.ToString().c_str());
-    return 1;
-  }
-  return 0;
-}
-
 IndexOptions IndexOptionsByName(const std::string& index_name) {
   IndexOptions opts;
   if (index_name == "ir") {
@@ -606,6 +339,168 @@ IndexOptions IndexOptionsByName(const std::string& index_name) {
     opts.kind = IndexKind::kSIF;
   }
   return opts;
+}
+
+/// One `dsks_cli query`: the mode and the query it runs.
+struct CliQuery {
+  std::string mode;
+  SkQuery sk;
+  QueryEdgeInfo edge;
+  size_t k = 0;
+  double alpha = 0.0;
+  double lambda = 0.0;
+};
+
+/// Runs `q` through the Database in its mode — the single run and the
+/// --threads rerun alike. `print` writes the result lines; a failed query
+/// prints what it found before the error.
+Status RunCliQuery(Database* db, const CliQuery& q, QueryContext* ctx,
+                   bool print) {
+  if (q.mode == "knn") {
+    std::vector<SkResult> res;
+    const Status s = db->RunKnnQuery(q.sk, q.edge, q.k, &res, ctx);
+    for (size_t i = 0; print && i < res.size(); ++i) {
+      std::printf("  object %u  dist %.1f\n", res[i].id, res[i].dist);
+    }
+    return s;
+  }
+  if (q.mode == "ranked") {
+    RankedQuery rq;
+    rq.sk = q.sk;
+    rq.k = q.k;
+    rq.alpha = q.alpha;
+    std::vector<RankedResult> res;
+    const Status s = db->RunRankedQuery(rq, q.edge, &res, ctx);
+    for (size_t i = 0; print && i < res.size(); ++i) {
+      std::printf("  object %u  dist %.1f  matched %u/%zu  score %.4f\n",
+                  res[i].id, res[i].dist, res[i].matched, q.sk.terms.size(),
+                  res[i].score);
+    }
+    return s;
+  }
+  if (q.mode == "div-seq" || q.mode == "div-com") {
+    DivQuery dq;
+    dq.sk = q.sk;
+    dq.k = q.k;
+    dq.lambda = q.lambda;
+    DivSearchOutput out;
+    const Status s =
+        db->RunDivQuery(dq, q.edge, q.mode == "div-com", &out, ctx);
+    if (print) {
+      std::printf("f(S) = %.4f over %lu candidates%s\n", out.objective,
+                  static_cast<unsigned long>(out.stats.candidates),
+                  out.stats.early_terminated ? " (early termination)" : "");
+      for (const SkResult& r : out.selected) {
+        std::printf("  object %u  dist %.1f\n", r.id, r.dist);
+      }
+    }
+    return s;
+  }
+  std::vector<SkResult> res;
+  const Status s = db->RunSkQuery(q.sk, q.edge, &res, ctx);
+  if (print) {
+    for (size_t i = 0; i < res.size() && i < 20; ++i) {
+      std::printf("  object %u  dist %.1f\n", res[i].id, res[i].dist);
+    }
+    if (res.size() > 20) {
+      std::printf("  ... and %zu more\n", res.size() - 20);
+    }
+    std::printf("%zu objects satisfy the query\n", res.size());
+  }
+  return s;
+}
+
+int CmdQuery(const Args& args) {
+  const std::string path = args.Get("data", "");
+  const std::string terms_csv = args.Get("terms", "");
+  if (path.empty() || terms_csv.empty()) {
+    return Usage();
+  }
+  std::unique_ptr<RoadNetwork> net;
+  std::unique_ptr<ObjectSet> objects;
+  if (const Status s = LoadDataset(path, &net, &objects); !s.ok()) {
+    std::fprintf(stderr, "load failed: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  if (objects->size() == 0) {
+    std::fprintf(stderr, "%s has no objects to query\n", path.c_str());
+    return 1;
+  }
+  // --prefetch off pins the pool to demand-only reads — the A/B knob for
+  // attributing a query's I/O behavior to speculative batching.
+  const std::string prefetch = args.Get("prefetch", "on");
+  if (prefetch != "on" && prefetch != "off") {
+    std::fprintf(stderr, "--prefetch: want 'on' or 'off', got '%s'\n",
+                 prefetch.c_str());
+    return 2;
+  }
+
+  CliBackend backend(args);
+  Database db(std::move(net), std::move(objects), backend.options());
+  db.SetPrefetchEnabled(prefetch == "on");
+  const Database::IndexBuildInfo built =
+      db.BuildIndex(IndexOptionsByName(args.Get("index", "sif")));
+  std::printf("built %s in %.0f ms (%.1f MB)\n", db.index()->name().c_str(),
+              built.build_millis,
+              static_cast<double>(built.size_bytes) / 1048576.0);
+
+  const SpatioTextualObject& anchor = db.objects().object(static_cast<ObjectId>(
+      args.GetSize("object-loc", 0, 0, SIZE_MAX) % db.objects().size()));
+  CliQuery q;
+  q.mode = args.Get("mode", "boolean");
+  q.sk.loc = NetworkLocation{anchor.edge, anchor.offset};
+  q.sk.terms = ParseTerms(terms_csv);
+  q.sk.delta_max = args.GetDouble("delta", 1500.0, 1e-9, 1e12);
+  q.edge = MakeQueryEdgeInfo(db.network(), q.sk.loc);
+  q.k = args.GetSize("k", 10, 1, 1u << 20);
+  q.alpha = args.GetDouble("alpha", 0.5, 0.0, 1.0);
+  q.lambda = args.GetDouble("lambda", 0.8, 0.0, 1.0);
+
+  // A storage error fails the query, not the process: the result lines
+  // and the trace show the work done before it, then the exit is nonzero.
+  obs::QueryTrace trace;
+  QueryContext ctx;
+  if (args.Has("trace")) {
+    ctx.trace = &trace;
+  }
+  Timer timer;
+  const Status status = RunCliQuery(&db, q, &ctx, /*print=*/true);
+  std::printf("query time %.1f ms, %llu page reads, %llu prefetched\n",
+              timer.ElapsedMillis(),
+              static_cast<unsigned long long>(ctx.io.disk_reads),
+              static_cast<unsigned long long>(ctx.io.prefetched_pages));
+  if (ctx.trace != nullptr) {
+    std::printf("%s\n", obs::PhasesJson(trace.AggregateByPhase()).c_str());
+  }
+
+  // Optional concurrent re-run: the storage layer is concurrent-reader
+  // safe, so N workers can hammer the same index and buffer pool.
+  const size_t threads = args.GetSize("threads", 1, 1, 1024);
+  if (threads > 1) {
+    const size_t repeat = args.GetSize("repeat", 64, 1, 1u << 20);
+    ExecutorConfig config;
+    config.num_threads = threads;
+    QueryExecutor exec(config);
+    Timer wall;
+    for (size_t i = 0; i < threads * repeat; ++i) {
+      exec.SubmitQuery([&db, &q](QueryContext* worker_ctx) {
+        return RunCliQuery(&db, q, worker_ctx, /*print=*/false);
+      });
+    }
+    const QueryExecutor::DrainResult drained = exec.Drain();
+    const ThroughputMetrics m =
+        SummarizeThroughput(threads, wall.ElapsedMillis(), drained);
+    std::printf(
+        "concurrent rerun: %zu threads, %zu queries, %.1f qps "
+        "(p50 %.3f ms, p99 %.3f ms, errors %llu)\n",
+        m.num_threads, m.queries, m.qps, m.p50_millis, m.p99_millis,
+        static_cast<unsigned long long>(m.errors));
+  }
+  if (!status.ok()) {
+    std::fprintf(stderr, "query failed: %s\n", status.ToString().c_str());
+    return status.IsInvalidArgument() ? 2 : 1;
+  }
+  return 0;
 }
 
 int CmdMetrics(const Args& args) {
