@@ -20,6 +20,7 @@ int main() {
   TablePrinter cand_table({"dataset", "SEQ", "COM", "COM pruned",
                            "COM early-term %"});
   TablePrinter obj_table({"dataset", "SEQ f(S)", "COM f(S)"});
+  TablePrinter io_table({"dataset", "SEQ", "COM"});
 
   for (const DatasetConfig& preset : AllPresets()) {
     Database db(Scaled(preset));
@@ -44,6 +45,8 @@ int main() {
                                          0)});
     obj_table.AddRow({preset.name, TablePrinter::Fmt(seq.avg_objective, 4),
                       TablePrinter::Fmt(com.avg_objective, 4)});
+    io_table.AddRow({preset.name, TablePrinter::Fmt(seq.avg_io, 1),
+                     TablePrinter::Fmt(com.avg_io, 1)});
   }
 
   std::printf("\navg query response time (ms)\n");
@@ -52,5 +55,7 @@ int main() {
   cand_table.Print();
   std::printf("\navg objective f(S) (identical answers expected)\n");
   obj_table.Print();
+  std::printf("\navg # of I/O (disk reads per query, 2%% pool)\n");
+  io_table.Print();
   return 0;
 }

@@ -21,7 +21,8 @@ int main() {
   db.BuildIndex(opts);
   db.PrepareForQueries();
 
-  TablePrinter table({"l", "SEQ ms", "COM ms", "SEQ cands", "COM cands"});
+  TablePrinter table({"l", "SEQ ms", "COM ms", "SEQ cands", "COM cands",
+                      "SEQ I/O", "COM I/O"});
   for (size_t l = 1; l <= 4; ++l) {
     WorkloadConfig wc;
     wc.num_queries = num_queries;
@@ -33,9 +34,11 @@ int main() {
     table.AddRow({std::to_string(l), TablePrinter::Fmt(seq.avg_millis, 2),
                   TablePrinter::Fmt(com.avg_millis, 2),
                   TablePrinter::Fmt(seq.avg_candidates, 1),
-                  TablePrinter::Fmt(com.avg_candidates, 1)});
+                  TablePrinter::Fmt(com.avg_candidates, 1),
+                  TablePrinter::Fmt(seq.avg_io, 1),
+                  TablePrinter::Fmt(com.avg_io, 1)});
   }
-  std::printf("\navg response time and candidates per query\n");
+  std::printf("\navg response time, candidates and I/O per query\n");
   table.Print();
   return 0;
 }

@@ -22,7 +22,7 @@ int main() {
   db.PrepareForQueries();
 
   TablePrinter table({"delta_max", "SEQ ms", "COM ms", "SEQ cands",
-                      "COM cands"});
+                      "COM cands", "SEQ I/O", "COM I/O"});
   for (double r : {500.0, 1000.0, 1500.0, 2000.0, 2500.0}) {
     WorkloadConfig wc;
     wc.num_queries = num_queries;
@@ -34,9 +34,11 @@ int main() {
     table.AddRow({TablePrinter::Fmt(r, 0), TablePrinter::Fmt(seq.avg_millis, 2),
                   TablePrinter::Fmt(com.avg_millis, 2),
                   TablePrinter::Fmt(seq.avg_candidates, 1),
-                  TablePrinter::Fmt(com.avg_candidates, 1)});
+                  TablePrinter::Fmt(com.avg_candidates, 1),
+                  TablePrinter::Fmt(seq.avg_io, 1),
+                  TablePrinter::Fmt(com.avg_io, 1)});
   }
-  std::printf("\navg response time and candidates per query\n");
+  std::printf("\navg response time, candidates and I/O per query\n");
   table.Print();
   return 0;
 }

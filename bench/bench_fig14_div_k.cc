@@ -27,16 +27,18 @@ int main() {
   const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
 
   TablePrinter table({"k", "SEQ ms", "COM ms", "COM cands",
-                      "COM early-term %"});
+                      "COM early-term %", "SEQ I/O", "COM I/O"});
   for (size_t k : {5, 10, 15, 20}) {
     const DivWorkloadMetrics seq = RunDivWorkload(&db, wl, k, 0.8, false);
     const DivWorkloadMetrics com = RunDivWorkload(&db, wl, k, 0.8, true);
     table.AddRow({std::to_string(k), TablePrinter::Fmt(seq.avg_millis, 2),
                   TablePrinter::Fmt(com.avg_millis, 2),
                   TablePrinter::Fmt(com.avg_candidates, 1),
-                  TablePrinter::Fmt(com.early_termination_rate * 100.0, 0)});
+                  TablePrinter::Fmt(com.early_termination_rate * 100.0, 0),
+                  TablePrinter::Fmt(seq.avg_io, 1),
+                  TablePrinter::Fmt(com.avg_io, 1)});
   }
-  std::printf("\navg response time per query\n");
+  std::printf("\navg response time and I/O per query\n");
   table.Print();
   return 0;
 }

@@ -27,7 +27,7 @@ int main() {
   const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
 
   TablePrinter table({"lambda", "SEQ ms", "COM ms", "COM cands",
-                      "COM early-term %"});
+                      "COM early-term %", "SEQ I/O", "COM I/O"});
   for (double lambda : {0.5, 0.6, 0.7, 0.8, 0.9}) {
     const DivWorkloadMetrics seq = RunDivWorkload(&db, wl, 10, lambda, false);
     const DivWorkloadMetrics com = RunDivWorkload(&db, wl, 10, lambda, true);
@@ -35,9 +35,11 @@ int main() {
                   TablePrinter::Fmt(seq.avg_millis, 2),
                   TablePrinter::Fmt(com.avg_millis, 2),
                   TablePrinter::Fmt(com.avg_candidates, 1),
-                  TablePrinter::Fmt(com.early_termination_rate * 100.0, 0)});
+                  TablePrinter::Fmt(com.early_termination_rate * 100.0, 0),
+                  TablePrinter::Fmt(seq.avg_io, 1),
+                  TablePrinter::Fmt(com.avg_io, 1)});
   }
-  std::printf("\navg response time per query\n");
+  std::printf("\navg response time and I/O per query\n");
   table.Print();
   return 0;
 }

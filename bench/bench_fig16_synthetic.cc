@@ -19,7 +19,8 @@ void RunSweep(const char* title, const char* knob,
               const std::vector<double>& values,
               const std::function<DatasetConfig(double)>& make_config,
               size_t num_queries) {
-  TablePrinter table({knob, "SEQ ms", "COM ms", "SEQ cands", "COM cands"});
+  TablePrinter table({knob, "SEQ ms", "COM ms", "SEQ cands", "COM cands",
+                      "SEQ I/O", "COM I/O"});
   for (double v : values) {
     Database db(make_config(v));
     IndexOptions opts;
@@ -36,7 +37,9 @@ void RunSweep(const char* title, const char* knob,
                   TablePrinter::Fmt(seq.avg_millis, 2),
                   TablePrinter::Fmt(com.avg_millis, 2),
                   TablePrinter::Fmt(seq.avg_candidates, 1),
-                  TablePrinter::Fmt(com.avg_candidates, 1)});
+                  TablePrinter::Fmt(com.avg_candidates, 1),
+                  TablePrinter::Fmt(seq.avg_io, 1),
+                  TablePrinter::Fmt(com.avg_io, 1)});
   }
   std::printf("\n%s\n", title);
   table.Print();

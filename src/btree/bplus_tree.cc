@@ -4,11 +4,15 @@
 #include <cstring>
 #include <vector>
 
+#include "common/flat_containers.h"
 #include "common/macros.h"
 
 namespace dsks {
 
 namespace {
+
+/// Trees MultiGet descends without allocating.
+constexpr size_t kInlineTrees = 16;
 
 // Node layout (shared header):
 //   u8  is_leaf
@@ -232,29 +236,29 @@ Status BPlusTree::MultiGet(BufferPool* pool, std::span<const PageId> roots,
   DSKS_CHECK_MSG(results.size() == roots.size(),
                  "MultiGet needs one result slot per root");
   const size_t t = roots.size();
-  std::vector<PageId> current(roots.begin(), roots.end());
-  std::vector<bool> done(t, false);
-  std::vector<PageId> batch;
-  batch.reserve(t);
+  // One slot per tree, inline up to kInlineTrees (a query's keywords);
+  // more trees take one heap array each.
+  InlineArray<PageId, kInlineTrees> current(t);
+  InlineArray<bool, kInlineTrees> done(t);
+  InlineArray<PageId, kInlineTrees> batch(t);
   for (size_t i = 0; i < t; ++i) {
+    current[i] = roots[i];
     results[i].reset();
-    if (current[i] == kInvalidPageId) {
-      done[i] = true;
-    }
+    done[i] = current[i] == kInvalidPageId;
   }
   for (int depth = 0; depth < 64; ++depth) {
-    batch.clear();
+    size_t pending = 0;
     for (size_t i = 0; i < t; ++i) {
       if (!done[i]) {
-        batch.push_back(current[i]);
+        batch[pending++] = current[i];
       }
     }
-    if (batch.empty()) {
+    if (pending == 0) {
       return Status::Ok();
     }
     // Speculative: resident and in-flight pages are skipped, failures are
     // re-surfaced by the demand Fetch below. Duplicate roots are fine.
-    pool->Prefetch(std::span<const PageId>(batch.data(), batch.size()));
+    pool->Prefetch(std::span<const PageId>(batch.data(), pending));
     for (size_t i = 0; i < t; ++i) {
       if (done[i]) {
         continue;

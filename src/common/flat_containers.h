@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -26,6 +28,9 @@
 ///    O(1) (bump the epoch) instead of O(capacity), which is what makes a
 ///    num_nodes-sized array per *query* affordable: clearing 7k doubles per
 ///    query would cost more than the queries themselves.
+///  * `InlineArray` — per-call scratch sized by a query's keyword count,
+///    held inside the object (on the stack for a local) up to a fixed
+///    bound, so the common case allocates nothing.
 namespace dsks {
 
 /// Open-addressed hash map for trivially-copyable integer keys.
@@ -314,6 +319,36 @@ class EpochArray {
   std::vector<T> values_;
   std::vector<uint32_t> stamps_;
   uint32_t epoch_ = 1;
+};
+
+/// `n` value-initialized T: inline in the object when n <= N, else in one
+/// heap array — the only allocation it ever makes, and only above the
+/// bound. Callers size N to cover every realistic query and name the
+/// fallback in DESIGN.md "Hot-path memory model".
+template <typename T, size_t N>
+class InlineArray {
+ public:
+  explicit InlineArray(size_t n) : size_(n) {
+    if (n > N) {
+      heap_ = std::make_unique<T[]>(n);
+    }
+  }
+
+  InlineArray(const InlineArray&) = delete;
+  InlineArray& operator=(const InlineArray&) = delete;
+
+  size_t size() const { return size_; }
+  T* data() { return heap_ ? heap_.get() : inline_; }
+  T& operator[](size_t i) {
+    DSKS_DCHECK(i < size_);
+    return data()[i];
+  }
+  std::span<T> span() { return {data(), size_}; }
+
+ private:
+  size_t size_;
+  T inline_[N] = {};
+  std::unique_ptr<T[]> heap_;
 };
 
 /// Binary min-heap over a reusable vector; `clear()` keeps capacity.

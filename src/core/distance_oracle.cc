@@ -35,6 +35,11 @@ PairwiseDistanceOracle::PairwiseDistanceOracle(const CcamGraph* graph,
   DSKS_DCHECK_MSG(!ctx_->oracle_in_use,
                   "QueryContext serves one oracle at a time");
   ctx_->oracle_in_use = true;
+  // An oracle next to a live SK search shares that query's adjacency memo;
+  // a standalone one starts a query of its own.
+  if (!ctx_->sk_search_in_use) {
+    ctx_->adjacency_memo.Reset();
+  }
   // Recycle every pooled field from the previous query on this context.
   o_->field_index.clear();
   o_->free_fields.clear();

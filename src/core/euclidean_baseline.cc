@@ -41,6 +41,7 @@ Status EuclideanFilterRefine(const CcamGraph* graph, const RoadNetwork& net,
     // Refine: one bounded expansion from the query over the CCAM file.
     NetworkExpansion expansion(graph, query.delta_max,
                                &ctx->sk_search.expansion, ctx);
+    ctx->adjacency_memo.Reset();  // this query's lists only
     expansion.Seed(query_edge.n1, query_edge.n2, query_edge.weight,
                    query_edge.w1);
     NodeId v;

@@ -2,7 +2,7 @@
 #define DSKS_CORE_NETWORK_EXPANSION_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "common/status.h"
 #include "core/query_context.h"
@@ -23,8 +23,10 @@ namespace dsks {
 /// counter, and two duties every kPollInterval settles: the context's
 /// deadline poll and a frontier prefetch, which hands the pool the CCAM
 /// pages of a sample of the nodes settled next (purely advisory — settled
-/// distances are bit-identical with or without it). Adjacency fetches
-/// have a sticky status: the first error or cancellation stops the
+/// distances are bit-identical with or without it). Adjacency is read
+/// through the context's AdjacencyMemo, so the expansions of one query
+/// fetch each node from the pool at most once between them. Adjacency
+/// fetches have a sticky status: the first error or cancellation stops the
 /// expansion. The plain loop:
 ///
 ///   x.Seed(edge.n1, edge.n2, edge.weight, edge.w1);
@@ -39,9 +41,10 @@ class NetworkExpansion {
   static constexpr uint64_t kPollInterval = 32;
 
   /// `scratch` and `ctx` are borrowed and must outlive the expansion;
-  /// `ctx` supplies the deadline. Nothing is touched until Seed().
+  /// `ctx` supplies the deadline and the adjacency memo. Nothing is
+  /// touched until Seed().
   NetworkExpansion(const CcamGraph* graph, double radius,
-                   ExpansionScratch* scratch, const QueryContext* ctx)
+                   ExpansionScratch* scratch, QueryContext* ctx)
       : graph_(graph), radius_(radius), s_(scratch), ctx_(ctx) {}
 
   NetworkExpansion(const NetworkExpansion&) = delete;
@@ -89,10 +92,12 @@ class NetworkExpansion {
   /// adjacency() and a non-OK status(); only the next call returns false.
   bool Settle(NodeId* v, double* d);
 
-  /// The adjacency list of the node the last Settle() returned.
-  const std::vector<AdjacentEdge>& adjacency() const {
-    return s_->adjacency;
-  }
+  /// The adjacency list of the node the last Settle() returned, a view
+  /// into the context's memo arena. It stays valid until the next Settle()
+  /// of any expansion on the same context (a memo miss may grow the
+  /// arena), so finish the relax loop over one node before settling
+  /// another.
+  std::span<const AdjacentEdge> adjacency() const { return adjacency_; }
 
   /// Final distance of `v`, or kInfDistance while `v` is unsettled.
   double SettledDistance(NodeId v) const {
@@ -115,7 +120,8 @@ class NetworkExpansion {
   const CcamGraph* graph_;
   const double radius_;
   ExpansionScratch* s_;
-  const QueryContext* ctx_;
+  QueryContext* ctx_;
+  std::span<const AdjacentEdge> adjacency_;
   uint64_t settles_ = 0;
   Status status_;
 };

@@ -27,7 +27,33 @@ struct ExpansionScratch {
   EpochArray<double> tentative;  // node -> best tentative distance
   EpochArray<double> settled;    // node -> final distance
   ReusableMinHeap<std::pair<double, uint32_t>> heap;  // (distance, node)
-  std::vector<AdjacentEdge> adjacency;  // the settled node's adjacency
+};
+
+/// The adjacency lists one query has decoded, shared by every
+/// NetworkExpansion on the context: INE, the oracle's shared pass and its
+/// per-object fields cover overlapping balls, and each node is read from
+/// the buffer pool at most once per query. A node's list is the slice
+/// [begin, begin + count) of one flat arena.
+///
+/// Reset by whatever starts a query on the context, and nowhere else: the
+/// IncrementalSkSearch constructor, RankedSkSearch and
+/// EuclideanFilterRefine before they seed, and a PairwiseDistanceOracle
+/// constructed while no SK search is live. A failed or cancelled fetch
+/// leaves no entry.
+struct AdjacencyMemo {
+  struct Slice {
+    uint32_t begin = 0;
+    uint32_t count = 0;
+  };
+  EpochArray<Slice> slice;  // node -> its list in `arena`
+  std::vector<AdjacentEdge> arena;
+  std::vector<AdjacentEdge> fetched;  // a miss's list on its way in
+
+  /// Forgets every list in O(1), keeping all capacity.
+  void Reset() {
+    slice.Reset();
+    arena.clear();
+  }
 };
 
 /// Per-object search state of the incremental SK search (Algorithm 3):
@@ -107,6 +133,7 @@ struct OracleScratch {
 struct QueryContext {
   SkSearchScratch sk_search;
   OracleScratch oracle;
+  AdjacencyMemo adjacency_memo;
 
   /// Optional per-query trace sink. Null (the default) means tracing is
   /// off and every span hook reduces to a pointer null test; when set, the

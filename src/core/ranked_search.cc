@@ -110,6 +110,9 @@ Status RankedSkSearch(const CcamGraph* graph, ObjectIndex* index,
   };
 
   // Seed from the query edge; its objects are reachable along the edge.
+  // The search starts the query on `ctx`: the previous query's adjacency
+  // memo goes first.
+  ctx->adjacency_memo.Reset();
   expansion.Seed(query_edge.n1, query_edge.n2, query_edge.weight,
                  query_edge.w1);
   if (const auto* objs = objects_of(query_edge.edge)) {

@@ -31,11 +31,13 @@ IncrementalSkSearch::IncrementalSkSearch(const CcamGraph* graph,
   ctx_->sk_search_in_use = true;
 
   // Reset-not-free: clears that keep all capacity from the previous query
-  // on this context.
+  // on this context. The search starts the query, so it also forgets the
+  // previous query's adjacency memo.
   s_->object_heap.clear();
   s_->edge_slot.clear();
   s_->edge_pool_used = 0;
   s_->object_state.clear();
+  ctx_->adjacency_memo.Reset();
   expansion_.Seed(query_edge.n1, query_edge.n2, query_edge.weight,
                   query_edge.w1);
 

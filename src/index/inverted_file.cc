@@ -2,10 +2,18 @@
 
 #include <algorithm>
 
+#include "common/flat_containers.h"
 #include "common/macros.h"
 #include "spatial/zorder.h"
 
 namespace dsks {
+
+namespace {
+
+/// Query keywords one LoadObjects call resolves without allocating.
+constexpr size_t kInlineTerms = 16;
+
+}  // namespace
 
 InvertedFileIndex::InvertedFileIndex(BufferPool* pool,
                                      const ObjectSet& objects,
@@ -113,37 +121,33 @@ Status InvertedFileIndex::LoadObjects(EdgeId edge,
     return false;
   };
 
-  uint64_t loaded_here = 0;
   // Resolve every term's run locator up front. With prefetching enabled
   // the per-keyword B+trees are descended in lockstep — one batched read
   // per level instead of one blocking miss per tree per level — and the
   // surviving runs' pages are pulled in a single speculative batch so the
-  // ReadRun calls below hit the pool. With prefetching disabled this is
-  // the classic one-tree-at-a-time probe with identical read counts.
-  std::vector<std::optional<PostingFile::Locator>> locs(terms.size());
+  // run reads below hit the pool. With prefetching disabled this is the
+  // classic one-tree-at-a-time probe with identical read counts.
+  InlineArray<std::optional<PostingFile::Locator>, kInlineTerms> locs(
+      terms.size());
   if (pool_->prefetch_enabled() && terms.size() > 1) {
-    std::vector<PageId> roots(terms.size(), kInvalidPageId);
+    InlineArray<PageId, kInlineTerms> roots(terms.size());
     for (size_t i = 0; i < terms.size(); ++i) {
-      if (terms[i] < term_roots_.size()) {
-        roots[i] = term_roots_[terms[i]];
-      }
+      roots[i] = terms[i] < term_roots_.size() ? term_roots_[terms[i]]
+                                               : kInvalidPageId;
     }
     DSKS_RETURN_IF_ERROR(BPlusTree::MultiGet(
-        pool_, roots, EdgeKey(edge_zcode_[edge], edge),
-        std::span<std::optional<uint64_t>>(locs.data(), locs.size())));
+        pool_, roots.span(), EdgeKey(edge_zcode_[edge], edge), locs.span()));
     // Prefetch only the prefix up to the first absent term: the
     // intersection loop below stops there, and runs past it are never
     // read.
-    std::vector<PostingFile::Locator> present;
-    present.reserve(terms.size());
-    for (const auto& l : locs) {
-      if (!l.has_value()) {
-        break;
-      }
-      present.push_back(*l);
+    InlineArray<PostingFile::Locator, kInlineTerms> present(terms.size());
+    size_t num_present = 0;
+    while (num_present < terms.size() && locs[num_present].has_value()) {
+      present[num_present] = *locs[num_present];
+      ++num_present;
     }
-    if (present.size() > 1) {
-      postings_->PrefetchRuns(present);
+    if (num_present > 1) {
+      postings_->PrefetchRuns(present.span().first(num_present));
     }
   } else {
     for (size_t i = 0; i < terms.size(); ++i) {
@@ -154,63 +158,56 @@ Status InvertedFileIndex::LoadObjects(EdgeId edge,
     }
   }
 
-  // Candidate map: position -> (entry, number of terms matched so far).
-  std::vector<PostingFile::Entry> run;
-  std::vector<PostingFile::Entry> candidates;
-  bool first = true;
-  for (const std::optional<PostingFile::Locator>& loc : locs) {
-    if (!loc.has_value()) {
-      candidates.clear();
+  // Intersect by position (positions are unique per edge, and every run is
+  // sorted by position) in place, straight off the pinned posting pages:
+  // the first run's in-range entries become `out`, and each later run
+  // compacts `out` to the candidates it also holds.
+  uint64_t loaded_here = 0;
+  for (size_t t = 0; t < terms.size(); ++t) {
+    if (!locs[t].has_value()) {
+      out->clear();
       break;
     }
-    DSKS_RETURN_IF_ERROR(postings_->ReadRun(*loc, &run));
-    std::vector<PostingFile::Entry> filtered;
-    filtered.reserve(run.size());
-    for (const PostingFile::Entry& e : run) {
-      if (in_ranges(e.pos)) {
-        filtered.push_back(e);
-      }
-    }
-    loaded_here += filtered.size();
-    if (first) {
-      candidates = std::move(filtered);
-      first = false;
+    if (t == 0) {
+      DSKS_RETURN_IF_ERROR(postings_->ForEachEntry(
+          *locs[t], [&](const PostingFile::Entry& e) {
+            if (in_ranges(e.pos)) {
+              ++loaded_here;
+              out->push_back(LoadedObject{e.object, e.pos, e.w1});
+            }
+          }));
     } else {
-      // Intersect by position (positions are unique per edge); both lists
-      // are sorted by position.
-      std::vector<PostingFile::Entry> merged;
-      merged.reserve(std::min(candidates.size(), filtered.size()));
-      size_t i = 0;
-      size_t j = 0;
-      while (i < candidates.size() && j < filtered.size()) {
-        if (candidates[i].pos < filtered[j].pos) {
-          ++i;
-        } else if (candidates[i].pos > filtered[j].pos) {
-          ++j;
-        } else {
-          merged.push_back(candidates[i]);
-          ++i;
-          ++j;
-        }
-      }
-      candidates = std::move(merged);
+      LoadedObject* candidates = out->data();
+      const size_t num_candidates = out->size();
+      size_t next = 0;  // first candidate not yet passed by the run
+      size_t kept = 0;
+      DSKS_RETURN_IF_ERROR(postings_->ForEachEntry(
+          *locs[t], [&](const PostingFile::Entry& e) {
+            if (!in_ranges(e.pos)) {
+              return;
+            }
+            ++loaded_here;
+            while (next < num_candidates && candidates[next].pos < e.pos) {
+              ++next;
+            }
+            if (next < num_candidates && candidates[next].pos == e.pos) {
+              candidates[kept++] = candidates[next++];
+            }
+          }));
+      out->resize(kept);
     }
-    if (candidates.empty()) {
+    if (out->empty()) {
       break;
     }
   }
 
   stats_.objects_loaded += loaded_here;
-  if (candidates.empty()) {
+  if (out->empty()) {
     if (loaded_here > 0) {
       ++stats_.false_hits;
       stats_.false_hit_objects += loaded_here;
     }
     return Status::Ok();
-  }
-  out->reserve(candidates.size());
-  for (const PostingFile::Entry& e : candidates) {
-    out->push_back(LoadedObject{e.object, e.w1});
   }
   stats_.objects_returned += out->size();
   return Status::Ok();

@@ -72,34 +72,26 @@ Status InvertedRTreeIndex::LoadObjects(EdgeId edge,
 
   // Verify each surviving candidate against the object file: it must lie
   // on the probed edge (MBR hits from other edges are IR's false hits).
-  struct Hit {
-    ObjectId id;
-    uint16_t pos;
-    double w1;
-  };
-  std::vector<Hit> hits;
   for (ObjectId id : candidates) {
     ObjectFile::Record rec;
     DSKS_RETURN_IF_ERROR(object_file_->Get(id, &rec));
     ++loaded_here;
     if (rec.edge == edge) {
-      hits.push_back(Hit{id, rec.pos, rec.w1});
+      out->push_back(LoadedObject{id, rec.pos, rec.w1});
     }
   }
-  std::sort(hits.begin(), hits.end(),
-            [](const Hit& a, const Hit& b) { return a.pos < b.pos; });
+  std::sort(out->begin(), out->end(),
+            [](const LoadedObject& a, const LoadedObject& b) {
+              return a.pos < b.pos;
+            });
 
   stats_.objects_loaded += loaded_here;
-  if (hits.empty()) {
+  if (out->empty()) {
     if (loaded_here > 0) {
       ++stats_.false_hits;
       stats_.false_hit_objects += loaded_here;
     }
     return Status::Ok();
-  }
-  out->reserve(hits.size());
-  for (const Hit& h : hits) {
-    out->push_back(LoadedObject{h.id, h.w1});
   }
   stats_.objects_returned += out->size();
   return Status::Ok();

@@ -13,12 +13,15 @@
 namespace dsks {
 
 /// An object that satisfied the keyword constraint on a probed edge,
-/// together with its cost offset from the edge's reference node n1
-/// (w(n2, o) = edge weight - w1, Equation 1).
+/// together with its rank along the edge and its cost offset from the
+/// edge's reference node n1 (w(n2, o) = edge weight - w1, Equation 1).
+/// `pos` sits in what would be padding: the struct stays 16 bytes.
 struct LoadedObject {
   ObjectId id = kInvalidObjectId;
+  uint16_t pos = 0;
   double w1 = 0.0;
 };
+static_assert(sizeof(LoadedObject) == 16);
 
 /// Per-query counters an index accumulates across LoadObjects calls. The
 /// figures in §5 are built from these plus the buffer-pool/disk I/O stats.

@@ -2,12 +2,14 @@
 #define DSKS_INDEX_POSTING_FILE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
 #include "common/status.h"
 #include "graph/types.h"
 #include "storage/buffer_pool.h"
+#include "storage/page.h"
 
 namespace dsks {
 
@@ -46,15 +48,23 @@ class PostingFile {
   PostingFile& operator=(const PostingFile&) = delete;
   PostingFile(PostingFile&&) = default;
 
-  /// Reads a whole run into `out` (cleared first). On a disk error `out`
-  /// holds the entries read so far; discard it.
-  Status ReadRun(Locator locator, std::vector<Entry>* out) const;
+  /// Hands every entry of a run, in position order, to `fn(const Entry&)`
+  /// straight off the pinned pages: nothing is copied or allocated. A
+  /// run's page extent is fully known from its locator, so a multi-page
+  /// run is fetched in batched chunks of up to kChunkPages (one disk round
+  /// trip per chunk on a cold cache instead of one per page); the bound
+  /// keeps the number of simultaneously pinned frames small next to the
+  /// paper's 2% pool. A chunk stays pinned while `fn` sees its entries, so
+  /// `fn` must not fetch pages. On a disk error `fn` has seen the entries
+  /// read so far; discard what it built.
+  template <typename Fn>
+  Status ForEachEntry(Locator locator, Fn&& fn) const;
 
   /// Best-effort speculative read of several runs' pages as one batched
-  /// request, so subsequent ReadRun calls hit the pool instead of paying
-  /// one blocking miss per run. A run's page extent is fully determined by
-  /// its locator, so no I/O is needed to plan the batch. Failures are
-  /// dropped (never surfaced); the later ReadRun reports them.
+  /// request, so subsequent ForEachEntry calls hit the pool instead of
+  /// paying one blocking miss per run. A run's page extent is fully
+  /// determined by its locator, so no I/O is needed to plan the batch.
+  /// Failures are dropped (never surfaced); the later read reports them.
   void PrefetchRuns(std::span<const Locator> locators) const;
 
   /// Number of entries in a run without reading it.
@@ -64,13 +74,83 @@ class PostingFile {
   uint64_t num_entries() const { return num_entries_; }
 
   /// Entries that fit on one 4 KiB page.
-  static size_t EntriesPerPage();
+  static size_t EntriesPerPage() { return kEntriesPerPage; }
 
  private:
+  // Fixed 16-byte on-page posting record; pages are packed completely, the
+  // locator carries the run length so no page header is needed.
+  //   u32 object, u16 pos, u16 reserved, f64 w1
+  static constexpr size_t kEntrySize = 16;
+  static constexpr size_t kEntriesPerPage = kPageSize / kEntrySize;
+  /// Pages one FetchPages call of ForEachEntry pins at most.
+  static constexpr size_t kChunkPages = 16;
+
+  static Locator PackLocator(PageId page, uint32_t slot, uint32_t count) {
+    return (static_cast<uint64_t>(page) << 32) |
+           (static_cast<uint64_t>(slot & 0xFFFF) << 16) |
+           static_cast<uint64_t>(count & 0xFFFF);
+  }
+
+  static void UnpackLocator(Locator loc, PageId* page, uint32_t* slot,
+                            uint32_t* count) {
+    *page = static_cast<PageId>(loc >> 32);
+    *slot = static_cast<uint32_t>((loc >> 16) & 0xFFFF);
+    *count = static_cast<uint32_t>(loc & 0xFFFF);
+  }
+
+  static void WriteEntry(char* page, uint32_t slot, const Entry& e) {
+    char* base = page + slot * kEntrySize;
+    const uint16_t reserved = 0;
+    std::memcpy(base, &e.object, 4);
+    std::memcpy(base + 4, &e.pos, 2);
+    std::memcpy(base + 6, &reserved, 2);
+    std::memcpy(base + 8, &e.w1, 8);
+  }
+
+  static Entry ReadEntry(const char* page, uint32_t slot) {
+    Entry e;
+    const char* base = page + slot * kEntrySize;
+    std::memcpy(&e.object, base, 4);
+    std::memcpy(&e.pos, base + 4, 2);
+    std::memcpy(&e.w1, base + 8, 8);
+    return e;
+  }
+
   BufferPool* pool_;
   uint64_t num_pages_ = 0;
   uint64_t num_entries_ = 0;
 };
+
+template <typename Fn>
+Status PostingFile::ForEachEntry(Locator locator, Fn&& fn) const {
+  PageId page;
+  uint32_t slot;
+  uint32_t count;
+  UnpackLocator(locator, &page, &slot, &count);
+  while (count > 0) {
+    const size_t span_pages =
+        (slot + count + kEntriesPerPage - 1) / kEntriesPerPage;
+    const size_t n = span_pages < kChunkPages ? span_pages : kChunkPages;
+    PageId ids[kChunkPages];
+    char* datas[kChunkPages];
+    for (size_t i = 0; i < n; ++i) {
+      ids[i] = page + static_cast<PageId>(i);
+    }
+    DSKS_RETURN_IF_ERROR(pool_->FetchPages(std::span<const PageId>(ids, n),
+                                           std::span<char*>(datas, n)));
+    for (size_t i = 0; i < n; ++i) {
+      for (; slot < kEntriesPerPage && count > 0; ++slot, --count) {
+        fn(ReadEntry(datas[i], slot));
+      }
+      slot = 0;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      pool_->UnpinPage(ids[i], /*dirty=*/false);
+    }
+    page += static_cast<PageId>(n);
+  }
+  return Status::Ok();
+}
 
 }  // namespace dsks
 

@@ -1,28 +1,51 @@
-// Pins the storage hot path to zero heap allocations once warm: buffer-pool
+// Pins the query hot path to zero heap allocations once warm: buffer-pool
 // hits through FetchPage and PageGuard, misses that evict, a batched
-// FetchPages, Prefetch of cold and of resident pages, and CCAM adjacency
-// reads. This binary replaces the global operator new with one that counts
-// every call; each test warms its path once (frames, page table and
-// vectors reach their high-water mark), then asserts that repeating the
-// path allocates nothing.
+// FetchPages, Prefetch of cold and of resident pages, CCAM adjacency
+// reads, B+tree MultiGet, Algorithm 2 (LoadObjects on IF and SIF) and
+// NetworkExpansion settles through the adjacency memo. This binary replaces
+// the global operator new with one that counts every call; each test warms
+// its path once (frames, page table and vectors reach their high-water
+// mark), then asserts that repeating the path allocates nothing.
 //
-// The one exception is a failed read: its Status carries a heap-allocated
-// message ("injected read fault on page N", an errno text). Failures are
-// off the hot path; FailedReadAllocatesOnlyItsStatus shows that the failed
-// frame itself goes back to the free list, so the retry allocates nothing.
+// The exceptions, each named in DESIGN.md "Hot-path memory model":
+//  * a failed read: its Status carries a heap-allocated message ("injected
+//    read fault on page N", an errno text). Failures are off the hot path;
+//    FailedReadAllocatesOnlyItsStatus shows that the failed frame itself
+//    goes back to the free list, so the retry allocates nothing;
+//  * a conjunction of more than 16 keywords: LoadObjects and MultiGet keep
+//    per-keyword slots inline up to that bound and take one heap array per
+//    slot set above it;
+//  * SIF-P's restricted position ranges (a vector per partitioned probe);
+//  * what a whole query allocates outside these paths, which
+//    WholeQueriesAllocateOnlyAtTheirBoundary measures and prints.
 //
 // check.sh runs this binary on both disk backends under every sanitizer.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "btree/bplus_tree.h"
+#include "core/div_search.h"
+#include "core/network_expansion.h"
+#include "core/query.h"
+#include "core/query_context.h"
+#include "core/sk_search.h"
 #include "datagen/network_generator.h"
+#include "datagen/presets.h"
+#include "datagen/workload.h"
 #include "graph/ccam.h"
 #include "gtest/gtest.h"
+#include "harness/database.h"
+#include "index/object_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_injector.h"
@@ -313,6 +336,248 @@ TEST(AllocFreeTest, FailedReadAllocatesOnlyItsStatus) {
   EXPECT_EQ(retry, 0u);
   EXPECT_EQ(data[0], FillByte(0));
   pool.UnpinPage(victim, /*dirty=*/false);
+}
+
+TEST(AllocFreeTest, MultiGetAllocatesNothing) {
+  TestDisk disk;
+  BufferPool pool(disk.get(), 256);
+  // Three trees of two levels, so every lookup descends an internal node.
+  PageId roots[3];
+  const size_t n = BPlusTree::LeafCapacity() * 3;
+  for (uint64_t t = 0; t < 3; ++t) {
+    std::vector<std::pair<uint64_t, uint64_t>> pairs;
+    for (uint64_t k = 0; k < n; ++k) {
+      pairs.emplace_back(k * 3 + t, k * 10 + t);
+    }
+    roots[t] = BPlusTree::BulkLoad(&pool, pairs).root();
+  }
+  std::optional<uint64_t> results[3];
+  auto lookups = [&] {
+    size_t found = 0;
+    for (uint64_t k = 0; k < n * 3; k += 7) {
+      if (!BPlusTree::MultiGet(&pool, roots, k, results).ok()) {
+        return size_t{0};
+      }
+      for (const auto& r : results) {
+        found += r.has_value() ? 1 : 0;
+      }
+    }
+    return found;
+  };
+  for (const bool prefetch : {true, false}) {
+    pool.set_prefetch_enabled(prefetch);
+    const size_t want = lookups();  // warm
+    ASSERT_GT(want, 0u);
+    size_t found = 0;
+    EXPECT_EQ(AllocationsDuring([&] { found = lookups(); }), 0u)
+        << (prefetch ? "prefetch on" : "prefetch off");
+    EXPECT_EQ(found, want);
+  }
+}
+
+/// Forwards to the wrapped index and records every probe, so a test can
+/// replay exactly the LoadObjects calls a workload's searches make.
+class RecordingIndex : public ObjectIndex {
+ public:
+  struct Probe {
+    EdgeId edge;
+    std::vector<TermId> terms;
+  };
+
+  explicit RecordingIndex(ObjectIndex* inner) : inner_(inner) {}
+
+  Status LoadObjects(EdgeId edge, std::span<const TermId> terms,
+                     std::vector<LoadedObject>* out) override {
+    probes_.push_back(Probe{edge, {terms.begin(), terms.end()}});
+    return inner_->LoadObjects(edge, terms, out);
+  }
+  uint64_t SizeBytes() const override { return inner_->SizeBytes(); }
+  std::string name() const override { return inner_->name(); }
+
+  const std::vector<Probe>& probes() const { return probes_; }
+
+ private:
+  ObjectIndex* inner_;
+  std::vector<Probe> probes_;
+};
+
+DatasetConfig AllocConfig() {
+  DatasetConfig config = ScalePreset(PresetSYN(), 0.2);
+  config.objects.keywords_per_object = 6;
+  return config;
+}
+
+Workload AllocWorkload(const Database& db) {
+  WorkloadConfig wc;
+  wc.num_queries = 16;
+  wc.num_keywords = 3;
+  wc.seed = 41;
+  Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
+  for (WorkloadQuery& wq : wl.queries) {
+    DSKS_CHECK(NormalizeSkQuery(&wq.sk).ok());
+  }
+  return wl;
+}
+
+class LoadObjectsAllocTest : public ::testing::TestWithParam<IndexKind> {};
+
+/// Algorithm 2 straight off the pinned pages: replaying every probe a
+/// workload's SK searches make allocates nothing once `out` and the pool
+/// are warm, with prefetch on and off, on a pool that holds the whole
+/// index and on an 8-frame pool where the probes miss and evict.
+TEST_P(LoadObjectsAllocTest, ReplayedProbesAllocateNothing) {
+  testing::BackendDatabase bdb(AllocConfig(), "alloc_load");
+  Database& db = *bdb;
+  IndexOptions opts;
+  opts.kind = GetParam();
+  db.BuildIndex(opts);
+  db.PrepareForQueries(1.0);
+  RecordingIndex recorder(db.index());
+  QueryContext ctx;
+  for (const WorkloadQuery& wq : AllocWorkload(db).queries) {
+    IncrementalSkSearch search(&db.ccam_graph(), &recorder, wq.sk, wq.edge,
+                               &ctx);
+    SkResult r;
+    while (search.Next(&r)) {
+    }
+    ASSERT_TRUE(search.status().ok());
+  }
+  const std::vector<RecordingIndex::Probe>& probes = recorder.probes();
+  ASSERT_GT(probes.size(), 100u);
+
+  std::vector<LoadedObject> out;
+  auto replay = [&] {
+    size_t loaded = 0;
+    for (const RecordingIndex::Probe& p : probes) {
+      if (!db.index()->LoadObjects(p.edge, p.terms, &out).ok()) {
+        return SIZE_MAX;
+      }
+      loaded += out.size();
+    }
+    return loaded;
+  };
+  for (const size_t frames : {size_t{0}, size_t{8}}) {
+    for (const bool prefetch : {true, false}) {
+      const std::string where =
+          std::string(frames == 0 ? "resident pool" : "8-frame pool") +
+          (prefetch ? ", prefetch on" : ", prefetch off");
+      if (frames == 0) {
+        db.PrepareForQueries(1.0);
+      } else {
+        db.PrepareForQueries(0.0, frames);
+      }
+      db.SetPrefetchEnabled(prefetch);
+      const size_t want = replay();  // warm
+      ASSERT_NE(want, SIZE_MAX) << where;
+      ASSERT_GT(want, 0u) << where;
+      size_t loaded = 0;
+      EXPECT_EQ(AllocationsDuring([&] { loaded = replay(); }), 0u) << where;
+      EXPECT_EQ(loaded, want) << where;
+      if (frames != 0) {
+        EXPECT_GT(db.pool()->stats().evictions, 0u) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, LoadObjectsAllocTest,
+    ::testing::Values(IndexKind::kIF, IndexKind::kSIF),
+    [](const ::testing::TestParamInfo<IndexKind>& info) {
+      return std::string(info.param == IndexKind::kIF ? "IF" : "SIF");
+    });
+
+/// Settles on a warmed context allocate nothing: a full expansion that
+/// refills the memo after a query-start reset, and one served from it.
+TEST(AllocFreeTest, MemoizedExpansionAllocatesNothing) {
+  NetworkGenConfig nc;
+  nc.num_nodes = 400;
+  nc.seed = 5;
+  const auto net = GenerateRoadNetwork(nc);
+  TestDisk disk;
+  const CcamFile file = CcamFileBuilder::Build(*net, disk.get());
+  BufferPool pool(disk.get(), disk->num_pages());
+  const CcamGraph graph(&file, &pool);
+  QueryContext ctx;
+  const QueryEdgeInfo qe = MakeQueryEdgeInfo(
+      *net, NetworkLocation{0, net->edge(0).length / 2.0});
+  auto expand = [&](ExpansionScratch* scratch) {
+    NetworkExpansion x(&graph, 1e18, scratch, &ctx);
+    x.Seed(qe.n1, qe.n2, qe.weight, qe.w1);
+    NodeId v;
+    double d;
+    while (x.Settle(&v, &d)) {
+      for (const AdjacentEdge& adj : x.adjacency()) {
+        x.Relax(adj.neighbor, d + adj.weight);
+      }
+    }
+    return x.status().ok() ? x.settles() : 0;
+  };
+  ASSERT_EQ(expand(&ctx.sk_search.expansion), net->num_nodes());  // warm
+  ASSERT_EQ(expand(&ctx.oracle.field), net->num_nodes());
+
+  uint64_t refill = 0;
+  EXPECT_EQ(AllocationsDuring([&] {
+              ctx.adjacency_memo.Reset();
+              refill = expand(&ctx.sk_search.expansion);
+            }),
+            0u);
+  EXPECT_EQ(refill, net->num_nodes());
+  const uint64_t accesses = pool.stats_snapshot().accesses();
+  uint64_t served = 0;
+  EXPECT_EQ(AllocationsDuring([&] { served = expand(&ctx.oracle.field); }),
+            0u);
+  EXPECT_EQ(served, net->num_nodes());
+  EXPECT_EQ(pool.stats_snapshot().accesses(), accesses);
+}
+
+/// What a whole warm query still allocates, with the counter above, on one
+/// reused context and a resident pool: printed for DESIGN.md "Hot-path
+/// memory model", which names every remaining call site. The bound only
+/// catches a return of per-probe or per-settle allocation (the search
+/// paths alone made hundreds per query before they were pinned above).
+TEST(AllocFreeTest, WholeQueriesAllocateOnlyAtTheirBoundary) {
+  testing::BackendDatabase bdb(AllocConfig(), "alloc_query");
+  Database& db = *bdb;
+  db.BuildIndex(IndexOptions{});
+  db.PrepareForQueries(1.0);
+  const Workload wl = AllocWorkload(db);
+  QueryContext ctx;
+  std::vector<SkResult> sk_out;
+  DivSearchOutput div_out;
+  DivQuery dq;
+  dq.k = 10;
+  dq.lambda = 0.8;
+  auto run_all = [&] {
+    bool ok = true;
+    for (const WorkloadQuery& wq : wl.queries) {
+      ok &= db.RunSkQuery(wq.sk, wq.edge, &sk_out, &ctx).ok();
+    }
+    return ok;
+  };
+  auto run_all_div = [&] {
+    bool ok = true;
+    for (const WorkloadQuery& wq : wl.queries) {
+      dq.sk = wq.sk;
+      ok &= db.RunDivQuery(dq, wq.edge, /*use_com=*/true, &div_out, &ctx).ok();
+    }
+    return ok;
+  };
+  ASSERT_TRUE(run_all());  // warm
+  ASSERT_TRUE(run_all_div());
+  bool ok = false;
+  const double q = static_cast<double>(wl.queries.size());
+  const double sk = static_cast<double>(AllocationsDuring([&] {
+                      ok = run_all();
+                    })) / q;
+  EXPECT_TRUE(ok);
+  const double div = static_cast<double>(AllocationsDuring([&] {
+                       ok = run_all_div();
+                     })) / q;
+  EXPECT_TRUE(ok);
+  std::printf("warm allocations per query: SK %.2f, div-COM %.2f\n", sk, div);
+  EXPECT_LT(sk, 10.0);
+  EXPECT_LT(div, 40.0);
 }
 
 }  // namespace

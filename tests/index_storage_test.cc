@@ -29,6 +29,15 @@ std::unique_ptr<PostingFile> BuildPostings(
   return std::make_unique<PostingFile>(pool, views, locs);
 }
 
+/// Every entry of run `loc`, in order, collected through
+/// PostingFile::ForEachEntry.
+Status ReadRun(const PostingFile& file, PostingFile::Locator loc,
+               std::vector<PostingFile::Entry>* out) {
+  out->clear();
+  return file.ForEachEntry(
+      loc, [out](const PostingFile::Entry& e) { out->push_back(e); });
+}
+
 TEST(PostingFileTest, SingleRunRoundTrip) {
   testing::TestDisk disk("posting_single");
   BufferPool pool(disk.get(), 256);
@@ -41,7 +50,7 @@ TEST(PostingFileTest, SingleRunRoundTrip) {
   EXPECT_EQ(PostingFile::RunLength(loc), 3u);
 
   std::vector<PostingFile::Entry> out;
-  ASSERT_TRUE(file->ReadRun(loc, &out).ok());
+  ASSERT_TRUE(ReadRun(*file, loc, &out).ok());
   ASSERT_EQ(out.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(out[i].object, run[i].object);
@@ -70,7 +79,7 @@ TEST(PostingFileTest, ManyRunsArePackedTightly) {
   EXPECT_EQ(disk->stats_snapshot().writes, file->num_pages());
   std::vector<PostingFile::Entry> out;
   for (size_t r = 0; r < runs.size(); ++r) {
-    ASSERT_TRUE(file->ReadRun(locs[r], &out).ok());
+    ASSERT_TRUE(ReadRun(*file, locs[r], &out).ok());
     ASSERT_EQ(out.size(), runs[r].size()) << "run " << r;
     for (size_t i = 0; i < out.size(); ++i) {
       EXPECT_EQ(out[i].object, runs[r][i].object);
@@ -97,7 +106,7 @@ TEST(PostingFileTest, RunLargerThanOnePageSpansContiguously) {
   EXPECT_EQ(file->num_pages(), 3u);
   EXPECT_EQ(disk->stats_snapshot().writes, 3u);
   std::vector<PostingFile::Entry> out;
-  ASSERT_TRUE(file->ReadRun(loc, &out).ok());
+  ASSERT_TRUE(ReadRun(*file, loc, &out).ok());
   ASSERT_EQ(out.size(), big.size());
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i].object, big[i].object);

@@ -28,11 +28,13 @@ std::vector<LoadedObject> ReferenceLoadObjects(const ObjectSet& objects,
                                                std::span<const TermId> terms) {
   const RoadNetwork& net = objects.network();
   std::vector<LoadedObject> out;
+  uint16_t pos = 0;  // rank along the edge
   for (ObjectId id : objects.ObjectsOnEdge(edge)) {
     if (objects.ObjectHasAllTerms(id, terms)) {
       out.push_back(LoadedObject{
-          id, net.WeightFromN1(edge, objects.object(id).offset)});
+          id, pos, net.WeightFromN1(edge, objects.object(id).offset)});
     }
+    ++pos;
   }
   return out;
 }
@@ -43,6 +45,7 @@ void ExpectSameLoad(const std::vector<LoadedObject>& got,
   ASSERT_EQ(got.size(), want.size()) << name << " edge " << edge;
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].id, want[i].id) << name << " edge " << edge;
+    EXPECT_EQ(got[i].pos, want[i].pos) << name << " edge " << edge;
     EXPECT_NEAR(got[i].w1, want[i].w1, 1e-9) << name << " edge " << edge;
   }
 }

@@ -55,13 +55,15 @@ for san in "${sanitizers[@]}"; do
   # reruns the same binaries against pread/pwrite + CRC sidecar, so both
   # backends face the same faults under the same sanitizer, and the index
   # builders' direct page writes meet the file too. The golden counters and
-  # index images must come out identical on both backends, and the
-  # pread/preadv miss path must allocate nothing (alloc_free_test).
+  # index images must come out identical on both backends, the
+  # pread/preadv miss path must allocate nothing (alloc_free_test), and
+  # the adjacency views into the memo arena meet a real index file
+  # (adjacency_memo_test).
   echo "=== $san sanitizer: storage + chaos suites on the file backend ==="
   for t in storage_test fault_injection_test buffer_pool_concurrency_test \
            durability_test prefetch_test golden_counters_test obs_test \
            trace_attribution_test chaos_test index_storage_test \
-           alloc_free_test; do
+           alloc_free_test adjacency_memo_test; do
     (cd "$dir" && DSKS_TEST_BACKEND=file TSAN_OPTIONS="die_after_fork=0" \
         "./tests/$t" --gtest_brief=1)
   done
