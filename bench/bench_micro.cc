@@ -235,10 +235,13 @@ void BM_SkSearchQuery(benchmark::State& state) {
   wc.num_keywords = 3;
   wc.seed = 7;
   const Workload wl = GenerateWorkload(*w.objects, stats, wc);
+  // One reused context, as every executor worker keeps.
+  QueryContext ctx;
   size_t i = 0;
   for (auto _ : state) {
     const WorkloadQuery& wq = wl.queries[i++ % wl.queries.size()];
-    IncrementalSkSearch search(w.graph.get(), w.index.get(), wq.sk, wq.edge);
+    IncrementalSkSearch search(w.graph.get(), w.index.get(), wq.sk, wq.edge,
+                               &ctx);
     SkResult r;
     size_t count = 0;
     while (search.Next(&r)) {

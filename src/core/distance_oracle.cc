@@ -243,7 +243,7 @@ bool PairwiseDistanceOracle::TrySharedExact(const SkResult& a,
     }
   }
 
-  double exact = *best;  // the radius cap and same-edge path are exact
+  double exact = *best;  // the cap and the two paths known without a field
   double lb = kInfDistance;
   auto probe = [&](NodeId n, double off) {
     const double dqn = shared_.SettledDistance(n);
@@ -292,7 +292,11 @@ double PairwiseDistanceOracle::Distance(const SkResult& a_in,
   }
   ++stats_.pairs_evaluated;
 
-  double best = radius_;
+  // The walk through q is a path too. Starting from it keeps Distance()
+  // at or below DistanceUpperBound() bit for bit: the expansions reach the
+  // same path by summing its edge weights in another order, which can
+  // land one ulp above δ(q,a) + δ(q,b).
+  double best = std::min(radius_, a.dist + b.dist);
   if (a.edge == b.edge) {
     best = std::min(best, std::abs(a.w1 - b.w1));
   }
@@ -319,8 +323,9 @@ double PairwiseDistanceOracle::DistanceUpperBound(const SkResult& a,
     return 0.0;
   }
   // δ(a,b) ≤ δ(q,a) + δ(q,b) (a walk through the query location), and
-  // Distance() never returns more than the radius cap. Both candidates are
-  // also in Distance()'s own minimization, so ub >= exact always holds.
+  // Distance() never returns more than the radius cap. Distance() starts
+  // its own minimization from these same candidates, so ub >= exact holds
+  // bit for bit.
   double ub = std::min(radius_, a.dist + b.dist);
   if (a.edge == b.edge) {
     ub = std::min(ub, std::abs(a.w1 - b.w1));

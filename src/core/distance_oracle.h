@@ -121,8 +121,9 @@ class PairwiseDistanceOracle {
   void BuildSharedField();
 
   /// Attempts to answer δ(a,b) (a canonical) exactly from the shared
-  /// field. `best` holds the already-exact candidates (radius cap and the
-  /// same-edge direct path) on entry and the answer on a true return.
+  /// field. `best` holds the candidates that need no field (radius cap,
+  /// the walk through q and the same-edge direct path) on entry and the
+  /// answer on a true return.
   bool TrySharedExact(const SkResult& a, const SkResult& b, double* best);
 
   /// True iff local settle index `anc` is an ancestor of `node` in the

@@ -29,28 +29,6 @@ ThetaFn MakeThetaUbFn(const Objective* objective,
   };
 }
 
-/// Deterministic stand-in for Algorithm 1's "arbitrary" odd-k filler: the
-/// closest unselected candidate.
-void AddOddExtra(const std::vector<SkResult>& pool,
-                 std::vector<SkResult>* selected) {
-  const SkResult* best = nullptr;
-  for (const SkResult& r : pool) {
-    const bool taken =
-        std::any_of(selected->begin(), selected->end(),
-                    [&r](const SkResult& s) { return s.id == r.id; });
-    if (taken) {
-      continue;
-    }
-    if (best == nullptr || r.dist < best->dist ||
-        (r.dist == best->dist && r.id < best->id)) {
-      best = &r;
-    }
-  }
-  if (best != nullptr) {
-    selected->push_back(*best);
-  }
-}
-
 void FillOracleStats(const PairwiseDistanceOracle& oracle,
                      DivSearchStats* stats) {
   stats->distance_fields = oracle.fields_computed();
@@ -265,16 +243,15 @@ DivSearchOutput DiversifiedSearchCOM(IncrementalSkSearch* search,
       out.selected.push_back(actives.at(id));
     }
     if (query.k % 2 == 1) {
-      std::vector<SkResult> pool;
-      pool.reserve(actives.size());
+      const SkResult* extra = nullptr;
       for (const auto& [id, r] : actives) {
-        pool.push_back(r);
+        if (!cp.IsCore(id)) {
+          extra = ClosestToQuery(extra, r);
+        }
       }
-      std::sort(pool.begin(), pool.end(), [](const SkResult& a,
-                                             const SkResult& b) {
-        return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
-      });
-      AddOddExtra(pool, &out.selected);
+      if (extra != nullptr) {
+        out.selected.push_back(*extra);
+      }
     }
     out.objective = EvaluateObjective(objective, oracle, out.selected);
   }

@@ -23,6 +23,14 @@ bool ScoredPair::Better(const ScoredPair& other) const {
   return b < other.b;
 }
 
+const SkResult* ClosestToQuery(const SkResult* best, const SkResult& r) {
+  if (best == nullptr || r.dist < best->dist ||
+      (r.dist == best->dist && r.id < best->id)) {
+    return &r;
+  }
+  return best;
+}
+
 GreedyDivResult GreedyDiversify(const std::vector<SkResult>& candidates,
                                 size_t k, const ThetaFn& theta,
                                 const ThetaFn* theta_ub) {
@@ -76,20 +84,16 @@ GreedyDivResult GreedyDiversify(const std::vector<SkResult>& candidates,
     }
   }
 
-  // Odd k: add one more object from the remainder (Algorithm 1 line 5;
-  // "arbitrary" resolved deterministically as the closest remaining one).
+  // Odd k: one more object from the remainder (Algorithm 1 line 5).
   if (n > k && result.selected.size() < k) {
-    size_t best = n;
+    const SkResult* extra = nullptr;
     for (size_t i = 0; i < n; ++i) {
-      if (used[i]) continue;
-      if (best == n || candidates[i].dist < candidates[best].dist ||
-          (candidates[i].dist == candidates[best].dist &&
-           candidates[i].id < candidates[best].id)) {
-        best = i;
+      if (!used[i]) {
+        extra = ClosestToQuery(extra, candidates[i]);
       }
     }
-    if (best < n) {
-      result.selected.push_back(candidates[best]);
+    if (extra != nullptr) {
+      result.selected.push_back(*extra);
     }
   }
   return result;

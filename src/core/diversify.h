@@ -35,9 +35,16 @@ struct GreedyDivResult {
   /// fewer if not enough objects).
   std::vector<ScoredPair> pairs;
   /// The selected objects: the pairs' members plus, for odd k, one extra
-  /// object (the remaining object with the smallest δ(q, o)).
+  /// object (ClosestToQuery over the remaining ones).
   std::vector<SkResult> selected;
 };
+
+/// Algorithm 1 line 5: for odd k, one more object joins the pairs'
+/// members. The paper leaves it arbitrary; here it is the remaining object
+/// closest to q, ties broken by id, so SEQ and COM pick the same one.
+/// Returns whichever of `best` (null: none yet) and `r` comes first in
+/// that order: fold it over the remaining objects.
+const SkResult* ClosestToQuery(const SkResult* best, const SkResult& r);
 
 /// Algorithm 1: repeatedly pick the remaining pair with the largest
 /// diversification distance; each object joins at most one pair. A

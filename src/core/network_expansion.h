@@ -14,10 +14,10 @@ namespace dsks {
 
 /// The one network-expansion primitive under every search: a
 /// radius-bounded Dijkstra over the CCAM file that settles one node at a
-/// time (the expansion of Algorithm 3). INE, the distance oracle's shared
-/// pass and per-object fields, the ranked search and the Euclidean
-/// baseline's refine step all run it; each keeps only its own relax loop
-/// over adjacency() and its per-settle work.
+/// time (the expansion of Algorithm 3). INE (under the SK, kNN, ranked and
+/// diversified searches), the distance oracle's shared pass and per-object
+/// fields and the Euclidean baseline's refine step all run it; each keeps
+/// only its own relax loop over adjacency() and its per-settle work.
 ///
 /// The expansion owns the state (in an ExpansionScratch), the settle
 /// counter, and two duties every kPollInterval settles: the context's

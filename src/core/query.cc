@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace dsks {
 
@@ -28,8 +29,9 @@ Status NormalizeSkQuery(SkQuery* query) {
 
 Status NormalizeDivQuery(DivQuery* query) {
   DSKS_RETURN_IF_ERROR(NormalizeSkQuery(&query->sk));
-  if (query->k == 0) {
-    return Status::InvalidArgument("diversified query needs k >= 1");
+  if (query->k == 0 || query->k > kMaxDivK) {
+    return Status::InvalidArgument("diversified query needs k in [1, " +
+                                   std::to_string(kMaxDivK) + "]");
   }
   if (!std::isfinite(query->lambda) || query->lambda < 0.0 ||
       query->lambda > 1.0) {

@@ -1,6 +1,7 @@
 #ifndef DSKS_CORE_QUERY_H_
 #define DSKS_CORE_QUERY_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "common/status.h"
@@ -39,8 +40,14 @@ struct DivQuery {
 /// doesn't).
 Status NormalizeSkQuery(SkQuery* query);
 
-/// NormalizeSkQuery plus the diversified knobs: k >= 1 and lambda in
-/// [0, 1].
+/// The largest k a diversified query may ask for. Above it the pairwise
+/// work grows as k² (EvaluateObjective alone holds a k × k matrix) for
+/// answers no client reads: the query service lists at most 1024 objects
+/// by default, and the paper and every in-tree caller use k <= 20.
+inline constexpr size_t kMaxDivK = 1024;
+
+/// NormalizeSkQuery plus the diversified knobs: k in [1, kMaxDivK] and
+/// lambda in [0, 1].
 Status NormalizeDivQuery(DivQuery* query);
 
 /// An object produced by the SK search, with everything downstream

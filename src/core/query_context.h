@@ -36,10 +36,10 @@ struct ExpansionScratch {
 /// [begin, begin + count) of one flat arena.
 ///
 /// Reset by whatever starts a query on the context, and nowhere else: the
-/// IncrementalSkSearch constructor, RankedSkSearch and
-/// EuclideanFilterRefine before they seed, and a PairwiseDistanceOracle
-/// constructed while no SK search is live. A failed or cancelled fetch
-/// leaves no entry.
+/// IncrementalSkSearch constructor (under the SK, kNN, ranked and
+/// diversified searches alike), EuclideanFilterRefine before it seeds, and
+/// a PairwiseDistanceOracle constructed while no SK search is live. A
+/// failed or cancelled fetch leaves no entry.
 struct AdjacencyMemo {
   struct Slice {
     uint32_t begin = 0;
@@ -77,11 +77,11 @@ struct LoadedEdgeSlot {
   std::vector<LoadedObject> objects;
 };
 
-/// Scratch for the query's own expansion from q — one IncrementalSkSearch,
-/// RankedSkSearch or EuclideanFilterRefine at a time. Everything here is
-/// reset-not-freed between queries: epoch arrays invalidate in O(1), flat
-/// maps and heaps clear without releasing their backing storage, and the
-/// edge pool recycles its per-edge object vectors.
+/// Scratch for the query's own expansion from q — one IncrementalSkSearch
+/// or EuclideanFilterRefine at a time. Everything here is reset-not-freed
+/// between queries: epoch arrays invalidate in O(1), flat maps and heaps
+/// clear without releasing their backing storage, and the edge pool
+/// recycles its per-edge object vectors.
 struct SkSearchScratch {
   ExpansionScratch expansion;
   ReusableMinHeap<std::pair<double, uint32_t>> object_heap;
@@ -89,6 +89,12 @@ struct SkSearchScratch {
   std::vector<LoadedEdgeSlot> edge_pool;    // [0, edge_pool_used) are live
   size_t edge_pool_used = 0;
   FlatHashMap<ObjectId, SkObjectState> object_state;
+
+  // The ranked search's OR view of the index: one keyword's probe on its
+  // way into the union, and how many query keywords each loaded object
+  // matched.
+  std::vector<LoadedObject> keyword_objects;
+  FlatHashMap<ObjectId, uint32_t> matched;
 };
 
 /// Scratch for one PairwiseDistanceOracle. Holds the shared-expansion

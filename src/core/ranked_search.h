@@ -21,10 +21,10 @@ namespace dsks {
 ///     score(o) = α · δ(q,o)/δmax + (1-α) · (1 − |q.T ∩ o.T| / |q.T|)
 ///
 /// (lower is better), and the k best-scored objects within δmax are
-/// returned. Implemented on the same NetworkExpansion as Algorithm 3 with
-/// threshold termination: objects arrive by network distance, so once
-/// α·δ/δmax of the expansion frontier exceeds the k-th best score no
-/// unseen object can improve the result.
+/// returned. Implemented as a client of Algorithm 3 (IncrementalSkSearch)
+/// over an OR view of the index, with threshold termination: objects
+/// arrive by network distance, so once α·δ/δmax of the expansion frontier
+/// exceeds the k-th best score no unseen object can improve the result.
 struct RankedQuery {
   SkQuery sk;  // terms under OR semantics here
   size_t k = 10;
@@ -46,10 +46,12 @@ struct RankedSearchStats {
 };
 
 /// Runs the ranked query; `*out` holds the results sorted by (score, id).
-/// On a storage error or cancellation `*out` is left empty and `*stats`
-/// (when given) still accounts the work done before it. `ctx` supplies
-/// the expansion scratch, the deadline and the trace, as for
-/// IncrementalSkSearch (nullptr: a private context).
+/// The query's terms must be normalized (sorted and distinct, as
+/// NormalizeSkQuery leaves them; every Database query has them so), like
+/// any IncrementalSkSearch's. On a storage error or cancellation `*out` is
+/// left empty and `*stats` (when given) still accounts the work done
+/// before it. `ctx` supplies the search scratch, the deadline and the
+/// trace, as for IncrementalSkSearch (nullptr: a private context).
 Status RankedSkSearch(const CcamGraph* graph, ObjectIndex* index,
                       const RankedQuery& query,
                       const QueryEdgeInfo& query_edge,

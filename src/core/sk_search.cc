@@ -133,10 +133,15 @@ void IncrementalSkSearch::ProcessEdge(EdgeId e, double w, NodeId v, NodeId nb,
 }
 
 bool IncrementalSkSearch::ExpandOneNode() {
+  if (!status_.ok()) {
+    return false;
+  }
   obs::ScopedSpan span(ctx_->trace, obs::Phase::kNetworkExpansion);
   NodeId v;
   double d;
-  expansion_.Settle(&v, &d);
+  if (!expansion_.Settle(&v, &d)) {
+    return false;  // exhausted
+  }
   if (!expansion_.status().ok()) {
     status_ = expansion_.status();
     return false;
@@ -163,35 +168,9 @@ bool IncrementalSkSearch::Next(SkResult* out) {
   }
   while (true) {
     const double delta_t = expansion_.Frontier();
-
-    // Emit the closest finalized object, if any.
-    while (!s_->object_heap.empty()) {
-      const auto [d, id] = s_->object_heap.top();
-      SkObjectState* st = s_->object_state.find(id);
-      DSKS_DCHECK(st != nullptr);
-      if (st->emitted || d != st->best) {
-        s_->object_heap.pop();  // stale or duplicate entry
-        continue;
-      }
-      if (d > delta_t) {
-        break;  // might still improve through an unsettled node
-      }
-      s_->object_heap.pop();
-      st->emitted = true;
-      if (d > delta_max_) {
-        continue;  // final but outside the search range
-      }
-      ++stats_.objects_emitted;
-      out->id = id;
-      out->edge = st->edge;
-      out->n1 = st->n1;
-      out->n2 = st->n2;
-      out->w1 = st->w1;
-      out->edge_weight = st->edge_weight;
-      out->dist = d;
+    if (PopFinalizedWithin(delta_t, out)) {
       return true;
     }
-
     if (delta_t == kInfDistance) {
       return false;  // nothing settleable left and all objects flushed
     }

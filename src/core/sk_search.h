@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/status.h"
 #include "core/network_expansion.h"
 #include "core/query.h"
@@ -66,8 +67,29 @@ class IncrementalSkSearch {
   /// δ(q, o) <= δmax. Returns false when the search is exhausted, was
   /// terminated, or hit a storage error — callers distinguish the last
   /// case by checking status() after the final Next() (sticky-status
-  /// iterator pattern).
+  /// iterator pattern). One deadline poll, then PopFinalized() and
+  /// ExpandOneNode() in turn until an object is final.
   bool Next(SkResult* out);
+
+  /// The two steps of Next(), for a caller that decides between them
+  /// itself (the ranked search tests its threshold before each settle).
+  ///
+  /// Emits the closest object whose distance is final — at most
+  /// Frontier(), so no unsettled node can improve it — skipping final
+  /// objects beyond δmax. Never expands; false when no object is final.
+  bool PopFinalized(SkResult* out) {
+    return PopFinalizedWithin(expansion_.Frontier(), out);
+  }
+
+  /// δT: the distance of the node ExpandOneNode() settles next, a lower
+  /// bound on the distance of every object not yet emitted; kInfDistance
+  /// once the expansion is exhausted.
+  double Frontier() { return expansion_.Frontier(); }
+
+  /// Settles one node and applies the objects of its adjacent edges.
+  /// Returns false when the expansion is exhausted, and on a storage error
+  /// or cancellation (see status()).
+  bool ExpandOneNode();
 
   /// Stops the search early: subsequent Next() calls return false and no
   /// further I/O happens. Used by the diversity pruning of Algorithm 6.
@@ -102,9 +124,11 @@ class IncrementalSkSearch {
   /// Grabs a recycled edge slot from the scratch pool.
   uint32_t AllocEdgeSlot();
 
-  /// Settles the next node (the frontier must be finite) and processes
-  /// its adjacency. Returns false on a storage error or cancellation.
-  bool ExpandOneNode();
+  /// PopFinalized() against the frontier `delta_t`, already evaluated.
+  /// Defined below, in the header, so that Next() can inline it: called
+  /// out of line once per turn, Next() lost 15 of 20 pinned
+  /// BM_SkSearchQuery pairs against the inlined loop.
+  bool PopFinalizedWithin(double delta_t, SkResult* out);
 
   ObjectIndex* index_;
   const double delta_max_;
@@ -119,6 +143,37 @@ class IncrementalSkSearch {
   Status status_;
   Stats stats_;
 };
+
+inline bool IncrementalSkSearch::PopFinalizedWithin(double delta_t,
+                                                    SkResult* out) {
+  while (!s_->object_heap.empty()) {
+    const auto [d, id] = s_->object_heap.top();
+    SkObjectState* st = s_->object_state.find(id);
+    DSKS_DCHECK(st != nullptr);
+    if (st->emitted || d != st->best) {
+      s_->object_heap.pop();  // stale or duplicate entry
+      continue;
+    }
+    if (d > delta_t) {
+      return false;  // might still improve through an unsettled node
+    }
+    s_->object_heap.pop();
+    st->emitted = true;
+    if (d > delta_max_) {
+      continue;  // final but outside the search range
+    }
+    ++stats_.objects_emitted;
+    out->id = id;
+    out->edge = st->edge;
+    out->n1 = st->n1;
+    out->n2 = st->n2;
+    out->w1 = st->w1;
+    out->edge_weight = st->edge_weight;
+    out->dist = d;
+    return true;
+  }
+  return false;
+}
 
 }  // namespace dsks
 

@@ -69,17 +69,6 @@ class ObjectIndex {
   virtual Status LoadObjects(EdgeId edge, std::span<const TermId> terms,
                              std::vector<LoadedObject>* out) = 0;
 
-  /// OR-semantics variant used by the ranked search: objects containing
-  /// *at least one* term, with `matched` = how many of the query terms
-  /// each contains. Default implementation loads per-term and unions.
-  struct LoadedObjectUnion {
-    ObjectId id = kInvalidObjectId;
-    double w1 = 0.0;
-    uint32_t matched = 0;
-  };
-  virtual Status LoadObjectsUnion(EdgeId edge, std::span<const TermId> terms,
-                                  std::vector<LoadedObjectUnion>* out);
-
   /// Total size of the disk-resident part plus in-memory summaries
   /// (signatures, directories), for the Fig. 6(c) index-size comparison.
   virtual uint64_t SizeBytes() const = 0;

@@ -299,6 +299,9 @@ TEST_F(ValidationTest, DivQueryValidatesKAndLambda) {
   DivSearchOutput out;
   EXPECT_TRUE(db_->RunDivQuery(dq, wl_.queries[0].edge, /*use_com=*/true, &out)
                   .IsInvalidArgument());
+  dq.k = kMaxDivK + 1;
+  EXPECT_TRUE(db_->RunDivQuery(dq, wl_.queries[0].edge, /*use_com=*/true, &out)
+                  .IsInvalidArgument());
   dq.k = 4;
   dq.lambda = 1.5;
   EXPECT_TRUE(db_->RunDivQuery(dq, wl_.queries[0].edge, /*use_com=*/true, &out)

@@ -104,7 +104,18 @@ INSTANTIATE_TEST_SUITE_P(
                       DivSweep{63, 10, 0.9, 2000.0, 0},
                       DivSweep{64, 2, 0.7, 900.0, 2},
                       DivSweep{65, 8, 0.6, 2500.0, 0},
-                      DivSweep{66, 10, 0.8, 4000.0, 1}));
+                      DivSweep{66, 10, 0.8, 4000.0, 1},
+                      // Odd k: the extra object of Algorithm 1 line 5.
+                      DivSweep{67, 5, 0.8, 1500.0, 0},
+                      DivSweep{68, 7, 0.6, 2500.0, 1},
+                      DivSweep{69, 3, 0.9, 1200.0, 0},
+                      // λ = 0.5: every pair whose shortest path runs
+                      // through q ties at θ = 0.5, so the last bit of
+                      // each distance decides the greedy order.
+                      DivSweep{70, 9, 0.5, 4000.0, 2},
+                      DivSweep{71, 6, 0.5, 4000.0, 1},
+                      DivSweep{72, 4, 0.5, 2500.0, 0},
+                      DivSweep{74, 11, 0.5, 4000.0, 0}));
 
 TEST(DivSearchTest, FewerCandidatesThanKReturnsAll) {
   DivFixture fx(71);
@@ -399,6 +410,11 @@ TEST(SharedExpansionOracleTest, MatchesPerObjectOracleAndFloydWarshall) {
               << "seed " << seed << " round " << round << " pair " << i << ","
               << j;
           ASSERT_NEAR(got_shared, got_per_object, 1e-9);
+          // The θ-bound skips rely on this bit for bit.
+          EXPECT_GE(shared.DistanceUpperBound(results[i], results[j]),
+                    got_shared);
+          EXPECT_GE(per_object.DistanceUpperBound(results[i], results[j]),
+                    got_per_object);
         }
       }
       // The whole point of the shared pass: fewer per-object expansions.

@@ -278,6 +278,8 @@ TEST_F(ServerTest, ServiceRejectsMalformedRequestsBeforeAdmission) {
       "{\"op\":\"div\",\"terms\":[1],\"edge\":0,\"offset\":0,\"delta\":1,"
       "\"k\":1e300}",                                   // k past size_t
       "{\"op\":\"div\",\"terms\":[1],\"edge\":0,\"offset\":0,\"delta\":1,"
+      "\"k\":1000000}",                                 // k past kMaxDivK
+      "{\"op\":\"div\",\"terms\":[1],\"edge\":0,\"offset\":0,\"delta\":1,"
       "\"lambda\":2}",                                  // bad lambda
   };
   Collector col;

@@ -195,6 +195,54 @@ TEST(SkSearchTest, ExpansionIsBoundedByDeltaMax) {
   EXPECT_LT(small_nodes, fx.data.network->num_nodes());
 }
 
+/// Next()'s two steps driven by hand, as the ranked search drives them,
+/// give Next()'s stream and settle count; once the expansion is exhausted
+/// ExpandOneNode() returns false rather than relaxing a stale adjacency.
+TEST(SkSearchTest, StepsReproduceNextAndStopWhenExhausted) {
+  SearchFixture fx(307);
+  SkQuery query;
+  query.loc = testing::LocationOfObject(*fx.data.objects, 5);
+  query.terms = {0};
+  query.delta_max = 1500.0;
+  std::vector<SkResult> want;
+  uint64_t want_settles = 0;
+  {
+    auto search = fx.MakeSearch(query);
+    SkResult r;
+    while (search.Next(&r)) {
+      want.push_back(r);
+    }
+    ASSERT_TRUE(search.status().ok());
+    want_settles = search.stats().nodes_settled;
+  }
+  ASSERT_FALSE(want.empty());
+
+  auto search = fx.MakeSearch(query);
+  std::vector<SkResult> got;
+  SkResult r;
+  // A node settles at most once, so more turns than nodes means
+  // ExpandOneNode() never reported the end.
+  const size_t max_turns = fx.data.network->num_nodes() + 1;
+  size_t turns = 0;
+  do {
+    while (search.PopFinalized(&r)) {
+      EXPECT_LE(r.dist, search.Frontier());
+      got.push_back(r);
+    }
+  } while (search.ExpandOneNode() && ++turns < max_turns);
+  ASSERT_LT(turns, max_turns);
+  EXPECT_TRUE(search.status().ok());
+  EXPECT_EQ(search.Frontier(), kInfDistance);
+  EXPECT_FALSE(search.ExpandOneNode());
+  EXPECT_FALSE(search.PopFinalized(&r));
+  EXPECT_EQ(search.stats().nodes_settled, want_settles);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << i;
+    EXPECT_EQ(got[i].dist, want[i].dist) << i;
+  }
+}
+
 /// The settle that finds the deadline expired still returns its node, with
 /// no adjacency and a non-OK status; only the next Settle() stops. The
 /// oracle's shared pass relies on this to give every settled node its

@@ -207,8 +207,9 @@ EOF
   echo "=== chaos smoke: OK ==="
 
   # Server smoke: start the query server with every query traced, run one
-  # valid query, one malformed line and one query with a term outside the
-  # vocabulary over the socket, scrape the shared-listener observability
+  # valid query, one malformed line, one div request with k above the cap
+  # and one query with a term outside the vocabulary over one socket (the
+  # last must still be answered), scrape the shared-listener observability
   # routes while it still serves — nothing drains its executor, so /varz
   # must show the served queries live — then
   # stop it with SIGTERM and expect a clean summary. Then an overload
@@ -251,6 +252,12 @@ s.sendall(b"this is not json\n")
 resp = json.loads(f.readline())
 if resp.get("status") != "INVALID_ARGUMENT":
     sys.exit(f"server smoke: malformed line answered {resp}")
+# ...and so does a div request above the k cap, before any work is done...
+s.sendall(b'{"op":"div","terms":[1,2],"edge":0,"offset":0,'
+          b'"delta":1000,"k":1000000}\n')
+resp = json.loads(f.readline())
+if resp.get("status") != "INVALID_ARGUMENT":
+    sys.exit(f"server smoke: k past the cap answered {resp}")
 # ...and a term no object carries answers an empty result, still in-band.
 s.sendall(b'{"op":"sk","terms":[1,4000000000],"edge":0,"offset":0,'
           b'"delta":1000}\n')
@@ -260,12 +267,12 @@ if not line:
 resp = json.loads(line)
 if resp.get("status") != "OK" or resp.get("count") != 0:
     sys.exit(f"server smoke: unknown term answered {resp}")
-print("server smoke: query OK, malformed line rejected in-band, "
-      "unknown term answered empty")
+print("server smoke: query OK, malformed line and k past the cap "
+      "rejected in-band, unknown term answered empty")
 EOF
   # A worker records its query just after the response goes out, so poll
   # (bounded) until /varz carries the two admitted queries; the malformed
-  # line never reaches the executor.
+  # line and the k past the cap never reach the executor.
   varz_ok=0
   for _ in $(seq 1 50); do
     if curl -fsS "http://127.0.0.1:$serve_port/varz" \
