@@ -163,11 +163,14 @@ void Database::BindMetrics(obs::MetricsRegistry* registry,
   // Pages neither in the CCAM extent nor the current index: 0 unless the
   // rebuild-reclaim path regresses, in which case this gauge is how the
   // leak becomes visible.
-  registry->BindSource(prefix + ".disk.leaked_pages", [this] {
-    const size_t live = index_base_pages_ + index_pages_;
-    const size_t total = disk_.num_pages();
-    return static_cast<uint64_t>(total > live ? total - live : 0);
-  });
+  registry->BindSource(
+      prefix + ".disk.leaked_pages",
+      [this] {
+        const size_t live = index_base_pages_ + index_pages_;
+        const size_t total = disk_.num_pages();
+        return static_cast<uint64_t>(total > live ? total - live : 0);
+      },
+      obs::MetricsRegistry::SourceKind::kGauge);
 }
 
 void Database::UnbindMetrics(obs::MetricsRegistry* registry,

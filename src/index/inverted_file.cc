@@ -27,56 +27,84 @@ InvertedFileIndex::InvertedFileIndex(BufferPool* pool,
     edge_zcode_[e] = ZOrder::Encode(net.EdgeCenter(e));
   }
 
-  // Collect per-term posting runs. Iterating edges in id order and objects
-  // in position order makes each run sorted by position for free.
-  struct Run {
-    EdgeId edge;
-    std::vector<PostingFile::Entry> entries;
-  };
-  std::vector<std::vector<Run>> term_runs(vocab_size);
-  posting_count_.assign(vocab_size, 0);
-  for (EdgeId e = 0; e < net.num_edges(); ++e) {
-    uint16_t pos = 0;
-    for (ObjectId id : objects.ObjectsOnEdge(e)) {
-      const SpatioTextualObject& obj = objects.object(id);
-      const double w1 = net.WeightFromN1(e, obj.offset);
-      for (TermId t : obj.terms) {
-        auto& runs = term_runs[t];
-        if (runs.empty() || runs.back().edge != e) {
-          runs.push_back(Run{e, {}});
+  // Every posting, handed to `fn(term, edge, entry)` edge by edge in id
+  // order and, on an edge, object by object in position order: a
+  // keyword's postings on one edge arrive back to back, sorted by position.
+  auto for_each_posting = [&](auto&& fn) {
+    for (EdgeId e = 0; e < net.num_edges(); ++e) {
+      uint16_t pos = 0;
+      for (ObjectId id : objects.ObjectsOnEdge(e)) {
+        const SpatioTextualObject& obj = objects.object(id);
+        const double w1 = net.WeightFromN1(e, obj.offset);
+        for (TermId t : obj.terms) {
+          fn(t, e, PostingFile::Entry{id, pos, w1});
         }
-        runs.back().entries.push_back(PostingFile::Entry{id, pos, w1});
-        ++posting_count_[t];
+        ++pos;
       }
-      ++pos;
     }
+  };
+
+  // A counting sort into one keyword-major entry array, cut into runs by
+  // one length per (keyword, edge) run. First count each keyword's
+  // postings and runs; their prefix sums are the keyword's slices.
+  posting_count_.assign(vocab_size, 0);
+  std::vector<uint32_t> run_count(vocab_size, 0);
+  std::vector<EdgeId> last_edge(vocab_size, kInvalidEdgeId);
+  for_each_posting([&](TermId t, EdgeId e, const PostingFile::Entry&) {
+    ++posting_count_[t];
+    if (last_edge[t] != e) {
+      last_edge[t] = e;
+      ++run_count[t];
+    }
+  });
+  std::vector<size_t> next_entry(vocab_size);
+  std::vector<size_t> next_run(vocab_size);
+  size_t num_entries = 0;
+  size_t num_runs = 0;
+  for (TermId t = 0; t < vocab_size; ++t) {
+    next_entry[t] = num_entries;
+    next_run[t] = num_runs;
+    num_entries += posting_count_[t];
+    num_runs += run_count[t];
   }
+  // Then place each posting in its keyword's slice; a keyword's run ends
+  // where the walk moves it to another edge, never at another keyword's
+  // run on the same edge.
+  std::vector<PostingFile::Entry> entries(num_entries);
+  std::vector<uint32_t> run_length(num_runs, 0);
+  std::fill(last_edge.begin(), last_edge.end(), kInvalidEdgeId);
+  for_each_posting([&](TermId t, EdgeId e, const PostingFile::Entry& entry) {
+    if (last_edge[t] != e) {
+      last_edge[t] = e;
+      ++next_run[t];
+    }
+    ++run_length[next_run[t] - 1];
+    entries[next_entry[t]++] = entry;
+  });
 
   // Phase 1: write every posting run, in keyword order, in one call (a
   // run's pages must be contiguous, so nothing else allocates meanwhile).
-  std::vector<std::span<const PostingFile::Entry>> runs;
-  for (const std::vector<Run>& term : term_runs) {
-    for (const Run& run : term) {
-      runs.emplace_back(run.entries);
-    }
-  }
   std::vector<PostingFile::Locator> locators;
-  postings_ = std::make_unique<PostingFile>(pool_, runs, &locators);
+  postings_ =
+      std::make_unique<PostingFile>(pool_, entries, run_length, &locators);
 
   // Phase 2: one B+tree per keyword mapping edge keys to run locators,
-  // bulk loaded from the keyword's sorted edge-key list.
+  // bulk loaded from the keyword's sorted edge-key list. A run's edge is
+  // its first object's.
   term_roots_.assign(vocab_size, kInvalidPageId);
   std::vector<std::pair<uint64_t, uint64_t>> pairs;
-  size_t next_run = 0;
+  size_t run = 0;
+  size_t first = 0;  // the run's first entry
   for (TermId t = 0; t < vocab_size; ++t) {
-    if (term_runs[t].empty()) {
+    if (run_count[t] == 0) {
       continue;
     }
     pairs.clear();
-    pairs.reserve(term_runs[t].size());
-    for (const Run& run : term_runs[t]) {
-      pairs.emplace_back(EdgeKey(edge_zcode_[run.edge], run.edge),
-                         locators[next_run++]);
+    pairs.reserve(run_count[t]);
+    for (const size_t end = run + run_count[t]; run < end; ++run) {
+      const EdgeId edge = objects.object(entries[first].object).edge;
+      pairs.emplace_back(EdgeKey(edge_zcode_[edge], edge), locators[run]);
+      first += run_length[run];
     }
     std::sort(pairs.begin(), pairs.end());
     BPlusTree tree = BPlusTree::BulkLoad(pool_, pairs);

@@ -11,7 +11,17 @@ InvertedRTreeIndex::InvertedRTreeIndex(BufferPool* pool,
                                        size_t vocab_size)
     : pool_(pool), objects_meta_(&objects) {
   // Group object points by keyword, then bulk load one R-tree per keyword.
+  // Each keyword's list is sized exactly from a counting pass.
+  std::vector<size_t> term_count(vocab_size, 0);
+  for (const auto& obj : objects.objects()) {
+    for (TermId t : obj.terms) {
+      ++term_count[t];
+    }
+  }
   std::vector<std::vector<RTree::Entry>> per_term(vocab_size);
+  for (TermId t = 0; t < vocab_size; ++t) {
+    per_term[t].reserve(term_count[t]);
+  }
   for (const auto& obj : objects.objects()) {
     for (TermId t : obj.terms) {
       per_term[t].push_back(RTree::Entry{Mbr::FromPoint(obj.loc), obj.id});

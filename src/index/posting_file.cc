@@ -7,8 +7,8 @@
 
 namespace dsks {
 
-PostingFile::PostingFile(BufferPool* pool,
-                         std::span<const std::span<const Entry>> runs,
+PostingFile::PostingFile(BufferPool* pool, std::span<const Entry> entries,
+                         std::span<const uint32_t> run_lengths,
                          std::vector<Locator>* locators)
     : pool_(pool) {
   DiskManager* disk = pool->disk();
@@ -31,10 +31,15 @@ PostingFile::PostingFile(BufferPool* pool,
     slot = 0;
   };
   locators->clear();
-  locators->reserve(runs.size());
-  for (const std::span<const Entry> run : runs) {
-    DSKS_CHECK_MSG(run.size() <= 0xFFFF, "posting run too long");
-    DSKS_CHECK_MSG(!run.empty(), "empty posting run");
+  locators->reserve(run_lengths.size());
+  size_t next = 0;  // first entry of the next run
+  for (const uint32_t length : run_lengths) {
+    DSKS_CHECK_MSG(length <= 0xFFFF, "posting run too long");
+    DSKS_CHECK_MSG(length > 0, "empty posting run");
+    DSKS_CHECK_MSG(length <= entries.size() - next,
+                   "posting runs longer than their entries");
+    const std::span<const Entry> run = entries.subspan(next, length);
+    next += length;
     // A run must occupy consecutive page ids (the locator only records
     // where it starts): one that does not fit the tail's remainder starts
     // on a fresh page.
@@ -53,6 +58,7 @@ PostingFile::PostingFile(BufferPool* pool,
       ++num_entries_;
     }
   }
+  DSKS_CHECK_MSG(next == entries.size(), "posting entries outside every run");
   if (tail != kInvalidPageId) {
     write_tail();
   }

@@ -34,14 +34,17 @@ class PostingFile {
   /// Opaque run locator: packs (first page, first slot, entry count).
   using Locator = uint64_t;
 
-  /// Writes every run of `runs` (each 1 to 65535 entries) and stores
-  /// their locators, in order, in `*locators`. Each page is composed in
-  /// memory and written once, straight to `pool->disk()`; a failed write
-  /// CHECK-fails (a build runs on a fault-free disk by contract). A run
-  /// that does not fit the rest of the current page starts on a fresh one,
-  /// and its pages are allocated back to back, so no other allocation on
-  /// the disk may interleave with this call.
-  PostingFile(BufferPool* pool, std::span<const std::span<const Entry>> runs,
+  /// Writes the runs that `run_lengths` cuts `entries` into, in order (run
+  /// i is the next run_lengths[i] entries, 1 to 65535 of them; the lengths
+  /// must add up to entries.size()), and stores their locators, in order,
+  /// in `*locators`. Each page is composed in memory and written once,
+  /// straight to `pool->disk()`; a failed write CHECK-fails (a build runs
+  /// on a fault-free disk by contract). A run that does not fit the rest of
+  /// the current page starts on a fresh one, and its pages are allocated
+  /// back to back, so no other allocation on the disk may interleave with
+  /// this call.
+  PostingFile(BufferPool* pool, std::span<const Entry> entries,
+              std::span<const uint32_t> run_lengths,
               std::vector<Locator>* locators);
 
   PostingFile(const PostingFile&) = delete;

@@ -2,6 +2,7 @@
 #define DSKS_INDEX_SIGNATURE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/object_set.h"
@@ -37,7 +38,7 @@ class SignatureFile {
   bool Test(EdgeId e, TermId t) const;
 
   /// True if keyword `t` has a signature (its bit vector is materialized).
-  bool HasSignature(TermId t) const { return !positions_[t].empty(); }
+  bool HasSignature(TermId t) const { return !PositionsOf(t).empty(); }
 
   /// Compacted signature size over all keywords (one bit per trie node).
   uint64_t SizeBytes() const { return size_bytes_; }
@@ -45,10 +46,19 @@ class SignatureFile {
   const KdEdgeOrder& order() const { return *order_; }
 
  private:
+  /// Keyword `t`'s slice of positions_; `t` must be in the vocabulary.
+  std::span<const uint32_t> PositionsOf(TermId t) const {
+    return std::span<const uint32_t>(positions_)
+        .subspan(offsets_[t], offsets_[t + 1] - offsets_[t]);
+  }
+
   const KdEdgeOrder* order_;
-  /// Per keyword: sorted KD positions of edges with the keyword; empty for
-  /// keywords below `min_postings` (treated as all-ones).
-  std::vector<std::vector<uint32_t>> positions_;
+  /// Keyword after keyword, the sorted KD positions of the edges that carry
+  /// the keyword, each edge once; keyword t's list is the slice
+  /// [offsets_[t], offsets_[t + 1]), empty for keywords below
+  /// `min_postings` (treated as all-ones).
+  std::vector<uint32_t> positions_;
+  std::vector<size_t> offsets_;  // vocab_size + 1 entries
   uint64_t size_bytes_ = 0;
 };
 

@@ -187,9 +187,10 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
 }
 
 void MetricsRegistry::BindSource(const std::string& name,
-                                 std::function<uint64_t()> read) {
+                                 std::function<uint64_t()> read,
+                                 SourceKind kind) {
   std::lock_guard<std::mutex> lock(mu_);
-  sources_[name] = std::move(read);
+  sources_[name] = Source{std::move(read), kind};
 }
 
 void MetricsRegistry::UnbindSource(const std::string& name) {
@@ -278,8 +279,9 @@ std::string MetricsRegistry::ToJson() const {
               },
               &first_section);
   JsonSection(&out, "sources", sources_,
-              [](std::string* o, const std::function<uint64_t()>& f) {
-                AppendF(o, "%llu", static_cast<unsigned long long>(f()));
+              [](std::string* o, const Source& src) {
+                AppendF(o, "%llu",
+                        static_cast<unsigned long long>(src.read()));
               },
               &first_section);
   JsonSection(&out, "histograms", histograms_,
@@ -306,10 +308,11 @@ std::string MetricsRegistry::ToPrometheus() const {
     AppendF(&out, "# TYPE %s counter\n%s %llu\n", n.c_str(), n.c_str(),
             static_cast<unsigned long long>(c->value()));
   }
-  for (const auto& [name, f] : sources_) {
+  for (const auto& [name, src] : sources_) {
     const std::string n = Sanitize(name);
-    AppendF(&out, "# TYPE %s counter\n%s %llu\n", n.c_str(), n.c_str(),
-            static_cast<unsigned long long>(f()));
+    AppendF(&out, "# TYPE %s %s\n%s %llu\n", n.c_str(),
+            src.kind == SourceKind::kGauge ? "gauge" : "counter", n.c_str(),
+            static_cast<unsigned long long>(src.read()));
   }
   for (const auto& [name, g] : gauges_) {
     const std::string n = Sanitize(name);

@@ -148,8 +148,14 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
+  /// What a source's value is: a count that only rises, or a level that
+  /// may fall (frames in use, resident bytes). Prometheus types them
+  /// `counter` and `gauge`.
+  enum class SourceKind { kCounter, kGauge };
+
   /// Registers a live read-only source; replaces any source of that name.
-  void BindSource(const std::string& name, std::function<uint64_t()> read);
+  void BindSource(const std::string& name, std::function<uint64_t()> read,
+                  SourceKind kind = SourceKind::kCounter);
   void UnbindSource(const std::string& name);
   /// Drops every source whose name starts with `prefix` (a binder's
   /// teardown path; see class comment).
@@ -164,17 +170,23 @@ class MetricsRegistry {
   /// p99_ms}}}. Deterministic key order (sorted by name).
   std::string ToJson() const;
 
-  /// Prometheus text exposition: counters and sources as counter samples,
-  /// gauges as gauges, histograms as summaries with p50/p95/p99 quantiles.
+  /// Prometheus text exposition: counters as counters, gauges as gauges,
+  /// each source as its SourceKind, histograms as summaries with
+  /// p50/p95/p99 quantiles.
   /// Names are sanitized ('.', '-' -> '_') and prefixed "dsks_".
   std::string ToPrometheus() const;
 
  private:
+  struct Source {
+    std::function<uint64_t()> read;
+    SourceKind kind;
+  };
+
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::function<uint64_t()>> sources_;
+  std::map<std::string, Source> sources_;
 };
 
 /// The process-wide registry (executor latencies, CLI dumps). Libraries

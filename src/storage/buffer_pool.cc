@@ -421,11 +421,21 @@ void BufferPool::BindMetrics(obs::MetricsRegistry* registry,
                        counter(&stats_.prefetch_wasted));
   registry->BindSource(prefix + ".prefetch.dropped",
                        counter(&stats_.prefetch_dropped));
-  registry->BindSource(prefix + ".capacity_frames",
-                       [this] { return static_cast<uint64_t>(capacity()); });
-  registry->BindSource(prefix + ".frames_in_use", [this] {
-    return static_cast<uint64_t>(num_frames_in_use());
-  });
+  constexpr auto kGauge = obs::MetricsRegistry::SourceKind::kGauge;
+  registry->BindSource(
+      prefix + ".capacity_frames",
+      [this] { return static_cast<uint64_t>(capacity()); }, kGauge);
+  registry->BindSource(
+      prefix + ".frames_in_use",
+      [this] { return static_cast<uint64_t>(num_frames_in_use()); }, kGauge);
+  // Every frame ever made keeps its 4 KiB page buffer for the pool's life.
+  registry->BindSource(
+      prefix + ".frame_bytes",
+      [this] {
+        std::lock_guard<std::mutex> lock(latch_);
+        return static_cast<uint64_t>(frames_.size()) * kPageSize;
+      },
+      kGauge);
 }
 
 }  // namespace dsks

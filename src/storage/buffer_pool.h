@@ -234,10 +234,11 @@ class BufferPool {
   /// snapshot is a pure delta.
   void ResetStats() { stats_.Reset(); }
 
-  /// Exposes the pool's counters (plus capacity / frames-in-use gauges) as
-  /// live sources named "<prefix>.hits" etc. The pool must outlive the
-  /// binding; call registry->UnbindSourcesWithPrefix(prefix) before
-  /// destroying the pool (Database does this for its own pool).
+  /// Exposes the pool's counters (plus capacity, frames-in-use and
+  /// frame-bytes gauges) as live sources named "<prefix>.hits" etc. The
+  /// pool must outlive the binding; call
+  /// registry->UnbindSourcesWithPrefix(prefix) before destroying the pool
+  /// (Database does this for its own pool).
   void BindMetrics(obs::MetricsRegistry* registry,
                    const std::string& prefix) const;
 

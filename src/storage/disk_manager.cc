@@ -152,8 +152,10 @@ void DiskManager::BindMetrics(obs::MetricsRegistry* registry,
                        counter(&stats_.write_faults));
   registry->BindSource(prefix + ".corruptions_detected",
                        counter(&stats_.corruptions_detected));
-  registry->BindSource(prefix + ".pages",
-                       [this] { return static_cast<uint64_t>(num_pages()); });
+  // A gauge: an index rebuild truncates the disk.
+  registry->BindSource(
+      prefix + ".pages", [this] { return static_cast<uint64_t>(num_pages()); },
+      obs::MetricsRegistry::SourceKind::kGauge);
 }
 
 }  // namespace dsks

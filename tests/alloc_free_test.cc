@@ -5,7 +5,9 @@
 // NetworkExpansion settles through the adjacency memo. This binary replaces
 // the global operator new with one that counts every call; each test warms
 // its path once (frames, page table and vectors reach their high-water
-// mark), then asserts that repeating the path allocates nothing.
+// mark), then asserts that repeating the path allocates nothing. It also
+// bounds what an IF and a SIF build allocate by the keywords and pages,
+// not the (keyword, edge) runs, and prints both counts.
 //
 // The exceptions, each named in DESIGN.md "Hot-path memory model":
 //  * a failed read: its Status carries a heap-allocated message ("injected
@@ -507,6 +509,52 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<IndexKind>& info) {
       return std::string(info.param == IndexKind::kIF ? "IF" : "SIF");
     });
+
+/// An IF or SIF build allocates per keyword, never per (keyword, edge)
+/// run: the postings are counting-sorted into one flat array and the
+/// signature lists share one more. The bound leaves room for one
+/// allocation per page written (the sim backend gives each page a buffer)
+/// and a few per keyword (its B+tree levels); a build that gave each run a
+/// vector makes at least one allocation per run, far above it on this
+/// dataset.
+TEST(AllocFreeTest, IndexBuildAllocatesPerKeywordNotPerRun) {
+  testing::BackendDatabase bdb(AllocConfig(), "alloc_build");
+  Database& db = *bdb;
+  const ObjectSet& objects = db.objects();
+  const size_t keywords = db.config().objects.vocab_size;
+  uint64_t runs = 0;
+  std::vector<EdgeId> last_edge(keywords, kInvalidEdgeId);
+  for (EdgeId e = 0; e < db.network().num_edges(); ++e) {
+    for (const ObjectId id : objects.ObjectsOnEdge(e)) {
+      for (const TermId t : objects.object(id).terms) {
+        if (last_edge[t] != e) {
+          last_edge[t] = e;
+          ++runs;
+        }
+      }
+    }
+  }
+  // A rebuild truncates the disk back to this watermark first.
+  const DiskManager* disk = db.pool()->disk();
+  const size_t base_pages = disk->num_pages();
+  uint64_t counts[2] = {0, 0};
+  const IndexKind kinds[2] = {IndexKind::kIF, IndexKind::kSIF};
+  for (size_t i = 0; i < 2; ++i) {
+    IndexOptions opts;
+    opts.kind = kinds[i];
+    counts[i] = AllocationsDuring([&] { db.BuildIndex(opts); });
+    const uint64_t pages = disk->num_pages() - base_pages;
+    const uint64_t bound = pages + 8 * keywords + 256;
+    EXPECT_LE(counts[i], bound) << db.index()->name();
+    EXPECT_GT(runs, 4 * bound) << "the dataset no longer tells the two apart";
+  }
+  std::printf(
+      "index build allocations: IF %llu, SIF %llu (%zu keywords, %llu "
+      "runs)\n",
+      static_cast<unsigned long long>(counts[0]),
+      static_cast<unsigned long long>(counts[1]), keywords,
+      static_cast<unsigned long long>(runs));
+}
 
 /// Settles on a warmed context allocate nothing: a full expansion that
 /// refills the memo after a query-start reset, and one served from it.

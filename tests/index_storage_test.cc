@@ -19,14 +19,19 @@ namespace {
 
 using Runs = std::vector<std::vector<PostingFile::Entry>>;
 
-/// Builds a posting file over `runs` on `pool`'s disk; `*locs` receives
-/// the runs' locators in order.
+/// Builds a posting file over `runs` on `pool`'s disk, passing them as
+/// one flat entry array and one length per run; `*locs` receives the runs'
+/// locators in order.
 std::unique_ptr<PostingFile> BuildPostings(
     BufferPool* pool, const Runs& runs,
     std::vector<PostingFile::Locator>* locs) {
-  const std::vector<std::span<const PostingFile::Entry>> views(runs.begin(),
-                                                               runs.end());
-  return std::make_unique<PostingFile>(pool, views, locs);
+  std::vector<PostingFile::Entry> entries;
+  std::vector<uint32_t> lengths;
+  for (const std::vector<PostingFile::Entry>& run : runs) {
+    entries.insert(entries.end(), run.begin(), run.end());
+    lengths.push_back(static_cast<uint32_t>(run.size()));
+  }
+  return std::make_unique<PostingFile>(pool, entries, lengths, locs);
 }
 
 /// Every entry of run `loc`, in order, collected through

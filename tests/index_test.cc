@@ -114,6 +114,55 @@ TEST_P(IndexEquivalenceTest, AllIndexesMatchReferenceScan) {
   }
 }
 
+/// The IF build cuts one keyword-major posting array into (keyword, edge)
+/// runs. Keyword 0's last run and keyword 1's first run lie on the same
+/// edge, so they sit back to back in that array: they must stay two runs,
+/// each found under its own keyword.
+TEST(InvertedFileIndexTest, RunsSplitAtKeywordBoundaryOnOneEdge) {
+  NetworkGenConfig nc;
+  nc.num_nodes = 40;
+  nc.seed = 12;
+  const auto net = GenerateRoadNetwork(nc);
+  ASSERT_GE(net->num_edges(), 3u);
+  constexpr EdgeId kShared = 1;
+  ObjectSet objects(net.get());
+  auto add = [&](EdgeId e, double fraction, std::vector<TermId> terms) {
+    ObjectId id;
+    ASSERT_TRUE(objects
+                    .Add(e, net->edge(e).length * fraction, std::move(terms),
+                         &id)
+                    .ok());
+  };
+  add(0, 0.5, {0});
+  add(kShared, 0.2, {0});
+  add(kShared, 0.4, {0, 1});
+  add(kShared, 0.6, {1});
+  add(kShared, 0.8, {1, 2});
+  add(2, 0.5, {1});
+  objects.Finalize();
+
+  DiskManager disk;
+  BufferPool pool(&disk, 256);
+  InvertedFileIndex iff(&pool, objects, 3);
+  SifIndex sif(&pool, objects, 3, 1);
+  EXPECT_EQ(iff.PostingCount(0), 3u);
+  EXPECT_EQ(iff.PostingCount(1), 4u);
+  EXPECT_EQ(iff.PostingCount(2), 1u);
+  const std::vector<std::vector<TermId>> queries = {
+      {0}, {1}, {2}, {0, 1}, {1, 2}};
+  std::vector<LoadedObject> got;
+  for (const std::vector<TermId>& terms : queries) {
+    for (EdgeId e = 0; e < net->num_edges(); ++e) {
+      const auto want = ReferenceLoadObjects(objects, e, terms);
+      for (ObjectIndex* index : {static_cast<ObjectIndex*>(&iff),
+                                 static_cast<ObjectIndex*>(&sif)}) {
+        ASSERT_TRUE(index->LoadObjects(e, terms, &got).ok());
+        ExpectSameLoad(got, want, e, index->name());
+      }
+    }
+  }
+}
+
 /// SIF must never load fewer objects than reality (no false negatives) and
 /// must skip at least as many edges as IF (which skips none).
 TEST_P(IndexEquivalenceTest, SignatureSkipsOnlyEmptyEdges) {

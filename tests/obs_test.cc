@@ -12,6 +12,7 @@
 #include "harness/database.h"
 #include "obs/io_account.h"
 #include "obs/metrics.h"
+#include "obs/process_memory.h"
 #include "obs/trace.h"
 #include "server/json.h"
 #include "storage/buffer_pool.h"
@@ -146,7 +147,20 @@ TEST(MetricsRegistryTest, PrometheusExposition) {
   obs::MetricsRegistry reg;
   reg.counter("executor.queries").Add(5);
   reg.histogram("executor.query_ms").Record(2.0);
+  reg.BindSource("db.pool.hits", [] { return uint64_t{3}; });
+  reg.BindSource(
+      "db.pool.frames_in_use", [] { return uint64_t{4}; },
+      obs::MetricsRegistry::SourceKind::kGauge);
   const std::string prom = reg.ToPrometheus();
+  // A source exports as its kind: a level that can fall is a gauge.
+  EXPECT_NE(prom.find("# TYPE dsks_db_pool_hits counter\n"
+                      "dsks_db_pool_hits 3\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("# TYPE dsks_db_pool_frames_in_use gauge\n"
+                      "dsks_db_pool_frames_in_use 4\n"),
+            std::string::npos)
+      << prom;
   // Names sanitized ('.' -> '_') and prefixed.
   EXPECT_NE(prom.find("# TYPE dsks_executor_queries counter"),
             std::string::npos)
@@ -176,6 +190,28 @@ TEST(MetricsRegistryTest, StorageBindMetricsExposesLiveCounters) {
   EXPECT_NE(json.find("\"db.pool.misses\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"db.disk.reads\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"db.disk.pages\":1"), std::string::npos) << json;
+
+  // Every level the storage layer and the process publish can fall, so
+  // each exports as a gauge; the pool's frame bytes count the frames made.
+  obs::BindProcessMetrics(&reg);
+  const std::string prom = reg.ToPrometheus();
+  for (const char* gauge :
+       {"db_pool_capacity_frames", "db_pool_frames_in_use",
+        "db_pool_frame_bytes", "db_disk_pages", "process_rss_bytes",
+        "process_peak_rss_bytes", "process_heap_in_use_bytes"}) {
+    EXPECT_NE(prom.find(std::string("# TYPE dsks_") + gauge + " gauge\n"),
+              std::string::npos)
+        << gauge << "\n"
+        << prom;
+  }
+  EXPECT_NE(prom.find("# TYPE dsks_db_pool_misses counter\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("dsks_db_pool_frame_bytes 4096\n"), std::string::npos)
+      << prom;
+  const obs::ProcessMemory mem = obs::ReadProcessMemory();
+  EXPECT_GT(mem.rss_bytes, 0u);
+  EXPECT_GE(mem.peak_rss_bytes, mem.rss_bytes);
 
   reg.UnbindSourcesWithPrefix("db.");
 }

@@ -212,7 +212,7 @@ EOF
   # last must still be answered), scrape the shared-listener observability
   # routes while it still serves — nothing drains its executor, so /varz
   # must show the served queries live — then
-  # stop it with SIGTERM and expect a clean summary. Then an overload
+  # stop it with SIGTERM and expect a clean summary with its memory line. Then an overload
   # drill at ~4x capacity whose JSON record must pass the schema +
   # exact-admission gate with real shedding, and the end-to-end chaos
   # drill over a socket. Note: no DSKS_IO_DELAY_US=0 here — the sim
@@ -310,6 +310,18 @@ EOF
     echo "server smoke: /metrics has a doubled dsks_ prefix" >&2
     exit 1
   fi
+  # Resident memory is a level, typed as a gauge, and the heap the server
+  # holds is never zero.
+  grep -qx '# TYPE dsks_process_rss_bytes gauge' \
+      build-perf/metrics_serve_smoke.txt || {
+    echo "server smoke: /metrics has no process_rss_bytes gauge" >&2
+    exit 1
+  }
+  grep -Eqx 'dsks_process_heap_in_use_bytes [1-9][0-9]*' \
+      build-perf/metrics_serve_smoke.txt || {
+    echo "server smoke: /metrics shows no heap in use" >&2
+    exit 1
+  }
   curl -fsS "http://127.0.0.1:$serve_port/statusz" |
     grep -q '"admitted":2[,}]' || {
     echo "server smoke: /statusz does not show the admitted queries" >&2
@@ -323,6 +335,11 @@ EOF
   }
   grep -q '^served ' build-perf/serve_smoke.out || {
     echo "server smoke: serve printed no shutdown summary" >&2
+    exit 1
+  }
+  grep -Eq '^memory: rss [0-9.]+ MiB, peak rss [0-9.]+ MiB, heap in use [0-9.]+ MiB$' \
+      build-perf/serve_smoke.out || {
+    echo "server smoke: the shutdown summary has no memory line" >&2
     exit 1
   }
   ./build-perf/tools/dsks_cli drill --clients 8 --queries 32 --threads 2 \

@@ -79,6 +79,7 @@
 #include "harness/query_executor.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/process_memory.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "server/client.h"
@@ -515,6 +516,7 @@ int CmdMetrics(const Args& args) {
 
   obs::MetricsRegistry& registry = obs::GlobalMetrics();
   db.BindMetrics(&registry, "db");
+  obs::BindProcessMetrics(&registry);
 
   WorkloadConfig wc;
   wc.num_queries = args.GetSize("queries", 32, 1, 1u << 20);
@@ -669,6 +671,7 @@ int CmdServe(const Args& args) {
 
   obs::MetricsRegistry& registry = obs::GlobalMetrics();
   db.BindMetrics(&registry, "db");
+  obs::BindProcessMetrics(&registry);
   obs::FlightRecorder recorder;
   recorder.set_occupancy_gauge(&registry.gauge("flight_recorder.entries"));
 
@@ -717,6 +720,13 @@ int CmdServe(const Args& args) {
               static_cast<unsigned long long>(c.invalid),
               static_cast<unsigned long long>(c.quota_denied),
               static_cast<unsigned long long>(c.cancelled));
+  const obs::ProcessMemory mem = obs::ReadProcessMemory();
+  constexpr double kMiB = 1024.0 * 1024.0;
+  std::printf(
+      "memory: rss %.1f MiB, peak rss %.1f MiB, heap in use %.1f MiB\n",
+      static_cast<double>(mem.rss_bytes) / kMiB,
+      static_cast<double>(mem.peak_rss_bytes) / kMiB,
+      static_cast<double>(mem.heap_in_use_bytes) / kMiB);
   db.UnbindMetrics(&registry, "db");
   return 0;
 }
