@@ -1,11 +1,10 @@
-// Concurrent query throughput: many SK / diversified searches sharing one
-// disk-resident SIF index and one LRU buffer pool, executed by the
-// QueryExecutor thread pool at 1/2/4/8 threads. The paper's experiments
-// (§5) are sequential; this bench measures what the latched storage layer
-// adds on top — aggregate queries/sec and tail latency under concurrency.
+// Query throughput: SK and diversified searches sharing one disk-resident
+// SIF index and one LRU buffer pool, run by a one-worker QueryExecutor
+// under a yielding simulated read delay. The paper's experiments (§5) are
+// sequential; this bench measures the executor path a served query takes
+// — queries/sec and tail latency of one batch.
 //
 // Knobs: DSKS_BENCH_SCALE, DSKS_BENCH_QUERIES (as everywhere),
-// DSKS_BENCH_THREADS (comma list, default "1,2,4,8"),
 // DSKS_IO_DELAY_US (per-read simulated latency, default 50),
 // DSKS_BENCH_SAMPLE (trace 1-in-N queries on the timed path into a flight
 // recorder, default 0 = off so the perf baseline stays comparable; the
@@ -16,13 +15,14 @@
 // off/on A/B on a pool emptied before every query).
 //
 // Besides the table, every measurement is emitted as one JSON line
-// (prefix "JSON ") for scripted consumption. Latency avg/p50/p95/p99 in
-// every record come from the latency histogram (interpolated within one
-// bucket), so "p50_ms" equals "hist_p50_ms". The measured series run
-// untraced unless DSKS_BENCH_SAMPLE is set (each record says so via
-// "sample_rate"/"sampled_queries"); a separate single-threaded traced
-// pass per workload emits a "phase_profile" record attributing time and
-// I/O to the query phases.
+// (prefix "JSON ") for scripted consumption. The warm series reads its
+// numbers back from the executor's private registry: latency avg/p50/
+// p95/p99 come from the "executor.query_ms" histogram (interpolated
+// within one bucket). The measured series run untraced unless
+// DSKS_BENCH_SAMPLE is set (each record says so via "sample_rate"/
+// "sampled_queries"); a separate single-threaded traced pass per workload
+// emits a "phase_profile" record attributing time and I/O to the query
+// phases.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -34,6 +34,7 @@
 
 #include "bench/bench_common.h"
 #include "common/macros.h"
+#include "common/timer.h"
 #include "harness/query_executor.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -44,29 +45,6 @@ using namespace dsks;         // NOLINT
 using namespace dsks::bench;  // NOLINT
 
 namespace {
-
-std::vector<size_t> ThreadCountsFromEnv() {
-  const char* s = std::getenv("DSKS_BENCH_THREADS");
-  if (s == nullptr) {
-    return {1, 2, 4, 8};
-  }
-  std::vector<size_t> counts;
-  const std::string csv = s;
-  size_t pos = 0;
-  while (pos < csv.size()) {
-    size_t comma = csv.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = csv.size();
-    }
-    const size_t n =
-        static_cast<size_t>(std::atoll(csv.substr(pos, comma - pos).c_str()));
-    if (n > 0) {
-      counts.push_back(n);
-    }
-    pos = comma + 1;
-  }
-  return counts.empty() ? std::vector<size_t>{1} : counts;
-}
 
 /// Accumulates every measurement for the BENCH_throughput.json artifact.
 std::vector<std::string>& JsonRecords() {
@@ -87,36 +65,6 @@ obs::TraceSamplerConfig g_sampling;
 /// is set.
 obs::FlightRecorder* g_recorder = nullptr;
 
-void EmitJson(const char* workload, const ThroughputMetrics& m,
-              double speedup) {
-  // Every latency field comes from the drained histogram, so p50_ms and
-  // p99_ms repeat hist_p50_ms and hist_p99_ms; the schema keeps both.
-  // Exact nearest-rank percentiles need raw samples, which only the
-  // sequential harness and perfbench's client keep.
-  // "cold":0 marks the warm-cache regime — the perf gate refuses to
-  // compare cold and warm records (different experiments).
-  char buf[768];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"bench\":\"throughput\",\"backend\":\"%s\",\"workload\":\"%s\","
-      "\"cold\":0,\"prefetch\":1,\"threads\":%zu,"
-      "\"queries\":%zu,\"wall_ms\":%.2f,\"qps\":%.1f,\"avg_ms\":%.3f,"
-      "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"speedup\":%.2f,"
-      "\"errors\":%llu,\"error_rate\":%.6f,"
-      "\"hist_count\":%llu,\"hist_p50_ms\":%.3f,\"hist_p99_ms\":%.3f,"
-      "\"sample_rate\":%u,\"sampled_queries\":%llu}",
-      g_backend_name, workload, m.num_threads,
-      m.queries, m.wall_millis, m.qps,
-      m.avg_millis,
-      m.p50_millis, m.p95_millis, m.p99_millis, speedup,
-      static_cast<unsigned long long>(m.errors), m.error_rate,
-      static_cast<unsigned long long>(m.histogram.count),
-      m.histogram.Percentile(50), m.histogram.Percentile(99), m.sample_rate,
-      static_cast<unsigned long long>(m.sampled));
-  std::printf("JSON %s\n", buf);
-  JsonRecords().push_back(buf);
-}
-
 /// Cold-cache A/B: single-threaded, the buffer pool cleared before every
 /// query so each one pays its full miss path — the regime where batched
 /// misses and readahead show up (a warm pool hides them). Runs the
@@ -125,7 +73,7 @@ void EmitJson(const char* workload, const ThroughputMetrics& m,
 void RunColdSeries(const char* workload, Database* db, const Workload& wl,
                    bool div) {
   // Sleeping delay, not the sequential harness's busy-wait: a blocking
-  // read that frees the core, like the concurrent series.
+  // read that frees the core, like the warm series.
   ScopedIoDelay delay(db, /*yielding=*/true);
   TablePrinter table({"prefetch", "queries", "wall ms", "qps", "avg ms",
                       "p95 ms", "misses", "reads", "pf issued", "pf hits",
@@ -177,9 +125,8 @@ void RunColdSeries(const char* workload, Database* db, const Workload& wl,
         "{\"bench\":\"throughput\",\"backend\":\"%s\",\"workload\":\"%s\","
         "\"cold\":1,\"prefetch\":%d,\"threads\":1,"
         "\"queries\":%zu,\"wall_ms\":%.2f,\"qps\":%.1f,\"avg_ms\":%.3f,"
-        "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,\"speedup\":1.00,"
+        "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,"
         "\"errors\":0,\"error_rate\":0,"
-        "\"hist_count\":%llu,\"hist_p50_ms\":%.3f,\"hist_p99_ms\":%.3f,"
         "\"sample_rate\":0,\"sampled_queries\":0,"
         "\"pool_misses\":%llu,\"disk_reads\":%llu,"
         "\"prefetch_issued\":%llu,\"prefetch_hits\":%llu,"
@@ -187,8 +134,7 @@ void RunColdSeries(const char* workload, Database* db, const Workload& wl,
         g_backend_name, workload, prefetch_on ? 1 : 0,
         n, wall_ms, qps,
         hs.avg(), hs.Percentile(50), hs.Percentile(95), hs.Percentile(99),
-        static_cast<unsigned long long>(hs.count), hs.Percentile(50),
-        hs.Percentile(99), static_cast<unsigned long long>(pool.misses),
+        static_cast<unsigned long long>(pool.misses),
         static_cast<unsigned long long>(reads),
         static_cast<unsigned long long>(pool.prefetch_issued),
         static_cast<unsigned long long>(pool.prefetch_hits),
@@ -256,33 +202,92 @@ void EmitPhaseProfile(const char* workload, Database* db, const Workload& wl,
   JsonRecords().push_back(buf);
 }
 
+/// The warm series: `repeat` passes over the workload, submitted as one
+/// batch to a one-worker executor whose private registry is the batch's
+/// record. Prints a table row and emits one "threads":1 JSON record.
 void RunSeries(const char* workload, Database* db, const Workload& wl,
-               const std::vector<size_t>& thread_counts, size_t repeat,
-               bool div) {
-  TablePrinter table({"threads", "queries", "wall ms", "qps", "avg ms",
-                      "p50 ms", "p95 ms", "p99 ms", "speedup"});
-  double base_qps = 0.0;
-  for (size_t threads : thread_counts) {
-    db->ResetCounters();
-    const ThroughputMetrics m =
-        div ? RunDivWorkloadConcurrent(db, wl, /*k=*/10, /*lambda=*/0.8,
-                                       /*use_com=*/true, threads, repeat,
-                                       g_sampling, g_recorder)
-            : RunSkWorkloadConcurrent(db, wl, threads, repeat, g_sampling,
-                                      g_recorder);
-    if (base_qps == 0.0) {
-      base_qps = m.qps;
+               size_t repeat, bool div) {
+  db->ResetCounters();
+  // Yielding delay: a blocked "disk read" frees its core, as a read from
+  // a real disk would.
+  ScopedIoDelay delay(db, /*yielding=*/true);
+  obs::MetricsRegistry registry;
+  ExecutorConfig config;
+  config.metrics = &registry;
+  config.sampling = g_sampling;
+  config.flight_recorder = g_recorder;
+  const auto run_one = [db, div](const WorkloadQuery& wq, QueryContext* ctx) {
+    if (div) {
+      DivQuery dq;
+      dq.sk = wq.sk;
+      dq.k = 10;
+      dq.lambda = 0.8;
+      DivSearchOutput out;
+      return db->RunDivQuery(dq, wq.edge, /*use_com=*/true, &out, ctx);
     }
-    const double speedup = base_qps > 0.0 ? m.qps / base_qps : 0.0;
-    table.AddRow({std::to_string(m.num_threads), std::to_string(m.queries),
-                  TablePrinter::Fmt(m.wall_millis, 1),
-                  TablePrinter::Fmt(m.qps, 1), TablePrinter::Fmt(m.avg_millis, 3),
-                  TablePrinter::Fmt(m.p50_millis, 3),
-                  TablePrinter::Fmt(m.p95_millis, 3),
-                  TablePrinter::Fmt(m.p99_millis, 3),
-                  TablePrinter::Fmt(speedup, 2)});
-    EmitJson(workload, m, speedup);
+    std::vector<SkResult> results;
+    return db->RunSkQuery(wq.sk, wq.edge, &results, ctx);
+  };
+  QueryExecutor exec(config);
+  Timer wall;
+  for (size_t r = 0; r < repeat; ++r) {
+    for (const WorkloadQuery& wq : wl.queries) {
+      QueryTag tag;
+      tag.kind = workload;
+      tag.terms = static_cast<uint32_t>(wq.sk.terms.size());
+      exec.SubmitQuery(
+          [&run_one, &wq](QueryContext* ctx) { return run_one(wq, ctx); },
+          tag);
+    }
   }
+  exec.Drain();
+  const double wall_ms = wall.ElapsedMillis();
+
+  const obs::HistogramSnapshot h =
+      registry.histogram("executor.query_ms").Snapshot();
+  uint64_t errors = 0;
+  for (size_t c = 1; c < Status::kNumCodes; ++c) {
+    errors += registry
+                  .counter(std::string("query.errors.") +
+                           Status::CodeName(static_cast<Status::Code>(c)))
+                  .value();
+  }
+  // Validation rejects count as errors but not as served queries.
+  const uint64_t attempted =
+      h.count + registry.counter("query.rejected").value();
+  const double error_rate =
+      attempted > 0
+          ? static_cast<double>(errors) / static_cast<double>(attempted)
+          : 0.0;
+  const double qps =
+      wall_ms > 0.0 ? static_cast<double>(h.count) / (wall_ms / 1000.0) : 0.0;
+  // "cold":0 marks the warm-cache regime — the perf gate refuses to
+  // compare cold and warm records (different experiments).
+  char buf[640];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"bench\":\"throughput\",\"backend\":\"%s\",\"workload\":\"%s\","
+      "\"cold\":0,\"prefetch\":1,\"threads\":1,"
+      "\"queries\":%llu,\"wall_ms\":%.2f,\"qps\":%.1f,\"avg_ms\":%.3f,"
+      "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,"
+      "\"errors\":%llu,\"error_rate\":%.6f,"
+      "\"sample_rate\":%u,\"sampled_queries\":%llu}",
+      g_backend_name, workload, static_cast<unsigned long long>(h.count),
+      wall_ms, qps, h.avg(), h.Percentile(50), h.Percentile(95),
+      h.Percentile(99), static_cast<unsigned long long>(errors), error_rate,
+      g_sampling.sample_every,
+      static_cast<unsigned long long>(
+          registry.counter("query.sampled").value()));
+  std::printf("JSON %s\n", buf);
+  JsonRecords().push_back(buf);
+
+  TablePrinter table({"queries", "wall ms", "qps", "avg ms", "p50 ms",
+                      "p95 ms", "p99 ms"});
+  table.AddRow({std::to_string(h.count), TablePrinter::Fmt(wall_ms, 1),
+                TablePrinter::Fmt(qps, 1), TablePrinter::Fmt(h.avg(), 3),
+                TablePrinter::Fmt(h.Percentile(50), 3),
+                TablePrinter::Fmt(h.Percentile(95), 3),
+                TablePrinter::Fmt(h.Percentile(99), 3)});
   std::printf("\n[%s]\n", workload);
   table.Print();
 }
@@ -298,16 +303,15 @@ int main(int argc, char** argv) {
   }
 
   PrintHeader(cold ? "Cold-cache query cost, prefetch off vs on"
-                   : "Concurrent query throughput vs thread count",
-              "no paper figure — production-scaling experiment");
+                   : "Query throughput on one executor worker",
+              "no paper figure — the executor path a served query takes");
   BenchBackend backend(argc, argv);
   g_backend_name = backend.name();
   std::printf("storage backend: %s%s\n", g_backend_name,
               cold ? " (cold cache)" : "");
   const size_t num_queries = QueriesFromEnv(200);
-  const std::vector<size_t> thread_counts = ThreadCountsFromEnv();
-  // Every thread count processes the same total batch, so wall time (and
-  // qps) are directly comparable across rows.
+  // Four passes over the workload make one batch, the batch that
+  // bench/baseline_throughput.json was recorded from.
   const size_t repeat = 4;
 
   if (const char* env = std::getenv("DSKS_BENCH_SAMPLE");
@@ -347,16 +351,16 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  RunSeries("sk", &db, wl, thread_counts, repeat, /*div=*/false);
+  RunSeries("sk", &db, wl, repeat, /*div=*/false);
   EmitPhaseProfile("sk", &db, wl, /*div=*/false);
-  RunSeries("div-com", &db, wl, thread_counts, repeat, /*div=*/true);
+  RunSeries("div-com", &db, wl, repeat, /*div=*/true);
   EmitPhaseProfile("div-com", &db, wl, /*div=*/true);
 
   WriteJsonArrayFile("BENCH_throughput.json", JsonRecords());
 
   std::printf(
-      "\nExpected: qps grows with threads (misses overlap their simulated\n"
-      "I/O latency outside the pool latch); p99 grows more slowly than the\n"
-      "thread count since queries are independent reads.\n");
+      "\nExpected: at DSKS_IO_DELAY_US=0 and DSKS_BENCH_QUERIES=100, each\n"
+      "workload's qps stays above tools/perf_gate.py's floor of 75%% of\n"
+      "bench/baseline_throughput.json.\n");
   return 0;
 }

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -25,6 +26,12 @@ DatasetConfig TinyPreset() {
   DatasetConfig c = ScalePreset(PresetSYN(), 0.03);
   c.objects.keywords_per_object = 6;
   return c;
+}
+
+/// Final failures of one Status code that the executor recorded.
+uint64_t Errors(obs::MetricsRegistry& registry, Status::Code code) {
+  return registry.counter(std::string("query.errors.") + Status::CodeName(code))
+      .value();
 }
 
 Workload MakeWorkload(const Database& db, size_t n, uint64_t seed) {
@@ -80,21 +87,22 @@ TEST(ChaosTest, SurvivesSeededReadFaultsWithExactAccounting) {
       });
     }
   }
-  const QueryExecutor::DrainResult drained = exec.Drain();
+  exec.Drain();
   db.disk()->fault_injector()->Disarm();
 
-  EXPECT_EQ(drained.latency.count, wl.queries.size() * kRounds);
+  EXPECT_EQ(registry.histogram("executor.query_ms").count(),
+            wl.queries.size() * kRounds);
+  EXPECT_EQ(seen[0].load(), 0u);  // OK is never a failure
   uint64_t total = 0;
-  for (size_t c = 0; c < Status::kNumCodes; ++c) {
-    EXPECT_EQ(drained.errors[c], seen[c].load())
-        << "code " << Status::CodeName(static_cast<Status::Code>(c));
-    total += drained.errors[c];
+  for (size_t c = 1; c < Status::kNumCodes; ++c) {
+    const auto code = static_cast<Status::Code>(c);
+    EXPECT_EQ(Errors(registry, code), seen[c].load())
+        << "code " << Status::CodeName(code);
+    total += Errors(registry, code);
   }
-  EXPECT_EQ(drained.total_errors(), total);
   // Valid queries on a disk that only throws IO faults can fail only with
   // IO_ERROR — no invalid-argument, no corruption, nothing unexplained.
-  EXPECT_EQ(total,
-            drained.errors[static_cast<size_t>(Status::Code::kIOError)]);
+  EXPECT_EQ(total, Errors(registry, Status::Code::kIOError));
   // The injected faults actually happened (64 queries x 4 rounds on a
   // cold-ish pool draws thousands of reads at p=1e-3).
   EXPECT_GT(db.disk()->stats().read_faults.load(), 0u);
@@ -128,19 +136,24 @@ TEST(ChaosTest, TransientFaultIsAbsorbedByRetry) {
   // One one-shot read fault, one retry allowed: the first attempt fails
   // mid-query, the rerun reads clean. Fully deterministic.
   db.disk()->fault_injector()->InjectReadFaultOnce();
+  obs::MetricsRegistry registry;
   ExecutorConfig config;
   config.num_threads = 1;
   config.max_retries = 1;
-  config.metrics = nullptr;
+  config.metrics = &registry;
   QueryExecutor exec(config);
   const WorkloadQuery* q = &wl.queries[0];
   exec.SubmitQuery([&db, q](QueryContext* ctx) {
     std::vector<SkResult> results;
     return db.RunSkQuery(q->sk, q->edge, &results, ctx);
   });
-  const QueryExecutor::DrainResult drained = exec.Drain();
-  EXPECT_EQ(drained.total_errors(), 0u) << "the retry must succeed";
-  EXPECT_EQ(drained.retries, 1u);
+  exec.Drain();
+  uint64_t errors = 0;
+  for (size_t c = 1; c < Status::kNumCodes; ++c) {
+    errors += Errors(registry, static_cast<Status::Code>(c));
+  }
+  EXPECT_EQ(errors, 0u) << "the retry must succeed";
+  EXPECT_EQ(registry.counter("query.retries").value(), 1u);
 }
 
 TEST(ChaosTest, ColdReadOfFlippedBitReportsCorruption) {
@@ -168,21 +181,21 @@ TEST(ChaosTest, ColdReadOfFlippedBitReportsCorruption) {
   // Corruption is permanent, not transient: the retry policy must not
   // burn attempts on it.
   db.disk()->fault_injector()->Configure(fc);
+  obs::MetricsRegistry registry;
   ExecutorConfig config;
   config.num_threads = 1;
   config.max_retries = 5;
-  config.metrics = nullptr;
+  config.metrics = &registry;
   QueryExecutor exec(config);
   const WorkloadQuery* q = &wl.queries[0];
   exec.SubmitQuery([&db, q](QueryContext* ctx) {
     std::vector<SkResult> out;
     return db.RunSkQuery(q->sk, q->edge, &out, ctx);
   });
-  const QueryExecutor::DrainResult drained = exec.Drain();
+  exec.Drain();
   db.disk()->fault_injector()->Disarm();
-  EXPECT_EQ(drained.retries, 0u);
-  EXPECT_EQ(drained.errors[static_cast<size_t>(Status::Code::kCorruption)],
-            1u);
+  EXPECT_EQ(registry.counter("query.retries").value(), 0u);
+  EXPECT_EQ(Errors(registry, Status::Code::kCorruption), 1u);
 }
 
 TEST(ChaosTest, FaultFreeResultsAreIdenticalBeforeAndAfterChaos) {

@@ -4,8 +4,8 @@
 // harness produces.
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +13,7 @@
 #include "datagen/workload.h"
 #include "gtest/gtest.h"
 #include "harness/database.h"
+#include "common/timer.h"
 #include "harness/query_executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,10 +27,59 @@ DatasetConfig TinyPreset() {
   return c;
 }
 
+/// Served queries the executor recorded into `registry`.
+uint64_t Served(obs::MetricsRegistry& registry) {
+  return registry.histogram("executor.query_ms").count();
+}
+
+/// Final failures the executor recorded into `registry`, every code.
+uint64_t TotalErrors(obs::MetricsRegistry& registry) {
+  uint64_t n = 0;
+  for (size_t c = 1; c < Status::kNumCodes; ++c) {
+    n += registry
+             .counter(std::string("query.errors.") +
+                      Status::CodeName(static_cast<Status::Code>(c)))
+             .value();
+  }
+  return n;
+}
+
+/// Submits `repeat` passes over the workload's queries — SK, or COM
+/// diversified with k = 4 and lambda = 0.8 — tagged with their kind and
+/// term count, and waits until the executor has recorded all of them.
+void RunWorkload(QueryExecutor* exec, Database* db, const Workload& wl,
+                 size_t repeat, bool div) {
+  for (size_t r = 0; r < repeat; ++r) {
+    for (const WorkloadQuery& wq : wl.queries) {
+      QueryTag tag;
+      tag.kind = div ? "div-com" : "sk";
+      tag.terms = static_cast<uint32_t>(wq.sk.terms.size());
+      exec->SubmitQuery(
+          [db, &wq, div](QueryContext* ctx) {
+            if (div) {
+              DivQuery dq;
+              dq.sk = wq.sk;
+              dq.k = 4;
+              dq.lambda = 0.8;
+              DivSearchOutput out;
+              return db->RunDivQuery(dq, wq.edge, /*use_com=*/true, &out,
+                                     ctx);
+            }
+            std::vector<SkResult> results;
+            return db->RunSkQuery(wq.sk, wq.edge, &results, ctx);
+          },
+          tag);
+    }
+  }
+  exec->Drain();
+}
+
 TEST(QueryExecutorTest, RunsEveryTaskExactlyOnce) {
+  obs::MetricsRegistry registry;
   ExecutorConfig config;
   config.num_threads = 4;
   config.queue_capacity = 8;  // forces Submit to block and back-pressure
+  config.metrics = &registry;
   QueryExecutor exec(config);
   constexpr size_t kTasks = 500;
   std::atomic<uint64_t> sum{0};
@@ -39,17 +89,17 @@ TEST(QueryExecutorTest, RunsEveryTaskExactlyOnce) {
       return Status::Ok();
     });
   }
-  QueryExecutor::DrainResult res = exec.Drain();
-  EXPECT_EQ(res.latency.count, kTasks);
+  exec.Drain();
+  EXPECT_EQ(Served(registry), kTasks);
   EXPECT_EQ(sum.load(), kTasks * (kTasks + 1) / 2);
 
-  // The executor is reusable after a drain; the batch was reset.
+  // The executor is reusable after a drain and records the next batch.
   exec.SubmitQuery([&sum](QueryContext*) {
     sum.fetch_add(1);
     return Status::Ok();
   });
-  res = exec.Drain();
-  EXPECT_EQ(res.latency.count, 1u);
+  exec.Drain();
+  EXPECT_EQ(Served(registry) - kTasks, 1u);
 }
 
 TEST(QueryExecutorTest, DrainPublishesIntoRegistry) {
@@ -71,30 +121,6 @@ TEST(QueryExecutorTest, DrainPublishesIntoRegistry) {
   EXPECT_EQ(registry.histogram("executor.query_ms").count(), 21u);
   EXPECT_EQ(registry.counter("query.errors.IO_ERROR").value(), 1u);
   EXPECT_DOUBLE_EQ(registry.gauge("query.in_flight").value(), 0.0);
-}
-
-TEST(QueryExecutorTest, SummarizeThroughputPercentiles) {
-  // 100 queries of 1..100 ms over a 1 s wall: 100 qps, avg 50.5 exactly;
-  // the percentiles are the histogram's, within one bucket (25%) of the
-  // exact nearest-rank p50 = 50, p95 = 95, p99 = 99.
-  obs::Histogram hist;
-  for (int i = 1; i <= 100; ++i) {
-    hist.Record(static_cast<double>(i));
-  }
-  QueryExecutor::DrainResult drained;
-  drained.latency = hist.Snapshot();
-  const ThroughputMetrics m = SummarizeThroughput(4, 1000.0, drained);
-  EXPECT_EQ(m.num_threads, 4u);
-  EXPECT_EQ(m.queries, 100u);
-  EXPECT_DOUBLE_EQ(m.qps, 100.0);
-  EXPECT_DOUBLE_EQ(m.avg_millis, 50.5);
-  EXPECT_DOUBLE_EQ(m.p50_millis, drained.latency.Percentile(50));
-  EXPECT_DOUBLE_EQ(m.p95_millis, drained.latency.Percentile(95));
-  EXPECT_DOUBLE_EQ(m.p99_millis, drained.latency.Percentile(99));
-  EXPECT_NEAR(m.p50_millis, 50.0, 50.0 * 0.25);
-  EXPECT_NEAR(m.p95_millis, 95.0, 95.0 * 0.25);
-  EXPECT_NEAR(m.p99_millis, 99.0, 99.0 * 0.25);
-  EXPECT_EQ(m.histogram.count, 100u);
 }
 
 TEST(QueryExecutorTest, ConcurrentSkQueriesMatchSequentialResults) {
@@ -124,8 +150,10 @@ TEST(QueryExecutorTest, ConcurrentSkQueriesMatchSequentialResults) {
   // Concurrent run over a cold cache: same queries, 4 threads, 3 rounds.
   db.PrepareForQueries();
   constexpr size_t kRounds = 3;
+  obs::MetricsRegistry registry;
   ExecutorConfig config;
   config.num_threads = 4;
+  config.metrics = &registry;
   QueryExecutor exec(config);
   std::vector<std::vector<ObjectId>> got(wl.queries.size() * kRounds);
   for (size_t round = 0; round < kRounds; ++round) {
@@ -142,8 +170,8 @@ TEST(QueryExecutorTest, ConcurrentSkQueriesMatchSequentialResults) {
       });
     }
   }
-  const QueryExecutor::DrainResult res = exec.Drain();
-  EXPECT_EQ(res.latency.count, wl.queries.size() * kRounds);
+  exec.Drain();
+  EXPECT_EQ(Served(registry), wl.queries.size() * kRounds);
   for (size_t round = 0; round < kRounds; ++round) {
     for (size_t i = 0; i < wl.queries.size(); ++i) {
       EXPECT_EQ(got[round * wl.queries.size() + i], want[i])
@@ -153,9 +181,8 @@ TEST(QueryExecutorTest, ConcurrentSkQueriesMatchSequentialResults) {
 }
 
 TEST(QueryExecutorTest, ConcurrentThroughputHelperRuns) {
-  // Keep the harness helper exercised without timing assertions (CI boxes
-  // vary); correctness of the numbers is covered by the summarize test.
-  setenv("DSKS_IO_DELAY_US", "0", /*overwrite=*/1);
+  // A batch's numbers come back from the executor's private registry; no
+  // timing assertions (CI boxes vary).
   Database db(TinyPreset());
   IndexOptions opts;
   opts.kind = IndexKind::kSIF;
@@ -168,17 +195,27 @@ TEST(QueryExecutorTest, ConcurrentThroughputHelperRuns) {
   wc.seed = 23;
   const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
 
-  const ThroughputMetrics m = RunSkWorkloadConcurrent(&db, wl, 4, 2);
-  EXPECT_EQ(m.num_threads, 4u);
-  EXPECT_EQ(m.queries, wl.queries.size() * 2);
-  EXPECT_GT(m.qps, 0.0);
-  EXPECT_GE(m.p99_millis, m.p50_millis);
+  obs::MetricsRegistry registry;
+  ExecutorConfig config;
+  config.num_threads = 4;
+  config.metrics = &registry;
+  QueryExecutor exec(config);
+  EXPECT_EQ(exec.num_threads(), 4u);
+  Timer wall;
+  RunWorkload(&exec, &db, wl, /*repeat=*/2, /*div=*/false);
+  const double wall_ms = wall.ElapsedMillis();
+  const obs::HistogramSnapshot h =
+      registry.histogram("executor.query_ms").Snapshot();
+  EXPECT_EQ(h.count, wl.queries.size() * 2);
+  EXPECT_GT(static_cast<double>(h.count) / (wall_ms / 1000.0), 0.0);
+  EXPECT_GE(h.Percentile(99), h.Percentile(50));
 
-  const ThroughputMetrics d =
-      RunDivWorkloadConcurrent(&db, wl, /*k=*/4, /*lambda=*/0.8,
-                               /*use_com=*/true, 2, 1);
-  EXPECT_EQ(d.queries, wl.queries.size());
-  unsetenv("DSKS_IO_DELAY_US");
+  obs::MetricsRegistry div_registry;
+  config.num_threads = 2;
+  config.metrics = &div_registry;
+  QueryExecutor div_exec(config);
+  RunWorkload(&div_exec, &db, wl, /*repeat=*/1, /*div=*/true);
+  EXPECT_EQ(Served(div_registry), wl.queries.size());
 }
 
 TEST(QueryExecutorTest, ConcurrentTracedQueriesNestAndBalance) {
@@ -241,7 +278,6 @@ TEST(QueryExecutorTest, ConcurrentTracedQueriesNestAndBalance) {
 }
 
 TEST(QueryExecutorTest, SampledTracingIsExactAndFeedsTheRecorder) {
-  setenv("DSKS_IO_DELAY_US", "0", /*overwrite=*/1);
   Database db(TinyPreset());
   IndexOptions opts;
   opts.kind = IndexKind::kSIF;
@@ -259,11 +295,18 @@ TEST(QueryExecutorTest, SampledTracingIsExactAndFeedsTheRecorder) {
   obs::FlightRecorder recorder;
   // One worker, so the countdown sampler's schedule is exact: 64 queries
   // at 1-in-4 trace exactly 16 — by construction, not by expectation.
-  const ThroughputMetrics m = RunSkWorkloadConcurrent(
-      &db, wl, /*num_threads=*/1, /*repeat=*/4, sampling, &recorder);
-  EXPECT_EQ(m.queries, 64u);
-  EXPECT_EQ(m.sampled, 16u);
-  EXPECT_EQ(m.sample_rate, 4u);
+  {
+    obs::MetricsRegistry registry;
+    ExecutorConfig config;
+    config.num_threads = 1;
+    config.metrics = &registry;
+    config.sampling = sampling;
+    config.flight_recorder = &recorder;
+    QueryExecutor exec(config);
+    RunWorkload(&exec, &db, wl, /*repeat=*/4, /*div=*/false);
+    EXPECT_EQ(Served(registry), 64u);
+    EXPECT_EQ(registry.counter("query.sampled").value(), 16u);
+  }
   EXPECT_EQ(recorder.recorded(), 16u);
 
   // Every recorded summary is a traced, tagged OK query whose per-phase
@@ -287,9 +330,10 @@ TEST(QueryExecutorTest, SampledTracingIsExactAndFeedsTheRecorder) {
   // the sampler alone: exactly 1 in 4, and each of those entries carries
   // the phases of that same trace.
   recorder.Clear();
+  obs::MetricsRegistry registry;
   ExecutorConfig config;
   config.num_threads = 1;
-  config.metrics = nullptr;
+  config.metrics = &registry;
   config.sampling = sampling;
   config.flight_recorder = &recorder;
   QueryExecutor exec(config);
@@ -311,25 +355,25 @@ TEST(QueryExecutorTest, SampledTracingIsExactAndFeedsTheRecorder) {
         },
         tag);
   }
-  const QueryExecutor::DrainResult drained = exec.Drain();
+  exec.Drain();
   EXPECT_EQ(ran_traced.load(), 32u);
-  EXPECT_EQ(drained.sampled, 8u);
+  EXPECT_EQ(registry.counter("query.sampled").value(), 8u);
   EXPECT_EQ(recorder.recorded(), 8u);
   for (const obs::QuerySummary& s : recorder.TakeSnapshot().recent) {
     EXPECT_STREQ(s.kind, "sk-traced");
     EXPECT_TRUE(s.traced);
     EXPECT_EQ(s.phases[static_cast<size_t>(obs::Phase::kQuery)].spans, 1u);
   }
-  unsetenv("DSKS_IO_DELAY_US");
 }
 
 TEST(QueryExecutorTest, ErrorsAndSlowQueriesAreRecordedWithoutSampling) {
   obs::TraceSamplerConfig sampling;  // sample_every = 0: tracing off
   sampling.slow_ms = 5.0;
   obs::FlightRecorder recorder;
+  obs::MetricsRegistry registry;
   ExecutorConfig config;
   config.num_threads = 2;
-  config.metrics = nullptr;
+  config.metrics = &registry;
   config.sampling = sampling;
   config.flight_recorder = &recorder;
   QueryExecutor exec(config);
@@ -349,8 +393,9 @@ TEST(QueryExecutorTest, ErrorsAndSlowQueriesAreRecordedWithoutSampling) {
     exec.SubmitQuery([](QueryContext*) { return Status::Ok(); },
                      QueryTag{"fast", 3});
   }
-  const QueryExecutor::DrainResult res = exec.Drain();
-  EXPECT_EQ(res.sampled, 0u);  // nothing traced, yet plenty recorded
+  exec.Drain();
+  // Nothing traced, yet plenty recorded.
+  EXPECT_EQ(registry.counter("query.sampled").value(), 0u);
 
   // 4 errors + 1 over-threshold query; the fast OK queries left no trace.
   EXPECT_EQ(recorder.recorded(), 5u);
@@ -379,10 +424,11 @@ TEST(QueryExecutorTest, TrySubmitNeverBlocksOnSaturatedQueue) {
   // queue is full, which on a network thread means one overload wedges
   // the whole front end. TrySubmitQuery must answer "no" immediately
   // instead.
+  obs::MetricsRegistry registry;
   ExecutorConfig config;
   config.num_threads = 1;
   config.queue_capacity = 2;
-  config.metrics = nullptr;
+  config.metrics = &registry;
   QueryExecutor exec(config);
 
   // Stall the single worker and wait until it has actually popped the
@@ -413,9 +459,9 @@ TEST(QueryExecutorTest, TrySubmitNeverBlocksOnSaturatedQueue) {
       exec.TrySubmitQuery([](QueryContext*) { return Status::Ok(); }));
 
   release.store(true);
-  const QueryExecutor::DrainResult res = exec.Drain();
+  exec.Drain();
   // Everything admitted ran; nothing rejected leaked into the queue.
-  EXPECT_EQ(res.latency.count, 1 + admitted);
+  EXPECT_EQ(Served(registry), 1 + admitted);
 
   // After the drain there is space again.
   EXPECT_TRUE(
@@ -426,6 +472,7 @@ TEST(QueryExecutorTest, TrySubmitNeverBlocksOnSaturatedQueue) {
 TEST(QueryExecutorTest, DoneRunsOnceWithTheFinalStatus) {
   // A task that fails with IO_ERROR twice, then succeeds: its retries stay
   // inside one task, and `done` sees only the Status that survives them.
+  // No registry, as perfbench runs it: the task counts its own attempts.
   ExecutorConfig config;
   config.num_threads = 1;
   config.metrics = nullptr;
@@ -439,9 +486,9 @@ TEST(QueryExecutorTest, DoneRunsOnceWithTheFinalStatus) {
           return ++attempts <= 2 ? Status::IOError("flaky") : Status::Ok();
         },
         QueryTag{}, [&done](const Status& s) { done.push_back(s); }));
-    const QueryExecutor::DrainResult res = exec.Drain();
-    EXPECT_EQ(attempts, static_cast<int>(max_retries) + 1);
-    EXPECT_EQ(res.retries, max_retries);
+    exec.Drain();
+    const size_t retries = static_cast<size_t>(attempts) - 1;
+    EXPECT_EQ(retries, max_retries);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0].IsIOError(), max_retries == 1) << done[0].ToString();
   }
@@ -468,40 +515,41 @@ TEST(QueryExecutorTest, ValidationRejectsAreNotServedThroughput) {
       return Status::InvalidArgument("bad query");
     });
   }
-  const QueryExecutor::DrainResult res = exec.Drain();
-  EXPECT_EQ(res.latency.count, kOk);
-  EXPECT_EQ(res.rejected, kRejected);
-  EXPECT_EQ(res.errors[static_cast<size_t>(Status::Code::kInvalidArgument)],
-            kRejected);
+  exec.Drain();
   EXPECT_EQ(registry.counter("query.rejected").value(), kRejected);
+  EXPECT_EQ(registry.counter("query.errors.INVALID_ARGUMENT").value(),
+            kRejected);
   // Served-query metrics exclude the rejects.
   EXPECT_EQ(registry.counter("executor.queries").value(), kOk);
-  EXPECT_EQ(registry.histogram("executor.query_ms").count(), kOk);
+  EXPECT_EQ(Served(registry), kOk);
 
-  const ThroughputMetrics m = SummarizeThroughput(2, 100.0, res);
-  EXPECT_EQ(m.queries, kOk);
-  EXPECT_EQ(m.rejected, kRejected);
-  EXPECT_EQ(m.errors, kRejected);
-  EXPECT_DOUBLE_EQ(m.qps, 1000.0 * kOk / 100.0);
-  EXPECT_DOUBLE_EQ(m.error_rate,
+  // The rejects are the batch's only errors, over every query it got.
+  const uint64_t errors = TotalErrors(registry);
+  EXPECT_EQ(errors, kRejected);
+  EXPECT_DOUBLE_EQ(static_cast<double>(errors) /
+                       static_cast<double>(Served(registry) + kRejected),
                    static_cast<double>(kRejected) / (kOk + kRejected));
 }
 
 TEST(QueryExecutorTest, RejectedOnlyBatchStillReportsErrorRate) {
+  obs::MetricsRegistry registry;
   ExecutorConfig config;
   config.num_threads = 1;
-  config.metrics = nullptr;
+  config.metrics = &registry;
   QueryExecutor exec(config);
   for (int i = 0; i < 3; ++i) {
     exec.SubmitQuery([](QueryContext*) {
       return Status::InvalidArgument("bad");
     });
   }
-  const ThroughputMetrics m = SummarizeThroughput(1, 50.0, exec.Drain());
-  EXPECT_EQ(m.queries, 0u);
-  EXPECT_DOUBLE_EQ(m.qps, 0.0);
-  EXPECT_EQ(m.rejected, 3u);
-  EXPECT_DOUBLE_EQ(m.error_rate, 1.0);
+  exec.Drain();
+  EXPECT_EQ(registry.histogram("executor.query_ms").Snapshot().count, 0u);
+  EXPECT_EQ(registry.counter("executor.queries").value(), 0u);
+  const uint64_t rejected = registry.counter("query.rejected").value();
+  EXPECT_EQ(rejected, 3u);
+  EXPECT_DOUBLE_EQ(static_cast<double>(TotalErrors(registry)) /
+                       static_cast<double>(Served(registry) + rejected),
+                   1.0);
 }
 
 }  // namespace

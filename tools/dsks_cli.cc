@@ -7,31 +7,12 @@
 //   dsks_cli query --data FILE [--index ir|if|sif|sifp|sifg]
 //             --terms T1,T2,... [--object-loc ID] [--delta D]
 //             [--k K] [--mode boolean|knn|ranked|div-seq|div-com]
-//             [--lambda L] [--alpha A] [--threads N] [--repeat R]
-//             [--trace] [--prefetch on|off]
+//             [--lambda L] [--alpha A] [--trace] [--prefetch on|off]
 //       Load a dataset into a Database, build the index, run one query
 //       through Database::Run*Query. The query point is the location of
-//       object --object-loc (default 0). With --threads N > 1,
-//       additionally re-runs the query R times (default 64 per thread) on
-//       an N-thread QueryExecutor sharing the index and buffer pool, and
-//       reports aggregate throughput. --trace records per-phase spans with
-//       buffer-pool/disk deltas and prints them as one JSON line, the
+//       object --object-loc (default 0). --trace records per-phase spans
+//       with buffer-pool/disk deltas and prints them as one JSON line, the
 //       per-phase object a served query's "trace" and /tracez also show.
-//   dsks_cli metrics [--scale F] [--index sif] [--queries N] [--threads N]
-//             [--format json|prom]
-//       Build a synthetic database, run a small concurrent workload, and
-//       dump the metrics registry (storage counters bound as live sources
-//       plus the executor's latency histogram).
-//   dsks_cli chaos [--scale F] [--index sif] [--queries N] [--threads N]
-//             [--read-fault-p P] [--corrupt-p P]
-//             [--seed S] [--retries R] [--socket]
-//       Run a concurrent workload with storage fault injection armed and
-//       prove the process survives: failed queries are counted per Status
-//       code (never aborting), transient read faults optionally retried.
-//       With --socket the same drill runs end-to-end through the TCP query
-//       server: requests go over loopback as JSON lines and every failure
-//       comes back as a Status-coded response — one per request, retries
-//       included. Both forms print the retry count.
 //   dsks_cli serve [--port P] [--scale F] [--index sif] [--threads N]
 //             [--queue N] [--deadline-ms D] [--quota-qps Q]
 //             [--quota-burst B] [--sample N] [--duration-ms N]
@@ -43,13 +24,17 @@
 //       /tracez serves (errors are recorded regardless; 0 = off).
 //   dsks_cli drill [--scale F] [--index sif] [--threads N] [--queue N]
 //             [--clients N] [--queries N] [--deadline-ms D] [--invalid-p P]
-//             [--quota-qps Q]
-//       Overload drill: an in-process query server hammered over real
-//       sockets by N pipelining clients at a multiple of its capacity,
-//       with /metrics scraped throughout. Verifies the admission
-//       invariants (offered == admitted + shed + invalid + quota_denied,
-//       admitted == completed, sheds exactly match rejected submissions)
-//       and prints one "bench":"server_drill" JSON line.
+//             [--quota-qps Q] [--read-fault-p P] [--corrupt-p P]
+//             [--seed S] [--retries R]
+//       Load drill: an in-process query server hammered over real sockets
+//       by N pipelining clients, with /metrics scraped throughout.
+//       Verifies the admission invariants (offered == admitted + shed +
+//       invalid + quota_denied, admitted == completed, sheds exactly match
+//       rejected submissions, the client tallies add up to every request
+//       sent) and prints one "bench":"server_drill" JSON line. The fault
+//       flags arm storage fault injection (seeded by --seed) once the
+//       index is built; every injected fault must come back as one
+//       Status-coded response, IO_ERROR retried up to --retries times.
 #include <csignal>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -76,7 +61,6 @@
 #include "datagen/workload.h"
 #include "graph/serialization.h"
 #include "harness/database.h"
-#include "harness/query_executor.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/process_memory.h"
@@ -85,6 +69,7 @@
 #include "server/client.h"
 #include "server/json.h"
 #include "server/query_server.h"
+#include "storage/fault_injector.h"
 
 namespace dsks {
 namespace {
@@ -180,16 +165,8 @@ int Usage() {
                "  dsks_cli query --data FILE [--index sif] --terms 1,2,3\n"
                "           [--object-loc ID] [--delta 1500] [--k 10]\n"
                "           [--mode boolean|knn|ranked|div-seq|div-com]\n"
-               "           [--lambda 0.8] [--alpha 0.5]\n"
-               "           [--threads 4] [--repeat 64] [--trace]\n"
+               "           [--lambda 0.8] [--alpha 0.5] [--trace]\n"
                "           [--prefetch on|off]\n"
-               "  dsks_cli metrics [--scale 0.03] [--index sif]\n"
-               "           [--queries 32] [--threads 2]\n"
-               "           [--format=json|prometheus]\n"
-               "  dsks_cli chaos [--scale 0.03] [--index sif] [--queries 256]\n"
-               "           [--threads 8] [--read-fault-p 0.001]\n"
-               "           [--corrupt-p 0] [--seed 42]\n"
-               "           [--retries 0] [--socket]\n"
                "  dsks_cli serve [--port 0] [--scale 0.03] [--index sif]\n"
                "           [--threads 4] [--queue 64] [--deadline-ms 0]\n"
                "           [--quota-qps 0] [--quota-burst 8]\n"
@@ -197,9 +174,9 @@ int Usage() {
                "  dsks_cli drill [--scale 0.03] [--index sif] [--threads 4]\n"
                "           [--queue 16] [--clients 8] [--queries 64]\n"
                "           [--deadline-ms 0] [--invalid-p 0]\n"
-               "           [--quota-qps 0]\n"
-               "query/metrics/chaos/serve/drill also accept storage-backend "
-               "flags:\n"
+               "           [--quota-qps 0] [--read-fault-p 0]\n"
+               "           [--corrupt-p 0] [--seed 42] [--retries 0]\n"
+               "query/serve/drill also accept storage-backend flags:\n"
                "           [--backend sim|file] [--backend-path PATH]\n");
   return 2;
 }
@@ -352,15 +329,13 @@ struct CliQuery {
   double lambda = 0.0;
 };
 
-/// Runs `q` through the Database in its mode — the single run and the
-/// --threads rerun alike. `print` writes the result lines; a failed query
-/// prints what it found before the error.
-Status RunCliQuery(Database* db, const CliQuery& q, QueryContext* ctx,
-                   bool print) {
+/// Runs `q` through the Database in its mode and prints the result lines;
+/// a failed query prints what it found before the error.
+Status RunCliQuery(Database* db, const CliQuery& q, QueryContext* ctx) {
   if (q.mode == "knn") {
     std::vector<SkResult> res;
     const Status s = db->RunKnnQuery(q.sk, q.edge, q.k, &res, ctx);
-    for (size_t i = 0; print && i < res.size(); ++i) {
+    for (size_t i = 0; i < res.size(); ++i) {
       std::printf("  object %u  dist %.1f\n", res[i].id, res[i].dist);
     }
     return s;
@@ -372,7 +347,7 @@ Status RunCliQuery(Database* db, const CliQuery& q, QueryContext* ctx,
     rq.alpha = q.alpha;
     std::vector<RankedResult> res;
     const Status s = db->RunRankedQuery(rq, q.edge, &res, ctx);
-    for (size_t i = 0; print && i < res.size(); ++i) {
+    for (size_t i = 0; i < res.size(); ++i) {
       std::printf("  object %u  dist %.1f  matched %u/%zu  score %.4f\n",
                   res[i].id, res[i].dist, res[i].matched, q.sk.terms.size(),
                   res[i].score);
@@ -387,27 +362,23 @@ Status RunCliQuery(Database* db, const CliQuery& q, QueryContext* ctx,
     DivSearchOutput out;
     const Status s =
         db->RunDivQuery(dq, q.edge, q.mode == "div-com", &out, ctx);
-    if (print) {
-      std::printf("f(S) = %.4f over %lu candidates%s\n", out.objective,
-                  static_cast<unsigned long>(out.stats.candidates),
-                  out.stats.early_terminated ? " (early termination)" : "");
-      for (const SkResult& r : out.selected) {
-        std::printf("  object %u  dist %.1f\n", r.id, r.dist);
-      }
+    std::printf("f(S) = %.4f over %lu candidates%s\n", out.objective,
+                static_cast<unsigned long>(out.stats.candidates),
+                out.stats.early_terminated ? " (early termination)" : "");
+    for (const SkResult& r : out.selected) {
+      std::printf("  object %u  dist %.1f\n", r.id, r.dist);
     }
     return s;
   }
   std::vector<SkResult> res;
   const Status s = db->RunSkQuery(q.sk, q.edge, &res, ctx);
-  if (print) {
-    for (size_t i = 0; i < res.size() && i < 20; ++i) {
-      std::printf("  object %u  dist %.1f\n", res[i].id, res[i].dist);
-    }
-    if (res.size() > 20) {
-      std::printf("  ... and %zu more\n", res.size() - 20);
-    }
-    std::printf("%zu objects satisfy the query\n", res.size());
+  for (size_t i = 0; i < res.size() && i < 20; ++i) {
+    std::printf("  object %u  dist %.1f\n", res[i].id, res[i].dist);
   }
+  if (res.size() > 20) {
+    std::printf("  ... and %zu more\n", res.size() - 20);
+  }
+  std::printf("%zu objects satisfy the query\n", res.size());
   return s;
 }
 
@@ -465,7 +436,7 @@ int CmdQuery(const Args& args) {
     ctx.trace = &trace;
   }
   Timer timer;
-  const Status status = RunCliQuery(&db, q, &ctx, /*print=*/true);
+  const Status status = RunCliQuery(&db, q, &ctx);
   std::printf("query time %.1f ms, %llu page reads, %llu prefetched\n",
               timer.ElapsedMillis(),
               static_cast<unsigned long long>(ctx.io.disk_reads),
@@ -474,78 +445,10 @@ int CmdQuery(const Args& args) {
     std::printf("%s\n", obs::PhasesJson(trace.AggregateByPhase()).c_str());
   }
 
-  // Optional concurrent re-run: the storage layer is concurrent-reader
-  // safe, so N workers can hammer the same index and buffer pool.
-  const size_t threads = args.GetSize("threads", 1, 1, 1024);
-  if (threads > 1) {
-    const size_t repeat = args.GetSize("repeat", 64, 1, 1u << 20);
-    ExecutorConfig config;
-    config.num_threads = threads;
-    QueryExecutor exec(config);
-    Timer wall;
-    for (size_t i = 0; i < threads * repeat; ++i) {
-      exec.SubmitQuery([&db, &q](QueryContext* worker_ctx) {
-        return RunCliQuery(&db, q, worker_ctx, /*print=*/false);
-      });
-    }
-    const QueryExecutor::DrainResult drained = exec.Drain();
-    const ThroughputMetrics m =
-        SummarizeThroughput(threads, wall.ElapsedMillis(), drained);
-    std::printf(
-        "concurrent rerun: %zu threads, %zu queries, %.1f qps "
-        "(p50 %.3f ms, p99 %.3f ms, errors %llu)\n",
-        m.num_threads, m.queries, m.qps, m.p50_millis, m.p99_millis,
-        static_cast<unsigned long long>(m.errors));
-  }
   if (!status.ok()) {
     std::fprintf(stderr, "query failed: %s\n", status.ToString().c_str());
     return status.IsInvalidArgument() ? 2 : 1;
   }
-  return 0;
-}
-
-int CmdMetrics(const Args& args) {
-  // Self-contained: a synthetic database plus a short concurrent workload,
-  // so there is traffic behind every exposed counter.
-  const double scale = args.GetDouble("scale", 0.03, 1e-6, 1e3);
-  CliBackend backend(args);
-  Database db(ScalePreset(PresetByName(args.Get("preset", "SYN")), scale),
-              backend.options());
-  db.BuildIndex(IndexOptionsByName(args.Get("index", "sif")));
-  db.PrepareForQueries();
-
-  obs::MetricsRegistry& registry = obs::GlobalMetrics();
-  db.BindMetrics(&registry, "db");
-  obs::BindProcessMetrics(&registry);
-
-  WorkloadConfig wc;
-  wc.num_queries = args.GetSize("queries", 32, 1, 1u << 20);
-  wc.num_keywords = 2;
-  wc.seed = 7;
-  const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
-  ExecutorConfig config;
-  config.num_threads = args.GetSize("threads", 2, 1, 1024);
-  config.metrics = &registry;
-  {
-    // Each query lands in the registry as it completes; leaving the scope
-    // waits for the last one.
-    QueryExecutor exec(config);
-    for (const WorkloadQuery& wq : wl.queries) {
-      const WorkloadQuery* q = &wq;
-      exec.SubmitQuery([&db, q](QueryContext* ctx) {
-        std::vector<SkResult> results;
-        return db.RunSkQuery(q->sk, q->edge, &results, ctx);
-      });
-    }
-  }
-
-  const std::string format = args.Get("format", "json");
-  if (format == "prom" || format == "prometheus") {
-    std::printf("%s", registry.ToPrometheus().c_str());
-  } else {
-    std::printf("%s\n", registry.ToJson().c_str());
-  }
-  db.UnbindMetrics(&registry, "db");
   return 0;
 }
 
@@ -731,10 +634,19 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
+/// A response status the drill counts as failed: anything but an answer
+/// (OK), a deadline (CANCELLED), a shed (RESOURCE_EXHAUSTED) or a rejected
+/// request (INVALID_ARGUMENT) — IO_ERROR, CORRUPTION and the rest.
+bool IsFailedStatus(const std::string& status) {
+  return status != "OK" && status != "CANCELLED" &&
+         status != "RESOURCE_EXHAUSTED" && status != "INVALID_ARGUMENT";
+}
+
 int CmdDrill(const Args& args) {
-  // Overload acceptance drill: hammer an in-process server over real
-  // sockets at a multiple of its capacity and verify the admission
-  // arithmetic is exact — no aborts, no lost requests, no double counts.
+  // Load drill: hammer an in-process server over real sockets — at a
+  // multiple of its capacity, under injected storage faults, or both — and
+  // verify the accounting is exact: no aborts, no lost requests, no double
+  // counts, every fault one Status-coded response.
   const double scale = args.GetDouble("scale", 0.03, 1e-6, 1e3);
   const size_t threads = args.GetSize("threads", 4, 1, 1024);
   const size_t queue = args.GetSize("queue", 16, 1, 1u << 20);
@@ -743,17 +655,33 @@ int CmdDrill(const Args& args) {
   const double deadline_ms = args.GetDouble("deadline-ms", 0.0, 0.0, 1e9);
   const double invalid_p = args.GetDouble("invalid-p", 0.0, 0.0, 1.0);
   const double quota_qps = args.GetDouble("quota-qps", 0.0, 0.0, 1e9);
+  const double read_fault_p = args.GetDouble("read-fault-p", 0.0, 0.0, 1.0);
+  const double corrupt_p = args.GetDouble("corrupt-p", 0.0, 0.0, 1.0);
+  const uint64_t seed = args.GetSize("seed", 42, 0, SIZE_MAX);
+  const size_t retries = args.GetSize("retries", 0, 0, 64);
 
   CliBackend backend(args);
   Database db(ScalePreset(PresetByName(args.Get("preset", "SYN")), scale),
               backend.options());
   db.BuildIndex(IndexOptionsByName(args.Get("index", "sif")));
   db.PrepareForQueries();
+  // Faults are armed after the build, which has written every page: a
+  // fault during a build would be a setup failure, not a query failure.
+  // The 2% pool then keeps cold reads coming for the faults to hit.
+  FaultInjector* faults = db.disk()->fault_injector();
+  if (read_fault_p > 0.0 || corrupt_p > 0.0) {
+    FaultInjector::Config fc;
+    fc.read_fault_p = read_fault_p;
+    fc.corrupt_read_p = corrupt_p;
+    fc.seed = seed;
+    faults->Configure(fc);
+  }
 
   obs::MetricsRegistry registry;
   server::ServerConfig sc;
   sc.service.threads = threads;
   sc.service.queue_capacity = queue;
+  sc.service.max_retries = retries;
   sc.service.default_deadline_ms = deadline_ms;
   sc.service.quota.rate_qps = quota_qps;
   sc.service.metrics = &registry;
@@ -774,9 +702,12 @@ int CmdDrill(const Args& args) {
   for (size_t c = 0; c < clients; ++c) {
     for (size_t i = 0; i < queries_per_client; ++i) {
       const bool invalid = rng.NextDouble() < invalid_p;
-      lines[c].push_back(MakeRequestLine(
-          wl.queries[i], "c" + std::to_string(c) + "-" + std::to_string(i),
-          deadline_ms, invalid));
+      std::string id = "c";
+      id += std::to_string(c);
+      id += '-';
+      id += std::to_string(i);
+      lines[c].push_back(
+          MakeRequestLine(wl.queries[i], id, deadline_ms, invalid));
     }
   }
 
@@ -814,6 +745,8 @@ int CmdDrill(const Args& args) {
 
   const server::ServiceCounters sv = server.counters();
   server.Stop();
+  faults->Disarm();
+  const FaultInjector::StatsSnapshot injected = faults->stats();
 
   ClientTally total;
   for (const ClientTally& t : tallies) {
@@ -828,6 +761,20 @@ int CmdDrill(const Args& args) {
   const uint64_t client_cancelled = total.by_status["CANCELLED"];
   const uint64_t client_rejected = total.by_status["RESOURCE_EXHAUSTED"];
   const uint64_t client_invalid = total.by_status["INVALID_ARGUMENT"];
+  uint64_t client_failed = 0;
+  for (const auto& [status, n] : total.by_status) {
+    client_failed += IsFailedStatus(status) ? n : 0;
+  }
+  // Every admitted query was recorded by the executor under its final
+  // Status once the server stopped.
+  uint64_t server_failed = 0;
+  for (size_t c = 1; c < Status::kNumCodes; ++c) {
+    const char* name = Status::CodeName(static_cast<Status::Code>(c));
+    if (IsFailedStatus(name)) {
+      server_failed +=
+          registry.counter(std::string("query.errors.") + name).value();
+    }
+  }
 
   // The admission invariants this drill exists to enforce.
   bool ok = true;
@@ -849,6 +796,12 @@ int CmdDrill(const Args& args) {
         "client INVALID_ARGUMENT == server invalid");
   check(total.received == total.sent - total.transport_errors,
         "one response per request");
+  check(client_ok + client_cancelled + client_rejected + client_invalid +
+                client_failed + total.transport_errors ==
+            clients * queries_per_client,
+        "client tallies add up to every request sent");
+  check(client_failed == server_failed,
+        "client failures == executor query.errors of the same codes");
   check(scrapes_ok.load() > 0 && scrapes_failed.load() == 0,
         "/metrics scrapeable throughout");
 
@@ -868,6 +821,10 @@ int CmdDrill(const Args& args) {
   w.Key("server_client_ok").Value(client_ok);
   w.Key("server_client_cancelled").Value(client_cancelled);
   w.Key("server_client_rejected").Value(client_rejected);
+  w.Key("server_client_failed").Value(client_failed);
+  w.Key("server_retries").Value(registry.counter("query.retries").value());
+  w.Key("server_read_faults").Value(injected.read_faults);
+  w.Key("server_bit_flips").Value(injected.corruptions);
   w.Key("server_transport_errors").Value(total.transport_errors);
   w.Key("server_scrapes_ok").Value(scrapes_ok.load());
   w.Key("server_scrapes_failed").Value(scrapes_failed.load());
@@ -879,164 +836,6 @@ int CmdDrill(const Args& args) {
   w.EndObject();
   std::printf("%s\n", w.str().c_str());
   return ok ? 0 : 1;
-}
-
-int CmdChaos(const Args& args) {
-  // Survival demonstration: run a concurrent workload with the storage
-  // fault injector armed and show that every failure surfaces as a counted
-  // Status — the queries fail, the process does not.
-  const double scale = args.GetDouble("scale", 0.03, 1e-6, 1e3);
-  const double read_fault_p = args.GetDouble("read-fault-p", 0.001, 0.0, 1.0);
-  const double corrupt_p = args.GetDouble("corrupt-p", 0.0, 0.0, 1.0);
-  const uint64_t seed = args.GetSize("seed", 42, 0, SIZE_MAX);
-  const size_t retries = args.GetSize("retries", 0, 0, 64);
-  const size_t num_queries = args.GetSize("queries", 256, 1, 1u << 20);
-  const size_t threads = args.GetSize("threads", 8, 1, 1024);
-
-  CliBackend backend(args);
-  Database db(ScalePreset(PresetByName(args.Get("preset", "SYN")), scale),
-              backend.options());
-  db.BuildIndex(IndexOptionsByName(args.Get("index", "sif")));
-  // Faults are armed after the build, which has written every page: a
-  // fault during a build would be a setup failure, not a query failure. The
-  // 2% pool then guarantees cold reads during the workload so faults
-  // actually have reads to hit.
-  db.PrepareForQueries();
-
-  WorkloadConfig wc;
-  wc.num_queries = num_queries;
-  wc.num_keywords = 2;
-  wc.seed = 7;
-  const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
-
-  FaultInjector::Config fc;
-  fc.read_fault_p = read_fault_p;
-  fc.corrupt_read_p = corrupt_p;
-  fc.seed = seed;
-  db.disk()->fault_injector()->Configure(fc);
-
-  if (args.Has("socket")) {
-    // End-to-end drill: the same fault-injected workload, but every query
-    // travels over a real TCP connection through the query server. The
-    // survival property becomes visible at the protocol level — each
-    // injected fault answers as a Status-coded JSON response and the
-    // server keeps serving.
-    obs::MetricsRegistry registry;
-    server::ServerConfig sc;
-    sc.service.threads = threads;
-    sc.service.queue_capacity = num_queries;  // chaos probes faults, not sheds
-    sc.service.max_retries = retries;
-    sc.service.metrics = &registry;
-    server::QueryServer server(&db, sc);
-    if (const Status s = server.Start(0); !s.ok()) {
-      std::fprintf(stderr, "chaos server failed to start: %s\n",
-                   s.ToString().c_str());
-      return 1;
-    }
-    const size_t num_clients = std::min<size_t>(threads, 8);
-    std::vector<std::vector<std::string>> lines(num_clients);
-    for (size_t i = 0; i < wl.queries.size(); ++i) {
-      lines[i % num_clients].push_back(MakeRequestLine(
-          wl.queries[i], "q" + std::to_string(i), /*deadline_ms=*/0.0,
-          /*invalid=*/false));
-    }
-    std::vector<ClientTally> tallies(num_clients);
-    std::vector<std::thread> workers;
-    for (size_t c = 0; c < num_clients; ++c) {
-      workers.emplace_back([&, c] {
-        RunSocketClient(server.port(), lines[c], /*read_timeout_ms=*/120000,
-                        &tallies[c]);
-      });
-    }
-    for (std::thread& t : workers) {
-      t.join();
-    }
-    const server::ServiceCounters sv = server.counters();
-    server.Stop();
-    db.disk()->fault_injector()->Disarm();
-
-    ClientTally total;
-    for (const ClientTally& t : tallies) {
-      total.sent += t.sent;
-      total.received += t.received;
-      total.transport_errors += t.transport_errors;
-      for (const auto& [status, n] : t.by_status) {
-        total.by_status[status] += n;
-      }
-    }
-    std::printf(
-        "chaos --socket: %llu requests over %zu connections, %zu server "
-        "threads, read-fault-p=%g corrupt-p=%g (seed %llu, backend %s)\n",
-        static_cast<unsigned long long>(total.sent), num_clients, threads,
-        read_fault_p, corrupt_p, static_cast<unsigned long long>(seed),
-        backend.name());
-    for (const auto& [status, n] : total.by_status) {
-      std::printf("    %-17s %llu\n", status.c_str(),
-                  static_cast<unsigned long long>(n));
-    }
-    std::printf("  server: %llu admitted, %llu completed, %llu shed, "
-                "retries %llu; transport errors %llu\n",
-                static_cast<unsigned long long>(sv.admitted),
-                static_cast<unsigned long long>(sv.completed),
-                static_cast<unsigned long long>(sv.shed),
-                static_cast<unsigned long long>(
-                    registry.counter("query.retries").value()),
-                static_cast<unsigned long long>(total.transport_errors));
-    const bool survived =
-        total.received == total.sent && sv.admitted == sv.completed;
-    std::printf("%s\n", survived
-                            ? "survived: every failure above is a Status "
-                              "response, not a crash"
-                            : "FAILED: lost responses or admission leak");
-    return survived ? 0 : 1;
-  }
-
-  ExecutorConfig config;
-  config.num_threads = threads;
-  config.max_retries = retries;
-  ThroughputMetrics m;
-  {
-    QueryExecutor exec(config);
-    Timer wall;
-    for (const WorkloadQuery& wq : wl.queries) {
-      const WorkloadQuery* q = &wq;
-      exec.SubmitQuery([&db, q](QueryContext* ctx) {
-        std::vector<SkResult> results;
-        return db.RunSkQuery(q->sk, q->edge, &results, ctx);
-      });
-    }
-    const QueryExecutor::DrainResult drained = exec.Drain();
-    m = SummarizeThroughput(threads, wall.ElapsedMillis(), drained);
-  }
-  db.disk()->fault_injector()->Disarm();
-
-  std::printf(
-      "chaos: %zu queries on %zu threads under read-fault-p=%g "
-      "corrupt-p=%g (seed %llu, backend %s)\n",
-      m.queries, m.num_threads, read_fault_p, corrupt_p,
-      static_cast<unsigned long long>(seed), backend.name());
-  std::printf("  failed %llu (error rate %.2f%%), retries %llu\n",
-              static_cast<unsigned long long>(m.errors),
-              100.0 * m.error_rate,
-              static_cast<unsigned long long>(m.retries));
-  for (size_t c = 0; c < Status::kNumCodes; ++c) {
-    if (m.errors_by_code[c] > 0) {
-      std::printf("    %-17s %llu\n",
-                  Status::CodeName(static_cast<Status::Code>(c)),
-                  static_cast<unsigned long long>(m.errors_by_code[c]));
-    }
-  }
-  const FaultInjector::StatsSnapshot fs =
-      db.disk()->fault_injector()->stats();
-  const DiskStatsSnapshot ds = db.disk()->stats_snapshot();
-  std::printf("  injected: %llu read faults, %llu bit flips\n",
-              static_cast<unsigned long long>(fs.read_faults),
-              static_cast<unsigned long long>(fs.corruptions));
-  std::printf("  disk: %llu reads, %llu corruptions detected by checksum\n",
-              static_cast<unsigned long long>(ds.reads),
-              static_cast<unsigned long long>(ds.corruptions_detected));
-  std::printf("survived: every failure above is a Status, not a crash\n");
-  return 0;
 }
 
 int Main(int argc, char** argv) {
@@ -1053,12 +852,6 @@ int Main(int argc, char** argv) {
   }
   if (cmd == "query") {
     return CmdQuery(args);
-  }
-  if (cmd == "metrics") {
-    return CmdMetrics(args);
-  }
-  if (cmd == "chaos") {
-    return CmdChaos(args);
   }
   if (cmd == "serve") {
     return CmdServe(args);

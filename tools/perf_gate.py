@@ -12,19 +12,20 @@ Usage:
 
   perf_gate.py validate-bench <BENCH_throughput.json>
       Validate the bench artifact (a JSON array): every measurement record
-      must carry the full latency block including the merged-histogram
-      fields, and at least one per-phase profile record must be present.
+      must carry the full latency block, and at least one per-phase
+      profile record must be present.
 
   perf_gate.py validate-metrics <metrics.json>
-      Validate `dsks_cli metrics` output: all four registry sections, the
-      executor's pooled latency histogram, and live db.pool.* / db.disk.*
-      sources must be present.
+      Validate a registry dump such as `dsks_cli serve`'s /varz: all four
+      registry sections, the executor's latency histogram and query
+      counter, and live db.pool.* / db.disk.* sources must be present.
 
   perf_gate.py validate-server <drill.json>
       Validate a `dsks_cli drill` "server_drill" record: every server_*
-      field present with the right type, and the admission arithmetic
-      exact — offered == admitted + shed + invalid + quota_denied,
-      admitted == completed, /metrics scrapeable throughout, and the
+      field present with the right type, and the arithmetic exact —
+      offered == admitted + shed + invalid + quota_denied, admitted ==
+      completed, the client tallies (ok + cancelled + rejected + invalid
+      + failed) == offered, /metrics scrapeable throughout, and the
       drill's own invariant verdict true.
 
   perf_gate.py overhead <off.jsonl> <on.jsonl>
@@ -113,15 +114,10 @@ MEASUREMENT_SCHEMA = {
         "p50_ms": NUM,
         "p95_ms": NUM,
         "p99_ms": NUM,
-        "speedup": NUM,
         # error accounting: benches run fault-free, so these must be zero
         # (checked separately in validate_bench, not just present)
         "errors": {"type": "integer", "min": 0},
         "error_rate": NUM,
-        # merged per-worker histogram fields (interpolated within buckets)
-        "hist_count": {"type": "integer", "min": 1},
-        "hist_p50_ms": NUM,
-        "hist_p99_ms": NUM,
         # sampled-tracing regime of the run: 1-in-N (0 = tracing off) and
         # how many queries actually ran traced. Present on every record so
         # a sampled run can never masquerade as an unsampled baseline.
@@ -198,6 +194,14 @@ SERVER_DRILL_SCHEMA = {
         "server_client_ok": INT,
         "server_client_cancelled": INT,
         "server_client_rejected": INT,
+        # responses that are none of OK, CANCELLED, RESOURCE_EXHAUSTED and
+        # INVALID_ARGUMENT: IO_ERROR, CORRUPTION and the rest
+        "server_client_failed": INT,
+        # IO_ERROR re-runs under the drill's retry budget, and the faults
+        # the storage injector put in (0 without fault flags)
+        "server_retries": INT,
+        "server_read_faults": INT,
+        "server_bit_flips": INT,
         "server_transport_errors": INT,
         "server_scrapes_ok": INT,
         "server_scrapes_failed": INT,
@@ -316,6 +320,20 @@ def validate_server(path) -> int:
             errors.append(
                 f"$: client RESOURCE_EXHAUSTED {rec['server_client_rejected']} "
                 f"!= shed + quota_denied"
+            )
+        # Every request the server saw got exactly one tallied answer. The
+        # drill checks client INVALID_ARGUMENT == server invalid itself.
+        answered = (
+            rec["server_client_ok"]
+            + rec["server_client_cancelled"]
+            + rec["server_client_rejected"]
+            + rec["server_invalid"]
+            + rec["server_client_failed"]
+        )
+        if answered != offered:
+            errors.append(
+                f"$: client tallies ok + cancelled + rejected + invalid + "
+                f"failed = {answered} != offered {offered}"
             )
         if rec["server_scrapes_ok"] < 1 or rec["server_scrapes_failed"] != 0:
             errors.append(
