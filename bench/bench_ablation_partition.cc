@@ -39,7 +39,8 @@ int main() {
     EdgeCase c;
     c.edge = e;
     for (ObjectId id : on_edge) {
-      c.term_sets.push_back(objects.object(id).terms);
+      const std::span<const TermId> terms = objects.object(id).terms;
+      c.term_sets.emplace_back(terms.begin(), terms.end());
     }
     c.log = provider(e, c.term_sets);
     if (!c.log.empty()) {

@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the building blocks: Z-order
 // encoding, Dijkstra, buffer-pool hits and evicting misses, CCAM adjacency
 // loads, B+tree lookups, signature tests, LoadObjects, core-pair
-// maintenance, the full SK search, the flat hot-path containers and the
-// pairwise distance oracle strategies.
+// maintenance, the full SK search, the flat hot-path containers, the
+// pairwise distance oracle strategies, and two setup steps on the golden
+// dataset: object generation and the SIF build.
 //
 // Results are written to BENCH_micro.json (google-benchmark JSON format)
 // in the working directory, alongside the usual console table.
@@ -26,6 +27,7 @@
 #include "core/sk_search.h"
 #include "datagen/network_generator.h"
 #include "datagen/object_generator.h"
+#include "datagen/presets.h"
 #include "datagen/workload.h"
 #include "graph/ccam.h"
 #include "graph/dijkstra.h"
@@ -463,6 +465,42 @@ BENCHMARK(BM_DivComOracle)
     ->Args({10, 1})
     ->Args({20, 0})
     ->Args({20, 1});
+
+/// The golden counters' dataset (golden_counters_test): SYN at scale 0.2
+/// with 6 keywords per object.
+DatasetConfig GoldenConfig() {
+  DatasetConfig config = ScalePreset(PresetSYN(), 0.2);
+  config.objects.keywords_per_object = 6;
+  return config;
+}
+
+/// §5's object generator on the golden network: placement, topics and Zipf
+/// keywords for 40,000 objects.
+void BM_GenerateObjects(benchmark::State& state) {
+  const DatasetConfig config = GoldenConfig();
+  const auto net = GenerateRoadNetwork(config.network);
+  for (auto _ : state) {
+    auto objects = GenerateObjects(*net, config.objects);
+    benchmark::DoNotOptimize(objects->size());
+  }
+}
+BENCHMARK(BM_GenerateObjects)->Unit(benchmark::kMillisecond);
+
+/// The SIF bulk load of §3.1 on the golden dataset: the IF's counting
+/// sort, posting file and B+trees, then the signature, onto a fresh
+/// in-memory disk each time.
+void BM_BuildSifIndex(benchmark::State& state) {
+  const DatasetConfig config = GoldenConfig();
+  const auto net = GenerateRoadNetwork(config.network);
+  const auto objects = GenerateObjects(*net, config.objects);
+  for (auto _ : state) {
+    DiskManager disk;
+    BufferPool pool(&disk, 64);
+    SifIndex index(&pool, *objects, config.objects.vocab_size);
+    benchmark::DoNotOptimize(index.SizeBytes());
+  }
+}
+BENCHMARK(BM_BuildSifIndex)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dsks

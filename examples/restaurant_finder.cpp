@@ -34,7 +34,7 @@ int main() {
   // "pancake").
   const auto& start = db.objects().object(1234 % db.objects().size());
   // Her two dishes: the start restaurant's two most common keywords.
-  std::vector<TermId> menu = start.terms;
+  std::vector<TermId> menu(start.terms.begin(), start.terms.end());
   std::sort(menu.begin(), menu.end(), [&db](TermId a, TermId b) {
     return db.term_stats().Frequency(a) > db.term_stats().Frequency(b);
   });

@@ -58,9 +58,31 @@ std::unique_ptr<ObjectSet> GenerateObjects(const RoadNetwork& network,
                                                config.topic_zipf_z);
     block_zipf = std::make_unique<ZipfSampler>(block, config.zipf_z);
   }
+  const size_t grid = std::max<size_t>(1, config.topic_cell_grid);
   const double cell_width =
-      (ZOrder::kSpaceMax - ZOrder::kSpaceMin) /
-      static_cast<double>(std::max<size_t>(1, config.topic_cell_grid));
+      (ZOrder::kSpaceMax - ZOrder::kSpaceMin) / static_cast<double>(grid);
+  // Each cell's topic, computed once: generated coordinates lie in
+  // [kSpaceMin, kSpaceMax], so the cell index takes grid + 1 values per
+  // axis. A cell outside the table (a network with coordinates outside that
+  // range) computes its topic itself.
+  const size_t table_side = grid + 1;
+  std::vector<size_t> cell_topic;
+  if (num_topics > 0) {
+    cell_topic.resize(table_side * table_side);
+    for (size_t cy = 0; cy < table_side; ++cy) {
+      for (size_t cx = 0; cx < table_side; ++cx) {
+        cell_topic[cy * table_side + cx] =
+            CellTopic(cx, cy, *topic_zipf, config.seed);
+      }
+    }
+  }
+
+  // At most this many keywords per object, so the term array never grows.
+  const size_t max_count = config.fixed_keyword_count
+                               ? config.keywords_per_object
+                               : std::max<size_t>(
+                                     1, config.keywords_per_object * 3 / 2);
+  objects->Reserve(config.num_objects, config.num_objects * max_count);
 
   std::vector<TermId> terms;
   for (size_t i = 0; i < config.num_objects; ++i) {
@@ -89,7 +111,9 @@ std::unique_ptr<ObjectSet> GenerateObjects(const RoadNetwork& network,
                                             cell_width);
         const auto cy = static_cast<size_t>((p.y - ZOrder::kSpaceMin) /
                                             cell_width);
-        topic = CellTopic(cx, cy, *topic_zipf, config.seed);
+        topic = cx < table_side && cy < table_side
+                    ? cell_topic[cy * table_side + cx]
+                    : CellTopic(cx, cy, *topic_zipf, config.seed);
       } else {
         topic = topic_zipf->Sample(&rng);
       }

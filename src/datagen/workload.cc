@@ -44,7 +44,7 @@ Workload GenerateWorkload(const ObjectSet& objects, const TermStats& stats,
       // Keywords: distinct terms of the co-located object, each chosen
       // with probability proportional to its corpus frequency (the
       // paper's freq(t)/Σfreq bias, restricted to a satisfiable set).
-      std::vector<TermId> pool = obj.terms;
+      std::vector<TermId> pool(obj.terms.begin(), obj.terms.end());
       const size_t take = std::min(config.num_keywords, pool.size());
       while (wq.sk.terms.size() < take) {
         double pool_total = 0.0;

@@ -1,13 +1,14 @@
 #include "graph/object_set.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/macros.h"
 
 namespace dsks {
 
-Status ObjectSet::Add(EdgeId edge, double offset, std::vector<TermId> terms,
-                      ObjectId* out_id) {
+Status ObjectSet::Add(EdgeId edge, double offset,
+                      std::span<const TermId> terms, ObjectId* out_id) {
   DSKS_CHECK_MSG(!finalized_, "Add after Finalize");
   if (edge >= network_->num_edges()) {
     return Status::InvalidArgument("object on unknown edge");
@@ -19,24 +20,54 @@ Status ObjectSet::Add(EdgeId edge, double offset, std::vector<TermId> terms,
   if (terms.empty()) {
     return Status::InvalidArgument("object must have at least one keyword");
   }
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+  const size_t begin = terms_.size();
+  if (begin + terms.size() > terms_.capacity()) {
+    ReallocateTerms(std::max(begin + terms.size(), 2 * terms_.capacity()));
+  }
+  terms_.insert(terms_.end(), terms.begin(), terms.end());
+  std::sort(terms_.begin() + begin, terms_.end());
+  terms_.erase(std::unique(terms_.begin() + begin, terms_.end()),
+               terms_.end());
 
   SpatioTextualObject obj;
   obj.id = static_cast<ObjectId>(objects_.size());
   obj.edge = edge;
   obj.offset = offset;
   obj.loc = network_->PointOnEdge(edge, offset);
-  obj.terms = std::move(terms);
-  objects_.push_back(std::move(obj));
+  obj.terms = std::span<const TermId>(terms_).subspan(begin);
+  objects_.push_back(obj);
   if (out_id != nullptr) {
-    *out_id = objects_.back().id;
+    *out_id = obj.id;
   }
   return Status::Ok();
 }
 
+void ObjectSet::Reserve(size_t num_objects, size_t num_terms) {
+  DSKS_CHECK_MSG(!finalized_, "Reserve after Finalize");
+  objects_.reserve(num_objects);
+  if (num_terms > terms_.capacity()) {
+    ReallocateTerms(num_terms);
+  }
+}
+
+void ObjectSet::ReallocateTerms(size_t capacity) {
+  std::vector<TermId> moved;
+  moved.reserve(capacity);
+  moved.assign(terms_.begin(), terms_.end());
+  for (SpatioTextualObject& obj : objects_) {
+    obj.terms = std::span<const TermId>(moved).subspan(
+        static_cast<size_t>(obj.terms.data() - terms_.data()),
+        obj.terms.size());
+  }
+  terms_ = std::move(moved);
+}
+
 void ObjectSet::Finalize() {
   DSKS_CHECK_MSG(!finalized_, "Finalize called twice");
+  objects_.shrink_to_fit();
+  if (terms_.capacity() > terms_.size()) {
+    ReallocateTerms(terms_.size());
+  }
   const size_t num_edges = network_->num_edges();
   std::vector<uint32_t> counts(num_edges + 1, 0);
   for (const auto& obj : objects_) {
@@ -46,22 +77,21 @@ void ObjectSet::Finalize() {
   for (size_t e = 0; e < num_edges; ++e) {
     edge_offsets_[e + 1] = edge_offsets_[e] + counts[e];
   }
-  edge_objects_.resize(objects_.size());
+  // Within each edge, order by offset from the reference node (the
+  // "visiting order along the edge" of §3.3), ties by id: sorted as
+  // (offset, id) pairs, so the sort reads no object.
+  std::vector<std::pair<double, ObjectId>> by_offset(objects_.size());
   std::vector<uint32_t> cursor(edge_offsets_.begin(), edge_offsets_.end() - 1);
   for (const auto& obj : objects_) {
-    edge_objects_[cursor[obj.edge]++] = obj.id;
+    by_offset[cursor[obj.edge]++] = {obj.offset, obj.id};
   }
-  // Within each edge, order by offset from the reference node (the
-  // "visiting order along the edge" of §3.3).
+  edge_objects_.resize(objects_.size());
   for (size_t e = 0; e < num_edges; ++e) {
-    std::sort(edge_objects_.begin() + edge_offsets_[e],
-              edge_objects_.begin() + edge_offsets_[e + 1],
-              [this](ObjectId a, ObjectId b) {
-                if (objects_[a].offset != objects_[b].offset) {
-                  return objects_[a].offset < objects_[b].offset;
-                }
-                return a < b;
-              });
+    std::sort(by_offset.begin() + edge_offsets_[e],
+              by_offset.begin() + edge_offsets_[e + 1]);
+  }
+  for (size_t i = 0; i < by_offset.size(); ++i) {
+    edge_objects_[i] = by_offset[i].second;
   }
   finalized_ = true;
 }
@@ -74,7 +104,7 @@ std::span<const ObjectId> ObjectSet::ObjectsOnEdge(EdgeId edge) const {
 }
 
 bool ObjectSet::ObjectHasTerm(ObjectId id, TermId t) const {
-  const auto& terms = objects_[id].terms;
+  const std::span<const TermId> terms = objects_[id].terms;
   return std::binary_search(terms.begin(), terms.end(), t);
 }
 
@@ -86,14 +116,6 @@ bool ObjectSet::ObjectHasAllTerms(ObjectId id,
     }
   }
   return true;
-}
-
-uint64_t ObjectSet::TotalTermOccurrences() const {
-  uint64_t total = 0;
-  for (const auto& obj : objects_) {
-    total += obj.terms.size();
-  }
-  return total;
 }
 
 }  // namespace dsks

@@ -123,6 +123,7 @@ Status LoadDataset(const std::string& path,
   if (!ReadRaw(in, &num_objects)) {
     return Status::Corruption("truncated object count");
   }
+  std::vector<TermId> terms;
   for (uint64_t i = 0; i < num_objects; ++i) {
     EdgeId edge;
     double offset;
@@ -134,7 +135,7 @@ Status LoadDataset(const std::string& path,
     if (num_terms == 0 || num_terms > 100000) {
       return Status::Corruption("implausible object term count");
     }
-    std::vector<TermId> terms(num_terms);
+    terms.resize(num_terms);
     for (uint32_t t = 0; t < num_terms; ++t) {
       if (!ReadRaw(in, &terms[t])) {
         return Status::Corruption("truncated term list");
@@ -144,7 +145,7 @@ Status LoadDataset(const std::string& path,
       }
     }
     ObjectId unused;
-    Status s = objs->Add(edge, offset, std::move(terms), &unused);
+    Status s = objs->Add(edge, offset, terms, &unused);
     if (!s.ok()) {
       return Status::Corruption("invalid object in file: " + s.message());
     }

@@ -2,7 +2,7 @@
 #define DSKS_GRAPH_TYPES_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "spatial/point.h"
 
@@ -37,6 +37,7 @@ struct Edge {
 
 /// A spatio-textual object: a location on some edge plus a set of keywords
 /// (term ids into a Vocabulary), kept sorted for O(log n) membership tests.
+/// `terms` views the owning ObjectSet's flat term array.
 struct SpatioTextualObject {
   ObjectId id = kInvalidObjectId;
   EdgeId edge = kInvalidEdgeId;
@@ -44,7 +45,7 @@ struct SpatioTextualObject {
   /// in [0, edge.length].
   double offset = 0.0;
   Point loc;
-  std::vector<TermId> terms;
+  std::span<const TermId> terms;
 };
 
 /// One entry of a node's adjacency list.

@@ -1,6 +1,11 @@
 #include "harness/database.h"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/macros.h"
@@ -43,8 +48,10 @@ constexpr size_t kInitialPoolFrames = 64 * 1024;  // 256 MiB of frames
 
 Database::Database(const DatasetConfig& config, const DiskOptions& storage)
     : config_(config), disk_(storage) {
+  Timer timer;
   network_ = GenerateRoadNetwork(config.network);
   objects_ = GenerateObjects(*network_, config.objects);
+  setup_times_.dataset_ms = timer.ElapsedMillis();
   Mount();
 }
 
@@ -66,12 +73,16 @@ Database::Database(std::unique_ptr<RoadNetwork> network,
 }
 
 void Database::Mount() {
+  Timer timer;
   term_stats_ =
       std::make_unique<TermStats>(*objects_, config_.objects.vocab_size);
+  setup_times_.term_stats_ms = timer.ElapsedMillis();
+  timer.Reset();
   pool_ = std::make_unique<BufferPool>(&disk_, kInitialPoolFrames);
   ccam_file_ = CcamFileBuilder::Build(*network_, &disk_);
   ccam_graph_ = std::make_unique<CcamGraph>(&ccam_file_, pool_.get());
   index_base_pages_ = disk_.num_pages();
+  setup_times_.ccam_ms = timer.ElapsedMillis();
 }
 
 Database::IndexBuildInfo Database::BuildIndex(const IndexOptions& options) {
@@ -121,15 +132,23 @@ Database::IndexBuildInfo Database::BuildIndex(const IndexOptions& options) {
                                                min_postings);
       break;
   }
+#ifdef __GLIBC__
+  // The build freed far more heap than the index keeps (the posting array,
+  // the run lists, the B+tree pair lists); without this, glibc keeps most
+  // of it resident for the life of the process.
+  ::malloc_trim(0);
+#endif
   IndexBuildInfo info;
   info.build_millis = timer.ElapsedMillis();
   info.size_bytes = index_->SizeBytes();
   index_pages_ = disk_.num_pages() - index_base_pages_;
+  setup_times_.index_build_ms = info.build_millis;
   return info;
 }
 
 void Database::PrepareForQueries(double fraction, size_t min_frames) {
   DSKS_CHECK_MSG(index_ != nullptr, "build an index first");
+  Timer timer;
   // Budget relative to the live dataset (CCAM + current index). Since
   // rebuilds truncate the superseded extent this normally equals the raw
   // disk, but the live sum stays correct even if a leak regresses.
@@ -144,6 +163,7 @@ void Database::PrepareForQueries(double fraction, size_t min_frames) {
   DSKS_CHECK_MSG(disk_flush.ok(), "PrepareForQueries on a faulty disk");
   pool_->SetCapacity(frames);
   ResetCounters();
+  setup_times_.prepare_ms = timer.ElapsedMillis();
 }
 
 void Database::ResetCounters() {
@@ -171,6 +191,18 @@ void Database::BindMetrics(obs::MetricsRegistry* registry,
         return static_cast<uint64_t>(total > live ? total - live : 0);
       },
       obs::MetricsRegistry::SourceKind::kGauge);
+  const std::pair<const char*, const double*> phases[] = {
+      {"dataset", &setup_times_.dataset_ms},
+      {"term_stats", &setup_times_.term_stats_ms},
+      {"ccam", &setup_times_.ccam_ms},
+      {"index_build", &setup_times_.index_build_ms},
+      {"prepare", &setup_times_.prepare_ms}};
+  for (const auto& [phase, ms] : phases) {
+    registry->BindSource(
+        prefix + ".setup." + phase + "_ms",
+        [ms] { return static_cast<uint64_t>(std::llround(*ms)); },
+        obs::MetricsRegistry::SourceKind::kGauge);
+  }
 }
 
 void Database::UnbindMetrics(obs::MetricsRegistry* registry,

@@ -69,13 +69,25 @@ class Database {
     uint64_t size_bytes = 0;
   };
 
+  /// Wall time of each setup phase, in milliseconds; a phase that has not
+  /// run reads 0 (dataset generation when a loaded dataset is mounted).
+  struct SetupTimes {
+    double dataset_ms = 0.0;  // road network and objects
+    double term_stats_ms = 0.0;
+    double ccam_ms = 0.0;
+    double index_build_ms = 0.0;  // the last BuildIndex
+    double prepare_ms = 0.0;      // the last PrepareForQueries
+  };
+
   /// Builds (or replaces) the object index, writing each of its pages once
   /// to the disk; the pool holds none of them afterwards. May be called
   /// multiple times; a rebuild truncates the disk back to the post-CCAM
   /// watermark first, so superseded index pages are reclaimed instead of
   /// leaking (on the file backend this is the difference between a stable
   /// and an ever-growing index file). The "db.disk.leaked_pages" gauge
-  /// reports any pages that still escape this accounting.
+  /// reports any pages that still escape this accounting. Ends by
+  /// returning the build's freed heap to the system (glibc's malloc_trim),
+  /// which the build time includes.
   IndexBuildInfo BuildIndex(const IndexOptions& options);
 
   /// Drops every pool frame, flushes the disk backend (checksum sidecar +
@@ -100,8 +112,10 @@ class Database {
   uint64_t IoCount() const;
 
   /// Exposes the pool and disk counters as live sources under
-  /// "<prefix>.pool.*" and "<prefix>.disk.*". The Database must outlive
-  /// the binding; UnbindMetrics (or destroying the registry) releases it.
+  /// "<prefix>.pool.*" and "<prefix>.disk.*", and the setup phases as
+  /// gauges "<prefix>.setup.<phase>_ms" (whole milliseconds). The Database
+  /// must outlive the binding; UnbindMetrics (or destroying the registry)
+  /// releases it.
   void BindMetrics(obs::MetricsRegistry* registry,
                    const std::string& prefix = "db") const;
   void UnbindMetrics(obs::MetricsRegistry* registry,
@@ -144,6 +158,7 @@ class Database {
   const ObjectSet& objects() const { return *objects_; }
   const TermStats& term_stats() const { return *term_stats_; }
   const DatasetConfig& config() const { return config_; }
+  const SetupTimes& setup_times() const { return setup_times_; }
   ObjectIndex* index() { return index_.get(); }
   BufferPool* pool() { return pool_.get(); }
   DiskManager* disk() { return &disk_; }
@@ -174,6 +189,7 @@ class Database {
   size_t index_base_pages_ = 0;
   /// Pages allocated by the most recent BuildIndex.
   size_t index_pages_ = 0;
+  SetupTimes setup_times_;
 };
 
 }  // namespace dsks

@@ -13,11 +13,15 @@ namespace {
 /// Query keywords one LoadObjects call resolves without allocating.
 constexpr size_t kInlineTerms = 16;
 
+/// How many objects ahead the build's edge walk prefetches an object; its
+/// terms are prefetched half as far ahead, once the object is in cache.
+constexpr size_t kWalkLookahead = 16;
+
 }  // namespace
 
 InvertedFileIndex::InvertedFileIndex(BufferPool* pool,
                                      const ObjectSet& objects,
-                                     size_t vocab_size)
+                                     size_t vocab_size, RunEdges* run_edges)
     : pool_(pool) {
   const RoadNetwork& net = objects.network();
   DSKS_CHECK_MSG(objects.finalized(), "object set must be finalized");
@@ -30,16 +34,27 @@ InvertedFileIndex::InvertedFileIndex(BufferPool* pool,
   // Every posting, handed to `fn(term, edge, entry)` edge by edge in id
   // order and, on an edge, object by object in position order: a
   // keyword's postings on one edge arrive back to back, sorted by position.
+  // The walk meets objects out of id order, so it prefetches ahead of
+  // itself: each object, then its terms.
+  const std::span<const ObjectId> walk = objects.ObjectsInEdgeOrder();
   auto for_each_posting = [&](auto&& fn) {
+    size_t i = 0;  // the walk's position in `walk`
     for (EdgeId e = 0; e < net.num_edges(); ++e) {
-      uint16_t pos = 0;
-      for (ObjectId id : objects.ObjectsOnEdge(e)) {
+      const size_t end = i + objects.ObjectsOnEdge(e).size();
+      for (uint16_t pos = 0; i < end; ++i, ++pos) {
+        if (i + kWalkLookahead < walk.size()) {
+          __builtin_prefetch(&objects.object(walk[i + kWalkLookahead]));
+        }
+        if (i + kWalkLookahead / 2 < walk.size()) {
+          __builtin_prefetch(
+              objects.object(walk[i + kWalkLookahead / 2]).terms.data());
+        }
+        const ObjectId id = walk[i];
         const SpatioTextualObject& obj = objects.object(id);
         const double w1 = net.WeightFromN1(e, obj.offset);
         for (TermId t : obj.terms) {
           fn(t, e, PostingFile::Entry{id, pos, w1});
         }
-        ++pos;
       }
     }
   };
@@ -48,35 +63,36 @@ InvertedFileIndex::InvertedFileIndex(BufferPool* pool,
   // one length per (keyword, edge) run. First count each keyword's
   // postings and runs; their prefix sums are the keyword's slices.
   posting_count_.assign(vocab_size, 0);
-  std::vector<uint32_t> run_count(vocab_size, 0);
+  RunEdges runs;
+  runs.offsets.assign(vocab_size + 1, 0);
   std::vector<EdgeId> last_edge(vocab_size, kInvalidEdgeId);
   for_each_posting([&](TermId t, EdgeId e, const PostingFile::Entry&) {
     ++posting_count_[t];
     if (last_edge[t] != e) {
       last_edge[t] = e;
-      ++run_count[t];
+      ++runs.offsets[t + 1];
     }
   });
   std::vector<size_t> next_entry(vocab_size);
-  std::vector<size_t> next_run(vocab_size);
   size_t num_entries = 0;
-  size_t num_runs = 0;
   for (TermId t = 0; t < vocab_size; ++t) {
     next_entry[t] = num_entries;
-    next_run[t] = num_runs;
     num_entries += posting_count_[t];
-    num_runs += run_count[t];
+    runs.offsets[t + 1] += runs.offsets[t];
   }
+  const size_t num_runs = runs.offsets[vocab_size];
   // Then place each posting in its keyword's slice; a keyword's run ends
   // where the walk moves it to another edge, never at another keyword's
-  // run on the same edge.
+  // run on the same edge. Each run's edge is recorded as it starts.
   std::vector<PostingFile::Entry> entries(num_entries);
   std::vector<uint32_t> run_length(num_runs, 0);
+  runs.edges.resize(num_runs);
+  std::vector<size_t> next_run(runs.offsets.begin(), runs.offsets.end() - 1);
   std::fill(last_edge.begin(), last_edge.end(), kInvalidEdgeId);
   for_each_posting([&](TermId t, EdgeId e, const PostingFile::Entry& entry) {
     if (last_edge[t] != e) {
       last_edge[t] = e;
-      ++next_run[t];
+      runs.edges[next_run[t]++] = e;
     }
     ++run_length[next_run[t] - 1];
     entries[next_entry[t]++] = entry;
@@ -87,24 +103,23 @@ InvertedFileIndex::InvertedFileIndex(BufferPool* pool,
   std::vector<PostingFile::Locator> locators;
   postings_ =
       std::make_unique<PostingFile>(pool_, entries, run_length, &locators);
+  // The B+trees need only the run edges and locators.
+  entries = std::vector<PostingFile::Entry>();
+  run_length = std::vector<uint32_t>();
 
   // Phase 2: one B+tree per keyword mapping edge keys to run locators,
-  // bulk loaded from the keyword's sorted edge-key list. A run's edge is
-  // its first object's.
+  // bulk loaded from the keyword's sorted edge-key list.
   term_roots_.assign(vocab_size, kInvalidPageId);
   std::vector<std::pair<uint64_t, uint64_t>> pairs;
-  size_t run = 0;
-  size_t first = 0;  // the run's first entry
   for (TermId t = 0; t < vocab_size; ++t) {
-    if (run_count[t] == 0) {
+    if (runs.offsets[t] == runs.offsets[t + 1]) {
       continue;
     }
     pairs.clear();
-    pairs.reserve(run_count[t]);
-    for (const size_t end = run + run_count[t]; run < end; ++run) {
-      const EdgeId edge = objects.object(entries[first].object).edge;
+    pairs.reserve(runs.offsets[t + 1] - runs.offsets[t]);
+    for (size_t run = runs.offsets[t]; run < runs.offsets[t + 1]; ++run) {
+      const EdgeId edge = runs.edges[run];
       pairs.emplace_back(EdgeKey(edge_zcode_[edge], edge), locators[run]);
-      first += run_length[run];
     }
     std::sort(pairs.begin(), pairs.end());
     BPlusTree tree = BPlusTree::BulkLoad(pool_, pairs);
@@ -113,6 +128,9 @@ InvertedFileIndex::InvertedFileIndex(BufferPool* pool,
   }
   directory_bytes_ = term_roots_.size() * sizeof(PageId) +
                      edge_zcode_.size() * sizeof(uint64_t);
+  if (run_edges != nullptr) {
+    *run_edges = std::move(runs);
+  }
 }
 
 Status InvertedFileIndex::FindRun(

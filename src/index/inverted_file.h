@@ -29,7 +29,8 @@ namespace dsks {
 class InvertedFileIndex : public ObjectIndex {
  public:
   InvertedFileIndex(BufferPool* pool, const ObjectSet& objects,
-                    size_t vocab_size);
+                    size_t vocab_size)
+      : InvertedFileIndex(pool, objects, vocab_size, nullptr) {}
 
   Status LoadObjects(EdgeId edge, std::span<const TermId> terms,
                      std::vector<LoadedObject>* out) override;
@@ -56,6 +57,23 @@ class InvertedFileIndex : public ObjectIndex {
   size_t vocab_size() const { return posting_count_.size(); }
 
  protected:
+  /// The edges of the build's posting runs (a run is one keyword's
+  /// postings on one edge), keyword after keyword: keyword t's runs lie on
+  /// edges[offsets[t]] .. edges[offsets[t + 1] - 1] in increasing edge id,
+  /// each edge once. So they are exactly §3.1's edges with I(e, t) = 1.
+  struct RunEdges {
+    std::vector<EdgeId> edges;
+    std::vector<size_t> offsets;  // vocab_size + 1 entries
+  };
+
+  /// Builds the index; with `run_edges`, the build's run edges move there
+  /// instead of being freed (SIF reads its signature off them).
+  InvertedFileIndex(BufferPool* pool, const ObjectSet& objects,
+                    size_t vocab_size, RunEdges* run_edges);
+
+  /// Every keyword's posting count, indexed by term id.
+  std::span<const uint64_t> posting_counts() const { return posting_count_; }
+
   /// A contiguous run of object positions on an edge that survived the
   /// signature tests; objects outside every range are not reported.
   struct PosRange {

@@ -4,10 +4,15 @@ namespace dsks {
 
 SifIndex::SifIndex(BufferPool* pool, const ObjectSet& objects,
                    size_t vocab_size, size_t min_postings)
-    : InvertedFileIndex(pool, objects, vocab_size),
+    : SifIndex(pool, objects, vocab_size, min_postings, RunEdges()) {}
+
+SifIndex::SifIndex(BufferPool* pool, const ObjectSet& objects,
+                   size_t vocab_size, size_t min_postings, RunEdges&& runs)
+    : InvertedFileIndex(pool, objects, vocab_size, &runs),
       kd_order_(std::make_unique<KdEdgeOrder>(objects.network())),
-      signature_(std::make_unique<SignatureFile>(objects, *kd_order_,
-                                                 vocab_size, min_postings)) {}
+      signature_(std::make_unique<SignatureFile>(
+          runs.edges, runs.offsets, posting_counts(), *kd_order_,
+          min_postings)) {}
 
 bool SifIndex::CheckSignature(EdgeId edge, std::span<const TermId> terms,
                               std::vector<PosRange>* ranges) {

@@ -36,6 +36,11 @@ class SifIndex : public InvertedFileIndex {
   }
 
  private:
+  /// Builds the IF into `runs`, then the signature from those run edges;
+  /// the public constructor passes a temporary, freed once this returns.
+  SifIndex(BufferPool* pool, const ObjectSet& objects, size_t vocab_size,
+           size_t min_postings, RunEdges&& runs);
+
   std::unique_ptr<KdEdgeOrder> kd_order_;
   std::unique_ptr<SignatureFile> signature_;
 };

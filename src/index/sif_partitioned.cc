@@ -49,7 +49,8 @@ SifPartitionedIndex::SifPartitionedIndex(BufferPool* pool,
     std::vector<std::vector<TermId>> term_sets;
     term_sets.reserve(on_edge.size());
     for (ObjectId id : on_edge) {
-      term_sets.push_back(objects.object(id).terms);  // already sorted
+      const std::span<const TermId> terms = objects.object(id).terms;
+      term_sets.emplace_back(terms.begin(), terms.end());  // already sorted
     }
     const std::vector<LogQuery> log = config.log_provider(e, term_sets);
     if (log.empty()) {

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "graph/object_set.h"
 #include "graph/types.h"
 #include "index/kd_edge_order.h"
 
@@ -26,11 +25,17 @@ namespace dsks {
 /// true for such keywords.
 class SignatureFile {
  public:
-  /// `min_postings`: keywords with fewer total postings than this get no
-  /// signature (pass-through). The paper's rule corresponds to the posting
-  /// capacity of one page.
-  SignatureFile(const ObjectSet& objects, const KdEdgeOrder& order,
-                size_t vocab_size, size_t min_postings);
+  /// Keyword t's edges, each once, are run_edges[run_offsets[t]] ..
+  /// run_edges[run_offsets[t + 1] - 1]: the IF build's posting runs
+  /// (InvertedFileIndex::RunEdges). `posting_count[t]` is keyword t's
+  /// total postings; its size is the vocabulary's. `min_postings`:
+  /// keywords with fewer total postings than this get no signature
+  /// (pass-through). The paper's rule corresponds to the posting capacity
+  /// of one page.
+  SignatureFile(std::span<const EdgeId> run_edges,
+                std::span<const size_t> run_offsets,
+                std::span<const uint64_t> posting_count,
+                const KdEdgeOrder& order, size_t min_postings);
 
   /// I(e, t): true if edge `e` may contain an object with keyword `t`
   /// (exact for signed keywords, always true for unsigned ones). A term

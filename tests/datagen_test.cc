@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <numeric>
 #include <vector>
@@ -142,7 +143,7 @@ TEST(ObjectGeneratorTest, TopicModelCreatesCoOccurrence) {
       const auto& src = objects.object(
           static_cast<ObjectId>(rng.Uniform(objects.size())));
       if (src.terms.size() < 3) continue;
-      std::vector<TermId> terms = src.terms;
+      std::vector<TermId> terms(src.terms.begin(), src.terms.end());
       std::shuffle(terms.begin(), terms.end(), rng.engine());
       terms.resize(3);
       std::sort(terms.begin(), terms.end());
@@ -221,6 +222,61 @@ TEST(PresetsTest, ShapesMatchTable2) {
   // SF has the longest texts and smallest vocabulary (Table 2).
   EXPECT_GT(sf.objects.keywords_per_object, na.objects.keywords_per_object);
   EXPECT_LT(sf.objects.vocab_size, na.objects.vocab_size);
+}
+
+/// A hash of every generated object, in id order: its edge, the bits of
+/// its offset and location, and its sorted terms.
+uint64_t ObjectsFingerprint(const ObjectSet& objects) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 29;
+  };
+  mix(objects.size());
+  for (const SpatioTextualObject& o : objects.objects()) {
+    mix(o.edge);
+    mix(std::bit_cast<uint64_t>(o.offset));
+    mix(std::bit_cast<uint64_t>(o.loc.x));
+    mix(std::bit_cast<uint64_t>(o.loc.y));
+    mix(o.terms.size());
+    for (const TermId t : o.terms) {
+      mix(t);
+    }
+  }
+  return h;
+}
+
+/// Pins the generator's output object for object: a change to the
+/// placement, the topic model or the Zipf sampling that moves any object,
+/// keyword or bit shows here, whatever the index and query tests see.
+TEST(ObjectGeneratorTest, PresetFingerprintsArePinned) {
+  struct Case {
+    DatasetConfig config;
+    double scale;
+    size_t objects;
+    uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {PresetNA(), 0.05, 20000, 0x173D191E694C11FAULL},
+      {PresetSF(), 0.05, 12750, 0x5512E86922063E5DULL},
+      {PresetSYN(), 0.05, 10000, 0x61973CA66F92DE76ULL},
+      {PresetTW(), 0.05, 22000, 0xC4FBB3EA15B067F3ULL},
+      // The benchmark's dataset.
+      {PresetNA(), 1.0, 400000, 0x3B5BCDE45BE173D8ULL},
+  };
+  for (const Case& c : cases) {
+    const DatasetConfig config = c.scale == 1.0
+                                     ? c.config
+                                     : ScalePreset(c.config, c.scale);
+    ASSERT_GT(config.objects.num_topics, 0u);  // the topic model is on
+    const auto net = GenerateRoadNetwork(config.network);
+    const auto objects = GenerateObjects(*net, config.objects);
+    EXPECT_EQ(objects->size(), c.objects) << config.name << " " << c.scale;
+    EXPECT_EQ(ObjectsFingerprint(*objects), c.fingerprint)
+        << config.name << " at scale " << c.scale << ": 0x" << std::hex
+        << ObjectsFingerprint(*objects);
+  }
 }
 
 TEST(PresetsTest, ScalePresetShrinksCounts) {

@@ -1,4 +1,7 @@
 #include <cmath>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "graph/ccam.h"
 #include "graph/dijkstra.h"
@@ -173,7 +176,40 @@ TEST(ObjectSetTest, AddValidatesInput) {
   EXPECT_TRUE(objects.Add(0, 5.0, {}, &id).IsInvalidArgument());
   EXPECT_TRUE(objects.Add(0, 5.0, {3, 1, 3}, &id).ok());
   // Terms are sorted and deduplicated.
-  EXPECT_EQ(objects.object(id).terms, (std::vector<TermId>{1, 3}));
+  const std::span<const TermId> terms = objects.object(id).terms;
+  EXPECT_EQ(std::vector<TermId>(terms.begin(), terms.end()),
+            (std::vector<TermId>{1, 3}));
+}
+
+/// Each object's `terms` views the set's one term array: the views must
+/// follow that array through every reallocation Add makes, the trim in
+/// Finalize and a move of the whole set.
+TEST(ObjectSetTest, TermSpansSurviveGrowthFinalizeAndMove) {
+  auto net = MakePaperishNetwork();
+  ObjectSet objects(net.get());
+  std::vector<std::vector<TermId>> want;
+  auto expect_terms = [&want](const ObjectSet& set, const char* when) {
+    ASSERT_EQ(set.size(), want.size()) << when;
+    for (ObjectId id = 0; id < set.size(); ++id) {
+      const std::span<const TermId> got = set.object(id).terms;
+      EXPECT_EQ(std::vector<TermId>(got.begin(), got.end()), want[id])
+          << when << ", object " << id;
+    }
+  };
+  // No Reserve: the term array starts empty and regrows many times.
+  for (TermId i = 0; i < 300; ++i) {
+    const std::vector<TermId> terms = {i % 7 + 10, i % 3, i % 7 + 10};
+    ObjectId id;
+    ASSERT_TRUE(objects.Add(i % 7, 1.0, terms, &id).ok());
+    want.push_back({i % 3, i % 7 + 10});  // sorted, deduplicated
+  }
+  expect_terms(objects, "after growth");
+  EXPECT_EQ(objects.TotalTermOccurrences(), 600u);
+  objects.Finalize();
+  expect_terms(objects, "after Finalize");
+  const ObjectSet moved = std::move(objects);
+  expect_terms(moved, "after a move");
+  EXPECT_TRUE(moved.ObjectHasAllTerms(299, want[299]));
 }
 
 TEST(ObjectSetTest, ObjectsOnEdgeSortedByOffset) {

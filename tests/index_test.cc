@@ -228,9 +228,14 @@ TEST(SifIndexTest, FewerFalseHitObjectsThanIF) {
 
 TEST(SignatureFileTest, ExactForSignedTermsPassThroughForSmall) {
   TestDataset data = MakeRandomDataset(999, 80, 300, 25, 4, 1.2);
-  KdEdgeOrder order(*data.network);
-  // Threshold high enough that some terms stay unsigned.
-  SignatureFile sig(*data.objects, order, 25, 40);
+  DiskManager disk;
+  BufferPool pool(&disk, 1u << 16);
+  // Threshold high enough that some terms stay unsigned. The signature is
+  // read off the IF build's posting runs; the truth below comes from the
+  // objects themselves.
+  SifIndex sif(&pool, *data.objects, 25, 40);
+  const SignatureFile& sig = sif.signature();
+  size_t signed_terms = 0;
 
   // Ground truth presence.
   std::vector<std::vector<bool>> present(
@@ -249,7 +254,11 @@ TEST(SignatureFileTest, ExactForSignedTermsPassThroughForSmall) {
         EXPECT_TRUE(sig.Test(e, t));  // pass-through, never a false negative
       }
     }
+    EXPECT_EQ(sig.HasSignature(t), sif.PostingCount(t) >= 40) << "term " << t;
+    signed_terms += sig.HasSignature(t) ? 1 : 0;
   }
+  EXPECT_GT(signed_terms, 0u);
+  EXPECT_LT(signed_terms, 25u);
   EXPECT_GT(sig.SizeBytes(), 0u);
 }
 

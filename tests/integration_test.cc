@@ -184,7 +184,8 @@ TEST(DatabaseTest, KnnAndRankedQueriesThroughTheFacade) {
   // Ranked: partial matches allowed, so at least as many hits compete.
   RankedQuery rq;
   rq.sk = q;
-  rq.sk.terms = anchor.terms;  // several keywords, OR semantics
+  rq.sk.terms.assign(anchor.terms.begin(),
+                     anchor.terms.end());  // several keywords, OR semantics
   rq.k = 5;
   rq.alpha = 0.5;
   std::vector<RankedResult> ranked;

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -41,7 +42,7 @@ TEST(SerializationTest, RoundTripPreservesEverything) {
     const auto& b = data.objects->object(id);
     EXPECT_EQ(a.edge, b.edge);
     EXPECT_DOUBLE_EQ(a.offset, b.offset);
-    EXPECT_EQ(a.terms, b.terms);
+    EXPECT_TRUE(std::ranges::equal(a.terms, b.terms)) << "object " << id;
   }
   std::remove(path.c_str());
 }

@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -68,6 +71,47 @@ TEST(ZipfTest, EmpiricalFrequencyTracksTheory) {
     const double expected = zipf.Probability(r) * n;
     EXPECT_NEAR(counts[r], expected, expected * 0.1 + 30)
         << "rank " << r;
+  }
+}
+
+/// The bucketed inverse CDF must return the plain lower_bound's rank for
+/// every u: at each bucket edge b / G, where a bucket's search range ends,
+/// and at its nextafter neighbours on both sides.
+TEST(ZipfSamplerTest, BucketedRankEqualsPlainLowerBound) {
+  const std::pair<size_t, double> shapes[] = {
+      {1, 1.0}, {2, 0.9}, {50, 1.0}, {80, 1.2}, {1000, 1.1}, {8000, 1.0}};
+  for (const auto& [n, z] : shapes) {
+    const ZipfSampler zipf(n, z);
+    const std::span<const double> cum = zipf.cumulative();
+    auto plain = [&cum](double u) {
+      const auto it = std::lower_bound(cum.begin(), cum.end(), u);
+      return it == cum.end() ? cum.size() - 1
+                             : static_cast<size_t>(it - cum.begin());
+    };
+    const size_t g = zipf.num_buckets();
+    ASSERT_EQ(g & (g - 1), 0u) << "G must be a power of two";
+    ASSERT_GE(g, n);
+    for (size_t b = 0; b <= g; ++b) {
+      const double edge = static_cast<double>(b) / static_cast<double>(g);
+      for (const double u : {std::nextafter(edge, 0.0), edge,
+                             std::nextafter(edge, 2.0)}) {
+        ASSERT_EQ(zipf.RankOf(u), plain(u))
+            << "n " << n << " bucket " << b << " u " << u;
+      }
+    }
+    // Every cumulative value is a rank boundary too.
+    for (const double c : cum) {
+      for (const double u :
+           {std::nextafter(c, 0.0), c, std::nextafter(c, 2.0)}) {
+        ASSERT_EQ(zipf.RankOf(u), plain(u)) << "n " << n << " u " << u;
+      }
+    }
+    // Sample is RankOf over the generator's next double.
+    Random a(5);
+    Random b(5);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(zipf.Sample(&a), plain(b.NextDouble()));
+    }
   }
 }
 

@@ -5,8 +5,9 @@
 # with a dedicated chaos pass exercising storage fault injection under
 # each sanitizer — then the Release pass: a warning-free Release build of
 # every target, a `dsks_cli generate`/`info`/`query` smoke over every
-# query mode and two crafted dataset files, a `dsks_cli serve` smoke whose
-# live /varz, /metrics and /tracez must show the queries it just served,
+# query mode, two crafted dataset files and a flag `query` does not read,
+# a `dsks_cli serve` smoke that must print its per-phase `setup:` line and
+# whose live /varz, /metrics and /tracez must show the queries it served,
 # `dsks_cli drill` smokes (overload, and injected faults on both storage
 # backends, which must be retried), file-backend and cold-cache bench
 # smokes, and last the two gates: bench_throughput's qps must stay above
@@ -203,6 +204,18 @@ EOF
     fi
     echo "cli smoke: $crafted.dsks rejected: $(cat build-perf/cli_crafted.err)"
   done
+  # A flag the subcommand does not read exits 2 with a message naming it.
+  status=0
+  "$cli" query --data build-perf/cli_smoke.dsks --terms 0,1 --threads 4 \
+    --repeat 8 > /dev/null 2> build-perf/cli_flag.err || status=$?
+  if [ "$status" -ne 2 ] ||
+     ! grep -q '^unknown flag --[a-z]* for query$' build-perf/cli_flag.err; then
+    echo "cli smoke: an unknown query flag exited $status" \
+      "(want 2 with 'unknown flag --X for query')" >&2
+    cat build-perf/cli_flag.err >&2
+    exit 1
+  fi
+  echo "cli smoke: $(cat build-perf/cli_flag.err)"
   echo "=== cli smoke: OK ==="
 
   # Server smoke: start the query server with every query traced, run one
@@ -335,6 +348,11 @@ EOF
   }
   grep -q '^served ' build-perf/serve_smoke.out || {
     echo "server smoke: serve printed no shutdown summary" >&2
+    exit 1
+  }
+  grep -Eq '^setup: dataset [0-9.]+ ms, term_stats [0-9.]+ ms, ccam [0-9.]+ ms, index_build [0-9.]+ ms, prepare [0-9.]+ ms$' \
+      build-perf/serve_smoke.out || {
+    echo "server smoke: serve printed no per-phase setup line" >&2
     exit 1
   }
   grep -Eq '^memory: rss [0-9.]+ MiB, peak rss [0-9.]+ MiB, heap in use [0-9.]+ MiB$' \

@@ -13,19 +13,21 @@
 //       object --object-loc (default 0). --trace records per-phase spans
 //       with buffer-pool/disk deltas and prints them as one JSON line, the
 //       per-phase object a served query's "trace" and /tracez also show.
-//   dsks_cli serve [--port P] [--scale F] [--index sif] [--threads N]
-//             [--queue N] [--deadline-ms D] [--quota-qps Q]
+//   dsks_cli serve [--port P] [--preset SYN] [--scale F] [--index sif]
+//             [--threads N] [--queue N] [--deadline-ms D] [--quota-qps Q]
 //             [--quota-burst B] [--sample N] [--duration-ms N]
 //       Build a synthetic database and serve the NDJSON query protocol
 //       plus the observability routes (/metrics /varz /tracez /healthz
 //       /statusz) on one loopback listener until SIGINT/SIGTERM (or
-//       --duration-ms). --port 0 picks an ephemeral port (printed).
+//       --duration-ms). Prints one `setup:` line with each setup phase's
+//       milliseconds (also the db.setup.<phase>_ms gauges). --port 0
+//       picks an ephemeral port (printed).
 //       --sample N traces 1 in N queries into the flight recorder that
 //       /tracez serves (errors are recorded regardless; 0 = off).
-//   dsks_cli drill [--scale F] [--index sif] [--threads N] [--queue N]
-//             [--clients N] [--queries N] [--deadline-ms D] [--invalid-p P]
-//             [--quota-qps Q] [--read-fault-p P] [--corrupt-p P]
-//             [--seed S] [--retries R]
+//   dsks_cli drill [--preset SYN] [--scale F] [--index sif] [--threads N]
+//             [--queue N] [--clients N] [--queries N] [--deadline-ms D]
+//             [--invalid-p P] [--quota-qps Q] [--read-fault-p P]
+//             [--corrupt-p P] [--seed S] [--retries R]
 //       Load drill: an in-process query server hammered over real sockets
 //       by N pipelining clients, with /metrics scraped throughout.
 //       Verifies the admission invariants (offered == admitted + shed +
@@ -48,6 +50,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -151,6 +154,17 @@ class Args {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// The first flag given that is not one of `known`, if any.
+  std::optional<std::string> FirstUnknownFlag(
+      const std::vector<std::string>& known) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        return key;
+      }
+    }
+    return std::nullopt;
+  }
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
@@ -167,17 +181,18 @@ int Usage() {
                "           [--mode boolean|knn|ranked|div-seq|div-com]\n"
                "           [--lambda 0.8] [--alpha 0.5] [--trace]\n"
                "           [--prefetch on|off]\n"
-               "  dsks_cli serve [--port 0] [--scale 0.03] [--index sif]\n"
-               "           [--threads 4] [--queue 64] [--deadline-ms 0]\n"
-               "           [--quota-qps 0] [--quota-burst 8]\n"
-               "           [--sample 0] [--duration-ms 0]\n"
-               "  dsks_cli drill [--scale 0.03] [--index sif] [--threads 4]\n"
-               "           [--queue 16] [--clients 8] [--queries 64]\n"
-               "           [--deadline-ms 0] [--invalid-p 0]\n"
+               "  dsks_cli serve [--port 0] [--preset SYN] [--scale 0.03]\n"
+               "           [--index sif] [--threads 4] [--queue 64]\n"
+               "           [--deadline-ms 0] [--quota-qps 0]\n"
+               "           [--quota-burst 8] [--sample 0] [--duration-ms 0]\n"
+               "  dsks_cli drill [--preset SYN] [--scale 0.03] [--index sif]\n"
+               "           [--threads 4] [--queue 16] [--clients 8]\n"
+               "           [--queries 64] [--deadline-ms 0] [--invalid-p 0]\n"
                "           [--quota-qps 0] [--read-fault-p 0]\n"
                "           [--corrupt-p 0] [--seed 42] [--retries 0]\n"
                "query/serve/drill also accept storage-backend flags:\n"
-               "           [--backend sim|file] [--backend-path PATH]\n");
+               "           [--backend sim|file] [--backend-path PATH]\n"
+               "any other flag exits 2\n");
   return 2;
 }
 
@@ -571,6 +586,11 @@ int CmdServe(const Args& args) {
               backend.options());
   db.BuildIndex(IndexOptionsByName(args.Get("index", "sif")));
   db.PrepareForQueries();
+  const Database::SetupTimes& setup = db.setup_times();
+  std::printf("setup: dataset %.1f ms, term_stats %.1f ms, ccam %.1f ms, "
+              "index_build %.1f ms, prepare %.1f ms\n",
+              setup.dataset_ms, setup.term_stats_ms, setup.ccam_ms,
+              setup.index_build_ms, setup.prepare_ms);
 
   obs::MetricsRegistry& registry = obs::GlobalMetrics();
   db.BindMetrics(&registry, "db");
@@ -843,21 +863,42 @@ int Main(int argc, char** argv) {
   if (argc < 2) {
     return Usage();
   }
+  // Each subcommand with every flag it reads. Any other flag exits 2, so a
+  // misspelt or removed flag cannot run silently with its default.
+  struct Command {
+    const char* name;
+    int (*run)(const Args&);
+    std::vector<std::string> flags;
+  };
+  const Command commands[] = {
+      {"generate", CmdGenerate, {"preset", "scale", "out"}},
+      {"info", CmdInfo, {}},
+      {"query",
+       CmdQuery,
+       {"data", "terms", "index", "object-loc", "delta", "k", "mode", "lambda",
+        "alpha", "trace", "prefetch", "backend", "backend-path"}},
+      {"serve",
+       CmdServe,
+       {"port", "preset", "scale", "index", "threads", "queue", "deadline-ms",
+        "quota-qps", "quota-burst", "sample", "duration-ms", "backend",
+        "backend-path"}},
+      {"drill",
+       CmdDrill,
+       {"preset", "scale", "index", "threads", "queue", "clients", "queries",
+        "deadline-ms", "invalid-p", "quota-qps", "read-fault-p", "corrupt-p",
+        "seed", "retries", "backend", "backend-path"}},
+  };
   const std::string cmd = argv[1];
-  if (cmd == "generate") {
-    return CmdGenerate(args);
-  }
-  if (cmd == "info") {
-    return CmdInfo(args);
-  }
-  if (cmd == "query") {
-    return CmdQuery(args);
-  }
-  if (cmd == "serve") {
-    return CmdServe(args);
-  }
-  if (cmd == "drill") {
-    return CmdDrill(args);
+  for (const Command& c : commands) {
+    if (cmd != c.name) {
+      continue;
+    }
+    if (const auto unknown = args.FirstUnknownFlag(c.flags)) {
+      std::fprintf(stderr, "unknown flag --%s for %s\n", unknown->c_str(),
+                   c.name);
+      return 2;
+    }
+    return c.run(args);
   }
   return Usage();
 }
