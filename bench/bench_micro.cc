@@ -2,8 +2,8 @@
 // encoding, Dijkstra, buffer-pool hits and evicting misses, CCAM adjacency
 // loads, B+tree lookups, signature tests, LoadObjects, core-pair
 // maintenance, the full SK search, the flat hot-path containers, the
-// pairwise distance oracle strategies, and two setup steps on the golden
-// dataset: object generation and the SIF build.
+// pairwise distance oracle strategies, a whole-network COM query, and two
+// setup steps on the golden dataset: object generation and the SIF build.
 //
 // Results are written to BENCH_micro.json (google-benchmark JSON format)
 // in the working directory, alongside the usual console table.
@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "datagen/workload.h"
 #include "graph/ccam.h"
 #include "graph/dijkstra.h"
+#include "harness/database.h"
 #include "index/sif.h"
 #include "spatial/zorder.h"
 #include "storage/buffer_pool.h"
@@ -263,9 +265,14 @@ void BM_CorePairUpdate(benchmark::State& state) {
       theta[i][j] = theta[j][i] = rng.NextDouble();
     }
   }
-  const CorePairSet::ThetaById fn = [&theta](ObjectId a, ObjectId b) {
-    return theta[a][b];
+  const ThetaFn fn = [&theta](const SkResult& a, const SkResult& b) {
+    return theta[a.id][b.id];
   };
+  // Only the id matters to `fn`.
+  std::vector<SkResult> objects(n);
+  for (ObjectId id = 0; id < n; ++id) {
+    objects[id].id = id;
+  }
   // Greedy pairs over the first ten objects (Algorithm 1 reference).
   auto greedy_init = [&theta]() {
     std::vector<ScoredPair> pairs;
@@ -296,14 +303,10 @@ void BM_CorePairUpdate(benchmark::State& state) {
   };
   for (auto _ : state) {
     CorePairSet cp(5);
-    std::vector<ObjectId> seen;
-    for (ObjectId id = 0; id < 10; ++id) {
-      seen.push_back(id);
-    }
     cp.Init(greedy_init());
-    for (ObjectId id = 10; id < n; ++id) {
-      seen.push_back(id);
-      cp.OnArrival(id, seen, fn);
+    for (size_t seen = 11; seen <= n; ++seen) {
+      const std::span<const SkResult> prefix(objects.data(), seen);
+      cp.OnArrival(prefix.back(), prefix, fn);
     }
     benchmark::DoNotOptimize(cp.threshold().theta);
   }
@@ -465,6 +468,37 @@ BENCHMARK(BM_DivComOracle)
     ->Args({10, 1})
     ->Args({20, 0})
     ->Args({20, 1});
+
+/// The whole-network COM query: NA at scale 0.03, keyword 0 and δmax =
+/// 10^6, so every object holding the keyword is a candidate (6,126), k =
+/// 10, λ = 0.8, from object 0's location: `dsks_cli query --mode div-com
+/// --terms 0 --delta 1000000 --k 10` on that dataset, on a resident pool
+/// and one reused context. COM's per-arrival work (Algorithm 5 and the
+/// termination test) is most of it.
+void BM_DivComWide(benchmark::State& state) {
+  static Database* const db = [] {
+    auto* d = new Database(ScalePreset(PresetNA(), 0.03));
+    d->BuildIndex(IndexOptions{});
+    d->PrepareForQueries(1.0);
+    return d;
+  }();
+  const SpatioTextualObject& anchor = db->objects().object(0);
+  DivQuery dq;
+  dq.sk.loc = NetworkLocation{anchor.edge, anchor.offset};
+  dq.sk.terms = {0};
+  dq.sk.delta_max = 1e6;
+  dq.k = 10;
+  dq.lambda = 0.8;
+  const QueryEdgeInfo edge = MakeQueryEdgeInfo(db->network(), dq.sk.loc);
+  QueryContext ctx;
+  DivSearchOutput out;
+  for (auto _ : state) {
+    DSKS_CHECK(db->RunDivQuery(dq, edge, /*use_com=*/true, &out, &ctx).ok());
+    benchmark::DoNotOptimize(out.objective);
+  }
+  state.counters["candidates"] = static_cast<double>(out.stats.candidates);
+}
+BENCHMARK(BM_DivComWide)->Unit(benchmark::kMillisecond);
 
 /// The golden counters' dataset (golden_counters_test): SYN at scale 0.2
 /// with 6 keywords per object.

@@ -28,16 +28,6 @@ bool CorePairSet::IsCore(ObjectId id) const {
   return PairIndexOf(id) < pairs_.size();
 }
 
-std::vector<ObjectId> CorePairSet::CoreObjects() const {
-  std::vector<ObjectId> out;
-  out.reserve(pairs_.size() * 2);
-  for (const ScoredPair& p : pairs_) {
-    out.push_back(p.a);
-    out.push_back(p.b);
-  }
-  return out;
-}
-
 void CorePairSet::InsertSorted(const ScoredPair& sp) {
   auto it = std::lower_bound(
       pairs_.begin(), pairs_.end(), sp,
@@ -45,44 +35,43 @@ void CorePairSet::InsertSorted(const ScoredPair& sp) {
   pairs_.insert(it, sp);
 }
 
-void CorePairSet::OnArrival(ObjectId o, const std::vector<ObjectId>& actives,
-                            const ThetaById& theta,
-                            const ThetaById* theta_ub) {
+void CorePairSet::OnArrival(const SkResult& o, std::span<const SkResult> seen,
+                            const ThetaFn& theta, const ThetaFn* theta_ub) {
   DSKS_CHECK_MSG(full(), "OnArrival before the first k objects initialized CP");
-  ObjectId cur = o;
+  const SkResult* cur = &o;
   // The while loop repeats at most k/2 times (§4.2 correctness argument);
   // the +2 slack keeps the guard from ever firing on valid executions.
   size_t guard = num_pairs_ + 2;
   while (guard-- > 0) {
     const ScoredPair theta_t = pairs_.back();
-    // φ(cur): actives with θ(cur, x) > θ_T that do not dominate cur; keep
-    // the best candidate pair under the total order.
+    // φ(cur): seen objects x with θ(cur, x) > θ_T that do not dominate
+    // cur; keep the best candidate pair under the total order.
     bool found = false;
     ScoredPair best;
     ObjectId best_partner = kInvalidObjectId;
-    for (ObjectId x : actives) {
-      if (x == cur) {
+    for (const SkResult& x : seen) {
+      if (x.id == cur->id) {
         continue;
       }
       // If even the upper bound is strictly below θ_T then the exact θ is
       // too, and sp.Better(theta_t) below would fail on the θ comparison
       // alone — skip the exact evaluation. Ties still evaluate (they can
       // win Better's id tie-break).
-      if (theta_ub != nullptr && (*theta_ub)(cur, x) < theta_t.theta) {
+      if (theta_ub != nullptr && (*theta_ub)(*cur, x) < theta_t.theta) {
         continue;
       }
-      const ScoredPair sp = ScoredPair::Make(theta(cur, x), cur, x);
+      const ScoredPair sp = ScoredPair::Make(theta(*cur, x), cur->id, x.id);
       if (!sp.Better(theta_t)) {
         continue;
       }
-      const size_t px = PairIndexOf(x);
+      const size_t px = PairIndexOf(x.id);
       if (px < pairs_.size() && pairs_[px].Better(sp)) {
         continue;  // x dominates cur (Lemma 1): (cur, x) can never be core
       }
       if (!found || sp.Better(best)) {
         found = true;
         best = sp;
-        best_partner = x;
+        best_partner = x.id;
       }
     }
     if (!found) {
@@ -101,7 +90,12 @@ void CorePairSet::OnArrival(ObjectId o, const std::vector<ObjectId>& actives,
     const ScoredPair old = pairs_[partner_pair];
     pairs_.erase(pairs_.begin() + static_cast<ptrdiff_t>(partner_pair));
     InsertSorted(best);
-    cur = old.a == best_partner ? old.b : old.a;
+    const ObjectId displaced = old.a == best_partner ? old.b : old.a;
+    const auto it = std::find_if(
+        seen.begin(), seen.end(),
+        [displaced](const SkResult& x) { return x.id == displaced; });
+    DSKS_CHECK_MSG(it != seen.end(), "a core object is missing from seen");
+    cur = &*it;
   }
   DSKS_CHECK_MSG(false, "Algorithm 5 failed to converge");
 }

@@ -1,10 +1,11 @@
 #ifndef DSKS_CORE_CORE_PAIRS_H_
 #define DSKS_CORE_CORE_PAIRS_H_
 
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/diversify.h"
+#include "core/query.h"
 #include "graph/types.h"
 
 namespace dsks {
@@ -17,26 +18,24 @@ namespace dsks {
 /// of pairs Algorithm 1 would select from scratch over all objects seen so
 /// far — the invariant the property tests check. θ_T (the distance of the
 /// ⌊k/2⌋-th pair) grows monotonically (Theorem 1), which is what makes the
-/// diversity pruning of Algorithm 6 safe.
+/// early termination of Algorithm 6 safe.
 class CorePairSet {
  public:
-  using ThetaById = std::function<double(ObjectId, ObjectId)>;
-
   explicit CorePairSet(size_t num_pairs) : num_pairs_(num_pairs) {}
 
   /// Installs the greedy pairs computed on the first k objects. `pairs`
   /// must be in selection (Better-first) order.
   void Init(std::vector<ScoredPair> pairs);
 
-  /// Algorithm 5. `o` is the arriving object; `actives` are the ids of all
-  /// non-pruned objects seen so far (excluding `o` is not required — it is
-  /// skipped); `theta` evaluates diversification distances. `theta_ub`,
-  /// when given, must satisfy theta_ub(u,v) >= theta(u,v); candidates whose
-  /// bound is *strictly* below θ_T are skipped without an exact evaluation
-  /// (they would fail the Better(θ_T) test anyway), leaving the maintained
-  /// pairs bit-identical.
-  void OnArrival(ObjectId o, const std::vector<ObjectId>& actives,
-                 const ThetaById& theta, const ThetaById* theta_ub = nullptr);
+  /// Algorithm 5. `o` is the arriving object; `seen` holds every object
+  /// seen so far, `o` included (never paired with itself); `theta`
+  /// evaluates diversification distances. `theta_ub`, when given, must
+  /// satisfy theta_ub(u,v) >= theta(u,v); candidates whose bound is
+  /// *strictly* below θ_T are skipped without an exact evaluation (they
+  /// would fail the Better(θ_T) test anyway), leaving the maintained pairs
+  /// bit-identical.
+  void OnArrival(const SkResult& o, std::span<const SkResult> seen,
+                 const ThetaFn& theta, const ThetaFn* theta_ub = nullptr);
 
   /// Current core pairs, Better-first; θ_T is pairs().back().
   const std::vector<ScoredPair>& pairs() const { return pairs_; }
@@ -45,12 +44,8 @@ class CorePairSet {
   const ScoredPair& threshold() const { return pairs_.back(); }
 
   bool full() const { return pairs_.size() == num_pairs_; }
-  size_t num_pairs() const { return num_pairs_; }
 
   bool IsCore(ObjectId id) const;
-
-  /// The 2·⌊k/2⌋ core objects, in pair order.
-  std::vector<ObjectId> CoreObjects() const;
 
  private:
   /// Index of the pair containing `id`, or pairs_.size().

@@ -42,10 +42,6 @@ PairwiseDistanceOracle::PairwiseDistanceOracle(const CcamGraph* graph,
   }
   // Recycle every pooled field from the previous query on this context.
   o_->field_index.clear();
-  o_->free_fields.clear();
-  for (uint32_t i = 0; i < o_->field_pool.size(); ++i) {
-    o_->free_fields.push_back(i);
-  }
   o_->pair_cache.clear();
 }
 
@@ -66,12 +62,9 @@ PairwiseDistanceOracle::FieldMap& PairwiseDistanceOracle::FieldOf(
   }
   obs::ScopedSpan span(ctx_->trace, obs::Phase::kOracleFieldDijkstra);
   ++stats_.fields_computed;
-  uint32_t idx;
-  if (!o_->free_fields.empty()) {
-    idx = o_->free_fields.back();
-    o_->free_fields.pop_back();
-  } else {
-    idx = static_cast<uint32_t>(o_->field_pool.size());
+  // Fields live until the query ends, so the next free slot is the count.
+  const auto idx = static_cast<uint32_t>(o_->field_index.size());
+  if (idx == o_->field_pool.size()) {
     o_->field_pool.emplace_back();
   }
   o_->field_index.try_emplace(a.id, idx);
@@ -336,13 +329,6 @@ double PairwiseDistanceOracle::DistanceUpperBound(const SkResult& a,
 void PairwiseDistanceOracle::EnsureField(const SkResult& a) {
   if (strategy_ == OracleStrategy::kPerObjectDijkstra) {
     FieldOf(a);
-  }
-}
-
-void PairwiseDistanceOracle::DropField(ObjectId id) {
-  if (const uint32_t* idx = o_->field_index.find(id)) {
-    o_->free_fields.push_back(*idx);
-    o_->field_index.erase(id);
   }
 }
 

@@ -97,16 +97,12 @@ class PairwiseDistanceOracle {
   /// sources the shared pass cannot certify.
   void EnsureField(const SkResult& a);
 
-  /// Frees the field of a pruned object (its pool slot is recycled).
-  void DropField(ObjectId id);
-
   /// First storage error hit by any expansion (OK while healthy). On error
   /// expansions stop early, so Distance() degrades to its radius-capped
   /// upper bound; callers must check this before trusting the objective.
   const Status& status() const { return status_; }
 
   uint64_t fields_computed() const { return stats_.fields_computed; }
-  size_t cached_fields() const { return o_->field_index.size(); }
   const OracleStats& stats() const { return stats_; }
   OracleStrategy strategy() const { return strategy_; }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/flat_containers.h"
-#include "common/macros.h"
 #include "core/core_pairs.h"
 #include "core/diversify.h"
 #include "obs/trace.h"
@@ -108,149 +106,79 @@ DivSearchOutput DiversifiedSearchCOM(IncrementalSkSearch* search,
   const ThetaFn theta_ub = MakeThetaUbFn(&objective, oracle);
   DivSearchOutput out;
 
-  // Phase 1: the first k arrivals initialize CP and θ_T with the plain
-  // greedy (Algorithm 6 line 1).
-  std::vector<SkResult> first;
-  SkResult res;
-  while (first.size() < query.k && search->Next(&res)) {
-    oracle->EnsureField(res);
-    first.push_back(res);
-  }
-  out.stats.candidates = first.size();
-  if (query.k < 2 && !first.empty()) {
-    // k = 1 has no pairs to maintain; the closest object is the answer.
-    search->Terminate();
-    out.selected = {first[0]};
-    out.stats.early_terminated = true;
-    out.status = MergeStatus(*search, *oracle);
-    FillOracleStats(*oracle, &out.stats);
-    return out;
-  }
-  if (first.size() < query.k) {
-    // Fewer candidates than requested: everything is the answer.
-    out.selected = first;
-    out.objective = EvaluateObjective(objective, oracle, out.selected);
-    out.status = MergeStatus(*search, *oracle);
-    FillOracleStats(*oracle, &out.stats);
-    return out;
-  }
-
-  FlatHashMap<ObjectId, SkResult> actives;
-  std::vector<ObjectId> active_ids;
-  FlatHashMap<ObjectId, double> max_pair_theta;
-  for (const SkResult& r : first) {
-    actives.try_emplace(r.id, r);
-    active_ids.push_back(r.id);
-    max_pair_theta.try_emplace(r.id, 0.0);
-  }
-  // max_pair_theta is tracked with θ *upper bounds*, not exact values.
-  // It is only ever compared against θ_T to decide removals, and an
-  // inflated maximum can only delay a removal, never cause one — the
-  // active set stays a superset of the exact-tracking run. Extra-kept
-  // objects cannot change the outcome: OnArrival compares exact θ against
-  // θ_T, and an object whose every seen pair was below θ_T when it would
-  // have been removed stays below the (monotone) threshold forever, so it
-  // never enters the core; the odd-k filler picks the closest active,
-  // which the superset preserves. See DESIGN.md.
-  for (size_t i = 0; i < first.size(); ++i) {
-    for (size_t j = i + 1; j < first.size(); ++j) {
-      const double th = theta_ub(first[i], first[j]);
-      max_pair_theta[first[i].id] = std::max(max_pair_theta[first[i].id], th);
-      max_pair_theta[first[j].id] = std::max(max_pair_theta[first[j].id], th);
-    }
-  }
-
+  // Every arrival in order, that is, in non-decreasing δ(q,o).
+  std::vector<SkResult> seen;
   CorePairSet cp(query.k / 2);
-  {
-    obs::ScopedSpan span(search->trace(), obs::Phase::kGreedySelection);
-    GreedyDivResult greedy = GreedyDiversify(first, query.k, theta, &theta_ub);
-    cp.Init(std::move(greedy.pairs));
-  }
-
-  const CorePairSet::ThetaById theta_by_id = [&](ObjectId x, ObjectId y) {
-    const SkResult* ix = actives.find(x);
-    const SkResult* iy = actives.find(y);
-    DSKS_CHECK(ix != nullptr && iy != nullptr);
-    return theta(*ix, *iy);
-  };
-  const CorePairSet::ThetaById theta_ub_by_id = [&](ObjectId x, ObjectId y) {
-    const SkResult* ix = actives.find(x);
-    const SkResult* iy = actives.find(y);
-    DSKS_CHECK(ix != nullptr && iy != nullptr);
-    return theta_ub(*ix, *iy);
-  };
-
-  // Phase 2: incremental consumption with diversity pruning.
-  while (cp.full() && search->Next(&res)) {
-    ++out.stats.candidates;
+  SkResult res;
+  while (search->Next(&res)) {
     oracle->EnsureField(res);
-    // Upper bounds again (see the phase-1 comment): no exact pairwise
-    // distances are computed just to maintain the removal bookkeeping.
-    double res_max = 0.0;
-    for (ObjectId id : active_ids) {
-      const double th = theta_ub(res, actives.at(id));
-      double& mx = max_pair_theta.at(id);
-      mx = std::max(mx, th);
-      res_max = std::max(res_max, th);
+    // One span per arrival: the append, the greedy or Algorithm 5, and the
+    // termination test. The oracle's expansions nest as children.
+    obs::ScopedSpan span(search->trace(), obs::Phase::kGreedySelection);
+    seen.push_back(res);
+    if (seen.size() < query.k) {
+      continue;
     }
-    max_pair_theta.try_emplace(res.id, res_max);
-    actives.try_emplace(res.id, res);
-    active_ids.push_back(res.id);
-
-    {
-      obs::ScopedSpan span(search->trace(), obs::Phase::kGreedySelection);
-      cp.OnArrival(res.id, active_ids, theta_by_id, &theta_ub_by_id);
+    if (query.k < 2) {
+      // k = 1 has no pairs to maintain; the closest object is the answer.
+      search->Terminate();
+      out.stats.early_terminated = true;
+      break;
     }
+    if (seen.size() == query.k) {
+      // The first k arrivals initialize CP and θ_T with the plain greedy
+      // (Algorithm 6 line 1).
+      cp.Init(GreedyDiversify(seen, query.k, theta, &theta_ub).pairs);
+      continue;
+    }
+    cp.OnArrival(res, seen, theta, &theta_ub);
 
+    // Every unseen object is at least γ from q. Once neither an unseen
+    // pair nor any seen object paired with an unseen one can reach θ_T,
+    // no later arrival changes CP (DESIGN.md "Objective function").
     const double gamma = res.dist;
     const double theta_t = cp.threshold().theta;
     if (objective.ThetaUpperBoundUnseenPair(gamma) >= theta_t) {
       continue;  // unseen pairs can still beat θ_T
     }
-    bool can_terminate = true;
-    std::vector<ObjectId> removals;
-    for (ObjectId id : active_ids) {
-      const SkResult& oi = actives.at(id);
-      const double ub = objective.ThetaUpperBoundSeenUnseen(oi.dist, gamma);
-      if (ub >= theta_t) {
-        can_terminate = false;  // oi may pair with an unseen object
-        break;
-      }
-      if (!cp.IsCore(id) && max_pair_theta.at(id) < theta_t) {
-        removals.push_back(id);  // oi can never become core again
-      }
-    }
-    if (can_terminate) {
+    if (std::all_of(seen.begin(), seen.end(), [&](const SkResult& o) {
+          return objective.ThetaUpperBoundSeenUnseen(o.dist, gamma) < theta_t;
+        })) {
       search->Terminate();
       out.stats.early_terminated = true;
       break;
     }
-    for (ObjectId id : removals) {
-      actives.erase(id);
-      max_pair_theta.erase(id);
-      oracle->DropField(id);
-      active_ids.erase(
-          std::find(active_ids.begin(), active_ids.end(), id));
-      ++out.stats.pruned_objects;
-    }
   }
+  out.stats.candidates = seen.size();
 
-  // Assemble the answer: the core objects, plus the closest non-core
-  // active when k is odd.
   {
     obs::ScopedSpan span(search->trace(), obs::Phase::kGreedySelection);
-    for (ObjectId id : cp.CoreObjects()) {
-      out.selected.push_back(actives.at(id));
-    }
-    if (query.k % 2 == 1) {
-      const SkResult* extra = nullptr;
-      for (const auto& [id, r] : actives) {
-        if (!cp.IsCore(id)) {
-          extra = ClosestToQuery(extra, r);
-        }
+    if (seen.size() < query.k) {
+      // Fewer candidates than requested: everything is the answer.
+      out.selected = std::move(seen);
+    } else if (query.k < 2) {
+      out.selected = {seen.front()};
+    } else {
+      // The core objects in pair order, plus the closest non-core object
+      // when k is odd.
+      auto by_id = [&seen](ObjectId id) -> const SkResult& {
+        return *std::find_if(seen.begin(), seen.end(),
+                             [id](const SkResult& r) { return r.id == id; });
+      };
+      for (const ScoredPair& p : cp.pairs()) {
+        out.selected.push_back(by_id(p.a));
+        out.selected.push_back(by_id(p.b));
       }
-      if (extra != nullptr) {
-        out.selected.push_back(*extra);
+      if (query.k % 2 == 1) {
+        const SkResult* extra = nullptr;
+        for (const SkResult& r : seen) {
+          if (!cp.IsCore(r.id)) {
+            extra = ClosestToQuery(extra, r);
+          }
+        }
+        if (extra != nullptr) {
+          out.selected.push_back(*extra);
+        }
       }
     }
     out.objective = EvaluateObjective(objective, oracle, out.selected);

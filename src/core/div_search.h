@@ -16,8 +16,10 @@ namespace dsks {
 struct DivSearchStats {
   /// Objects pulled from the incremental SK search.
   uint64_t candidates = 0;
-  /// Visited objects eliminated by the diversity pruning (Algorithm 6
-  /// line 13-14).
+  /// Always 0. Algorithm 6's removal of visited objects (lines 13-14)
+  /// cannot take effect before termination does, so COM keeps every seen
+  /// object (DESIGN.md "Why COM keeps every seen object"); the field stays
+  /// for the readers that report it.
   uint64_t pruned_objects = 0;
   /// True when the diversity bound terminated the network expansion before
   /// the SK search was exhausted.
@@ -53,9 +55,9 @@ DivSearchOutput DiversifiedSearchSEQ(IncrementalSkSearch* search,
                                      PairwiseDistanceOracle* oracle);
 
 /// COM (§4.3, Algorithm 6): consume candidates incrementally, maintain the
-/// core pairs and θ_T with Algorithm 5, prune visited objects that can no
-/// longer become core, and terminate the network expansion as soon as no
-/// unseen object can contribute a pair above θ_T.
+/// core pairs and θ_T with Algorithm 5 over every object seen so far, and
+/// terminate the network expansion as soon as no unseen object can
+/// contribute a pair above θ_T.
 DivSearchOutput DiversifiedSearchCOM(IncrementalSkSearch* search,
                                      const DivQuery& query,
                                      PairwiseDistanceOracle* oracle);

@@ -118,15 +118,14 @@ struct OracleScratch {
   std::vector<std::pair<uint32_t, uint32_t>> dfs_stack;
 
   // Per-object fallback fields: one expansion each, its settled distances
-  // copied into a pooled map so the slot arrays survive drops.
+  // copied into a pooled map whose slot arrays serve later queries. A
+  // query's fields take slots [0, field_index.size()).
   ExpansionScratch field;
   std::vector<FlatHashMap<NodeId, double>> field_pool;
-  std::vector<uint32_t> free_fields;  // indices of unused pool entries
   FlatHashMap<ObjectId, uint32_t> field_index;  // object -> pool index
 
-  // Memoized pair distances, keyed by (canonical id << 32 | other id).
-  // Distances are exact and independent of field lifetimes, so entries
-  // survive DropField and are only cleared between queries.
+  // Memoized pair distances, keyed by (canonical id << 32 | other id),
+  // cleared between queries.
   FlatHashMap<uint64_t, double> pair_cache;
 };
 

@@ -92,7 +92,7 @@ class IncrementalSkSearch {
   bool ExpandOneNode();
 
   /// Stops the search early: subsequent Next() calls return false and no
-  /// further I/O happens. Used by the diversity pruning of Algorithm 6.
+  /// further I/O happens. Used by COM's early termination (Algorithm 6).
   void Terminate() { terminated_ = true; }
 
   /// First storage error encountered (OK while the search is healthy).

@@ -72,7 +72,6 @@ DivWorkloadMetrics RunDivWorkload(Database* db, const Workload& workload,
     m.avg_io += static_cast<double>(db->IoCount());
     m.avg_candidates += static_cast<double>(out.stats.candidates);
     m.avg_objective += out.objective;
-    m.avg_pruned += static_cast<double>(out.stats.pruned_objects);
     m.early_termination_rate += out.stats.early_terminated ? 1.0 : 0.0;
     m.avg_distance_fields += static_cast<double>(out.stats.distance_fields);
   }
@@ -81,7 +80,6 @@ DivWorkloadMetrics RunDivWorkload(Database* db, const Workload& workload,
   m.avg_io /= n;
   m.avg_candidates /= n;
   m.avg_objective /= n;
-  m.avg_pruned /= n;
   m.early_termination_rate /= n;
   m.avg_distance_fields /= n;
   return m;

@@ -54,7 +54,6 @@ struct DivWorkloadMetrics {
   double avg_io = 0.0;
   double avg_candidates = 0.0;
   double avg_objective = 0.0;
-  double avg_pruned = 0.0;
   double early_termination_rate = 0.0;
   /// Per-object distance fields (bounded Dijkstras) run by the oracle.
   double avg_distance_fields = 0.0;

@@ -602,9 +602,11 @@ TEST(AllocFreeTest, MemoizedExpansionAllocatesNothing) {
 
 /// What a whole warm query still allocates, with the counter above, on one
 /// reused context and a resident pool: printed for DESIGN.md "Hot-path
-/// memory model", which names every remaining call site. The bound only
-/// catches a return of per-probe or per-settle allocation (the search
-/// paths alone made hundreds per query before they were pinned above).
+/// memory model", which names every remaining call site. The SK and
+/// ranked bounds catch a return of per-probe or per-settle allocation (the
+/// search paths alone made hundreds per query before they were pinned
+/// above); the div-COM bound sits just above its measured 8.25, so one
+/// more allocation per query fails it.
 TEST(AllocFreeTest, WholeQueriesAllocateOnlyAtTheirBoundary) {
   testing::BackendDatabase bdb(AllocConfig(), "alloc_query");
   Database& db = *bdb;
@@ -665,7 +667,7 @@ TEST(AllocFreeTest, WholeQueriesAllocateOnlyAtTheirBoundary) {
       "warm allocations per query: SK %.2f, div-COM %.2f, ranked %.2f\n", sk,
       div, ranked);
   EXPECT_LT(sk, 10.0);
-  EXPECT_LT(div, 40.0);
+  EXPECT_LT(div, 9.0);
   EXPECT_LT(ranked, 10.0);
 }
 

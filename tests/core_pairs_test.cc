@@ -5,6 +5,7 @@
 #include "common/random.h"
 #include "core/core_pairs.h"
 #include "core/diversify.h"
+#include "core/query.h"
 #include "gtest/gtest.h"
 
 namespace dsks {
@@ -15,10 +16,28 @@ namespace {
 struct ThetaWorld {
   std::vector<std::vector<double>> theta;
 
-  CorePairSet::ThetaById Fn() const {
-    return [this](ObjectId a, ObjectId b) { return theta[a][b]; };
+  ThetaFn Fn() const {
+    return [this](const SkResult& a, const SkResult& b) {
+      return theta[a.id][b.id];
+    };
   }
 };
+
+/// A result that only carries its id, all a ThetaWorld reads.
+SkResult Obj(ObjectId id) {
+  SkResult r;
+  r.id = id;
+  return r;
+}
+
+/// Objects 0..n-1.
+std::vector<SkResult> FirstObjects(size_t n) {
+  std::vector<SkResult> out;
+  for (ObjectId id = 0; id < n; ++id) {
+    out.push_back(Obj(id));
+  }
+  return out;
+}
 
 ThetaWorld MakeThetaWorld(uint64_t seed, size_t n) {
   ThetaWorld w;
@@ -35,11 +54,14 @@ ThetaWorld MakeThetaWorld(uint64_t seed, size_t n) {
 }
 
 /// From-scratch reference: Algorithm 1's pair selection over the ids.
-std::vector<ScoredPair> GreedyPairsReference(const std::vector<ObjectId>& ids,
+std::vector<ScoredPair> GreedyPairsReference(const std::vector<SkResult>& seen,
                                              const ThetaWorld& w,
                                              size_t num_pairs) {
   std::vector<ScoredPair> pairs;
-  std::vector<ObjectId> remaining = ids;
+  std::vector<ObjectId> remaining;
+  for (const SkResult& r : seen) {
+    remaining.push_back(r.id);
+  }
   while (pairs.size() < num_pairs && remaining.size() >= 2) {
     bool found = false;
     ScoredPair best;
@@ -83,18 +105,15 @@ TEST_P(CorePairPropertyTest, MatchesFromScratchGreedyAfterEveryArrival) {
   const ThetaWorld w = MakeThetaWorld(p.seed, p.n);
   const size_t k = p.num_pairs * 2;
 
-  std::vector<ObjectId> seen;
-  for (ObjectId id = 0; id < k; ++id) {
-    seen.push_back(id);
-  }
+  std::vector<SkResult> seen = FirstObjects(k);
   CorePairSet cp(p.num_pairs);
   cp.Init(GreedyPairsReference(seen, w, p.num_pairs));
   ASSERT_TRUE(cp.full());
 
   double prev_theta_t = cp.threshold().theta;
   for (ObjectId id = static_cast<ObjectId>(k); id < p.n; ++id) {
-    seen.push_back(id);
-    cp.OnArrival(id, seen, w.Fn());
+    seen.push_back(Obj(id));
+    cp.OnArrival(seen.back(), seen, w.Fn());
 
     // θ_T monotonicity.
     EXPECT_GE(cp.threshold().theta, prev_theta_t - 1e-12);
@@ -122,13 +141,20 @@ INSTANTIATE_TEST_SUITE_P(
                       CorePairSweep{6, 50, 7},
                       CorePairSweep{7, 100, 5}));
 
-TEST(CorePairSetTest, CoreObjectsAndMembership) {
+TEST(CorePairSetTest, PairsCoverEachCoreObjectOnce) {
   const ThetaWorld w = MakeThetaWorld(11, 10);
-  std::vector<ObjectId> seen = {0, 1, 2, 3};
+  const std::vector<SkResult> seen = FirstObjects(4);
   CorePairSet cp(2);
   cp.Init(GreedyPairsReference(seen, w, 2));
-  const auto core = cp.CoreObjects();
-  EXPECT_EQ(core.size(), 4u);
+  ASSERT_EQ(cp.pairs().size(), 2u);
+  // The two pairs cover the four objects, each once.
+  std::vector<ObjectId> core;
+  for (const ScoredPair& p : cp.pairs()) {
+    core.push_back(p.a);
+    core.push_back(p.b);
+  }
+  std::sort(core.begin(), core.end());
+  EXPECT_EQ(core, (std::vector<ObjectId>{0, 1, 2, 3}));
   for (ObjectId id : core) {
     EXPECT_TRUE(cp.IsCore(id));
   }
@@ -141,12 +167,12 @@ TEST(CorePairSetTest, ArrivalBelowThresholdChangesNothing) {
   for (size_t i = 0; i < 5; ++i) {
     w.theta[4][i] = w.theta[i][4] = 1e-6;
   }
-  std::vector<ObjectId> seen = {0, 1, 2, 3};
+  std::vector<SkResult> seen = FirstObjects(4);
   CorePairSet cp(2);
   cp.Init(GreedyPairsReference(seen, w, 2));
   const auto before = cp.pairs();
-  seen.push_back(4);
-  cp.OnArrival(4, seen, w.Fn());
+  seen.push_back(Obj(4));
+  cp.OnArrival(seen.back(), seen, w.Fn());
   const auto& after = cp.pairs();
   ASSERT_EQ(before.size(), after.size());
   for (size_t i = 0; i < before.size(); ++i) {
@@ -165,15 +191,15 @@ TEST(CorePairSetTest, DominatingArrivalTriggersCascade) {
   };
   set(0, 1, 0.90);  // initial pair 1
   set(2, 3, 0.80);  // initial pair 2
-  std::vector<ObjectId> seen = {0, 1, 2, 3};
+  std::vector<SkResult> seen = FirstObjects(4);
   CorePairSet cp(2);
   cp.Init(GreedyPairsReference(seen, w, 2));
 
   set(4, 0, 0.95);  // newcomer beats pair 1 through core object 0
   set(1, 5, 0.0);   // (5 unused)
   set(1, 2, 0.85);  // displaced object 1 now beats pair 2 via object 2
-  seen.push_back(4);
-  cp.OnArrival(4, seen, w.Fn());
+  seen.push_back(Obj(4));
+  cp.OnArrival(seen.back(), seen, w.Fn());
 
   const auto want = GreedyPairsReference(seen, w, 2);
   const auto& got = cp.pairs();

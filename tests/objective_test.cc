@@ -69,6 +69,50 @@ TEST(ObjectiveTest, BoundsDecreaseAsGammaGrows) {
   }
 }
 
+// COM keeps every seen object: Algorithm 6's removal of visited objects
+// (lines 13-14) cannot fire before termination does. These are the two
+// facts that argument rests on (DESIGN.md "Why COM keeps every seen
+// object"). If a change to the objective breaks one, a visited-object
+// prune could pay again.
+TEST(ObjectiveTest, VisitedObjectPruneCannotFireBeforeTermination) {
+  const double dmax = 1000.0;
+  std::vector<double> grid;
+  for (double d = 0.0; d <= dmax; d += 62.5) {
+    grid.push_back(d);
+  }
+  // λ <= 0.5: no pair beats the unseen-pair bound, so θ_T never does and
+  // the removal block is never reached. Distance() never exceeds
+  // δ(q,u) + δ(q,v), and θ grows with the pairwise distance.
+  for (double lambda : {0.0, 0.25, 0.5}) {
+    const Objective obj(lambda, dmax);
+    for (double gamma : grid) {
+      const double bound = obj.ThetaUpperBoundUnseenPair(gamma);
+      for (double du : grid) {
+        for (double dv : grid) {
+          EXPECT_LE(obj.Theta(du, dv, du + dv), bound + 1e-12)
+              << "lambda " << lambda << " gamma " << gamma << " du " << du
+              << " dv " << dv;
+        }
+      }
+    }
+  }
+  // λ >= 0.5: the seen–unseen bound never grows with δ(q,o). The
+  // termination scan walks the seen objects by non-decreasing δ(q,o), so
+  // it stops at the first one (nothing to remove) or terminates.
+  for (double lambda : {0.5, 0.8, 1.0}) {
+    const Objective obj(lambda, dmax);
+    for (double gamma : grid) {
+      double prev = obj.ThetaUpperBoundSeenUnseen(0.0, gamma);
+      for (double d : grid) {
+        const double ub = obj.ThetaUpperBoundSeenUnseen(d, gamma);
+        EXPECT_LE(ub, prev + 1e-12)
+            << "lambda " << lambda << " gamma " << gamma << " d " << d;
+        prev = ub;
+      }
+    }
+  }
+}
+
 TEST(ObjectiveTest, ObjectiveValueMatchesManualSum) {
   const Objective obj(0.5, 100.0);
   // Three objects at distances 10, 20, 30; pairwise 40, 60, 80.

@@ -147,9 +147,11 @@ if [ "$#" -eq 0 ] && [ "${DSKS_SKIP_PERF:-0}" != "1" ]; then
   # CLI smoke: generate a small SYN dataset, then `dsks_cli query` in all
   # five modes with --trace (and div-com on the file backend). Every trace
   # line must be the one per-phase rendering: a "query" root and the six
-  # cost fields on every phase. Two crafted dataset files (no objects; a
-  # term id of 2^32 - 1) must fail with a message and an exit code below
-  # 128, not a signal.
+  # cost fields on every phase. A whole-network div-com query (keyword 0,
+  # δmax = 10^6, k = 10) must leave under 10% of its traced time to the
+  # root: COM's per-arrival work belongs to a phase. Two crafted dataset
+  # files (no objects; a term id of 2^32 - 1) must fail with a message and
+  # an exit code below 128, not a signal.
   echo "=== cli smoke: dsks_cli generate, info, query in every mode ==="
   cli=./build-perf/tools/dsks_cli
   "$cli" generate --preset SYN --scale 0.05 --out build-perf/cli_smoke.dsks
@@ -161,14 +163,16 @@ if [ "$#" -eq 0 ] && [ "${DSKS_SKIP_PERF:-0}" != "1" ]; then
   done
   "$cli" query --data build-perf/cli_smoke.dsks --terms 0,1 --k 4 \
     --mode div-com --trace --backend file >> build-perf/cli_smoke.out
+  "$cli" query --data build-perf/cli_smoke.dsks --terms 0 --delta 1000000 \
+    --k 10 --mode div-com --trace >> build-perf/cli_smoke.out
   python3 - build-perf/cli_smoke.out <<'EOF'
 import json, sys
 fields = {"spans", "ms", "pool_hits", "pool_misses", "disk_reads",
           "prefetched_pages"}
 traces = [json.loads(line) for line in open(sys.argv[1])
           if line.startswith("{")]
-if len(traces) != 6:
-    sys.exit(f"cli smoke: {len(traces)} trace lines, want 6")
+if len(traces) != 7:
+    sys.exit(f"cli smoke: {len(traces)} trace lines, want 7")
 for trace in traces:
     if "query" not in trace:
         sys.exit(f"cli smoke: trace without a 'query' root: {trace}")
@@ -176,6 +180,12 @@ for trace in traces:
         if set(cost) != fields:
             sys.exit(f"cli smoke: phase {phase} has fields {sorted(cost)}")
 print(f"cli smoke: {len(traces)} traces, each with the six fields per phase")
+wide = traces[-1]
+share = wide["query"]["ms"] / sum(cost["ms"] for cost in wide.values())
+if share >= 0.10:
+    sys.exit(f"cli smoke: the wide div-com query's root keeps {share:.1%} "
+             "of its traced time (want under 10%)")
+print(f"cli smoke: the wide div-com query's root keeps {share:.1%}")
 EOF
   python3 - build-perf <<'EOF'
 import struct, sys
