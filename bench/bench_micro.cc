@@ -157,7 +157,8 @@ BENCHMARK(BM_BufferPoolFetchHit);
 
 // The pool's miss path: cycling through four times as many pages as the
 // pool holds makes every fetch a miss that evicts, read from the sim
-// backend with no simulated delay (page copy and CRC check included).
+// backend with no simulated delay (CRC check included; the sim backend
+// lends its page to the pool instead of copying it).
 void BM_BufferPoolMissEvict(benchmark::State& state) {
   constexpr PageId kPages = 1024;
   DiskManager disk;

@@ -90,7 +90,9 @@ DivSearchOutput DiversifiedSearchSEQ(IncrementalSkSearch* search,
     obs::ScopedSpan span(search->trace(), obs::Phase::kGreedySelection);
     GreedyDivResult greedy =
         GreedyDiversify(candidates, query.k, theta, &theta_ub);
-    out.selected = std::move(greedy.selected);
+    // No more candidates than requested: everything is the answer.
+    out.selected = candidates.size() <= query.k ? std::move(candidates)
+                                                : std::move(greedy.selected);
     out.objective = EvaluateObjective(objective, oracle, out.selected);
   }
   out.status = MergeStatus(*search, *oracle);

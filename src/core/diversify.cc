@@ -35,13 +35,9 @@ GreedyDivResult GreedyDiversify(const std::vector<SkResult>& candidates,
                                 size_t k, const ThetaFn& theta,
                                 const ThetaFn* theta_ub) {
   GreedyDivResult result;
+  // With n <= k the pairs are still formed, for θ_T-style consumers such
+  // as COM's CP initialization; `selected` stays empty (see the header).
   const size_t n = candidates.size();
-  if (n <= k) {
-    // Fewer candidates than requested: everything is selected; pairs are
-    // still formed so that θ_T-style consumers can use the result.
-    result.selected = candidates;
-  }
-
   std::vector<bool> used(n, false);
   const size_t want_pairs = k / 2;
   while (result.pairs.size() < want_pairs) {

@@ -35,7 +35,9 @@ struct GreedyDivResult {
   /// fewer if not enough objects).
   std::vector<ScoredPair> pairs;
   /// The selected objects: the pairs' members plus, for odd k, one extra
-  /// object (ClosestToQuery over the remaining ones).
+  /// object (ClosestToQuery over the remaining ones). Empty when there are
+  /// no more candidates than k: every candidate is the answer then, and the
+  /// caller already holds them.
   std::vector<SkResult> selected;
 };
 

@@ -44,6 +44,7 @@ class ReadRequests {
     PageReadRequest& req = slots_[size_++];
     req.id = id;
     req.out = out;
+    req.data = nullptr;
     req.status = Status::Ok();
   }
 
@@ -59,10 +60,14 @@ class ReadRequests {
   size_t size_ = 0;
 };
 
+/// The pool hands pages out as `char*`, but they are read-only by contract:
+/// a lent page is the disk's stored image.
+char* PageOut(const char* data) { return const_cast<char*>(data); }
+
 }  // namespace
 
 BufferPool::BufferPool(DiskManager* disk, size_t capacity)
-    : disk_(disk), capacity_(capacity) {
+    : disk_(disk), lends_pages_(disk->lends_pages()), capacity_(capacity) {
   DSKS_CHECK_MSG(capacity > 0, "buffer pool needs at least one frame");
 }
 
@@ -80,7 +85,7 @@ uint32_t BufferPool::FindFrameLocked(PageId id) const {
   return index == nullptr ? kNoFrame : *index;
 }
 
-char* BufferPool::PinHitLocked(uint32_t index) {
+const char* BufferPool::PinHitLocked(uint32_t index) {
   Frame& frame = frames_[index];
   stats_.hits.fetch_add(1, std::memory_order_relaxed);
   obs::ChargePoolHit();
@@ -94,7 +99,7 @@ char* BufferPool::PinHitLocked(uint32_t index) {
     UnlinkLruLocked(index);
   }
   ++frame.pin_count;
-  return frame.data.get();
+  return frame.data;
 }
 
 char* BufferPool::ClaimFrameLocked(PageId id) {
@@ -108,22 +113,26 @@ char* BufferPool::ClaimFrameLocked(PageId id) {
     free_head_ = frames_[index].next;
   } else {
     index = static_cast<uint32_t>(frames_.size());
-    // Not zero-filled: a frame's bytes are only ever read after a read
-    // has overwritten all of them.
-    frames_.emplace_back().data =
-        std::make_unique_for_overwrite<char[]>(kPageSize);
+    Frame& fresh = frames_.emplace_back();
+    if (!lends_pages_) {
+      // Not zero-filled: a frame's bytes are only ever read after a read
+      // has overwritten all of them.
+      fresh.buffer = std::make_unique_for_overwrite<char[]>(kPageSize);
+      owned_buffer_bytes_ += kPageSize;
+    }
   }
   Frame& frame = frames_[index];
   frame.page_id = id;
   frame.pin_count = 1;
   frame.io_in_progress = true;
   page_table_.try_emplace(id, index);
-  return frame.data.get();
+  return frame.buffer.get();
 }
 
 void BufferPool::ReleaseFrameLocked(uint32_t index) {
   Frame& frame = frames_[index];
   page_table_.erase(frame.page_id);
+  frame.data = nullptr;
   frame.page_id = kInvalidPageId;
   frame.pin_count = 0;
   frame.io_in_progress = false;
@@ -145,6 +154,8 @@ void BufferPool::ReadClaimedLocked(std::unique_lock<std::mutex>* lock,
     const uint32_t index = FindFrameLocked(req.id);
     DSKS_CHECK(index != kNoFrame);
     if (req.status.ok()) {
+      // The frame's own buffer, or the page the disk lent.
+      frames_[index].data = req.data;
       frames_[index].io_in_progress = false;
     } else {
       // Free the failed frame so waiters, and later fetches, retry from
@@ -187,7 +198,7 @@ Status BufferPool::FetchPage(PageId id, char** out) {
   // are, skips the batch machinery.
   const uint32_t index = FindFrameLocked(id);
   if (index != kNoFrame && !frames_[index].io_in_progress) {
-    *out = PinHitLocked(index);
+    *out = PageOut(PinHitLocked(index));
     return Status::Ok();
   }
   char* page = nullptr;  // a failed fetch leaves *out untouched
@@ -234,12 +245,12 @@ Status BufferPool::FetchPagesLocked(std::unique_lock<std::mutex>* lock,
       if (index == kNoFrame) {
         stats_.misses.fetch_add(1, std::memory_order_relaxed);
         obs::ChargePoolMiss();
-        outs[i] = ClaimFrameLocked(ids[i]);  // the claim's pin is this call's
-        reqs.Add(ids[i], outs[i]);
+        // The claim's pin is this call's; the slot gets the page once read.
+        reqs.Add(ids[i], ClaimFrameLocked(ids[i]));
       } else if (frames_[index].io_in_progress) {
         in_flight = true;
       } else {
-        outs[i] = PinHitLocked(index);
+        outs[i] = PageOut(PinHitLocked(index));
       }
     }
     if (reqs.empty()) {
@@ -253,21 +264,23 @@ Status BufferPool::FetchPagesLocked(std::unique_lock<std::mutex>* lock,
       continue;
     }
     ReadClaimedLocked(lock, reqs.span());
+    // Give each claimed slot its page in one forward walk. Claims were made
+    // in slot order, and the pass saw any other unpinned slot of a claimed
+    // page only after the claim (as in flight), so the first unpinned slot
+    // of the request's page is its own.
     Status first = Status::Ok();
+    size_t slot = 0;
     for (PageReadRequest& req : reqs.span()) {
+      while (outs[slot] != nullptr || ids[slot] != req.id) {
+        ++slot;
+      }
       if (req.status.ok()) {
-        continue;
-      }
-      // The read step freed the frame, and with it this call's pin.
-      for (size_t i = 0; i < ids.size(); ++i) {
-        if (ids[i] == req.id) {
-          outs[i] = nullptr;
-          break;
-        }
-      }
-      if (first.ok()) {
+        outs[slot] = PageOut(req.data);
+      } else if (first.ok()) {
+        // The read step freed the frame, and with it this call's pin.
         first = std::move(req.status);
       }
+      ++slot;
     }
     if (!first.ok()) {
       // All-or-nothing: release every pin this call took so the caller has
@@ -382,8 +395,8 @@ void BufferPool::SetCapacity(size_t capacity) {
 
 Status BufferPool::Clear() {
   std::lock_guard<std::mutex> lock(latch_);
-  // Every frame, with its buffer, goes back on the free list; the LRU is
-  // emptied wholesale below.
+  // Every frame goes back on the free list, keeping any buffer it owns;
+  // the LRU is emptied wholesale below.
   for (uint32_t index = 0; index < frames_.size(); ++index) {
     const Frame& frame = frames_[index];
     if (frame.page_id == kInvalidPageId) {
@@ -403,6 +416,11 @@ Status BufferPool::Clear() {
 size_t BufferPool::num_frames_in_use() const {
   std::lock_guard<std::mutex> lock(latch_);
   return page_table_.size();
+}
+
+uint64_t BufferPool::frame_bytes() const {
+  std::lock_guard<std::mutex> lock(latch_);
+  return owned_buffer_bytes_;
 }
 
 void BufferPool::BindMetrics(obs::MetricsRegistry* registry,
@@ -428,14 +446,8 @@ void BufferPool::BindMetrics(obs::MetricsRegistry* registry,
   registry->BindSource(
       prefix + ".frames_in_use",
       [this] { return static_cast<uint64_t>(num_frames_in_use()); }, kGauge);
-  // Every frame ever made keeps its 4 KiB page buffer for the pool's life.
   registry->BindSource(
-      prefix + ".frame_bytes",
-      [this] {
-        std::lock_guard<std::mutex> lock(latch_);
-        return static_cast<uint64_t>(frames_.size()) * kPageSize;
-      },
-      kGauge);
+      prefix + ".frame_bytes", [this] { return frame_bytes(); }, kGauge);
 }
 
 }  // namespace dsks

@@ -109,17 +109,21 @@ struct BufferPoolStats {
 /// in front of a FetchPages batch of one.
 ///
 /// Storage allocates nothing once warm. Frames live in one array and are
-/// named by their index; each owns a 4 KiB page buffer that is allocated
-/// with the frame and never moves, so a pinned page's pointer survives the
-/// array's growth. A flat page table maps each resident or in-flight page
-/// to its frame. The LRU is a doubly linked list threaded through prev/next
-/// frame indexes inside the frames (unpinned resident frames, least
-/// recently used at the head). Evicted frames, and frames whose read
-/// failed, go on a free list, and the next claim reuses the most recently
-/// freed frame and its buffer without zero-filling it (the read overwrites
-/// every byte). Frames are never released, so frame memory is bounded by
-/// the frame high-water mark: the most frames ever resident or in flight
-/// at once, which is `capacity()` plus any overflow (see below). A claim
+/// named by their index. On a disk that copies (the file backend) each
+/// frame owns a 4 KiB page buffer that is allocated with the frame and
+/// never moves, so a pinned page's pointer survives the array's growth. On
+/// a disk that lends its pages (DiskManager::lends_pages, the sim backend)
+/// a frame owns no buffer: a miss copies nothing and the frame points at
+/// the disk's own stable page image, so each resident page is held once.
+/// A flat page table maps each resident or in-flight page to its frame.
+/// The LRU is a doubly linked list threaded through prev/next frame
+/// indexes inside the frames (unpinned resident frames, least recently
+/// used at the head). Evicted frames, and frames whose read failed, go on
+/// a free list, and the next claim reuses the most recently freed frame
+/// and its buffer without zero-filling it (the read overwrites every
+/// byte). Frames are never released, so frame memory is bounded by the
+/// frame high-water mark: the most frames ever resident or in flight at
+/// once, which is `capacity()` plus any overflow (see below). A claim
 /// batch keeps its read requests on the stack up to 32 pages.
 ///
 /// Thread safety: all public methods are safe to call from multiple threads
@@ -128,7 +132,8 @@ struct BufferPoolStats {
 /// latch (the frame is marked in-flight so concurrent fetchers of the same
 /// page wait instead of double-reading), which keeps parallel query
 /// streams from serializing on simulated I/O. Page contents are read-only
-/// once published, so they need no latch.
+/// once published, so they need no latch. They are read-only by contract
+/// too: the `char*` a fetch hands out may be the disk's stored image.
 ///
 /// Memory pressure: when every frame is pinned, fetches do not fail —
 /// the pool temporarily exceeds `capacity()` with overflow frames and
@@ -225,6 +230,10 @@ class BufferPool {
 
   size_t capacity() const { return capacity_.load(std::memory_order_relaxed); }
   size_t num_frames_in_use() const;
+  /// Bytes of the page buffers the pool owns, counted as the claims that
+  /// allocate them: 4 KiB per frame ever made on a copying disk, 0 on a
+  /// lending one, whose frames allocate none.
+  uint64_t frame_bytes() const;
 
   const BufferPoolStats& stats() const { return stats_; }
   BufferPoolStats* mutable_stats() { return &stats_; }
@@ -250,9 +259,13 @@ class BufferPool {
 
   /// One slot of the frame array: resident, in flight, or free.
   struct Frame {
-    /// Allocated with the frame and kept for its lifetime, across every
-    /// page it holds.
-    std::unique_ptr<char[]> data;
+    /// The page's bytes while the frame is resident: `buffer`, or the
+    /// disk's lent page image. Null while in flight or free.
+    const char* data = nullptr;
+    /// The frame's own page buffer on a copying disk, allocated with the
+    /// frame and kept for its lifetime, across every page it holds. Null
+    /// on a lending disk.
+    std::unique_ptr<char[]> buffer;
     /// kInvalidPageId while the frame is on the free list.
     PageId page_id = kInvalidPageId;
     int pin_count = 0;
@@ -286,8 +299,8 @@ class BufferPool {
   /// Prefetch): evicts one frame if the pool is full — best effort, see
   /// TryEvictOneLocked — then gives `id` a frame from the free list, or a
   /// new one when the list is empty, pinned once and in flight. Returns the
-  /// frame's page buffer. Counts nothing. Requires latch_ held and `id` not
-  /// in the pool.
+  /// buffer to read the page into: the frame's own, or null on a lending
+  /// disk. Counts nothing. Requires latch_ held and `id` not in the pool.
   char* ClaimFrameLocked(PageId id);
 
   /// Drops the page of frame `index` from the page table and puts the
@@ -297,9 +310,9 @@ class BufferPool {
 
   /// The read step of FetchPages and Prefetch: releases the latch, reads
   /// every claimed frame of `reqs` with one DiskManager::ReadPages call,
-  /// retakes the latch, marks each success resident (still pinned by its
-  /// claim) and frees each failure, then wakes the fetchers waiting on
-  /// io_done_. Requires latch_ held through `*lock`.
+  /// retakes the latch, marks each success resident at its `data` (still
+  /// pinned by its claim) and frees each failure, then wakes the fetchers
+  /// waiting on io_done_. Requires latch_ held through `*lock`.
   void ReadClaimedLocked(std::unique_lock<std::mutex>* lock,
                          std::span<PageReadRequest> reqs);
 
@@ -315,14 +328,17 @@ class BufferPool {
                           std::span<const PageId> ids, std::span<char*> outs);
 
   /// Pins frame `index` as a demand hit: hit accounting (including the
-  /// prefetched-flag resolution), LRU removal, pin count. Requires latch_
-  /// held and the frame resident, not in flight.
-  char* PinHitLocked(uint32_t index);
+  /// prefetched-flag resolution), LRU removal, pin count. Returns the
+  /// page's bytes. Requires latch_ held and the frame resident, not in
+  /// flight.
+  const char* PinHitLocked(uint32_t index);
 
   /// UnpinPage's body; requires latch_ held.
   void UnpinPageLocked(PageId id);
 
   DiskManager* disk_;
+  /// disk_->lends_pages(): frames then own no buffer.
+  const bool lends_pages_;
   std::atomic<size_t> capacity_;
   std::atomic<bool> prefetch_enabled_{true};
 
@@ -339,6 +355,8 @@ class BufferPool {
   uint32_t lru_tail_ = kNoFrame;
   /// Free frames, linked through Frame::next, most recently freed first.
   uint32_t free_head_ = kNoFrame;
+  /// Bytes of every Frame::buffer allocated so far (frame_bytes()).
+  uint64_t owned_buffer_bytes_ = 0;
   BufferPoolStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "storage/disk_manager.h"
 
+#include <cstring>
 #include <utility>
 
 #include "common/crc32c.h"
@@ -97,16 +98,20 @@ void DiskManager::FinishRead(PageReadRequest* r, bool armed) {
   }
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
   obs::ChargeDiskRead();
-  if (armed) {
-    uint32_t bit_index = 0;
-    if (fault_injector_.ShouldCorruptRead(r->id, &bit_index)) {
-      r->out[bit_index / 8] ^= static_cast<char>(1u << (bit_index % 8));
-    }
+  const char* bytes = r->data;
+  char flipped_copy[kPageSize];
+  uint32_t bit_index = 0;
+  if (armed && fault_injector_.ShouldCorruptRead(r->id, &bit_index)) {
+    // Flip a private copy: `data` may be a lent page, the stored image
+    // itself, so the fault must stay in this one read.
+    std::memcpy(flipped_copy, r->data, kPageSize);
+    flipped_copy[bit_index / 8] ^= static_cast<char>(1u << (bit_index % 8));
+    bytes = flipped_copy;
   }
-  // Verify the bytes actually handed to the caller — freshly copied, so
-  // cache-hot for the checksum pass — catching at-rest corruption
-  // (CorruptStoredPage, torn files) and in-flight bit flips alike.
-  if (crc32c::Value(r->out, kPageSize) != r->expected_crc) {
+  // Verify every byte handed to the caller, copied or lent, catching
+  // at-rest corruption (CorruptStoredPage, torn files) and in-flight bit
+  // flips alike.
+  if (crc32c::Value(bytes, kPageSize) != r->expected_crc) {
     stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
     r->status = Status::Corruption("checksum mismatch on page " +
                                    std::to_string(r->id));
@@ -152,9 +157,13 @@ void DiskManager::BindMetrics(obs::MetricsRegistry* registry,
                        counter(&stats_.write_faults));
   registry->BindSource(prefix + ".corruptions_detected",
                        counter(&stats_.corruptions_detected));
-  // A gauge: an index rebuild truncates the disk.
+  // Gauges: an index rebuild truncates the disk.
   registry->BindSource(
       prefix + ".pages", [this] { return static_cast<uint64_t>(num_pages()); },
+      obs::MetricsRegistry::SourceKind::kGauge);
+  registry->BindSource(
+      prefix + ".resident_bytes",
+      [this] { return lends_pages() ? size_bytes() : 0; },
       obs::MetricsRegistry::SourceKind::kGauge);
 }
 

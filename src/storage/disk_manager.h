@@ -81,13 +81,15 @@ struct DiskStats {
 ///
 /// Integrity and failures: every WritePage records a CRC32C of the page
 /// out-of-line (so the 4 KiB image and all on-page layouts are unchanged);
-/// every ReadPage verifies the copy it returns against that checksum and
-/// reports a mismatch as Status::Corruption. The embedded FaultInjector
-/// can make reads/writes fail with Status::IOError or silently flip a bit
-/// in a read's output (which the checksum then catches) — on *either*
-/// backend, so `dsks_cli chaos` drills real files too. Real errno failures
-/// from the file backend map onto the same contract: pread/pwrite errors
-/// (EIO, ...) → IOError, a short read of an allocated page → Corruption.
+/// every read verifies the bytes it returns, copied or lent, against that
+/// checksum and reports a mismatch as Status::Corruption. The embedded
+/// FaultInjector can make reads/writes fail with Status::IOError or
+/// silently flip a bit in a private copy of a read's page (which the
+/// checksum then catches; the flip never reaches the caller's buffer or a
+/// lent stored image) — on *either* backend, so `dsks_cli drill` drills
+/// real files too. Real errno failures from the file backend map onto the
+/// same contract: pread/pwrite errors (EIO, ...) → IOError, a short read
+/// of an allocated page → Corruption.
 ///
 /// Thread safety: AllocatePage/ReadPage/WritePage may be called from many
 /// threads. Concurrent accesses to the *same* page are safe only if none
@@ -127,8 +129,14 @@ class DiskManager {
   /// draws, stats accounting, bit-flip corruption and CRC verification all
   /// happen per page, in batch order, so each request's `status` equals
   /// what a sequential ReadPage loop would have returned (and seeded chaos
-  /// draw sequences are identical, batched or not).
+  /// draw sequences are identical, batched or not). A request may leave
+  /// `out` null when lends_pages() (see PageReadRequest).
   void ReadPages(std::span<PageReadRequest> batch);
+
+  /// True when the backend keeps its pages in memory and lends them to a
+  /// read with no `out` (the sim backend); false when every read copies
+  /// (the file backend).
+  bool lends_pages() const { return backend_->lends_pages(); }
 
   /// Copies `in` (exactly kPageSize bytes) into page `id` and records its
   /// checksum. Returns IOError on a write fault (injected or real errno);
@@ -138,8 +146,9 @@ class DiskManager {
 
   /// Drops every page with id >= new_num_pages, shrinking the disk (and,
   /// on the file backend, the index file). The caller must guarantee no
-  /// live references to the dropped range — Database drops its buffer
-  /// pool's frames first.
+  /// live references to the dropped range. On a lending disk that covers
+  /// every frame of every buffer pool over it, unpinned resident ones
+  /// included: Database clears its pool first.
   Status TruncatePages(size_t new_num_pages);
 
   /// Makes all pages durable: the file backend persists the checksum
@@ -164,7 +173,8 @@ class DiskManager {
 
   /// Test hook: flips `bit_index` (in [0, kPageSize*8)) of the *stored*
   /// page image without updating its checksum, simulating at-rest
-  /// corruption. The next cold read of the page returns kCorruption.
+  /// corruption. The next cold read of the page returns kCorruption. On a
+  /// lending disk the flip also reaches a pool frame that holds the page.
   void CorruptStoredPage(PageId id, uint32_t bit_index);
 
   const DiskStats& stats() const { return stats_; }
@@ -176,8 +186,9 @@ class DiskManager {
 
   /// Exposes reads/writes/allocations/pages plus the fault counters
   /// (read_faults/write_faults/corruptions_detected) as live sources named
-  /// "<prefix>.reads" etc.; same lifetime contract as
-  /// BufferPool::BindMetrics.
+  /// "<prefix>.reads" etc., and the gauge "<prefix>.resident_bytes": the
+  /// page bytes this process holds for a lending disk, 0 for the file
+  /// backend. Same lifetime contract as BufferPool::BindMetrics.
   void BindMetrics(obs::MetricsRegistry* registry,
                    const std::string& prefix) const;
 
@@ -213,8 +224,8 @@ class DiskManager {
 
   /// The per-page read policy, applied to every page of a ReadPages batch
   /// after the backend filled `r`: injected read-fault draw, stats and I/O
-  /// attribution, injected bit flip, CRC verification — in that order.
-  /// Sets `r->status` to the read's final outcome.
+  /// attribution, injected bit flip, CRC verification of `r->data` — in
+  /// that order. Sets `r->status` to the read's final outcome.
   /// The injector draws each decision from its own per-kind counter, so a
   /// batch draws exactly the sequence a page-by-page loop would.
   void FinishRead(PageReadRequest* r, bool armed);

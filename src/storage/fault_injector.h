@@ -28,9 +28,10 @@ namespace dsks {
 ///    page.
 ///
 /// Corruption mode does not fail the operation: it flips one
-/// deterministically-chosen bit in the buffer returned by ReadPage, so the
-/// caller only notices through checksum verification (kCorruption), which
-/// is exactly the silent-corruption scenario checksums exist for.
+/// deterministically-chosen bit in a private copy of the page a read
+/// returns, so the read only fails through checksum verification
+/// (kCorruption), which is exactly the silent-corruption scenario
+/// checksums exist for.
 class FaultInjector {
  public:
   static constexpr uint32_t kAlways = UINT32_MAX;

@@ -262,6 +262,7 @@ void FileDiskBackend::ReadPages(std::span<PageReadRequest> batch) {
     for (PageReadRequest& r : batch) {
       DSKS_CHECK_MSG(r.id < checksums_.size(), "read of unallocated page");
       r.expected_crc = checksums_[r.id];
+      r.data = r.out;
     }
     physical = physical_pages_;
   }

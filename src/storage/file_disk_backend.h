@@ -58,6 +58,8 @@ class FileDiskBackend : public DiskBackend {
   /// fully serve falls back to PreadPage, so a page's status does not
   /// depend on its batch mates.
   void ReadPages(std::span<PageReadRequest> batch) override;
+  /// The pages live in the file, so every read copies into its `out`.
+  bool lends_pages() const override { return false; }
   Status WritePage(PageId id, const char* in, uint32_t crc) override;
   Status TruncatePages(size_t new_num_pages) override;
   Status Flush() override;

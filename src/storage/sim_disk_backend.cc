@@ -53,8 +53,9 @@ void SimDiskBackend::ReadPages(std::span<PageReadRequest> batch) {
   // discount is exactly what batched I/O buys on a real disk.
   WaitReadDelay();
   // Page blocks are resolved under the mutex (pages_ may reallocate) and
-  // copied outside it, so concurrent reads overlap. Resolving a fixed-size
-  // chunk at a time keeps every read allocation-free.
+  // copied outside it, so concurrent reads overlap; a request without an
+  // `out` borrows the block itself. Resolving a fixed-size chunk at a time
+  // keeps every read allocation-free.
   constexpr size_t kChunk = 16;
   const char* srcs[kChunk];
   for (size_t begin = 0; begin < batch.size(); begin += kChunk) {
@@ -70,7 +71,12 @@ void SimDiskBackend::ReadPages(std::span<PageReadRequest> batch) {
       }
     }
     for (size_t i = 0; i < chunk.size(); ++i) {
-      std::memcpy(chunk[i].out, srcs[i], kPageSize);
+      if (chunk[i].out == nullptr) {
+        chunk[i].data = srcs[i];
+      } else {
+        std::memcpy(chunk[i].out, srcs[i], kPageSize);
+        chunk[i].data = chunk[i].out;
+      }
       chunk[i].status = Status::Ok();
     }
   }

@@ -11,9 +11,12 @@
 namespace dsks {
 
 /// In-memory simulation of a disk: a flat, growable array of 4 KiB pages
-/// addressed by PageId. Deliberately stores page images out-of-line (one
-/// heap block per page) so that a buffer-pool miss performs a real 4 KiB
-/// copy, keeping measured query times sensitive to I/O volume.
+/// addressed by PageId. Each page image is its own heap block, so its
+/// address is stable while the array grows, and a read with no `out`
+/// borrows it instead of copying it: a buffer pool over this disk holds
+/// each resident page once. A miss still costs in proportion to I/O
+/// volume: DiskManager verifies every byte it reads against the page's
+/// checksum, and the simulated latency is charged per read.
 ///
 /// The simulated per-read latency knobs live here because they model a
 /// device this backend replaces; the file backend has a real device and
@@ -21,7 +24,7 @@ namespace dsks {
 ///
 /// Thread safety: the page directory is guarded by a mutex; the 4 KiB copy
 /// (and the simulated latency wait) happens outside it, so reads of
-/// distinct pages proceed in parallel.
+/// distinct pages proceed in parallel. A lent page is only ever read.
 class SimDiskBackend : public DiskBackend {
  public:
   SimDiskBackend() = default;
@@ -29,8 +32,10 @@ class SimDiskBackend : public DiskBackend {
   PageId AllocatePage() override;
   /// The simulated latency is charged once for the whole batch — the
   /// model of a single vectored device request — then the pages are
-  /// resolved under the mutex and copied outside it, without allocating.
+  /// resolved under the mutex and copied (or lent) outside it, without
+  /// allocating.
   void ReadPages(std::span<PageReadRequest> batch) override;
+  bool lends_pages() const override { return true; }
   Status WritePage(PageId id, const char* in, uint32_t crc) override;
   Status TruncatePages(size_t new_num_pages) override;
   Status Flush() override { return Status::Ok(); }
@@ -65,9 +70,9 @@ class SimDiskBackend : public DiskBackend {
   mutable std::mutex mutex_;
   /// The unique_ptr array may reallocate on growth, but the page blocks
   /// themselves are stable, so a pointer resolved under the mutex stays
-  /// valid for the out-of-lock copy (pages are only freed by
-  /// TruncatePages, whose caller guarantees no in-flight access to the
-  /// dropped range).
+  /// valid for the out-of-lock copy and for as long as it is lent (pages
+  /// are only freed by TruncatePages, whose caller guarantees that nothing
+  /// reads the dropped range any more).
   std::vector<std::unique_ptr<char[]>> pages_;
   /// CRC32C of each page image, kept out-of-line so page layout (and thus
   /// every on-disk structure) is unchanged by checksumming.

@@ -605,8 +605,8 @@ TEST(AllocFreeTest, MemoizedExpansionAllocatesNothing) {
 /// memory model", which names every remaining call site. The SK and
 /// ranked bounds catch a return of per-probe or per-settle allocation (the
 /// search paths alone made hundreds per query before they were pinned
-/// above); the div-COM bound sits just above its measured 8.25, so one
-/// more allocation per query fails it.
+/// above); the div-COM bound sits just above its measured 8.06, so half an
+/// allocation more per query fails it.
 TEST(AllocFreeTest, WholeQueriesAllocateOnlyAtTheirBoundary) {
   testing::BackendDatabase bdb(AllocConfig(), "alloc_query");
   Database& db = *bdb;
@@ -667,7 +667,7 @@ TEST(AllocFreeTest, WholeQueriesAllocateOnlyAtTheirBoundary) {
       "warm allocations per query: SK %.2f, div-COM %.2f, ranked %.2f\n", sk,
       div, ranked);
   EXPECT_LT(sk, 10.0);
-  EXPECT_LT(div, 9.0);
+  EXPECT_LT(div, 8.5);
   EXPECT_LT(ranked, 10.0);
 }
 

@@ -93,7 +93,9 @@ TEST(GreedyDiversifyTest, PicksDisjointPairsInDescendingOrder) {
 TEST(GreedyDiversifyTest, FewerCandidatesThanK) {
   LineWorld w = MakeLineWorld(8, 4);
   const auto result = GreedyDiversify(w.candidates, 10, w.Theta());
-  EXPECT_EQ(result.selected.size(), 4u);
+  // Every candidate is the answer, which the caller already holds; the
+  // pairs are still formed.
+  EXPECT_TRUE(result.selected.empty());
   EXPECT_EQ(result.pairs.size(), 2u);
 }
 

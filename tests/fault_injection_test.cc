@@ -2,6 +2,7 @@
 // targeted faults, checksum verification on read, and the contract that
 // every failure surfaces as a Status while the disk/pool stay usable.
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -122,7 +123,7 @@ TEST(FaultInjectionTest, InjectedBitFlipOnReadIsCorruption) {
 
   disk->fault_injector()->Disarm();
   EXPECT_FALSE(disk->fault_injector()->armed());
-  // The stored page was never touched — only the returned copy was.
+  // The stored page was never touched: the flip went into a private copy.
   ASSERT_TRUE(disk->ReadPage(p, out).ok());
   EXPECT_EQ(std::memcmp(buf, out, kPageSize), 0);
 }
@@ -186,6 +187,30 @@ TEST(FaultInjectionTest, BufferPoolSurfacesCorruptPage) {
   disk->CorruptStoredPage(p, /*bit_index=*/7);
   char* out = nullptr;
   EXPECT_TRUE(pool.FetchPage(p, &out).IsCorruption());
+  EXPECT_EQ(disk->stats().corruptions_detected.load(), 1u);
+}
+
+// On a lending disk (sim) the pool's page is the disk's stored image, so
+// an injected bit flip must land in a private copy: the fetch fails, and
+// once the injector is off the same fetch returns the bytes written.
+TEST(FaultInjectionTest, InjectedFlipNeverReachesTheStoredPage) {
+  dsks::testing::TestDisk disk;
+  const PageId p = dsks::testing::FillPages(disk.get(), 1);
+  BufferPool pool(disk.get(), 8);
+  FaultInjector::Config config;
+  config.corrupt_read_p = 1.0;
+  disk->fault_injector()->Configure(config);
+
+  char* out = nullptr;
+  EXPECT_TRUE(pool.FetchPage(p, &out).IsCorruption());
+  EXPECT_EQ(disk->stats().corruptions_detected.load(), 1u);
+  EXPECT_EQ(pool.num_frames_in_use(), 0u);
+
+  disk->fault_injector()->Disarm();
+  ASSERT_TRUE(pool.FetchPage(p, &out).ok());
+  const std::string expected(kPageSize, dsks::testing::FillByte(0));
+  EXPECT_EQ(std::string(out, kPageSize), expected);
+  pool.UnpinPage(p, /*dirty=*/false);
   EXPECT_EQ(disk->stats().corruptions_detected.load(), 1u);
 }
 

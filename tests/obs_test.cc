@@ -192,13 +192,16 @@ TEST(MetricsRegistryTest, StorageBindMetricsExposesLiveCounters) {
   EXPECT_NE(json.find("\"db.disk.pages\":1"), std::string::npos) << json;
 
   // Every level the storage layer and the process publish can fall, so
-  // each exports as a gauge; the pool's frame bytes count the frames made.
+  // each exports as a gauge. The one page is held once: in a pool frame's
+  // own buffer when the disk copies (file), in the disk's memory when it
+  // lends its pages to the pool (sim).
   obs::BindProcessMetrics(&reg);
   const std::string prom = reg.ToPrometheus();
   for (const char* gauge :
        {"db_pool_capacity_frames", "db_pool_frames_in_use",
-        "db_pool_frame_bytes", "db_disk_pages", "process_rss_bytes",
-        "process_peak_rss_bytes", "process_heap_in_use_bytes"}) {
+        "db_pool_frame_bytes", "db_disk_pages", "db_disk_resident_bytes",
+        "process_rss_bytes", "process_peak_rss_bytes",
+        "process_heap_in_use_bytes"}) {
     EXPECT_NE(prom.find(std::string("# TYPE dsks_") + gauge + " gauge\n"),
               std::string::npos)
         << gauge << "\n"
@@ -207,7 +210,14 @@ TEST(MetricsRegistryTest, StorageBindMetricsExposesLiveCounters) {
   EXPECT_NE(prom.find("# TYPE dsks_db_pool_misses counter\n"),
             std::string::npos)
       << prom;
-  EXPECT_NE(prom.find("dsks_db_pool_frame_bytes 4096\n"), std::string::npos)
+  const bool lends = disk->lends_pages();
+  EXPECT_NE(prom.find(lends ? "dsks_db_pool_frame_bytes 0\n"
+                            : "dsks_db_pool_frame_bytes 4096\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find(lends ? "dsks_db_disk_resident_bytes 4096\n"
+                            : "dsks_db_disk_resident_bytes 0\n"),
+            std::string::npos)
       << prom;
   const obs::ProcessMemory mem = obs::ReadProcessMemory();
   EXPECT_GT(mem.rss_bytes, 0u);

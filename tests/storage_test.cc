@@ -217,14 +217,51 @@ TEST(BufferPoolTest, AllPinnedOverflowsInsteadOfAborting) {
     // Unpinning drained the overflow back to the capacity target.
     EXPECT_LE(pool.num_frames_in_use(), pool.capacity());
 
-    // One more miss reuses a freed frame's buffer and shows its own page.
+    // One more miss makes no new buffer and shows its own page: on a
+    // copying disk it reuses a freed frame's buffer, and on a lending disk
+    // no frame owns one.
+    const uint64_t frame_bytes = pool.frame_bytes();
     const char* again = dsks::testing::MustFetch(&pool, first + pinned);
-    EXPECT_NE(std::find(data.begin(), data.end(), again), data.end());
+    EXPECT_EQ(pool.frame_bytes(), frame_bytes);
+    if (disk->lends_pages()) {
+      EXPECT_EQ(frame_bytes, 0u);
+    } else {
+      EXPECT_NE(std::find(data.begin(), data.end(), again), data.end());
+    }
     EXPECT_EQ(again[0], dsks::testing::FillByte(pinned));
     EXPECT_EQ(again[kPageSize - 1], dsks::testing::FillByte(pinned));
     pool.UnpinPage(first + pinned, false);
     EXPECT_LE(pool.num_frames_in_use(), pool.capacity());
   }
+}
+
+// A lending disk's pages are held once: a pool holding every page owns no
+// page buffer, and a second pool over the same disk hands out the same
+// address for a page. The sim disk lends whatever DSKS_TEST_BACKEND says.
+TEST(BufferPoolTest, ResidentPagesOfALendingDiskAreHeldOnce) {
+  DiskManager disk(DiskOptions{});
+  ASSERT_TRUE(disk.lends_pages());
+  constexpr size_t kPages = 16;
+  const PageId first = dsks::testing::FillPages(&disk, kPages);
+  BufferPool pool(&disk, kPages);
+  for (size_t i = 0; i < kPages; ++i) {
+    const char* data = dsks::testing::MustFetch(&pool, first + i);
+    EXPECT_EQ(data[0], dsks::testing::FillByte(i));
+    EXPECT_EQ(data[kPageSize - 1], dsks::testing::FillByte(i));
+    pool.UnpinPage(first + i, false);
+  }
+  EXPECT_EQ(pool.num_frames_in_use(), kPages);
+  EXPECT_EQ(pool.frame_bytes(), 0u);
+
+  BufferPool other(&disk, 1);
+  const char* resident = dsks::testing::MustFetch(&pool, first + 3);
+  const char* lent_again = dsks::testing::MustFetch(&other, first + 3);
+  EXPECT_EQ(resident, lent_again);
+  EXPECT_EQ(pool.stats_snapshot().hits, 1u);
+  EXPECT_EQ(other.stats_snapshot().misses, 1u);
+  EXPECT_EQ(other.frame_bytes(), 0u);
+  pool.UnpinPage(first + 3, false);
+  other.UnpinPage(first + 3, false);
 }
 
 // Regression: shrinking below the pinned set used to CHECK-fail; the

@@ -345,6 +345,18 @@ EOF
     echo "server smoke: /metrics shows no heap in use" >&2
     exit 1
   }
+  # serve runs on the sim backend, which lends its pages to the pool: the
+  # index is held once, in the disk's memory, and no frame owns a buffer.
+  grep -qx 'dsks_db_pool_frame_bytes 0' \
+      build-perf/metrics_serve_smoke.txt || {
+    echo "server smoke: pool frames own page buffers on the sim backend" >&2
+    exit 1
+  }
+  grep -Eqx 'dsks_db_disk_resident_bytes [1-9][0-9]*' \
+      build-perf/metrics_serve_smoke.txt || {
+    echo "server smoke: /metrics shows no resident sim pages" >&2
+    exit 1
+  }
   curl -fsS "http://127.0.0.1:$serve_port/statusz" |
     grep -q '"admitted":2[,}]' || {
     echo "server smoke: /statusz does not show the admitted queries" >&2
