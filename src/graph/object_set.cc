@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/heap.h"
 #include "common/macros.h"
 
 namespace dsks {
@@ -94,6 +95,11 @@ void ObjectSet::Finalize() {
     edge_objects_[i] = by_offset[i].second;
   }
   finalized_ = true;
+  // The sort pairs and the term array's spare capacity (a Reserve bound,
+  // or growth by doubling) are far more than the set keeps; without this,
+  // glibc keeps them resident until something else trims.
+  by_offset = std::vector<std::pair<double, ObjectId>>();
+  ReturnFreedHeap();
 }
 
 std::span<const ObjectId> ObjectSet::ObjectsOnEdge(EdgeId edge) const {

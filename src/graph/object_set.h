@@ -49,7 +49,8 @@ class ObjectSet {
   /// that Add reallocates neither array until they are exceeded.
   void Reserve(size_t num_objects, size_t num_terms);
 
-  /// Builds the per-edge lists and trims both arrays to their size.
+  /// Builds the per-edge lists, trims both arrays to their size and
+  /// returns the freed heap to the system (ReturnFreedHeap).
   void Finalize();
   bool finalized() const { return finalized_; }
 

@@ -1,13 +1,10 @@
 #include "harness/database.h"
 
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
-
 #include <algorithm>
 #include <cmath>
 #include <utility>
 
+#include "common/heap.h"
 #include "common/macros.h"
 #include "common/timer.h"
 #include "datagen/network_generator.h"
@@ -17,6 +14,7 @@
 #include "index/sif.h"
 #include "index/sif_group.h"
 #include "obs/metrics.h"
+#include "obs/process_memory.h"
 #include "obs/trace.h"
 
 namespace dsks {
@@ -44,6 +42,12 @@ namespace {
 /// fetch, so an unused target costs no memory.
 constexpr size_t kInitialPoolFrames = 64 * 1024;  // 256 MiB of frames
 
+/// Ends a setup phase that `timer` timed.
+void EndPhase(const Timer& timer, Database::SetupPhase* phase) {
+  phase->ms = timer.ElapsedMillis();
+  phase->peak_rss_bytes = obs::ReadProcessMemory().peak_rss_bytes;
+}
+
 }  // namespace
 
 Database::Database(const DatasetConfig& config, const DiskOptions& storage)
@@ -51,7 +55,7 @@ Database::Database(const DatasetConfig& config, const DiskOptions& storage)
   Timer timer;
   network_ = GenerateRoadNetwork(config.network);
   objects_ = GenerateObjects(*network_, config.objects);
-  setup_times_.dataset_ms = timer.ElapsedMillis();
+  EndPhase(timer, &setup_times_.dataset);
   Mount();
 }
 
@@ -76,13 +80,13 @@ void Database::Mount() {
   Timer timer;
   term_stats_ =
       std::make_unique<TermStats>(*objects_, config_.objects.vocab_size);
-  setup_times_.term_stats_ms = timer.ElapsedMillis();
+  EndPhase(timer, &setup_times_.term_stats);
   timer.Reset();
   pool_ = std::make_unique<BufferPool>(&disk_, kInitialPoolFrames);
   ccam_file_ = CcamFileBuilder::Build(*network_, &disk_);
   ccam_graph_ = std::make_unique<CcamGraph>(&ccam_file_, pool_.get());
   index_base_pages_ = disk_.num_pages();
-  setup_times_.ccam_ms = timer.ElapsedMillis();
+  EndPhase(timer, &setup_times_.ccam);
 }
 
 Database::IndexBuildInfo Database::BuildIndex(const IndexOptions& options) {
@@ -132,17 +136,14 @@ Database::IndexBuildInfo Database::BuildIndex(const IndexOptions& options) {
                                                min_postings);
       break;
   }
-#ifdef __GLIBC__
   // The build freed far more heap than the index keeps (the posting array,
-  // the run lists, the B+tree pair lists); without this, glibc keeps most
-  // of it resident for the life of the process.
-  ::malloc_trim(0);
-#endif
+  // the run lists, the B+tree pair lists).
+  ReturnFreedHeap();
+  EndPhase(timer, &setup_times_.index_build);
   IndexBuildInfo info;
-  info.build_millis = timer.ElapsedMillis();
+  info.build_millis = setup_times_.index_build.ms;
   info.size_bytes = index_->SizeBytes();
   index_pages_ = disk_.num_pages() - index_base_pages_;
-  setup_times_.index_build_ms = info.build_millis;
   return info;
 }
 
@@ -163,7 +164,7 @@ void Database::PrepareForQueries(double fraction, size_t min_frames) {
   DSKS_CHECK_MSG(disk_flush.ok(), "PrepareForQueries on a faulty disk");
   pool_->SetCapacity(frames);
   ResetCounters();
-  setup_times_.prepare_ms = timer.ElapsedMillis();
+  EndPhase(timer, &setup_times_.prepare);
 }
 
 void Database::ResetCounters() {
@@ -191,16 +192,20 @@ void Database::BindMetrics(obs::MetricsRegistry* registry,
         return static_cast<uint64_t>(total > live ? total - live : 0);
       },
       obs::MetricsRegistry::SourceKind::kGauge);
-  const std::pair<const char*, const double*> phases[] = {
-      {"dataset", &setup_times_.dataset_ms},
-      {"term_stats", &setup_times_.term_stats_ms},
-      {"ccam", &setup_times_.ccam_ms},
-      {"index_build", &setup_times_.index_build_ms},
-      {"prepare", &setup_times_.prepare_ms}};
-  for (const auto& [phase, ms] : phases) {
+  const std::pair<const char*, const SetupPhase*> phases[] = {
+      {"dataset", &setup_times_.dataset},
+      {"term_stats", &setup_times_.term_stats},
+      {"ccam", &setup_times_.ccam},
+      {"index_build", &setup_times_.index_build},
+      {"prepare", &setup_times_.prepare}};
+  for (const auto& [name, phase] : phases) {
     registry->BindSource(
-        prefix + ".setup." + phase + "_ms",
-        [ms] { return static_cast<uint64_t>(std::llround(*ms)); },
+        prefix + ".setup." + name + "_ms",
+        [phase] { return static_cast<uint64_t>(std::llround(phase->ms)); },
+        obs::MetricsRegistry::SourceKind::kGauge);
+    registry->BindSource(
+        prefix + ".setup." + name + "_peak_rss_bytes",
+        [phase] { return phase->peak_rss_bytes; },
         obs::MetricsRegistry::SourceKind::kGauge);
   }
 }

@@ -69,14 +69,21 @@ class Database {
     uint64_t size_bytes = 0;
   };
 
-  /// Wall time of each setup phase, in milliseconds; a phase that has not
-  /// run reads 0 (dataset generation when a loaded dataset is mounted).
+  /// One setup phase: its wall time, and the process's peak resident set
+  /// as it ended (obs::ProcessMemory::peak_rss_bytes, a high-water mark):
+  /// a phase that reads more than the phase before it set a new peak. A
+  /// phase that has not run reads 0 (dataset generation when a loaded
+  /// dataset is mounted).
+  struct SetupPhase {
+    double ms = 0.0;
+    uint64_t peak_rss_bytes = 0;
+  };
   struct SetupTimes {
-    double dataset_ms = 0.0;  // road network and objects
-    double term_stats_ms = 0.0;
-    double ccam_ms = 0.0;
-    double index_build_ms = 0.0;  // the last BuildIndex
-    double prepare_ms = 0.0;      // the last PrepareForQueries
+    SetupPhase dataset;  // road network and objects
+    SetupPhase term_stats;
+    SetupPhase ccam;
+    SetupPhase index_build;  // the last BuildIndex
+    SetupPhase prepare;      // the last PrepareForQueries
   };
 
   /// Builds (or replaces) the object index, writing each of its pages once
@@ -113,9 +120,9 @@ class Database {
 
   /// Exposes the pool and disk counters as live sources under
   /// "<prefix>.pool.*" and "<prefix>.disk.*", and the setup phases as
-  /// gauges "<prefix>.setup.<phase>_ms" (whole milliseconds). The Database
-  /// must outlive the binding; UnbindMetrics (or destroying the registry)
-  /// releases it.
+  /// gauges "<prefix>.setup.<phase>_ms" (whole milliseconds) and
+  /// "<prefix>.setup.<phase>_peak_rss_bytes". The Database must outlive
+  /// the binding; UnbindMetrics (or destroying the registry) releases it.
   void BindMetrics(obs::MetricsRegistry* registry,
                    const std::string& prefix = "db") const;
   void UnbindMetrics(obs::MetricsRegistry* registry,

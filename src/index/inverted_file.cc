@@ -31,17 +31,17 @@ InvertedFileIndex::InvertedFileIndex(BufferPool* pool,
     edge_zcode_[e] = ZOrder::Encode(net.EdgeCenter(e));
   }
 
-  // Every posting, handed to `fn(term, edge, entry)` edge by edge in id
-  // order and, on an edge, object by object in position order: a
-  // keyword's postings on one edge arrive back to back, sorted by position.
-  // The walk meets objects out of id order, so it prefetches ahead of
-  // itself: each object, then its terms.
+  // Every object, handed to `fn(edge, i, object)` edge by edge in id
+  // order and, on an edge, in position order, where i is its index in
+  // `walk`: a keyword's postings on one edge are met back to back, sorted
+  // by position. The walk meets objects out of id order, so it prefetches
+  // ahead of itself: each object, then its terms.
   const std::span<const ObjectId> walk = objects.ObjectsInEdgeOrder();
-  auto for_each_posting = [&](auto&& fn) {
+  auto for_each_object = [&](auto&& fn) {
     size_t i = 0;  // the walk's position in `walk`
     for (EdgeId e = 0; e < net.num_edges(); ++e) {
       const size_t end = i + objects.ObjectsOnEdge(e).size();
-      for (uint16_t pos = 0; i < end; ++i, ++pos) {
+      for (; i < end; ++i) {
         if (i + kWalkLookahead < walk.size()) {
           __builtin_prefetch(&objects.object(walk[i + kWalkLookahead]));
         }
@@ -49,63 +49,83 @@ InvertedFileIndex::InvertedFileIndex(BufferPool* pool,
           __builtin_prefetch(
               objects.object(walk[i + kWalkLookahead / 2]).terms.data());
         }
-        const ObjectId id = walk[i];
-        const SpatioTextualObject& obj = objects.object(id);
-        const double w1 = net.WeightFromN1(e, obj.offset);
-        for (TermId t : obj.terms) {
-          fn(t, e, PostingFile::Entry{id, pos, w1});
-        }
+        fn(e, i, objects.object(walk[i]));
       }
     }
   };
 
-  // A counting sort into one keyword-major entry array, cut into runs by
-  // one length per (keyword, edge) run. First count each keyword's
-  // postings and runs; their prefix sums are the keyword's slices.
+  // A counting sort of the postings into one keyword-major array holding
+  // each posting as its object's index in `walk` (4 bytes). First count
+  // each keyword's postings and runs; their prefix sums are the keyword's
+  // slices.
   posting_count_.assign(vocab_size, 0);
   RunEdges runs;
   runs.offsets.assign(vocab_size + 1, 0);
   std::vector<EdgeId> last_edge(vocab_size, kInvalidEdgeId);
-  for_each_posting([&](TermId t, EdgeId e, const PostingFile::Entry&) {
-    ++posting_count_[t];
-    if (last_edge[t] != e) {
-      last_edge[t] = e;
-      ++runs.offsets[t + 1];
+  for_each_object([&](EdgeId e, size_t, const SpatioTextualObject& obj) {
+    for (const TermId t : obj.terms) {
+      ++posting_count_[t];
+      if (last_edge[t] != e) {
+        last_edge[t] = e;
+        ++runs.offsets[t + 1];
+      }
     }
   });
-  std::vector<size_t> next_entry(vocab_size);
-  size_t num_entries = 0;
+  std::vector<size_t> slice(vocab_size + 1, 0);
   for (TermId t = 0; t < vocab_size; ++t) {
-    next_entry[t] = num_entries;
-    num_entries += posting_count_[t];
+    slice[t + 1] = slice[t] + posting_count_[t];
     runs.offsets[t + 1] += runs.offsets[t];
   }
   const size_t num_runs = runs.offsets[vocab_size];
-  // Then place each posting in its keyword's slice; a keyword's run ends
-  // where the walk moves it to another edge, never at another keyword's
-  // run on the same edge. Each run's edge is recorded as it starts.
-  std::vector<PostingFile::Entry> entries(num_entries);
-  std::vector<uint32_t> run_length(num_runs, 0);
+  // Then place each posting in its keyword's slice, recording each run's
+  // edge as the run starts, and each object's w1 once.
+  std::vector<uint32_t> postings(slice[vocab_size]);
+  std::vector<double> w1(walk.size());
   runs.edges.resize(num_runs);
+  std::vector<size_t> next_posting(slice.begin(), slice.end() - 1);
   std::vector<size_t> next_run(runs.offsets.begin(), runs.offsets.end() - 1);
   std::fill(last_edge.begin(), last_edge.end(), kInvalidEdgeId);
-  for_each_posting([&](TermId t, EdgeId e, const PostingFile::Entry& entry) {
-    if (last_edge[t] != e) {
-      last_edge[t] = e;
-      runs.edges[next_run[t]++] = e;
+  for_each_object([&](EdgeId e, size_t i, const SpatioTextualObject& obj) {
+    w1[i] = net.WeightFromN1(e, obj.offset);
+    for (const TermId t : obj.terms) {
+      if (last_edge[t] != e) {
+        last_edge[t] = e;
+        runs.edges[next_run[t]++] = e;
+      }
+      postings[next_posting[t]++] = static_cast<uint32_t>(i);
     }
-    ++run_length[next_run[t] - 1];
-    entries[next_entry[t]++] = entry;
   });
 
-  // Phase 1: write every posting run, in keyword order, in one call (a
-  // run's pages must be contiguous, so nothing else allocates meanwhile).
-  std::vector<PostingFile::Locator> locators;
-  postings_ =
-      std::make_unique<PostingFile>(pool_, entries, run_length, &locators);
+  // Phase 1: append every posting run, in keyword order, then edge order
+  // (a run's pages must be contiguous, so nothing else allocates
+  // meanwhile). A run is the stretch of its keyword's slice whose walk
+  // indexes lie on the run's edge; a keyword's run ends where the walk
+  // moved that keyword to another edge, never at another keyword's run on
+  // the same edge. It is decoded into `entries` as it is written.
+  postings_ = std::make_unique<PostingFile>(pool_);
+  std::vector<PostingFile::Locator> locators(num_runs);
+  std::vector<PostingFile::Entry> entries;
+  size_t next = 0;  // the first posting not yet written
+  for (TermId t = 0; t < vocab_size; ++t) {
+    for (size_t r = runs.offsets[t]; r < runs.offsets[t + 1]; ++r) {
+      const EdgeId e = runs.edges[r];
+      const std::span<const ObjectId> on_edge = objects.ObjectsOnEdge(e);
+      const auto first = static_cast<size_t>(on_edge.data() - walk.data());
+      const size_t end = first + on_edge.size();
+      entries.clear();
+      for (; next < slice[t + 1] && postings[next] < end; ++next) {
+        const uint32_t i = postings[next];
+        entries.push_back(PostingFile::Entry{
+            walk[i], static_cast<uint16_t>(i - first), w1[i]});
+      }
+      locators[r] = postings_->AppendRun(entries);
+    }
+  }
+  DSKS_CHECK_MSG(next == postings.size(), "postings outside every run");
+  postings_->Finish();
   // The B+trees need only the run edges and locators.
-  entries = std::vector<PostingFile::Entry>();
-  run_length = std::vector<uint32_t>();
+  postings = std::vector<uint32_t>();
+  w1 = std::vector<double>();
 
   // Phase 2: one B+tree per keyword mapping edge keys to run locators,
   // bulk loaded from the keyword's sorted edge-key list.

@@ -1,67 +1,59 @@
 #include "index/posting_file.h"
 
 #include <cstring>
+#include <memory>
 
 #include "common/macros.h"
 #include "storage/page.h"
 
 namespace dsks {
 
-PostingFile::PostingFile(BufferPool* pool, std::span<const Entry> entries,
-                         std::span<const uint32_t> run_lengths,
-                         std::vector<Locator>* locators)
-    : pool_(pool) {
-  DiskManager* disk = pool->disk();
-  // The tail page is composed in `page` and written once, when the build
-  // moves on to a fresh page or ends.
-  char page[kPageSize];
-  PageId tail = kInvalidPageId;
-  uint32_t slot = 0;
-  auto write_tail = [&] {
-    const Status s = disk->WritePage(tail, page);
+PostingFile::PostingFile(BufferPool* pool)
+    : pool_(pool), page_(std::make_unique_for_overwrite<char[]>(kPageSize)) {}
+
+void PostingFile::WriteTail() {
+  if (tail_ != kInvalidPageId) {
+    const Status s = pool_->disk()->WritePage(tail_, page_.get());
     DSKS_CHECK_MSG(s.ok(), "posting file build on a faulty disk");
-  };
-  auto start_page = [&] {
-    if (tail != kInvalidPageId) {
-      write_tail();
-    }
-    tail = disk->AllocatePage();
-    ++num_pages_;
-    std::memset(page, 0, kPageSize);
-    slot = 0;
-  };
-  locators->clear();
-  locators->reserve(run_lengths.size());
-  size_t next = 0;  // first entry of the next run
-  for (const uint32_t length : run_lengths) {
-    DSKS_CHECK_MSG(length <= 0xFFFF, "posting run too long");
-    DSKS_CHECK_MSG(length > 0, "empty posting run");
-    DSKS_CHECK_MSG(length <= entries.size() - next,
-                   "posting runs longer than their entries");
-    const std::span<const Entry> run = entries.subspan(next, length);
-    next += length;
-    // A run must occupy consecutive page ids (the locator only records
-    // where it starts): one that does not fit the tail's remainder starts
-    // on a fresh page.
-    if (tail == kInvalidPageId || run.size() > kEntriesPerPage - slot) {
-      start_page();
-    }
-    locators->push_back(
-        PackLocator(tail, slot, static_cast<uint32_t>(run.size())));
-    for (const Entry& e : run) {
-      if (slot == kEntriesPerPage) {
-        const PageId prev = tail;
-        start_page();
-        DSKS_CHECK_MSG(tail == prev + 1, "a run's pages must be contiguous");
-      }
-      WriteEntry(page, slot++, e);
-      ++num_entries_;
-    }
   }
-  DSKS_CHECK_MSG(next == entries.size(), "posting entries outside every run");
-  if (tail != kInvalidPageId) {
-    write_tail();
+}
+
+void PostingFile::StartPage() {
+  WriteTail();
+  tail_ = pool_->disk()->AllocatePage();
+  ++num_pages_;
+  std::memset(page_.get(), 0, kPageSize);
+  slot_ = 0;
+}
+
+PostingFile::Locator PostingFile::AppendRun(std::span<const Entry> run) {
+  DSKS_CHECK_MSG(page_ != nullptr, "AppendRun after Finish");
+  DSKS_CHECK_MSG(run.size() <= 0xFFFF, "posting run too long");
+  DSKS_CHECK_MSG(!run.empty(), "empty posting run");
+  // A run must occupy consecutive page ids (the locator only records where
+  // it starts): one that does not fit the tail's remainder starts on a
+  // fresh page.
+  if (tail_ == kInvalidPageId || run.size() > kEntriesPerPage - slot_) {
+    StartPage();
   }
+  const Locator locator =
+      PackLocator(tail_, slot_, static_cast<uint32_t>(run.size()));
+  for (const Entry& e : run) {
+    if (slot_ == kEntriesPerPage) {
+      const PageId prev = tail_;
+      StartPage();
+      DSKS_CHECK_MSG(tail_ == prev + 1, "a run's pages must be contiguous");
+    }
+    WriteEntry(page_.get(), slot_++, e);
+  }
+  num_entries_ += run.size();
+  return locator;
+}
+
+void PostingFile::Finish() {
+  DSKS_CHECK_MSG(page_ != nullptr, "Finish called twice");
+  WriteTail();
+  page_.reset();
 }
 
 void PostingFile::PrefetchRuns(std::span<const Locator> locators) const {
@@ -101,6 +93,14 @@ void PostingFile::PrefetchRuns(std::span<const Locator> locators) const {
 
 uint32_t PostingFile::RunLength(Locator locator) {
   return static_cast<uint32_t>(locator & 0xFFFF);
+}
+
+PageId PostingFile::RunPage(Locator locator) {
+  return static_cast<PageId>(locator >> 32);
+}
+
+uint32_t PostingFile::RunSlot(Locator locator) {
+  return static_cast<uint32_t>((locator >> 16) & 0xFFFF);
 }
 
 }  // namespace dsks

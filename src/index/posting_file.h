@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "common/status.h"
 #include "graph/types.h"
@@ -13,11 +13,11 @@
 
 namespace dsks {
 
-/// Storage for inverted-file posting runs, written once by the constructor
-/// and read-only after that. A *run* is the list of postings of one
-/// (keyword, edge) pair: every object on that edge that contains the
-/// keyword, ordered by position along the edge. The per-keyword B+trees
-/// (§3.1) map edges to run locators in this file.
+/// Storage for inverted-file posting runs, appended one run at a time by
+/// the index build and read-only after Finish(). A *run* is the list of
+/// postings of one (keyword, edge) pair: every object on that edge that
+/// contains the keyword, ordered by position along the edge. The
+/// per-keyword B+trees (§3.1) map edges to run locators in this file.
 ///
 /// Runs are packed back to back; a run may span consecutive pages.
 class PostingFile {
@@ -34,22 +34,27 @@ class PostingFile {
   /// Opaque run locator: packs (first page, first slot, entry count).
   using Locator = uint64_t;
 
-  /// Writes the runs that `run_lengths` cuts `entries` into, in order (run
-  /// i is the next run_lengths[i] entries, 1 to 65535 of them; the lengths
-  /// must add up to entries.size()), and stores their locators, in order,
-  /// in `*locators`. Each page is composed in memory and written once,
-  /// straight to `pool->disk()`; a failed write CHECK-fails (a build runs
-  /// on a fault-free disk by contract). A run that does not fit the rest of
-  /// the current page starts on a fresh one, and its pages are allocated
-  /// back to back, so no other allocation on the disk may interleave with
-  /// this call.
-  PostingFile(BufferPool* pool, std::span<const Entry> entries,
-              std::span<const uint32_t> run_lengths,
-              std::vector<Locator>* locators);
+  /// An empty file on `pool`'s disk: AppendRun adds the runs, Finish
+  /// writes the last page.
+  explicit PostingFile(BufferPool* pool);
 
   PostingFile(const PostingFile&) = delete;
   PostingFile& operator=(const PostingFile&) = delete;
   PostingFile(PostingFile&&) = default;
+
+  /// Appends one run of 1 to 65535 entries, in position order, and
+  /// returns its locator. Each page is composed in memory and written
+  /// once, straight to `pool->disk()`, when the file moves on to a fresh
+  /// page; a failed write CHECK-fails (a build runs on a fault-free disk by
+  /// contract). A run that does not fit the rest of the current page
+  /// starts on a fresh one, and its pages are allocated back to back, so
+  /// no other allocation on the disk may interleave between the first
+  /// AppendRun and Finish.
+  Locator AppendRun(std::span<const Entry> run);
+
+  /// Writes the page the last run ended on and frees the page being
+  /// composed. Call once, after the last AppendRun and before any read.
+  void Finish();
 
   /// Hands every entry of a run, in position order, to `fn(const Entry&)`
   /// straight off the pinned pages: nothing is copied or allocated. A
@@ -72,6 +77,9 @@ class PostingFile {
 
   /// Number of entries in a run without reading it.
   static uint32_t RunLength(Locator locator);
+  /// The page a run starts on, and its slot (entry index) there.
+  static PageId RunPage(Locator locator);
+  static uint32_t RunSlot(Locator locator);
 
   uint64_t num_pages() const { return num_pages_; }
   uint64_t num_entries() const { return num_entries_; }
@@ -119,9 +127,19 @@ class PostingFile {
     return e;
   }
 
+  /// Writes the page composed in `page_` (none before the first run).
+  void WriteTail();
+  /// Writes the tail and moves on to a fresh, zeroed page.
+  void StartPage();
+
   BufferPool* pool_;
   uint64_t num_pages_ = 0;
   uint64_t num_entries_ = 0;
+  /// The image of page `tail_`, composed here until it is written; null
+  /// after Finish().
+  std::unique_ptr<char[]> page_;
+  PageId tail_ = kInvalidPageId;  // the page the last run ended on
+  uint32_t slot_ = 0;             // the next free entry slot of `tail_`
 };
 
 template <typename Fn>

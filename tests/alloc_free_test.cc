@@ -3,11 +3,12 @@
 // FetchPages, Prefetch of cold and of resident pages, CCAM adjacency
 // reads, B+tree MultiGet, Algorithm 2 (LoadObjects on IF and SIF) and
 // NetworkExpansion settles through the adjacency memo. This binary replaces
-// the global operator new with one that counts every call; each test warms
-// its path once (frames, page table and vectors reach their high-water
-// mark), then asserts that repeating the path allocates nothing. It also
-// bounds what an IF and a SIF build allocate by the keywords and pages,
-// not the (keyword, edge) runs, and prints both counts.
+// the global operator new with one that counts every call and tracks the
+// bytes it holds; each test warms its path once (frames, page table and
+// vectors reach their high-water mark), then asserts that repeating the
+// path allocates nothing. It also bounds what an IF and a SIF build
+// allocate by the keywords and pages, not the (keyword, edge) runs, and
+// the most heap they hold at once by 4 bytes per posting, and prints both.
 //
 // The exceptions, each named in DESIGN.md "Hot-path memory model":
 //  * a failed read: its Status carries a heap-allocated message ("injected
@@ -22,6 +23,8 @@
 //    WholeQueriesAllocateOnlyAtTheirBoundary measures and prints.
 //
 // check.sh runs this binary on both disk backends under every sanitizer.
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstddef>
@@ -57,17 +60,42 @@
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};
+/// Heap held through operator new (each live block's malloc_usable_size),
+/// and its high-water mark since PeakHeapGrowthDuring last reset it.
+std::atomic<int64_t> g_live_bytes{0};
+std::atomic<int64_t> g_peak_live_bytes{0};
+
+void* Tracked(void* p) {
+  if (p != nullptr) {
+    const auto size = static_cast<int64_t>(malloc_usable_size(p));
+    const int64_t live =
+        g_live_bytes.fetch_add(size, std::memory_order_relaxed) + size;
+    int64_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+    while (live > peak && !g_peak_live_bytes.compare_exchange_weak(
+                              peak, live, std::memory_order_relaxed)) {
+    }
+  }
+  return p;
+}
+
+void Release(void* p) {
+  if (p != nullptr) {
+    g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  }
+  std::free(p);
+}
 
 void* CountedAlloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return Tracked(std::malloc(size == 0 ? 1 : size));
 }
 
 void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   const std::size_t a = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
-  return std::aligned_alloc(a, (size + a - 1) / a * a);
+  return Tracked(std::aligned_alloc(a, (size + a - 1) / a * a));
 }
 
 }  // namespace
@@ -103,28 +131,28 @@ void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
                                        std::align_val_t align) {
   return ::operator new(size, align);
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { Release(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { Release(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  Release(p);
 }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
+  Release(p);
 }
 [[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
-  std::free(p);
+  Release(p);
 }
 [[gnu::noinline]] void operator delete[](void* p,
                                          std::align_val_t) noexcept {
-  std::free(p);
+  Release(p);
 }
 [[gnu::noinline]] void operator delete(void* p, std::size_t,
                                        std::align_val_t) noexcept {
-  std::free(p);
+  Release(p);
 }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t,
                                          std::align_val_t) noexcept {
-  std::free(p);
+  Release(p);
 }
 
 namespace dsks {
@@ -141,6 +169,16 @@ uint64_t AllocationsDuring(Fn&& fn) {
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
   fn();
   return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// The most heap held at once while `fn` runs, beyond what was live when
+/// it started. `fn` must not call into gtest.
+template <typename Fn>
+int64_t PeakHeapGrowthDuring(Fn&& fn) {
+  const int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  g_peak_live_bytes.store(before, std::memory_order_relaxed);
+  fn();
+  return g_peak_live_bytes.load(std::memory_order_relaxed) - before;
 }
 
 /// Fetches and unpins `n` pages starting at `first`; true iff every fetch
@@ -510,20 +548,12 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param == IndexKind::kIF ? "IF" : "SIF");
     });
 
-/// An IF or SIF build allocates per keyword, never per (keyword, edge)
-/// run: the postings are counting-sorted into one flat array and the
-/// signature lists share one more. The bound leaves room for one
-/// allocation per page written (the sim backend gives each page a buffer)
-/// and a few per keyword (its B+tree levels); a build that gave each run a
-/// vector makes at least one allocation per run, far above it on this
-/// dataset.
-TEST(AllocFreeTest, IndexBuildAllocatesPerKeywordNotPerRun) {
-  testing::BackendDatabase bdb(AllocConfig(), "alloc_build");
-  Database& db = *bdb;
+/// The (keyword, edge) posting runs of `db`'s dataset.
+uint64_t CountRuns(const Database& db) {
   const ObjectSet& objects = db.objects();
-  const size_t keywords = db.config().objects.vocab_size;
   uint64_t runs = 0;
-  std::vector<EdgeId> last_edge(keywords, kInvalidEdgeId);
+  std::vector<EdgeId> last_edge(db.config().objects.vocab_size,
+                                kInvalidEdgeId);
   for (EdgeId e = 0; e < db.network().num_edges(); ++e) {
     for (const ObjectId id : objects.ObjectsOnEdge(e)) {
       for (const TermId t : objects.object(id).terms) {
@@ -534,6 +564,21 @@ TEST(AllocFreeTest, IndexBuildAllocatesPerKeywordNotPerRun) {
       }
     }
   }
+  return runs;
+}
+
+/// An IF or SIF build allocates per keyword, never per (keyword, edge)
+/// run: the postings are counting-sorted into one flat array and the
+/// signature lists share one more. The bound leaves room for one
+/// allocation per page written (the sim backend gives each page a buffer)
+/// and a few per keyword (its B+tree levels); a build that gave each run a
+/// vector makes at least one allocation per run, far above it on this
+/// dataset.
+TEST(AllocFreeTest, IndexBuildAllocatesPerKeywordNotPerRun) {
+  testing::BackendDatabase bdb(AllocConfig(), "alloc_build");
+  Database& db = *bdb;
+  const size_t keywords = db.config().objects.vocab_size;
+  const uint64_t runs = CountRuns(db);
   // A rebuild truncates the disk back to this watermark first.
   const DiskManager* disk = db.pool()->disk();
   const size_t base_pages = disk->num_pages();
@@ -554,6 +599,54 @@ TEST(AllocFreeTest, IndexBuildAllocatesPerKeywordNotPerRun) {
       static_cast<unsigned long long>(counts[0]),
       static_cast<unsigned long long>(counts[1]), keywords,
       static_cast<unsigned long long>(runs));
+}
+
+/// What an IF or a SIF build holds on the heap at its peak, beyond what
+/// was live before it and the pages it writes (heap on the sim backend,
+/// where db.disk.resident_bytes counts them): each posting as 4 bytes (its
+/// object's index in the edge walk), each object's w1 (8 bytes), each
+/// run's edge and locator (12 bytes), a few words per keyword, and a word
+/// or two per edge (the index's Z-order codes) and per page (the disk's
+/// checksums). A build that holds a 16-byte entry per posting exceeds the
+/// bound on this dataset.
+TEST(AllocFreeTest, IndexBuildHeapIsFourBytesPerPosting) {
+  for (const IndexKind kind : {IndexKind::kIF, IndexKind::kSIF}) {
+    testing::BackendDatabase bdb(AllocConfig(), "alloc_build_heap");
+    Database& db = *bdb;
+    const uint64_t postings = db.objects().TotalTermOccurrences();
+    const uint64_t objects = db.objects().size();
+    const uint64_t runs = CountRuns(db);
+    const uint64_t keywords = db.config().objects.vocab_size;
+    const uint64_t edges = db.network().num_edges();
+    const DiskManager* disk = db.disk();
+    auto resident_bytes = [disk] {
+      return static_cast<int64_t>(disk->lends_pages() ? disk->size_bytes()
+                                                      : 0);
+    };
+    const int64_t resident_before = resident_bytes();
+    const size_t pages_before = disk->num_pages();
+    IndexOptions opts;
+    opts.kind = kind;
+    const int64_t growth = PeakHeapGrowthDuring([&] { db.BuildIndex(opts); });
+    const int64_t held = growth - (resident_bytes() - resident_before);
+    const uint64_t pages = disk->num_pages() - pages_before;
+    const auto bound = static_cast<int64_t>(
+        4 * postings + 8 * objects + 12 * runs + 64 * keywords + 16 * edges +
+        8 * pages);
+    EXPECT_LE(held, bound) << db.index()->name();
+    std::printf(
+        "%s build heap beyond its pages: %.1f KiB, bound %.1f KiB (%llu "
+        "postings, %llu objects, %llu runs, %llu keywords, %llu edges, %llu "
+        "pages)\n",
+        db.index()->name().c_str(), static_cast<double>(held) / 1024.0,
+        static_cast<double>(bound) / 1024.0,
+        static_cast<unsigned long long>(postings),
+        static_cast<unsigned long long>(objects),
+        static_cast<unsigned long long>(runs),
+        static_cast<unsigned long long>(keywords),
+        static_cast<unsigned long long>(edges),
+        static_cast<unsigned long long>(pages));
+  }
 }
 
 /// Settles on a warmed context allocate nothing: a full expansion that

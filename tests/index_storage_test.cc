@@ -19,19 +19,28 @@ namespace {
 
 using Runs = std::vector<std::vector<PostingFile::Entry>>;
 
-/// Builds a posting file over `runs` on `pool`'s disk, passing them as
-/// one flat entry array and one length per run; `*locs` receives the runs'
-/// locators in order.
+/// Builds a posting file over `runs` on `pool`'s disk, appending them one
+/// at a time; `*locs` receives the runs' locators in order.
 std::unique_ptr<PostingFile> BuildPostings(
     BufferPool* pool, const Runs& runs,
     std::vector<PostingFile::Locator>* locs) {
-  std::vector<PostingFile::Entry> entries;
-  std::vector<uint32_t> lengths;
+  auto file = std::make_unique<PostingFile>(pool);
+  locs->clear();
   for (const std::vector<PostingFile::Entry>& run : runs) {
-    entries.insert(entries.end(), run.begin(), run.end());
-    lengths.push_back(static_cast<uint32_t>(run.size()));
+    locs->push_back(file->AppendRun(run));
   }
-  return std::make_unique<PostingFile>(pool, entries, lengths, locs);
+  file->Finish();
+  return file;
+}
+
+/// A run of `n` entries whose objects count up from `first_object`.
+std::vector<PostingFile::Entry> MakeRun(uint32_t first_object, uint32_t n) {
+  std::vector<PostingFile::Entry> run;
+  for (uint32_t i = 0; i < n; ++i) {
+    run.push_back(PostingFile::Entry{first_object + i,
+                                     static_cast<uint16_t>(i), i * 0.25});
+  }
+  return run;
 }
 
 /// Every entry of run `loc`, in order, collected through
@@ -116,6 +125,40 @@ TEST(PostingFileTest, RunLargerThanOnePageSpansContiguously) {
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i].object, big[i].object);
     ASSERT_DOUBLE_EQ(out[i].w1, big[i].w1);
+  }
+}
+
+TEST(PostingFileTest, RunThatDoesNotFitTheTailStartsOnTheNextPage) {
+  testing::TestDisk disk("posting_tail");
+  BufferPool pool(disk.get(), 256);
+  const auto per_page = static_cast<uint32_t>(PostingFile::EntriesPerPage());
+  // The first run leaves 56 slots on its page: the second (100 entries)
+  // does not fit them and starts at slot 0 of the next page; the third
+  // (150 entries) fits the 156 slots the second leaves and follows it.
+  const uint32_t first = per_page - 56;
+  const Runs runs = {MakeRun(0, first), MakeRun(1000, 100),
+                     MakeRun(2000, 150)};
+  std::vector<PostingFile::Locator> locs;
+  const auto file = BuildPostings(&pool, runs, &locs);
+  ASSERT_EQ(locs.size(), 3u);
+  EXPECT_EQ(PostingFile::RunSlot(locs[0]), 0u);
+  EXPECT_EQ(PostingFile::RunPage(locs[1]), PostingFile::RunPage(locs[0]) + 1);
+  EXPECT_EQ(PostingFile::RunSlot(locs[1]), 0u);
+  EXPECT_EQ(PostingFile::RunPage(locs[2]), PostingFile::RunPage(locs[1]));
+  EXPECT_EQ(PostingFile::RunSlot(locs[2]), 100u);
+  EXPECT_EQ(PostingFile::RunLength(locs[1]), 100u);
+  EXPECT_EQ(file->num_pages(), 2u);
+  EXPECT_EQ(file->num_entries(), first + 250u);
+  EXPECT_EQ(disk->stats_snapshot().writes, 2u);
+  std::vector<PostingFile::Entry> out;
+  for (size_t r = 0; r < runs.size(); ++r) {
+    ASSERT_TRUE(ReadRun(*file, locs[r], &out).ok());
+    ASSERT_EQ(out.size(), runs[r].size()) << "run " << r;
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i].object, runs[r][i].object);
+      EXPECT_EQ(out[i].pos, runs[r][i].pos);
+      EXPECT_DOUBLE_EQ(out[i].w1, runs[r][i].w1);
+    }
   }
 }
 

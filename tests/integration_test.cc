@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "datagen/presets.h"
@@ -6,6 +7,7 @@
 #include "gtest/gtest.h"
 #include "harness/database.h"
 #include "harness/experiment.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace dsks {
@@ -102,6 +104,33 @@ TEST(DatabaseTest, IoCountingIsPerQuery) {
   EXPECT_GT(io1, 0u);
   db.ResetCounters();
   EXPECT_EQ(db.IoCount(), 0u);
+}
+
+/// Each setup phase records the process's peak RSS as it ended: a
+/// high-water mark, so it never falls from one phase to the next, and
+/// BindMetrics exposes it as a gauge next to the phase's time.
+TEST(DatabaseTest, SetupPhasesRecordThePeakRssAsTheyEnd) {
+  Database db(TinyPreset());
+  db.BuildIndex(IndexOptions{});
+  db.PrepareForQueries();
+  const Database::SetupTimes& setup = db.setup_times();
+  uint64_t previous = 0;
+  for (const Database::SetupPhase* phase :
+       {&setup.dataset, &setup.term_stats, &setup.ccam, &setup.index_build,
+        &setup.prepare}) {
+    EXPECT_GT(phase->peak_rss_bytes, 0u);
+    EXPECT_GE(phase->peak_rss_bytes, previous);
+    previous = phase->peak_rss_bytes;
+  }
+  obs::MetricsRegistry registry;
+  db.BindMetrics(&registry, "db");
+  const std::string json = registry.ToJson();
+  EXPECT_NE(json.find("\"db.setup.index_build_peak_rss_bytes\":" +
+                      std::to_string(setup.index_build.peak_rss_bytes)),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"db.setup.index_build_ms\":"), std::string::npos);
+  db.UnbindMetrics(&registry, "db");
 }
 
 TEST(DatabaseTest, SifNeverSlowerThanIfInIo) {

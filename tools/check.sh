@@ -6,14 +6,15 @@
 # each sanitizer — then the Release pass: a warning-free Release build of
 # every target, a `dsks_cli generate`/`info`/`query` smoke over every
 # query mode, two crafted dataset files and a flag `query` does not read,
-# a `dsks_cli serve` smoke that must print its per-phase `setup:` line and
-# whose live /varz, /metrics and /tracez must show the queries it served,
-# `dsks_cli drill` smokes (overload, and injected faults on both storage
-# backends, which must be retried), file-backend and cold-cache bench
-# smokes, and last the two gates: bench_throughput's qps must stay above
-# 75% of the committed bench/baseline_throughput.json, and its 1-in-16
-# sampled runs must keep 85% of the unsampled qps. The gates run after
-# every smoke, so a gate that fails on host load does not hide a smoke.
+# a `dsks_cli serve` smoke that must print its per-phase `setup:` and
+# `setup peak rss:` lines and whose live /varz, /metrics and /tracez must
+# show the queries it served, `dsks_cli drill` smokes (overload, and
+# injected faults on both storage backends, which must be retried),
+# file-backend and cold-cache bench smokes, and last the two gates:
+# bench_throughput's qps must stay above 75% of the committed
+# bench/baseline_throughput.json, and its 1-in-16 sampled runs must keep
+# 85% of the unsampled qps. The gates run after every smoke, so a gate
+# that fails on host load does not hide a smoke.
 # Usage:
 #
 #   tools/check.sh            # all three sanitizers + perf smoke
@@ -357,6 +358,13 @@ EOF
     echo "server smoke: /metrics shows no resident sim pages" >&2
     exit 1
   }
+  # Where the setup peak falls: each phase's gauge holds the process's
+  # peak RSS as that phase ended.
+  grep -Eqx 'dsks_db_setup_index_build_peak_rss_bytes [1-9][0-9]*' \
+      build-perf/metrics_serve_smoke.txt || {
+    echo "server smoke: /metrics shows no setup peak rss gauge" >&2
+    exit 1
+  }
   curl -fsS "http://127.0.0.1:$serve_port/statusz" |
     grep -q '"admitted":2[,}]' || {
     echo "server smoke: /statusz does not show the admitted queries" >&2
@@ -375,6 +383,11 @@ EOF
   grep -Eq '^setup: dataset [0-9.]+ ms, term_stats [0-9.]+ ms, ccam [0-9.]+ ms, index_build [0-9.]+ ms, prepare [0-9.]+ ms$' \
       build-perf/serve_smoke.out || {
     echo "server smoke: serve printed no per-phase setup line" >&2
+    exit 1
+  }
+  grep -Eq '^setup peak rss: dataset [0-9.]+ MiB, term_stats [0-9.]+ MiB, ccam [0-9.]+ MiB, index_build [0-9.]+ MiB, prepare [0-9.]+ MiB$' \
+      build-perf/serve_smoke.out || {
+    echo "server smoke: serve printed no per-phase peak rss line" >&2
     exit 1
   }
   grep -Eq '^memory: rss [0-9.]+ MiB, peak rss [0-9.]+ MiB, heap in use [0-9.]+ MiB$' \

@@ -20,8 +20,10 @@
 //       plus the observability routes (/metrics /varz /tracez /healthz
 //       /statusz) on one loopback listener until SIGINT/SIGTERM (or
 //       --duration-ms). Prints one `setup:` line with each setup phase's
-//       milliseconds (also the db.setup.<phase>_ms gauges). --port 0
-//       picks an ephemeral port (printed).
+//       milliseconds and one `setup peak rss:` line with the process's
+//       peak RSS as each phase ended (also the db.setup.<phase>_ms and
+//       db.setup.<phase>_peak_rss_bytes gauges). --port 0 picks an
+//       ephemeral port (printed).
 //       --sample N traces 1 in N queries into the flight recorder that
 //       /tracez serves (errors are recorded regardless; 0 = off).
 //   dsks_cli drill [--preset SYN] [--scale F] [--index sif] [--threads N]
@@ -589,8 +591,16 @@ int CmdServe(const Args& args) {
   const Database::SetupTimes& setup = db.setup_times();
   std::printf("setup: dataset %.1f ms, term_stats %.1f ms, ccam %.1f ms, "
               "index_build %.1f ms, prepare %.1f ms\n",
-              setup.dataset_ms, setup.term_stats_ms, setup.ccam_ms,
-              setup.index_build_ms, setup.prepare_ms);
+              setup.dataset.ms, setup.term_stats.ms, setup.ccam.ms,
+              setup.index_build.ms, setup.prepare.ms);
+  constexpr double kMiB = 1024.0 * 1024.0;
+  std::printf("setup peak rss: dataset %.1f MiB, term_stats %.1f MiB, "
+              "ccam %.1f MiB, index_build %.1f MiB, prepare %.1f MiB\n",
+              static_cast<double>(setup.dataset.peak_rss_bytes) / kMiB,
+              static_cast<double>(setup.term_stats.peak_rss_bytes) / kMiB,
+              static_cast<double>(setup.ccam.peak_rss_bytes) / kMiB,
+              static_cast<double>(setup.index_build.peak_rss_bytes) / kMiB,
+              static_cast<double>(setup.prepare.peak_rss_bytes) / kMiB);
 
   obs::MetricsRegistry& registry = obs::GlobalMetrics();
   db.BindMetrics(&registry, "db");
@@ -644,7 +654,6 @@ int CmdServe(const Args& args) {
               static_cast<unsigned long long>(c.quota_denied),
               static_cast<unsigned long long>(c.cancelled));
   const obs::ProcessMemory mem = obs::ReadProcessMemory();
-  constexpr double kMiB = 1024.0 * 1024.0;
   std::printf(
       "memory: rss %.1f MiB, peak rss %.1f MiB, heap in use %.1f MiB\n",
       static_cast<double>(mem.rss_bytes) / kMiB,
