@@ -11,8 +11,8 @@
 // check.sh overhead gate compares a sampled run against the unsampled
 // smoke). To scrape /metrics, /varz and /tracez live, run
 // `dsks_cli serve --sample N` instead.
-// Flags: --backend=sim|file (see BenchBackend), --cold (the prefetch
-// off/on A/B on a pool emptied before every query).
+// Flags: --backend=sim|file (see BenchBackend), --cold (one series on a
+// pool emptied before every query).
 //
 // Besides the table, every measurement is emitted as one JSON line
 // (prefix "JSON ") for scripted consumption. The warm series reads its
@@ -65,103 +65,70 @@ obs::TraceSamplerConfig g_sampling;
 /// is set.
 obs::FlightRecorder* g_recorder = nullptr;
 
-/// Cold-cache A/B: single-threaded, the buffer pool cleared before every
-/// query so each one pays its full miss path — the regime where batched
-/// misses and readahead show up (a warm pool hides them). Runs the
-/// workload twice, prefetch off then on; the off run is the baseline the
-/// on run's pool_misses reduction is judged against (EXPERIMENTS.md).
+/// Cold-cache series: single-threaded, the buffer pool cleared before
+/// every query so each one pays its full miss path — the regime where
+/// batched misses show up (a warm pool hides them).
 void RunColdSeries(const char* workload, Database* db, const Workload& wl,
                    bool div) {
   // Sleeping delay, not the sequential harness's busy-wait: a blocking
   // read that frees the core, like the warm series.
   ScopedIoDelay delay(db, /*yielding=*/true);
-  TablePrinter table({"prefetch", "queries", "wall ms", "qps", "avg ms",
-                      "p95 ms", "misses", "reads", "pf issued", "pf hits",
-                      "pf wasted", "pf dropped"});
   QueryContext ctx;
-  uint64_t baseline_misses = 0;
-  for (int mode = 0; mode < 2; ++mode) {
-    const bool prefetch_on = mode == 1;
-    db->SetPrefetchEnabled(prefetch_on);
-    db->ResetCounters();
-    obs::Histogram hist;
-    const auto batch_start = std::chrono::steady_clock::now();
-    for (const WorkloadQuery& wq : wl.queries) {
-      const Status cleared = db->pool()->Clear();
-      DSKS_CHECK_MSG(cleared.ok(), "cold-cache clear on a faulty disk");
-      const auto q_start = std::chrono::steady_clock::now();
-      if (div) {
-        DivQuery dq;
-        dq.sk = wq.sk;
-        dq.k = 10;
-        dq.lambda = 0.8;
-        DivSearchOutput out;
-        DSKS_CHECK(
-            db->RunDivQuery(dq, wq.edge, /*use_com=*/true, &out, &ctx).ok());
-      } else {
-        std::vector<SkResult> results;
-        DSKS_CHECK(db->RunSkQuery(wq.sk, wq.edge, &results, &ctx).ok());
-      }
-      const double ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - q_start)
-              .count();
-      hist.Record(ms);
+  db->ResetCounters();
+  obs::Histogram hist;
+  const auto batch_start = std::chrono::steady_clock::now();
+  for (const WorkloadQuery& wq : wl.queries) {
+    const Status cleared = db->pool()->Clear();
+    DSKS_CHECK_MSG(cleared.ok(), "cold-cache clear on a faulty disk");
+    const auto q_start = std::chrono::steady_clock::now();
+    if (div) {
+      DivQuery dq;
+      dq.sk = wq.sk;
+      dq.k = 10;
+      dq.lambda = 0.8;
+      DivSearchOutput out;
+      DSKS_CHECK(
+          db->RunDivQuery(dq, wq.edge, /*use_com=*/true, &out, &ctx).ok());
+    } else {
+      std::vector<SkResult> results;
+      DSKS_CHECK(db->RunSkQuery(wq.sk, wq.edge, &results, &ctx).ok());
     }
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - batch_start)
-                               .count();
-    const obs::HistogramSnapshot hs = hist.Snapshot();
-    const size_t n = hs.count;
-    const double qps = wall_ms > 0.0 ? 1000.0 * n / wall_ms : 0.0;
-    const BufferPoolStatsSnapshot pool = db->pool()->stats_snapshot();
-    const uint64_t reads = db->disk()->stats_snapshot().reads;
-    if (!prefetch_on) {
-      baseline_misses = pool.misses;
-    }
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"bench\":\"throughput\",\"backend\":\"%s\",\"workload\":\"%s\","
-        "\"cold\":1,\"prefetch\":%d,\"threads\":1,"
-        "\"queries\":%zu,\"wall_ms\":%.2f,\"qps\":%.1f,\"avg_ms\":%.3f,"
-        "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,"
-        "\"errors\":0,\"error_rate\":0,"
-        "\"sample_rate\":0,\"sampled_queries\":0,"
-        "\"pool_misses\":%llu,\"disk_reads\":%llu,"
-        "\"prefetch_issued\":%llu,\"prefetch_hits\":%llu,"
-        "\"prefetch_wasted\":%llu,\"prefetch_dropped\":%llu}",
-        g_backend_name, workload, prefetch_on ? 1 : 0,
-        n, wall_ms, qps,
-        hs.avg(), hs.Percentile(50), hs.Percentile(95), hs.Percentile(99),
-        static_cast<unsigned long long>(pool.misses),
-        static_cast<unsigned long long>(reads),
-        static_cast<unsigned long long>(pool.prefetch_issued),
-        static_cast<unsigned long long>(pool.prefetch_hits),
-        static_cast<unsigned long long>(pool.prefetch_wasted),
-        static_cast<unsigned long long>(pool.prefetch_dropped));
-    std::printf("JSON %s\n", buf);
-    JsonRecords().push_back(buf);
-    table.AddRow({prefetch_on ? "on" : "off", std::to_string(n),
-                  TablePrinter::Fmt(wall_ms, 1), TablePrinter::Fmt(qps, 1),
-                  TablePrinter::Fmt(hs.avg(), 3),
-                  TablePrinter::Fmt(hs.Percentile(95), 3),
-                  std::to_string(pool.misses),
-                  std::to_string(reads), std::to_string(pool.prefetch_issued),
-                  std::to_string(pool.prefetch_hits),
-                  std::to_string(pool.prefetch_wasted),
-                  std::to_string(pool.prefetch_dropped)});
-    if (prefetch_on && baseline_misses > 0) {
-      std::printf("[%s cold] blocking misses: %llu -> %llu (%.1f%% fewer)\n",
-                  workload,
-                  static_cast<unsigned long long>(baseline_misses),
-                  static_cast<unsigned long long>(pool.misses),
-                  100.0 * (1.0 - static_cast<double>(pool.misses) /
-                                     static_cast<double>(baseline_misses)));
-    }
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - q_start)
+                          .count();
+    hist.Record(ms);
   }
-  db->SetPrefetchEnabled(true);
-  std::printf("\n[%s cold-cache A/B]\n", workload);
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - batch_start)
+                             .count();
+  const obs::HistogramSnapshot hs = hist.Snapshot();
+  const size_t n = hs.count;
+  const double qps = wall_ms > 0.0 ? 1000.0 * n / wall_ms : 0.0;
+  const uint64_t misses = db->pool()->stats_snapshot().misses;
+  const uint64_t reads = db->disk()->stats_snapshot().reads;
+  char buf[640];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"bench\":\"throughput\",\"backend\":\"%s\",\"workload\":\"%s\","
+      "\"cold\":1,\"threads\":1,"
+      "\"queries\":%zu,\"wall_ms\":%.2f,\"qps\":%.1f,\"avg_ms\":%.3f,"
+      "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,"
+      "\"errors\":0,\"error_rate\":0,"
+      "\"sample_rate\":0,\"sampled_queries\":0,"
+      "\"pool_misses\":%llu,\"disk_reads\":%llu}",
+      g_backend_name, workload, n, wall_ms, qps, hs.avg(), hs.Percentile(50),
+      hs.Percentile(95), hs.Percentile(99),
+      static_cast<unsigned long long>(misses),
+      static_cast<unsigned long long>(reads));
+  std::printf("JSON %s\n", buf);
+  JsonRecords().push_back(buf);
+  TablePrinter table({"queries", "wall ms", "qps", "avg ms", "p95 ms",
+                      "misses", "reads"});
+  table.AddRow({std::to_string(n), TablePrinter::Fmt(wall_ms, 1),
+                TablePrinter::Fmt(qps, 1), TablePrinter::Fmt(hs.avg(), 3),
+                TablePrinter::Fmt(hs.Percentile(95), 3),
+                std::to_string(misses), std::to_string(reads)});
+  std::printf("\n[%s cold cache]\n", workload);
   table.Print();
 }
 
@@ -267,7 +234,7 @@ void RunSeries(const char* workload, Database* db, const Workload& wl,
   std::snprintf(
       buf, sizeof(buf),
       "{\"bench\":\"throughput\",\"backend\":\"%s\",\"workload\":\"%s\","
-      "\"cold\":0,\"prefetch\":1,\"threads\":1,"
+      "\"cold\":0,\"threads\":1,"
       "\"queries\":%llu,\"wall_ms\":%.2f,\"qps\":%.1f,\"avg_ms\":%.3f,"
       "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"p99_ms\":%.3f,"
       "\"errors\":%llu,\"error_rate\":%.6f,"
@@ -302,7 +269,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  PrintHeader(cold ? "Cold-cache query cost, prefetch off vs on"
+  PrintHeader(cold ? "Cold-cache query cost"
                    : "Query throughput on one executor worker",
               "no paper figure — the executor path a served query takes");
   BenchBackend backend(argc, argv);
@@ -345,9 +312,8 @@ int main(int argc, char** argv) {
     EmitPhaseProfile("sk", &db, wl, /*div=*/false);
     WriteJsonArrayFile("BENCH_throughput.json", JsonRecords());
     std::printf(
-        "\nExpected: with prefetch on, pool_misses (blocking miss-path\n"
-        "reads) drop — readahead turns demand misses into prefetch hits —\n"
-        "while results stay bit-identical (prefetch_test asserts this).\n");
+        "\nExpected: pool_misses == disk_reads in each series: every page\n"
+        "read is a demand miss.\n");
     return 0;
   }
 

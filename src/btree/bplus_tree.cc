@@ -4,15 +4,11 @@
 #include <cstring>
 #include <vector>
 
-#include "common/flat_containers.h"
 #include "common/macros.h"
 
 namespace dsks {
 
 namespace {
-
-/// Trees MultiGet descends without allocating.
-constexpr size_t kInlineTrees = 16;
 
 // Node layout (shared header):
 //   u8  is_leaf
@@ -199,7 +195,8 @@ BPlusTree BPlusTree::BulkLoad(
   return tree;
 }
 
-Status BPlusTree::FindLeaf(Key key, PageId* leaf) const {
+Status BPlusTree::Get(Key key, std::optional<Value>* result) const {
+  result->reset();
   PageId node = root_;
   // A healthy tree over 2^32 pages is < 64 levels deep; anything deeper
   // means a corrupted internal node formed a cycle.
@@ -208,74 +205,13 @@ Status BPlusTree::FindLeaf(Key key, PageId* leaf) const {
     DSKS_RETURN_IF_ERROR(PageGuard::Fetch(pool_, node, &guard));
     const char* p = guard.data();
     if (IsLeaf(p)) {
-      *leaf = node;
+      const size_t idx = LeafLowerBound(p, key);
+      if (idx < Count(p) && LeafKey(p, idx) == key) {
+        *result = LeafValue(p, idx);
+      }
       return Status::Ok();
     }
     node = Child(p, InternalChildIndex(p, key));
-  }
-  return Status::Corruption("B+tree descent exceeded maximum depth");
-}
-
-Status BPlusTree::Get(Key key, std::optional<Value>* result) const {
-  result->reset();
-  PageId leaf = kInvalidPageId;
-  DSKS_RETURN_IF_ERROR(FindLeaf(key, &leaf));
-  PageGuard guard;
-  DSKS_RETURN_IF_ERROR(PageGuard::Fetch(pool_, leaf, &guard));
-  const char* p = guard.data();
-  const size_t idx = LeafLowerBound(p, key);
-  if (idx < Count(p) && LeafKey(p, idx) == key) {
-    *result = LeafValue(p, idx);
-  }
-  return Status::Ok();
-}
-
-Status BPlusTree::MultiGet(BufferPool* pool, std::span<const PageId> roots,
-                           Key key,
-                           std::span<std::optional<Value>> results) {
-  DSKS_CHECK_MSG(results.size() == roots.size(),
-                 "MultiGet needs one result slot per root");
-  const size_t t = roots.size();
-  // One slot per tree, inline up to kInlineTrees (a query's keywords);
-  // more trees take one heap array each.
-  InlineArray<PageId, kInlineTrees> current(t);
-  InlineArray<bool, kInlineTrees> done(t);
-  InlineArray<PageId, kInlineTrees> batch(t);
-  for (size_t i = 0; i < t; ++i) {
-    current[i] = roots[i];
-    results[i].reset();
-    done[i] = current[i] == kInvalidPageId;
-  }
-  for (int depth = 0; depth < 64; ++depth) {
-    size_t pending = 0;
-    for (size_t i = 0; i < t; ++i) {
-      if (!done[i]) {
-        batch[pending++] = current[i];
-      }
-    }
-    if (pending == 0) {
-      return Status::Ok();
-    }
-    // Speculative: resident and in-flight pages are skipped, failures are
-    // re-surfaced by the demand Fetch below. Duplicate roots are fine.
-    pool->Prefetch(std::span<const PageId>(batch.data(), pending));
-    for (size_t i = 0; i < t; ++i) {
-      if (done[i]) {
-        continue;
-      }
-      PageGuard guard;
-      DSKS_RETURN_IF_ERROR(PageGuard::Fetch(pool, current[i], &guard));
-      const char* p = guard.data();
-      if (IsLeaf(p)) {
-        const size_t idx = LeafLowerBound(p, key);
-        if (idx < Count(p) && LeafKey(p, idx) == key) {
-          results[i] = LeafValue(p, idx);
-        }
-        done[i] = true;
-      } else {
-        current[i] = Child(p, InternalChildIndex(p, key));
-      }
-    }
   }
   return Status::Corruption("B+tree descent exceeded maximum depth");
 }

@@ -40,24 +40,12 @@ class BPlusTree {
   static BPlusTree BulkLoad(BufferPool* pool,
                             std::span<const std::pair<Key, Value>> sorted);
 
-  /// Point lookup. `*result` is nullopt when the key is absent; a non-OK
-  /// status (disk error during the descent) leaves `*result` nullopt.
+  /// Point lookup: one root-to-leaf descent, one pool access per level,
+  /// the entry read off the pinned leaf. `*result` is nullopt when the key
+  /// is absent; a non-OK status (disk error during the descent, or a
+  /// cyclic or over-deep descent through a corrupted internal node,
+  /// reported as Corruption) leaves `*result` nullopt.
   Status Get(Key key, std::optional<Value>* result) const;
-
-  /// Looks up the same key in several trees at once, descending them in
-  /// lockstep: before any node of a level is fetched, the whole level is
-  /// offered to the pool as one speculative batch, so T point lookups cost
-  /// one batched read per level on a cold pool instead of T blocking reads
-  /// per level. The inverted file uses this to probe every query keyword's
-  /// tree for one edge key in a handful of round trips.
-  ///
-  /// `results[i]` matches what `BPlusTree(pool, roots[i]).Get(key)` would
-  /// produce; a root of kInvalidPageId yields nullopt without I/O. With
-  /// prefetching disabled on the pool this degenerates to T independent
-  /// descents with identical read counts. On a disk error the partial
-  /// results are meaningless; discard them.
-  static Status MultiGet(BufferPool* pool, std::span<const PageId> roots,
-                         Key key, std::span<std::optional<Value>> results);
 
   PageId root() const { return root_; }
 
@@ -71,11 +59,6 @@ class BPlusTree {
   static size_t InternalCapacity();
 
  private:
-  /// Descends to the leaf that would contain `key`. Reports a cyclic or
-  /// over-deep descent (corrupted internal node) as Corruption instead of
-  /// looping forever.
-  Status FindLeaf(Key key, PageId* leaf) const;
-
   BufferPool* pool_;
   PageId root_;
   uint64_t num_pages_ = 0;

@@ -367,11 +367,6 @@ class ReusableMinHeap {
     return heap_.front();
   }
 
-  /// Read-only view of the backing array in heap order (front = minimum,
-  /// shallow layers ≈ the next elements to pop). Lets expansion loops
-  /// sample the frontier for page prefetching without mutating the heap.
-  const std::vector<T>& storage() const { return heap_; }
-
   void push(T value) {
     heap_.push_back(std::move(value));
     size_t i = heap_.size() - 1;

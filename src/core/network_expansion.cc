@@ -1,17 +1,8 @@
 #include "core/network_expansion.h"
 
-#include <algorithm>
 #include <span>
 
 namespace dsks {
-
-namespace {
-
-/// Heap entries sampled per frontier prefetch. The read blocks the
-/// caller, so the sample stays small.
-constexpr size_t kFrontierSample = 16;
-
-}  // namespace
 
 void NetworkExpansion::Seed(NodeId n1, NodeId n2, double weight, double w1) {
   const size_t n = graph_->num_nodes();
@@ -50,7 +41,6 @@ bool NetworkExpansion::Settle(NodeId* v, double* d) {
       status_ = Status::Cancelled("query deadline exceeded during expansion");
       return true;
     }
-    PrefetchFrontier();
   }
   AdjacencyMemo& memo = ctx_->adjacency_memo;
   if (const AdjacencyMemo::Slice* hit = memo.slice.Find(node)) {
@@ -67,16 +57,6 @@ bool NetworkExpansion::Settle(NodeId* v, double* d) {
     adjacency_ = {memo.arena.data() + begin, count};
   }
   return true;
-}
-
-void NetworkExpansion::PrefetchFrontier() const {
-  const std::vector<std::pair<double, uint32_t>>& heap = s_->heap.storage();
-  const size_t n = std::min(heap.size(), kFrontierSample);
-  NodeId nodes[kFrontierSample];
-  for (size_t i = 0; i < n; ++i) {
-    nodes[i] = heap[i].second;
-  }
-  graph_->PrefetchNodes(std::span<const NodeId>(nodes, n));
 }
 
 }  // namespace dsks

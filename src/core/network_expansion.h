@@ -20,10 +20,8 @@ namespace dsks {
 /// only its own relax loop over adjacency() and its per-settle work.
 ///
 /// The expansion owns the state (in an ExpansionScratch), the settle
-/// counter, and two duties every kPollInterval settles: the context's
-/// deadline poll and a frontier prefetch, which hands the pool the CCAM
-/// pages of a sample of the nodes settled next (purely advisory — settled
-/// distances are bit-identical with or without it). Adjacency is read
+/// counter, and the context's deadline poll every kPollInterval settles.
+/// Adjacency is read
 /// through the context's AdjacencyMemo, so the expansions of one query
 /// fetch each node from the pool at most once between them. Adjacency
 /// fetches have a sticky status: the first error or cancellation stops the
@@ -37,7 +35,7 @@ namespace dsks {
 ///   }
 class NetworkExpansion {
  public:
-  /// Settles between two deadline polls and frontier prefetches.
+  /// Settles between two deadline polls.
   static constexpr uint64_t kPollInterval = 32;
 
   /// `scratch` and `ctx` are borrowed and must outlive the expansion;
@@ -113,10 +111,6 @@ class NetworkExpansion {
   const Status& status() const { return status_; }
 
  private:
-  /// Readahead of the CCAM pages of the heap's first entries — its
-  /// shallow layers, a sample of the nodes settled next.
-  void PrefetchFrontier() const;
-
   const CcamGraph* graph_;
   const double radius_;
   ExpansionScratch* s_;

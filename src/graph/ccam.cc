@@ -18,10 +18,6 @@ namespace {
 //                                                 f64 weight }
 constexpr size_t kPageHeaderSize = sizeof(uint16_t);
 
-// Cap on distinct pages per PrefetchNodes call; bounds both the stack
-// array and the burst handed to the pool. The burst blocks the caller, so
-// it stays small.
-constexpr size_t kMaxPrefetchNodes = 32;
 constexpr size_t kRecordHeaderSize = sizeof(uint32_t) + sizeof(uint16_t);
 constexpr size_t kNeighborSize = sizeof(uint32_t) * 2 + sizeof(double);
 
@@ -209,39 +205,6 @@ double CcamConnectivityRatio(const RoadNetwork& net, const CcamFile& file) {
   }
   return static_cast<double>(co_located) /
          static_cast<double>(net.num_edges());
-}
-
-void CcamGraph::PrefetchNodes(std::span<const NodeId> nodes) const {
-  if (nodes.empty()) {
-    return;
-  }
-  // Map node → page and drop duplicates (frontier neighbours often share a
-  // page — that locality is the whole point of CCAM packing). The window
-  // is small, so the quadratic dedup beats hashing.
-  PageId pages[kMaxPrefetchNodes];
-  size_t n = 0;
-  for (const NodeId id : nodes) {
-    if (n >= kMaxPrefetchNodes) {
-      break;
-    }
-    const PageId pid = file_->PageOfNode(id);
-    if (pid == kInvalidPageId) {
-      continue;
-    }
-    bool seen = false;
-    for (size_t i = 0; i < n; ++i) {
-      if (pages[i] == pid) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) {
-      pages[n++] = pid;
-    }
-  }
-  if (n > 0) {
-    pool_->Prefetch(std::span<const PageId>(pages, n));
-  }
 }
 
 Status CcamGraph::GetAdjacency(NodeId id,

@@ -2,7 +2,6 @@
 #define DSKS_GRAPH_CCAM_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -97,13 +96,6 @@ class CcamGraph {
   /// reports a malformed node record as Corruption; `out` is empty on a
   /// non-OK return.
   Status GetAdjacency(NodeId id, std::vector<AdjacentEdge>* out) const;
-
-  /// Best-effort readahead of the CCAM pages holding these nodes'
-  /// adjacency records. NetworkExpansion calls this with a sample of its
-  /// frontier so Dijkstra's next settlements find their pages resident.
-  /// Purely speculative: failures are dropped by the pool and never reach
-  /// a query, and results are bit-identical with or without it.
-  void PrefetchNodes(std::span<const NodeId> nodes) const;
 
   size_t num_nodes() const { return file_->num_nodes(); }
 

@@ -106,15 +106,6 @@ class Database {
   /// Resets the I/O and index counters (per-query measurement).
   void ResetCounters();
 
-  /// Toggles speculative page prefetching (leaf readahead, posting-run
-  /// batching hints and CCAM frontier prefetch all route through the
-  /// pool's Prefetch). On by default; query results are bit-identical
-  /// either way — only the I/O schedule changes.
-  void SetPrefetchEnabled(bool enabled) {
-    pool_->set_prefetch_enabled(enabled);
-  }
-  bool prefetch_enabled() const { return pool_->prefetch_enabled(); }
-
   /// Physical reads since the last ResetCounters (the paper's "# of I/O").
   uint64_t IoCount() const;
 

@@ -187,40 +187,15 @@ Status InvertedFileIndex::LoadObjects(EdgeId edge,
     return false;
   };
 
-  // Resolve every term's run locator up front. With prefetching enabled
-  // the per-keyword B+trees are descended in lockstep — one batched read
-  // per level instead of one blocking miss per tree per level — and the
-  // surviving runs' pages are pulled in a single speculative batch so the
-  // run reads below hit the pool. With prefetching disabled this is the
-  // classic one-tree-at-a-time probe with identical read counts.
+  // Resolve the terms' run locators up front, one keyword tree at a time,
+  // stopping at the first absent keyword: the intersection is then empty,
+  // and the other trees are not read.
   InlineArray<std::optional<PostingFile::Locator>, kInlineTerms> locs(
       terms.size());
-  if (pool_->prefetch_enabled() && terms.size() > 1) {
-    InlineArray<PageId, kInlineTerms> roots(terms.size());
-    for (size_t i = 0; i < terms.size(); ++i) {
-      roots[i] = terms[i] < term_roots_.size() ? term_roots_[terms[i]]
-                                               : kInvalidPageId;
-    }
-    DSKS_RETURN_IF_ERROR(BPlusTree::MultiGet(
-        pool_, roots.span(), EdgeKey(edge_zcode_[edge], edge), locs.span()));
-    // Prefetch only the prefix up to the first absent term: the
-    // intersection loop below stops there, and runs past it are never
-    // read.
-    InlineArray<PostingFile::Locator, kInlineTerms> present(terms.size());
-    size_t num_present = 0;
-    while (num_present < terms.size() && locs[num_present].has_value()) {
-      present[num_present] = *locs[num_present];
-      ++num_present;
-    }
-    if (num_present > 1) {
-      postings_->PrefetchRuns(present.span().first(num_present));
-    }
-  } else {
-    for (size_t i = 0; i < terms.size(); ++i) {
-      DSKS_RETURN_IF_ERROR(FindRun(terms[i], edge, &locs[i]));
-      if (!locs[i].has_value()) {
-        break;  // the intersection is already empty; skip the other trees
-      }
+  for (size_t i = 0; i < terms.size(); ++i) {
+    DSKS_RETURN_IF_ERROR(FindRun(terms[i], edge, &locs[i]));
+    if (!locs[i].has_value()) {
+      break;
     }
   }
 

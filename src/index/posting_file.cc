@@ -56,41 +56,6 @@ void PostingFile::Finish() {
   page_.reset();
 }
 
-void PostingFile::PrefetchRuns(std::span<const Locator> locators) const {
-  // Bounded like the other speculative readers: enough for a keyword
-  // conjunction's runs on one edge, small next to the paper's 2% pool.
-  constexpr size_t kMaxPrefetchPages = 32;
-  PageId pages[kMaxPrefetchPages];
-  size_t n = 0;
-  for (const Locator loc : locators) {
-    PageId page;
-    uint32_t slot;
-    uint32_t count;
-    UnpackLocator(loc, &page, &slot, &count);
-    const size_t span_pages =
-        (slot + count + kEntriesPerPage - 1) / kEntriesPerPage;
-    for (size_t i = 0; i < span_pages && n < kMaxPrefetchPages; ++i) {
-      const PageId pid = page + static_cast<PageId>(i);
-      bool seen = false;
-      for (size_t j = 0; j < n; ++j) {
-        if (pages[j] == pid) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) {
-        pages[n++] = pid;
-      }
-    }
-    if (n >= kMaxPrefetchPages) {
-      break;
-    }
-  }
-  if (n > 0) {
-    pool_->Prefetch(std::span<const PageId>(pages, n));
-  }
-}
-
 uint32_t PostingFile::RunLength(Locator locator) {
   return static_cast<uint32_t>(locator & 0xFFFF);
 }

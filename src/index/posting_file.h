@@ -68,13 +68,6 @@ class PostingFile {
   template <typename Fn>
   Status ForEachEntry(Locator locator, Fn&& fn) const;
 
-  /// Best-effort speculative read of several runs' pages as one batched
-  /// request, so subsequent ForEachEntry calls hit the pool instead of
-  /// paying one blocking miss per run. A run's page extent is fully
-  /// determined by its locator, so no I/O is needed to plan the batch.
-  /// Failures are dropped (never surfaced); the later read reports them.
-  void PrefetchRuns(std::span<const Locator> locators) const;
-
   /// Number of entries in a run without reading it.
   static uint32_t RunLength(Locator locator);
   /// The page a run starts on, and its slot (entry index) there.
@@ -95,6 +88,7 @@ class PostingFile {
   static constexpr size_t kEntriesPerPage = kPageSize / kEntrySize;
   /// Pages one FetchPages call of ForEachEntry pins at most.
   static constexpr size_t kChunkPages = 16;
+  static_assert(kChunkPages <= BufferPool::kMaxBatchPages);
 
   static Locator PackLocator(PageId page, uint32_t slot, uint32_t count) {
     return (static_cast<uint64_t>(page) << 32) |

@@ -13,29 +13,23 @@ struct IoCounters {
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
   uint64_t disk_reads = 0;
-  /// Pages the pool read speculatively (Prefetch). These reads also appear
-  /// in disk_reads when they reach the backend; this counter attributes
-  /// them, since a prefetched read is not a blocking miss even though it
-  /// touches the disk.
-  uint64_t prefetched_pages = 0;
 
   IoCounters operator-(const IoCounters& o) const {
     return {pool_hits - o.pool_hits, pool_misses - o.pool_misses,
-            disk_reads - o.disk_reads, prefetched_pages - o.prefetched_pages};
+            disk_reads - o.disk_reads};
   }
   IoCounters& operator+=(const IoCounters& o) {
     pool_hits += o.pool_hits;
     pool_misses += o.pool_misses;
     disk_reads += o.disk_reads;
-    prefetched_pages += o.prefetched_pages;
     return *this;
   }
   bool operator==(const IoCounters& o) const = default;
 };
 
 /// Thread-affine I/O attribution: the storage layer charges every pool
-/// hit/miss, disk read and prefetch issue to the IoCounters the *calling
-/// thread* has installed here (in addition to the global relaxed-atomic
+/// hit/miss and disk read to the IoCounters the *calling thread* has
+/// installed here (in addition to the global relaxed-atomic
 /// stats), so a query's context accumulates exactly the I/O that query
 /// caused — other threads charge their own accounts. Queries only read:
 /// index builders write their pages with no account installed, so page
@@ -84,11 +78,6 @@ inline void ChargePoolHit() {
 inline void ChargePoolMiss() {
   if (IoCounters* a = tls_io_account) {
     ++a->pool_misses;
-  }
-}
-inline void ChargePrefetchIssued(uint64_t pages) {
-  if (IoCounters* a = tls_io_account) {
-    a->prefetched_pages += pages;
   }
 }
 inline void ChargeDiskRead() {

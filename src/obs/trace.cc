@@ -21,13 +21,10 @@ void AppendF(std::string* out, const char* fmt, ...) {
 
 /// The IoJson members without the braces, so PhasesJson can inline them.
 void AppendIoFields(std::string* out, const IoCounters& io) {
-  AppendF(out,
-          "\"pool_hits\":%llu,\"pool_misses\":%llu,\"disk_reads\":%llu,"
-          "\"prefetched_pages\":%llu",
+  AppendF(out, "\"pool_hits\":%llu,\"pool_misses\":%llu,\"disk_reads\":%llu",
           static_cast<unsigned long long>(io.pool_hits),
           static_cast<unsigned long long>(io.pool_misses),
-          static_cast<unsigned long long>(io.disk_reads),
-          static_cast<unsigned long long>(io.prefetched_pages));
+          static_cast<unsigned long long>(io.disk_reads));
 }
 
 }  // namespace

@@ -105,11 +105,11 @@ class QueryTrace {
 /// The one rendering of a query's cost, shared by the query response
 /// ("io" and "trace"), /tracez, bench_throughput's phase_profile and
 /// `dsks_cli query --trace`:
-///   {"pool_hits":N,"pool_misses":N,"disk_reads":N,"prefetched_pages":N}
+///   {"pool_hits":N,"pool_misses":N,"disk_reads":N}
 std::string IoJson(const IoCounters& io);
 /// One member per phase that recorded a span, in Phase order, each with
 /// the I/O fields of IoJson:
-///   {"query":{"spans":N,"ms":X,"pool_hits":N,...,"prefetched_pages":N},
+///   {"query":{"spans":N,"ms":X,"pool_hits":N,...,"disk_reads":N},
 ///    "keyword_lookup":{...},...}
 std::string PhasesJson(const std::array<PhaseTotals, kNumPhases>& phases);
 

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/macros.h"
 #include "obs/io_account.h"
@@ -14,49 +13,33 @@ namespace dsks {
 
 namespace {
 
-/// The read requests of one claim pass. A pass that claims nothing, such
-/// as a Prefetch of resident pages or a FetchPages of hits, never touches
-/// the storage. Up to kInlineReads requests live in the object itself, on
-/// the caller's stack, which covers every batch the in-tree readers make
-/// (CCAM and posting prefetches stop at 32 pages, posting fetches at 16);
-/// a larger batch, such as BPlusTree::MultiGet over more than 32 terms,
-/// allocates its requests once per call.
+/// The read requests of one claim pass, on the caller's stack. A pass
+/// that claims nothing, such as a FetchPages of hits, never constructs
+/// them.
 class ReadRequests {
  public:
-  explicit ReadRequests(size_t max_reads) : max_reads_(max_reads) {}
-
-  // slots_ may point into inline_.
-  ReadRequests(const ReadRequests&) = delete;
-  ReadRequests& operator=(const ReadRequests&) = delete;
-
   bool empty() const { return size_ == 0; }
   void clear() { size_ = 0; }
 
   void Add(PageId id, char* out) {
-    if (slots_.empty()) {
-      if (max_reads_ <= kInlineReads) {
-        slots_ = inline_.emplace();
-      } else {
-        spilled_.resize(max_reads_);
-        slots_ = spilled_;
-      }
+    if (!slots_.has_value()) {
+      slots_.emplace();
     }
-    PageReadRequest& req = slots_[size_++];
+    PageReadRequest& req = (*slots_)[size_++];
     req.id = id;
     req.out = out;
     req.data = nullptr;
     req.status = Status::Ok();
   }
 
-  std::span<PageReadRequest> span() { return slots_.first(size_); }
+  std::span<PageReadRequest> span() {
+    return slots_.has_value() ? std::span(*slots_).first(size_)
+                              : std::span<PageReadRequest>();
+  }
 
  private:
-  static constexpr size_t kInlineReads = 32;
-
-  size_t max_reads_;
-  std::optional<std::array<PageReadRequest, kInlineReads>> inline_;
-  std::vector<PageReadRequest> spilled_;
-  std::span<PageReadRequest> slots_;
+  std::optional<std::array<PageReadRequest, BufferPool::kMaxBatchPages>>
+      slots_;
   size_t size_ = 0;
 };
 
@@ -89,12 +72,6 @@ const char* BufferPool::PinHitLocked(uint32_t index) {
   Frame& frame = frames_[index];
   stats_.hits.fetch_add(1, std::memory_order_relaxed);
   obs::ChargePoolHit();
-  if (frame.prefetched) {
-    // First demand touch of a speculatively read page: the prefetch paid
-    // off. The flag resolves exactly once per issued prefetch.
-    frame.prefetched = false;
-    stats_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-  }
   if (frame.pin_count == 0) {
     UnlinkLruLocked(index);
   }
@@ -136,7 +113,6 @@ void BufferPool::ReleaseFrameLocked(uint32_t index) {
   frame.page_id = kInvalidPageId;
   frame.pin_count = 0;
   frame.io_in_progress = false;
-  frame.prefetched = false;
   frame.next = free_head_;
   free_head_ = index;
 }
@@ -212,6 +188,8 @@ Status BufferPool::FetchPages(std::span<const PageId> ids,
                               std::span<char*> outs) {
   DSKS_CHECK_MSG(ids.size() == outs.size(),
                  "FetchPages needs one output slot per page id");
+  DSKS_CHECK_MSG(ids.size() <= kMaxBatchPages,
+                 "FetchPages batch larger than kMaxBatchPages");
 #ifndef NDEBUG
   for (size_t i = 0; i < ids.size(); ++i) {
     for (size_t j = i + 1; j < ids.size(); ++j) {
@@ -229,7 +207,7 @@ Status BufferPool::FetchPages(std::span<const PageId> ids,
 Status BufferPool::FetchPagesLocked(std::unique_lock<std::mutex>* lock,
                                     std::span<const PageId> ids,
                                     std::span<char*> outs) {
-  ReadRequests reqs(ids.size());
+  ReadRequests reqs;
   for (;;) {
     // Classify every page not pinned yet: pin the resident ones, claim the
     // missing ones, and leave those in flight on another thread for a
@@ -296,51 +274,6 @@ Status BufferPool::FetchPagesLocked(std::unique_lock<std::mutex>* lock,
   }
 }
 
-void BufferPool::Prefetch(std::span<const PageId> ids) {
-  if (ids.empty() || !prefetch_enabled_.load(std::memory_order_relaxed)) {
-    return;
-  }
-  const size_t allocated = disk_->num_pages();
-  ReadRequests reqs(ids.size());
-  std::unique_lock<std::mutex> lock(latch_);
-  for (PageId id : ids) {
-    if (id >= allocated) {
-      continue;  // speculative callers may guess past the watermark
-    }
-    if (FindFrameLocked(id) != kNoFrame) {
-      // Resident or already in flight (claimed earlier in this call or by
-      // another thread): nothing to do, and never wait — prefetch must
-      // not block.
-      continue;
-    }
-    reqs.Add(id, ClaimFrameLocked(id));
-  }
-  if (reqs.empty()) {
-    return;
-  }
-  const std::span<PageReadRequest> batch = reqs.span();
-  stats_.prefetch_issued.fetch_add(batch.size(), std::memory_order_relaxed);
-  obs::ChargePrefetchIssued(batch.size());
-  // Demand fetchers of these pages wait on io_done_ meanwhile.
-  ReadClaimedLocked(&lock, batch);
-  for (const PageReadRequest& req : batch) {
-    if (!req.status.ok()) {
-      // Fault-silent by design: the read step freed the frame; count it
-      // and let any later demand fetch re-read and surface its own error.
-      // A query never fails because of a speculative read it didn't ask
-      // for.
-      stats_.prefetch_dropped.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    // Publish unpinned: the claim's pin only held the frame in flight.
-    const uint32_t index = FindFrameLocked(req.id);
-    frames_[index].pin_count = 0;
-    frames_[index].prefetched = true;
-    AppendLruLocked(index);
-  }
-  TrimToCapacityLocked();
-}
-
 void BufferPool::UnpinPage(PageId id, bool dirty) {
   DSKS_CHECK_MSG(!dirty, "the buffer pool is read-only: no page is dirty");
   std::lock_guard<std::mutex> lock(latch_);
@@ -367,11 +300,6 @@ bool BufferPool::TryEvictOneLocked() {
   const uint32_t victim = lru_head_;
   Frame& frame = frames_[victim];
   DSKS_CHECK(frame.pin_count == 0);
-  if (frame.prefetched) {
-    // Evicted without ever being demanded: the speculative read was
-    // wasted work.
-    stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
-  }
   UnlinkLruLocked(victim);
   ReleaseFrameLocked(victim);
   stats_.evictions.fetch_add(1, std::memory_order_relaxed);
@@ -403,9 +331,6 @@ Status BufferPool::Clear() {
       continue;
     }
     DSKS_CHECK_MSG(frame.pin_count == 0, "Clear with pinned pages");
-    if (frame.prefetched) {
-      stats_.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
-    }
     ReleaseFrameLocked(index);
   }
   lru_head_ = kNoFrame;
@@ -431,14 +356,6 @@ void BufferPool::BindMetrics(obs::MetricsRegistry* registry,
   registry->BindSource(prefix + ".hits", counter(&stats_.hits));
   registry->BindSource(prefix + ".misses", counter(&stats_.misses));
   registry->BindSource(prefix + ".evictions", counter(&stats_.evictions));
-  registry->BindSource(prefix + ".prefetch.issued",
-                       counter(&stats_.prefetch_issued));
-  registry->BindSource(prefix + ".prefetch.hits",
-                       counter(&stats_.prefetch_hits));
-  registry->BindSource(prefix + ".prefetch.wasted",
-                       counter(&stats_.prefetch_wasted));
-  registry->BindSource(prefix + ".prefetch.dropped",
-                       counter(&stats_.prefetch_dropped));
   constexpr auto kGauge = obs::MetricsRegistry::SourceKind::kGauge;
   registry->BindSource(
       prefix + ".capacity_frames",

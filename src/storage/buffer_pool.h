@@ -29,10 +29,12 @@ struct BufferPoolStatsSnapshot {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
+  /// Always 0: every page enters the pool on demand. Kept for readers
+  /// built against the speculative-read counters (perfbench's layer
+  /// metrics).
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_hits = 0;
   uint64_t prefetch_wasted = 0;
-  uint64_t prefetch_dropped = 0;
 
   uint64_t accesses() const { return hits + misses; }
   double hit_rate() const {
@@ -54,26 +56,11 @@ struct BufferPoolStats {
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> misses{0};
   std::atomic<uint64_t> evictions{0};
-  /// Prefetch lifecycle counters. Every *started* speculative read counts
-  /// in `issued`; each issued page is later accounted exactly once as a
-  /// `hit` (its first demand fetch found it resident), `wasted` (evicted
-  /// or cleared before any demand touch), or `dropped` (the speculative
-  /// read itself failed — injected fault, real errno, corruption). At
-  /// quiescence (no frame still carrying its prefetched flag):
-  /// issued == hits + wasted + dropped.
-  std::atomic<uint64_t> prefetch_issued{0};
-  std::atomic<uint64_t> prefetch_hits{0};
-  std::atomic<uint64_t> prefetch_wasted{0};
-  std::atomic<uint64_t> prefetch_dropped{0};
 
   void Reset() {
     hits.store(0, std::memory_order_relaxed);
     misses.store(0, std::memory_order_relaxed);
     evictions.store(0, std::memory_order_relaxed);
-    prefetch_issued.store(0, std::memory_order_relaxed);
-    prefetch_hits.store(0, std::memory_order_relaxed);
-    prefetch_wasted.store(0, std::memory_order_relaxed);
-    prefetch_dropped.store(0, std::memory_order_relaxed);
   }
 
   BufferPoolStatsSnapshot Snapshot() const {
@@ -81,10 +68,6 @@ struct BufferPoolStats {
     s.hits = hits.load(std::memory_order_relaxed);
     s.misses = misses.load(std::memory_order_relaxed);
     s.evictions = evictions.load(std::memory_order_relaxed);
-    s.prefetch_issued = prefetch_issued.load(std::memory_order_relaxed);
-    s.prefetch_hits = prefetch_hits.load(std::memory_order_relaxed);
-    s.prefetch_wasted = prefetch_wasted.load(std::memory_order_relaxed);
-    s.prefetch_dropped = prefetch_dropped.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -102,11 +85,11 @@ struct BufferPoolStats {
 /// therefore always a clean copy of its page, and eviction just drops the
 /// least-recently-used unpinned frame.
 ///
-/// One read path: every page that enters the pool is claimed (a pinned,
-/// in-flight frame), read in one DiskManager::ReadPages batch and published
-/// by the same private steps, whether a demand FetchPage/FetchPages or a
-/// speculative Prefetch asked for it. FetchPage is an inline resident check
-/// in front of a FetchPages batch of one.
+/// One read path: a page enters the pool only when a FetchPage/FetchPages
+/// caller asks for it. It is claimed (a pinned, in-flight frame), read in
+/// one DiskManager::ReadPages batch and published, so every page read is a
+/// demand miss. FetchPage is an inline resident check in front of a
+/// FetchPages batch of one.
 ///
 /// Storage allocates nothing once warm. Frames live in one array and are
 /// named by their index. On a disk that copies (the file backend) each
@@ -123,8 +106,9 @@ struct BufferPoolStats {
 /// and its buffer without zero-filling it (the read overwrites every
 /// byte). Frames are never released, so frame memory is bounded by the
 /// frame high-water mark: the most frames ever resident or in flight at
-/// once, which is `capacity()` plus any overflow (see below). A claim
-/// batch keeps its read requests on the stack up to 32 pages.
+/// once, which is `capacity()` plus any overflow (see below). A
+/// FetchPages batch keeps its read requests on the stack: it is at most
+/// kMaxBatchPages pages.
 ///
 /// Thread safety: all public methods are safe to call from multiple threads
 /// concurrently. The frame array, page table, LRU and free list are
@@ -175,34 +159,14 @@ class BufferPool {
   /// must be duplicate-free (asserted in debug builds). A release build
   /// tolerates a duplicate: the call reads its own claims before it looks
   /// at a page again, so the duplicate is pinned twice, counted as one
-  /// miss and one hit, and needs two unpins.
+  /// miss and one hit, and needs two unpins. At most kMaxBatchPages ids
+  /// (CHECK-enforced).
   Status FetchPages(std::span<const PageId> ids, std::span<char*> outs);
 
-  /// Best-effort, non-blocking readahead: starts one batched speculative
-  /// read for the pages of `ids` not already resident or in flight, and
-  /// publishes whatever succeeds as unpinned LRU frames. Failures of any
-  /// kind — injected faults, real I/O errors, corruption — are dropped
-  /// (counted in prefetch_dropped) and never surfaced: a later demand
-  /// fetch of that page retries from scratch and reports its own error.
-  /// Never waits on other threads' in-flight reads, skips unallocated ids,
-  /// and is a no-op while prefetching is disabled. Results of queries are
-  /// bit-identical with prefetch on or off; only cache temperature moves.
-  ///
-  /// The claimed frames are pinned and in flight (io_in_progress) while
-  /// the batch is read outside the latch, so demand fetchers of those
-  /// pages wait for it instead of double-reading; the call returns once
-  /// every page is published to the LRU or dropped.
-  void Prefetch(std::span<const PageId> ids);
-
-  /// Kill switch for Prefetch (default on). Tests that need exact demand
-  /// I/O sequences (one-shot fault placement) turn it off; `--prefetch`
-  /// flags on the CLI/bench A/B the two modes.
-  void set_prefetch_enabled(bool enabled) {
-    prefetch_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool prefetch_enabled() const {
-    return prefetch_enabled_.load(std::memory_order_relaxed);
-  }
+  /// The largest FetchPages batch: the read requests of one live on the
+  /// caller's stack. PostingFile::ForEachEntry's chunks are the largest
+  /// in-tree batch (16 pages).
+  static constexpr size_t kMaxBatchPages = 32;
 
   /// Releases one pin. `dirty` must be false: the pool never writes a page
   /// back (CHECK-enforced). If the pool is over capacity (overflow frames
@@ -272,10 +236,6 @@ class BufferPool {
     /// True while the owning fetch reads the page from disk outside the
     /// latch; concurrent fetchers of the same page wait on io_done_.
     bool io_in_progress = false;
-    /// Set when a speculative read published this frame; cleared (counting
-    /// a prefetch hit) by the first demand fetch, or counted as wasted if
-    /// the frame is evicted/cleared still carrying it.
-    bool prefetched = false;
     /// LRU neighbours while the frame is resident and unpinned (exactly
     /// then it is on the LRU); `next` links the free list while free.
     uint32_t prev = kNoFrame;
@@ -295,8 +255,8 @@ class BufferPool {
   /// Requires latch_ held.
   uint32_t FindFrameLocked(PageId id) const;
 
-  /// The claim step of every page entering the pool (FetchPages,
-  /// Prefetch): evicts one frame if the pool is full — best effort, see
+  /// The claim step of every page entering the pool (FetchPagesLocked):
+  /// evicts one frame if the pool is full — best effort, see
   /// TryEvictOneLocked — then gives `id` a frame from the free list, or a
   /// new one when the list is empty, pinned once and in flight. Returns the
   /// buffer to read the page into: the frame's own, or null on a lending
@@ -308,8 +268,8 @@ class BufferPool {
   /// LRU, or the whole LRU about to be emptied (Clear).
   void ReleaseFrameLocked(uint32_t index);
 
-  /// The read step of FetchPages and Prefetch: releases the latch, reads
-  /// every claimed frame of `reqs` with one DiskManager::ReadPages call,
+  /// The read step of FetchPagesLocked: releases the latch, reads every
+  /// claimed frame of `reqs` with one DiskManager::ReadPages call,
   /// retakes the latch, marks each success resident at its `data` (still
   /// pinned by its claim) and frees each failure, then wakes the fetchers
   /// waiting on io_done_. Requires latch_ held through `*lock`.
@@ -327,10 +287,9 @@ class BufferPool {
   Status FetchPagesLocked(std::unique_lock<std::mutex>* lock,
                           std::span<const PageId> ids, std::span<char*> outs);
 
-  /// Pins frame `index` as a demand hit: hit accounting (including the
-  /// prefetched-flag resolution), LRU removal, pin count. Returns the
-  /// page's bytes. Requires latch_ held and the frame resident, not in
-  /// flight.
+  /// Pins frame `index` as a hit: hit accounting, LRU removal, pin count.
+  /// Returns the page's bytes. Requires latch_ held and the frame
+  /// resident, not in flight.
   const char* PinHitLocked(uint32_t index);
 
   /// UnpinPage's body; requires latch_ held.
@@ -340,7 +299,6 @@ class BufferPool {
   /// disk_->lends_pages(): frames then own no buffer.
   const bool lends_pages_;
   std::atomic<size_t> capacity_;
-  std::atomic<bool> prefetch_enabled_{true};
 
   mutable std::mutex latch_;
   /// Signalled when a frame's in-flight disk read completes.

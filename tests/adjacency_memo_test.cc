@@ -72,7 +72,6 @@ struct CcamFixture {
     net = GenerateRoadNetwork(nc);
     file = CcamFileBuilder::Build(*net, disk.get());
     pool = std::make_unique<BufferPool>(disk.get(), disk->num_pages());
-    pool->set_prefetch_enabled(false);  // every page read is a demand read
     graph = std::make_unique<CcamGraph>(&file, pool.get());
     const Edge& e = net->edge(0);
     qe = MakeQueryEdgeInfo(*net, NetworkLocation{0, e.length / 2.0});

@@ -1,8 +1,7 @@
 // Pins the query hot path to zero heap allocations once warm: buffer-pool
 // hits through FetchPage and PageGuard, misses that evict, a batched
-// FetchPages, Prefetch of cold and of resident pages, CCAM adjacency
-// reads, B+tree MultiGet, Algorithm 2 (LoadObjects on IF and SIF) and
-// NetworkExpansion settles through the adjacency memo. This binary replaces
+// FetchPages, CCAM adjacency reads, B+tree Get, Algorithm 2 (LoadObjects
+// on IF and SIF) and NetworkExpansion settles through the adjacency memo. This binary replaces
 // the global operator new with one that counts every call and tracks the
 // bytes it holds; each test warms its path once (frames, page table and
 // vectors reach their high-water mark), then asserts that repeating the
@@ -15,9 +14,9 @@
 //    read fault on page N", an errno text). Failures are off the hot path;
 //    FailedReadAllocatesOnlyItsStatus shows that the failed frame itself
 //    goes back to the free list, so the retry allocates nothing;
-//  * a conjunction of more than 16 keywords: LoadObjects and MultiGet keep
-//    per-keyword slots inline up to that bound and take one heap array per
-//    slot set above it;
+//  * a conjunction of more than 16 keywords: LoadObjects keeps its
+//    per-keyword locators inline up to that bound and takes one heap array
+//    above it;
 //  * SIF-P's restricted position ranges (a vector per partitioned probe);
 //  * what a whole query allocates outside these paths, which
 //    WholeQueriesAllocateOnlyAtTheirBoundary measures and prints.
@@ -295,45 +294,6 @@ TEST(AllocFreeTest, BatchedMissesAllocateNothing) {
   EXPECT_EQ(pool.stats().hits, 0u);
 }
 
-TEST(AllocFreeTest, PrefetchAllocatesNothing) {
-  TestDisk disk;
-  constexpr size_t kGroup = 32;
-  constexpr size_t kGroups = 4;
-  const PageId first = FillPages(disk.get(), kGroups * kGroup);
-  BufferPool pool(disk.get(), kGroup);  // each group evicts the last one
-  PageId groups[kGroups][kGroup];
-  for (size_t g = 0; g < kGroups; ++g) {
-    for (size_t i = 0; i < kGroup; ++i) {
-      groups[g][i] = first + static_cast<PageId>(g * kGroup + i);
-    }
-  }
-  for (const auto& group : groups) {
-    pool.Prefetch(group);
-  }
-  pool.ResetStats();
-
-  const uint64_t cold = AllocationsDuring([&] {
-    for (const auto& group : groups) {
-      pool.Prefetch(group);
-    }
-  });
-  EXPECT_EQ(cold, 0u);
-  EXPECT_EQ(pool.stats().prefetch_issued, kGroups * kGroup);
-  EXPECT_EQ(pool.stats().prefetch_dropped, 0u);
-
-  // The last group is resident now: a no-op, and no allocation either.
-  const uint64_t resident =
-      AllocationsDuring([&] { pool.Prefetch(groups[kGroups - 1]); });
-  EXPECT_EQ(resident, 0u);
-  EXPECT_EQ(pool.stats().prefetch_issued, kGroups * kGroup);
-  const PageId last = groups[kGroups - 1][kGroup - 1];
-  char* data = nullptr;
-  ASSERT_TRUE(pool.FetchPage(last, &data).ok());
-  EXPECT_EQ(data[0], FillByte(last - first));
-  pool.UnpinPage(last, /*dirty=*/false);
-  EXPECT_EQ(pool.stats().prefetch_hits, 1u);
-}
-
 TEST(AllocFreeTest, CcamAdjacencyAllocatesNothing) {
   NetworkGenConfig nc;
   nc.num_nodes = 400;
@@ -399,41 +359,37 @@ TEST(AllocFreeTest, FailedReadAllocatesOnlyItsStatus) {
   pool.UnpinPage(victim, /*dirty=*/false);
 }
 
-TEST(AllocFreeTest, MultiGetAllocatesNothing) {
+TEST(AllocFreeTest, BPlusTreeGetAllocatesNothing) {
   TestDisk disk;
   BufferPool pool(disk.get(), 256);
   // Three trees of two levels, so every lookup descends an internal node.
-  PageId roots[3];
+  std::vector<BPlusTree> trees;
   const size_t n = BPlusTree::LeafCapacity() * 3;
   for (uint64_t t = 0; t < 3; ++t) {
     std::vector<std::pair<uint64_t, uint64_t>> pairs;
     for (uint64_t k = 0; k < n; ++k) {
       pairs.emplace_back(k * 3 + t, k * 10 + t);
     }
-    roots[t] = BPlusTree::BulkLoad(&pool, pairs).root();
+    trees.push_back(BPlusTree::BulkLoad(&pool, pairs));
   }
-  std::optional<uint64_t> results[3];
+  std::optional<uint64_t> result;
   auto lookups = [&] {
     size_t found = 0;
     for (uint64_t k = 0; k < n * 3; k += 7) {
-      if (!BPlusTree::MultiGet(&pool, roots, k, results).ok()) {
-        return size_t{0};
-      }
-      for (const auto& r : results) {
-        found += r.has_value() ? 1 : 0;
+      for (const BPlusTree& tree : trees) {
+        if (!tree.Get(k, &result).ok()) {
+          return size_t{0};
+        }
+        found += result.has_value() ? 1 : 0;
       }
     }
     return found;
   };
-  for (const bool prefetch : {true, false}) {
-    pool.set_prefetch_enabled(prefetch);
-    const size_t want = lookups();  // warm
-    ASSERT_GT(want, 0u);
-    size_t found = 0;
-    EXPECT_EQ(AllocationsDuring([&] { found = lookups(); }), 0u)
-        << (prefetch ? "prefetch on" : "prefetch off");
-    EXPECT_EQ(found, want);
-  }
+  const size_t want = lookups();  // warm
+  ASSERT_GT(want, 0u);
+  size_t found = 0;
+  EXPECT_EQ(AllocationsDuring([&] { found = lookups(); }), 0u);
+  EXPECT_EQ(found, want);
 }
 
 /// Forwards to the wrapped index and records every probe, so a test can
@@ -484,8 +440,8 @@ class LoadObjectsAllocTest : public ::testing::TestWithParam<IndexKind> {};
 
 /// Algorithm 2 straight off the pinned pages: replaying every probe a
 /// workload's SK searches make allocates nothing once `out` and the pool
-/// are warm, with prefetch on and off, on a pool that holds the whole
-/// index and on an 8-frame pool where the probes miss and evict.
+/// are warm, on a pool that holds the whole index and on an 8-frame pool
+/// where the probes miss and evict.
 TEST_P(LoadObjectsAllocTest, ReplayedProbesAllocateNothing) {
   testing::BackendDatabase bdb(AllocConfig(), "alloc_load");
   Database& db = *bdb;
@@ -518,25 +474,20 @@ TEST_P(LoadObjectsAllocTest, ReplayedProbesAllocateNothing) {
     return loaded;
   };
   for (const size_t frames : {size_t{0}, size_t{8}}) {
-    for (const bool prefetch : {true, false}) {
-      const std::string where =
-          std::string(frames == 0 ? "resident pool" : "8-frame pool") +
-          (prefetch ? ", prefetch on" : ", prefetch off");
-      if (frames == 0) {
-        db.PrepareForQueries(1.0);
-      } else {
-        db.PrepareForQueries(0.0, frames);
-      }
-      db.SetPrefetchEnabled(prefetch);
-      const size_t want = replay();  // warm
-      ASSERT_NE(want, SIZE_MAX) << where;
-      ASSERT_GT(want, 0u) << where;
-      size_t loaded = 0;
-      EXPECT_EQ(AllocationsDuring([&] { loaded = replay(); }), 0u) << where;
-      EXPECT_EQ(loaded, want) << where;
-      if (frames != 0) {
-        EXPECT_GT(db.pool()->stats().evictions, 0u) << where;
-      }
+    const std::string where = frames == 0 ? "resident pool" : "8-frame pool";
+    if (frames == 0) {
+      db.PrepareForQueries(1.0);
+    } else {
+      db.PrepareForQueries(0.0, frames);
+    }
+    const size_t want = replay();  // warm
+    ASSERT_NE(want, SIZE_MAX) << where;
+    ASSERT_GT(want, 0u) << where;
+    size_t loaded = 0;
+    EXPECT_EQ(AllocationsDuring([&] { loaded = replay(); }), 0u) << where;
+    EXPECT_EQ(loaded, want) << where;
+    if (frames != 0) {
+      EXPECT_GT(db.pool()->stats().evictions, 0u) << where;
     }
   }
 }

@@ -1,8 +1,6 @@
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -132,76 +130,29 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BPlusTreeBulkLoadTest,
                          ::testing::Values(1, 2, 100, 255, 256, 1000, 10000,
                                            70000));
 
-/// MultiGet over trees of one, two and three levels (plus an absent tree
-/// and a repeated root) returns, for present and absent keys alike, what
-/// each tree's own Get returns — with prefetching on and off. With it off,
-/// one MultiGet on a cold pool reads exactly the pages the per-tree Gets
-/// read.
-TEST(BPlusTreeMultiGetTest, MatchesPerTreeGet) {
-  DiskManager disk;
-  BufferPool pool(&disk, 8192);
-  // Keys of tree j are the multiples of j + 1, so a probe key is present
-  // in some trees and absent from others.
-  const size_t sizes[] = {
-      50, 2000, BPlusTree::LeafCapacity() * BPlusTree::InternalCapacity()};
-  std::vector<BPlusTree> trees;
-  for (size_t j = 0; j < 3; ++j) {
-    Pairs pairs;
-    for (uint64_t i = 0; i < sizes[j]; ++i) {
-      pairs.emplace_back(i * (j + 1), i * 10 + j);
-    }
-    trees.push_back(BPlusTree::BulkLoad(&pool, pairs));
+/// A point lookup is one root-to-leaf descent: on a cold pool, a Get in a
+/// three-level tree accesses, misses and reads exactly one page per level,
+/// whether the key is present or not.
+TEST_F(BPlusTreeTest, ColdGetReadsOnePagePerLevel) {
+  // BulkLoad fills nodes to ~90%, so this many keys need two internal
+  // nodes under the root.
+  const uint64_t n = BPlusTree::LeafCapacity() * BPlusTree::InternalCapacity();
+  Pairs pairs;
+  for (uint64_t i = 0; i < n; ++i) {
+    pairs.emplace_back(i * 2, i);
   }
-  const std::vector<PageId> roots = {trees[2].root(), kInvalidPageId,
-                                     trees[0].root(), trees[1].root(),
-                                     trees[2].root()};
-
-  auto expected = [&](uint64_t key) {
-    std::vector<std::optional<uint64_t>> want;
-    for (PageId root : roots) {
-      want.push_back(root == kInvalidPageId
-                         ? std::nullopt
-                         : Lookup(BPlusTree(&pool, root), key));
-    }
-    return want;
-  };
-  Random rng(7);
-  std::vector<uint64_t> keys = {0, 1, 2, 3, 6, 49, 98, 99, 3998, 3999, 4000,
-                                sizes[2] * 3 - 3, sizes[2] * 3, UINT64_MAX};
-  for (int i = 0; i < 200; ++i) {
-    keys.push_back(rng.Uniform(sizes[2] * 3));
-  }
-  for (bool prefetch : {true, false}) {
-    pool.set_prefetch_enabled(prefetch);
-    for (uint64_t key : keys) {
-      std::vector<std::optional<uint64_t>> got(roots.size());
-      ASSERT_TRUE(BPlusTree::MultiGet(&pool, roots, key,
-                                      std::span<std::optional<uint64_t>>(got))
-                      .ok());
-      EXPECT_EQ(got, expected(key)) << "key " << key << " prefetch "
-                                    << prefetch;
-    }
-  }
-
-  // Cold-pool reads with prefetching off: one page per level per distinct
-  // tree, 1 + 2 + 3, whether the trees are descended together or apart.
-  pool.set_prefetch_enabled(false);
-  auto cold_reads = [&](const std::function<void()>& lookups) {
-    EXPECT_TRUE(pool.Clear().ok());
-    const uint64_t before = disk.stats_snapshot().reads;
-    lookups();
-    return disk.stats_snapshot().reads - before;
-  };
-  for (uint64_t key : {uint64_t{0}, uint64_t{6}, uint64_t{7}, UINT64_MAX}) {
-    const uint64_t multi = cold_reads([&] {
-      std::vector<std::optional<uint64_t>> got(roots.size());
-      EXPECT_TRUE(BPlusTree::MultiGet(&pool, roots, key,
-                                      std::span<std::optional<uint64_t>>(got))
-                      .ok());
-    });
-    const uint64_t single = cold_reads([&] { expected(key); });
-    EXPECT_EQ(multi, single) << "key " << key;
-    EXPECT_EQ(single, 6u) << "key " << key;
+  BPlusTree tree = BPlusTree::BulkLoad(&pool_, pairs);
+  for (const uint64_t key : {uint64_t{0}, n, n + 1, 2 * n - 2, UINT64_MAX}) {
+    ASSERT_TRUE(pool_.Clear().ok());
+    pool_.ResetStats();
+    disk_.ResetStats();
+    std::optional<uint64_t> result;
+    ASSERT_TRUE(tree.Get(key, &result).ok()) << "key " << key;
+    EXPECT_EQ(result.has_value(), key % 2 == 0 && key < 2 * n) << "key " << key;
+    const BufferPoolStatsSnapshot s = pool_.stats_snapshot();
+    EXPECT_EQ(s.accesses(), 3u) << "key " << key;
+    EXPECT_EQ(s.misses, 3u) << "key " << key;
+    EXPECT_EQ(disk_.stats_snapshot().reads, 3u) << "key " << key;
   }
 }
 

@@ -52,14 +52,10 @@ TEST(ChaosTest, SurvivesSeededReadFaultsWithExactAccounting) {
 
   const Workload wl = MakeWorkload(db, 64, 17);
 
-  // Prefetching deliberately absorbs faults that land on speculative
-  // reads (the page is re-read on the demand path, which redraws the
-  // fault), so only demand-read faults surface as query errors — and the
-  // demand share of reads is an interleaving accident, down to a few
-  // percent when the batched issuers are ahead. The rate is set high
-  // enough that the *demand* slice alone still faults many times over
-  // (expected dozens, P(zero) negligible) — the test runs with prefetch
-  // ON precisely to prove the absorbed faults never break the accounting.
+  // Every page read is a demand read, so every injected fault fails the
+  // read it lands on and the query that made it. The rate is set high
+  // enough that the run faults many times over (P(zero) negligible), so
+  // the accounting below is checked under real failures.
   FaultInjector::Config fc;
   fc.read_fault_p = 5e-2;
   fc.seed = 42;
@@ -126,12 +122,6 @@ TEST(ChaosTest, TransientFaultIsAbsorbedByRetry) {
   db.BuildIndex(opts);
   db.PrepareForQueries();
   const Workload wl = MakeWorkload(db, 1, 23);
-
-  // Prefetch reads would race the demand path for the one-shot fault: a
-  // speculative read consuming it is dropped silently, leaving zero
-  // retries. Pin prefetch off so the fault deterministically hits the
-  // demand read this test is about.
-  db.SetPrefetchEnabled(false);
 
   // One one-shot read fault, one retry allowed: the first attempt fails
   // mid-query, the rerun reads clean. Fully deterministic.

@@ -1,6 +1,5 @@
-// Golden deterministic counters. For every query kind, with speculative
-// prefetch on and off, the exact totals over a seeded workload: a hash of
-// the results (ids plus bit-exact distances, scores or objectives), the
+// Golden deterministic counters. For every query kind, the exact totals
+// over a seeded workload on a cold pool: a hash of the results (ids plus bit-exact distances, scores or objectives), the
 // search's settle and edge counts, the oracle's fields and pairs, and the
 // buffer-pool and disk counters. A refactor of the search, oracle, index or
 // storage layers that moves one page access or one settle fails here. A
@@ -63,14 +62,12 @@ struct Counters {
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
   uint64_t disk_reads = 0;
-  uint64_t prefetch_issued = 0;
 };
 
 std::string Describe(const Counters& c) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "{0x%016llXULL, %llu, %llu, %llu, %llu, %llu, %llu, %llu, "
-                "%llu}",
+                "{0x%016llXULL, %llu, %llu, %llu, %llu, %llu, %llu, %llu}",
                 static_cast<unsigned long long>(c.result_hash),
                 static_cast<unsigned long long>(c.nodes_settled),
                 static_cast<unsigned long long>(c.edges_processed),
@@ -78,8 +75,7 @@ std::string Describe(const Counters& c) {
                 static_cast<unsigned long long>(c.oracle_pairs),
                 static_cast<unsigned long long>(c.pool_hits),
                 static_cast<unsigned long long>(c.pool_misses),
-                static_cast<unsigned long long>(c.disk_reads),
-                static_cast<unsigned long long>(c.prefetch_issued));
+                static_cast<unsigned long long>(c.disk_reads));
   return buf;
 }
 
@@ -87,7 +83,7 @@ enum class Kind {
   kSk,
   kKnn,
   kRanked,
-  kRankedWide,  // α = 0 at 4·δmax: a full expansion past the prefetch point
+  kRankedWide,  // α = 0 at 4·δmax: a full expansion
   kDivSeqShared,
   kDivComShared,
   kDivSeqPerObject,
@@ -98,8 +94,7 @@ enum class Kind {
 struct GoldenRow {
   const char* name;
   Kind kind;
-  Counters prefetch_on;
-  Counters prefetch_off;
+  Counters want;
 };
 
 /// gtest would print a row as its raw bytes, the address of `name` among
@@ -108,50 +103,36 @@ struct GoldenRow {
 void PrintTo(const GoldenRow& row, std::ostream* os) { *os << row.name; }
 
 // Columns: result hash, nodes settled, edges processed, oracle fields,
-// oracle pairs, pool hits, pool misses, disk reads, prefetch issued. Only
-// the wide rows settle past the expansion's first frontier prefetch in
-// the ranked search and the Euclidean refine, so only their prefetch-on
-// I/O shows it. In the Div rows the oracle's expansions read adjacency
-// through the query's memo, so a node INE (or an earlier field) already
-// decoded costs no pool access; a memo hit also skips the LRU touch, which
-// is why DivComPerObject misses one page more than it would without it.
+// oracle pairs, pool hits, pool misses, disk reads. Every page read is a
+// demand miss, so the last two columns are equal. In the Div rows the
+// oracle's expansions read adjacency through the query's memo, so a node
+// INE (or an earlier field) already decoded costs no pool access; a memo
+// hit also skips the LRU touch, which is why DivComPerObject misses one
+// page more than it would without it.
 const GoldenRow kGolden[] = {
-    {"Sk",
-     Kind::kSk,
-     {0x7CCB51C0AC6261AEULL, 211, 388, 0, 0, 1731, 45, 436, 391},
-     {0x7CCB51C0AC6261AEULL, 211, 388, 0, 0, 1881, 435, 435, 0}},
-    {"Knn",
-     Kind::kKnn,
-     {0x869848AA9AF56915ULL, 109, 199, 0, 0, 722, 34, 211, 177},
-     {0x869848AA9AF56915ULL, 109, 199, 0, 0, 780, 210, 210, 0}},
+    {"Sk", Kind::kSk, {0x7CCB51C0AC6261AEULL, 211, 388, 0, 0, 1341, 435, 435}},
+    {"Knn", Kind::kKnn, {0x869848AA9AF56915ULL, 109, 199, 0, 0, 546, 210, 210}},
     {"Ranked",
      Kind::kRanked,
-     {0x966BC17D7D0958A6ULL, 63, 0, 0, 0, 734, 235, 235, 0},
-     {0x966BC17D7D0958A6ULL, 63, 0, 0, 0, 734, 235, 235, 0}},
+     {0x966BC17D7D0958A6ULL, 63, 0, 0, 0, 501, 235, 235}},
     {"RankedWide",
      Kind::kRankedWide,
-     {0xE69D711AACBB3A4CULL, 2933, 0, 0, 0, 26010, 2058, 2091, 33},
-     {0xE69D711AACBB3A4CULL, 2933, 0, 0, 0, 25985, 2083, 2083, 0}},
+     {0xE69D711AACBB3A4CULL, 2933, 0, 0, 0, 19501, 2083, 2083}},
     {"DivSeqShared",
      Kind::kDivSeqShared,
-     {0x8BBF3F7715F351E4ULL, 211, 388, 27, 159, 2259, 58, 455, 397},
-     {0x8BBF3F7715F351E4ULL, 211, 388, 27, 159, 2403, 454, 454, 0}},
+     {0x8BBF3F7715F351E4ULL, 211, 388, 27, 159, 1863, 454, 454}},
     {"DivComShared",
      Kind::kDivComShared,
-     {0x1D86A78BC3650594ULL, 148, 270, 29, 253, 1629, 52, 311, 259},
-     {0x1D86A78BC3650594ULL, 148, 270, 29, 253, 1698, 311, 311, 0}},
+     {0x1D86A78BC3650594ULL, 148, 270, 29, 253, 1370, 311, 311}},
     {"DivSeqPerObject",
      Kind::kDivSeqPerObject,
-     {0x8BBF3F7715F351E4ULL, 211, 388, 55, 159, 2265, 58, 455, 397},
-     {0x8BBF3F7715F351E4ULL, 211, 388, 55, 159, 2409, 454, 454, 0}},
+     {0x8BBF3F7715F351E4ULL, 211, 388, 55, 159, 1869, 454, 454}},
     {"DivComPerObject",
      Kind::kDivComPerObject,
-     {0x1D86A78BC3650594ULL, 148, 270, 195, 253, 1872, 53, 312, 259},
-     {0x1D86A78BC3650594ULL, 148, 270, 195, 253, 1941, 312, 312, 0}},
+     {0x1D86A78BC3650594ULL, 148, 270, 195, 253, 1613, 312, 312}},
     {"EuclideanWide",
      Kind::kEuclideanWide,
-     {0x63DBD6787CAAED33ULL, 2933, 0, 0, 0, 14901, 2925, 2952, 27},
-     {0x63DBD6787CAAED33ULL, 2933, 0, 0, 0, 14874, 2952, 2952, 0}},
+     {0x63DBD6787CAAED33ULL, 2933, 0, 0, 0, 14874, 2952, 2952}},
 };
 
 constexpr size_t kKnnK = 5;
@@ -279,40 +260,32 @@ TEST_P(GoldenCountersTest, MatchesRecordedCounters) {
   wc.seed = 41;
   const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
 
+  // Every kind starts cold.
+  ASSERT_TRUE(db.pool()->Clear().ok());
+  db.ResetCounters();
   QueryContext ctx;
-  for (const bool prefetch : {true, false}) {
-    SCOPED_TRACE(prefetch ? "prefetch on" : "prefetch off");
-    db.SetPrefetchEnabled(prefetch);
-    ASSERT_TRUE(db.pool()->Clear().ok());  // every kind starts cold
-    db.ResetCounters();
-
-    ResultHash hash;
-    Counters got;
-    for (const WorkloadQuery& wq : wl.queries) {
-      RunOne(&db, row.kind, wq, &ctx, &hash, &got);
-      ASSERT_FALSE(::testing::Test::HasFatalFailure());
-    }
-    got.result_hash = hash.value();
-    const BufferPoolStatsSnapshot pool = db.pool()->stats_snapshot();
-    got.pool_hits = pool.hits;
-    got.pool_misses = pool.misses;
-    got.disk_reads = db.IoCount();
-    got.prefetch_issued = pool.prefetch_issued;
-
-    const Counters& want = prefetch ? row.prefetch_on : row.prefetch_off;
-    const std::string note = std::string(row.name) +
-                             (prefetch ? " prefetch_on " : " prefetch_off ") +
-                             Describe(got);
-    EXPECT_EQ(got.result_hash, want.result_hash) << note;
-    EXPECT_EQ(got.nodes_settled, want.nodes_settled) << note;
-    EXPECT_EQ(got.edges_processed, want.edges_processed) << note;
-    EXPECT_EQ(got.oracle_fields, want.oracle_fields) << note;
-    EXPECT_EQ(got.oracle_pairs, want.oracle_pairs) << note;
-    EXPECT_EQ(got.pool_hits, want.pool_hits) << note;
-    EXPECT_EQ(got.pool_misses, want.pool_misses) << note;
-    EXPECT_EQ(got.disk_reads, want.disk_reads) << note;
-    EXPECT_EQ(got.prefetch_issued, want.prefetch_issued) << note;
+  ResultHash hash;
+  Counters got;
+  for (const WorkloadQuery& wq : wl.queries) {
+    RunOne(&db, row.kind, wq, &ctx, &hash, &got);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
   }
+  got.result_hash = hash.value();
+  const BufferPoolStatsSnapshot pool = db.pool()->stats_snapshot();
+  got.pool_hits = pool.hits;
+  got.pool_misses = pool.misses;
+  got.disk_reads = db.IoCount();
+
+  const Counters& want = row.want;
+  const std::string note = std::string(row.name) + " " + Describe(got);
+  EXPECT_EQ(got.result_hash, want.result_hash) << note;
+  EXPECT_EQ(got.nodes_settled, want.nodes_settled) << note;
+  EXPECT_EQ(got.edges_processed, want.edges_processed) << note;
+  EXPECT_EQ(got.oracle_fields, want.oracle_fields) << note;
+  EXPECT_EQ(got.oracle_pairs, want.oracle_pairs) << note;
+  EXPECT_EQ(got.pool_hits, want.pool_hits) << note;
+  EXPECT_EQ(got.pool_misses, want.pool_misses) << note;
+  EXPECT_EQ(got.disk_reads, want.disk_reads) << note;
 }
 
 INSTANTIATE_TEST_SUITE_P(

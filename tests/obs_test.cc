@@ -312,7 +312,7 @@ TEST(QueryTraceTest, SpanNestingAndExactIoDeltas) {
   EXPECT_EQ(phase_ns, rs.inclusive_ns);
   EXPECT_EQ(phase_io, rs.inclusive_io);
 
-  // The one rendering: a member per recorded phase, each carrying the six
+  // The one rendering: a member per recorded phase, each carrying the five
   // cost fields with the exact exclusive counts.
   server::JsonValue phases;
   const std::string json = obs::PhasesJson(trace.AggregateByPhase());
@@ -327,9 +327,9 @@ TEST(QueryTraceTest, SpanNestingAndExactIoDeltas) {
   for (const auto& e : expected) {
     const server::JsonValue* p = phases.Find(e.phase);
     ASSERT_NE(p, nullptr) << e.phase << " in " << json;
-    EXPECT_EQ(p->object().size(), 6u) << json;
-    for (const char* field : {"spans", "ms", "pool_hits", "pool_misses",
-                              "disk_reads", "prefetched_pages"}) {
+    EXPECT_EQ(p->object().size(), 5u) << json;
+    for (const char* field :
+         {"spans", "ms", "pool_hits", "pool_misses", "disk_reads"}) {
       ASSERT_NE(p->Find(field), nullptr) << e.phase << "." << field;
       EXPECT_TRUE(p->Find(field)->is_number()) << e.phase << "." << field;
     }
@@ -339,7 +339,6 @@ TEST(QueryTraceTest, SpanNestingAndExactIoDeltas) {
     EXPECT_EQ(p->Find("pool_misses")->number(),
               static_cast<double>(e.misses));
     EXPECT_EQ(p->Find("disk_reads")->number(), static_cast<double>(e.reads));
-    EXPECT_EQ(p->Find("prefetched_pages")->number(), 0.0) << e.phase;
   }
 
   trace.Clear();

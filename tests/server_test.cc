@@ -509,8 +509,8 @@ TEST_F(ServerTest, QuotaDeniesBeyondBurst) {
 TEST_F(ServerTest, RetriedRequestAnswersOnce) {
   // A request whose first attempt fails with IO_ERROR and whose retry
   // succeeds answers once, OK. Set up like
-  // ChaosTest.TransientFaultIsAbsorbedByRetry: a cold pool and prefetch
-  // off, so the one-shot fault hits a demand read.
+  // ChaosTest.TransientFaultIsAbsorbedByRetry: a cold pool, so the first
+  // attempt reads, and the one-shot fault fails that read.
   obs::MetricsRegistry registry;
   ServiceConfig config;
   config.threads = 1;
@@ -518,7 +518,6 @@ TEST_F(ServerTest, RetriedRequestAnswersOnce) {
   config.metrics = &registry;
   QueryService service(db_, config);
   db_->PrepareForQueries();
-  db_->SetPrefetchEnabled(false);
   db_->disk()->fault_injector()->InjectReadFaultOnce();
 
   Collector col;
@@ -526,7 +525,6 @@ TEST_F(ServerTest, RetriedRequestAnswersOnce) {
   col.Await(1);
   service.Stop();  // drained: a second answer would have arrived by now
   db_->disk()->fault_injector()->Disarm();
-  db_->SetPrefetchEnabled(true);
 
   ASSERT_EQ(col.responses.size(), 1u);
   EXPECT_EQ(StatusOf(col.responses[0]), "OK") << col.responses[0];

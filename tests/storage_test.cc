@@ -293,7 +293,15 @@ TEST(BufferPoolDeathTest, DoubleUnpinIsFatal) {
   BufferPool pool(disk.get(), 2);
   dsks::testing::MustFetch(&pool, a);
   pool.UnpinPage(a, false);
-  EXPECT_DEATH(pool.UnpinPage(a, false), "unpin of unpinned page");
+  // The threadsafe style's child reruns the test up to here with its own
+  // TestDisk and aborts before that disk's destructor: each death statement
+  // removes the child's files first (its open descriptors stay valid).
+  EXPECT_DEATH(
+      {
+        dsks::testing::RemoveDiskFiles(disk.options());
+        pool.UnpinPage(a, false);
+      },
+      "unpin of unpinned page");
 }
 
 // The pool is a read cache: nothing may hand a page back to it dirty.
@@ -303,7 +311,12 @@ TEST(BufferPoolDeathTest, DirtyUnpinIsFatal) {
   const PageId a = disk->AllocatePage();
   BufferPool pool(disk.get(), 2);
   dsks::testing::MustFetch(&pool, a);
-  EXPECT_DEATH(pool.UnpinPage(a, /*dirty=*/true), "read-only");
+  EXPECT_DEATH(
+      {
+        dsks::testing::RemoveDiskFiles(disk.options());
+        pool.UnpinPage(a, /*dirty=*/true);
+      },
+      "read-only");
   pool.UnpinPage(a, false);
 }
 
@@ -311,7 +324,12 @@ TEST(DiskManagerDeathTest, ReadOfUnallocatedPageIsFatal) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   dsks::testing::TestDisk disk;
   char buf[kPageSize];
-  EXPECT_DEATH(disk->ReadPage(7, buf), "unallocated");
+  EXPECT_DEATH(
+      {
+        dsks::testing::RemoveDiskFiles(disk.options());
+        disk->ReadPage(7, buf);
+      },
+      "unallocated");
 }
 
 TEST(PageGuardTest, ReleasesOnDestruction) {

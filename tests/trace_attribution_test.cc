@@ -3,7 +3,9 @@
 // armed), and two identities must hold exactly — per trace, the sum of
 // every phase's exclusive share equals the root's inclusive total; across
 // threads, the per-context charges sum to the global pool/disk counter
-// deltas, proving no thread's traffic leaks into another's account.
+// deltas, proving no thread's traffic leaks into another's account. And
+// on both backends every page a phase reads is one of its own demand
+// misses.
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -122,8 +124,6 @@ TEST(TraceAttributionTest, EightThreadsTelescopeExactlyUnderFaults) {
   const auto disk_after = db.disk()->stats_snapshot();
   EXPECT_EQ(total.pool_hits, pool_after.hits - pool_before.hits);
   EXPECT_EQ(total.pool_misses, pool_after.misses - pool_before.misses);
-  EXPECT_EQ(total.prefetched_pages,
-            pool_after.prefetch_issued - pool_before.prefetch_issued);
   EXPECT_EQ(total.disk_reads, disk_after.reads - disk_before.reads);
   // Queries only read: the query phase wrote no page.
   EXPECT_EQ(disk_after.writes, disk_before.writes);
@@ -131,6 +131,61 @@ TEST(TraceAttributionTest, EightThreadsTelescopeExactlyUnderFaults) {
   EXPECT_GT(total.disk_reads, 0u);
 
   testing::RemoveDiskFiles(disk_options);
+}
+
+// The pool reads a page only for a demand miss, so in every phase of a
+// fault-free query on a cold pool the misses and the disk reads are the
+// same count — for SK and div-COM alike, on the sim and the file backend.
+TEST(TraceAttributionTest, EveryPhaseReadsOnlyItsOwnMisses) {
+  for (const bool file : {false, true}) {
+    SCOPED_TRACE(file ? "file backend" : "sim backend");
+    const DiskOptions disk_options =
+        file ? testing::FileDiskOptions("attr_demand") : DiskOptions();
+    Database db(TinyPreset(), disk_options);
+    IndexOptions opts;
+    opts.kind = IndexKind::kSIF;
+    db.BuildIndex(opts);
+    db.PrepareForQueries();
+    WorkloadConfig wc;
+    wc.num_queries = 8;
+    wc.num_keywords = 2;
+    wc.seed = 99;
+    const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
+
+    for (const bool div : {false, true}) {
+      SCOPED_TRACE(div ? "div-COM" : "SK");
+      QueryContext ctx;
+      obs::QueryTrace trace;
+      uint64_t reads = 0;
+      for (const WorkloadQuery& wq : wl.queries) {
+        ASSERT_TRUE(db.pool()->Clear().ok());
+        trace.Clear();
+        ctx.trace = &trace;
+        if (div) {
+          DivQuery dq;
+          dq.sk = wq.sk;
+          dq.k = 4;
+          dq.lambda = 0.8;
+          DivSearchOutput out;
+          ASSERT_TRUE(
+              db.RunDivQuery(dq, wq.edge, /*use_com=*/true, &out, &ctx).ok());
+        } else {
+          std::vector<SkResult> results;
+          ASSERT_TRUE(db.RunSkQuery(wq.sk, wq.edge, &results, &ctx).ok());
+        }
+        ctx.trace = nullptr;
+        const auto phases = trace.AggregateByPhase();
+        for (size_t p = 0; p < phases.size(); ++p) {
+          const obs::IoCounters& io = phases[p].io;
+          EXPECT_EQ(io.pool_misses, io.disk_reads)
+              << obs::PhaseName(static_cast<obs::Phase>(p));
+          reads += io.disk_reads;
+        }
+      }
+      EXPECT_GT(reads, 0u) << "cold queries must read pages";
+    }
+    testing::RemoveDiskFiles(disk_options);
+  }
 }
 
 TEST(TraceAttributionTest, ScopedAccountRestoresAndNullIsNoop) {

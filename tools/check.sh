@@ -63,15 +63,25 @@ for san in "${sanitizers[@]}"; do
   # index images must come out identical on both backends, the
   # pread/preadv miss path must allocate nothing (alloc_free_test), and
   # the adjacency views into the memo arena meet a real index file
-  # (adjacency_memo_test).
+  # (adjacency_memo_test). The index files go to a private TMPDIR, which
+  # must be empty afterwards: a test (a death test's child included) that
+  # leaves its dsks_* files behind fails the run.
   echo "=== $san sanitizer: storage + chaos suites on the file backend ==="
+  file_tmp="$(mktemp -d)"
   for t in storage_test fault_injection_test buffer_pool_concurrency_test \
-           durability_test prefetch_test golden_counters_test obs_test \
+           durability_test batch_read_test golden_counters_test obs_test \
            trace_attribution_test chaos_test index_storage_test \
            alloc_free_test adjacency_memo_test; do
-    (cd "$dir" && DSKS_TEST_BACKEND=file TSAN_OPTIONS="die_after_fork=0" \
-        "./tests/$t" --gtest_brief=1)
+    (cd "$dir" && DSKS_TEST_BACKEND=file TMPDIR="$file_tmp" \
+        TSAN_OPTIONS="die_after_fork=0" "./tests/$t" --gtest_brief=1)
   done
+  leftovers="$(find "$file_tmp" -name 'dsks_*')"
+  if [ -n "$leftovers" ]; then
+    echo "file-backend suites left index files behind:" >&2
+    echo "$leftovers" >&2
+    exit 1
+  fi
+  rm -rf "$file_tmp"
   # The query-service suite on its own too: the TCP front end is where
   # worker threads, the poll loop and client threads all meet, so a data
   # race there should be attributed loudly, like chaos.
@@ -83,10 +93,11 @@ done
 
 # A `dsks_cli drill` under injected read faults (extra arguments passed
 # through, `$1` names the output) whose record must pass validate-server
-# and show at least one retry. Most reads are prefetch reads, whose faults
-# are dropped by design, so a drill with few faults can miss the retry
-# path it is there to exercise. These drills send 512 requests at a 2%
-# read-fault rate (see EXPERIMENTS.md for the retries seen).
+# and show at least one retry. Every injected fault fails the read it
+# lands on, but a drill that sends few requests can still draw no fault
+# and miss the retry path it is there to exercise. These drills send 512
+# requests at a 2% read-fault rate (see EXPERIMENTS.md for the retries
+# seen).
 fault_drill_smoke() {
   local out="build-perf/fault_drill_$1.json"
   shift
@@ -147,7 +158,7 @@ if [ "$#" -eq 0 ] && [ "${DSKS_SKIP_PERF:-0}" != "1" ]; then
 
   # CLI smoke: generate a small SYN dataset, then `dsks_cli query` in all
   # five modes with --trace (and div-com on the file backend). Every trace
-  # line must be the one per-phase rendering: a "query" root and the six
+  # line must be the one per-phase rendering: a "query" root and the five
   # cost fields on every phase. A whole-network div-com query (keyword 0,
   # δmax = 10^6, k = 10) must leave under 10% of its traced time to the
   # root: COM's per-arrival work belongs to a phase. Two crafted dataset
@@ -168,8 +179,7 @@ if [ "$#" -eq 0 ] && [ "${DSKS_SKIP_PERF:-0}" != "1" ]; then
     --k 10 --mode div-com --trace >> build-perf/cli_smoke.out
   python3 - build-perf/cli_smoke.out <<'EOF'
 import json, sys
-fields = {"spans", "ms", "pool_hits", "pool_misses", "disk_reads",
-          "prefetched_pages"}
+fields = {"spans", "ms", "pool_hits", "pool_misses", "disk_reads"}
 traces = [json.loads(line) for line in open(sys.argv[1])
           if line.startswith("{")]
 if len(traces) != 7:
@@ -180,7 +190,7 @@ for trace in traces:
     for phase, cost in trace.items():
         if set(cost) != fields:
             sys.exit(f"cli smoke: phase {phase} has fields {sorted(cost)}")
-print(f"cli smoke: {len(traces)} traces, each with the six fields per phase")
+print(f"cli smoke: {len(traces)} traces, each with the five fields per phase")
 wide = traces[-1]
 share = wide["query"]["ms"] / sum(cost["ms"] for cost in wide.values())
 if share >= 0.10:
@@ -430,10 +440,9 @@ EOF
   fault_drill_smoke file --backend file
   echo "=== file-backend smoke: OK ==="
 
-  # Cold-cache smoke: the prefetch A/B on real files must produce a
-  # schema-valid artifact with cold records, and prefetching must actually
-  # reduce blocking misses there — a silent prefetch regression would
-  # otherwise only show up as slowly eroding cold-start latency.
+  # Cold-cache smoke: the cold series on real files must produce a
+  # schema-valid artifact with cold records, whose every page read is a
+  # demand miss.
   echo "=== cold-cache smoke: bench_throughput --cold on the file backend ==="
   mkdir -p build-perf/cold-smoke
   (cd build-perf/cold-smoke && DSKS_IO_DELAY_US=0 DSKS_BENCH_SCALE=0.3 \
@@ -447,13 +456,14 @@ EOF
   python3 - build-perf/cold-smoke/BENCH_throughput.json <<'EOF'
 import json, sys
 recs = json.load(open(sys.argv[1]))
-for wl in ("sk", "div-com"):
-    misses = {r["prefetch"]: r["pool_misses"] for r in recs
-              if r.get("cold") == 1 and r.get("workload") == wl}
-    if misses.get(1, 1) * 2 > misses.get(0, 0):
-        sys.exit(f"cold-cache smoke: {wl}: prefetch-on misses {misses.get(1)} "
-                 f"not < half of prefetch-off misses {misses.get(0)}")
-    print(f"cold-cache smoke: {wl}: misses {misses[0]} -> {misses[1]}")
+for r in recs:
+    if r.get("cold") != 1:
+        continue
+    if r["pool_misses"] != r["disk_reads"]:
+        sys.exit(f"cold-cache smoke: {r['workload']}: {r['pool_misses']} "
+                 f"misses but {r['disk_reads']} disk reads")
+    print(f"cold-cache smoke: {r['workload']}: {r['disk_reads']} reads, "
+          "each a demand miss")
 EOF
   echo "=== cold-cache smoke: OK ==="
 

@@ -7,7 +7,7 @@
 //   dsks_cli query --data FILE [--index ir|if|sif|sifp|sifg]
 //             --terms T1,T2,... [--object-loc ID] [--delta D]
 //             [--k K] [--mode boolean|knn|ranked|div-seq|div-com]
-//             [--lambda L] [--alpha A] [--trace] [--prefetch on|off]
+//             [--lambda L] [--alpha A] [--trace]
 //       Load a dataset into a Database, build the index, run one query
 //       through Database::Run*Query. The query point is the location of
 //       object --object-loc (default 0). --trace records per-phase spans
@@ -182,7 +182,6 @@ int Usage() {
                "           [--object-loc ID] [--delta 1500] [--k 10]\n"
                "           [--mode boolean|knn|ranked|div-seq|div-com]\n"
                "           [--lambda 0.8] [--alpha 0.5] [--trace]\n"
-               "           [--prefetch on|off]\n"
                "  dsks_cli serve [--port 0] [--preset SYN] [--scale 0.03]\n"
                "           [--index sif] [--threads 4] [--queue 64]\n"
                "           [--deadline-ms 0] [--quota-qps 0]\n"
@@ -415,18 +414,8 @@ int CmdQuery(const Args& args) {
     std::fprintf(stderr, "%s has no objects to query\n", path.c_str());
     return 1;
   }
-  // --prefetch off pins the pool to demand-only reads — the A/B knob for
-  // attributing a query's I/O behavior to speculative batching.
-  const std::string prefetch = args.Get("prefetch", "on");
-  if (prefetch != "on" && prefetch != "off") {
-    std::fprintf(stderr, "--prefetch: want 'on' or 'off', got '%s'\n",
-                 prefetch.c_str());
-    return 2;
-  }
-
   CliBackend backend(args);
   Database db(std::move(net), std::move(objects), backend.options());
-  db.SetPrefetchEnabled(prefetch == "on");
   const Database::IndexBuildInfo built =
       db.BuildIndex(IndexOptionsByName(args.Get("index", "sif")));
   std::printf("built %s in %.0f ms (%.1f MB)\n", db.index()->name().c_str(),
@@ -454,10 +443,8 @@ int CmdQuery(const Args& args) {
   }
   Timer timer;
   const Status status = RunCliQuery(&db, q, &ctx);
-  std::printf("query time %.1f ms, %llu page reads, %llu prefetched\n",
-              timer.ElapsedMillis(),
-              static_cast<unsigned long long>(ctx.io.disk_reads),
-              static_cast<unsigned long long>(ctx.io.prefetched_pages));
+  std::printf("query time %.1f ms, %llu page reads\n", timer.ElapsedMillis(),
+              static_cast<unsigned long long>(ctx.io.disk_reads));
   if (ctx.trace != nullptr) {
     std::printf("%s\n", obs::PhasesJson(trace.AggregateByPhase()).c_str());
   }
@@ -885,7 +872,7 @@ int Main(int argc, char** argv) {
       {"query",
        CmdQuery,
        {"data", "terms", "index", "object-loc", "delta", "k", "mode", "lambda",
-        "alpha", "trace", "prefetch", "backend", "backend-path"}},
+        "alpha", "trace", "backend", "backend-path"}},
       {"serve",
        CmdServe,
        {"port", "preset", "scale", "index", "threads", "queue", "deadline-ms",

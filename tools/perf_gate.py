@@ -100,12 +100,9 @@ MEASUREMENT_SCHEMA = {
         "backend": {"type": "string"},
         "workload": {"type": "string"},
         # cache regime: 1 when the pool was cleared before every query
-        # (cold-cache A/B runs), 0 for the steady-state warm series. The
+        # (the cold-cache series), 0 for the steady-state warm series. The
         # perf gate refuses to grade one regime against the other.
         "cold": {"type": "integer", "min": 0},
-        # 1 when speculative prefetching was enabled for the run; cold
-        # records come in off/on pairs so the miss reduction is auditable
-        "prefetch": {"type": "integer", "min": 0},
         "threads": {"type": "integer", "min": 1},
         "queries": {"type": "integer", "min": 1},
         "wall_ms": NUM,
@@ -143,7 +140,6 @@ PHASE_PROFILE_SCHEMA = {
                     "pool_hits": {"type": "integer", "min": 0},
                     "pool_misses": {"type": "integer", "min": 0},
                     "disk_reads": {"type": "integer", "min": 0},
-                    "prefetched_pages": {"type": "integer", "min": 0},
                 },
             },
         },
@@ -247,17 +243,10 @@ def validate_bench(path) -> int:
                     f"$[{i}]: fault-free bench reports error_rate "
                     f"{rec['error_rate']}"
                 )
-            # Cold records exist to audit the prefetch miss reduction, so
-            # they must carry the counters that reduction is computed from.
+            # Cold records exist to show a query's full miss path, so they
+            # must carry its page counts.
             if rec.get("cold") == 1:
-                for key in (
-                    "pool_misses",
-                    "disk_reads",
-                    "prefetch_issued",
-                    "prefetch_hits",
-                    "prefetch_wasted",
-                    "prefetch_dropped",
-                ):
+                for key in ("pool_misses", "disk_reads"):
                     if key not in rec:
                         errors.append(f"$[{i}]: cold record missing '{key}'")
                     else:
