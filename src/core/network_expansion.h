@@ -21,11 +21,10 @@ namespace dsks {
 ///
 /// The expansion owns the state (in an ExpansionScratch), the settle
 /// counter, and the context's deadline poll every kPollInterval settles.
-/// Adjacency is read
-/// through the context's AdjacencyMemo, so the expansions of one query
-/// fetch each node from the pool at most once between them. Adjacency
-/// fetches have a sticky status: the first error or cancellation stops the
-/// expansion. The plain loop:
+/// Adjacency is read through the context's AdjacencyMemo, so the
+/// expansions of one query fetch each node from the pool at most once
+/// between them. Adjacency fetches have a sticky status: the first error
+/// or cancellation stops the expansion. The plain loop:
 ///
 ///   x.Seed(edge.n1, edge.n2, edge.weight, edge.w1);
 ///   while (x.Settle(&v, &d)) {

@@ -29,9 +29,9 @@ struct IoCounters {
 
 /// Thread-affine I/O attribution: the storage layer charges every pool
 /// hit/miss and disk read to the IoCounters the *calling thread* has
-/// installed here (in addition to the global relaxed-atomic
-/// stats), so a query's context accumulates exactly the I/O that query
-/// caused — other threads charge their own accounts. Queries only read:
+/// installed here (in addition to the global relaxed-atomic stats), so a
+/// query's context accumulates exactly the I/O that query caused — other
+/// threads charge their own accounts. Queries only read:
 /// index builders write their pages with no account installed, so page
 /// writes are counted in DiskStats alone.
 ///

@@ -163,9 +163,9 @@ class BufferPool {
   /// (CHECK-enforced).
   Status FetchPages(std::span<const PageId> ids, std::span<char*> outs);
 
-  /// The largest FetchPages batch: the read requests of one live on the
-  /// caller's stack. PostingFile::ForEachEntry's chunks are the largest
-  /// in-tree batch (16 pages).
+  /// The largest FetchPages batch, so that a batch's read requests fit on
+  /// the caller's stack. PostingFile::ForEachEntry's 16-page chunks are
+  /// the largest batch in the tree.
   static constexpr size_t kMaxBatchPages = 32;
 
   /// Releases one pin. `dirty` must be false: the pool never writes a page

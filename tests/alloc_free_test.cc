@@ -1,13 +1,14 @@
 // Pins the query hot path to zero heap allocations once warm: buffer-pool
 // hits through FetchPage and PageGuard, misses that evict, a batched
-// FetchPages, CCAM adjacency reads, B+tree Get, Algorithm 2 (LoadObjects
-// on IF and SIF) and NetworkExpansion settles through the adjacency memo. This binary replaces
-// the global operator new with one that counts every call and tracks the
-// bytes it holds; each test warms its path once (frames, page table and
-// vectors reach their high-water mark), then asserts that repeating the
-// path allocates nothing. It also bounds what an IF and a SIF build
-// allocate by the keywords and pages, not the (keyword, edge) runs, and
-// the most heap they hold at once by 4 bytes per posting, and prints both.
+// FetchPages, CCAM adjacency reads, Algorithm 2 (LoadObjects on IF and
+// SIF, B+tree lookups included) and NetworkExpansion settles through the
+// adjacency memo. This binary replaces the global operator new with one
+// that counts every call and tracks the bytes it holds; each test warms
+// its path once (frames, page table and vectors reach their high-water
+// mark), then asserts that repeating the path allocates nothing. It also
+// bounds what an IF and a SIF build allocate by the keywords and pages,
+// not the (keyword, edge) runs, and the most heap they hold at once by 4
+// bytes per posting, and prints both.
 //
 // The exceptions, each named in DESIGN.md "Hot-path memory model":
 //  * a failed read: its Status carries a heap-allocated message ("injected
@@ -31,13 +32,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "btree/bplus_tree.h"
 #include "core/div_search.h"
 #include "core/network_expansion.h"
 #include "core/query.h"
@@ -357,39 +356,6 @@ TEST(AllocFreeTest, FailedReadAllocatesOnlyItsStatus) {
   EXPECT_EQ(retry, 0u);
   EXPECT_EQ(data[0], FillByte(0));
   pool.UnpinPage(victim, /*dirty=*/false);
-}
-
-TEST(AllocFreeTest, BPlusTreeGetAllocatesNothing) {
-  TestDisk disk;
-  BufferPool pool(disk.get(), 256);
-  // Three trees of two levels, so every lookup descends an internal node.
-  std::vector<BPlusTree> trees;
-  const size_t n = BPlusTree::LeafCapacity() * 3;
-  for (uint64_t t = 0; t < 3; ++t) {
-    std::vector<std::pair<uint64_t, uint64_t>> pairs;
-    for (uint64_t k = 0; k < n; ++k) {
-      pairs.emplace_back(k * 3 + t, k * 10 + t);
-    }
-    trees.push_back(BPlusTree::BulkLoad(&pool, pairs));
-  }
-  std::optional<uint64_t> result;
-  auto lookups = [&] {
-    size_t found = 0;
-    for (uint64_t k = 0; k < n * 3; k += 7) {
-      for (const BPlusTree& tree : trees) {
-        if (!tree.Get(k, &result).ok()) {
-          return size_t{0};
-        }
-        found += result.has_value() ? 1 : 0;
-      }
-    }
-    return found;
-  };
-  const size_t want = lookups();  // warm
-  ASSERT_GT(want, 0u);
-  size_t found = 0;
-  EXPECT_EQ(AllocationsDuring([&] { found = lookups(); }), 0u);
-  EXPECT_EQ(found, want);
 }
 
 /// Forwards to the wrapped index and records every probe, so a test can
