@@ -1,9 +1,10 @@
 // Golden deterministic counters. For every query kind, the exact totals
-// over a seeded workload on a cold pool: a hash of the results (ids plus bit-exact distances, scores or objectives), the
-// search's settle and edge counts, the oracle's fields and pairs, and the
-// buffer-pool and disk counters. A refactor of the search, oracle, index or
-// storage layers that moves one page access or one settle fails here. A
-// second suite pins, per index kind, a hash of the built disk image.
+// over a seeded workload on a cold pool: a hash of the results (ids plus
+// bit-exact distances, scores or objectives), the search's settle and
+// edge counts, the oracle's fields and pairs, and the buffer-pool and
+// disk counters. A refactor of the search, oracle, index or storage
+// layers that moves one page access or one settle fails here. A second
+// suite pins, per index kind, a hash of the built disk image.
 //
 // The constants hold on both storage backends (DSKS_TEST_BACKEND=file runs
 // the same binary on a real index file). When a change is meant to move
