@@ -58,19 +58,21 @@ int main() {
     index_pool.SetCapacity(std::max<size_t>(
         64, static_cast<size_t>(
                 0.02 * static_cast<double>(index.SizeBytes() / kPageSize))));
-    disk.mutable_stats()->Reset();
-    ccam_pool.mutable_stats()->Reset();
-    disk.set_read_delay_us(50.0);
+    disk.ResetStats();
+    ccam_pool.ResetStats();
 
-    Timer timer;
-    for (const WorkloadQuery& wq : wl.queries) {
-      IncrementalSkSearch search(&graph, &index, wq.sk, wq.edge);
-      SkResult r;
-      while (search.Next(&r)) {
+    double ms = 0.0;
+    {
+      ScopedIoDelay delay(&disk);
+      Timer timer;
+      for (const WorkloadQuery& wq : wl.queries) {
+        IncrementalSkSearch search(&graph, &index, wq.sk, wq.edge);
+        SkResult r;
+        while (search.Next(&r)) {
+        }
       }
+      ms = timer.ElapsedMillis() / static_cast<double>(wl.queries.size());
     }
-    const double ms =
-        timer.ElapsedMillis() / static_cast<double>(wl.queries.size());
     const double graph_io = static_cast<double>(ccam_pool.stats().misses) /
                             static_cast<double>(wl.queries.size());
     table.AddRow({v.name,

@@ -44,7 +44,7 @@ int main() {
     double ine_ms = 0.0;
     double answers = 0.0;
     {
-      db.disk()->set_read_delay_us(50.0);
+      ScopedIoDelay delay(db.disk());
       Timer timer;
       std::vector<SkResult> results;
       for (const WorkloadQuery& wq : wl.queries) {
@@ -52,7 +52,6 @@ int main() {
         answers += static_cast<double>(results.size());
       }
       ine_ms = timer.ElapsedMillis() / static_cast<double>(wl.queries.size());
-      db.disk()->set_read_delay_us(0.0);
       answers /= static_cast<double>(wl.queries.size());
     }
 
@@ -65,7 +64,7 @@ int main() {
     double fr_ms = 0.0;
     double candidates = 0.0;
     {
-      db.disk()->set_read_delay_us(50.0);
+      ScopedIoDelay delay(db.disk());
       Timer timer;
       for (const WorkloadQuery& wq : wl.queries) {
         EuclideanBaselineStats stats;
@@ -77,7 +76,6 @@ int main() {
         candidates += static_cast<double>(stats.euclidean_candidates);
       }
       fr_ms = timer.ElapsedMillis() / static_cast<double>(wl.queries.size());
-      db.disk()->set_read_delay_us(0.0);
       candidates /= static_cast<double>(wl.queries.size());
     }
 

@@ -67,12 +67,12 @@ obs::FlightRecorder* g_recorder = nullptr;
 
 /// Cold-cache series: single-threaded, the buffer pool cleared before
 /// every query so each one pays its full miss path — the regime where
-/// batched misses show up (a warm pool hides them).
+/// misses show up (a warm pool hides them).
 void RunColdSeries(const char* workload, Database* db, const Workload& wl,
                    bool div) {
   // Sleeping delay, not the sequential harness's busy-wait: a blocking
   // read that frees the core, like the warm series.
-  ScopedIoDelay delay(db, /*yielding=*/true);
+  ScopedIoDelay delay(db->disk(), /*yielding=*/true);
   QueryContext ctx;
   db->ResetCounters();
   obs::Histogram hist;
@@ -137,7 +137,7 @@ void EmitPhaseProfile(const char* workload, Database* db, const Workload& wl,
   // Spin-wait delay like the sequential harness so phase times include
   // the simulated I/O cost. Database::Run* binds the trace to the
   // context's own I/O counters.
-  ScopedIoDelay delay(db);
+  ScopedIoDelay delay(db->disk());
   db->ResetCounters();
   obs::QueryTrace trace;
   QueryContext ctx;
@@ -177,7 +177,7 @@ void RunSeries(const char* workload, Database* db, const Workload& wl,
   db->ResetCounters();
   // Yielding delay: a blocked "disk read" frees its core, as a read from
   // a real disk would.
-  ScopedIoDelay delay(db, /*yielding=*/true);
+  ScopedIoDelay delay(db->disk(), /*yielding=*/true);
   obs::MetricsRegistry registry;
   ExecutorConfig config;
   config.metrics = &registry;

@@ -168,8 +168,8 @@ void Database::PrepareForQueries(double fraction, size_t min_frames) {
 }
 
 void Database::ResetCounters() {
-  disk_.mutable_stats()->Reset();
-  pool_->mutable_stats()->Reset();
+  disk_.ResetStats();
+  pool_->ResetStats();
   if (index_ != nullptr) {
     index_->stats().Reset();
   }

@@ -10,21 +10,22 @@
 
 namespace dsks {
 
-ScopedIoDelay::ScopedIoDelay(Database* db, bool yielding) : db_(db) {
+ScopedIoDelay::ScopedIoDelay(DiskManager* disk, bool yielding)
+    : disk_(disk) {
   const char* env = std::getenv("DSKS_IO_DELAY_US");
-  db_->disk()->set_read_delay_us(env == nullptr ? 50.0 : std::atof(env));
-  db_->disk()->set_read_delay_yields(yielding);
+  disk_->set_read_delay_us(env == nullptr ? 50.0 : std::atof(env));
+  disk_->set_read_delay_yields(yielding);
 }
 
 ScopedIoDelay::~ScopedIoDelay() {
-  db_->disk()->set_read_delay_us(0.0);
-  db_->disk()->set_read_delay_yields(false);
+  disk_->set_read_delay_us(0.0);
+  disk_->set_read_delay_yields(false);
 }
 
 SkWorkloadMetrics RunSkWorkload(Database* db, const Workload& workload) {
   DSKS_CHECK_MSG(!workload.queries.empty(), "empty workload");
   SkWorkloadMetrics m;
-  ScopedIoDelay delay(db);
+  ScopedIoDelay delay(db->disk());
   QueryContext ctx;  // reused across the whole workload
   for (const WorkloadQuery& wq : workload.queries) {
     db->ResetCounters();
@@ -56,7 +57,7 @@ DivWorkloadMetrics RunDivWorkload(Database* db, const Workload& workload,
                                   size_t k, double lambda, bool use_com) {
   DSKS_CHECK_MSG(!workload.queries.empty(), "empty workload");
   DivWorkloadMetrics m;
-  ScopedIoDelay delay(db);
+  ScopedIoDelay delay(db->disk());
   QueryContext ctx;  // reused across the whole workload
   for (const WorkloadQuery& wq : workload.queries) {
     DivQuery dq;

@@ -7,12 +7,13 @@
 
 #include "datagen/workload.h"
 #include "harness/database.h"
+#include "storage/disk_manager.h"
 
 namespace dsks {
 
-/// Applies the simulated per-read disk latency for the duration of a
-/// measured workload (not during index builds). Default 50us; override
-/// with DSKS_IO_DELAY_US (0 disables — pure CPU timing).
+/// Applies the simulated per-read disk latency to `disk` for the duration
+/// of a measured workload (not during index builds). Default 50us;
+/// override with DSKS_IO_DELAY_US (0 disables — pure CPU timing).
 ///
 /// `yielding` selects DiskManager's sleep mode: the waiting thread blocks
 /// and frees its core like a real disk read would, so concurrent queries
@@ -20,14 +21,14 @@ namespace dsks {
 /// (scheduler-independent timings).
 class ScopedIoDelay {
  public:
-  explicit ScopedIoDelay(Database* db, bool yielding = false);
+  explicit ScopedIoDelay(DiskManager* disk, bool yielding = false);
   ~ScopedIoDelay();
 
   ScopedIoDelay(const ScopedIoDelay&) = delete;
   ScopedIoDelay& operator=(const ScopedIoDelay&) = delete;
 
  private:
-  Database* db_;
+  DiskManager* disk_;
 };
 
 /// Workload-averaged SK search metrics — the quantities the paper's §5.1

@@ -57,14 +57,12 @@ class PostingFile {
   void Finish();
 
   /// Hands every entry of a run, in position order, to `fn(const Entry&)`
-  /// straight off the pinned pages: nothing is copied or allocated. A
-  /// run's page extent is fully known from its locator, so a multi-page
-  /// run is fetched in batched chunks of up to kChunkPages (one disk round
-  /// trip per chunk on a cold cache instead of one per page); the bound
-  /// keeps the number of simultaneously pinned frames small next to the
-  /// paper's 2% pool. A chunk stays pinned while `fn` sees its entries, so
-  /// `fn` must not fetch pages. On a disk error `fn` has seen the entries
-  /// read so far; discard what it built.
+  /// straight off the pinned page: nothing is copied or allocated. The run
+  /// is walked one page at a time under a PageGuard, so one page is pinned
+  /// at once and each page costs one pool access (one read when cold). A
+  /// page stays pinned while `fn` sees its entries, so `fn` must not fetch
+  /// pages. On a disk error nothing stays pinned and `fn` has seen the
+  /// entries of the pages before the failed one; discard what it built.
   template <typename Fn>
   Status ForEachEntry(Locator locator, Fn&& fn) const;
 
@@ -86,9 +84,6 @@ class PostingFile {
   //   u32 object, u16 pos, u16 reserved, f64 w1
   static constexpr size_t kEntrySize = 16;
   static constexpr size_t kEntriesPerPage = kPageSize / kEntrySize;
-  /// Pages one FetchPages call of ForEachEntry pins at most.
-  static constexpr size_t kChunkPages = 16;
-  static_assert(kChunkPages <= BufferPool::kMaxBatchPages);
 
   static Locator PackLocator(PageId page, uint32_t slot, uint32_t count) {
     return (static_cast<uint64_t>(page) << 32) |
@@ -142,27 +137,13 @@ Status PostingFile::ForEachEntry(Locator locator, Fn&& fn) const {
   uint32_t slot;
   uint32_t count;
   UnpackLocator(locator, &page, &slot, &count);
-  while (count > 0) {
-    const size_t span_pages =
-        (slot + count + kEntriesPerPage - 1) / kEntriesPerPage;
-    const size_t n = span_pages < kChunkPages ? span_pages : kChunkPages;
-    PageId ids[kChunkPages];
-    char* datas[kChunkPages];
-    for (size_t i = 0; i < n; ++i) {
-      ids[i] = page + static_cast<PageId>(i);
+  PageGuard guard;
+  for (; count > 0; ++page, slot = 0) {
+    // Fetch unpins the previous page first.
+    DSKS_RETURN_IF_ERROR(PageGuard::Fetch(pool_, page, &guard));
+    for (; slot < kEntriesPerPage && count > 0; ++slot, --count) {
+      fn(ReadEntry(guard.data(), slot));
     }
-    DSKS_RETURN_IF_ERROR(pool_->FetchPages(std::span<const PageId>(ids, n),
-                                           std::span<char*>(datas, n)));
-    for (size_t i = 0; i < n; ++i) {
-      for (; slot < kEntriesPerPage && count > 0; ++slot, --count) {
-        fn(ReadEntry(datas[i], slot));
-      }
-      slot = 0;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      pool_->UnpinPage(ids[i], /*dirty=*/false);
-    }
-    page += static_cast<PageId>(n);
   }
   return Status::Ok();
 }

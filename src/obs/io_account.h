@@ -35,10 +35,9 @@ struct IoCounters {
 /// index builders write their pages with no account installed, so page
 /// writes are counted in DiskStats alone.
 ///
-/// Single owner: every storage read, batched or not, runs on the thread
-/// that issued it (see DESIGN.md "Threading model"), so the installed
-/// counters are only ever touched by their owning thread and need no
-/// atomics.
+/// Single owner: every storage read runs on the thread that issued it
+/// (see DESIGN.md "Threading model"), so the installed counters are only
+/// ever touched by their owning thread and need no atomics.
 ///
 /// Null (the default) means unattributed: the charge helpers reduce to a
 /// thread-local load and a branch, which is what keeps the storage hot

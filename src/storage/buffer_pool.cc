@@ -1,9 +1,6 @@
 #include "storage/buffer_pool.h"
 
-#include <array>
 #include <memory>
-#include <optional>
-#include <utility>
 
 #include "common/macros.h"
 #include "obs/io_account.h"
@@ -12,36 +9,6 @@
 namespace dsks {
 
 namespace {
-
-/// The read requests of one claim pass, on the caller's stack. A pass
-/// that claims nothing, such as a FetchPages of hits, never constructs
-/// them.
-class ReadRequests {
- public:
-  bool empty() const { return size_ == 0; }
-  void clear() { size_ = 0; }
-
-  void Add(PageId id, char* out) {
-    if (!slots_.has_value()) {
-      slots_.emplace();
-    }
-    PageReadRequest& req = (*slots_)[size_++];
-    req.id = id;
-    req.out = out;
-    req.data = nullptr;
-    req.status = Status::Ok();
-  }
-
-  std::span<PageReadRequest> span() {
-    return slots_.has_value() ? std::span(*slots_).first(size_)
-                              : std::span<PageReadRequest>();
-  }
-
- private:
-  std::optional<std::array<PageReadRequest, BufferPool::kMaxBatchPages>>
-      slots_;
-  size_t size_ = 0;
-};
 
 /// The pool hands pages out as `char*`, but they are read-only by contract:
 /// a lent page is the disk's stored image.
@@ -66,17 +33,6 @@ BufferPool::~BufferPool() {
 uint32_t BufferPool::FindFrameLocked(PageId id) const {
   const uint32_t* index = page_table_.find(id);
   return index == nullptr ? kNoFrame : *index;
-}
-
-const char* BufferPool::PinHitLocked(uint32_t index) {
-  Frame& frame = frames_[index];
-  stats_.hits.fetch_add(1, std::memory_order_relaxed);
-  obs::ChargePoolHit();
-  if (frame.pin_count == 0) {
-    UnlinkLruLocked(index);
-  }
-  ++frame.pin_count;
-  return frame.data;
 }
 
 char* BufferPool::ClaimFrameLocked(PageId id) {
@@ -117,31 +73,6 @@ void BufferPool::ReleaseFrameLocked(uint32_t index) {
   free_head_ = index;
 }
 
-void BufferPool::ReadClaimedLocked(std::unique_lock<std::mutex>* lock,
-                                   std::span<PageReadRequest> reqs) {
-  // Read outside the latch so reads of different pages overlap. The
-  // claimed frames are pinned and off the LRU, so nothing evicts them
-  // meanwhile, and their buffers stay put while other threads' claims grow
-  // the frame array; their indexes are looked up again below.
-  lock->unlock();
-  disk_->ReadPages(reqs);
-  lock->lock();
-  for (const PageReadRequest& req : reqs) {
-    const uint32_t index = FindFrameLocked(req.id);
-    DSKS_CHECK(index != kNoFrame);
-    if (req.status.ok()) {
-      // The frame's own buffer, or the page the disk lent.
-      frames_[index].data = req.data;
-      frames_[index].io_in_progress = false;
-    } else {
-      // Free the failed frame so waiters, and later fetches, retry from
-      // scratch instead of pinning garbage.
-      ReleaseFrameLocked(index);
-    }
-  }
-  io_done_.notify_all();
-}
-
 void BufferPool::AppendLruLocked(uint32_t index) {
   Frame& frame = frames_[index];
   frame.prev = lru_tail_;
@@ -170,117 +101,55 @@ void BufferPool::UnlinkLruLocked(uint32_t index) {
 
 Status BufferPool::FetchPage(PageId id, char** out) {
   std::unique_lock<std::mutex> lock(latch_);
-  // The resident check stays inline so that a hit, which most fetches
-  // are, skips the batch machinery.
+  for (uint32_t index = FindFrameLocked(id); index != kNoFrame;
+       index = FindFrameLocked(id)) {
+    Frame& frame = frames_[index];
+    if (!frame.io_in_progress) {
+      stats_.hits.fetch_add(1, std::memory_order_relaxed);
+      obs::ChargePoolHit();
+      if (frame.pin_count == 0) {
+        UnlinkLruLocked(index);
+      }
+      ++frame.pin_count;
+      *out = PageOut(frame.data);
+      return Status::Ok();
+    }
+    // Another thread is reading the page. The latch has been held since
+    // the frame was seen in flight, so its publish or release, and the
+    // wakeup, are still ahead; the page may be gone after it.
+    io_done_.wait(lock);
+  }
+  stats_.misses.fetch_add(1, std::memory_order_relaxed);
+  obs::ChargePoolMiss();
+  char* buffer = ClaimFrameLocked(id);
+  // Read outside the latch so reads of different pages overlap. The
+  // claimed frame is pinned and off the LRU, so nothing evicts it
+  // meanwhile, and its buffer stays put while other threads' claims grow
+  // the frame array; its index is looked up again below.
+  lock.unlock();
+  const char* data = nullptr;
+  Status s = disk_->ReadPage(id, buffer, &data);
+  lock.lock();
   const uint32_t index = FindFrameLocked(id);
-  if (index != kNoFrame && !frames_[index].io_in_progress) {
-    *out = PageOut(PinHitLocked(index));
-    return Status::Ok();
+  DSKS_CHECK(index != kNoFrame);
+  if (s.ok()) {
+    // The frame's own buffer, or the page the disk lent; the claim's pin
+    // is this call's.
+    frames_[index].data = data;
+    frames_[index].io_in_progress = false;
+    *out = PageOut(data);
+  } else {
+    // Free the failed frame, and with it the claim's pin, so waiters and
+    // later fetches retry from scratch instead of pinning garbage.
+    ReleaseFrameLocked(index);
   }
-  char* page = nullptr;  // a failed fetch leaves *out untouched
-  DSKS_RETURN_IF_ERROR(FetchPagesLocked(&lock, std::span<const PageId>(&id, 1),
-                                        std::span<char*>(&page, 1)));
-  *out = page;
-  return Status::Ok();
-}
-
-Status BufferPool::FetchPages(std::span<const PageId> ids,
-                              std::span<char*> outs) {
-  DSKS_CHECK_MSG(ids.size() == outs.size(),
-                 "FetchPages needs one output slot per page id");
-  DSKS_CHECK_MSG(ids.size() <= kMaxBatchPages,
-                 "FetchPages batch larger than kMaxBatchPages");
-#ifndef NDEBUG
-  for (size_t i = 0; i < ids.size(); ++i) {
-    for (size_t j = i + 1; j < ids.size(); ++j) {
-      DSKS_DCHECK_MSG(ids[i] != ids[j], "FetchPages ids must be distinct");
-    }
-  }
-#endif
-  for (char*& out : outs) {
-    out = nullptr;
-  }
-  std::unique_lock<std::mutex> lock(latch_);
-  return FetchPagesLocked(&lock, ids, outs);
-}
-
-Status BufferPool::FetchPagesLocked(std::unique_lock<std::mutex>* lock,
-                                    std::span<const PageId> ids,
-                                    std::span<char*> outs) {
-  ReadRequests reqs;
-  for (;;) {
-    // Classify every page not pinned yet: pin the resident ones, claim the
-    // missing ones, and leave those in flight on another thread for a
-    // later pass. Waiting here, with claimed frames still unread, could
-    // deadlock two calls that each wait on a frame the other claimed.
-    bool in_flight = false;
-    reqs.clear();
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (outs[i] != nullptr) {
-        continue;
-      }
-      const uint32_t index = FindFrameLocked(ids[i]);
-      if (index == kNoFrame) {
-        stats_.misses.fetch_add(1, std::memory_order_relaxed);
-        obs::ChargePoolMiss();
-        // The claim's pin is this call's; the slot gets the page once read.
-        reqs.Add(ids[i], ClaimFrameLocked(ids[i]));
-      } else if (frames_[index].io_in_progress) {
-        in_flight = true;
-      } else {
-        outs[i] = PageOut(PinHitLocked(index));
-      }
-    }
-    if (reqs.empty()) {
-      if (!in_flight) {
-        return Status::Ok();
-      }
-      // Wait only after a pass that claimed nothing: the latch has been
-      // held since each in-flight page was seen, so its read's wakeup is
-      // still ahead. Right after a read of our own it may have gone by.
-      io_done_.wait(*lock);
-      continue;
-    }
-    ReadClaimedLocked(lock, reqs.span());
-    // Give each claimed slot its page in one forward walk. Claims were made
-    // in slot order, and the pass saw any other unpinned slot of a claimed
-    // page only after the claim (as in flight), so the first unpinned slot
-    // of the request's page is its own.
-    Status first = Status::Ok();
-    size_t slot = 0;
-    for (PageReadRequest& req : reqs.span()) {
-      while (outs[slot] != nullptr || ids[slot] != req.id) {
-        ++slot;
-      }
-      if (req.status.ok()) {
-        outs[slot] = PageOut(req.data);
-      } else if (first.ok()) {
-        // The read step freed the frame, and with it this call's pin.
-        first = std::move(req.status);
-      }
-      ++slot;
-    }
-    if (!first.ok()) {
-      // All-or-nothing: release every pin this call took so the caller has
-      // nothing to clean up (the per-page contract of FetchPage, batched).
-      for (size_t i = 0; i < ids.size(); ++i) {
-        if (outs[i] != nullptr) {
-          UnpinPageLocked(ids[i]);
-          outs[i] = nullptr;
-        }
-      }
-      return first;
-    }
-  }
+  io_done_.notify_all();
+  return s;
 }
 
 void BufferPool::UnpinPage(PageId id, bool dirty) {
   DSKS_CHECK_MSG(!dirty, "the buffer pool is read-only: no page is dirty");
   std::lock_guard<std::mutex> lock(latch_);
-  UnpinPageLocked(id);
-}
-
-void BufferPool::UnpinPageLocked(PageId id) {
   const uint32_t index = FindFrameLocked(id);
   DSKS_CHECK_MSG(index != kNoFrame, "unpin of page not in pool");
   Frame& frame = frames_[index];

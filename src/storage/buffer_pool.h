@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -70,9 +69,6 @@ struct BufferPoolStats {
     s.evictions = evictions.load(std::memory_order_relaxed);
     return s;
   }
-
-  uint64_t accesses() const { return Snapshot().accesses(); }
-  double hit_rate() const { return Snapshot().hit_rate(); }
 };
 
 /// Fixed-capacity LRU read cache over a DiskManager, mirroring the paper's
@@ -85,11 +81,10 @@ struct BufferPoolStats {
 /// therefore always a clean copy of its page, and eviction just drops the
 /// least-recently-used unpinned frame.
 ///
-/// One read path: a page enters the pool only when a FetchPage/FetchPages
-/// caller asks for it. It is claimed (a pinned, in-flight frame), read in
-/// one DiskManager::ReadPages batch and published, so every page read is a
-/// demand miss. FetchPage is an inline resident check in front of a
-/// FetchPages batch of one.
+/// One read path: a page enters the pool only when a FetchPage caller asks
+/// for it. It is claimed (a pinned, in-flight frame), read with one
+/// DiskManager::ReadPage and published, so every page read is a demand
+/// miss.
 ///
 /// Storage allocates nothing once warm. Frames live in one array and are
 /// named by their index. On a disk that copies (the file backend) each
@@ -106,9 +101,7 @@ struct BufferPoolStats {
 /// and its buffer without zero-filling it (the read overwrites every
 /// byte). Frames are never released, so frame memory is bounded by the
 /// frame high-water mark: the most frames ever resident or in flight at
-/// once, which is `capacity()` plus any overflow (see below). A
-/// FetchPages batch keeps its read requests on the stack: it is at most
-/// kMaxBatchPages pages.
+/// once, which is `capacity()` plus any overflow (see below).
 ///
 /// Thread safety: all public methods are safe to call from multiple threads
 /// concurrently. The frame array, page table, LRU and free list are
@@ -141,32 +134,16 @@ class BufferPool {
   /// always-on check.
   ~BufferPool();
 
-  /// Pins page `id` and stores a pointer to its contents in `*out`; the
-  /// pointer stays valid until the matching UnpinPage. Pin pressure never
-  /// fails (the pool over-allocates a temporary frame instead); a non-OK
-  /// status (IOError / Corruption from the disk read) means the page is
-  /// NOT pinned and `*out` is untouched, so there is nothing to unpin.
+  /// The pool's one way in. Pins page `id` and stores a pointer to its
+  /// contents in `*out`; the pointer stays valid until the matching
+  /// UnpinPage. A resident page is a hit. A missing page is claimed, read
+  /// outside the latch and published (or, if the read fails, released).
+  /// A page another thread is reading is waited for, then looked up
+  /// again. Pin pressure never fails (the pool over-allocates a temporary
+  /// frame instead); a non-OK status (IOError / Corruption from the disk
+  /// read) means the page is NOT pinned and `*out` is untouched, so there
+  /// is nothing to unpin.
   Status FetchPage(PageId id, char** out);
-
-  /// Batched FetchPage: pins every page of `ids` (same contract per page
-  /// as FetchPage) resolving all misses with a single DiskManager batch
-  /// read and one latch pass, so K cold pages cost one device round trip
-  /// instead of K. Pages another thread is reading are waited for — only
-  /// after this call's own claimed reads are done, so two concurrent
-  /// calls never wait on each other. All-or-nothing: on any page's
-  /// failure every pin this call took is released and the first error is
-  /// returned (`outs` is then unspecified, nothing is left pinned). `ids`
-  /// must be duplicate-free (asserted in debug builds). A release build
-  /// tolerates a duplicate: the call reads its own claims before it looks
-  /// at a page again, so the duplicate is pinned twice, counted as one
-  /// miss and one hit, and needs two unpins. At most kMaxBatchPages ids
-  /// (CHECK-enforced).
-  Status FetchPages(std::span<const PageId> ids, std::span<char*> outs);
-
-  /// The largest FetchPages batch, so that a batch's read requests fit on
-  /// the caller's stack. PostingFile::ForEachEntry's 16-page chunks are
-  /// the largest batch in the tree.
-  static constexpr size_t kMaxBatchPages = 32;
 
   /// Releases one pin. `dirty` must be false: the pool never writes a page
   /// back (CHECK-enforced). If the pool is over capacity (overflow frames
@@ -200,7 +177,6 @@ class BufferPool {
   uint64_t frame_bytes() const;
 
   const BufferPoolStats& stats() const { return stats_; }
-  BufferPoolStats* mutable_stats() { return &stats_; }
   /// One coherent read of all counters (see BufferPoolStatsSnapshot).
   BufferPoolStatsSnapshot stats_snapshot() const { return stats_.Snapshot(); }
   /// Zeroes the counters; used between bench phases so each phase's
@@ -255,7 +231,7 @@ class BufferPool {
   /// Requires latch_ held.
   uint32_t FindFrameLocked(PageId id) const;
 
-  /// The claim step of every page entering the pool (FetchPagesLocked):
+  /// The claim step of every page entering the pool (FetchPage):
   /// evicts one frame if the pool is full — best effort, see
   /// TryEvictOneLocked — then gives `id` a frame from the free list, or a
   /// new one when the list is empty, pinned once and in flight. Returns the
@@ -268,32 +244,10 @@ class BufferPool {
   /// LRU, or the whole LRU about to be emptied (Clear).
   void ReleaseFrameLocked(uint32_t index);
 
-  /// The read step of FetchPagesLocked: releases the latch, reads every
-  /// claimed frame of `reqs` with one DiskManager::ReadPages call,
-  /// retakes the latch, marks each success resident at its `data` (still
-  /// pinned by its claim) and frees each failure, then wakes the fetchers
-  /// waiting on io_done_. Requires latch_ held through `*lock`.
-  void ReadClaimedLocked(std::unique_lock<std::mutex>* lock,
-                         std::span<PageReadRequest> reqs);
-
   /// Link an unpinned frame in at the most-recently-used end of the LRU,
   /// or out of it. Both require latch_ held.
   void AppendLruLocked(uint32_t index);
   void UnlinkLruLocked(uint32_t index);
-
-  /// FetchPages' body, shared with FetchPage's miss path. `outs` must be
-  /// all null on entry (null marks "not pinned by this call"). Requires
-  /// latch_ held through `*lock`.
-  Status FetchPagesLocked(std::unique_lock<std::mutex>* lock,
-                          std::span<const PageId> ids, std::span<char*> outs);
-
-  /// Pins frame `index` as a hit: hit accounting, LRU removal, pin count.
-  /// Returns the page's bytes. Requires latch_ held and the frame
-  /// resident, not in flight.
-  const char* PinHitLocked(uint32_t index);
-
-  /// UnpinPage's body; requires latch_ held.
-  void UnpinPageLocked(PageId id);
 
   DiskManager* disk_;
   /// disk_->lends_pages(): frames then own no buffer.

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "common/status.h"
@@ -40,24 +39,6 @@ struct DiskOptions {
 /// pages by every backend.
 uint32_t ZeroPageCrc();
 
-/// One page of a read (DiskBackend::ReadPages / DiskManager::ReadPages; a
-/// single-page read is a batch of one). The caller fills `id` and `out`;
-/// the backend fills `data`, `expected_crc` and `status` with the same
-/// values whatever the batch around the page. Statuses are per page: one
-/// failed page does not poison its batch mates.
-///
-/// `out` may be null only on a backend that lends its pages
-/// (DiskBackend::lends_pages): the backend then copies nothing and points
-/// `data` at its own stored image, which stays valid until TruncatePages
-/// drops the page. With an `out`, `data` is `out`.
-struct PageReadRequest {
-  PageId id = kInvalidPageId;
-  char* out = nullptr;
-  const char* data = nullptr;
-  uint32_t expected_crc = 0;
-  Status status;
-};
-
 /// Storage medium behind a DiskManager: raw page images plus their
 /// out-of-line per-page checksums. Implementations do their own locking.
 /// Everything policy-level — fault injection, checksum computation and
@@ -77,20 +58,21 @@ class DiskBackend {
   /// Appends a zeroed page (checksum = ZeroPageCrc()) and returns its id.
   virtual PageId AllocatePage() = 0;
 
-  /// The one read entry: copies each requested page into its `out`
-  /// (kPageSize bytes), or lends it (null `out`, see PageReadRequest), and
-  /// its recorded checksum into `expected_crc`, in one device round trip
-  /// where the medium allows it. A page's `status` is IOError for a device
-  /// failure (`out` undefined) and Corruption for a structurally
-  /// impossible read — a short read past the end of a torn file. The
-  /// caller verifies each `data` against its `expected_crc`; the backend
-  /// does not. The file backend merges contiguous page-id runs into single
-  /// preadv calls; the sim backend charges its simulated latency once per
-  /// call, whatever the batch size.
-  virtual void ReadPages(std::span<PageReadRequest> batch) = 0;
+  /// The one read entry: reads page `id` and stores its recorded checksum
+  /// in `*expected_crc`. With an `out` (kPageSize bytes) the page is copied
+  /// there and `*data` is `out`. A null `out` is allowed only when
+  /// lends_pages(): nothing is copied and `*data` points at the stored
+  /// image, which stays valid until TruncatePages drops the page. Returns
+  /// IOError for a device failure (`out` undefined) and Corruption for a
+  /// structurally impossible read — a short read past the end of a torn
+  /// file. The caller verifies `*data` against `*expected_crc`; the
+  /// backend does not. The file backend reads with one `pread`; the sim
+  /// backend charges its simulated latency once per call.
+  virtual Status ReadPage(PageId id, char* out, const char** data,
+                          uint32_t* expected_crc) = 0;
 
   /// True when the pages live in this process's memory and a read may
-  /// borrow them instead of copying them (a null PageReadRequest::out). A
+  /// borrow them instead of copying them (a null ReadPage `out`). A
   /// property of the medium, fixed for the backend's life.
   virtual bool lends_pages() const = 0;
 

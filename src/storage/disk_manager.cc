@@ -59,63 +59,51 @@ PageId DiskManager::AllocatePage() {
   return id;
 }
 
-Status DiskManager::ReadPage(PageId id, char* out) {
-  PageReadRequest r;
-  r.id = id;
-  r.out = out;
-  ReadPages(std::span<PageReadRequest>(&r, 1));
-  return std::move(r.status);
-}
-
-void DiskManager::ReadPages(std::span<PageReadRequest> batch) {
-  if (batch.empty()) {
-    return;
-  }
-  backend_->ReadPages(batch);
+Status DiskManager::ReadPage(PageId id, char* out, const char** data) {
+  const char* page = nullptr;
+  uint32_t expected_crc = 0;
+  Status s = backend_->ReadPage(id, out, &page, &expected_crc);
   const bool armed = fault_injector_.armed();
-  for (PageReadRequest& r : batch) {
-    FinishRead(&r, armed);
-  }
-}
-
-void DiskManager::FinishRead(PageReadRequest* r, bool armed) {
-  if (armed && fault_injector_.ShouldFailRead(r->id)) {
+  if (armed && fault_injector_.ShouldFailRead(id)) {
     // The injected fault wins over whatever the device returned; like any
     // failed read it is not accounted as a read.
     stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
-    r->status = Status::IOError("injected read fault on page " +
-                                std::to_string(r->id));
-    return;
+    return Status::IOError("injected read fault on page " +
+                           std::to_string(id));
   }
-  if (!r->status.ok()) {
+  if (!s.ok()) {
     // Real device failures get the same accounting as injected ones.
-    if (r->status.IsCorruption()) {
+    if (s.IsCorruption()) {
       stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
     } else {
       stats_.read_faults.fetch_add(1, std::memory_order_relaxed);
     }
-    return;
+    return s;
   }
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
   obs::ChargeDiskRead();
-  const char* bytes = r->data;
+  const char* bytes = page;
   char flipped_copy[kPageSize];
   uint32_t bit_index = 0;
-  if (armed && fault_injector_.ShouldCorruptRead(r->id, &bit_index)) {
-    // Flip a private copy: `data` may be a lent page, the stored image
+  if (armed && fault_injector_.ShouldCorruptRead(id, &bit_index)) {
+    // Flip a private copy: `page` may be a lent page, the stored image
     // itself, so the fault must stay in this one read.
-    std::memcpy(flipped_copy, r->data, kPageSize);
+    std::memcpy(flipped_copy, page, kPageSize);
     flipped_copy[bit_index / 8] ^= static_cast<char>(1u << (bit_index % 8));
     bytes = flipped_copy;
   }
   // Verify every byte handed to the caller, copied or lent, catching
   // at-rest corruption (CorruptStoredPage, torn files) and in-flight bit
   // flips alike.
-  if (crc32c::Value(bytes, kPageSize) != r->expected_crc) {
+  if (crc32c::Value(bytes, kPageSize) != expected_crc) {
     stats_.corruptions_detected.fetch_add(1, std::memory_order_relaxed);
-    r->status = Status::Corruption("checksum mismatch on page " +
-                                   std::to_string(r->id));
+    return Status::Corruption("checksum mismatch on page " +
+                              std::to_string(id));
   }
+  if (data != nullptr) {
+    *data = page;
+  }
+  return Status::Ok();
 }
 
 Status DiskManager::WritePage(PageId id, const char* in) {

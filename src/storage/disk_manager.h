@@ -118,20 +118,16 @@ class DiskManager {
   /// Allocates a zeroed page and returns its id.
   PageId AllocatePage();
 
-  /// Copies page `id` into `out` (exactly kPageSize bytes): a ReadPages
-  /// batch of one. Returns IOError on a read fault — injected or a real
-  /// pread failure (out is unspecified) — or Corruption when the copy
-  /// fails checksum verification or the backing file ends mid-page.
-  Status ReadPage(PageId id, char* out);
-
-  /// The one read path: one backend round trip for the whole batch, with
-  /// the full per-page policy applied to every request — fault-injection
-  /// draws, stats accounting, bit-flip corruption and CRC verification all
-  /// happen per page, in batch order, so each request's `status` equals
-  /// what a sequential ReadPage loop would have returned (and seeded chaos
-  /// draw sequences are identical, batched or not). A request may leave
-  /// `out` null when lends_pages() (see PageReadRequest).
-  void ReadPages(std::span<PageReadRequest> batch);
+  /// The one read path. Copies page `id` into `out` (exactly kPageSize
+  /// bytes) and, when `data` is given, stores the bytes read in `*data`:
+  /// `out`, or the backend's stored image when lends_pages() and `out` is
+  /// null. The per-page policy runs after the backend read, in this order:
+  /// injected read-fault draw, stats and I/O attribution, injected bit
+  /// flip on a private copy, CRC verification of the bytes read. Returns
+  /// IOError on a read fault — injected or a real pread failure (`out` is
+  /// then unspecified) — or Corruption when the bytes fail checksum
+  /// verification or the backing file ends mid-page.
+  Status ReadPage(PageId id, char* out, const char** data = nullptr);
 
   /// True when the backend keeps its pages in memory and lends them to a
   /// read with no `out` (the sim backend); false when every read copies
@@ -178,7 +174,6 @@ class DiskManager {
   void CorruptStoredPage(PageId id, uint32_t bit_index);
 
   const DiskStats& stats() const { return stats_; }
-  DiskStats* mutable_stats() { return &stats_; }
   /// One coherent read of all counters.
   DiskStatsSnapshot stats_snapshot() const { return stats_.Snapshot(); }
   /// Zeroes the counters between measured phases.
@@ -192,12 +187,12 @@ class DiskManager {
   void BindMetrics(obs::MetricsRegistry* registry,
                    const std::string& prefix) const;
 
-  /// Simulated read latency in microseconds, charged once per ReadPages
-  /// batch (ReadPage is a batch of one). 0 by default; the experiment
-  /// harness enables it during measured workloads so that response times
-  /// reflect I/O volume the way the paper's disk-resident setup does. Sim
-  /// backend only: the file backend has real device latency, so these are
-  /// documented no-ops there (reads as 0 / false).
+  /// Simulated read latency in microseconds, charged once per page read.
+  /// 0 by default; the experiment harness enables it during measured
+  /// workloads so that response times reflect I/O volume the way the
+  /// paper's disk-resident setup does. Sim backend only: the file backend
+  /// has real device latency, so these are documented no-ops there (reads
+  /// as 0 / false).
   void set_read_delay_us(double us) {
     if (sim_ != nullptr) sim_->set_read_delay_us(us);
   }
@@ -221,14 +216,6 @@ class DiskManager {
  private:
   explicit DiskManager(std::unique_ptr<DiskBackend> backend,
                        DiskBackendKind kind);
-
-  /// The per-page read policy, applied to every page of a ReadPages batch
-  /// after the backend filled `r`: injected read-fault draw, stats and I/O
-  /// attribution, injected bit flip, CRC verification of `r->data` — in
-  /// that order. Sets `r->status` to the read's final outcome.
-  /// The injector draws each decision from its own per-kind counter, so a
-  /// batch draws exactly the sequence a page-by-page loop would.
-  void FinishRead(PageReadRequest* r, bool armed);
 
   std::unique_ptr<DiskBackend> backend_;
   DiskBackendKind backend_kind_;

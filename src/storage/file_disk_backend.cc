@@ -1,9 +1,7 @@
 #include "storage/file_disk_backend.h"
 
 #include <fcntl.h>
-#include <limits.h>
 #include <sys/stat.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -28,16 +26,6 @@ static_assert(sizeof(CrcHeader) == 16, "sidecar header must be packed");
 /// Grow the physical file in chunks so page allocation stays O(1)
 /// amortised even for multi-GiB index builds.
 constexpr size_t kMinPhysicalPages = 256;  // 1 MiB
-
-/// Longest contiguous run merged into one vectored read: 64 pages
-/// (256 KiB) is deep enough to amortise the syscall while staying well
-/// under every platform's IOV_MAX.
-constexpr size_t kMaxRunPages =
-#ifdef IOV_MAX
-    IOV_MAX < 64 ? IOV_MAX : 64;
-#else
-    16;
-#endif
 
 std::string ErrnoMessage(const char* op, const std::string& path, int err) {
   return std::string(op) + " " + path + ": " + std::strerror(err);
@@ -199,7 +187,32 @@ PageId FileDiskBackend::AllocatePage() {
   return id;
 }
 
-Status FileDiskBackend::PreadPage(PageId id, char* out) {
+Status FileDiskBackend::PwritePage(PageId id, const char* in) {
+  const off_t offset = static_cast<off_t>(id) * kPageSize;
+  if (FullPwrite(data_fd_, in, kPageSize, offset) != 0) {
+    return Status::IOError(ErrnoMessage("pwrite", path_, errno) + " (page " +
+                           std::to_string(id) + ")");
+  }
+  return Status::Ok();
+}
+
+Status FileDiskBackend::ReadPage(PageId id, char* out, const char** data,
+                                 uint32_t* expected_crc) {
+  size_t physical = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    DSKS_CHECK_MSG(id < checksums_.size(), "read of unallocated page");
+    *expected_crc = checksums_[id];
+    physical = physical_pages_;
+  }
+  *data = out;
+  if (id >= physical) {
+    // Allocated but past the physical end (possible only after a foreign
+    // truncate since AllocatePage grows the file): zero-fill so the
+    // checksum check reports the damage instead of a raw syscall error.
+    std::memset(out, 0, kPageSize);
+    return Status::Ok();
+  }
   const off_t offset = static_cast<off_t>(id) * kPageSize;
   const ssize_t n = FullPread(data_fd_, out, kPageSize, offset);
   if (n < 0) {
@@ -213,78 +226,6 @@ Status FileDiskBackend::PreadPage(PageId id, char* out) {
                               std::to_string(kPageSize) + " bytes): " + path_);
   }
   return Status::Ok();
-}
-
-Status FileDiskBackend::PwritePage(PageId id, const char* in) {
-  const off_t offset = static_cast<off_t>(id) * kPageSize;
-  if (FullPwrite(data_fd_, in, kPageSize, offset) != 0) {
-    return Status::IOError(ErrnoMessage("pwrite", path_, errno) + " (page " +
-                           std::to_string(id) + ")");
-  }
-  return Status::Ok();
-}
-
-void FileDiskBackend::ReadContiguousRun(PageReadRequest* run, size_t n) {
-  if (n == 1) {
-    run->status = PreadPage(run->id, run->out);
-    return;
-  }
-  const off_t offset = static_cast<off_t>(run->id) * kPageSize;
-  struct iovec iov[kMaxRunPages];
-  for (size_t k = 0; k < n; ++k) {
-    iov[k].iov_base = run[k].out;
-    iov[k].iov_len = kPageSize;
-  }
-  ssize_t got;
-  do {
-    got = ::preadv(data_fd_, iov, static_cast<int>(n), offset);
-  } while (got < 0 && errno == EINTR);
-  // Pages completely delivered by the vectored call.
-  const size_t full = got > 0 ? static_cast<size_t>(got) / kPageSize : 0;
-  for (size_t k = 0; k < full; ++k) {
-    run[k].status = Status::Ok();
-  }
-  // Pages the vectored call did not fully deliver — a device error, a
-  // partial transfer, or a foreign-truncated file — retry one at a time so
-  // each gets PreadPage's exact IOError/Corruption semantics.
-  for (size_t k = full; k < n; ++k) {
-    run[k].status = PreadPage(run[k].id, run[k].out);
-  }
-}
-
-void FileDiskBackend::ReadPages(std::span<PageReadRequest> batch) {
-  if (batch.empty()) {
-    return;
-  }
-  size_t physical;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (PageReadRequest& r : batch) {
-      DSKS_CHECK_MSG(r.id < checksums_.size(), "read of unallocated page");
-      r.expected_crc = checksums_[r.id];
-      r.data = r.out;
-    }
-    physical = physical_pages_;
-  }
-  size_t i = 0;
-  while (i < batch.size()) {
-    if (batch[i].id >= physical) {
-      // Allocated but past the physical end (possible only after a foreign
-      // truncate since AllocatePage grows the file): zero-fill so the
-      // checksum check reports the damage instead of a raw syscall error.
-      std::memset(batch[i].out, 0, kPageSize);
-      batch[i].status = Status::Ok();
-      ++i;
-      continue;
-    }
-    size_t j = i + 1;
-    while (j < batch.size() && j - i < kMaxRunPages &&
-           batch[j].id == batch[j - 1].id + 1 && batch[j].id < physical) {
-      ++j;
-    }
-    ReadContiguousRun(&batch[i], j - i);
-    i = j;
-  }
 }
 
 Status FileDiskBackend::WritePage(PageId id, const char* in, uint32_t crc) {
@@ -356,11 +297,10 @@ void FileDiskBackend::CorruptStoredPage(PageId id, uint32_t bit_index) {
   }
   // Read-modify-write of the whole page.
   auto page = std::make_unique<char[]>(kPageSize);
-  PageReadRequest req;
-  req.id = id;
-  req.out = page.get();
-  ReadPages(std::span<PageReadRequest>(&req, 1));
-  DSKS_CHECK_MSG(req.status.ok(), "CorruptStoredPage: read failed");
+  const char* data = nullptr;
+  uint32_t crc = 0;
+  DSKS_CHECK_MSG(ReadPage(id, page.get(), &data, &crc).ok(),
+                 "CorruptStoredPage: read failed");
   page[bit_index / 8] ^= static_cast<char>(1u << (bit_index % 8));
   DSKS_CHECK_MSG(PwritePage(id, page.get()).ok(),
                  "CorruptStoredPage: write-back failed");

@@ -52,12 +52,9 @@ class FileDiskBackend : public DiskBackend {
   FileDiskBackend& operator=(const FileDiskBackend&) = delete;
 
   PageId AllocatePage() override;
-  /// Requests whose page ids form contiguous ascending runs are merged
-  /// into single preadv calls scattering straight into the callers'
-  /// buffers; a run of one page is a plain PreadPage. Any page a vectored call could not
-  /// fully serve falls back to PreadPage, so a page's status does not
-  /// depend on its batch mates.
-  void ReadPages(std::span<PageReadRequest> batch) override;
+  /// One `pread` straight into `out`, which must not be null.
+  Status ReadPage(PageId id, char* out, const char** data,
+                  uint32_t* expected_crc) override;
   /// The pages live in the file, so every read copies into its `out`.
   bool lends_pages() const override { return false; }
   Status WritePage(PageId id, const char* in, uint32_t crc) override;
@@ -71,16 +68,8 @@ class FileDiskBackend : public DiskBackend {
  private:
   FileDiskBackend(std::string path, int data_fd, int crc_fd);
 
-  /// Raw positioned I/O with EINTR/partial-transfer loops. Short reads
-  /// inside [0, physical size) become Corruption; reads past the physical
-  /// end zero-fill (unwritten allocated pages).
-  Status PreadPage(PageId id, char* out);
+  /// Raw positioned write with an EINTR/partial-transfer loop.
   Status PwritePage(PageId id, const char* in);
-
-  /// Reads `n` physically contiguous pages (run[0].id .. run[0].id+n-1)
-  /// with one vectored call, falling back to PreadPage for any page the
-  /// vectored call did not fully deliver. Fills each request's status.
-  void ReadContiguousRun(PageReadRequest* run, size_t n);
 
   const std::string path_;
   const std::string crc_path_;

@@ -1,6 +1,5 @@
 #include "storage/sim_disk_backend.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -45,41 +44,26 @@ void SimDiskBackend::WaitReadDelay() const {
   }
 }
 
-void SimDiskBackend::ReadPages(std::span<PageReadRequest> batch) {
-  if (batch.empty()) {
-    return;
-  }
-  // One simulated device round trip for the whole batch: this latency
-  // discount is exactly what batched I/O buys on a real disk.
+Status SimDiskBackend::ReadPage(PageId id, char* out, const char** data,
+                                uint32_t* expected_crc) {
   WaitReadDelay();
-  // Page blocks are resolved under the mutex (pages_ may reallocate) and
-  // copied outside it, so concurrent reads overlap; a request without an
-  // `out` borrows the block itself. Resolving a fixed-size chunk at a time
-  // keeps every read allocation-free.
-  constexpr size_t kChunk = 16;
-  const char* srcs[kChunk];
-  for (size_t begin = 0; begin < batch.size(); begin += kChunk) {
-    const std::span<PageReadRequest> chunk =
-        batch.subspan(begin, std::min(kChunk, batch.size() - begin));
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (size_t i = 0; i < chunk.size(); ++i) {
-        DSKS_CHECK_MSG(chunk[i].id < pages_.size(),
-                       "read of unallocated page");
-        srcs[i] = pages_[chunk[i].id].get();
-        chunk[i].expected_crc = checksums_[chunk[i].id];
-      }
-    }
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      if (chunk[i].out == nullptr) {
-        chunk[i].data = srcs[i];
-      } else {
-        std::memcpy(chunk[i].out, srcs[i], kPageSize);
-        chunk[i].data = chunk[i].out;
-      }
-      chunk[i].status = Status::Ok();
-    }
+  // The page block is resolved under the mutex (pages_ may reallocate) and
+  // copied outside it, so concurrent reads overlap; a read without an
+  // `out` borrows the block itself.
+  const char* src = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    DSKS_CHECK_MSG(id < pages_.size(), "read of unallocated page");
+    src = pages_[id].get();
+    *expected_crc = checksums_[id];
   }
+  if (out == nullptr) {
+    *data = src;
+  } else {
+    std::memcpy(out, src, kPageSize);
+    *data = out;
+  }
+  return Status::Ok();
 }
 
 Status SimDiskBackend::WritePage(PageId id, const char* in, uint32_t crc) {

@@ -30,11 +30,10 @@ class SimDiskBackend : public DiskBackend {
   SimDiskBackend() = default;
 
   PageId AllocatePage() override;
-  /// The simulated latency is charged once for the whole batch — the
-  /// model of a single vectored device request — then the pages are
-  /// resolved under the mutex and copied (or lent) outside it, without
-  /// allocating.
-  void ReadPages(std::span<PageReadRequest> batch) override;
+  /// Charges the simulated latency, then resolves the page under the
+  /// mutex and copies (or lends) it outside it, without allocating.
+  Status ReadPage(PageId id, char* out, const char** data,
+                  uint32_t* expected_crc) override;
   bool lends_pages() const override { return true; }
   Status WritePage(PageId id, const char* in, uint32_t crc) override;
   Status TruncatePages(size_t new_num_pages) override;
@@ -42,9 +41,9 @@ class SimDiskBackend : public DiskBackend {
   void CorruptStoredPage(PageId id, uint32_t bit_index) override;
   size_t num_pages() const override;
 
-  /// Simulated read latency in microseconds, charged once per ReadPages
-  /// call (a single-page read is a batch of one). A call reads the knob
-  /// when it starts, so a change affects only reads that start after it.
+  /// Simulated read latency in microseconds, charged once per page read.
+  /// A read takes the knob when it starts, so a change affects only reads
+  /// that start after it.
   void set_read_delay_us(double us) {
     read_delay_us_.store(us, std::memory_order_relaxed);
   }

@@ -1,11 +1,11 @@
 // Pins the query hot path to zero heap allocations once warm: buffer-pool
-// hits through FetchPage and PageGuard, misses that evict, a batched
-// FetchPages, CCAM adjacency reads, Algorithm 2 (LoadObjects on IF and
-// SIF, B+tree lookups included) and NetworkExpansion settles through the
-// adjacency memo. This binary replaces the global operator new with one
-// that counts every call and tracks the bytes it holds; each test warms
-// its path once (frames, page table and vectors reach their high-water
-// mark), then asserts that repeating the path allocates nothing. It also
+// hits through FetchPage and PageGuard, misses that evict, CCAM adjacency
+// reads, Algorithm 2 (LoadObjects on IF and SIF, B+tree lookups included)
+// and NetworkExpansion settles through the adjacency memo. This binary
+// replaces the global operator new with one that counts every call and
+// tracks the bytes it holds; each test warms its path once (frames, page
+// table and vectors reach their high-water mark), then asserts that
+// repeating the path allocates nothing. It also
 // bounds what an IF and a SIF build allocate by the keywords and pages,
 // not the (keyword, edge) runs, and the most heap they hold at once by 4
 // bytes per posting, and prints both.
@@ -252,45 +252,6 @@ TEST(AllocFreeTest, MissesThatEvictAllocateNothing) {
   EXPECT_EQ(pool.stats().misses, 3 * kPages);
   EXPECT_EQ(pool.stats().evictions, 3 * kPages);
   EXPECT_EQ(pool.num_frames_in_use(), kFrames);
-}
-
-TEST(AllocFreeTest, BatchedMissesAllocateNothing) {
-  TestDisk disk;
-  constexpr size_t kBatch = 16;
-  constexpr size_t kPages = 4 * kBatch;
-  const PageId first = FillPages(disk.get(), kPages);
-  BufferPool pool(disk.get(), kBatch);  // each batch evicts the last one
-  PageId ids[kBatch];
-  char* outs[kBatch];
-  auto fetch_cycle = [&] {
-    bool ok = true;
-    for (size_t b = 0; b < kPages / kBatch; ++b) {
-      for (size_t i = 0; i < kBatch; ++i) {
-        ids[i] = first + static_cast<PageId>(b * kBatch + i);
-      }
-      if (!pool.FetchPages(ids, outs).ok()) {
-        return false;
-      }
-      for (size_t i = 0; i < kBatch; ++i) {
-        ok &= outs[i][0] == FillByte(ids[i] - first);
-        pool.UnpinPage(ids[i], /*dirty=*/false);
-      }
-    }
-    return ok;
-  };
-  ASSERT_TRUE(fetch_cycle());
-  pool.ResetStats();
-
-  bool ok = true;
-  const uint64_t allocations = AllocationsDuring([&] {
-    for (int round = 0; round < 2; ++round) {
-      ok &= fetch_cycle();
-    }
-  });
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(allocations, 0u);
-  EXPECT_EQ(pool.stats().misses, 2 * kPages);
-  EXPECT_EQ(pool.stats().hits, 0u);
 }
 
 TEST(AllocFreeTest, CcamAdjacencyAllocatesNothing) {

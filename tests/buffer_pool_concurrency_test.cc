@@ -57,9 +57,11 @@ TEST(BufferPoolConcurrencyTest, RandomFetchUnpinStress) {
   EXPECT_EQ(verified.load(), kThreads * kIters);
 
   // Stats are relaxed counters but must still balance: every miss did
-  // exactly one disk read, and the pool wrote nothing back.
+  // exactly one disk read, and the pool wrote nothing back. Eight frames
+  // over 64 pages must have evicted, or the stress missed its target.
   EXPECT_EQ(pool.stats().misses.load(), disk->stats().reads.load());
   EXPECT_EQ(disk->stats().writes.load(), kSeedPages);
+  EXPECT_GT(pool.stats().evictions.load(), 0u);
 }
 
 // All threads pin simultaneously so the pinned set exceeds capacity: every
@@ -128,19 +130,18 @@ TEST(BufferPoolConcurrencyTest, ConcurrentMissesOnSamePageReadOnce) {
   EXPECT_EQ(pool.stats().hits.load(), kThreads - 1);
 }
 
-// FetchPages reaching a page that another thread is reading must wait for
-// that read, and must not sleep through its wakeup when the read completes
-// while FetchPages has the latch released for a read of its own. A lost
-// wakeup hangs here; the suite's ctest TIMEOUT turns that into a failure.
-// Second round: the other thread's read fails, so FetchPages must read the
+// FetchPage reaching a page that another thread is reading must wait for
+// that read and then look again. A lost wakeup hangs here; the suite's
+// ctest TIMEOUT turns that into a failure. First round: the other thread's
+// read succeeds, and the waiter pins the published page as a hit. Second
+// round: that read faults, the frame is dropped, and the waiter reads the
 // page itself.
-TEST(BufferPoolConcurrencyTest, FetchPagesWaitsForAnotherThreadsRead) {
+TEST(BufferPoolConcurrencyTest, FetchPageWaitsForAnotherThreadsRead) {
   for (const bool fail_other_read : {false, true}) {
     SCOPED_TRACE(fail_other_read ? "other read faults" : "other read ok");
     // The sim backend: its delay knobs are no-ops on the file backend.
     DiskManager disk;
-    const PageId p = dsks::testing::FillPages(&disk, 2);
-    const PageId q = p + 1;
+    const PageId p = dsks::testing::FillPages(&disk, 1);
     if (fail_other_read) {
       disk.fault_injector()->FailPageReads(p, 1);
     }
@@ -157,31 +158,30 @@ TEST(BufferPoolConcurrencyTest, FetchPagesWaitsForAnotherThreadsRead) {
       }
     });
     // p's miss is counted when its frame is claimed, just before its read
-    // starts.
+    // starts; 20 ms later that 100 ms read is still in flight.
     while (pool.stats().misses.load() < 1) {
       std::this_thread::yield();
     }
-    // Each read takes its delay when it starts, so the read of q below
-    // outlasts the other thread's read of p: p is published (or dropped)
-    // while FetchPages has the latch released.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    disk.set_read_delay_us(400e3);
-    const PageId ids[] = {q, p};
-    char* outs[] = {nullptr, nullptr};
-    const Status status = pool.FetchPages(ids, outs);
+    char* data = nullptr;
+    const Status status = pool.FetchPage(p, &data);
     other.join();
     ASSERT_TRUE(status.ok()) << status.ToString();
-    ExpectFilled(q, outs[0]);
-    ExpectFilled(p, outs[1]);
-    pool.UnpinPage(q, /*dirty=*/false);
+    ExpectFilled(p, data);
     pool.UnpinPage(p, /*dirty=*/false);
-    EXPECT_EQ(disk.stats().reads.load(), 2u);
+    ASSERT_TRUE(pool.Clear().ok()) << "nothing may remain pinned";
+    EXPECT_EQ(disk.stats().reads.load(), 1u);
+    const BufferPoolStatsSnapshot s = pool.stats_snapshot();
     if (fail_other_read) {
       EXPECT_TRUE(other_status.IsIOError()) << other_status.ToString();
       EXPECT_EQ(disk.stats().read_faults.load(), 1u);
+      EXPECT_EQ(s.misses, 2u);
+      EXPECT_EQ(s.hits, 0u);
     } else {
       EXPECT_TRUE(other_status.ok()) << other_status.ToString();
       EXPECT_EQ(disk.stats().read_faults.load(), 0u);
+      EXPECT_EQ(s.misses, 1u);
+      EXPECT_EQ(s.hits, 1u);
     }
   }
 }

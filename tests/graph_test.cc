@@ -353,7 +353,7 @@ TEST(CcamTest, ChargesOnePageReadPerColdAccess) {
   CcamFile file = CcamFileBuilder::Build(*net, &disk);
   BufferPool pool(&disk, 128);
   CcamGraph graph(&file, &pool);
-  disk.mutable_stats()->Reset();
+  disk.ResetStats();
 
   std::vector<AdjacentEdge> adj;
   graph.GetAdjacency(0, &adj);

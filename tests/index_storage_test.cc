@@ -126,6 +126,42 @@ TEST(PostingFileTest, RunLargerThanOnePageSpansContiguously) {
     ASSERT_EQ(out[i].object, big[i].object);
     ASSERT_DOUBLE_EQ(out[i].w1, big[i].w1);
   }
+  // The build wrote straight to the disk, so that read was cold: one pool
+  // access, one miss and one disk read per page of the run.
+  const BufferPoolStatsSnapshot s = pool.stats_snapshot();
+  EXPECT_EQ(s.accesses(), 3u);
+  EXPECT_EQ(s.misses, 3u);
+  EXPECT_EQ(disk->stats_snapshot().reads, 3u);
+}
+
+TEST(PostingFileTest, FaultOnALaterPageFailsTheRunAndPinsNothing) {
+  testing::TestDisk disk("posting_fault");
+  BufferPool pool(disk.get(), 256);
+  const auto per_page = static_cast<uint32_t>(PostingFile::EntriesPerPage());
+  const Runs runs = {MakeRun(0, per_page * 5 / 2)};
+  std::vector<PostingFile::Locator> locs;
+  const auto file = BuildPostings(&pool, runs, &locs);
+  ASSERT_EQ(file->num_pages(), 3u);
+  disk->fault_injector()->FailPageReads(PostingFile::RunPage(locs[0]) + 1, 1);
+
+  // The run is read a page at a time: the first page's entries reach the
+  // callback before the second page's read fails the call.
+  std::vector<PostingFile::Entry> out;
+  const Status s = ReadRun(*file, locs[0], &out);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(out.size(), per_page);
+  // Clear() CHECK-fails on a pinned page, so passing proves the failed
+  // call released the page it held.
+  ASSERT_TRUE(pool.Clear().ok());
+
+  // The one-shot fault is spent: a retry returns the whole run.
+  ASSERT_TRUE(ReadRun(*file, locs[0], &out).ok());
+  ASSERT_EQ(out.size(), runs[0].size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].object, runs[0][i].object);
+    EXPECT_EQ(out[i].pos, runs[0][i].pos);
+    EXPECT_DOUBLE_EQ(out[i].w1, runs[0][i].w1);
+  }
 }
 
 TEST(PostingFileTest, RunThatDoesNotFitTheTailStartsOnTheNextPage) {

@@ -334,7 +334,7 @@ TEST_F(ServerTest, OverloadShedsExactlyUnderEightSubmitterThreads) {
   // every request is either admitted (and completes) or answers
   // RESOURCE_EXHAUSTED, and the two tallies meet the counters perfectly.
   setenv("DSKS_IO_DELAY_US", "200", /*overwrite=*/1);
-  ScopedIoDelay delay(db_, /*yielding=*/true);
+  ScopedIoDelay delay(db_->disk(), /*yielding=*/true);
   ServiceConfig config;
   config.threads = 1;
   config.queue_capacity = 2;
@@ -393,7 +393,7 @@ TEST_F(ServerTest, DeadlineCancelsCooperativelyWithPartialTrace) {
   // requested trace still shows the phases that did run (partial work
   // stays accounted).
   setenv("DSKS_IO_DELAY_US", "500", /*overwrite=*/1);
-  ScopedIoDelay delay(db_, /*yielding=*/true);
+  ScopedIoDelay delay(db_->disk(), /*yielding=*/true);
   ServiceConfig config;
   config.threads = 1;
   config.metrics = nullptr;
@@ -830,7 +830,7 @@ TEST_F(ServerTest, ExecutorPublishesEveryQueryWhileServing) {
 TEST_F(ServerTest, SocketOverloadShedsExactlyAndMetricsStayUp) {
   obs::MetricsRegistry registry;
   setenv("DSKS_IO_DELAY_US", "200", /*overwrite=*/1);
-  ScopedIoDelay delay(db_, /*yielding=*/true);
+  ScopedIoDelay delay(db_->disk(), /*yielding=*/true);
   ServerConfig sc;
   sc.service.threads = 1;
   sc.service.queue_capacity = 2;

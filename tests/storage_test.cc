@@ -66,10 +66,11 @@ TEST(BufferPoolTest, HitAndMissAccounting) {
   pool.UnpinPage(p, false);
 
   dsks::testing::MustFetch(&pool, p);
-  EXPECT_EQ(pool.stats().hits, 1u);
-  EXPECT_EQ(pool.stats().misses, 1u);
   pool.UnpinPage(p, false);
-  EXPECT_DOUBLE_EQ(pool.stats().hit_rate(), 0.5);
+  const BufferPoolStatsSnapshot s = pool.stats_snapshot();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_DOUBLE_EQ(s.hit_rate(), 0.5);
 }
 
 TEST(BufferPoolTest, StatsSnapshotAndReset) {

@@ -61,7 +61,7 @@ for san in "${sanitizers[@]}"; do
   # backends face the same faults under the same sanitizer, and the index
   # builders' direct page writes meet the file too. The golden counters and
   # index images must come out identical on both backends, the
-  # pread/preadv miss path must allocate nothing (alloc_free_test), and
+  # pread miss path must allocate nothing (alloc_free_test), and
   # the adjacency views into the memo arena meet a real index file
   # (adjacency_memo_test). The index files go to a private TMPDIR, which
   # must be empty afterwards: a test (a death test's child included) that
@@ -69,7 +69,7 @@ for san in "${sanitizers[@]}"; do
   echo "=== $san sanitizer: storage + chaos suites on the file backend ==="
   file_tmp="$(mktemp -d)"
   for t in storage_test fault_injection_test buffer_pool_concurrency_test \
-           durability_test batch_read_test golden_counters_test obs_test \
+           durability_test golden_counters_test obs_test \
            trace_attribution_test chaos_test index_storage_test \
            alloc_free_test adjacency_memo_test; do
     (cd "$dir" && DSKS_TEST_BACKEND=file TMPDIR="$file_tmp" \
