@@ -8,6 +8,7 @@
 
 #include "bench/bench_common.h"
 #include "common/timer.h"
+#include "core/query_context.h"
 #include "core/sk_search.h"
 #include "datagen/network_generator.h"
 #include "datagen/object_generator.h"
@@ -64,9 +65,10 @@ int main() {
     double ms = 0.0;
     {
       ScopedIoDelay delay(&disk);
+      QueryContext ctx;  // one per loop, as a worker thread keeps one
       Timer timer;
       for (const WorkloadQuery& wq : wl.queries) {
-        IncrementalSkSearch search(&graph, &index, wq.sk, wq.edge);
+        IncrementalSkSearch search(&graph, &index, wq.sk, wq.edge, &ctx);
         SkResult r;
         while (search.Next(&r)) {
         }

@@ -45,10 +45,11 @@ int main() {
     double answers = 0.0;
     {
       ScopedIoDelay delay(db.disk());
+      QueryContext ctx;  // one per loop, as a worker thread keeps one
       Timer timer;
       std::vector<SkResult> results;
       for (const WorkloadQuery& wq : wl.queries) {
-        DSKS_CHECK(db.RunSkQuery(wq.sk, wq.edge, &results).ok());
+        DSKS_CHECK(db.RunSkQuery(wq.sk, wq.edge, &results, &ctx).ok());
         answers += static_cast<double>(results.size());
       }
       ine_ms = timer.ElapsedMillis() / static_cast<double>(wl.queries.size());
@@ -65,13 +66,14 @@ int main() {
     double candidates = 0.0;
     {
       ScopedIoDelay delay(db.disk());
+      QueryContext ctx;
       Timer timer;
       for (const WorkloadQuery& wq : wl.queries) {
         EuclideanBaselineStats stats;
         std::vector<SkResult> results;
         const Status s =
             EuclideanFilterRefine(&db.ccam_graph(), db.network(), index,
-                                  wq.sk, wq.edge, &results, &stats);
+                                  wq.sk, wq.edge, &results, &stats, &ctx);
         DSKS_CHECK_MSG(s.ok(), "fault-free baseline must not fail");
         candidates += static_cast<double>(stats.euclidean_candidates);
       }

@@ -12,6 +12,7 @@
 #include "bench/bench_common.h"
 #include "common/macros.h"
 #include "core/distance_oracle.h"
+#include "core/query_context.h"
 
 using namespace dsks;        // NOLINT
 using namespace dsks::bench; // NOLINT
@@ -46,6 +47,9 @@ int main() {
     wc.seed = 31337;
     const Workload wl = GenerateWorkload(db.objects(), db.term_stats(), wc);
 
+    // The query and the spread measured after it run one at a time on
+    // one context.
+    QueryContext ctx;
     for (double lambda : {1.0, 0.8, 0.5}) {
       Quality q;
       for (const WorkloadQuery& wq : wl.queries) {
@@ -54,12 +58,13 @@ int main() {
         dq.k = k;
         dq.lambda = lambda;
         DivSearchOutput out;
-        DSKS_CHECK(db.RunDivQuery(dq, wq.edge, /*use_com=*/true, &out).ok());
+        DSKS_CHECK(
+            db.RunDivQuery(dq, wq.edge, /*use_com=*/true, &out, &ctx).ok());
         if (out.selected.size() < 2) {
           continue;
         }
-        PairwiseDistanceOracle oracle(&db.ccam_graph(),
-                                      2.0 * dq.sk.delta_max);
+        PairwiseDistanceOracle oracle(&db.ccam_graph(), 2.0 * dq.sk.delta_max,
+                                      OracleStrategy::kSharedExpansion, &ctx);
         double qd = 0.0;
         double pd = 0.0;
         size_t pairs = 0;

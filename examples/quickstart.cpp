@@ -10,6 +10,7 @@
 
 #include "core/distance_oracle.h"
 #include "core/div_search.h"
+#include "core/query_context.h"
 #include "core/sk_search.h"
 #include "datagen/workload.h"
 #include "graph/ccam.h"
@@ -77,11 +78,16 @@ int main() {
   query.delta_max = 30.0;
   const QueryEdgeInfo qe = MakeQueryEdgeInfo(net, query.loc);
 
+  // Every search keeps its state in a QueryContext; a program reuses one
+  // across its queries, one query at a time.
+  QueryContext ctx;
   std::printf("SK query: {lobster, pancake}, delta_max=30\n");
-  IncrementalSkSearch search(&graph, &index, query, qe);
-  SkResult r;
-  while (search.Next(&r)) {
-    std::printf("  object o%u at network distance %.1f\n", r.id, r.dist);
+  {
+    IncrementalSkSearch search(&graph, &index, query, qe, &ctx);
+    SkResult r;
+    while (search.Next(&r)) {
+      std::printf("  object o%u at network distance %.1f\n", r.id, r.dist);
+    }
   }
 
   // 5. The diversified variant: k=2 restaurants, trading closeness
@@ -90,9 +96,11 @@ int main() {
   dq.sk = query;
   dq.k = 2;
   dq.lambda = 0.3;  // favour spatial spread over closeness
-  IncrementalSkSearch search2(&graph, &index, dq.sk, qe);
-  PairwiseDistanceOracle oracle(&graph, 2.0 * dq.sk.delta_max);
-  const DivSearchOutput out = DiversifiedSearchCOM(&search2, dq, &oracle);
+  // The SK search and the distance oracle share the query's context.
+  IncrementalSkSearch search(&graph, &index, dq.sk, qe, &ctx);
+  PairwiseDistanceOracle oracle(&graph, 2.0 * dq.sk.delta_max,
+                                OracleStrategy::kSharedExpansion, &ctx);
+  const DivSearchOutput out = DiversifiedSearchCOM(&search, dq, &oracle);
 
   std::printf("Diversified (k=2, lambda=%.1f): f(S)=%.4f\n", dq.lambda,
               out.objective);

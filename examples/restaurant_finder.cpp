@@ -9,6 +9,7 @@
 
 #include "core/distance_oracle.h"
 #include "core/div_search.h"
+#include "core/query_context.h"
 #include "datagen/presets.h"
 #include "datagen/workload.h"
 #include "harness/database.h"
@@ -46,11 +47,13 @@ int main() {
   dq.k = 2;
   const QueryEdgeInfo qe = MakeQueryEdgeInfo(db.network(), dq.sk.loc);
 
-  // Runs the query as `dq` stands and prints its answer.
-  auto describe = [&db, &dq, &qe](const char* title) {
+  // Runs the query as `dq` stands and prints its answer. The query and
+  // the distance check after it run one at a time on one context.
+  QueryContext ctx;
+  auto describe = [&db, &dq, &qe, &ctx](const char* title) {
     std::printf("\n%s\n", title);
     DivSearchOutput out;
-    if (const Status s = db.RunDivQuery(dq, qe, /*use_com=*/true, &out);
+    if (const Status s = db.RunDivQuery(dq, qe, /*use_com=*/true, &out, &ctx);
         !s.ok()) {
       std::printf("  query failed: %s %s\n", s.code_name(),
                   s.message().c_str());
@@ -63,7 +66,8 @@ int main() {
     }
     if (out.selected.size() == 2) {
       // How far apart are the two picks (for the post-dinner walk)?
-      PairwiseDistanceOracle oracle(&db.ccam_graph(), 1e9);
+      PairwiseDistanceOracle oracle(&db.ccam_graph(), 1e9,
+                                    OracleStrategy::kSharedExpansion, &ctx);
       std::printf("  pairwise network distance: %.0f\n",
                   oracle.Distance(out.selected[0], out.selected[1]));
     }

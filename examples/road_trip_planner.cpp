@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/query_context.h"
 #include "core/sk_search.h"
 #include "datagen/presets.h"
 #include "datagen/workload.h"
@@ -39,6 +40,7 @@ int main() {
               waypoints.size());
 
   uint64_t total_io = 0;
+  QueryContext ctx;  // one search at a time, reused across the stops
   for (size_t stop = 0; stop < waypoints.size(); ++stop) {
     const auto& here = db.objects().object(waypoints[stop]);
     SkQuery q;
@@ -52,7 +54,7 @@ int main() {
 
     db.ResetCounters();
     const QueryEdgeInfo qe = MakeQueryEdgeInfo(db.network(), q.loc);
-    IncrementalSkSearch search(&db.ccam_graph(), db.index(), q, qe);
+    IncrementalSkSearch search(&db.ccam_graph(), db.index(), q, qe, &ctx);
 
     std::printf("Stop %zu at (%.0f, %.0f):\n", stop + 1, here.loc.x,
                 here.loc.y);

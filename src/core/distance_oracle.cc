@@ -28,10 +28,11 @@ PairwiseDistanceOracle::PairwiseDistanceOracle(const CcamGraph* graph,
     : graph_(graph),
       radius_(radius),
       strategy_(strategy),
-      ctx_(ContextOrOwned(ctx, &owned_ctx_)),
+      ctx_(ctx),
       o_(&ctx_->oracle),
       shared_(graph, radius, &o_->shared, ctx_),
       field_(graph, radius, &o_->field, ctx_) {
+  DSKS_DCHECK_MSG(ctx_ != nullptr, "PairwiseDistanceOracle needs a context");
   DSKS_DCHECK_MSG(!ctx_->oracle_in_use,
                   "QueryContext serves one oracle at a time");
   ctx_->oracle_in_use = true;
@@ -100,7 +101,6 @@ void PairwiseDistanceOracle::BuildSharedField() {
   o_->pending_parent.Reset();
   o_->parent_edge.Reset();
   o_->local_index.Reset();
-  o_->order.clear();
   o_->parent_local.clear();
 
   // Seeds replicate the SK search's exactly, so every settled distance
@@ -113,9 +113,7 @@ void PairwiseDistanceOracle::BuildSharedField() {
   NodeId v;
   double d;
   while (shared_.Settle(&v, &d)) {
-    const auto local = static_cast<uint32_t>(o_->order.size());
-    o_->local_index.Set(v, local);
-    o_->order.push_back(v);
+    o_->local_index.Set(v, static_cast<uint32_t>(o_->parent_local.size()));
     const EdgeId* via_edge = o_->pending_edge.Find(v);
     o_->parent_edge.Set(v, via_edge == nullptr ? kInvalidEdgeId : *via_edge);
     const NodeId* parent = o_->pending_parent.Find(v);
@@ -135,47 +133,30 @@ void PairwiseDistanceOracle::BuildSharedField() {
   }
   ++stats_.shared_expansions;
 
-  // Subtree (Euler) intervals over the shortest-path forest, so "is node x
-  // below a's edge" is two comparisons. Children CSR first (parents settle
-  // before their children, so parent_local[i] < i always).
-  const auto m = static_cast<uint32_t>(o_->order.size());
-  o_->child_head.assign(m + 1, 0);
-  for (uint32_t i = 0; i < m; ++i) {
+  // Subtree sizes and preorder slots over the shortest-path forest, so "is
+  // node x below a's edge" is two comparisons (IsAncestor). A parent
+  // settles before its children (parent_local[i] < i), so a reverse pass
+  // over the settle order completes each subtree before adding it to its
+  // parent, and a forward pass places each node before its children: a
+  // root takes the next free block, a node's children consecutive blocks
+  // right after it.
+  const auto m = static_cast<uint32_t>(o_->parent_local.size());
+  o_->subtree_size.assign(m, 1);
+  for (uint32_t i = m; i-- > 0;) {
     if (o_->parent_local[i] != UINT32_MAX) {
-      ++o_->child_head[o_->parent_local[i] + 1];
+      o_->subtree_size[o_->parent_local[i]] += o_->subtree_size[i];
     }
   }
+  o_->slot.resize(m);
+  o_->next_child_slot.resize(m);
+  uint32_t next_root_slot = 0;
   for (uint32_t i = 0; i < m; ++i) {
-    o_->child_head[i + 1] += o_->child_head[i];
-  }
-  o_->child_cursor.assign(o_->child_head.begin(), o_->child_head.end());
-  o_->child_list.resize(o_->child_head[m]);
-  for (uint32_t i = 0; i < m; ++i) {
-    if (o_->parent_local[i] != UINT32_MAX) {
-      o_->child_list[o_->child_cursor[o_->parent_local[i]]++] = i;
-    }
-  }
-  o_->tin.resize(m);
-  o_->tout.resize(m);
-  o_->dfs_stack.clear();
-  uint32_t t = 0;
-  for (uint32_t root = 0; root < m; ++root) {
-    if (o_->parent_local[root] != UINT32_MAX) {
-      continue;  // only the (up to two) seed nodes are roots
-    }
-    o_->tin[root] = t++;
-    o_->dfs_stack.push_back({root, o_->child_head[root]});
-    while (!o_->dfs_stack.empty()) {
-      auto& [v, cursor] = o_->dfs_stack.back();
-      if (cursor < o_->child_head[v + 1]) {
-        const uint32_t c = o_->child_list[cursor++];
-        o_->tin[c] = t++;
-        o_->dfs_stack.push_back({c, o_->child_head[c]});
-      } else {
-        o_->tout[v] = t++;
-        o_->dfs_stack.pop_back();
-      }
-    }
+    const uint32_t p = o_->parent_local[i];
+    uint32_t& next_free =
+        p == UINT32_MAX ? next_root_slot : o_->next_child_slot[p];
+    o_->slot[i] = next_free;
+    next_free += o_->subtree_size[i];
+    o_->next_child_slot[i] = o_->slot[i] + 1;
   }
   shared_ready_ = true;
 }

@@ -2,7 +2,6 @@
 #define DSKS_CORE_DISTANCE_ORACLE_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "common/flat_containers.h"
 #include "common/status.h"
@@ -51,10 +50,10 @@ struct OracleStats {
 /// over the CCAM file (radius = 2·δmax, an upper bound on the distance
 /// between any two objects in the query range) and caches the resulting
 /// distance field; a pairwise distance is then two hash lookups plus
-/// Equation 1. Under kSharedExpansion (the default) most pairs are instead
-/// answered from a single expansion shared across all objects — call
-/// SetQueryEdge() with the query's edge to enable it. The traversal I/O is
-/// charged to the buffer pool like any other access either way.
+/// Equation 1. Under kSharedExpansion (Database's default) most pairs are
+/// instead answered from a single expansion shared across all objects —
+/// call SetQueryEdge() with the query's edge to enable it. The traversal
+/// I/O is charged to the buffer pool like any other access either way.
 ///
 /// δ(a,b) is always evaluated from the canonical side — the object with the
 /// smaller (dist, id) — so that it is bit-identical to δ(b,a) and
@@ -62,11 +61,11 @@ struct OracleStats {
 /// cannot diverge between SEQ and COM.
 class PairwiseDistanceOracle {
  public:
-  /// `radius` bounds each expansion; pass 2·δmax.
-  PairwiseDistanceOracle(
-      const CcamGraph* graph, double radius,
-      OracleStrategy strategy = OracleStrategy::kSharedExpansion,
-      QueryContext* ctx = nullptr);
+  /// `radius` bounds each expansion; pass 2·δmax. All state lives in
+  /// `ctx`: next to a live SK search on the same context (a diversified
+  /// query), the oracle shares that query's adjacency memo.
+  PairwiseDistanceOracle(const CcamGraph* graph, double radius,
+                         OracleStrategy strategy, QueryContext* ctx);
   ~PairwiseDistanceOracle();
 
   PairwiseDistanceOracle(const PairwiseDistanceOracle&) = delete;
@@ -112,8 +111,8 @@ class PairwiseDistanceOracle {
   /// Bounded per-object Dijkstra into a pooled field map.
   FieldMap& FieldOf(const SkResult& a);
 
-  /// Runs the shared expansion and builds the shortest-path-tree subtree
-  /// intervals used for certification.
+  /// Runs the shared expansion and labels the shortest-path forest's
+  /// subtrees for certification.
   void BuildSharedField();
 
   /// Attempts to answer δ(a,b) (a canonical) exactly from the shared
@@ -125,14 +124,14 @@ class PairwiseDistanceOracle {
   /// True iff local settle index `anc` is an ancestor of `node` in the
   /// shared shortest-path tree (inclusive).
   bool IsAncestor(uint32_t anc, uint32_t node) const {
-    return o_->tin[anc] <= o_->tin[node] && o_->tout[node] <= o_->tout[anc];
+    return o_->slot[anc] <= o_->slot[node] &&
+           o_->slot[node] < o_->slot[anc] + o_->subtree_size[anc];
   }
 
   const CcamGraph* graph_;
   const double radius_;
   const OracleStrategy strategy_;
 
-  std::unique_ptr<QueryContext> owned_ctx_;  // only when no ctx was passed
   QueryContext* ctx_;
   OracleScratch* o_;  // = &ctx_->oracle
   NetworkExpansion shared_;  // over o_->shared; read by every later probe

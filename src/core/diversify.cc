@@ -97,9 +97,8 @@ GreedyDivResult GreedyDiversify(const std::vector<SkResult>& candidates,
 
 std::vector<SkResult> BruteForceOptimal(
     const std::vector<SkResult>& candidates, size_t k, double lambda,
-    double delta_max, const ThetaFn& theta,
+    double delta_max,
     const std::function<double(const SkResult&, const SkResult&)>& dist) {
-  (void)theta;
   const size_t n = candidates.size();
   if (n <= k) {
     return candidates;

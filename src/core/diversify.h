@@ -65,7 +65,7 @@ GreedyDivResult GreedyDiversify(const std::vector<SkResult>& candidates,
 /// tests; exponential, use only on tiny instances.
 std::vector<SkResult> BruteForceOptimal(
     const std::vector<SkResult>& candidates, size_t k, double lambda,
-    double delta_max, const ThetaFn& theta,
+    double delta_max,
     const std::function<double(const SkResult&, const SkResult&)>& dist);
 
 }  // namespace dsks

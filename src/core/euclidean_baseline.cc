@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <utility>
 
 #include "common/macros.h"
 #include "core/network_expansion.h"
@@ -16,8 +16,7 @@ Status EuclideanFilterRefine(const CcamGraph* graph, const RoadNetwork& net,
                              EuclideanBaselineStats* stats,
                              QueryContext* ctx) {
   out->clear();
-  std::unique_ptr<QueryContext> owned_ctx;
-  ctx = ContextOrOwned(ctx, &owned_ctx);
+  DSKS_DCHECK_MSG(ctx != nullptr, "EuclideanFilterRefine needs a context");
   // Runs to completion on the SK search's expansion scratch.
   DSKS_DCHECK_MSG(!ctx->sk_search_in_use,
                   "QueryContext serves one SK search at a time");

@@ -44,14 +44,12 @@ struct EuclideanBaselineStats {
 /// `net` provides the edge endpoint/weight table for verification (the
 /// same in-memory metadata the R-tree build used). On a storage error or
 /// cancellation `*out` is left empty; `*stats` (when given) still accounts
-/// the partial work. `ctx` supplies the expansion scratch and the deadline
-/// (nullptr: a private context).
+/// the partial work. `ctx` supplies the expansion scratch and the deadline.
 Status EuclideanFilterRefine(const CcamGraph* graph, const RoadNetwork& net,
                              InvertedRTreeIndex* index, const SkQuery& query,
                              const QueryEdgeInfo& query_edge,
                              std::vector<SkResult>* out,
-                             EuclideanBaselineStats* stats,
-                             QueryContext* ctx = nullptr);
+                             EuclideanBaselineStats* stats, QueryContext* ctx);
 
 }  // namespace dsks
 

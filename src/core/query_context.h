@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -69,14 +68,6 @@ struct SkObjectState {
   double edge_weight = 0.0;
 };
 
-/// One processed edge: weight plus the matching objects loaded from the
-/// index. Slots live in a pool so the object vectors keep their capacity
-/// across queries.
-struct LoadedEdgeSlot {
-  double weight = 0.0;
-  std::vector<LoadedObject> objects;
-};
-
 /// Scratch for the query's own expansion from q — one IncrementalSkSearch
 /// or EuclideanFilterRefine at a time. Everything here is reset-not-freed
 /// between queries: epoch arrays invalidate in O(1), flat maps and heaps
@@ -86,7 +77,9 @@ struct SkSearchScratch {
   ExpansionScratch expansion;
   ReusableMinHeap<std::pair<double, uint32_t>> object_heap;
   FlatHashMap<EdgeId, uint32_t> edge_slot;  // edge -> index into edge_pool
-  std::vector<LoadedEdgeSlot> edge_pool;    // [0, edge_pool_used) are live
+  // A processed edge's matching objects, loaded from the index once per
+  // query; [0, edge_pool_used) are live.
+  std::vector<std::vector<LoadedObject>> edge_pool;
   size_t edge_pool_used = 0;
   FlatHashMap<ObjectId, SkObjectState> object_state;
 
@@ -98,8 +91,8 @@ struct SkSearchScratch {
 };
 
 /// Scratch for one PairwiseDistanceOracle. Holds the shared-expansion
-/// shortest-path-tree state (parent edges, settle order and subtree
-/// intervals) plus a pool of per-object fallback distance fields. The
+/// shortest-path-tree state (parent edges and subtree labels, indexed by
+/// settle order) plus a pool of per-object fallback distance fields. The
 /// shared pass and the field passes expand over separate scratches: the
 /// shared distances are read by every later probe, across field passes.
 struct OracleScratch {
@@ -109,13 +102,13 @@ struct OracleScratch {
   EpochArray<NodeId> pending_parent;    // best relaxing parent node
   EpochArray<EdgeId> parent_edge;       // edge that settled the node
   EpochArray<uint32_t> local_index;     // node -> index into settle order
-  std::vector<NodeId> order;            // nodes in settle order
-  std::vector<uint32_t> parent_local;   // parent's local index (or UINT32_MAX)
-  std::vector<uint32_t> tin, tout;      // subtree (Euler) intervals per local
-  std::vector<uint32_t> child_head;     // children CSR offsets (size n+1)
-  std::vector<uint32_t> child_cursor;   // CSR fill cursors
-  std::vector<uint32_t> child_list;     // children CSR payload
-  std::vector<std::pair<uint32_t, uint32_t>> dfs_stack;
+  // Per local index: the parent's local index (UINT32_MAX for a root), the
+  // subtree's size and the node's preorder slot. A subtree's slots are
+  // [slot, slot + subtree_size).
+  std::vector<uint32_t> parent_local;
+  std::vector<uint32_t> subtree_size;
+  std::vector<uint32_t> slot;
+  std::vector<uint32_t> next_child_slot;  // where the next child's block goes
 
   // Per-object fallback fields: one expansion each, its settled distances
   // copied into a pooled map whose slot arrays serve later queries. A
@@ -129,12 +122,12 @@ struct OracleScratch {
   FlatHashMap<uint64_t, double> pair_cache;
 };
 
-/// Reusable per-thread query scratch. One QueryContext serves one query at
-/// a time (one SK search plus one distance oracle — the diversified search
-/// uses both concurrently); QueryExecutor owns one per worker thread, the
-/// CLI and sequential harness own one per loop. Consumers that get no
-/// context allocate a private one, which still beats per-query
-/// unordered_maps but misses the cross-query reuse.
+/// Reusable per-thread query scratch, the one home of a query's state. One
+/// QueryContext serves one query at a time (one SK search plus one
+/// distance oracle — the diversified search uses both concurrently, over
+/// one adjacency memo); QueryExecutor owns one per worker thread, the CLI
+/// and sequential harness own one per loop. Every search takes one;
+/// Database::Run*Query makes one for the query when its caller passes none.
 struct QueryContext {
   SkSearchScratch sk_search;
   OracleScratch oracle;
@@ -175,18 +168,6 @@ struct QueryContext {
   bool sk_search_in_use = false;
   bool oracle_in_use = false;
 };
-
-/// `ctx` itself, or — when it is null — a fresh context owned by `*owned`.
-/// The searches call this so that a caller without a long-lived context
-/// still gets one for the query's lifetime.
-inline QueryContext* ContextOrOwned(QueryContext* ctx,
-                                    std::unique_ptr<QueryContext>* owned) {
-  if (ctx == nullptr) {
-    *owned = std::make_unique<QueryContext>();
-    ctx = owned->get();
-  }
-  return ctx;
-}
 
 /// The deadline value for "`millis` from now" on the steady clock; pass the
 /// result to QueryContext::deadline_steady_ns. Non-positive millis arms an

@@ -1,7 +1,6 @@
 #include "core/ranked_search.h"
 
 #include <algorithm>
-#include <memory>
 #include <span>
 #include <string>
 
@@ -82,8 +81,7 @@ Status RankedSkSearch(const CcamGraph* graph, ObjectIndex* index,
   const double alpha = query.alpha;
   const auto num_terms = static_cast<double>(query.sk.terms.size());
   DSKS_CHECK_MSG(query.k > 0, "ranked query needs k > 0");
-  std::unique_ptr<QueryContext> owned_ctx;
-  ctx = ContextOrOwned(ctx, &owned_ctx);
+  DSKS_DCHECK_MSG(ctx != nullptr, "RankedSkSearch needs a context");
   OrView or_view(index, &ctx->sk_search);
   IncrementalSkSearch search(graph, &or_view, query.sk, query_edge, ctx);
 

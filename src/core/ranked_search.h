@@ -51,13 +51,12 @@ struct RankedSearchStats {
 /// any IncrementalSkSearch's. On a storage error or cancellation `*out` is
 /// left empty and `*stats` (when given) still accounts the work done
 /// before it. `ctx` supplies the search scratch, the deadline and the
-/// trace, as for IncrementalSkSearch (nullptr: a private context).
+/// trace, as for IncrementalSkSearch.
 Status RankedSkSearch(const CcamGraph* graph, ObjectIndex* index,
                       const RankedQuery& query,
                       const QueryEdgeInfo& query_edge,
-                      std::vector<RankedResult>* out,
-                      RankedSearchStats* stats = nullptr,
-                      QueryContext* ctx = nullptr);
+                      std::vector<RankedResult>* out, RankedSearchStats* stats,
+                      QueryContext* ctx);
 
 /// Boolean k-nearest-neighbour SK query (Definition 1 with a result-count
 /// bound instead of exhausting δmax): the k closest objects containing all
@@ -68,8 +67,7 @@ Status RankedSkSearch(const CcamGraph* graph, ObjectIndex* index,
 Status BooleanKnnSearch(const CcamGraph* graph, ObjectIndex* index,
                         const SkQuery& query,
                         const QueryEdgeInfo& query_edge, size_t k,
-                        std::vector<SkResult>* out,
-                        QueryContext* ctx = nullptr);
+                        std::vector<SkResult>* out, QueryContext* ctx);
 
 }  // namespace dsks
 

@@ -18,9 +18,10 @@ IncrementalSkSearch::IncrementalSkSearch(const CcamGraph* graph,
     : index_(index),
       delta_max_(query.delta_max),
       terms_(query.terms),
-      ctx_(ContextOrOwned(ctx, &owned_ctx_)),
+      ctx_(ctx),
       s_(&ctx_->sk_search),
       expansion_(graph, query.delta_max, &s_->expansion, ctx_) {
+  DSKS_DCHECK_MSG(ctx_ != nullptr, "IncrementalSkSearch needs a context");
   DSKS_CHECK_MSG(!terms_.empty(), "SK query needs at least one keyword");
   DSKS_CHECK_MSG(delta_max_ > 0.0, "delta_max must be positive");
   DSKS_CHECK(std::is_sorted(terms_.begin(), terms_.end()));
@@ -45,18 +46,17 @@ IncrementalSkSearch::IncrementalSkSearch(const CcamGraph* graph,
   // (δ(q,p) = w(q,p) when both lie on the same edge, §2.1); paths through
   // the endpoints are applied when those endpoints settle.
   const uint32_t slot = AllocEdgeSlot();
-  LoadedEdgeSlot& le = s_->edge_pool[slot];
-  le.weight = query_edge.weight;
+  std::vector<LoadedObject>& objects = s_->edge_pool[slot];
   {
     obs::ScopedSpan span(ctx_->trace, obs::Phase::kKeywordLookup);
-    status_ = index_->LoadObjects(query_edge.edge, terms_, &le.objects);
+    status_ = index_->LoadObjects(query_edge.edge, terms_, &objects);
   }
   if (!status_.ok()) {
-    le.objects.clear();
+    objects.clear();
     return;
   }
   s_->edge_slot.try_emplace(query_edge.edge, slot);
-  for (const LoadedObject& o : le.objects) {
+  for (const LoadedObject& o : objects) {
     UpdateObject(o, query_edge.edge, query_edge.n1, query_edge.n2,
                  query_edge.weight, std::abs(o.w1 - query_edge.w1));
   }
@@ -70,8 +70,7 @@ uint32_t IncrementalSkSearch::AllocEdgeSlot() {
   if (s_->edge_pool_used == s_->edge_pool.size()) {
     s_->edge_pool.emplace_back();
   }
-  LoadedEdgeSlot& slot = s_->edge_pool[s_->edge_pool_used];
-  slot.objects.clear();  // keeps the vector's capacity
+  s_->edge_pool[s_->edge_pool_used].clear();  // keeps the vector's capacity
   return static_cast<uint32_t>(s_->edge_pool_used++);
 }
 
@@ -103,16 +102,15 @@ void IncrementalSkSearch::ProcessEdge(EdgeId e, double w, NodeId v, NodeId nb,
   if (found == nullptr) {
     ++stats_.edges_processed;
     slot = AllocEdgeSlot();
-    LoadedEdgeSlot& le = s_->edge_pool[slot];
-    le.weight = w;
+    std::vector<LoadedObject>& objects = s_->edge_pool[slot];
     // The index loads straight into the pooled vector — no intermediate
     // scratch copy.
     {
       obs::ScopedSpan span(ctx_->trace, obs::Phase::kKeywordLookup);
-      status_ = index_->LoadObjects(e, terms_, &le.objects);
+      status_ = index_->LoadObjects(e, terms_, &objects);
     }
     if (!status_.ok()) {
-      le.objects.clear();
+      objects.clear();
       return;
     }
     s_->edge_slot.try_emplace(e, slot);
@@ -125,7 +123,7 @@ void IncrementalSkSearch::ProcessEdge(EdgeId e, double w, NodeId v, NodeId nb,
   const bool v_is_n1 = v < nb;
   const NodeId n1 = std::min(v, nb);
   const NodeId n2 = std::max(v, nb);
-  const std::vector<LoadedObject>& objects = s_->edge_pool[slot].objects;
+  const std::vector<LoadedObject>& objects = s_->edge_pool[slot];
   for (const LoadedObject& o : objects) {
     const double via_v = d + (v_is_n1 ? o.w1 : w - o.w1);
     UpdateObject(o, e, n1, n2, w, via_v);

@@ -2,7 +2,6 @@
 #define DSKS_CORE_SK_SEARCH_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/macros.h"
@@ -43,10 +42,9 @@ struct QueryEdgeInfo {
 /// and all object loading through the index, so every page touched is
 /// accounted in the buffer pool / disk statistics.
 ///
-/// All mutable search state lives in a QueryContext's SkSearchScratch.
-/// Pass a long-lived context (one per thread) and steady-state searches do
-/// near-zero heap allocation; with no context the search allocates a
-/// private one for its lifetime.
+/// All mutable search state lives in the caller's QueryContext
+/// (SkSearchScratch and the adjacency memo). With a long-lived context (one
+/// per thread) steady-state searches do near-zero heap allocation.
 class IncrementalSkSearch {
  public:
   struct Stats {
@@ -57,7 +55,7 @@ class IncrementalSkSearch {
 
   IncrementalSkSearch(const CcamGraph* graph, ObjectIndex* index,
                       const SkQuery& query, const QueryEdgeInfo& query_edge,
-                      QueryContext* ctx = nullptr);
+                      QueryContext* ctx);
   ~IncrementalSkSearch();
 
   IncrementalSkSearch(const IncrementalSkSearch&) = delete;
@@ -134,7 +132,6 @@ class IncrementalSkSearch {
   const double delta_max_;
   std::vector<TermId> terms_;
 
-  std::unique_ptr<QueryContext> owned_ctx_;  // only when no ctx was passed
   QueryContext* ctx_;
   SkSearchScratch* s_;  // = &ctx_->sk_search
   NetworkExpansion expansion_;

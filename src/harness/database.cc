@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/heap.h"
@@ -217,21 +218,26 @@ void Database::UnbindMetrics(obs::MetricsRegistry* registry,
 
 namespace {
 
-/// The query boundary every Run* method shares: charges the query's
-/// storage I/O to its context, binds a trace to those per-context counters
-/// (so span deltas stay exact under concurrency — other queries charge
-/// their own contexts) and opens the kQuery root span before `run` does
-/// any I/O. A failed query keeps the spans recorded before the error as
-/// its partial-work account.
+/// The query boundary every Run* method shares: runs `run(ctx)` on the
+/// caller's context, or on one of its own when the caller passes none, so
+/// every search and oracle of the query shares one context and one
+/// adjacency memo. Charges the query's storage I/O to that context, binds
+/// a trace to those per-context counters (so span deltas stay exact under
+/// concurrency — other queries charge their own contexts) and opens the
+/// kQuery root span before `run` does any I/O. A failed query keeps the
+/// spans recorded before the error as its partial-work account.
 template <typename Fn>
 Status RunInContext(QueryContext* ctx, Fn&& run) {
-  obs::QueryTrace* trace = ctx == nullptr ? nullptr : ctx->trace;
-  obs::ScopedIoAccount io_account(ctx == nullptr ? nullptr : &ctx->io);
-  if (trace != nullptr) {
-    trace->BindContextIo(&ctx->io);
+  std::optional<QueryContext> local;
+  if (ctx == nullptr) {
+    ctx = &local.emplace();
   }
-  obs::ScopedSpan root(trace, obs::Phase::kQuery);
-  return run();
+  obs::ScopedIoAccount io_account(&ctx->io);
+  if (ctx->trace != nullptr) {
+    ctx->trace->BindContextIo(&ctx->io);
+  }
+  obs::ScopedSpan root(ctx->trace, obs::Phase::kQuery);
+  return run(ctx);
 }
 
 }  // namespace
@@ -261,7 +267,7 @@ Status Database::RunSkQuery(const SkQuery& query, const QueryEdgeInfo& edge,
   SkQuery q = query;
   DSKS_RETURN_IF_ERROR(NormalizeSkQuery(&q));
   DSKS_RETURN_IF_ERROR(CheckQueryEdge(q, edge));
-  return RunInContext(ctx, [&] {
+  return RunInContext(ctx, [&](QueryContext* ctx) {
     IncrementalSkSearch search(ccam_graph_.get(), index_.get(), q, edge, ctx);
     SkResult r;
     while (search.Next(&r)) {
@@ -281,7 +287,7 @@ Status Database::RunKnnQuery(const SkQuery& query, const QueryEdgeInfo& edge,
   if (k == 0) {
     return Status::InvalidArgument("kNN query needs k >= 1");
   }
-  return RunInContext(ctx, [&] {
+  return RunInContext(ctx, [&](QueryContext* ctx) {
     return BooleanKnnSearch(ccam_graph_.get(), index_.get(), q, edge, k, out,
                             ctx);
   });
@@ -301,7 +307,7 @@ Status Database::RunRankedQuery(const RankedQuery& query,
   if (!(q.alpha >= 0.0 && q.alpha <= 1.0)) {
     return Status::InvalidArgument("alpha must be in [0, 1]");
   }
-  return RunInContext(ctx, [&] {
+  return RunInContext(ctx, [&](QueryContext* ctx) {
     return RankedSkSearch(ccam_graph_.get(), index_.get(), q, edge, out,
                           /*stats=*/nullptr, ctx);
   });
@@ -314,7 +320,7 @@ Status Database::RunDivQuery(const DivQuery& query, const QueryEdgeInfo& edge,
   DivQuery q = query;
   DSKS_RETURN_IF_ERROR(NormalizeDivQuery(&q));
   DSKS_RETURN_IF_ERROR(CheckQueryEdge(q.sk, edge));
-  return RunInContext(ctx, [&] {
+  return RunInContext(ctx, [&](QueryContext* ctx) {
     IncrementalSkSearch search(ccam_graph_.get(), index_.get(), q.sk, edge,
                                ctx);
     PairwiseDistanceOracle oracle(ccam_graph_.get(), 2.0 * q.sk.delta_max,

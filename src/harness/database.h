@@ -127,7 +127,8 @@ class Database {
   /// done so far accounted in the context's QueryTrace. The context also
   /// receives the query's I/O charge and supplies its deadline. Pass a
   /// long-lived per-thread QueryContext to amortize scratch allocations
-  /// across queries (nullptr: the search allocates a private one).
+  /// across queries; with nullptr the query runs on a fresh context of its
+  /// own, with the same results and page accesses.
   Status RunSkQuery(const SkQuery& query, const QueryEdgeInfo& edge,
                     std::vector<SkResult>* out, QueryContext* ctx = nullptr);
 

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 
+#include "common/macros.h"
+
 namespace dsks::obs {
 
 /// Buffer-pool/disk I/O event counts. Two uses: (a) span delta snapshots
@@ -41,21 +43,19 @@ struct IoCounters {
 ///
 /// Null (the default) means unattributed: the charge helpers reduce to a
 /// thread-local load and a branch, which is what keeps the storage hot
-/// paths at their old cost for build phases and untracked callers.
+/// paths at their old cost for build phases, which install no account.
 inline thread_local IoCounters* tls_io_account = nullptr;
 
 inline IoCounters* CurrentIoAccount() { return tls_io_account; }
 
-/// Installs `account` as the calling thread's charge target for the scope;
-/// restores the previous target on destruction. A null argument is a no-op
-/// (keeps whatever is installed), which lets query entry points accept an
-/// optional context without branching at every call site.
+/// Installs `account` (not null) as the calling thread's charge target for
+/// the scope; restores the previous target on destruction. Every
+/// Database::Run* query installs its context's account.
 class ScopedIoAccount {
  public:
   explicit ScopedIoAccount(IoCounters* account) : prev_(tls_io_account) {
-    if (account != nullptr) {
-      tls_io_account = account;
-    }
+    DSKS_DCHECK(account != nullptr);
+    tls_io_account = account;
   }
   ~ScopedIoAccount() { tls_io_account = prev_; }
 

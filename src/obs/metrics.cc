@@ -193,11 +193,6 @@ void MetricsRegistry::BindSource(const std::string& name,
   sources_[name] = Source{std::move(read), kind};
 }
 
-void MetricsRegistry::UnbindSource(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sources_.erase(name);
-}
-
 void MetricsRegistry::UnbindSourcesWithPrefix(const std::string& prefix) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = sources_.lower_bound(prefix); it != sources_.end();) {

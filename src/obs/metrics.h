@@ -156,7 +156,6 @@ class MetricsRegistry {
   /// Registers a live read-only source; replaces any source of that name.
   void BindSource(const std::string& name, std::function<uint64_t()> read,
                   SourceKind kind = SourceKind::kCounter);
-  void UnbindSource(const std::string& name);
   /// Drops every source whose name starts with `prefix` (a binder's
   /// teardown path; see class comment).
   void UnbindSourcesWithPrefix(const std::string& prefix);

@@ -1,7 +1,8 @@
 // The per-query adjacency memo under NetworkExpansion (AdjacencyMemo in
 // core/query_context.h): a memo-served list is exactly the list the CCAM
-// file holds, no entry outlives the query that made it, and a fetch that
-// failed or was cancelled leaves no entry behind.
+// file holds, no entry outlives the query that made it, a fetch that
+// failed or was cancelled leaves no entry behind, and a query run without
+// a context still shares one memo between its search and its oracle.
 //
 // check.sh runs this binary on the file backend too, under every
 // sanitizer, so ASan sees the adjacency views into the memo arena against
@@ -215,6 +216,67 @@ TEST(AdjacencyMemoTest, CancelledSettleLeavesNoEntry) {
   // memoized nodes cost nothing.
   EXPECT_EQ(fx.accesses() - accesses, 1 + order.size());
   EXPECT_TRUE(ctx.adjacency_memo.slice.Contains(cancelled));
+}
+
+/// True iff the two answers are the same objects at the same distances,
+/// bit for bit, with the same objective and oracle work.
+bool SameAnswer(const DivSearchOutput& a, const DivSearchOutput& b) {
+  if (a.selected.size() != b.selected.size() ||
+      std::memcmp(&a.objective, &b.objective, sizeof(double)) != 0 ||
+      a.stats.candidates != b.stats.candidates ||
+      a.stats.distance_fields != b.stats.distance_fields ||
+      a.stats.oracle_pairs != b.stats.oracle_pairs ||
+      a.stats.oracle_pairs_shared != b.stats.oracle_pairs_shared) {
+    return false;
+  }
+  for (size_t i = 0; i < a.selected.size(); ++i) {
+    if (a.selected[i].id != b.selected[i].id ||
+        std::memcmp(&a.selected[i].dist, &b.selected[i].dist,
+                    sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Database::RunDivQuery without a context runs the whole query on one
+/// context of its own, so the oracle's shared pass and fields read the
+/// adjacency the SK search already decoded, as they do on the caller's
+/// context: the same answer and the same pool accesses, query by query.
+TEST(AdjacencyMemoTest, ContextLessDivQueryReadsLikeOneWithAContext) {
+  testing::BackendDatabase bdb(MemoConfig(), "memo_no_context");
+  Database& db = *bdb;
+  db.BuildIndex(IndexOptions{});
+  db.PrepareForQueries(1.0);
+  const Workload wl = MemoWorkload(db, 8);
+
+  uint64_t shared_passes = 0;
+  for (const WorkloadQuery& wq : wl.queries) {
+    for (const bool com : {false, true}) {
+      DivQuery dq;
+      dq.sk = wq.sk;
+      dq.k = 6;
+      dq.lambda = 0.8;
+      db.ResetCounters();
+      DivSearchOutput without;
+      ASSERT_TRUE(
+          db.RunDivQuery(dq, wq.edge, com, &without, /*ctx=*/nullptr).ok());
+      const uint64_t accesses_without = db.pool()->stats_snapshot().accesses();
+
+      db.ResetCounters();
+      QueryContext ctx;
+      DivSearchOutput with;
+      ASSERT_TRUE(db.RunDivQuery(dq, wq.edge, com, &with, &ctx).ok());
+      const uint64_t accesses_with = db.pool()->stats_snapshot().accesses();
+
+      EXPECT_TRUE(SameAnswer(without, with)) << (com ? "COM" : "SEQ");
+      EXPECT_EQ(accesses_without, accesses_with) << (com ? "COM" : "SEQ");
+      shared_passes += with.stats.oracle_shared_expansions;
+    }
+  }
+  // Without a shared pass the oracle re-reads nothing the search decoded,
+  // and the test could not tell one context from two.
+  EXPECT_GT(shared_passes, 0u);
 }
 
 enum class Kind { kSk, kRanked, kEuclidean, kDivCom, kStandaloneOracle };

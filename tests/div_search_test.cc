@@ -6,6 +6,7 @@
 
 #include "core/distance_oracle.h"
 #include "core/div_search.h"
+#include "core/query_context.h"
 #include "core/sk_search.h"
 #include "datagen/workload.h"
 #include "graph/ccam.h"
@@ -29,6 +30,7 @@ struct DivFixture {
   CcamFile ccam;
   std::unique_ptr<CcamGraph> graph;
   std::unique_ptr<SifIndex> index;
+  QueryContext ctx;  // one query at a time, as a worker thread runs them
 
   explicit DivFixture(uint64_t seed, size_t nodes = 150, size_t objects = 500,
                       size_t vocab = 20, size_t keywords = 4) {
@@ -43,8 +45,9 @@ struct DivFixture {
       const DivQuery& q, bool com,
       OracleStrategy strategy = OracleStrategy::kSharedExpansion) {
     const QueryEdgeInfo info = MakeQueryEdgeInfo(*data.network, q.sk.loc);
-    IncrementalSkSearch search(graph.get(), index.get(), q.sk, info);
-    PairwiseDistanceOracle oracle(graph.get(), 2.0 * q.sk.delta_max, strategy);
+    IncrementalSkSearch search(graph.get(), index.get(), q.sk, info, &ctx);
+    PairwiseDistanceOracle oracle(graph.get(), 2.0 * q.sk.delta_max, strategy,
+                                  &ctx);
     oracle.SetQueryEdge(info);
     return com ? DiversifiedSearchCOM(&search, q, &oracle)
                : DiversifiedSearchSEQ(&search, q, &oracle);
@@ -214,7 +217,8 @@ TEST(DivSearchTest, ObjectiveRespondsToLambda) {
   // Gather all candidates to find the true 4 nearest.
   SkQuery plain = q.sk;
   const QueryEdgeInfo info = MakeQueryEdgeInfo(*fx.data.network, plain.loc);
-  IncrementalSkSearch search(fx.graph.get(), fx.index.get(), plain, info);
+  IncrementalSkSearch search(fx.graph.get(), fx.index.get(), plain, info,
+                             &fx.ctx);
   std::vector<SkResult> all;
   SkResult r;
   while (search.Next(&r)) all.push_back(r);
@@ -272,8 +276,10 @@ TEST(DivSearchTest, CoLocatedObjectsAndTiedDistances) {
   const QueryEdgeInfo qe = MakeQueryEdgeInfo(net, dq.sk.loc);
 
   auto run = [&](bool com) {
-    IncrementalSkSearch search(&graph, &index, dq.sk, qe);
-    PairwiseDistanceOracle oracle(&graph, 2.0 * dq.sk.delta_max);
+    QueryContext ctx;
+    IncrementalSkSearch search(&graph, &index, dq.sk, qe, &ctx);
+    PairwiseDistanceOracle oracle(&graph, 2.0 * dq.sk.delta_max,
+                                  OracleStrategy::kSharedExpansion, &ctx);
     return com ? DiversifiedSearchCOM(&search, dq, &oracle)
                : DiversifiedSearchSEQ(&search, dq, &oracle);
   };
@@ -293,7 +299,8 @@ TEST(PairwiseDistanceOracleTest, MatchesExactDistances) {
   q.sk.terms = {0};
   q.sk.delta_max = 1500.0;
   const QueryEdgeInfo info = MakeQueryEdgeInfo(net, q.sk.loc);
-  IncrementalSkSearch search(fx.graph.get(), fx.index.get(), q.sk, info);
+  IncrementalSkSearch search(fx.graph.get(), fx.index.get(), q.sk, info,
+                             &fx.ctx);
   std::vector<SkResult> results;
   SkResult r;
   while (search.Next(&r) && results.size() < 12) results.push_back(r);
@@ -303,7 +310,7 @@ TEST(PairwiseDistanceOracleTest, MatchesExactDistances) {
   for (const OracleStrategy strategy :
        {OracleStrategy::kPerObjectDijkstra, OracleStrategy::kSharedExpansion}) {
     PairwiseDistanceOracle oracle(fx.graph.get(), 2.0 * q.sk.delta_max,
-                                  strategy);
+                                  strategy, &fx.ctx);
     oracle.SetQueryEdge(qe);
     for (size_t i = 0; i < results.size(); ++i) {
       for (size_t j = 0; j < results.size(); ++j) {
@@ -335,7 +342,8 @@ TEST(PairwiseDistanceOracleTest, FieldsAndPairDistancesAreCached) {
   q.sk.terms = {0};
   q.sk.delta_max = 1000.0;
   const QueryEdgeInfo info = MakeQueryEdgeInfo(*fx.data.network, q.sk.loc);
-  IncrementalSkSearch search(fx.graph.get(), fx.index.get(), q.sk, info);
+  IncrementalSkSearch search(fx.graph.get(), fx.index.get(), q.sk, info,
+                             &fx.ctx);
   SkResult a;
   SkResult b;
   SkResult c;
@@ -343,7 +351,7 @@ TEST(PairwiseDistanceOracleTest, FieldsAndPairDistancesAreCached) {
   ASSERT_TRUE(search.Next(&b));
   ASSERT_TRUE(search.Next(&c));
   PairwiseDistanceOracle oracle(fx.graph.get(), 2000.0,
-                                OracleStrategy::kPerObjectDijkstra);
+                                OracleStrategy::kPerObjectDijkstra, &fx.ctx);
   const double d1 = oracle.Distance(a, b);
   EXPECT_EQ(oracle.fields_computed(), 1u);
   // The pair is memoized, in either direction.
@@ -393,17 +401,21 @@ TEST(SharedExpansionOracleTest, MatchesPerObjectOracleAndFloydWarshall) {
       q.sk.delta_max = 1200.0 + 400.0 * round;
       const double radius = 2.0 * q.sk.delta_max;
       const QueryEdgeInfo info = MakeQueryEdgeInfo(*fx.data.network, q.sk.loc);
-      IncrementalSkSearch search(fx.graph.get(), fx.index.get(), q.sk, info);
+      IncrementalSkSearch search(fx.graph.get(), fx.index.get(), q.sk, info,
+                                 &fx.ctx);
       std::vector<SkResult> results;
       SkResult r;
       while (search.Next(&r) && results.size() < 15) results.push_back(r);
       if (results.size() < 2) continue;
 
       PairwiseDistanceOracle shared(fx.graph.get(), radius,
-                                    OracleStrategy::kSharedExpansion);
+                                    OracleStrategy::kSharedExpansion, &fx.ctx);
       shared.SetQueryEdge(info);
+      // A context serves one oracle at a time.
+      QueryContext per_object_ctx;
       PairwiseDistanceOracle per_object(fx.graph.get(), radius,
-                                        OracleStrategy::kPerObjectDijkstra);
+                                        OracleStrategy::kPerObjectDijkstra,
+                                        &per_object_ctx);
       for (size_t i = 0; i < results.size(); ++i) {
         for (size_t j = 0; j < results.size(); ++j) {
           const double want = FwPairDistance(fw, results[i], results[j],

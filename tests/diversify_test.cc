@@ -155,8 +155,7 @@ TEST_P(GreedyApproxTest, WithinFactorTwoOfBruteForce) {
   const auto greedy = GreedyDiversify(w.candidates, k, theta);
   ASSERT_EQ(greedy.selected.size(), k);
   const auto optimal =
-      BruteForceOptimal(w.candidates, k, w.lambda, w.delta_max, theta,
-                        dist_fn);
+      BruteForceOptimal(w.candidates, k, w.lambda, w.delta_max, dist_fn);
   const double fg = evaluate(greedy.selected);
   const double fo = evaluate(optimal);
   EXPECT_LE(fg, fo + 1e-9);

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "core/euclidean_baseline.h"
+#include "core/query_context.h"
 #include "core/sk_search.h"
 #include "datagen/workload.h"
 #include "graph/ccam.h"
@@ -33,6 +34,7 @@ TEST_P(EuclideanBaselineTest, EquivalentToBruteForce) {
   InvertedRTreeIndex index(&pool, *data.objects, 20);
 
   Random rng(GetParam() ^ 0xE0C1);
+  QueryContext ctx;
   for (int round = 0; round < 10; ++round) {
     SkQuery q;
     q.loc = testing::LocationOfObject(*data.objects, rng.Uniform(450));
@@ -45,7 +47,7 @@ TEST_P(EuclideanBaselineTest, EquivalentToBruteForce) {
     EuclideanBaselineStats stats;
     std::vector<SkResult> got;
     ASSERT_TRUE(EuclideanFilterRefine(&graph, *data.network, &index, q, qe,
-                                      &got, &stats)
+                                      &got, &stats, &ctx)
                     .ok());
     const auto want =
         testing::BruteForceSkSearch(*data.network, *data.objects, q);
@@ -110,8 +112,10 @@ TEST(EuclideanBaselineTest, FilterAdmitsNetworkUnreachableCandidates) {
   const QueryEdgeInfo qe = MakeQueryEdgeInfo(net, q.loc);
   EuclideanBaselineStats stats;
   std::vector<SkResult> got;
-  ASSERT_TRUE(
-      EuclideanFilterRefine(&graph, net, &index, q, qe, &got, &stats).ok());
+  QueryContext ctx;
+  ASSERT_TRUE(EuclideanFilterRefine(&graph, net, &index, q, qe, &got, &stats,
+                                    &ctx)
+                  .ok());
 
   // The Euclidean filter admits both objects; only one survives.
   EXPECT_EQ(stats.euclidean_candidates, 2u);

@@ -96,8 +96,8 @@ TEST(HistogramTest, MergedPerWorkerEqualsPooled) {
     EXPECT_DOUBLE_EQ(merged.Percentile(pct), want.Percentile(pct)) << pct;
   }
 
-  // Histogram::MergeFrom (used when Drain folds a batch into the
-  // registry) matches the snapshot-level merge.
+  // Histogram::MergeFrom, which folds a snapshot into a live recorder,
+  // matches the snapshot-level merge.
   obs::Histogram folded;
   for (const obs::Histogram& w : workers) {
     folded.MergeFrom(w.Snapshot());

@@ -26,6 +26,7 @@ struct RankedFixture {
   CcamFile ccam;
   std::unique_ptr<CcamGraph> graph;
   std::unique_ptr<SifIndex> index;
+  QueryContext ctx;  // one query at a time, as a worker thread runs them
 
   explicit RankedFixture(uint64_t seed) {
     data = MakeRandomDataset(seed, 130, 450, 22, 4, 1.0);
@@ -112,9 +113,9 @@ TEST_P(RankedSearchPropertyTest, MatchesBruteForce) {
     const QueryEdgeInfo qe = MakeQueryEdgeInfo(*fx.data.network, q.sk.loc);
     RankedSearchStats stats;
     std::vector<RankedResult> got;
-    ASSERT_TRUE(
-        RankedSkSearch(fx.graph.get(), fx.index.get(), q, qe, &got, &stats)
-            .ok());
+    ASSERT_TRUE(RankedSkSearch(fx.graph.get(), fx.index.get(), q, qe, &got,
+                               &stats, &fx.ctx)
+                    .ok());
     const auto want =
         BruteForceRanked(*fx.data.network, *fx.data.objects, q);
     ASSERT_EQ(got.size(), want.size()) << "round " << round;
@@ -146,9 +147,9 @@ TEST(RankedSearchTest, HighAlphaTerminatesEarly) {
   const QueryEdgeInfo qe = MakeQueryEdgeInfo(*fx.data.network, q.sk.loc);
   RankedSearchStats stats;
   std::vector<RankedResult> got;
-  ASSERT_TRUE(
-      RankedSkSearch(fx.graph.get(), fx.index.get(), q, qe, &got, &stats)
-          .ok());
+  ASSERT_TRUE(RankedSkSearch(fx.graph.get(), fx.index.get(), q, qe, &got,
+                             &stats, &fx.ctx)
+                  .ok());
   ASSERT_EQ(got.size(), 3u);
   EXPECT_TRUE(stats.early_terminated);
   EXPECT_LT(stats.nodes_settled, fx.data.network->num_nodes());
@@ -166,8 +167,9 @@ TEST(RankedSearchTest, FullTextMatchOutranksCloserPartialMatch) {
   q.alpha = 0.1;
   const QueryEdgeInfo qe = MakeQueryEdgeInfo(*fx.data.network, q.sk.loc);
   std::vector<RankedResult> got;
-  ASSERT_TRUE(
-      RankedSkSearch(fx.graph.get(), fx.index.get(), q, qe, &got).ok());
+  ASSERT_TRUE(RankedSkSearch(fx.graph.get(), fx.index.get(), q, qe, &got,
+                             /*stats=*/nullptr, &fx.ctx)
+                  .ok());
   ASSERT_FALSE(got.empty());
   // Results are score-sorted, and matched counts dominate under low alpha:
   for (size_t i = 1; i < got.size(); ++i) {
@@ -188,9 +190,9 @@ TEST(RankedSearchTest, ExpiredDeadlineCancelsTheExpansion) {
   // Without a deadline the expansion runs past its first deadline poll.
   RankedSearchStats full;
   std::vector<RankedResult> got;
-  ASSERT_TRUE(
-      RankedSkSearch(fx.graph.get(), fx.index.get(), q, qe, &got, &full)
-          .ok());
+  ASSERT_TRUE(RankedSkSearch(fx.graph.get(), fx.index.get(), q, qe, &got,
+                             &full, &fx.ctx)
+                  .ok());
   ASSERT_GT(full.nodes_settled, NetworkExpansion::kPollInterval);
 
   // An already-expired deadline stops it at that poll, with no results.
@@ -212,8 +214,9 @@ TEST(BooleanKnnTest, ReturnsKClosestMatching) {
   q.delta_max = 4000.0;
   const QueryEdgeInfo qe = MakeQueryEdgeInfo(*fx.data.network, q.loc);
   std::vector<SkResult> knn;
-  ASSERT_TRUE(
-      BooleanKnnSearch(fx.graph.get(), fx.index.get(), q, qe, 4, &knn).ok());
+  ASSERT_TRUE(BooleanKnnSearch(fx.graph.get(), fx.index.get(), q, qe, 4, &knn,
+                               &fx.ctx)
+                  .ok());
   const auto all = testing::BruteForceSkSearch(*fx.data.network,
                                                *fx.data.objects, q);
   ASSERT_GE(all.size(), 4u);

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -28,6 +29,7 @@ struct SearchFixture {
   CcamFile ccam;
   std::unique_ptr<CcamGraph> graph;
   std::unique_ptr<SifIndex> index;
+  std::deque<QueryContext> contexts;  // one per search; two may be live
 
   explicit SearchFixture(uint64_t seed, size_t nodes = 150,
                          size_t objects = 500, size_t vocab = 25,
@@ -42,7 +44,8 @@ struct SearchFixture {
   IncrementalSkSearch MakeSearch(const SkQuery& query) {
     const QueryEdgeInfo info =
         MakeQueryEdgeInfo(*data.network, query.loc);
-    return IncrementalSkSearch(graph.get(), index.get(), query, info);
+    return IncrementalSkSearch(graph.get(), index.get(), query, info,
+                               &contexts.emplace_back());
   }
 };
 

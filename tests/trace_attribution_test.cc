@@ -188,7 +188,7 @@ TEST(TraceAttributionTest, EveryPhaseReadsOnlyItsOwnMisses) {
   }
 }
 
-TEST(TraceAttributionTest, ScopedAccountRestoresAndNullIsNoop) {
+TEST(TraceAttributionTest, ScopedAccountRestoresTheEnclosingAccount) {
   obs::IoCounters outer;
   obs::IoCounters inner;
   EXPECT_EQ(obs::CurrentIoAccount(), nullptr);
@@ -196,17 +196,11 @@ TEST(TraceAttributionTest, ScopedAccountRestoresAndNullIsNoop) {
     obs::ScopedIoAccount a(&outer);
     EXPECT_EQ(obs::CurrentIoAccount(), &outer);
     {
-      // A null installation keeps the current account: Run* called with
-      // no context must not silently detach an enclosing attribution.
-      obs::ScopedIoAccount b(nullptr);
-      EXPECT_EQ(obs::CurrentIoAccount(), &outer);
-      {
-        obs::ScopedIoAccount c(&inner);
-        EXPECT_EQ(obs::CurrentIoAccount(), &inner);
-        obs::ChargePoolHit();
-      }
-      EXPECT_EQ(obs::CurrentIoAccount(), &outer);
+      obs::ScopedIoAccount b(&inner);
+      EXPECT_EQ(obs::CurrentIoAccount(), &inner);
+      obs::ChargePoolHit();
     }
+    EXPECT_EQ(obs::CurrentIoAccount(), &outer);
     obs::ChargePoolMiss();
     obs::ChargeDiskRead();
   }

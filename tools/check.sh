@@ -4,8 +4,9 @@
 # -DDSKS_SANITIZE=...; the undefined build adds float-cast-overflow) —
 # with a dedicated chaos pass exercising storage fault injection under
 # each sanitizer — then the Release pass: a warning-free Release build of
-# every target, a `dsks_cli generate`/`info`/`query` smoke over every
-# query mode, two crafted dataset files and a flag `query` does not read,
+# every target, the four examples (each must exit 0), a `dsks_cli
+# generate`/`info`/`query` smoke over every query mode, two crafted
+# dataset files and a flag `query` does not read,
 # a `dsks_cli serve` smoke that must print its per-phase `setup:` and
 # `setup peak rss:` lines and whose live /varz, /metrics and /tracez must
 # show the queries it served, `dsks_cli drill` smokes (overload, and
@@ -155,6 +156,24 @@ if [ "$#" -eq 0 ] && [ "${DSKS_SKIP_PERF:-0}" != "1" ]; then
   echo "=== obs smoke: validating BENCH_throughput.json ==="
   python3 tools/perf_gate.py validate-bench build-perf/BENCH_throughput.json
   echo "=== obs smoke: OK ==="
+
+  # Examples: each runs with no arguments and must exit 0. They show the
+  # library's use as a reader would copy it; the build above only shows
+  # that they still compile.
+  echo "=== examples: quickstart, restaurant_finder, road_trip_planner," \
+    "index_tuning ==="
+  for example in quickstart restaurant_finder road_trip_planner index_tuning; do
+    status=0
+    "./build-perf/examples/$example" > "build-perf/example_$example.out" ||
+      status=$?
+    if [ "$status" -ne 0 ]; then
+      echo "examples: $example exited $status" >&2
+      cat "build-perf/example_$example.out" >&2
+      exit 1
+    fi
+    echo "examples: $example OK"
+  done
+  echo "=== examples: OK ==="
 
   # CLI smoke: generate a small SYN dataset, then `dsks_cli query` in all
   # five modes with --trace (and div-com on the file backend). Every trace
